@@ -74,8 +74,8 @@ class CandidateIndex {
 
   /// Registers an EI; returns its flat id (dense, in registration
   /// order). Must be called before the chronon `ei.start` is activated;
-  /// the executor front-loads the whole problem, DynamicMonitor calls
-  /// this from Submit() (which forbids retroactive arrivals).
+  /// DynamicMonitor calls this from Submit() (which forbids retroactive
+  /// arrivals).
   int AddEi(const ExecutionInterval& ei, int t_id, int ei_index);
 
   std::size_t size() const { return eis_.size(); }
@@ -240,39 +240,21 @@ class CandidateIndex {
   /// counters were already settled).
   void Deactivate(int flat_id);
 
-  /// Deactivates the contiguous flat-id range [first_flat, first_flat +
-  /// num_eis) — the shared retire path of the executors and
-  /// DynamicMonitor, whose per-parent EIs are registered contiguously.
-  void RetireRange(int first_flat, int num_eis) {
-    for (int fid = first_flat; fid < first_flat + num_eis; ++fid) {
-      Deactivate(fid);
-    }
-  }
-
-  /// Expires the EIs whose window closes at `now`: each still-live one
-  /// is removed from the index and reported to `on_expire` (a callable
-  /// (int flat_id, const IndexedEi&)) for parent accounting, which may
-  /// reentrantly Deactivate() siblings (including ones expiring at this
-  /// same chronon — they are skipped as dead, matching the reference
-  /// semantics where a dead parent's later expiries are ignored).
-  template <typename OnExpire>
-  void ExpireEnding(Chronon now, OnExpire&& on_expire) {
-    for (int id : ending_at_[static_cast<std::size_t>(now)]) {
-      if (!ExpireOne(id, on_expire)) continue;
-    }
-  }
-
-  /// The flat ids whose windows close at `now` (dead entries included —
-  /// callers filter through ExpireOne). Partition hook: the parallel
-  /// executor k-way-merges the per-shard lists into the serial expiry
-  /// order before applying ExpireOne() entry by entry.
+  /// The flat ids whose windows close at `now`, in registration order
+  /// (dead entries included — callers filter through ExpireOne).
+  /// DynamicMonitor k-way-merges the per-shard lists into global
+  /// registration order before applying ExpireOne() entry by entry.
   const std::vector<int>& EndingAt(Chronon now) const {
     return ending_at_[static_cast<std::size_t>(now)];
   }
 
   /// Expires a single EI if it is still live: removes it from the index
-  /// and reports it to `on_expire` (same contract as ExpireEnding).
-  /// False when the EI was already dead (nothing happened).
+  /// and reports it to `on_expire` (a callable (int flat_id, const
+  /// IndexedEi&)) for parent accounting, which may reentrantly
+  /// Deactivate() siblings (including ones expiring at this same
+  /// chronon — they are then skipped as dead, matching the reference
+  /// semantics where a dead parent's later expiries are ignored). False
+  /// when the EI was already dead (nothing happened).
   template <typename OnExpire>
   bool ExpireOne(int flat_id, OnExpire&& on_expire) {
     IndexedEi& flat = eis_[static_cast<std::size_t>(flat_id)];

@@ -1,6 +1,7 @@
 #include "core/dynamic_monitor.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -26,10 +27,29 @@ DynamicMonitor::DynamicMonitor(int num_resources, Chronon epoch_length,
       policy_(policy),
       mode_(mode),
       options_(options),
+      num_shards_(std::max(1, options.shards)),
       churn_queue_(options.churn_queue_capacity),
       health_(num_resources, options.breaker),
-      schedule_(epoch_length),
-      index_(num_resources, epoch_length) {
+      shard_map_(num_shards_),
+      shard_of_resource_(shard_map_.AssignResources(num_resources)),
+      pool_(options.threads),
+      schedule_(epoch_length) {
+  const auto shards = static_cast<std::size_t>(num_shards_);
+  partitions_.reserve(shards);
+  for (int s = 0; s < num_shards_; ++s) {
+    partitions_.emplace_back(num_resources, epoch_length);
+  }
+  global_of_local_.resize(shards);
+  shard_entries_.resize(shards);
+  shard_take_.assign(shards, 0);
+  shard_suppressed_.resize(shards);
+  shard_scored_.assign(shards, 0);
+  merge_pos_.assign(shards, 0);
+  expiry_pos_.assign(shards, 0);
+  shard_stats_.shard_count = num_shards_;
+  shard_stats_.candidates_scored.assign(shards, 0);
+  shard_stats_.probes_executed.assign(shards, 0);
+  tokens_by_worker_.resize(static_cast<std::size_t>(pool_.threads()));
   policy_->Reset();
   policy_->AttachHealth(&health_);
 }
@@ -60,8 +80,31 @@ Result<int> DynamicMonitor::ResolveSubmission(ProfileId profile,
   return subs[static_cast<std::size_t>(submission_id)];
 }
 
-Result<int> DynamicMonitor::Submit(ProfileId profile,
-                                   TInterval t_interval) {
+Status DynamicMonitor::ValidateArrival(const TInterval& t_interval,
+                                       bool edit) const {
+  PULLMON_RETURN_NOT_OK(t_interval.Validate(Epoch{epoch_length_}));
+  for (const auto& ei : t_interval.eis()) {
+    if (ei.resource >= num_resources_) {
+      return Status::OutOfRange(
+          StringFormat("EI resource %d outside [0,%d)", ei.resource,
+                       num_resources_));
+    }
+    if (ei.start >= now_) continue;
+    if (edit) {
+      return Status::InvalidArgument(StringFormat(
+          "edited EI starts at %d but the monitor is already at chronon "
+          "%d (edits cannot reach into the past)",
+          ei.start, now_));
+    }
+    return Status::FailedPrecondition(StringFormat(
+        "EI starts at %d but the monitor is already at chronon %d",
+        ei.start, now_));
+  }
+  return Status::OK();
+}
+
+Status DynamicMonitor::CheckSubmit(ProfileId profile,
+                                   const TInterval& t_interval) const {
   if (profile < 0 ||
       profile >= static_cast<ProfileId>(profile_names_.size())) {
     return Status::InvalidArgument(
@@ -71,65 +114,79 @@ Result<int> DynamicMonitor::Submit(ProfileId profile,
     return Status::InvalidArgument(
         StringFormat("profile %d is unregistered", profile));
   }
-  PULLMON_RETURN_NOT_OK(t_interval.Validate(Epoch{epoch_length_}));
-  for (const auto& ei : t_interval.eis()) {
-    if (ei.resource >= num_resources_) {
-      return Status::OutOfRange(
-          StringFormat("EI resource %d outside [0,%d)", ei.resource,
-                       num_resources_));
-    }
-    if (ei.start < now_) {
-      return Status::FailedPrecondition(StringFormat(
-          "EI starts at %d but the monitor is already at chronon %d",
-          ei.start, now_));
-    }
-  }
+  return ValidateArrival(t_interval, /*edit=*/false);
+}
+
+Result<int> DynamicMonitor::Submit(ProfileId profile,
+                                   TInterval t_interval) {
+  PULLMON_RETURN_NOT_OK(CheckSubmit(profile, t_interval));
   ++stats_.submitted;
-  return AppendSubmission(profile, std::move(t_interval));
+  submitted_.push_back(std::move(t_interval));
+  return AppendSubmission(profile, &submitted_.back());
+}
+
+Result<int> DynamicMonitor::SubmitStable(ProfileId profile,
+                                         const TInterval* t_interval) {
+  PULLMON_RETURN_NOT_OK(CheckSubmit(profile, *t_interval));
+  ++stats_.submitted;
+  return AppendSubmission(profile, t_interval);
 }
 
 int DynamicMonitor::AppendSubmission(ProfileId profile,
-                                     TInterval t_interval) {
-  submitted_.push_back(std::move(t_interval));
-  const TInterval& stored = submitted_.back();
-  int t_id = static_cast<int>(runtimes_.size());
+                                     const TInterval* stored) {
+  const int t_id = static_cast<int>(runtimes_.size());
+  auto& siblings = runtimes_of_profile_[static_cast<std::size_t>(profile)];
 
-  // Grow the profile's rank and refresh its existing runtimes so
-  // rank-level policies see the new complexity.
+  // Grow the profile's rank; siblings already carry the old value, so
+  // they need a refresh only when it actually grew.
   auto& rank = rank_of_profile_[static_cast<std::size_t>(profile)];
-  rank = std::max(rank, static_cast<int>(stored.size()));
-  for (int other : runtimes_of_profile_[static_cast<std::size_t>(profile)]) {
-    runtimes_[static_cast<std::size_t>(other)].profile_rank = rank;
+  if (static_cast<int>(stored->size()) > rank) {
+    rank = static_cast<int>(stored->size());
+    for (int other : siblings) {
+      runtimes_[static_cast<std::size_t>(other)].profile_rank = rank;
+    }
   }
-  runtimes_of_profile_[static_cast<std::size_t>(profile)].push_back(t_id);
+  siblings.push_back(t_id);
 
   TIntervalRuntime rt;
   rt.profile = profile;
   rt.profile_rank = rank;
-  rt.source = &stored;
-  rt.weight = stored.weight();
-  rt.required = static_cast<int>(stored.required());
-  rt.ei_captured.assign(stored.size(), 0);
+  rt.source = stored;
+  rt.weight = stored->weight();
+  rt.required = static_cast<int>(stored->required());
+  rt.ei_captured.assign(stored->size(), 0);
   runtimes_.push_back(std::move(rt));
   cancelled_.push_back(0);
   fault_touched_.push_back(0);
-  int submission = static_cast<int>(
-      runtimes_of_profile_[static_cast<std::size_t>(profile)].size()) -
-      1;
+  const int submission = static_cast<int>(siblings.size()) - 1;
   submission_id_.push_back(submission);
 
-  first_flat_.push_back(static_cast<int>(index_.size()));
-  for (std::size_t i = 0; i < stored.eis().size(); ++i) {
-    index_.AddEi(stored.eis()[i], t_id, static_cast<int>(i));
+  // Register the EIs into their owning shard partitions under
+  // contiguous global flat ids; local flat ids are handed out in global
+  // registration order, so within any one shard they sort exactly like
+  // the global ids.
+  first_flat_.push_back(static_cast<int>(handle_of_global_.size()));
+  for (std::size_t i = 0; i < stored->eis().size(); ++i) {
+    const ExecutionInterval& ei = stored->eis()[i];
+    const int shard =
+        shard_of_resource_[static_cast<std::size_t>(ei.resource)];
+    auto& globals = global_of_local_[static_cast<std::size_t>(shard)];
+    const int local = partitions_[static_cast<std::size_t>(shard)].AddEi(
+        ei, t_id, static_cast<int>(i));
+    PULLMON_CHECK(local == static_cast<int>(globals.size()));
+    globals.push_back(static_cast<int>(handle_of_global_.size()));
+    handle_of_global_.push_back(EiHandle{shard, local});
   }
   return submission;
 }
 
 void DynamicMonitor::RetireParent(int t_id) {
-  const TIntervalRuntime& parent =
-      runtimes_[static_cast<std::size_t>(t_id)];
-  index_.RetireRange(first_flat_[static_cast<std::size_t>(t_id)],
-                     parent.NumEis());
+  const int first = first_flat_[static_cast<std::size_t>(t_id)];
+  const int end = first + runtimes_[static_cast<std::size_t>(t_id)].NumEis();
+  for (int g = first; g < end; ++g) {
+    const EiHandle& h = handle_of_global_[static_cast<std::size_t>(g)];
+    partitions_[static_cast<std::size_t>(h.shard)].Deactivate(h.local_id);
+  }
 }
 
 void DynamicMonitor::RecomputeProfileRank(ProfileId profile) {
@@ -223,23 +280,11 @@ Result<int> DynamicMonitor::Edit(ProfileId profile, int submission_id,
   }
   // Validate the replacement in full *before* touching the old
   // submission, so a rejected edit is a no-op.
-  PULLMON_RETURN_NOT_OK(replacement.Validate(Epoch{epoch_length_}));
-  for (const auto& ei : replacement.eis()) {
-    if (ei.resource >= num_resources_) {
-      return Status::OutOfRange(
-          StringFormat("EI resource %d outside [0,%d)", ei.resource,
-                       num_resources_));
-    }
-    if (ei.start < now_) {
-      return Status::InvalidArgument(StringFormat(
-          "edited EI starts at %d but the monitor is already at chronon "
-          "%d (edits cannot reach into the past)",
-          ei.start, now_));
-    }
-  }
+  PULLMON_RETURN_NOT_OK(ValidateArrival(replacement, /*edit=*/true));
   CancelLive(t_id);
   ++stats_.edited;
-  return AppendSubmission(profile, std::move(replacement));
+  submitted_.push_back(std::move(replacement));
+  return AppendSubmission(profile, &submitted_.back());
 }
 
 void DynamicMonitor::RebuildIndex() {
@@ -252,25 +297,35 @@ void DynamicMonitor::RebuildIndex() {
   // candidates in activation order, matching the incremental index's
   // observable state (its lists may additionally carry dead entries
   // awaiting lazy compaction, which nothing observes).
-  CandidateIndex fresh(num_resources_, epoch_length_);
+  std::vector<CandidateIndex> fresh;
+  fresh.reserve(partitions_.size());
+  for (int s = 0; s < num_shards_; ++s) {
+    fresh.emplace_back(num_resources_, epoch_length_);
+  }
   for (std::size_t t = 0; t < runtimes_.size(); ++t) {
     const TIntervalRuntime& rt = runtimes_[t];
     const bool parent_dead =
         rt.completed || rt.failed || cancelled_[t] != 0;
     const auto& eis = rt.source->eis();
     for (std::size_t i = 0; i < eis.size(); ++i) {
-      int fid =
-          fresh.AddEi(eis[i], static_cast<int>(t), static_cast<int>(i));
+      const EiHandle& h = handle_of_global_[static_cast<std::size_t>(
+          first_flat_[t] + static_cast<int>(i))];
+      CandidateIndex& partition = fresh[static_cast<std::size_t>(h.shard)];
+      const int local =
+          partition.AddEi(eis[i], static_cast<int>(t), static_cast<int>(i));
+      PULLMON_CHECK(local == h.local_id);
       if (parent_dead || rt.ei_captured[i] != 0 ||
           eis[i].finish < now_) {
-        fresh.Deactivate(fid);
+        partition.Deactivate(local);
       }
     }
   }
-  for (Chronon t = 0; t < now_; ++t) {
-    fresh.ActivateArrivals(t, [](int) { return true; });
+  for (CandidateIndex& partition : fresh) {
+    for (Chronon t = 0; t < now_; ++t) {
+      partition.ActivateArrivals(t, [](int) { return true; });
+    }
   }
-  index_ = std::move(fresh);
+  partitions_ = std::move(fresh);
 }
 
 void DynamicMonitor::DrainChurnQueue() {
@@ -278,47 +333,177 @@ void DynamicMonitor::DrainChurnQueue() {
     ChurnOutcome outcome;
     outcome.kind = op.kind;
     outcome.profile = op.profile;
-    switch (op.kind) {
-      case ChurnOp::Kind::kSubmit: {
-        Result<int> r = Submit(op.profile, std::move(op.t_interval));
-        if (r.ok()) {
-          outcome.result = r.value();
-        } else {
-          outcome.status = r.status();
-        }
-        break;
+    auto record = [&outcome](const Result<int>& r) {
+      if (r.ok()) {
+        outcome.result = r.value();
+      } else {
+        outcome.status = r.status();
       }
+    };
+    switch (op.kind) {
+      case ChurnOp::Kind::kSubmit:
+        record(Submit(op.profile, std::move(op.t_interval)));
+        break;
       case ChurnOp::Kind::kCancel:
         outcome.status = Cancel(op.profile, op.submission_id);
         break;
-      case ChurnOp::Kind::kEdit: {
-        Result<int> r =
-            Edit(op.profile, op.submission_id, std::move(op.t_interval));
-        if (r.ok()) {
-          outcome.result = r.value();
-        } else {
-          outcome.status = r.status();
-        }
+      case ChurnOp::Kind::kEdit:
+        record(Edit(op.profile, op.submission_id, std::move(op.t_interval)));
         break;
-      }
-      case ChurnOp::Kind::kUnregister: {
-        Result<int> r = Unregister(op.profile);
-        if (r.ok()) {
-          outcome.result = r.value();
-        } else {
-          outcome.status = r.status();
-        }
+      case ChurnOp::Kind::kUnregister:
+        record(Unregister(op.profile));
         break;
-      }
     }
     return outcome;
   });
+}
+
+void DynamicMonitor::CaptureOnProbe(ResourceId resource, StepResult* step) {
+  const int shard = shard_of_resource_[static_cast<std::size_t>(resource)];
+  partitions_[static_cast<std::size_t>(shard)].CaptureResource(
+      resource, [&](int, const IndexedEi& hit) {
+        TIntervalRuntime& parent =
+            runtimes_[static_cast<std::size_t>(hit.t_id)];
+        parent.ei_captured[static_cast<std::size_t>(hit.ei_index)] = 1;
+        ++parent.num_captured;
+        parent.selected = true;
+        if (parent.num_captured < parent.required) return;
+        // The probe completed the parent: its other EIs leave play.
+        parent.completed = true;
+        ++completed_;
+        RetireParent(hit.t_id);
+        const int submission =
+            submission_id_[static_cast<std::size_t>(hit.t_id)];
+        step->captured.emplace_back(parent.profile, submission);
+        if (!capture_callback_) return;
+        if (hooks_.decide) {
+          // Defer past the execute phase: the callback reads probe
+          // payloads that exist only after commit.
+          PendingOp op;
+          op.kind = PendingOp::Kind::kCapture;
+          op.profile = parent.profile;
+          op.submission_id = submission;
+          ops_.push_back(op);
+        } else {
+          capture_callback_(parent.profile, submission, now_);
+        }
+      });
+}
+
+void DynamicMonitor::MergeShardSelections(int budget) {
+  merged_entries_.clear();
+  std::fill(merge_pos_.begin(), merge_pos_.end(), 0);
+  // S-way merge of sorted shard prefixes under the global total order:
+  // (np_class, score, deadline, global flat id) ascending. The shard
+  // prefixes each hold their shard's best min(budget, ·) resources, so
+  // the union covers the global top-budget set.
+  while (static_cast<int>(merged_entries_.size()) < budget) {
+    int best_shard = -1;
+    int best_global = 0;
+    for (int s = 0; s < num_shards_; ++s) {
+      const std::size_t p = merge_pos_[static_cast<std::size_t>(s)];
+      if (p >= shard_take_[static_cast<std::size_t>(s)]) continue;
+      const ResourceCandidate& c =
+          shard_entries_[static_cast<std::size_t>(s)][p];
+      const int global =
+          global_of_local_[static_cast<std::size_t>(s)]
+                          [static_cast<std::size_t>(c.flat_id)];
+      if (best_shard < 0) {
+        best_shard = s;
+        best_global = global;
+        continue;
+      }
+      const ResourceCandidate& b =
+          shard_entries_[static_cast<std::size_t>(best_shard)]
+                        [merge_pos_[static_cast<std::size_t>(best_shard)]];
+      bool better;
+      if (c.np_class != b.np_class) {
+        better = c.np_class < b.np_class;
+      } else if (c.score != b.score) {
+        better = c.score < b.score;
+      } else if (c.deadline != b.deadline) {
+        better = c.deadline < b.deadline;
+      } else {
+        better = global < best_global;
+      }
+      if (better) {
+        best_shard = s;
+        best_global = global;
+      }
+    }
+    if (best_shard < 0) break;
+    ResourceCandidate chosen =
+        shard_entries_[static_cast<std::size_t>(best_shard)]
+                      [merge_pos_[static_cast<std::size_t>(best_shard)]];
+    chosen.flat_id = best_global;  // expose the global id downstream
+    merged_entries_.push_back(chosen);
+    ++merge_pos_[static_cast<std::size_t>(best_shard)];
+  }
+  shard_stats_.merge_entries += merged_entries_.size();
+}
+
+void DynamicMonitor::ExpireEnding(StepResult* step) {
+  // The parent fails once too few EIs remain alive to reach its
+  // required capture count (with the all-required default, any
+  // uncaptured expiry fails it).
+  auto expire_fn = [&](int, const IndexedEi& flat) {
+    TIntervalRuntime& parent =
+        runtimes_[static_cast<std::size_t>(flat.t_id)];
+    if (parent.failed || parent.completed ||
+        cancelled_[static_cast<std::size_t>(flat.t_id)]) {
+      return;
+    }
+    ++parent.num_expired;
+    if (parent.num_captured + parent.NumAlive() >= parent.required) return;
+    parent.failed = true;
+    ++failed_;
+    RetireParent(flat.t_id);
+    if (fault_touched_[static_cast<std::size_t>(flat.t_id)]) {
+      ++stats_.t_intervals_lost_to_faults;
+    }
+    step->failed.emplace_back(
+        parent.profile, submission_id_[static_cast<std::size_t>(flat.t_id)]);
+  };
+  if (num_shards_ == 1) {
+    // One partition: local ids are global ids, its list is the order.
+    for (int local : partitions_[0].EndingAt(now_)) {
+      partitions_[0].ExpireOne(local, expire_fn);
+    }
+    return;
+  }
+  // S-way merge of the per-shard ending lists back into global
+  // registration order.
+  std::fill(expiry_pos_.begin(), expiry_pos_.end(), 0);
+  while (true) {
+    int best_shard = -1;
+    int best_global = std::numeric_limits<int>::max();
+    for (int s = 0; s < num_shards_; ++s) {
+      const std::size_t si = static_cast<std::size_t>(s);
+      const auto& list = partitions_[si].EndingAt(now_);
+      if (expiry_pos_[si] >= list.size()) continue;
+      const int global =
+          global_of_local_[si]
+                          [static_cast<std::size_t>(list[expiry_pos_[si]])];
+      if (best_shard < 0 || global < best_global) {
+        best_shard = s;
+        best_global = global;
+      }
+    }
+    if (best_shard < 0) break;
+    const std::size_t si = static_cast<std::size_t>(best_shard);
+    const int local = partitions_[si].EndingAt(now_)[expiry_pos_[si]];
+    partitions_[si].ExpireOne(local, expire_fn);
+    ++expiry_pos_[si];
+  }
 }
 
 Result<StepResult> DynamicMonitor::Step() {
   if (!validated_options_) {
     PULLMON_RETURN_NOT_OK(options_.retry.Validate());
     PULLMON_RETURN_NOT_OK(options_.breaker.Validate());
+    if (options_.shards < 1) {
+      return Status::InvalidArgument("shards must be >= 1");
+    }
     validated_options_ = true;
   }
   if (now_ >= epoch_length_) {
@@ -329,125 +514,176 @@ Result<StepResult> DynamicMonitor::Step() {
   DrainChurnQueue();
   StepResult step;
   step.chronon = now_;
+  const int num_workers = pool_.threads();
 
-  // 1. Reveal EIs starting now (dead parents were retired eagerly).
-  index_.ActivateArrivals(now_, [](int) { return true; });
+  if (hooks_.begin_chronon) hooks_.begin_chronon(now_, num_workers);
+
+  // 1. Reveal EIs starting now, per shard (each shard's starting list
+  // touches only that shard's partition; dead parents were retired
+  // eagerly).
+  pool_.Run(num_shards_, [&](int s) {
+    partitions_[static_cast<std::size_t>(s)].ActivateArrivals(
+        now_, [](int) { return true; });
+  });
 
   // Expired cool-downs move to probation before scoring, so a half-open
   // resource competes in this chronon's selection.
   health_.BeginChronon(now_);
 
-  // 2. Score the live candidates, one minimal key per resource;
-  //    open-circuit resources are skipped and their budget flows on.
-  std::size_t scored = index_.CollectResourceCandidates(
-      now_,
-      [&](const IndexedEi& flat) {
-        const TIntervalRuntime& parent =
-            runtimes_[static_cast<std::size_t>(flat.t_id)];
-        int np_class = (mode_ == ExecutionMode::kNonPreemptive &&
-                        !parent.selected)
-                           ? 1
-                           : 0;
-        return std::make_pair(
-            np_class, policy_->Score(flat.ei, parent, flat.ei_index, now_));
-      },
-      [&](ResourceId r) { return health_.IsSuppressed(r); },
-      [&](ResourceId r, int live) { health_.NoteSuppressed(r, live); },
-      &entries_);
+  // 2. Score per shard, one minimal key per resource, and select each
+  // shard's local top-k against the budget. Open-circuit resources are
+  // skipped, so their would-be budget flows to the next-ranked
+  // candidates. The health tracker is only *read* here (IsSuppressed);
+  // suppression telemetry is deferred and applied serially below so the
+  // tracker never sees concurrent writes.
+  const int budget = budget_.at(now_);
+  pool_.Run(num_shards_, [&](int s) {
+    const std::size_t si = static_cast<std::size_t>(s);
+    shard_suppressed_[si].clear();
+    shard_scored_[si] = partitions_[si].CollectResourceCandidates(
+        now_,
+        [&](const IndexedEi& flat) {
+          const TIntervalRuntime& parent =
+              runtimes_[static_cast<std::size_t>(flat.t_id)];
+          int np_class =
+              (mode_ == ExecutionMode::kNonPreemptive && !parent.selected)
+                  ? 1
+                  : 0;
+          return std::make_pair(
+              np_class, policy_->Score(flat.ei, parent, flat.ei_index, now_));
+        },
+        [&](ResourceId r) { return health_.IsSuppressed(r); },
+        [&](ResourceId r, int live) {
+          shard_suppressed_[si].emplace_back(r, live);
+        },
+        &shard_entries_[si]);
+    shard_take_[si] =
+        budget > 0
+            ? CandidateIndex::SelectTopResources(&shard_entries_[si], budget)
+            : 0;
+  });
+
+  // Serial post-barrier bookkeeping: suppression telemetry in shard
+  // order (the recorded values are order-independent counters) and the
+  // scored-work counters.
+  std::size_t scored = 0;
+  for (std::size_t si = 0; si < partitions_.size(); ++si) {
+    for (const auto& [r, live] : shard_suppressed_[si]) {
+      health_.NoteSuppressed(r, live);
+    }
+    scored += shard_scored_[si];
+    shard_stats_.candidates_scored[si] += shard_scored_[si];
+  }
   stats_.candidates_scored += scored;
   stats_.max_concurrent_candidates =
       std::max(stats_.max_concurrent_candidates, scored);
 
-  // 3. Partial top-C_now selection over resources, best first.
-  int budget = budget_.at(now_);
-  if (budget > 0 && !entries_.empty()) {
-    std::size_t take =
-        CandidateIndex::SelectTopResources(&entries_, budget);
+  // 3. Control pass: merge the shard selections into the global order,
+  // then run the budget/retry/breaker loop. With hooks every attempt's
+  // fate is *decided* here (serially, in canonical order) and its
+  // data-plane work is deferred to phase 4.
+  ops_.clear();
+  for (auto& lane : tokens_by_worker_) lane.clear();
+  int tokens_issued = 0;
+  auto attempt = [&](ResourceId r, std::size_t shard) {
+    ++stats_.probes_used;
+    ++shard_stats_.probes_executed[shard];
+    bool success = true;
+    if (hooks_.decide) {
+      const int token = tokens_issued++;
+      success = hooks_.decide(r, now_, token);
+      PendingOp op;
+      op.kind = PendingOp::Kind::kAttempt;
+      op.token = token;
+      ops_.push_back(op);
+      tokens_by_worker_[shard % static_cast<std::size_t>(num_workers)]
+          .push_back(token);
+    } else if (probe_callback_) {
+      success = probe_callback_(r, now_);
+    }
+    health_.RecordProbe(r, now_, success);
+    if (!success) ++stats_.probes_failed;
+    return success;
+  };
+
+  if (budget > 0) {
+    MergeShardSelections(budget);
     int probes_this_chronon = 0;
-    for (std::size_t e = 0; e < take; ++e) {
+    for (const ResourceCandidate& entry : merged_entries_) {
       if (probes_this_chronon >= budget) break;
-      ResourceId r = entries_[e].resource;
+      const ResourceId r = entry.resource;
+      const auto shard =
+          static_cast<std::size_t>(shard_of_resource_[
+              static_cast<std::size_t>(r)]);
       ++probes_this_chronon;
-      ++stats_.probes_used;
-      bool success = probe_callback_ ? probe_callback_(r, now_) : true;
-      health_.RecordProbe(r, now_, success);
-      if (!success) {
-        ++stats_.probes_failed;
-        // Same-chronon retries with exponential backoff, each charged
-        // one budget unit (identical to OnlineExecutor's probe path).
-        double waited = 0.0;
-        double backoff = options_.retry.backoff_base;
-        for (int attempt = 0; attempt < options_.retry.max_retries &&
-                              probes_this_chronon < budget &&
-                              !health_.CircuitOpen(r);
-             ++attempt) {
-          waited += backoff;
-          if (waited > options_.retry.backoff_budget) break;
-          backoff *= options_.retry.backoff_multiplier;
-          ++probes_this_chronon;
-          ++stats_.probes_used;
-          ++stats_.retries_issued;
-          ++stats_.retry_probes_spent;
-          success = probe_callback_(r, now_);
-          health_.RecordProbe(r, now_, success);
-          if (success) break;
-          ++stats_.probes_failed;
-        }
+      bool success = attempt(r, shard);
+      // Same-chronon retries with exponential backoff, each charged one
+      // budget unit; abandoned when the accumulated wait would cross the
+      // chronon boundary, the budget runs dry, or the breaker opens the
+      // resource's circuit mid-loop (retrying a resource the breaker
+      // just gave up on wastes budget).
+      double waited = 0.0;
+      double backoff = options_.retry.backoff_base;
+      for (int retry = 0; !success && retry < options_.retry.max_retries &&
+                          probes_this_chronon < budget &&
+                          !health_.CircuitOpen(r);
+           ++retry) {
+        waited += backoff;
+        if (waited > options_.retry.backoff_budget) break;
+        backoff *= options_.retry.backoff_multiplier;
+        ++probes_this_chronon;
+        ++stats_.retries_issued;
+        ++stats_.retry_probes_spent;
+        success = attempt(r, shard);
       }
       if (!success) {
-        // Nothing was delivered: candidates on r stay candidates.
-        // Record which parents the failure touched for attribution.
-        index_.ForEachLiveOnResource(r, [&](int, const IndexedEi& miss) {
-          fault_touched_[static_cast<std::size_t>(miss.t_id)] = 1;
-        });
+        // The probe never delivered: nothing is captured, candidates on
+        // r stay candidates for later chronons. Record which parents the
+        // failure touched for loss attribution.
+        partitions_[shard].ForEachLiveOnResource(
+            r, [&](int, const IndexedEi& miss) {
+              fault_touched_[static_cast<std::size_t>(miss.t_id)] = 1;
+            });
         continue;
       }
       step.probed.push_back(r);
       PULLMON_CHECK_OK(schedule_.AddProbe(r, now_));
-
-      // 4. Capture every live candidate on this resource.
-      index_.CaptureResource(r, [&](int, const IndexedEi& hit) {
-        TIntervalRuntime& parent =
-            runtimes_[static_cast<std::size_t>(hit.t_id)];
-        parent.ei_captured[static_cast<std::size_t>(hit.ei_index)] = 1;
-        ++parent.num_captured;
-        parent.selected = true;
-        if (parent.num_captured >= parent.required) {
-          parent.completed = true;
-          ++completed_;
-          RetireParent(hit.t_id);
-          step.captured.emplace_back(
-              parent.profile,
-              submission_id_[static_cast<std::size_t>(hit.t_id)]);
-        }
-      });
+      // 4. The probe captures every live candidate EI on resource r.
+      CaptureOnProbe(r, &step);
     }
+    // Reclaim accounting: at most probes_this_chronon of the budget
+    // units a suppressed resource would have taken actually flowed to
+    // other resources this chronon (an upper bound; see HealthStats).
     health_.NoteBudgetReclaimed(
         std::min(health_.SuppressedThisChronon(),
                  static_cast<std::size_t>(probes_this_chronon)));
   }
 
-  // 5. Expiry.
-  index_.ExpireEnding(now_, [&](int, const IndexedEi& flat) {
-    TIntervalRuntime& parent =
-        runtimes_[static_cast<std::size_t>(flat.t_id)];
-    if (parent.failed || parent.completed ||
-        cancelled_[static_cast<std::size_t>(flat.t_id)]) {
-      return;
+  // 5. Execute phase: the decided attempts' fetch/parse/cache work runs
+  // concurrently, one lane per worker, each lane in canonical order.
+  // All attempts of one shard go to one worker, so per-resource session
+  // state (etags, cache entries, server-side lazy caches) is
+  // single-writer within the phase.
+  if (hooks_.execute && tokens_issued > 0) {
+    pool_.Run(num_workers, [&](int w) {
+      const auto& lane = tokens_by_worker_[static_cast<std::size_t>(w)];
+      if (!lane.empty()) hooks_.execute(lane, w);
+    });
+  }
+
+  // 6. Commit replay: apply attempt payloads and fire capture
+  // notifications in exactly the order the plain callback path
+  // interleaves them.
+  for (const PendingOp& op : ops_) {
+    if (op.kind == PendingOp::Kind::kAttempt) {
+      if (hooks_.commit) hooks_.commit(op.token);
+    } else {
+      capture_callback_(op.profile, op.submission_id, now_);
     }
-    ++parent.num_expired;
-    if (parent.num_captured + parent.NumAlive() < parent.required) {
-      parent.failed = true;
-      ++failed_;
-      RetireParent(flat.t_id);
-      if (fault_touched_[static_cast<std::size_t>(flat.t_id)]) {
-        ++stats_.t_intervals_lost_to_faults;
-      }
-      step.failed.emplace_back(
-          parent.profile,
-          submission_id_[static_cast<std::size_t>(flat.t_id)]);
-    }
-  });
+  }
+
+  // 7. Expire EIs whose window ends now.
+  ExpireEnding(&step);
 
   ++now_;
   return step;
@@ -482,6 +718,40 @@ CompletenessReport DynamicMonitor::Completeness() const {
   return report;
 }
 
+OnlineRunResult DynamicMonitor::RunResult() const {
+  OnlineRunResult result;
+  result.schedule = schedule_;
+  result.probes_used = stats_.probes_used;
+  result.t_intervals_completed = completed_;
+  result.t_intervals_failed = failed_;
+  result.candidates_scored = stats_.candidates_scored;
+  result.max_concurrent_candidates = stats_.max_concurrent_candidates;
+  result.probes_failed = stats_.probes_failed;
+  result.retries_issued = stats_.retries_issued;
+  result.retry_probes_spent = stats_.retry_probes_spent;
+  result.t_intervals_lost_to_faults = stats_.t_intervals_lost_to_faults;
+
+  const HealthStats& hs = health_.stats();
+  result.circuits_opened = hs.circuits_opened;
+  result.circuits_reopened = hs.circuits_reopened;
+  result.probation_probes = hs.probation_probes;
+  result.probation_successes = hs.probation_successes;
+  result.probes_suppressed = hs.probes_suppressed;
+  result.budget_reclaimed = hs.budget_reclaimed;
+  result.open_chronons_total = hs.open_chronons_total;
+  if (options_.breaker.enabled) {
+    result.open_chronons_by_resource = health_.OpenChrononsByResource();
+  }
+
+  if (num_shards_ > 1) {
+    result.shard_count = static_cast<std::size_t>(num_shards_);
+    result.shard_candidates_scored = shard_stats_.candidates_scored;
+    result.shard_probes_executed = shard_stats_.probes_executed;
+    result.shard_merge_entries = shard_stats_.merge_entries;
+  }
+  return result;
+}
+
 MonitorImage DynamicMonitor::Capture() const {
   MonitorImage image;
   image.now = now_;
@@ -508,6 +778,7 @@ MonitorImage DynamicMonitor::Capture() const {
   }
   image.stats = stats_;
   image.health = health_.Capture();
+  if (num_shards_ > 1) image.shards = shard_stats_;
   return image;
 }
 
@@ -530,6 +801,15 @@ Status DynamicMonitor::Restore(const MonitorImage& image) {
     return Status::InvalidArgument(
         "image schedule does not cover exactly the chronons before now");
   }
+  const int image_shards = num_shards_ > 1 ? num_shards_ : 0;
+  if (image.shards.shard_count != image_shards ||
+      image.shards.candidates_scored.size() !=
+          static_cast<std::size_t>(image_shards) ||
+      image.shards.probes_executed.size() !=
+          static_cast<std::size_t>(image_shards)) {
+    return Status::InvalidArgument(
+        "image shard telemetry does not match the monitor's shard count");
+  }
   // The profile registry first, so submissions can validate against it.
   for (const std::string& name : image.profile_names) {
     RegisterProfile(name);
@@ -547,12 +827,20 @@ Status DynamicMonitor::Restore(const MonitorImage& image) {
           "image submission names unknown profile %d", sub.profile));
     }
     PULLMON_RETURN_NOT_OK(sub.definition.Validate(Epoch{epoch_length_}));
+    for (const auto& ei : sub.definition.eis()) {
+      if (ei.resource >= num_resources_) {
+        return Status::InvalidArgument(StringFormat(
+            "image EI resource %d outside [0,%d)", ei.resource,
+            num_resources_));
+      }
+    }
     if (sub.ei_captured.size() != sub.definition.size()) {
       return Status::InvalidArgument(
           "image capture flags do not match the definition's EI count");
     }
     int t_id = static_cast<int>(runtimes_.size());
-    AppendSubmission(sub.profile, sub.definition);
+    submitted_.push_back(sub.definition);
+    AppendSubmission(sub.profile, &submitted_.back());
     TIntervalRuntime& rt = runtimes_[static_cast<std::size_t>(t_id)];
     rt.ei_captured = sub.ei_captured;
     rt.num_captured = 0;
@@ -582,6 +870,7 @@ Status DynamicMonitor::Restore(const MonitorImage& image) {
     }
   }
   stats_ = image.stats;
+  if (num_shards_ > 1) shard_stats_ = image.shards;
   PULLMON_RETURN_NOT_OK(health_.Restore(image.health));
 
   // The candidate structures come back through the rebuild oracle:
@@ -593,7 +882,9 @@ Status DynamicMonitor::Restore(const MonitorImage& image) {
 }
 
 Status DynamicMonitor::CheckInvariants() const {
-  PULLMON_RETURN_NOT_OK(index_.CheckInvariants());
+  for (const CandidateIndex& partition : partitions_) {
+    PULLMON_RETURN_NOT_OK(partition.CheckInvariants());
+  }
   for (std::size_t t = 0; t < runtimes_.size(); ++t) {
     const TIntervalRuntime& rt = runtimes_[t];
     int captured = 0;
@@ -610,14 +901,14 @@ Status DynamicMonitor::CheckInvariants() const {
     }
     const bool dead = rt.completed || rt.failed || cancelled_[t] != 0;
     if (!dead) continue;
-    int begin = first_flat_[t];
-    int end = begin + rt.NumEis();
-    for (int fid = begin; fid < end; ++fid) {
-      const IndexedEi& flat = index_.at(fid);
+    const int first = first_flat_[t];
+    for (int g = first; g < first + rt.NumEis(); ++g) {
+      const EiHandle& h = handle_of_global_[static_cast<std::size_t>(g)];
+      const IndexedEi& flat =
+          partitions_[static_cast<std::size_t>(h.shard)].at(h.local_id);
       if (flat.active && !flat.dead) {
         return Status::InvalidArgument(StringFormat(
-            "dead t-interval %zu still holds live EI (flat id %d)", t,
-            fid));
+            "dead t-interval %zu still holds live EI (flat id %d)", t, g));
       }
     }
   }

@@ -14,6 +14,8 @@
 #include "core/policy.h"
 #include "core/problem.h"
 #include "core/resource_health.h"
+#include "core/shard_map.h"
+#include "core/worker_pool.h"
 #include "util/status.h"
 
 namespace pullmon {
@@ -48,9 +50,9 @@ enum class MonitorIndexMode {
 /// "incremental" / "rebuild".
 const char* MonitorIndexModeToString(MonitorIndexMode mode);
 
-/// Behavioral knobs of the monitor's probe path and index maintenance.
-/// Defaults reproduce the pre-churn monitor exactly: no retries, no
-/// breaker, incremental maintenance.
+/// Behavioral knobs of the monitor's probe path, index maintenance and
+/// parallelism. Defaults are the serial monitor: no retries, no
+/// breaker, incremental maintenance, one shard, one thread.
 struct MonitorOptions {
   /// Same-chronon retry/backoff for failed probes (needs a probe
   /// callback to ever fail).
@@ -60,10 +62,24 @@ struct MonitorOptions {
   BreakerOptions breaker;
   /// Candidate-structure maintenance under churn.
   MonitorIndexMode maintenance = MonitorIndexMode::kIncremental;
-  /// Capacity of the thread-safe churn ingress queue (Enqueue* methods);
-  /// producers park (or TryEnqueue fails) once this many operations are
-  /// waiting for the next chronon boundary.
+  /// Resource shards (consistent hashing via ShardMap), each owning one
+  /// CandidateIndex partition. 1 is the serial engine. Decisions never
+  /// depend on the shard count; the shard telemetry does, and is only
+  /// reported when shards > 1.
+  int shards = 1;
+  /// Worker threads for the per-shard phases and the probe execute
+  /// phase; <= 1 runs every phase inline. Reports are bit-identical at
+  /// every thread count.
+  int threads = 1;
+  /// Capacity of the thread-safe churn ingress queue (EnqueueChurn);
+  /// producers park once this many operations are waiting for the next
+  /// chronon boundary.
   std::size_t churn_queue_capacity = 1024;
+
+  /// Shard count of ExecutorBackend::kParallel. Fixed independently of
+  /// the thread count, which is what makes the full report — shard
+  /// telemetry included — bit-identical at 1/2/4/8 threads.
+  static constexpr int kParallelShards = 16;
 };
 
 /// Deterministic counters of one monitor lifetime (mirrors the
@@ -92,6 +108,22 @@ struct MonitorStats {
   /// was cancelled or edited away before completing — pulls whose data
   /// no client ever received.
   std::size_t orphaned_probes = 0;
+};
+
+/// Per-shard telemetry of one monitor lifetime (mirrored into the
+/// shard_* fields of OnlineRunResult/ProxyRunReport when the monitor is
+/// sharded). Depends on the shard map and the workload only — never on
+/// the thread count.
+struct ShardRunStats {
+  int shard_count = 0;
+  /// Candidate EIs scored per shard, summed over chronons.
+  std::vector<std::size_t> candidates_scored;
+  /// Probe attempts whose resource belonged to the shard.
+  std::vector<std::size_t> probes_executed;
+  /// Total entries that went through the two-phase merge.
+  std::size_t merge_entries = 0;
+
+  bool operator==(const ShardRunStats& other) const = default;
 };
 
 /// One submission of a MonitorImage, in flat t_id (arrival) order. The
@@ -125,22 +157,50 @@ struct MonitorImage {
   std::vector<std::vector<ResourceId>> probes_by_chronon;
   MonitorStats stats;
   HealthImage health;
+  /// Shard telemetry of a sharded monitor; shard_count 0 (and empty
+  /// vectors) on the serial engine, which reports none.
+  ShardRunStats shards;
 };
 
-/// The truly online face of the library: clients subscribe, submit,
-/// cancel, and edit t-intervals *while the epoch runs* — Section 4.2.1's
-/// per-chronon arrivals extended with the full churn surface a deployed
-/// proxy serving volatile client populations needs. OnlineExecutor
-/// requires the whole workload up front and replays it; DynamicMonitor
-/// accepts mutations between steps.
+/// The chronon engine of the library — the one implementation of the
+/// online semantics of Section 4.2.1, extended with the full churn
+/// surface a deployed proxy serving volatile client populations needs:
+/// clients subscribe, submit, cancel, and edit t-intervals *while the
+/// epoch runs*. OnlineExecutor is a thin loop over it (submit the
+/// whole workload, then step); ReferenceExecutor and
+/// MonitorIndexMode::kRebuild are the differential oracles.
 ///
-/// Semantics are identical to OnlineExecutor (same candidate rules,
-/// probe sharing, preemption classes, retry/breaker behavior,
-/// deterministic tie-breaks) — a differential test asserts
-/// schedule-for-schedule equality when all t-intervals are submitted up
-/// front, and the churn differential suite asserts equality between the
-/// incremental index and the from-scratch rebuild oracle
-/// (MonitorIndexMode::kRebuild) under arbitrary churn.
+/// Online semantics:
+///  * An EI becomes a candidate while active (start <= now <= finish)
+///    and uncaptured, with a live parent.
+///  * Each chronon the policy scores all candidates; the monitor probes
+///    the resources of the best-scored EIs, at most C_j distinct
+///    resources. A probe of resource r captures *every* active candidate
+///    EI on r (intra-resource probe sharing).
+///  * A t-interval fails permanently once too few EIs remain alive to
+///    reach its required capture count; its remaining EIs stop
+///    competing.
+///  * Ties are broken by (np_class, score, EI deadline, flat id), where
+///    flat ids are handed out in submission order.
+///
+/// Sharding (DESIGN.md section 16): resources are partitioned by
+/// consistent hashing (ShardMap), each shard owns a CandidateIndex
+/// partition, and each chronon runs as
+///
+///   churn drain -> [parallel] per-shard activation -> health begin
+///   -> [parallel] per-shard scoring + shard-local top-k selection
+///   -> serial ordered merge (an S-way reduction under the global
+///      (np_class, score, deadline, flat id) order) -> serial control
+///      pass (budget, retries, breaker, capture bookkeeping)
+///   -> [parallel] probe execution via ProbeHooks
+///   -> serial commit replay -> serial merged expiry.
+///
+/// One shard is the serial engine; any shard and thread count produces
+/// the identical probe set, schedule, stats and health trajectory (the
+/// sharded-monitor, thread-invariance and differential suites enforce
+/// it). With threads > 1 the policy's Score() must be a pure function of
+/// its arguments and attached health state (true of every shipped
+/// policy), because shards score concurrently.
 ///
 /// Churn semantics (DESIGN.md section 13):
 ///  * Cancel(profile, submission) withdraws a live submission; its
@@ -167,6 +227,12 @@ class DynamicMonitor {
   /// Without a callback every probe succeeds (the logical setting).
   using ProbeCallback = std::function<bool(ResourceId, Chronon)>;
 
+  /// Invoked when a t-interval completes: (profile, submission id,
+  /// chronon), in StepResult::captured order. With probe hooks it fires
+  /// during the commit replay, so a proxy layer reads fully committed
+  /// payloads.
+  using CaptureCallback = std::function<void(ProfileId, int, Chronon)>;
+
   /// `policy` must outlive the monitor; it is Reset() on construction.
   DynamicMonitor(int num_resources, Chronon epoch_length,
                  BudgetVector budget, Policy* policy, ExecutionMode mode,
@@ -174,6 +240,13 @@ class DynamicMonitor {
 
   void set_probe_callback(ProbeCallback callback) {
     probe_callback_ = std::move(callback);
+  }
+
+  /// Three-phase probe pipeline; overrides the plain probe callback.
+  void set_probe_hooks(ProbeHooks hooks) { hooks_ = std::move(hooks); }
+
+  void set_capture_callback(CaptureCallback callback) {
+    capture_callback_ = std::move(callback);
   }
 
   /// Registers a client profile; its rank grows as t-intervals are
@@ -185,6 +258,11 @@ class DynamicMonitor {
   /// current chronon (no retroactive arrivals). Returns a submission id
   /// unique within the profile, echoed in StepResult.
   Result<int> Submit(ProfileId profile, TInterval t_interval);
+
+  /// Submit() without the copy: `t_interval` must outlive the monitor.
+  /// For callers whose workload already lives in stable storage (the
+  /// OnlineExecutor's problem instance).
+  Result<int> SubmitStable(ProfileId profile, const TInterval* t_interval);
 
   /// Withdraws a live submission mid-epoch; see the churn semantics
   /// above. O(rank) incremental delete — no rebuild.
@@ -211,11 +289,6 @@ class DynamicMonitor {
 
   /// Blocking enqueue: parks while the queue is full.
   void EnqueueChurn(ChurnOp op) { churn_queue_.Enqueue(std::move(op)); }
-  /// Non-blocking enqueue: false when the queue is full.
-  bool TryEnqueueChurn(ChurnOp op) {
-    return churn_queue_.TryEnqueue(std::move(op));
-  }
-  ChurnQueue& churn_queue() { return churn_queue_; }
 
   /// Executes the current chronon (probe selection, captures, expiry)
   /// and advances time, applying queued churn operations first.
@@ -238,16 +311,23 @@ class DynamicMonitor {
   std::size_t t_intervals_cancelled() const { return stats_.cancelled; }
 
   const MonitorStats& stats() const { return stats_; }
+  const ShardRunStats& shard_stats() const { return shard_stats_; }
   const ResourceHealthTracker& health() const { return health_; }
-  MonitorIndexMode maintenance() const { return options_.maintenance; }
 
   /// Completeness of the schedule so far against everything submitted
   /// and not withdrawn (cancelled submissions are excluded).
   CompletenessReport Completeness() const;
 
-  /// Audits the candidate index's lazy structures plus the monitor's
-  /// parent bookkeeping (dead parents hold no live EIs, capture counts
-  /// consistent) — the churn fuzz suite runs this after every op.
+  /// The run so far as an OnlineRunResult: schedule, the probe/fault
+  /// counters, health telemetry, and — on a sharded monitor — the shard
+  /// telemetry. completeness and elapsed_seconds are the caller's to
+  /// fill: it knows which t-intervals the run is scored against.
+  OnlineRunResult RunResult() const;
+
+  /// Audits every candidate-index partition's lazy structures plus the
+  /// monitor's parent bookkeeping (dead parents hold no live EIs,
+  /// capture counts consistent) — the churn fuzz suite runs this after
+  /// every op.
   Status CheckInvariants() const;
 
   /// Checkpoint support. Capture() freezes everything a resumed run
@@ -259,6 +339,13 @@ class DynamicMonitor {
   Status Restore(const MonitorImage& image);
 
  private:
+  /// Where one EI lives: its shard partition and its dense index
+  /// *within* that partition (partition-local flat id).
+  struct EiHandle {
+    int shard = 0;
+    int local_id = 0;
+  };
+
   /// True when the submission can still be mutated (not completed,
   /// failed, or cancelled).
   bool IsLive(int t_id) const {
@@ -270,12 +357,22 @@ class DynamicMonitor {
   /// Resolves (profile, submission) to a flat t_id, or InvalidArgument.
   Result<int> ResolveSubmission(ProfileId profile, int submission_id) const;
 
-  /// Records a pre-validated t-interval (shared tail of Submit and
-  /// Edit); returns the submission id within the profile.
-  int AppendSubmission(ProfileId profile, TInterval t_interval);
+  /// Validates a new submission: a registered, still-subscribed profile
+  /// and a t-interval accepted by ValidateArrival().
+  Status CheckSubmit(ProfileId profile, const TInterval& t_interval) const;
+
+  /// Validates a t-interval against the epoch, the resource range, and
+  /// the current chronon. A start before now() is FailedPrecondition for
+  /// a submission and InvalidArgument for an edit replacement.
+  Status ValidateArrival(const TInterval& t_interval, bool edit) const;
+
+  /// Records a pre-validated t-interval held in stable storage (shared
+  /// tail of Submit, SubmitStable and Edit); returns the submission id
+  /// within the profile. EIs get contiguous global flat ids.
+  int AppendSubmission(ProfileId profile, const TInterval* stored);
 
   /// Removes a dead (completed/failed/cancelled) parent's remaining EIs
-  /// from the candidate index.
+  /// from the candidate partitions.
   void RetireParent(int t_id);
 
   /// Marks a live submission cancelled: orphan accounting, retire, rank
@@ -289,14 +386,28 @@ class DynamicMonitor {
   /// cached profile_rank when the value changed.
   void RecomputeProfileRank(ProfileId profile);
 
-  /// The rebuild oracle: reconstructs `index_` from the monitor's parent
-  /// bookkeeping (flat ids, live/dead state, activation replay), exactly
-  /// as if every surviving EI had been registered into a fresh index.
+  /// The rebuild oracle: reconstructs every partition from the monitor's
+  /// parent bookkeeping (flat ids, live/dead state, activation replay),
+  /// exactly as if every surviving EI had been registered into fresh
+  /// partitions.
   void RebuildIndex();
 
   /// Applies every queued churn operation (FIFO) through the
   /// synchronous entry points; called at the top of Step().
   void DrainChurnQueue();
+
+  /// Serial capture bookkeeping of a successful probe of `resource`
+  /// (parent accounting + retire + capture-event recording); capture
+  /// callbacks are deferred into `ops_` when hooks are active.
+  void CaptureOnProbe(ResourceId resource, StepResult* step);
+
+  /// S-way merge of the per-shard sorted prefixes into the global
+  /// best-first order (ties by translated global flat id).
+  void MergeShardSelections(int budget);
+
+  /// Expires the EIs whose windows close at now_, in global flat-id
+  /// order across the partitions.
+  void ExpireEnding(StepResult* step);
 
   int num_resources_;
   Chronon epoch_length_;
@@ -304,20 +415,42 @@ class DynamicMonitor {
   Policy* policy_;
   ExecutionMode mode_;
   MonitorOptions options_;
+  int num_shards_;
   ProbeCallback probe_callback_;
+  ProbeHooks hooks_;
+  CaptureCallback capture_callback_;
   ChurnQueue churn_queue_;
   ResourceHealthTracker health_;
   bool validated_options_ = false;
+
+  ShardMap shard_map_;
+  /// Dense resource -> shard (precomputed from the ring).
+  std::vector<int> shard_of_resource_;
+  /// One CandidateIndex per shard, holding only the shard's EIs under
+  /// partition-local flat ids.
+  std::vector<CandidateIndex> partitions_;
+  /// Partition-local flat id -> global flat id, per shard. Local ids
+  /// are assigned in global registration order, so within one shard
+  /// local-id comparisons agree with global-id comparisons (the
+  /// within-shard tiebreak stays correct without translation).
+  std::vector<std::vector<int>> global_of_local_;
+  /// Global flat id -> owning EI handle.
+  std::vector<EiHandle> handle_of_global_;
+
+  WorkerPool pool_;
 
   Chronon now_ = 0;
   Schedule schedule_;
   std::size_t completed_ = 0;
   std::size_t failed_ = 0;
   MonitorStats stats_;
+  ShardRunStats shard_stats_;
 
-  /// Stable storage: TIntervalRuntime::source points into this deque.
+  /// Stable storage of copied submissions: TIntervalRuntime::source
+  /// points into this deque (or at a SubmitStable() caller's object).
   std::deque<TInterval> submitted_;
   std::vector<TIntervalRuntime> runtimes_;
+  std::vector<int> first_flat_;      // per runtime: first global flat id
   std::vector<uint8_t> cancelled_;   // per runtime: withdrawn by client
   std::vector<uint8_t> fault_touched_;  // per runtime: failed probe seen
   std::vector<int> submission_id_;   // per runtime, unique in profile
@@ -326,12 +459,34 @@ class DynamicMonitor {
   std::vector<std::vector<int>> runtimes_of_profile_;
   std::vector<std::string> profile_names_;
 
-  /// Incremental candidate structures shared with the indexed
-  /// OnlineExecutor (same selection contract, so the executor/monitor
-  /// differential test keeps holding).
-  CandidateIndex index_;
-  std::vector<int> first_flat_;  // first flat EI id per runtime
-  std::vector<ResourceCandidate> entries_;  // per-chronon scratch
+  // --- Per-chronon scratch (sized once, reused). ----------------------
+  /// Per-shard candidate entries (flat ids are partition-local).
+  std::vector<std::vector<ResourceCandidate>> shard_entries_;
+  /// Usable sorted prefix of each shard's entries after top-k.
+  std::vector<std::size_t> shard_take_;
+  /// Per-shard (resource, live count) pairs deferred from the scoring
+  /// phase to the serial NoteSuppressed application.
+  std::vector<std::vector<std::pair<ResourceId, int>>> shard_suppressed_;
+  /// Per-shard candidates scored this chronon.
+  std::vector<std::size_t> shard_scored_;
+  /// Globally merged selection, best first (flat ids are global).
+  std::vector<ResourceCandidate> merged_entries_;
+  /// Merge/expiry cursors, one per shard (reused across chronons).
+  std::vector<std::size_t> merge_pos_;
+  std::vector<std::size_t> expiry_pos_;
+
+  /// One replayable operation of the commit phase.
+  struct PendingOp {
+    enum class Kind { kAttempt, kCapture };
+    Kind kind = Kind::kAttempt;
+    int token = -1;             // kAttempt
+    ProfileId profile = 0;      // kCapture
+    int submission_id = 0;      // kCapture
+  };
+  std::vector<PendingOp> ops_;
+  /// Tokens grouped by worker lane (worker = shard % threads), each
+  /// lane's tokens in canonical decide order.
+  std::vector<std::vector<int>> tokens_by_worker_;
 };
 
 }  // namespace pullmon

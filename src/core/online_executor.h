@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "core/completeness.h"
@@ -13,8 +12,6 @@
 #include "util/status.h"
 
 namespace pullmon {
-
-struct ParallelProbeHooks;  // core/parallel_executor.h
 
 /// Same-chronon retry behavior of the probe path. A failed probe may be
 /// retried with exponential backoff; every retry consumes one unit of
@@ -34,6 +31,33 @@ struct RetryPolicy {
   double backoff_budget = 1.0;
 
   Status Validate() const;
+};
+
+/// Externalized probe execution (DESIGN.md section 16). The chronon
+/// engine (DynamicMonitor) splits each probe attempt into three phases
+/// so the data-plane work (network fetch, parse, cache) runs
+/// concurrently while every order-sensitive decision stays serial:
+///
+///  * decide(resource, chronon, token): serial, in canonical attempt
+///    order — draws the attempt's fate (fault stream, validator
+///    prediction) and returns success/failure so the control pass can
+///    run retries/breaker exactly like the plain callback path. Tokens
+///    are dense per chronon, issued in decide order.
+///  * execute(tokens, worker): parallel — performs the fetch/parse/
+///    cache work of the given tokens, in token order, on the given
+///    worker lane. All tokens of one resource shard go to one worker.
+///  * commit(token): serial, in canonical order — applies the attempt's
+///    counters and payload to the report/session state.
+///  * begin_chronon(now, num_workers): serial, before the first decide
+///    of each chronon.
+///
+/// Without hooks the monitor uses the plain probe callback (decided
+/// serially, nothing to execute or commit).
+struct ProbeHooks {
+  std::function<void(Chronon, int)> begin_chronon;
+  std::function<bool(ResourceId, Chronon, int)> decide;
+  std::function<void(const std::vector<int>&, int)> execute;
+  std::function<void(int)> commit;
 };
 
 /// Outcome of one online run.
@@ -80,7 +104,7 @@ struct OnlineRunResult {
   std::vector<std::size_t> open_chronons_by_resource;
 
   // --- Shard telemetry (kParallel only; zero/empty on the serial
-  // --- backends; mirrors ShardRunStats, core/parallel_executor.h).
+  // --- backends; mirrors ShardRunStats, core/dynamic_monitor.h).
   // --- Depends on the shard map and workload, never the thread count —
   // --- the thread-invariance suite compares it bit-for-bit. ------------
   std::size_t shard_count = 0;
@@ -99,8 +123,8 @@ enum class ExecutorBackend {
   /// Rebuild-and-fully-sort every chronon (core/reference_executor.h) —
   /// the easy-to-audit oracle.
   kReference,
-  /// Sharded multi-threaded pipeline (core/parallel_executor.h):
-  /// consistent-hash resource shards, per-shard scoring/selection, a
+  /// The incremental engine sharded over MonitorOptions::kParallelShards
+  /// consistent-hash resource partitions: per-shard scoring/selection, a
   /// deterministic ordered merge, and concurrent probe execution.
   /// Decision-identical to kIndexed at every thread count.
   kParallel,
@@ -109,24 +133,12 @@ enum class ExecutorBackend {
 /// "indexed" / "reference" / "parallel".
 const char* ExecutorBackendToString(ExecutorBackend backend);
 
-/// Runs an online policy over a monitoring problem, chronon by chronon.
-///
-/// Online semantics (Section 4.2.1):
-///  * A t-interval is revealed when its earliest EI starts; an EI becomes
-///    a candidate while active (start <= now <= finish) and uncaptured.
-///  * Each chronon the policy scores all candidates; the executor probes
-///    the resources of the best-scored EIs, at most C_j distinct
-///    resources. A probe of resource r captures *every* active candidate
-///    EI on r — this is how intra-resource overlap is exploited.
-///  * A t-interval whose EI expires uncaptured fails permanently and its
-///    remaining EIs stop competing.
-///  * Ties are broken deterministically by (score, EI deadline,
-///    t-interval arrival order, EI index).
-///
-/// The hot path maintains the candidate set incrementally (bucketed
-/// arrival/expiry lists, per-resource live lists and counters) and
-/// selects the top-C_j resources by partial selection instead of
-/// sorting all candidates; set_backend(ExecutorBackend::kReference)
+/// Runs an online policy over a monitoring problem, chronon by chronon
+/// (Section 4.2.1). The indexed and parallel backends drive the chronon
+/// engine (DynamicMonitor, which documents the online semantics): every
+/// non-empty t-interval is submitted up front in profile order — so
+/// flat ids, and with them the tie-breaks, follow the problem's order —
+/// and the epoch is stepped to its end. set_backend(kReference)
 /// switches to the scan-based oracle implementation.
 class OnlineExecutor {
  public:
@@ -149,7 +161,6 @@ class OnlineExecutor {
   /// not take ownership.
   OnlineExecutor(const MonitoringProblem* problem, Policy* policy,
                  ExecutionMode mode);
-  ~OnlineExecutor();
 
   void set_capture_callback(CaptureCallback callback) {
     capture_callback_ = std::move(callback);
@@ -174,19 +185,15 @@ class OnlineExecutor {
   /// pipeline inline); ignored by the serial backends.
   void set_threads(int threads) { threads_ = threads; }
 
-  /// Three-phase probe pipeline of the kParallel backend (defined in
-  /// core/parallel_executor.h); overrides the plain probe callback
-  /// there. Ignored by the serial backends.
-  void set_parallel_hooks(ParallelProbeHooks hooks);
+  /// Three-phase probe pipeline; overrides the plain probe callback on
+  /// the engine backends. Ignored by the reference backend.
+  void set_probe_hooks(ProbeHooks hooks) { hooks_ = std::move(hooks); }
 
   /// Validates the problem and executes the full epoch. Can be called
   /// repeatedly; each call is an independent run (the policy is Reset()).
   Result<OnlineRunResult> Run();
 
  private:
-  Result<OnlineRunResult> RunIndexed();
-  Result<OnlineRunResult> RunParallel();
-
   const MonitoringProblem* problem_;
   Policy* policy_;
   ExecutionMode mode_;
@@ -196,9 +203,7 @@ class OnlineExecutor {
   RetryPolicy retry_;
   BreakerOptions breaker_;
   int threads_ = 1;
-  /// Owned by pointer so this header needs no parallel_executor.h
-  /// include (which includes this header back).
-  std::shared_ptr<ParallelProbeHooks> parallel_hooks_;
+  ProbeHooks hooks_;
 };
 
 }  // namespace pullmon

@@ -9,7 +9,7 @@
 namespace pullmon {
 
 /// Consistent-hash assignment of resources to shards (DESIGN.md
-/// section 16). The in-process parallel executor and the future
+/// section 16). The in-process sharded engine and the future
 /// multi-proxy tier share this map, so the partition a resource lands in
 /// today is the proxy instance it would be served by after the
 /// distributed split — and growing the shard count reassigns only the

@@ -137,58 +137,39 @@ Result<ProxyRunReport> RunDurableOnce(const SimulationConfig& config,
   // --- problem instance, trace, network, policy, monitor, and churn
   // --- workload are pure functions of (config, spec, seed), which is
   // --- why none of them live in the snapshot.
-  UpdateTrace trace(0, 0);
-  std::optional<TraceStore> store;
-  PULLMON_ASSIGN_OR_RETURN(MonitoringProblem problem,
-                           BuildProblem(config, seed, &trace, &store));
-  const auto buffer_capacity = static_cast<std::size_t>(
-      config.feed_buffer_capacity < 1 ? 1 : config.feed_buffer_capacity);
-  std::optional<FeedNetwork> network_holder;
-  if (store.has_value()) {
-    network_holder.emplace(&*store, buffer_capacity);
-  } else {
-    network_holder.emplace(&trace, buffer_capacity);
-  }
-  FeedNetwork& network = *network_holder;
-  PolicyOptions po;
-  po.random_seed = seed ^ 0x5bf03635ULL;
-  po.num_resources = problem.num_resources;
-  PULLMON_ASSIGN_OR_RETURN(std::unique_ptr<Policy> policy,
-                           MakePolicy(spec.policy, po));
-
-  MonitorOptions mo;
-  mo.retry = config.retry;
-  mo.breaker = config.breaker;
-  mo.maintenance = config.executor_backend == ExecutorBackend::kReference
-                       ? MonitorIndexMode::kRebuild
-                       : MonitorIndexMode::kIncremental;
+  RunSubstrate substrate;
+  PULLMON_RETURN_NOT_OK(BuildSubstrate(config, spec, seed, &substrate));
+  const MonitoringProblem& problem = substrate.problem;
   DynamicMonitor monitor(problem.num_resources, problem.epoch.length,
-                         problem.budget, policy.get(), spec.mode, mo);
-
+                         problem.budget, substrate.policy.get(), spec.mode,
+                         MonitorOptionsFor(config));
   ProxyRunReport report;
-  ProxyOptions popts;
-  popts.faults = config.faults;
-  popts.fault_seed = config.fault_seed ^ (seed * 0x9E3779B97F4A7C15ULL);
-  popts.retry = config.retry;
-  popts.breaker = config.breaker;
-  popts.parse_cache = config.parse_cache;
-  FeedPullSession session(&network, problem.num_resources, popts, &report);
+  FeedPullSession session(&*substrate.network, problem.num_resources,
+                          substrate.proxy, &report);
 
   // Every probe outcome is captured for the chronon's WAL group (or
-  // verified against it during replay).
+  // verified against it during replay), in canonical attempt order: at
+  // the probe callback, or at the serial decide phase of the pipeline.
   WalChronon current;
-  monitor.set_probe_callback([&](ResourceId resource, Chronon now) {
-    const bool success = session.Probe(resource, now);
+  auto log_probe = [&current](ResourceId resource, bool success) {
     current.probes.push_back(
         WalProbeRecord{resource, static_cast<std::uint8_t>(success ? 1 : 0)});
     return success;
+  };
+  monitor.set_probe_callback([&](ResourceId resource, Chronon now) {
+    return log_probe(resource, session.Probe(resource, now));
   });
+  if (config.executor_backend == ExecutorBackend::kParallel) {
+    ProbeHooks hooks = session.PipelineHooks();
+    hooks.decide = [&log_probe, decide = hooks.decide](
+                       ResourceId resource, Chronon now, int token) {
+      return log_probe(resource, decide(resource, now, token));
+    };
+    monitor.set_probe_hooks(std::move(hooks));
+  }
 
   const Chronon epoch_length = problem.epoch.length;
-  ChurnWorkload workload = GenerateChurnWorkload(
-      config.churn, static_cast<int>(problem.profiles.size()), epoch_length,
-      config.churn.seed ^ (seed * 0x9E3779B97F4A7C15ULL));
-  std::vector<std::vector<TInterval>> defs(problem.profiles.size());
+  ChurnStream stream(problem, config.churn, seed);
 
   // All durable writes of the run itself go through the crash wrapper;
   // the recovery scan below reads the raw storage (it models the *next*
@@ -221,15 +202,8 @@ Result<ProxyRunReport> RunDurableOnce(const SimulationConfig& config,
       report.notifications_delivered =
           loaded.snapshot.notifications_delivered;
       report.churn_rejected_ops = loaded.snapshot.churn_rejected_ops;
-      // The defs shadow regrows from the submission images: flat order
-      // is acceptance order, which is exactly how the original run
-      // appended them per profile.
-      for (const MonitorSubmissionImage& sub :
-           loaded.snapshot.monitor.submissions) {
-        defs[static_cast<std::size_t>(sub.profile)].push_back(
-            sub.definition);
-      }
       start = loaded.snapshot.chronon;
+      stream.Resume(start, loaded.snapshot.monitor.submissions);
       generation = start;
       replay = std::move(loaded.wal.chronons);
       wal_base_bytes = loaded.wal.valid_bytes;
@@ -256,28 +230,6 @@ Result<ProxyRunReport> RunDurableOnce(const SimulationConfig& config,
     for (const Profile& p : problem.profiles) {
       monitor.RegisterProfile(p.name());
     }
-  }
-
-  // Arrivals bucketed by reveal chronon, as in RunChurnOnce. Profile
-  // ids are assignment-ordered in both the fresh and restored paths, so
-  // index i of problem.profiles is ProfileId i.
-  std::vector<std::vector<std::pair<ProfileId, const TInterval*>>> arrivals(
-      static_cast<std::size_t>(epoch_length));
-  for (std::size_t i = 0; i < problem.profiles.size(); ++i) {
-    const Profile& p = problem.profiles[i];
-    for (const TInterval& eta : p.t_intervals()) {
-      if (eta.empty()) continue;
-      Chronon at = eta.EarliestStart();
-      if (at < 0 || at >= epoch_length) continue;
-      arrivals[static_cast<std::size_t>(at)].emplace_back(
-          static_cast<ProfileId>(i), &eta);
-    }
-  }
-
-  std::size_t next_event = 0;
-  while (next_event < workload.events.size() &&
-         workload.events[next_event].chronon < start) {
-    ++next_event;
   }
 
   std::size_t replay_idx = 0;
@@ -326,65 +278,12 @@ Result<ProxyRunReport> RunDurableOnce(const SimulationConfig& config,
     // --- Execute the chronon, accumulating its WAL group. -------------
     current = WalChronon{};
     current.chronon = now;
-    for (const auto& [pid, eta] :
-         arrivals[static_cast<std::size_t>(now)]) {
-      auto submitted = monitor.Submit(pid, *eta);
-      WalChurnRecord op;
-      op.kind = 3;  // arrival submit
-      op.profile = pid;
-      op.accepted = submitted.ok() ? 1 : 0;
-      op.submission = submitted.ok() ? *submitted : -1;
-      if (submitted.ok()) {
-        defs[static_cast<std::size_t>(pid)].push_back(*eta);
-      } else {
-        ++report.churn_rejected_ops;
-      }
-      current.churn.push_back(op);
-    }
-    while (next_event < workload.events.size() &&
-           workload.events[next_event].chronon == now) {
-      const ChurnEvent& event = workload.events[next_event++];
-      auto pid = static_cast<std::size_t>(event.profile);
-      int count = static_cast<int>(defs[pid].size());
-      int sub = count > 0 ? static_cast<int>(
-                                event.pick % static_cast<std::uint64_t>(count))
-                          : 0;
-      WalChurnRecord op;
-      op.profile = event.profile;
-      op.submission = sub;
-      switch (event.kind) {
-        case ChurnEvent::Kind::kCancel: {
-          op.kind = 0;
-          op.accepted = monitor.Cancel(event.profile, sub).ok() ? 1 : 0;
-          if (op.accepted == 0) ++report.churn_rejected_ops;
-          break;
-        }
-        case ChurnEvent::Kind::kEdit: {
-          op.kind = 1;
-          TInterval replacement;
-          if (count > 0) {
-            replacement = BuildEditReplacement(
-                defs[pid][static_cast<std::size_t>(sub)], now, epoch_length,
-                event.deadline_delta, event.weight_factor);
-          }
-          auto edited = monitor.Edit(event.profile, sub, replacement);
-          op.accepted = edited.ok() ? 1 : 0;
-          if (edited.ok()) {
-            defs[pid].push_back(std::move(replacement));
-          } else {
-            ++report.churn_rejected_ops;
-          }
-          break;
-        }
-        case ChurnEvent::Kind::kUnregister: {
-          op.kind = 2;
-          op.accepted = monitor.Unregister(event.profile).ok() ? 1 : 0;
-          if (op.accepted == 0) ++report.churn_rejected_ops;
-          break;
-        }
-      }
-      current.churn.push_back(op);
-    }
+    stream.ApplyChronon(
+        now, &monitor, &report, [&current](const ChurnStream::Op& op) {
+          current.churn.push_back(WalChurnRecord{
+              static_cast<std::uint8_t>(op.kind), op.profile, op.submission,
+              static_cast<std::uint8_t>(op.accepted ? 1 : 0)});
+        });
     PULLMON_ASSIGN_OR_RETURN(StepResult step, monitor.Step());
     report.notifications_delivered += step.captured.size();
 
@@ -416,9 +315,9 @@ Result<ProxyRunReport> RunDurableOnce(const SimulationConfig& config,
   }
   const auto run_end = std::chrono::steady_clock::now();
 
-  report.run.elapsed_seconds =
-      std::chrono::duration<double>(run_end - run_start).count();
-  FinalizeChurnReport(monitor, config.breaker.enabled, &session, &report);
+  FinalizeChurnReport(
+      monitor, std::chrono::duration<double>(run_end - run_start).count(),
+      &session, &report);
   return report;
 }
 

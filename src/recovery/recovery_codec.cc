@@ -426,6 +426,25 @@ Status ReadFaultStats(ByteReader* r, FaultStats* s) {
 
 // --- Component images. -----------------------------------------------------
 
+void AppendShardStats(const ShardRunStats& s, std::string* out) {
+  AppendVarint(static_cast<std::uint64_t>(s.shard_count), out);
+  AppendSizeVec(s.candidates_scored, out);
+  AppendSizeVec(s.probes_executed, out);
+  AppendVarint(s.merge_entries, out);
+}
+
+Status ReadShardStats(ByteReader* r, ShardRunStats* s) {
+  std::size_t shard_count = 0;
+  PULLMON_RETURN_NOT_OK(ReadCount(r, &shard_count));
+  s->shard_count = static_cast<int>(shard_count);
+  PULLMON_RETURN_NOT_OK(ReadSizeVec(r, &s->candidates_scored));
+  PULLMON_RETURN_NOT_OK(ReadSizeVec(r, &s->probes_executed));
+  std::uint64_t merge_entries = 0;
+  PULLMON_RETURN_NOT_OK(r->ReadVarint(&merge_entries));
+  s->merge_entries = static_cast<std::size_t>(merge_entries);
+  return Status::OK();
+}
+
 void AppendHealthImage(const HealthImage& h, std::string* out) {
   AppendByteVec(h.state, out);
   AppendSignedVec(h.consecutive_failures, out);
@@ -663,6 +682,11 @@ std::string EncodeSnapshot(const ProxySnapshot& snapshot) {
   AppendVarint(snapshot.outage_probes, &payload);
   AppendVarint(snapshot.notifications_delivered, &payload);
   AppendVarint(snapshot.churn_rejected_ops, &payload);
+  // Optional tail: only a sharded monitor carries shard telemetry, so
+  // serial snapshots keep their exact bytes.
+  if (snapshot.monitor.shards.shard_count > 0) {
+    AppendShardStats(snapshot.monitor.shards, &payload);
+  }
 
   std::string out;
   out.append(kSnapshotMagic, sizeof(kSnapshotMagic));
@@ -716,6 +740,12 @@ Result<ProxySnapshot> DecodeSnapshot(std::string_view bytes) {
   snapshot.outage_probes = static_cast<std::size_t>(v[8]);
   snapshot.notifications_delivered = static_cast<std::size_t>(v[9]);
   snapshot.churn_rejected_ops = static_cast<std::size_t>(v[10]);
+  if (!r.AtEnd()) {
+    PULLMON_RETURN_NOT_OK(ReadShardStats(&r, &snapshot.monitor.shards));
+    if (snapshot.monitor.shards.shard_count < 1) {
+      return Status::ParseError("empty shard telemetry in snapshot");
+    }
+  }
   if (!r.AtEnd()) {
     return Status::ParseError("trailing bytes in snapshot payload");
   }

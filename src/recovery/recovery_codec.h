@@ -121,6 +121,8 @@ struct ProxySnapshot {
 
 /// Serializes a snapshot into a self-validating file: 4-byte magic,
 /// varint format version, then one framed record holding the payload.
+/// The payload ends with an optional section — the shard telemetry of a
+/// sharded monitor — absent for the serial engine.
 std::string EncodeSnapshot(const ProxySnapshot& snapshot);
 
 /// Parses and validates a snapshot file (magic, version, checksum,

@@ -6,7 +6,6 @@
 
 #include "core/completeness.h"
 #include "core/dynamic_monitor.h"
-#include "core/parallel_executor.h"
 #include "estimation/estimation_session.h"
 #include "policies/policy_factory.h"
 #include "sim/experiment.h"
@@ -41,8 +40,8 @@ std::vector<Chronon> NewItemChronons(const FeedPullSession& session,
 
 /// Serial probe path with observation capture: runs the session probe
 /// and feeds its outcome — success, 304, and the new-item diff — to the
-/// estimation session. Used by the serial monitor's probe callback and
-/// by the explore probes of both arms.
+/// estimation session. Used by the monitor's plain probe callback and
+/// by the explore probes.
 bool ObservedProbe(FeedPullSession* session, EstimationSession* model,
                    const ProxyRunReport& report, ResourceId resource,
                    Chronon now, const ChrononClock& clock,
@@ -105,10 +104,8 @@ ResourceId ColdestResource(const EstimationSession& model,
 /// Registers every true profile, then drives the monitor chronon by
 /// chronon: at each forecast-horizon boundary it regenerates predicted
 /// t-intervals from the estimation session and submits them, fires the
-/// chronon's explore probe if one is planned, and steps. The epoch loop
-/// is shared verbatim by both executor backends (like DriveChurnEpoch).
-template <typename Monitor>
-Status DriveAdaptiveEpoch(Monitor* monitor,
+/// chronon's explore probe if one is planned, and steps.
+Status DriveAdaptiveEpoch(DynamicMonitor* monitor,
                           const MonitoringProblem& problem,
                           const SimulationConfig& config,
                           EstimationSession* model,
@@ -217,71 +214,32 @@ Status DriveAdaptiveEpoch(Monitor* monitor,
   return Status::OK();
 }
 
-/// Telemetry mirroring of the adaptive arms. Unlike the churn
+/// Completes the report of an adaptive run. Unlike the churn
 /// finalizer, completeness is scored against the *true* profiles over
 /// the combined monitor + explore schedule — the monitor only ever saw
 /// predicted submissions, so its own capture accounting measures the
 /// forecasts, not the ground truth.
-template <typename Monitor>
-Status FinalizeAdaptiveReport(const Monitor& monitor, bool breaker_enabled,
+Status FinalizeAdaptiveReport(const DynamicMonitor& monitor,
                               const MonitoringProblem& problem,
                               const Schedule& explore_schedule,
                               std::size_t explore_issued,
-                              FeedPullSession* session,
-                              ProxyRunReport* report) {
-  const MonitorStats& ms = monitor.stats();
+                              double elapsed_seconds,
+                              FeedPullSession* session) {
+  OnlineRunResult run = monitor.RunResult();
   Schedule combined(problem.epoch.length);
   for (Chronon t = 0; t < problem.epoch.length; ++t) {
-    for (ResourceId r : monitor.schedule().ProbesAt(t)) {
+    for (ResourceId r : run.schedule.ProbesAt(t)) {
       PULLMON_RETURN_NOT_OK(combined.AddProbe(r, t));
     }
     for (ResourceId r : explore_schedule.ProbesAt(t)) {
       PULLMON_RETURN_NOT_OK(combined.AddProbe(r, t));
     }
   }
-  report->run.schedule = combined;
-  report->run.completeness =
-      EvaluateCompleteness(problem.profiles, combined);
-  report->run.probes_used = ms.probes_used + explore_issued;
-  report->run.t_intervals_completed = monitor.t_intervals_completed();
-  report->run.t_intervals_failed = monitor.t_intervals_failed();
-  report->run.candidates_scored = ms.candidates_scored;
-  report->run.max_concurrent_candidates = ms.max_concurrent_candidates;
-  report->run.probes_failed = ms.probes_failed;
-  report->run.retries_issued = ms.retries_issued;
-  report->run.retry_probes_spent = ms.retry_probes_spent;
-  report->run.t_intervals_lost_to_faults = ms.t_intervals_lost_to_faults;
-  const HealthStats& hs = monitor.health().stats();
-  report->run.circuits_opened = hs.circuits_opened;
-  report->run.circuits_reopened = hs.circuits_reopened;
-  report->run.probation_probes = hs.probation_probes;
-  report->run.probation_successes = hs.probation_successes;
-  report->run.probes_suppressed = hs.probes_suppressed;
-  report->run.budget_reclaimed = hs.budget_reclaimed;
-  report->run.open_chronons_total = hs.open_chronons_total;
-  if (breaker_enabled) {
-    report->run.open_chronons_by_resource =
-        monitor.health().OpenChrononsByResource();
-  }
-  report->probes_failed = ms.probes_failed;
-  report->retries_issued = ms.retries_issued;
-  report->retry_probes_spent = ms.retry_probes_spent;
-  report->circuits_opened = report->run.circuits_opened;
-  report->circuits_reopened = report->run.circuits_reopened;
-  report->probation_probes = report->run.probation_probes;
-  report->probation_successes = report->run.probation_successes;
-  report->probes_suppressed = report->run.probes_suppressed;
-  report->budget_reclaimed = report->run.budget_reclaimed;
-  report->open_chronons_total = report->run.open_chronons_total;
-  report->open_chronons_by_resource =
-      report->run.open_chronons_by_resource;
-  const std::size_t total = report->run.completeness.total_t_intervals;
-  report->gc_lost_to_faults =
-      total == 0
-          ? 0.0
-          : static_cast<double>(report->run.t_intervals_lost_to_faults) /
-                static_cast<double>(total);
-  session->FinishReport();
+  run.completeness = EvaluateCompleteness(problem.profiles, combined);
+  run.schedule = std::move(combined);
+  run.probes_used += explore_issued;
+  run.elapsed_seconds = elapsed_seconds;
+  session->FinishReport(std::move(run));
   return Status::OK();
 }
 
@@ -305,33 +263,12 @@ Result<ProxyRunReport> RunAdaptiveOnce(const SimulationConfig& config,
         "--forecast-horizon must be >= 1 chronons");
   }
 
-  UpdateTrace trace(0, 0);
-  std::optional<TraceStore> store;
-  PULLMON_ASSIGN_OR_RETURN(MonitoringProblem problem,
-                           BuildProblem(config, seed, &trace, &store));
-  const auto buffer_capacity = static_cast<std::size_t>(
-      config.feed_buffer_capacity < 1 ? 1 : config.feed_buffer_capacity);
-  std::optional<FeedNetwork> network_holder;
-  if (store.has_value()) {
-    network_holder.emplace(&*store, buffer_capacity);
-  } else {
-    network_holder.emplace(&trace, buffer_capacity);
-  }
-  FeedNetwork& network = *network_holder;
-  PolicyOptions po;
-  po.random_seed = seed ^ 0x5bf03635ULL;
-  po.num_resources = problem.num_resources;
-  PULLMON_ASSIGN_OR_RETURN(std::unique_ptr<Policy> policy,
-                           MakePolicy(spec.policy, po));
-
+  RunSubstrate substrate;
+  PULLMON_RETURN_NOT_OK(BuildSubstrate(config, spec, seed, &substrate));
+  const MonitoringProblem& problem = substrate.problem;
   ProxyRunReport report;
-  ProxyOptions popts;
-  popts.faults = config.faults;
-  popts.fault_seed = config.fault_seed ^ (seed * 0x9E3779B97F4A7C15ULL);
-  popts.retry = config.retry;
-  popts.breaker = config.breaker;
-  popts.parse_cache = config.parse_cache;
-  FeedPullSession session(&network, problem.num_resources, popts, &report);
+  FeedPullSession session(&*substrate.network, problem.num_resources,
+                          substrate.proxy, &report);
 
   const ChrononClock clock;
   EstimationOptions eopts;
@@ -353,54 +290,49 @@ Result<ProxyRunReport> RunAdaptiveOnce(const SimulationConfig& config,
   Schedule explore_schedule(problem.epoch.length);
   std::size_t explore_issued = 0;
 
-  const auto run_start = std::chrono::steady_clock::now();
+  DynamicMonitor monitor(problem.num_resources, problem.epoch.length,
+                         monitor_budget, substrate.policy.get(), spec.mode,
+                         MonitorOptionsFor(config));
+  monitor.set_probe_callback([&](ResourceId resource, Chronon now) {
+    return ObservedProbe(&session, &model, report, resource, now, clock,
+                         problem.epoch.length);
+  });
+  // On the pipelined path observation capture rides the serial
+  // decide/commit phases: decide records each token's resource and fate,
+  // commit applies the attempt and derives the item diff — so the
+  // estimator ingests in canonical attempt order at every thread count.
+  struct AttemptMeta {
+    ResourceId resource = 0;
+    Chronon chronon = 0;
+    bool success = false;
+  };
+  std::vector<AttemptMeta> metas;
   if (config.executor_backend == ExecutorBackend::kParallel) {
-    ParallelOptions opts;
-    opts.retry = config.retry;
-    opts.breaker = config.breaker;
-    opts.threads = config.threads;
-    ParallelExecutor monitor(problem.num_resources, problem.epoch.length,
-                             monitor_budget, policy.get(), spec.mode, opts);
-    // Observation capture rides the serial decide/commit phases: decide
-    // records each token's resource, commit applies the attempt and
-    // derives the item diff — so the estimator ingests in canonical
-    // attempt order at every thread count.
-    struct AttemptMeta {
-      ResourceId resource = 0;
-      Chronon chronon = 0;
-    };
-    std::vector<AttemptMeta> metas;
-    ParallelProbeHooks hooks;
-    hooks.begin_chronon = [&](Chronon, int num_workers) {
+    ProbeHooks hooks = session.PipelineHooks();
+    hooks.begin_chronon = [&metas, begin = hooks.begin_chronon](
+                              Chronon now, int num_workers) {
       metas.clear();
-      session.BeginParallelChronon(num_workers);
+      begin(now, num_workers);
     };
-    hooks.decide = [&](ResourceId resource, Chronon now, int token) {
+    hooks.decide = [&metas, decide = hooks.decide](ResourceId resource,
+                                                   Chronon now, int token) {
       PULLMON_CHECK(static_cast<std::size_t>(token) == metas.size());
-      metas.push_back({resource, now});
-      return session.DecideAttempt(resource, now, token);
+      const bool success = decide(resource, now, token);
+      metas.push_back({resource, now, success});
+      return success;
     };
-    hooks.execute = [&](const std::vector<int>& tokens, int worker) {
-      for (int token : tokens) session.ExecuteAttempt(token, worker);
-    };
-    hooks.commit = [&](int token) {
+    hooks.commit = [&, commit = hooks.commit](int token) {
       const AttemptMeta& meta = metas[static_cast<std::size_t>(token)];
       const std::size_t items_before =
           session.fetch_chronon() == meta.chronon
               ? session.current_items().size()
               : 0;
       const std::size_t nm_before = report.not_modified;
-      const std::size_t failures_before =
-          report.timeouts + report.server_errors + report.outage_probes +
-          report.parse_failures;
-      session.CommitAttempt(token);
-      const std::size_t failures_after =
-          report.timeouts + report.server_errors + report.outage_probes +
-          report.parse_failures;
+      commit(token);
       ProbeObservation obs;
       obs.resource = meta.resource;
       obs.probed_at = meta.chronon;
-      obs.success = failures_after == failures_before;
+      obs.success = meta.success;
       if (obs.success) {
         obs.not_modified = report.not_modified > nm_before;
         if (!obs.not_modified) {
@@ -412,49 +344,17 @@ Result<ProxyRunReport> RunAdaptiveOnce(const SimulationConfig& config,
       model.Ingest(obs);
     };
     monitor.set_probe_hooks(std::move(hooks));
-    PULLMON_RETURN_NOT_OK(DriveAdaptiveEpoch(
-        &monitor, problem, config, &model, &session, explore_at, monitor_budget, clock,
-        &explore_schedule, &explore_issued, &report));
-    report.run.elapsed_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      run_start)
-            .count();
-    PULLMON_RETURN_NOT_OK(FinalizeAdaptiveReport(
-        monitor, config.breaker.enabled, problem, explore_schedule,
-        explore_issued, &session, &report));
-    const ShardRunStats& ss = monitor.shard_stats();
-    report.run.shard_count = static_cast<std::size_t>(ss.shard_count);
-    report.run.shard_candidates_scored = ss.candidates_scored;
-    report.run.shard_probes_executed = ss.probes_executed;
-    report.run.shard_merge_entries = ss.merge_entries;
-    report.shard_count = report.run.shard_count;
-    report.shard_candidates_scored = report.run.shard_candidates_scored;
-    report.shard_probes_executed = report.run.shard_probes_executed;
-    report.shard_merge_entries = report.run.shard_merge_entries;
-  } else {
-    MonitorOptions mo;
-    mo.retry = config.retry;
-    mo.breaker = config.breaker;
-    mo.maintenance = config.executor_backend == ExecutorBackend::kReference
-                         ? MonitorIndexMode::kRebuild
-                         : MonitorIndexMode::kIncremental;
-    DynamicMonitor monitor(problem.num_resources, problem.epoch.length,
-                           monitor_budget, policy.get(), spec.mode, mo);
-    monitor.set_probe_callback([&](ResourceId resource, Chronon now) {
-      return ObservedProbe(&session, &model, report, resource, now, clock,
-                           problem.epoch.length);
-    });
-    PULLMON_RETURN_NOT_OK(DriveAdaptiveEpoch(
-        &monitor, problem, config, &model, &session, explore_at, monitor_budget, clock,
-        &explore_schedule, &explore_issued, &report));
-    report.run.elapsed_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      run_start)
-            .count();
-    PULLMON_RETURN_NOT_OK(FinalizeAdaptiveReport(
-        monitor, config.breaker.enabled, problem, explore_schedule,
-        explore_issued, &session, &report));
   }
+  const auto run_start = std::chrono::steady_clock::now();
+  PULLMON_RETURN_NOT_OK(DriveAdaptiveEpoch(
+      &monitor, problem, config, &model, &session, explore_at,
+      monitor_budget, clock, &explore_schedule, &explore_issued, &report));
+  PULLMON_RETURN_NOT_OK(FinalizeAdaptiveReport(
+      monitor, problem, explore_schedule, explore_issued,
+      std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                    run_start)
+          .count(),
+      &session));
 
   const EstimationStats& es = model.stats();
   report.estimation_probes_observed = es.probes_observed;

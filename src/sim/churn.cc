@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "core/dynamic_monitor.h"
-#include "core/parallel_executor.h"
 #include "policies/policy_factory.h"
 #include "sim/experiment.h"
 #include "util/random.h"
@@ -98,174 +97,106 @@ TInterval BuildEditReplacement(const TInterval& current, Chronon now,
   return replacement;
 }
 
-namespace {
-
-/// The telemetry mirroring shared by the serial and parallel churn
-/// arms: DynamicMonitor and ParallelExecutor expose the identical
-/// accessor surface, so one template covers both.
-template <typename Monitor>
-void FinalizeChurnReportImpl(const Monitor& monitor, bool breaker_enabled,
-                             FeedPullSession* session,
-                             ProxyRunReport* report) {
-  const MonitorStats& ms = monitor.stats();
-  report->run.schedule = monitor.schedule();
-  report->run.completeness = monitor.Completeness();
-  report->run.probes_used = ms.probes_used;
-  report->run.t_intervals_completed = monitor.t_intervals_completed();
-  report->run.t_intervals_failed = monitor.t_intervals_failed();
-  report->run.candidates_scored = ms.candidates_scored;
-  report->run.max_concurrent_candidates = ms.max_concurrent_candidates;
-  report->run.probes_failed = ms.probes_failed;
-  report->run.retries_issued = ms.retries_issued;
-  report->run.retry_probes_spent = ms.retry_probes_spent;
-  report->run.t_intervals_lost_to_faults = ms.t_intervals_lost_to_faults;
-  const HealthStats& hs = monitor.health().stats();
-  report->run.circuits_opened = hs.circuits_opened;
-  report->run.circuits_reopened = hs.circuits_reopened;
-  report->run.probation_probes = hs.probation_probes;
-  report->run.probation_successes = hs.probation_successes;
-  report->run.probes_suppressed = hs.probes_suppressed;
-  report->run.budget_reclaimed = hs.budget_reclaimed;
-  report->run.open_chronons_total = hs.open_chronons_total;
-  if (breaker_enabled) {
-    report->run.open_chronons_by_resource =
-        monitor.health().OpenChrononsByResource();
+ChurnStream::ChurnStream(const MonitoringProblem& problem,
+                         const ChurnOptions& churn, uint64_t seed)
+    : epoch_length_(problem.epoch.length),
+      arrivals_(static_cast<std::size_t>(epoch_length_)),
+      // The churn stream draws from its own generator, so enabling churn
+      // perturbs no trace/profile/fault/policy randomness.
+      workload_(GenerateChurnWorkload(
+          churn, static_cast<int>(problem.profiles.size()), epoch_length_,
+          churn.seed ^ (seed * 0x9E3779B97F4A7C15ULL))),
+      defs_(problem.profiles.size()) {
+  for (std::size_t i = 0; i < problem.profiles.size(); ++i) {
+    for (const TInterval& eta : problem.profiles[i].t_intervals()) {
+      if (eta.empty()) continue;
+      const Chronon at = eta.EarliestStart();
+      if (at < 0 || at >= epoch_length_) continue;
+      arrivals_[static_cast<std::size_t>(at)].emplace_back(
+          static_cast<ProfileId>(i), &eta);
+    }
   }
+}
+
+void ChurnStream::Resume(
+    Chronon start, const std::vector<MonitorSubmissionImage>& submissions) {
+  // Acceptance order is flat order, which is exactly how the original
+  // run appended them per profile.
+  for (const MonitorSubmissionImage& sub : submissions) {
+    defs_[static_cast<std::size_t>(sub.profile)].push_back(sub.definition);
+  }
+  while (next_event_ < workload_.events.size() &&
+         workload_.events[next_event_].chronon < start) {
+    ++next_event_;
+  }
+}
+
+void ChurnStream::ApplyChronon(Chronon now, DynamicMonitor* monitor,
+                               ProxyRunReport* report,
+                               const std::function<void(const Op&)>& on_op) {
+  auto record = [&](int kind, ProfileId profile, int submission,
+                    bool accepted) {
+    // Rejected operations are part of the workload (arrivals for
+    // unregistered clients, cancels of completed submissions, ...) and
+    // keep the error paths hot.
+    if (!accepted) ++report->churn_rejected_ops;
+    if (on_op) on_op(Op{kind, profile, submission, accepted});
+  };
+  for (const auto& [pid, eta] : arrivals_[static_cast<std::size_t>(now)]) {
+    auto submitted = monitor->Submit(pid, *eta);
+    if (submitted.ok()) defs_[static_cast<std::size_t>(pid)].push_back(*eta);
+    record(kArrival, pid, submitted.ok() ? *submitted : -1, submitted.ok());
+  }
+  while (next_event_ < workload_.events.size() &&
+         workload_.events[next_event_].chronon == now) {
+    const ChurnEvent& event = workload_.events[next_event_++];
+    auto& defs = defs_[static_cast<std::size_t>(event.profile)];
+    const int count = static_cast<int>(defs.size());
+    // An inactive client's op targets submission 0 on purpose.
+    const int sub =
+        count > 0 ? static_cast<int>(event.pick % static_cast<uint64_t>(count))
+                  : 0;
+    bool accepted = false;
+    switch (event.kind) {
+      case ChurnEvent::Kind::kCancel:
+        accepted = monitor->Cancel(event.profile, sub).ok();
+        break;
+      case ChurnEvent::Kind::kEdit: {
+        TInterval replacement;
+        if (count > 0) {
+          replacement = BuildEditReplacement(
+              defs[static_cast<std::size_t>(sub)], now, epoch_length_,
+              event.deadline_delta, event.weight_factor);
+        }
+        accepted = monitor->Edit(event.profile, sub, replacement).ok();
+        if (accepted) defs.push_back(std::move(replacement));
+        break;
+      }
+      case ChurnEvent::Kind::kUnregister:
+        accepted = monitor->Unregister(event.profile).ok();
+        break;
+    }
+    record(static_cast<int>(event.kind), event.profile, sub, accepted);
+  }
+}
+
+void FinalizeChurnReport(const DynamicMonitor& monitor,
+                         double elapsed_seconds, FeedPullSession* session,
+                         ProxyRunReport* report) {
+  OnlineRunResult run = monitor.RunResult();
+  run.completeness = monitor.Completeness();
   // The monitor's own capture accounting must agree with the
   // schedule-based evaluation (cancelled submissions excluded).
-  PULLMON_CHECK(report->run.completeness.captured_t_intervals ==
-                monitor.t_intervals_completed());
-
-  report->probes_failed = ms.probes_failed;
-  report->retries_issued = ms.retries_issued;
-  report->retry_probes_spent = ms.retry_probes_spent;
-  report->circuits_opened = report->run.circuits_opened;
-  report->circuits_reopened = report->run.circuits_reopened;
-  report->probation_probes = report->run.probation_probes;
-  report->probation_successes = report->run.probation_successes;
-  report->probes_suppressed = report->run.probes_suppressed;
-  report->budget_reclaimed = report->run.budget_reclaimed;
-  report->open_chronons_total = report->run.open_chronons_total;
-  report->open_chronons_by_resource = report->run.open_chronons_by_resource;
-  std::size_t total = report->run.completeness.total_t_intervals;
-  report->gc_lost_to_faults =
-      total == 0
-          ? 0.0
-          : static_cast<double>(report->run.t_intervals_lost_to_faults) /
-                static_cast<double>(total);
+  PULLMON_CHECK(run.completeness.captured_t_intervals ==
+                run.t_intervals_completed);
+  run.elapsed_seconds = elapsed_seconds;
+  const MonitorStats& ms = monitor.stats();
   report->churn_submitted = ms.submitted;
   report->churn_cancelled = ms.cancelled;
   report->churn_edited = ms.edited;
   report->churn_unregistered_profiles = ms.unregistered_profiles;
   report->orphaned_probes = ms.orphaned_probes;
-  session->FinishReport();
-}
-
-/// Registers every profile, buckets arrivals, generates the churn
-/// stream, and drives the monitor chronon by chronon — the epoch loop
-/// shared verbatim by both executor backends. Churn operations apply
-/// synchronously in both arms: the workload's pick-resolution
-/// (`pick % live submission count`) depends on every earlier operation
-/// of the same chronon having landed, so the parallel arm calls the
-/// executor's churn surface directly rather than through its ingress
-/// queue (the queue's drain-at-Step semantics are covered by the
-/// dedicated thread-invariance and queue suites).
-template <typename Monitor>
-Status DriveChurnEpoch(Monitor* monitor, const MonitoringProblem& problem,
-                       const SimulationConfig& config, uint64_t seed,
-                       ProxyRunReport* report) {
-  const Chronon epoch_length = problem.epoch.length;
-  std::vector<std::vector<std::pair<ProfileId, const TInterval*>>>
-      arrivals(static_cast<std::size_t>(epoch_length));
-  std::vector<ProfileId> handle;
-  handle.reserve(problem.profiles.size());
-  for (const Profile& p : problem.profiles) {
-    handle.push_back(monitor->RegisterProfile(p.name()));
-    for (const TInterval& eta : p.t_intervals()) {
-      if (eta.empty()) continue;
-      Chronon at = eta.EarliestStart();
-      if (at < 0 || at >= epoch_length) continue;
-      arrivals[static_cast<std::size_t>(at)].emplace_back(handle.back(),
-                                                          &eta);
-    }
-  }
-
-  // The churn stream draws from its own generator, so enabling churn
-  // perturbs no trace/profile/fault/policy randomness.
-  ChurnWorkload workload = GenerateChurnWorkload(
-      config.churn, static_cast<int>(problem.profiles.size()),
-      epoch_length, config.churn.seed ^ (seed * 0x9E3779B97F4A7C15ULL));
-
-  // Local shadow of each profile's submissions (the definition currently
-  // live under each submission id), used to resolve churn targets and to
-  // build edit replacements.
-  std::vector<std::vector<TInterval>> defs(problem.profiles.size());
-
-  std::size_t next_event = 0;
-  for (Chronon now = 0; now < epoch_length; ++now) {
-    for (const auto& [pid, eta] : arrivals[static_cast<std::size_t>(now)]) {
-      auto submitted = monitor->Submit(pid, *eta);
-      if (submitted.ok()) {
-        defs[static_cast<std::size_t>(pid)].push_back(*eta);
-      } else {
-        // Arrivals for unregistered clients bounce — expected churn.
-        ++report->churn_rejected_ops;
-      }
-    }
-    while (next_event < workload.events.size() &&
-           workload.events[next_event].chronon == now) {
-      const ChurnEvent& event = workload.events[next_event++];
-      auto pid = static_cast<std::size_t>(event.profile);
-      int count = static_cast<int>(defs[pid].size());
-      // An inactive client's op targets submission 0 (or a bogus id) on
-      // purpose: rejected operations are part of the workload and keep
-      // the error paths hot.
-      int sub = count > 0
-                    ? static_cast<int>(event.pick %
-                                       static_cast<uint64_t>(count))
-                    : 0;
-      switch (event.kind) {
-        case ChurnEvent::Kind::kCancel: {
-          if (!monitor->Cancel(event.profile, sub).ok()) {
-            ++report->churn_rejected_ops;
-          }
-          break;
-        }
-        case ChurnEvent::Kind::kEdit: {
-          TInterval replacement;
-          if (count > 0) {
-            replacement = BuildEditReplacement(
-                defs[pid][static_cast<std::size_t>(sub)], now,
-                epoch_length, event.deadline_delta, event.weight_factor);
-          }
-          auto edited = monitor->Edit(event.profile, sub, replacement);
-          if (edited.ok()) {
-            defs[pid].push_back(std::move(replacement));
-          } else {
-            ++report->churn_rejected_ops;
-          }
-          break;
-        }
-        case ChurnEvent::Kind::kUnregister: {
-          if (!monitor->Unregister(event.profile).ok()) {
-            ++report->churn_rejected_ops;
-          }
-          break;
-        }
-      }
-    }
-    StepResult step;
-    PULLMON_ASSIGN_OR_RETURN(step, monitor->Step());
-    report->notifications_delivered += step.captured.size();
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-void FinalizeChurnReport(const DynamicMonitor& monitor, bool breaker_enabled,
-                         FeedPullSession* session, ProxyRunReport* report) {
-  FinalizeChurnReportImpl(monitor, breaker_enabled, session, report);
+  session->FinishReport(std::move(run));
 }
 
 Result<ProxyRunReport> RunChurnOnce(const SimulationConfig& config,
@@ -275,101 +206,38 @@ Result<ProxyRunReport> RunChurnOnce(const SimulationConfig& config,
   PULLMON_RETURN_NOT_OK(config.retry.Validate());
   PULLMON_RETURN_NOT_OK(config.breaker.Validate());
 
-  UpdateTrace trace(0, 0);
-  std::optional<TraceStore> store;
-  PULLMON_ASSIGN_OR_RETURN(MonitoringProblem problem,
-                           BuildProblem(config, seed, &trace, &store));
-  const auto buffer_capacity = static_cast<std::size_t>(
-      config.feed_buffer_capacity < 1 ? 1 : config.feed_buffer_capacity);
-  std::optional<FeedNetwork> network_holder;
-  if (store.has_value()) {
-    network_holder.emplace(&*store, buffer_capacity);
-  } else {
-    network_holder.emplace(&trace, buffer_capacity);
-  }
-  FeedNetwork& network = *network_holder;
-  PolicyOptions po;
-  po.random_seed = seed ^ 0x5bf03635ULL;
-  po.num_resources = problem.num_resources;
-  PULLMON_ASSIGN_OR_RETURN(std::unique_ptr<Policy> policy,
-                           MakePolicy(spec.policy, po));
-
+  RunSubstrate substrate;
+  PULLMON_RETURN_NOT_OK(BuildSubstrate(config, spec, seed, &substrate));
+  const MonitoringProblem& problem = substrate.problem;
   ProxyRunReport report;
-  ProxyOptions popts;
-  popts.faults = config.faults;
-  popts.fault_seed = config.fault_seed ^ (seed * 0x9E3779B97F4A7C15ULL);
-  popts.retry = config.retry;
-  popts.breaker = config.breaker;
-  popts.parse_cache = config.parse_cache;
-  FeedPullSession session(&network, problem.num_resources, popts, &report);
+  FeedPullSession session(&*substrate.network, problem.num_resources,
+                          substrate.proxy, &report);
 
-  const auto run_start = std::chrono::steady_clock::now();
-  if (config.executor_backend == ExecutorBackend::kParallel) {
-    ParallelOptions opts;
-    opts.retry = config.retry;
-    opts.breaker = config.breaker;
-    opts.threads = config.threads;
-    ParallelExecutor monitor(problem.num_resources, problem.epoch.length,
-                             problem.budget, policy.get(), spec.mode, opts);
-    monitor.set_probe_callback([&](ResourceId resource, Chronon now) {
-      return session.Probe(resource, now);
-    });
-    ParallelProbeHooks hooks;
-    hooks.begin_chronon = [&session](Chronon, int num_workers) {
-      session.BeginParallelChronon(num_workers);
-    };
-    hooks.decide = [&session](ResourceId resource, Chronon now, int token) {
-      return session.DecideAttempt(resource, now, token);
-    };
-    hooks.execute = [&session](const std::vector<int>& tokens, int worker) {
-      for (int token : tokens) session.ExecuteAttempt(token, worker);
-    };
-    hooks.commit = [&session](int token) { session.CommitAttempt(token); };
-    monitor.set_probe_hooks(std::move(hooks));
-    PULLMON_RETURN_NOT_OK(
-        DriveChurnEpoch(&monitor, problem, config, seed, &report));
-    report.run.elapsed_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      run_start)
-            .count();
-    FinalizeChurnReportImpl(monitor, config.breaker.enabled, &session,
-                            &report);
-    const ShardRunStats& ss = monitor.shard_stats();
-    report.run.shard_count = static_cast<std::size_t>(ss.shard_count);
-    report.run.shard_candidates_scored = ss.candidates_scored;
-    report.run.shard_probes_executed = ss.probes_executed;
-    report.run.shard_merge_entries = ss.merge_entries;
-    report.shard_count = report.run.shard_count;
-    report.shard_candidates_scored = report.run.shard_candidates_scored;
-    report.shard_probes_executed = report.run.shard_probes_executed;
-    report.shard_merge_entries = report.run.shard_merge_entries;
-    return report;
-  }
-
-  MonitorOptions mo;
-  mo.retry = config.retry;
-  mo.breaker = config.breaker;
-  // The backend switch maps onto the monitor's maintenance mode: the
-  // reference backend runs the from-scratch rebuild oracle, so backend
-  // differential tests cover churn too.
-  mo.maintenance = config.executor_backend == ExecutorBackend::kReference
-                       ? MonitorIndexMode::kRebuild
-                       : MonitorIndexMode::kIncremental;
   DynamicMonitor monitor(problem.num_resources, problem.epoch.length,
-                         problem.budget, policy.get(), spec.mode, mo);
+                         problem.budget, substrate.policy.get(), spec.mode,
+                         MonitorOptionsFor(config));
   monitor.set_probe_callback([&](ResourceId resource, Chronon now) {
     return session.Probe(resource, now);
   });
-  PULLMON_RETURN_NOT_OK(
-      DriveChurnEpoch(&monitor, problem, config, seed, &report));
-  report.run.elapsed_seconds =
+  if (config.executor_backend == ExecutorBackend::kParallel) {
+    monitor.set_probe_hooks(session.PipelineHooks());
+  }
+  const auto run_start = std::chrono::steady_clock::now();
+  for (const Profile& p : problem.profiles) {
+    monitor.RegisterProfile(p.name());
+  }
+  ChurnStream stream(problem, config.churn, seed);
+  for (Chronon now = 0; now < problem.epoch.length; ++now) {
+    stream.ApplyChronon(now, &monitor, &report);
+    PULLMON_ASSIGN_OR_RETURN(StepResult step, monitor.Step());
+    report.notifications_delivered += step.captured.size();
+  }
+  FinalizeChurnReport(
+      monitor,
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     run_start)
-          .count();
-  // Mirror the scheduling/fault/health/churn telemetry the way
-  // MonitoringProxy::Run does, so churn and proxy reports compare
-  // field-for-field.
-  FinalizeChurnReport(monitor, config.breaker.enabled, &session, &report);
+          .count(),
+      &session, &report);
   return report;
 }
 

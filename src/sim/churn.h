@@ -3,10 +3,13 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "core/chronon.h"
 #include "core/dynamic_monitor.h"
+#include "core/problem.h"
 #include "core/t_interval.h"
 #include "sim/proxy.h"
 #include "util/status.h"
@@ -88,19 +91,70 @@ ChurnWorkload GenerateChurnWorkload(const ChurnOptions& options,
 /// pushed out by `delta` (clamped to the epoch) and the weight rescaled.
 /// When every EI has already opened the replacement comes back empty and
 /// the monitor rejects the edit — the deliberate edit-to-past-deadline
-/// error path. Shared by RunChurnOnce and the durable runner
-/// (src/recovery/durable_runner.cc) so both resolve churn identically.
+/// error path.
 TInterval BuildEditReplacement(const TInterval& current, Chronon now,
                                Chronon epoch_length, Chronon delta,
                                double weight_factor);
 
-/// Mirrors the scheduling/fault/health/churn telemetry of a finished
-/// DynamicMonitor run into `report` the way MonitoringProxy::Run does
-/// (including session->FinishReport()), so churn, durable, and proxy
-/// reports compare field-for-field. Checks the monitor's capture
-/// accounting against the schedule-based evaluation.
-void FinalizeChurnReport(const DynamicMonitor& monitor, bool breaker_enabled,
-                         FeedPullSession* session, ProxyRunReport* report);
+/// The churn-driven workload of one run, applied chronon by chronon:
+/// each t-interval is submitted the chronon its earliest EI opens, then
+/// the chronon's generated churn events are resolved against the
+/// submissions made so far (`pick % count`) and applied. Operations
+/// apply synchronously, in order: each resolution depends on every
+/// earlier operation having landed. Shared by RunChurnOnce and the
+/// durable runner (src/recovery/durable_runner.cc), so both resolve
+/// churn identically.
+class ChurnStream {
+ public:
+  /// One applied operation, in application order.
+  struct Op {
+    /// A ChurnEvent::Kind value, or kArrival (the WAL's kind codes).
+    int kind = 0;
+    ProfileId profile = 0;
+    /// The targeted submission; for arrivals the accepted submission
+    /// id, or -1 when the monitor rejected it.
+    int submission = 0;
+    bool accepted = false;
+  };
+  static constexpr int kArrival = 3;
+
+  /// Buckets the arrivals of `problem` (profile i is ProfileId i) and
+  /// draws the churn stream from `churn` and the run seed.
+  ChurnStream(const MonitoringProblem& problem, const ChurnOptions& churn,
+              uint64_t seed);
+
+  /// Resumes at chronon `start` over a restored monitor whose image
+  /// lists `submissions` in acceptance order.
+  void Resume(Chronon start,
+              const std::vector<MonitorSubmissionImage>& submissions);
+
+  /// Applies chronon `now`'s arrivals and churn events to `monitor`
+  /// (before its Step()). Rejected operations count into
+  /// report->churn_rejected_ops; `on_op`, when set, sees every
+  /// operation.
+  void ApplyChronon(Chronon now, DynamicMonitor* monitor,
+                    ProxyRunReport* report,
+                    const std::function<void(const Op&)>& on_op = {});
+
+ private:
+  Chronon epoch_length_;
+  std::vector<std::vector<std::pair<ProfileId, const TInterval*>>>
+      arrivals_;
+  ChurnWorkload workload_;
+  std::size_t next_event_ = 0;
+  /// The definition currently live under each submission id, per
+  /// profile: resolves churn targets and builds edit replacements.
+  std::vector<std::vector<TInterval>> defs_;
+};
+
+/// Completes `report` from a finished churn-driven monitor run: the
+/// monitor's RunResult() (with `elapsed_seconds`) through
+/// session->FinishReport(), the same mirroring MonitoringProxy::Run
+/// uses, plus the churn counters — so churn, durable, and proxy reports
+/// compare field-for-field.
+void FinalizeChurnReport(const DynamicMonitor& monitor,
+                         double elapsed_seconds, FeedPullSession* session,
+                         ProxyRunReport* report);
 
 }  // namespace pullmon
 

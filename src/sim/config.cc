@@ -41,12 +41,6 @@ Status SimulationConfig::Validate() const {
   if (threads < 1) {
     return Status::InvalidArgument("threads must be >= 1");
   }
-  if (executor_backend == ExecutorBackend::kParallel &&
-      !checkpoint_dir.empty()) {
-    return Status::InvalidArgument(
-        "the parallel executor does not offer checkpoint/restore; use "
-        "the indexed backend for durable runs");
-  }
   if (checkpoint_dir.empty()) {
     if (checkpoint_every > 0) {
       return Status::InvalidArgument(

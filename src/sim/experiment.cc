@@ -142,29 +142,43 @@ Result<MonitoringProblem> BuildProblem(
   return problem;
 }
 
-Result<ProxyRunReport> RunProxyOnce(const SimulationConfig& config,
-                                    const PolicySpec& spec, uint64_t seed) {
-  if (config.knowledge == KnowledgeModel::kEstimated) {
-    return RunAdaptiveOnce(config, spec, seed);
+MonitorOptions MonitorOptionsFor(const SimulationConfig& config) {
+  MonitorOptions options;
+  options.retry = config.retry;
+  options.breaker = config.breaker;
+  switch (config.executor_backend) {
+    case ExecutorBackend::kIndexed:
+      break;
+    case ExecutorBackend::kReference:
+      // The reference backend runs the from-scratch rebuild oracle, so
+      // backend differential tests cover churn too.
+      options.maintenance = MonitorIndexMode::kRebuild;
+      break;
+    case ExecutorBackend::kParallel:
+      options.shards = MonitorOptions::kParallelShards;
+      options.threads = config.threads;
+      break;
   }
-  UpdateTrace trace(0, 0);
-  std::optional<TraceStore> store;
-  PULLMON_ASSIGN_OR_RETURN(MonitoringProblem problem,
-                           BuildProblem(config, seed, &trace, &store));
+  return options;
+}
+
+Status BuildSubstrate(const SimulationConfig& config, const PolicySpec& spec,
+                      uint64_t seed, RunSubstrate* out) {
+  PULLMON_ASSIGN_OR_RETURN(out->problem,
+                           BuildProblem(config, seed, &out->trace,
+                                        &out->store));
   const auto buffer_capacity = static_cast<std::size_t>(
       config.feed_buffer_capacity < 1 ? 1 : config.feed_buffer_capacity);
-  std::optional<FeedNetwork> network;
-  if (store.has_value()) {
-    network.emplace(&*store, buffer_capacity);
+  if (out->store.has_value()) {
+    out->network.emplace(&*out->store, buffer_capacity);
   } else {
-    network.emplace(&trace, buffer_capacity);
+    out->network.emplace(&out->trace, buffer_capacity);
   }
   PolicyOptions po;
   po.random_seed = seed ^ 0x5bf03635ULL;
-  po.num_resources = problem.num_resources;
-  PULLMON_ASSIGN_OR_RETURN(std::unique_ptr<Policy> policy,
-                           MakePolicy(spec.policy, po));
-  ProxyOptions options;
+  po.num_resources = out->problem.num_resources;
+  PULLMON_ASSIGN_OR_RETURN(out->policy, MakePolicy(spec.policy, po));
+  ProxyOptions& options = out->proxy;
   options.faults = config.faults;
   options.fault_seed = config.fault_seed ^ (seed * 0x9E3779B97F4A7C15ULL);
   options.retry = config.retry;
@@ -173,8 +187,18 @@ Result<ProxyRunReport> RunProxyOnce(const SimulationConfig& config,
   options.parse_cache = config.parse_cache;
   options.trace_backend = config.trace_backend;
   options.threads = config.threads;
-  MonitoringProxy proxy(&problem, &*network, policy.get(), spec.mode,
-                        options);
+  return Status::OK();
+}
+
+Result<ProxyRunReport> RunProxyOnce(const SimulationConfig& config,
+                                    const PolicySpec& spec, uint64_t seed) {
+  if (config.knowledge == KnowledgeModel::kEstimated) {
+    return RunAdaptiveOnce(config, spec, seed);
+  }
+  RunSubstrate substrate;
+  PULLMON_RETURN_NOT_OK(BuildSubstrate(config, spec, seed, &substrate));
+  MonitoringProxy proxy(&substrate.problem, &*substrate.network,
+                        substrate.policy.get(), spec.mode, substrate.proxy);
   return proxy.Run();
 }
 

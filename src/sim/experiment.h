@@ -1,6 +1,7 @@
 #ifndef PULLMON_SIM_EXPERIMENT_H_
 #define PULLMON_SIM_EXPERIMENT_H_
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -44,6 +45,36 @@ Result<MonitoringProblem> BuildProblem(
     UpdateTrace* trace_out = nullptr,
     std::optional<TraceStore>* store_out = nullptr);
 
+/// Everything a proxy-path run builds from (config, spec, seed) before
+/// its first chronon: the problem instance, its trace (in memory or
+/// paged), the feed network replaying it, the policy, and the proxy
+/// options. The network points into the trace, so a substrate is built
+/// in place and never copied or moved.
+struct RunSubstrate {
+  UpdateTrace trace{0, 0};
+  std::optional<TraceStore> store;
+  MonitoringProblem problem;
+  std::optional<FeedNetwork> network;
+  std::unique_ptr<Policy> policy;
+  ProxyOptions proxy;
+
+  RunSubstrate() = default;
+  RunSubstrate(const RunSubstrate&) = delete;
+  RunSubstrate& operator=(const RunSubstrate&) = delete;
+};
+
+/// Builds the substrate of one run into `out` (freshly constructed).
+/// Every runner — proxy, churn, durable, adaptive — starts here, so they
+/// consume the seed identically.
+Status BuildSubstrate(const SimulationConfig& config, const PolicySpec& spec,
+                      uint64_t seed, RunSubstrate* out);
+
+/// The chronon-engine options of a monitor-driven run of `config`:
+/// retry and breaker knobs, the backend's shape (reference -> the
+/// rebuild oracle, parallel -> MonitorOptions::kParallelShards shards on
+/// config.threads workers), serial otherwise.
+MonitorOptions MonitorOptionsFor(const SimulationConfig& config);
+
 /// Runs the *physical* proxy path once: generates the instance, replays
 /// its trace through a FeedNetwork (buffer capacity, fault rates, and
 /// the retry policy all from `config`), and drives MonitoringProxy with
@@ -57,8 +88,7 @@ Result<ProxyRunReport> RunProxyOnce(const SimulationConfig& config,
 /// (cancel/edit/unregister with Zipf client activity) against a
 /// DynamicMonitor, and pulls every scheduled probe through the same
 /// FeedPullSession as the proxy path. `config.executor_backend` selects
-/// the monitor's index maintenance (indexed -> incremental delete,
-/// reference -> rebuild oracle); both are decision-identical.
+/// the monitor's shape (MonitorOptionsFor); all are decision-identical.
 /// Deterministic in (config, spec, seed).
 Result<ProxyRunReport> RunChurnOnce(const SimulationConfig& config,
                                     const PolicySpec& spec, uint64_t seed);

@@ -3,7 +3,6 @@
 #include <iterator>
 #include <utility>
 
-#include "core/parallel_executor.h"
 #include "feeds/atom.h"
 #include "util/logging.h"
 
@@ -133,6 +132,21 @@ bool FeedPullSession::Probe(ResourceId resource, Chronon now) {
     }
   }
   return true;
+}
+
+ProbeHooks FeedPullSession::PipelineHooks() {
+  ProbeHooks hooks;
+  hooks.begin_chronon = [this](Chronon, int num_workers) {
+    BeginParallelChronon(num_workers);
+  };
+  hooks.decide = [this](ResourceId resource, Chronon now, int token) {
+    return DecideAttempt(resource, now, token);
+  };
+  hooks.execute = [this](const std::vector<int>& tokens, int worker) {
+    for (int token : tokens) ExecuteAttempt(token, worker);
+  };
+  hooks.commit = [this](int token) { CommitAttempt(token); };
+  return hooks;
 }
 
 void FeedPullSession::BeginParallelChronon(int num_workers) {
@@ -316,7 +330,29 @@ void FeedPullSession::CommitAttempt(int token) {
                         std::make_move_iterator(rec.items.end()));
 }
 
-void FeedPullSession::FinishReport() {
+void FeedPullSession::FinishReport(OnlineRunResult run) {
+  report_->run = std::move(run);
+  const OnlineRunResult& r = report_->run;
+  report_->probes_failed = r.probes_failed;
+  report_->retries_issued = r.retries_issued;
+  report_->retry_probes_spent = r.retry_probes_spent;
+  report_->circuits_opened = r.circuits_opened;
+  report_->circuits_reopened = r.circuits_reopened;
+  report_->probation_probes = r.probation_probes;
+  report_->probation_successes = r.probation_successes;
+  report_->probes_suppressed = r.probes_suppressed;
+  report_->budget_reclaimed = r.budget_reclaimed;
+  report_->open_chronons_total = r.open_chronons_total;
+  report_->open_chronons_by_resource = r.open_chronons_by_resource;
+  report_->shard_count = r.shard_count;
+  report_->shard_candidates_scored = r.shard_candidates_scored;
+  report_->shard_probes_executed = r.shard_probes_executed;
+  report_->shard_merge_entries = r.shard_merge_entries;
+  const std::size_t total = r.completeness.total_t_intervals;
+  report_->gc_lost_to_faults =
+      total == 0 ? 0.0
+                 : static_cast<double>(r.t_intervals_lost_to_faults) /
+                       static_cast<double>(total);
   if (plan_.has_value()) {
     report_->fault_stats = plan_->stats();
     report_->latency_chronons = report_->fault_stats.latency_total;
@@ -403,21 +439,9 @@ Result<ProxyRunReport> MonitoringProxy::Run() {
   executor.set_probe_callback([&](ResourceId resource, Chronon now) {
     return session.Probe(resource, now);
   });
-
   if (options_.backend == ExecutorBackend::kParallel) {
     executor.set_threads(options_.threads);
-    ParallelProbeHooks hooks;
-    hooks.begin_chronon = [&session](Chronon, int num_workers) {
-      session.BeginParallelChronon(num_workers);
-    };
-    hooks.decide = [&session](ResourceId resource, Chronon now, int token) {
-      return session.DecideAttempt(resource, now, token);
-    };
-    hooks.execute = [&session](const std::vector<int>& tokens, int worker) {
-      for (int token : tokens) session.ExecuteAttempt(token, worker);
-    };
-    hooks.commit = [&session](int token) { session.CommitAttempt(token); };
-    executor.set_parallel_hooks(std::move(hooks));
+    executor.set_probe_hooks(session.PipelineHooks());
   }
 
   executor.set_capture_callback([&](ProfileId profile,
@@ -435,28 +459,8 @@ Result<ProxyRunReport> MonitoringProxy::Run() {
     ++report.notifications_delivered;
   });
 
-  PULLMON_ASSIGN_OR_RETURN(report.run, executor.Run());
-  report.probes_failed = report.run.probes_failed;
-  report.retries_issued = report.run.retries_issued;
-  report.retry_probes_spent = report.run.retry_probes_spent;
-  report.circuits_opened = report.run.circuits_opened;
-  report.circuits_reopened = report.run.circuits_reopened;
-  report.probation_probes = report.run.probation_probes;
-  report.probation_successes = report.run.probation_successes;
-  report.probes_suppressed = report.run.probes_suppressed;
-  report.budget_reclaimed = report.run.budget_reclaimed;
-  report.open_chronons_total = report.run.open_chronons_total;
-  report.open_chronons_by_resource = report.run.open_chronons_by_resource;
-  report.shard_count = report.run.shard_count;
-  report.shard_candidates_scored = report.run.shard_candidates_scored;
-  report.shard_probes_executed = report.run.shard_probes_executed;
-  report.shard_merge_entries = report.run.shard_merge_entries;
-  std::size_t total = problem_->TotalTIntervalCount();
-  report.gc_lost_to_faults =
-      total == 0 ? 0.0
-                 : static_cast<double>(report.run.t_intervals_lost_to_faults) /
-                       static_cast<double>(total);
-  session.FinishReport();
+  PULLMON_ASSIGN_OR_RETURN(OnlineRunResult run, executor.Run());
+  session.FinishReport(std::move(run));
   return report;
 }
 

@@ -134,7 +134,7 @@ struct ProxyRunReport {
   /// intact chronon commit, or after the first corrupt record).
   std::size_t recovery_torn_tail_truncated = 0;
   // --- Shard telemetry (zero/empty on the serial backends; mirrors
-  // --- ShardRunStats of the kParallel pipeline. A function of the
+  // --- ShardRunStats of the sharded kParallel engine. A function of the
   // --- shard map and the workload only — bit-identical across thread
   // --- counts, so thread-invariance suites compare it in full; only
   // --- serial-vs-parallel comparisons skip it). -----------------------
@@ -196,7 +196,7 @@ struct ProxyOptions {
   /// store-backed FeedNetwork (Run() rejects the mismatch); the report
   /// is identical either way apart from the trace_* counters.
   TraceBackend trace_backend = TraceBackend::kInMemory;
-  /// Worker threads of the kParallel backend's execute phase; ignored
+  /// Worker threads of the kParallel backend's sharded phases; ignored
   /// by the serial backends. The report is bit-identical at every
   /// thread count (the thread-invariance suite enforces it).
   int threads = 1;
@@ -212,8 +212,8 @@ struct PullSessionImage {
   std::optional<ParseCacheImage> parse_cache;
 };
 
-/// The physical pull leg shared by MonitoringProxy (executor-driven) and
-/// the churn experiment runner (DynamicMonitor-driven): conditional
+/// The physical pull leg shared by MonitoringProxy and the churn,
+/// durable and adaptive runners: conditional
 /// fetches through an optional deterministic fault plan, arena-backed
 /// parsing, and the optional ETag/content parse cache — one Probe() call
 /// per scheduled probe, filling the transport counters of a
@@ -231,12 +231,38 @@ class FeedPullSession {
   /// document (the EI stays a candidate), true otherwise.
   bool Probe(ResourceId resource, Chronon now);
 
-  // --- Three-phase probe pipeline (ExecutorBackend::kParallel;
-  // --- ParallelProbeHooks in core/parallel_executor.h, DESIGN.md
-  // --- section 16). Splits Probe() so the data-plane work runs
-  // --- concurrently while every order-sensitive effect stays serial.
-  // --- The committed counters, validators, cache state, and item
-  // --- buffer are bit-identical to the serial Probe() sequence. -------
+  /// The three-phase probe pipeline over this session (ProbeHooks,
+  /// core/online_executor.h; DESIGN.md section 16): Probe() split so
+  /// the data-plane work runs concurrently while every order-sensitive
+  /// effect stays serial. The committed counters, validators, cache
+  /// state, and item buffer are bit-identical to the serial Probe()
+  /// sequence. The hooks capture `this`.
+  ProbeHooks PipelineHooks();
+
+  /// Chronon of the most recent successful fetch batch.
+  Chronon fetch_chronon() const { return fetch_chronon_; }
+  /// Items pulled during the current chronon (notification payload).
+  const std::vector<FeedItem>& current_items() const {
+    return current_items_;
+  }
+
+  /// Installs the scheduler's outcome as report.run, mirrors its
+  /// probe-path and health counters (and shard telemetry) into the
+  /// report's top-level fields, and copies the fault-plan, parse-cache
+  /// and trace-store counters; call once after the run.
+  void FinishReport(OnlineRunResult run);
+
+  /// Checkpoint support: Capture() at a chronon boundary freezes the
+  /// validators and the fault/cache layers; Restore() resumes them on a
+  /// session built from the same options. InvalidArgument when the
+  /// image disagrees with the session's layers or resource count. The
+  /// current-chronon item buffer is intentionally not captured: it is
+  /// rebuilt by the first probe of the next chronon.
+  PullSessionImage Capture() const;
+  Status Restore(const PullSessionImage& image);
+
+ private:
+  // --- The pipeline phases PipelineHooks() binds. -----------------------
 
   /// Serial, before the first decide of a chronon: clears the attempt
   /// records and sizes one parse arena per worker lane.
@@ -254,7 +280,7 @@ class FeedPullSession {
 
   /// Parallel: performs the deferred fetch + parse + cache work of one
   /// attempt on the given worker lane. Safe concurrently across lanes
-  /// because the executor routes all attempts of one resource shard to
+  /// because the monitor routes all attempts of one resource shard to
   /// one lane: per-resource server buffers, validators, and cache
   /// entries are touched by exactly one thread, and cache stats go to
   /// a per-attempt delta merged at commit.
@@ -265,27 +291,6 @@ class FeedPullSession {
   /// effect sequence of the serial Probe().
   void CommitAttempt(int token);
 
-  /// Chronon of the most recent successful fetch batch.
-  Chronon fetch_chronon() const { return fetch_chronon_; }
-  /// Items pulled during the current chronon (notification payload).
-  const std::vector<FeedItem>& current_items() const {
-    return current_items_;
-  }
-
-  /// Copies the fault-plan and parse-cache counters into the report;
-  /// call once after the run.
-  void FinishReport();
-
-  /// Checkpoint support: Capture() at a chronon boundary freezes the
-  /// validators and the fault/cache layers; Restore() resumes them on a
-  /// session built from the same options. InvalidArgument when the
-  /// image disagrees with the session's layers or resource count. The
-  /// current-chronon item buffer is intentionally not captured: it is
-  /// rebuilt by the first probe of the next chronon.
-  PullSessionImage Capture() const;
-  Status Restore(const PullSessionImage& image);
-
- private:
   /// Everything one decided probe attempt carries between the three
   /// phases. Filled by DecideAttempt/ExecuteAttempt, consumed by
   /// CommitAttempt.

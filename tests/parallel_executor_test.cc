@@ -1,15 +1,17 @@
-// Parallel executor differential suite (DESIGN.md section 16): the
-// sharded multi-threaded pipeline of ParallelExecutor must be
-// decision-identical to the serial DynamicMonitor under arbitrary
-// interleavings of submit/cancel/edit/unregister/step, faults, retries,
-// and the circuit breaker — at every thread count, and with shard
-// telemetry that is bit-identical across thread counts. A second layer
-// validates the churn-queue ingress (enqueue-then-drain equals direct
-// calls) and the three-phase probe hooks (decide/execute/commit replays
-// the plain callback path exactly, with every token executed once on
-// its owning lane and committed in decide order).
+// Sharded-engine differential suite of the parallel backend (DESIGN.md
+// section 16): DynamicMonitor sharded across threads must be
+// decision-identical to the serial (one-shard, one-thread) monitor
+// under arbitrary interleavings of submit/cancel/edit/unregister/step,
+// faults, retries, and the circuit breaker — at every thread count, and
+// with shard telemetry that is bit-identical across thread counts. A
+// second layer validates the churn-queue ingress (enqueue-then-drain
+// equals direct calls) and the three-phase probe hooks
+// (decide/execute/commit replays the plain callback path exactly, with
+// every token executed once on its owning lane and committed in decide
+// order).
 
 #include <algorithm>
+#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -17,7 +19,6 @@
 #include <gtest/gtest.h>
 
 #include "core/dynamic_monitor.h"
-#include "core/parallel_executor.h"
 #include "policies/policy_factory.h"
 #include "sim/experiment.h"
 #include "util/random.h"
@@ -32,7 +33,7 @@ struct FaultConfig {
   BreakerOptions breaker;
 };
 
-/// Everything observable about one run that both executors share.
+/// Everything observable about one run.
 struct RunTrace {
   std::vector<StepResult> steps;
   MonitorStats stats;
@@ -132,13 +133,11 @@ std::vector<std::vector<ScriptedOp>> MakeScript(uint64_t seed) {
 /// How the scenario feeds churn into the executor under test.
 enum class ChurnIngress {
   kDirect,  // call Submit/Cancel/Edit/Unregister before Step()
-  kQueue,   // EnqueueChurn; Step() drains (ParallelExecutor only)
+  kQueue,   // EnqueueChurn; Step() drains
 };
 
-/// Applies one scripted op directly to `monitor` (works for both
-/// executors — they share the churn surface contract).
-template <typename Monitor>
-void ApplyDirect(Monitor* monitor, const ScriptedOp& op,
+/// Applies one scripted op directly to `monitor`.
+void ApplyDirect(DynamicMonitor* monitor, const ScriptedOp& op,
                  const std::vector<ProfileId>& profiles,
                  RunTrace* trace) {
   ProfileId profile =
@@ -167,11 +166,8 @@ void ApplyDirect(Monitor* monitor, const ScriptedOp& op,
   }
 }
 
-/// Runs one scripted scenario on an already-constructed executor.
-/// `Monitor` is DynamicMonitor or ParallelExecutor; both expose the
-/// same churn/step/stats surface.
-template <typename Monitor>
-RunTrace RunScenario(Monitor* monitor, uint64_t seed,
+/// Runs one scripted scenario on an already-constructed monitor.
+RunTrace RunScenario(DynamicMonitor* monitor, uint64_t seed,
                      const FaultConfig& faults, ChurnIngress ingress) {
   RunTrace trace;
   std::vector<int> attempts_at(
@@ -193,7 +189,7 @@ RunTrace RunScenario(Monitor* monitor, uint64_t seed,
     for (const ScriptedOp& op : script[static_cast<std::size_t>(t)]) {
       if (ingress == ChurnIngress::kDirect) {
         ApplyDirect(monitor, op, profiles, &trace);
-      } else if constexpr (std::is_same_v<Monitor, ParallelExecutor>) {
+      } else {
         ChurnOp queued;
         queued.kind = op.kind;
         queued.profile =
@@ -248,14 +244,14 @@ ParallelRun RunParallel(uint64_t seed, const PolicySpec& spec,
   po.num_resources = kResources;
   auto policy = MakePolicy(spec.policy, po);
   PULLMON_CHECK(policy.ok());
-  ParallelOptions options;
+  MonitorOptions options;
   options.retry = faults.retry;
   options.breaker = faults.breaker;
   options.threads = threads;
   options.shards = shards;
-  ParallelExecutor executor(kResources, kEpoch,
-                            BudgetVector::Uniform(2, kEpoch),
-                            policy->get(), spec.mode, options);
+  DynamicMonitor executor(kResources, kEpoch,
+                          BudgetVector::Uniform(2, kEpoch), policy->get(),
+                          spec.mode, options);
   ParallelRun run;
   run.trace = RunScenario(&executor, seed, faults, ingress);
   run.shard_stats = executor.shard_stats();
@@ -302,10 +298,10 @@ void ExpectTracesIdentical(const RunTrace& a, const RunTrace& b,
 }
 
 // The core differential: for seeded churn scenarios across all standard
-// policies and fault configurations, the parallel executor at 1/2/4/8
+// policies and fault configurations, the sharded monitor at 1/2/4/8
 // threads matches the serial monitor step-for-step, and its shard
 // telemetry is bit-identical across thread counts.
-TEST(ParallelExecutorTest, MatchesSerialAcrossThreadCounts) {
+TEST(ShardedMonitorTest, MatchesSerialAcrossThreadCounts) {
   std::vector<PolicySpec> specs = StandardPolicySpecs();
   std::vector<FaultConfig> fault_configs(3);
   fault_configs[1].fail_permille = 250;
@@ -331,7 +327,7 @@ TEST(ParallelExecutorTest, MatchesSerialAcrossThreadCounts) {
     for (int threads : kThreadCounts) {
       ParallelRun run =
           RunParallel(seed, spec, faults, threads,
-                      ParallelOptions::kDefaultShards);
+                      MonitorOptions::kParallelShards);
       ExpectTracesIdentical(serial, run.trace,
                             label + " threads=" + std::to_string(threads));
       if (!have_reference) {
@@ -347,7 +343,7 @@ TEST(ParallelExecutorTest, MatchesSerialAcrossThreadCounts) {
 
 // The shard count partitions state but must never change decisions:
 // degenerate (1) and non-default (5) shard counts still match serial.
-TEST(ParallelExecutorTest, ShardCountDoesNotChangeDecisions) {
+TEST(ShardedMonitorTest, ShardCountDoesNotChangeDecisions) {
   std::vector<PolicySpec> specs = StandardPolicySpecs();
   FaultConfig faults;
   faults.fail_permille = 300;
@@ -374,7 +370,7 @@ TEST(ParallelExecutorTest, ShardCountDoesNotChangeDecisions) {
 // Churn submitted through the bounded MPSC queue and drained at the
 // chronon boundary must behave exactly like direct calls made before
 // Step(): same decisions, same accept/reject outcomes.
-TEST(ParallelExecutorTest, QueueIngressMatchesDirectCalls) {
+TEST(ShardedMonitorTest, QueueIngressMatchesDirectCalls) {
   std::vector<PolicySpec> specs = StandardPolicySpecs();
   FaultConfig faults;
   faults.fail_permille = 200;
@@ -385,10 +381,10 @@ TEST(ParallelExecutorTest, QueueIngressMatchesDirectCalls) {
     const PolicySpec& spec = specs[seed % specs.size()];
     std::string label = spec.Label() + " seed=" + std::to_string(seed);
     ParallelRun direct = RunParallel(seed, spec, faults, /*threads=*/4,
-                                     ParallelOptions::kDefaultShards,
+                                     MonitorOptions::kParallelShards,
                                      ChurnIngress::kDirect);
     ParallelRun queued = RunParallel(seed, spec, faults, /*threads=*/4,
-                                     ParallelOptions::kDefaultShards,
+                                     MonitorOptions::kParallelShards,
                                      ChurnIngress::kQueue);
     ExpectTracesIdentical(direct.trace, queued.trace, label);
     EXPECT_TRUE(direct.shard_stats == queued.shard_stats) << label;
@@ -399,7 +395,7 @@ TEST(ParallelExecutorTest, QueueIngressMatchesDirectCalls) {
 // exactly: decide order is the canonical attempt order, every decided
 // token is executed exactly once on its owning lane and committed in
 // decide order, and the resulting trace is identical.
-TEST(ParallelExecutorTest, ProbeHooksReplayCallbackPath) {
+TEST(ShardedMonitorTest, ProbeHooksReplayCallbackPath) {
   std::vector<PolicySpec> specs = StandardPolicySpecs();
   FaultConfig faults;
   faults.fail_permille = 300;
@@ -411,7 +407,7 @@ TEST(ParallelExecutorTest, ProbeHooksReplayCallbackPath) {
     std::string label = spec.Label() + " seed=" + std::to_string(seed);
     ParallelRun callback_run =
         RunParallel(seed, spec, faults, /*threads=*/4,
-                    ParallelOptions::kDefaultShards);
+                    MonitorOptions::kParallelShards);
 
     // Hook-driven arm: decide mirrors the stateless failure source,
     // execute records lane assignments, commit records replay order.
@@ -420,13 +416,14 @@ TEST(ParallelExecutorTest, ProbeHooksReplayCallbackPath) {
     po.num_resources = kResources;
     auto policy = MakePolicy(spec.policy, po);
     PULLMON_CHECK(policy.ok());
-    ParallelOptions options;
+    MonitorOptions options;
     options.retry = faults.retry;
     options.breaker = faults.breaker;
     options.threads = 4;
-    ParallelExecutor executor(kResources, kEpoch,
-                              BudgetVector::Uniform(2, kEpoch),
-                              policy->get(), spec.mode, options);
+    options.shards = MonitorOptions::kParallelShards;
+    DynamicMonitor executor(kResources, kEpoch,
+                            BudgetVector::Uniform(2, kEpoch),
+                            policy->get(), spec.mode, options);
 
     std::vector<int> attempts_at(
         static_cast<std::size_t>(kResources * kEpoch), 0);
@@ -434,7 +431,7 @@ TEST(ParallelExecutorTest, ProbeHooksReplayCallbackPath) {
     std::vector<int> executed_count;    // per token
     std::vector<int> commit_order;      // tokens in commit order
     std::mutex executed_mu;
-    ParallelProbeHooks hooks;
+    ProbeHooks hooks;
     hooks.begin_chronon = [&](Chronon, int num_workers) {
       EXPECT_EQ(num_workers, 4);
       decide_order.clear();
@@ -498,7 +495,7 @@ TEST(ParallelExecutorTest, ProbeHooksReplayCallbackPath) {
 
 // Capture callbacks must fire during the commit replay in exactly the
 // order StepResult::captured reports.
-TEST(ParallelExecutorTest, CaptureCallbackOrderMatchesStepResult) {
+TEST(ShardedMonitorTest, CaptureCallbackOrderMatchesStepResult) {
   std::vector<PolicySpec> specs = StandardPolicySpecs();
   FaultConfig faults;
   for (uint64_t seed = 400; seed < 408; ++seed) {
@@ -508,11 +505,12 @@ TEST(ParallelExecutorTest, CaptureCallbackOrderMatchesStepResult) {
     po.num_resources = kResources;
     auto policy = MakePolicy(spec.policy, po);
     PULLMON_CHECK(policy.ok());
-    ParallelOptions options;
+    MonitorOptions options;
     options.threads = 2;
-    ParallelExecutor executor(kResources, kEpoch,
-                              BudgetVector::Uniform(2, kEpoch),
-                              policy->get(), spec.mode, options);
+    options.shards = MonitorOptions::kParallelShards;
+    DynamicMonitor executor(kResources, kEpoch,
+                            BudgetVector::Uniform(2, kEpoch),
+                            policy->get(), spec.mode, options);
     std::vector<std::pair<ProfileId, int>> fired;
     executor.set_capture_callback(
         [&](ProfileId profile, int submission, Chronon) {
@@ -538,16 +536,19 @@ TEST(ParallelExecutorTest, CaptureCallbackOrderMatchesStepResult) {
   }
 }
 
-TEST(ParallelExecutorTest, CancelOfMaxRankSubmissionLowersRank) {
-  // Mirror of DynamicMonitorTest.CancelOfMaxRankSubmissionLowersRank:
-  // the parallel executor's exact-rank bookkeeping must match the serial
-  // monitor's (the differential suite enforces equality; this pins the
-  // intended behavior directly).
+TEST(ShardedMonitorTest, CancelOfMaxRankSubmissionLowersRank) {
+  // Mirror of DynamicMonitorTest.CancelOfMaxRankSubmissionLowersRank
+  // on a sharded monitor (the differential suite enforces equality; this
+  // pins the intended behavior directly).
   PolicyOptions po;
   auto policy = MakePolicy("mrsf", po);
   ASSERT_TRUE(policy.ok());
-  ParallelExecutor executor(6, 12, BudgetVector::Uniform(1, 12),
-                            policy->get(), ExecutionMode::kPreemptive);
+  MonitorOptions options;
+  options.shards = MonitorOptions::kParallelShards;
+  options.threads = 2;
+  DynamicMonitor executor(6, 12, BudgetVector::Uniform(1, 12),
+                          policy->get(), ExecutionMode::kPreemptive,
+                          options);
   ProfileId heavy = executor.RegisterProfile("heavy");
   ProfileId light = executor.RegisterProfile("light");
   ASSERT_TRUE(executor.Submit(heavy, TInterval({{0, 0, 9}})).ok());

@@ -250,6 +250,25 @@ TEST(RecoveryCodecTest, SnapshotRoundTripIsIdentity) {
   EXPECT_EQ(EncodeSnapshot(*decoded), encoded);
 }
 
+TEST(RecoveryCodecTest, ShardTelemetryIsAnOptionalTail) {
+  ProxySnapshot snap = RichSnapshot();
+  const std::string serial = EncodeSnapshot(snap);
+  snap.monitor.shards.shard_count = 3;
+  snap.monitor.shards.candidates_scored = {4, 0, 9};
+  snap.monitor.shards.probes_executed = {1, 2, 0};
+  snap.monitor.shards.merge_entries = 6;
+  const std::string sharded = EncodeSnapshot(snap);
+  EXPECT_GT(sharded.size(), serial.size());
+  auto decoded = DecodeSnapshot(sharded);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_TRUE(decoded->monitor.shards == snap.monitor.shards);
+  EXPECT_EQ(EncodeSnapshot(*decoded), sharded);
+  // A serial snapshot decodes with no shard telemetry at all.
+  auto plain = DecodeSnapshot(serial);
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  EXPECT_EQ(plain->monitor.shards.shard_count, 0);
+}
+
 TEST(RecoveryCodecTest, SnapshotWithoutOptionalLayersRoundTrips) {
   ProxySnapshot snap;
   snap.fingerprint = 1;

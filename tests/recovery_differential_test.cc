@@ -3,7 +3,7 @@
 // crash-recovered run must finish with a ProxyRunReport equal to the
 // uninterrupted run's on every field except the recovery telemetry.
 // The suite sweeps ~200 seeded scenarios (clean, faults, breakers,
-// churn, parse cache; both executor backends; both trace backends)
+// churn, parse cache; all three executor backends; both trace backends)
 // through the durable runner, kills it at every chronon boundary with
 // several torn-write offsets, recovers, and demands full-report
 // equality via the shared comparator — plus the negative paths:
@@ -94,15 +94,17 @@ ProxyRunReport MustChurnRun(const SimulationConfig& config,
 /// Uninterrupted durable runs must behave exactly like the plain churn
 /// runner on every field — checkpointing and WAL writes are observable
 /// only through the recovery telemetry. ~200 scenarios across the four
-/// families, both executor backends, both trace backends, and the
-/// Section-5 policy line-up.
+/// families, the three executor backends (the sharded one on two
+/// threads), both trace backends, and the Section-5 policy line-up.
 TEST(RecoveryDifferentialTest, UninterruptedDurableRunMatchesChurnRunner) {
   const std::vector<PolicySpec> specs = StandardPolicySpecs();
   for (std::uint64_t seed = 0; seed < 200; ++seed) {
     SimulationConfig config = ScenarioConfig(static_cast<int>(seed));
-    config.executor_backend = (seed / 4) % 2 == 0
-                                  ? ExecutorBackend::kIndexed
-                                  : ExecutorBackend::kReference;
+    const ExecutorBackend backends[] = {ExecutorBackend::kIndexed,
+                                        ExecutorBackend::kReference,
+                                        ExecutorBackend::kParallel};
+    config.executor_backend = backends[(seed / 4) % 3];
+    config.threads = 2;
     config.trace_backend = (seed / 8) % 2 == 0 ? TraceBackend::kInMemory
                                                : TraceBackend::kPaged;
     const PolicySpec& spec = specs[seed % specs.size()];
@@ -163,7 +165,7 @@ ProxyRunReport CrashThenRecover(const SimulationConfig& config,
 /// several byte offsets into the boundary's durable writes), recover,
 /// finish, and require the report equal to the uninterrupted run's.
 /// Scenario arms cover the hard combinations: churn + faults + breaker
-/// + parse cache on both executor backends, and the paged trace store.
+/// + parse cache on every executor backend, and the paged trace store.
 TEST(RecoveryDifferentialTest, CrashAtEveryBoundaryRecoversExactly) {
   struct Arm {
     int family;
@@ -177,12 +179,14 @@ TEST(RecoveryDifferentialTest, CrashAtEveryBoundaryRecoversExactly) {
       {2, ExecutorBackend::kIndexed, TraceBackend::kInMemory, "S-EDF", 53},
       {3, ExecutorBackend::kIndexed, TraceBackend::kInMemory, "MRSF", 91},
       {3, ExecutorBackend::kReference, TraceBackend::kInMemory, "MRSF", 91},
+      {3, ExecutorBackend::kParallel, TraceBackend::kInMemory, "MRSF", 91},
       {3, ExecutorBackend::kIndexed, TraceBackend::kPaged, "MRSF", 29},
       {1, ExecutorBackend::kReference, TraceBackend::kPaged, "S-EDF", 71},
   };
   for (const Arm& arm : arms) {
     SimulationConfig config = ScenarioConfig(arm.family);
     config.executor_backend = arm.backend;
+    config.threads = 3;
     config.trace_backend = arm.trace;
     PolicySpec spec{arm.policy, ExecutionMode::kPreemptive};
     const ProxyRunReport baseline = MustChurnRun(config, spec, arm.seed);

@@ -92,7 +92,7 @@ void AddConfigFlags(FlagParser* flags) {
                    "index) | reference (scan-based oracle) | parallel "
                    "(sharded multi-threaded pipeline)");
   flags->AddInt64("threads", 1,
-                  "worker threads of the parallel executor (results are "
+                  "worker threads of the parallel backend (results are "
                   "bit-identical at every thread count)");
   flags->AddBool("trace-store", false,
                  "generate and replay the trace through the paged "
