@@ -39,12 +39,12 @@ struct ArmResult {
 };
 
 /// One full churn-heavy epoch against a DynamicMonitor in the given
-/// maintenance mode. Mirrors RunChurnOnce's op replay but drives the
-/// monitor directly (always-successful probes) so the timing isolates
-/// index maintenance from the feed path.
-ArmResult RunArm(const MonitoringProblem& problem,
-                 const ChurnWorkload& workload, const std::string& policy,
-                 uint64_t seed, MonitorIndexMode mode) {
+/// maintenance mode. Replays the same ChurnStream as RunChurnOnce but
+/// drives the monitor directly (always-successful probes) so the timing
+/// isolates index maintenance from the feed path.
+ArmResult RunArm(const MonitoringProblem& problem, const ChurnOptions& churn,
+                 const std::string& policy, uint64_t seed,
+                 MonitorIndexMode mode) {
   ArmResult out;
   PolicyOptions po;
   po.random_seed = seed ^ 0x5bf03635ULL;
@@ -59,72 +59,15 @@ ArmResult RunArm(const MonitoringProblem& problem,
   DynamicMonitor monitor(problem.num_resources, problem.epoch.length,
                          problem.budget, made->get(),
                          ExecutionMode::kPreemptive, options);
-
-  const Chronon epoch_length = problem.epoch.length;
-  std::vector<std::vector<std::pair<ProfileId, const TInterval*>>> arrivals(
-      static_cast<std::size_t>(epoch_length));
   for (const Profile& p : problem.profiles) {
-    ProfileId pid = monitor.RegisterProfile(p.name());
-    for (const TInterval& eta : p.t_intervals()) {
-      if (eta.empty()) continue;
-      Chronon at = eta.EarliestStart();
-      if (at < 0 || at >= epoch_length) continue;
-      arrivals[static_cast<std::size_t>(at)].emplace_back(pid, &eta);
-    }
+    monitor.RegisterProfile(p.name());
   }
-  std::vector<std::vector<TInterval>> defs(problem.profiles.size());
+  ChurnStream stream(problem, churn, seed);
+  ProxyRunReport report;
 
   const auto start = std::chrono::steady_clock::now();
-  std::size_t next_event = 0;
-  for (Chronon now = 0; now < epoch_length; ++now) {
-    for (const auto& [pid, eta] :
-         arrivals[static_cast<std::size_t>(now)]) {
-      if (monitor.Submit(pid, *eta).ok()) {
-        defs[static_cast<std::size_t>(pid)].push_back(*eta);
-      } else {
-        ++out.rejected;
-      }
-    }
-    while (next_event < workload.events.size() &&
-           workload.events[next_event].chronon == now) {
-      const ChurnEvent& event = workload.events[next_event++];
-      auto pid = static_cast<std::size_t>(event.profile);
-      int count = static_cast<int>(defs[pid].size());
-      int sub = count > 0 ? static_cast<int>(
-                                event.pick % static_cast<uint64_t>(count))
-                          : 0;
-      switch (event.kind) {
-        case ChurnEvent::Kind::kCancel:
-          if (!monitor.Cancel(event.profile, sub).ok()) ++out.rejected;
-          break;
-        case ChurnEvent::Kind::kEdit: {
-          TInterval replacement;
-          if (count > 0) {
-            const TInterval& current =
-                defs[pid][static_cast<std::size_t>(sub)];
-            for (const ExecutionInterval& ei : current.eis()) {
-              if (ei.start < now) continue;
-              ExecutionInterval moved = ei;
-              moved.finish = std::min<Chronon>(
-                  ei.finish + event.deadline_delta, epoch_length - 1);
-              replacement.AddEi(moved);
-            }
-            replacement.set_weight(current.weight() *
-                                   event.weight_factor);
-          }
-          auto edited = monitor.Edit(event.profile, sub, replacement);
-          if (edited.ok()) {
-            defs[pid].push_back(std::move(replacement));
-          } else {
-            ++out.rejected;
-          }
-          break;
-        }
-        case ChurnEvent::Kind::kUnregister:
-          if (!monitor.Unregister(event.profile).ok()) ++out.rejected;
-          break;
-      }
-    }
+  for (Chronon now = 0; now < problem.epoch.length; ++now) {
+    stream.ApplyChronon(now, &monitor, &report);
     auto step = monitor.Step();
     if (!step.ok()) {
       std::cerr << step.status().ToString() << "\n";
@@ -138,6 +81,7 @@ ArmResult RunArm(const MonitoringProblem& problem,
   out.completed = monitor.t_intervals_completed();
   out.cancelled = monitor.t_intervals_cancelled();
   out.edited = monitor.stats().edited;
+  out.rejected = report.churn_rejected_ops;
   out.gc = monitor.Completeness().GainedCompleteness();
   out.ok = true;
   return out;
@@ -172,10 +116,10 @@ PointResult MeasurePoint(const SimulationConfig& config,
         problem->epoch.length,
         config.churn.seed ^ (seed * 0x9E3779B97F4A7C15ULL));
 
-    ArmResult incremental = RunArm(*problem, workload, "mrsf", seed,
+    ArmResult incremental = RunArm(*problem, config.churn, "mrsf", seed,
                                    MonitorIndexMode::kIncremental);
     if (!incremental.ok) return out;
-    ArmResult rebuild = RunArm(*problem, workload, "mrsf", seed,
+    ArmResult rebuild = RunArm(*problem, config.churn, "mrsf", seed,
                                MonitorIndexMode::kRebuild);
     if (!rebuild.ok) return out;
 

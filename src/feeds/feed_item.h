@@ -58,6 +58,12 @@ struct FeedDocumentView {
     feed.link = std::string(link);
     feed.description = std::string(description);
     feed.items.reserve(num_items);
+    AppendItems(&feed.items);
+    return feed;
+  }
+
+  /// Deep-copies the items, in document order, onto `out`.
+  void AppendItems(std::vector<FeedItem>* out) const {
     for (const FeedItemView* item = first_item; item != nullptr;
          item = item->next) {
       FeedItem copy;
@@ -66,9 +72,8 @@ struct FeedDocumentView {
       copy.link = std::string(item->link);
       copy.description = std::string(item->description);
       copy.published = item->published;
-      feed.items.push_back(std::move(copy));
+      out->push_back(std::move(copy));
     }
-    return feed;
   }
 };
 

@@ -1,17 +1,13 @@
 #include "recovery/durable_runner.h"
 
-#include <chrono>
-#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
 
-#include "core/dynamic_monitor.h"
-#include "policies/policy_factory.h"
 #include "recovery/checkpoint.h"
 #include "recovery/recovery_codec.h"
 #include "recovery/wal.h"
-#include "sim/churn.h"
+#include "sim/monitor_run.h"
 #include "trace/page_codec.h"
 #include "util/string_util.h"
 
@@ -127,49 +123,24 @@ Result<ProxyRunReport> RunDurableOnce(const SimulationConfig& config,
                                       std::uint64_t seed,
                                       const DurableOptions& options) {
   PULLMON_RETURN_NOT_OK(options.Validate());
-  PULLMON_RETURN_NOT_OK(config.churn.Validate());
-  PULLMON_RETURN_NOT_OK(config.faults.Validate());
-  PULLMON_RETURN_NOT_OK(config.retry.Validate());
-  PULLMON_RETURN_NOT_OK(config.breaker.Validate());
+  // The substrate (problem, trace, network, policy) and the churn
+  // workload are pure functions of (config, spec, seed), which is why
+  // none of them live in the snapshot.
+  MonitorRun run;
+  PULLMON_RETURN_NOT_OK(
+      run.Start(config, spec, seed, MonitorRun::Kind::kChurn));
   const std::uint64_t fingerprint = RunFingerprint(config, spec, seed);
+  ProxyRunReport& report = run.report();
 
-  // --- The simulation substrate, built exactly like RunChurnOnce: the
-  // --- problem instance, trace, network, policy, monitor, and churn
-  // --- workload are pure functions of (config, spec, seed), which is
-  // --- why none of them live in the snapshot.
-  RunSubstrate substrate;
-  PULLMON_RETURN_NOT_OK(BuildSubstrate(config, spec, seed, &substrate));
-  const MonitoringProblem& problem = substrate.problem;
-  DynamicMonitor monitor(problem.num_resources, problem.epoch.length,
-                         problem.budget, substrate.policy.get(), spec.mode,
-                         MonitorOptionsFor(config));
-  ProxyRunReport report;
-  FeedPullSession session(&*substrate.network, problem.num_resources,
-                          substrate.proxy, &report);
-
-  // Every probe outcome is captured for the chronon's WAL group (or
-  // verified against it during replay), in canonical attempt order: at
-  // the probe callback, or at the serial decide phase of the pipeline.
+  // Every committed probe attempt lands in the chronon's WAL group (or
+  // is verified against it during replay), in canonical attempt order
+  // on either probe path.
   WalChronon current;
-  auto log_probe = [&current](ResourceId resource, bool success) {
-    current.probes.push_back(
-        WalProbeRecord{resource, static_cast<std::uint8_t>(success ? 1 : 0)});
-    return success;
-  };
-  monitor.set_probe_callback([&](ResourceId resource, Chronon now) {
-    return log_probe(resource, session.Probe(resource, now));
+  run.session().set_observer([&current](const PullAttempt& attempt) {
+    current.probes.push_back(WalProbeRecord{
+        attempt.resource,
+        static_cast<std::uint8_t>(attempt.success ? 1 : 0)});
   });
-  if (config.executor_backend == ExecutorBackend::kParallel) {
-    ProbeHooks hooks = session.PipelineHooks();
-    hooks.decide = [&log_probe, decide = hooks.decide](
-                       ResourceId resource, Chronon now, int token) {
-      return log_probe(resource, decide(resource, now, token));
-    };
-    monitor.set_probe_hooks(std::move(hooks));
-  }
-
-  const Chronon epoch_length = problem.epoch.length;
-  ChurnStream stream(problem, config.churn, seed);
 
   // All durable writes of the run itself go through the crash wrapper;
   // the recovery scan below reads the raw storage (it models the *next*
@@ -188,8 +159,8 @@ Result<ProxyRunReport> RunDurableOnce(const SimulationConfig& config,
         LoadedCheckpoint loaded,
         LoadNewestCheckpoint(options.storage, fingerprint));
     if (loaded.found) {
-      PULLMON_RETURN_NOT_OK(monitor.Restore(loaded.snapshot.monitor));
-      PULLMON_RETURN_NOT_OK(session.Restore(loaded.snapshot.session));
+      PULLMON_RETURN_NOT_OK(run.monitor().Restore(loaded.snapshot.monitor));
+      PULLMON_RETURN_NOT_OK(run.session().Restore(loaded.snapshot.session));
       report.feeds_fetched = loaded.snapshot.feeds_fetched;
       report.not_modified = loaded.snapshot.not_modified;
       report.feed_bytes = loaded.snapshot.feed_bytes;
@@ -203,7 +174,7 @@ Result<ProxyRunReport> RunDurableOnce(const SimulationConfig& config,
           loaded.snapshot.notifications_delivered;
       report.churn_rejected_ops = loaded.snapshot.churn_rejected_ops;
       start = loaded.snapshot.chronon;
-      stream.Resume(start, loaded.snapshot.monitor.submissions);
+      run.stream().Resume(start, loaded.snapshot.monitor.submissions);
       generation = start;
       replay = std::move(loaded.wal.chronons);
       wal_base_bytes = loaded.wal.valid_bytes;
@@ -227,14 +198,11 @@ Result<ProxyRunReport> RunDurableOnce(const SimulationConfig& config,
 
   if (!restored) {
     PULLMON_RETURN_NOT_OK(ClearCheckpoints(options.storage));
-    for (const Profile& p : problem.profiles) {
-      monitor.RegisterProfile(p.name());
-    }
+    run.RegisterProfiles();
   }
 
   std::size_t replay_idx = 0;
-  const auto run_start = std::chrono::steady_clock::now();
-  for (Chronon now = start; now < epoch_length; ++now) {
+  for (Chronon now = start; now < run.problem().epoch.length; ++now) {
     storage.SetChronon(now);
     const bool replaying = replay_idx < replay.size();
 
@@ -253,8 +221,8 @@ Result<ProxyRunReport> RunDurableOnce(const SimulationConfig& config,
         ProxySnapshot snapshot;
         snapshot.fingerprint = fingerprint;
         snapshot.chronon = now;
-        snapshot.monitor = monitor.Capture();
-        snapshot.session = session.Capture();
+        snapshot.monitor = run.monitor().Capture();
+        snapshot.session = run.session().Capture();
         snapshot.feeds_fetched = report.feeds_fetched;
         snapshot.not_modified = report.not_modified;
         snapshot.feed_bytes = report.feed_bytes;
@@ -278,14 +246,12 @@ Result<ProxyRunReport> RunDurableOnce(const SimulationConfig& config,
     // --- Execute the chronon, accumulating its WAL group. -------------
     current = WalChronon{};
     current.chronon = now;
-    stream.ApplyChronon(
-        now, &monitor, &report, [&current](const ChurnStream::Op& op) {
+    PULLMON_RETURN_NOT_OK(
+        run.StepChronon([&current](const ChurnStream::Op& op) {
           current.churn.push_back(WalChurnRecord{
               static_cast<std::uint8_t>(op.kind), op.profile, op.submission,
               static_cast<std::uint8_t>(op.accepted ? 1 : 0)});
-        });
-    PULLMON_ASSIGN_OR_RETURN(StepResult step, monitor.Step());
-    report.notifications_delivered += step.captured.size();
+        }));
 
     if (replaying) {
       // Recovery replay: the re-executed chronon must match the audit
@@ -313,12 +279,7 @@ Result<ProxyRunReport> RunDurableOnce(const SimulationConfig& config,
           current.churn.size() + current.probes.size() + 2;
     }
   }
-  const auto run_end = std::chrono::steady_clock::now();
-
-  FinalizeChurnReport(
-      monitor, std::chrono::duration<double>(run_end - run_start).count(),
-      &session, &report);
-  return report;
+  return run.Finish();
 }
 
 }  // namespace pullmon

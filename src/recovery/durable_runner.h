@@ -48,12 +48,14 @@ std::uint64_t RunFingerprint(const SimulationConfig& config,
                              const PolicySpec& spec, std::uint64_t seed);
 
 /// The durable twin of RunChurnOnce (sim/churn.cc): the identical
-/// simulation — same problem, trace, churn workload, probe path, and
-/// seeds — with proxy state checkpointed to stable storage and a WAL of
-/// churn ops and probe outcomes group-flushed at every chronon
-/// boundary. Without a crash the returned report equals RunChurnOnce's
-/// on every field except the recovery_* telemetry (the recovery
-/// differential suite enforces this); after a crash, running again with
+/// simulation on the same MonitorRun core — same problem, trace, churn
+/// workload, probe path, and seeds — with proxy state checkpointed to
+/// stable storage and a WAL of churn ops and probe outcomes
+/// group-flushed at every chronon boundary. Like RunChurnOnce it needs
+/// oracle knowledge (InvalidArgument for KnowledgeModel::kEstimated).
+/// Without a crash the returned report equals RunChurnOnce's on every
+/// field except the recovery_* telemetry (the recovery differential
+/// suite enforces this); after a crash, running again with
 /// `recover = true` loads the newest valid snapshot, verifies the
 /// re-executed chronons against the WAL, and finishes the epoch with —
 /// again — the identical report.

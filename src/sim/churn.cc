@@ -1,13 +1,9 @@
 #include "sim/churn.h"
 
-#include <chrono>
 #include <cmath>
-#include <memory>
 #include <utility>
 
-#include "core/dynamic_monitor.h"
-#include "policies/policy_factory.h"
-#include "sim/experiment.h"
+#include "sim/monitor_run.h"
 #include "util/random.h"
 #include "util/string_util.h"
 #include "util/zipf.h"
@@ -180,65 +176,16 @@ void ChurnStream::ApplyChronon(Chronon now, DynamicMonitor* monitor,
   }
 }
 
-void FinalizeChurnReport(const DynamicMonitor& monitor,
-                         double elapsed_seconds, FeedPullSession* session,
-                         ProxyRunReport* report) {
-  OnlineRunResult run = monitor.RunResult();
-  run.completeness = monitor.Completeness();
-  // The monitor's own capture accounting must agree with the
-  // schedule-based evaluation (cancelled submissions excluded).
-  PULLMON_CHECK(run.completeness.captured_t_intervals ==
-                run.t_intervals_completed);
-  run.elapsed_seconds = elapsed_seconds;
-  const MonitorStats& ms = monitor.stats();
-  report->churn_submitted = ms.submitted;
-  report->churn_cancelled = ms.cancelled;
-  report->churn_edited = ms.edited;
-  report->churn_unregistered_profiles = ms.unregistered_profiles;
-  report->orphaned_probes = ms.orphaned_probes;
-  session->FinishReport(std::move(run));
-}
-
 Result<ProxyRunReport> RunChurnOnce(const SimulationConfig& config,
                                     const PolicySpec& spec, uint64_t seed) {
-  PULLMON_RETURN_NOT_OK(config.churn.Validate());
-  PULLMON_RETURN_NOT_OK(config.faults.Validate());
-  PULLMON_RETURN_NOT_OK(config.retry.Validate());
-  PULLMON_RETURN_NOT_OK(config.breaker.Validate());
-
-  RunSubstrate substrate;
-  PULLMON_RETURN_NOT_OK(BuildSubstrate(config, spec, seed, &substrate));
-  const MonitoringProblem& problem = substrate.problem;
-  ProxyRunReport report;
-  FeedPullSession session(&*substrate.network, problem.num_resources,
-                          substrate.proxy, &report);
-
-  DynamicMonitor monitor(problem.num_resources, problem.epoch.length,
-                         problem.budget, substrate.policy.get(), spec.mode,
-                         MonitorOptionsFor(config));
-  monitor.set_probe_callback([&](ResourceId resource, Chronon now) {
-    return session.Probe(resource, now);
-  });
-  if (config.executor_backend == ExecutorBackend::kParallel) {
-    monitor.set_probe_hooks(session.PipelineHooks());
+  MonitorRun run;
+  PULLMON_RETURN_NOT_OK(
+      run.Start(config, spec, seed, MonitorRun::Kind::kChurn));
+  run.RegisterProfiles();
+  for (Chronon now = 0; now < run.problem().epoch.length; ++now) {
+    PULLMON_RETURN_NOT_OK(run.StepChronon());
   }
-  const auto run_start = std::chrono::steady_clock::now();
-  for (const Profile& p : problem.profiles) {
-    monitor.RegisterProfile(p.name());
-  }
-  ChurnStream stream(problem, config.churn, seed);
-  for (Chronon now = 0; now < problem.epoch.length; ++now) {
-    stream.ApplyChronon(now, &monitor, &report);
-    PULLMON_ASSIGN_OR_RETURN(StepResult step, monitor.Step());
-    report.notifications_delivered += step.captured.size();
-  }
-  FinalizeChurnReport(
-      monitor,
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    run_start)
-          .count(),
-      &session, &report);
-  return report;
+  return run.Finish();
 }
 
 }  // namespace pullmon

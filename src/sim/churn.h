@@ -101,9 +101,9 @@ TInterval BuildEditReplacement(const TInterval& current, Chronon now,
 /// the chronon's generated churn events are resolved against the
 /// submissions made so far (`pick % count`) and applied. Operations
 /// apply synchronously, in order: each resolution depends on every
-/// earlier operation having landed. Shared by RunChurnOnce and the
-/// durable runner (src/recovery/durable_runner.cc), so both resolve
-/// churn identically.
+/// earlier operation having landed. MonitorRun (sim/monitor_run.h)
+/// applies it for RunChurnOnce and the durable runner, so both resolve
+/// churn identically; bench_churn drives it directly.
 class ChurnStream {
  public:
   /// One applied operation, in application order.
@@ -146,15 +146,6 @@ class ChurnStream {
   /// profile: resolves churn targets and builds edit replacements.
   std::vector<std::vector<TInterval>> defs_;
 };
-
-/// Completes `report` from a finished churn-driven monitor run: the
-/// monitor's RunResult() (with `elapsed_seconds`) through
-/// session->FinishReport(), the same mirroring MonitoringProxy::Run
-/// uses, plus the churn counters — so churn, durable, and proxy reports
-/// compare field-for-field.
-void FinalizeChurnReport(const DynamicMonitor& monitor,
-                         double elapsed_seconds, FeedPullSession* session,
-                         ProxyRunReport* report);
 
 }  // namespace pullmon
 

@@ -57,17 +57,7 @@ Status SimulationConfig::Validate() const {
           "from)");
     }
   }
-  if (estimator_half_life <= 0.0) {
-    return Status::InvalidArgument(
-        "--estimator-half-life must be > 0 chronons");
-  }
-  if (explore_eps < 0.0 || explore_eps > 1.0) {
-    return Status::InvalidArgument("--explore-eps must be in [0, 1]");
-  }
-  if (forecast_horizon < 1) {
-    return Status::InvalidArgument(
-        "--forecast-horizon must be >= 1 chronons");
-  }
+  PULLMON_RETURN_NOT_OK(ValidateEstimation());
   if (knowledge == KnowledgeModel::kEstimated) {
     if (churn.enabled) {
       return Status::InvalidArgument(
@@ -79,6 +69,21 @@ Status SimulationConfig::Validate() const {
           "--knowledge=estimated does not offer checkpoint/recovery "
           "yet; run it volatile");
     }
+  }
+  return Status::OK();
+}
+
+Status SimulationConfig::ValidateEstimation() const {
+  if (estimator_half_life <= 0.0) {
+    return Status::InvalidArgument(
+        "--estimator-half-life must be > 0 chronons");
+  }
+  if (explore_eps < 0.0 || explore_eps > 1.0) {
+    return Status::InvalidArgument("--explore-eps must be in [0, 1]");
+  }
+  if (forecast_horizon < 1) {
+    return Status::InvalidArgument(
+        "--forecast-horizon must be >= 1 chronons");
   }
   return Status::OK();
 }

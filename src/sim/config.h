@@ -156,6 +156,10 @@ struct SimulationConfig {
   /// mid-flight (fault rates, retry/backoff, breaker) — the CLI calls
   /// this up front so bad flags fail with a clean InvalidArgument.
   Status Validate() const;
+
+  /// Range-checks the estimator knobs (half-life, explore eps, forecast
+  /// horizon); part of Validate(), and all the adaptive runner checks.
+  Status ValidateEstimation() const;
 };
 
 /// The paper's baseline parameter settings (Table 1).

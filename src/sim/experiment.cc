@@ -164,6 +164,16 @@ MonitorOptions MonitorOptionsFor(const SimulationConfig& config) {
 
 Status BuildSubstrate(const SimulationConfig& config, const PolicySpec& spec,
                       uint64_t seed, RunSubstrate* out) {
+  ProxyOptions& options = out->proxy;
+  options.faults = config.faults;
+  options.fault_seed = config.fault_seed ^ (seed * 0x9E3779B97F4A7C15ULL);
+  options.retry = config.retry;
+  options.breaker = config.breaker;
+  options.backend = config.executor_backend;
+  options.parse_cache = config.parse_cache;
+  options.trace_backend = config.trace_backend;
+  options.threads = config.threads;
+  PULLMON_RETURN_NOT_OK(options.Validate());
   PULLMON_ASSIGN_OR_RETURN(out->problem,
                            BuildProblem(config, seed, &out->trace,
                                         &out->store));
@@ -178,15 +188,6 @@ Status BuildSubstrate(const SimulationConfig& config, const PolicySpec& spec,
   po.random_seed = seed ^ 0x5bf03635ULL;
   po.num_resources = out->problem.num_resources;
   PULLMON_ASSIGN_OR_RETURN(out->policy, MakePolicy(spec.policy, po));
-  ProxyOptions& options = out->proxy;
-  options.faults = config.faults;
-  options.fault_seed = config.fault_seed ^ (seed * 0x9E3779B97F4A7C15ULL);
-  options.retry = config.retry;
-  options.breaker = config.breaker;
-  options.backend = config.executor_backend;
-  options.parse_cache = config.parse_cache;
-  options.trace_backend = config.trace_backend;
-  options.threads = config.threads;
   return Status::OK();
 }
 

@@ -65,7 +65,8 @@ struct RunSubstrate {
 
 /// Builds the substrate of one run into `out` (freshly constructed).
 /// Every runner — proxy, churn, durable, adaptive — starts here, so they
-/// consume the seed identically.
+/// consume the seed identically. The proxy options are derived and
+/// validated (ProxyOptions::Validate) before anything is generated.
 Status BuildSubstrate(const SimulationConfig& config, const PolicySpec& spec,
                       uint64_t seed, RunSubstrate* out);
 
@@ -89,7 +90,8 @@ Result<ProxyRunReport> RunProxyOnce(const SimulationConfig& config,
 /// DynamicMonitor, and pulls every scheduled probe through the same
 /// FeedPullSession as the proxy path. `config.executor_backend` selects
 /// the monitor's shape (MonitorOptionsFor); all are decision-identical.
-/// Deterministic in (config, spec, seed).
+/// Deterministic in (config, spec, seed). Oracle knowledge only:
+/// InvalidArgument for KnowledgeModel::kEstimated.
 Result<ProxyRunReport> RunChurnOnce(const SimulationConfig& config,
                                     const PolicySpec& spec, uint64_t seed);
 

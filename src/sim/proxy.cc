@@ -8,11 +8,18 @@
 
 namespace pullmon {
 
+Status ProxyOptions::Validate() const {
+  PULLMON_RETURN_NOT_OK(faults.Validate());
+  PULLMON_RETURN_NOT_OK(retry.Validate());
+  return breaker.Validate();
+}
+
 FeedPullSession::FeedPullSession(FeedNetwork* network, int num_resources,
                                  const ProxyOptions& options,
                                  ProxyRunReport* report)
     : network_(network),
       report_(report),
+      backend_(options.backend),
       etags_(static_cast<std::size_t>(num_resources)) {
   // The fault layer sits between session and network only when some rate
   // is non-zero; a fresh plan per session makes repeated runs replay the
@@ -26,7 +33,15 @@ FeedPullSession::FeedPullSession(FeedNetwork* network, int num_resources,
 }
 
 bool FeedPullSession::Probe(ResourceId resource, Chronon now) {
-  // The pull leg: catch the network up to "now" and fetch the feed.
+  BeginProbe(now);
+  const std::size_t items_before = current_items_.size();
+  bool not_modified = false;
+  const bool success = Fetch(resource, &not_modified);
+  if (observer_) Observe(resource, success, not_modified, items_before);
+  return success;
+}
+
+void FeedPullSession::BeginProbe(Chronon now) {
   // Clock advancement goes through the fault plan when one exists, so
   // its per-resource outage chains see the current chronon.
   if (plan_.has_value()) {
@@ -38,6 +53,33 @@ bool FeedPullSession::Probe(ResourceId resource, Chronon now) {
     current_items_.clear();
     fetch_chronon_ = now;
   }
+}
+
+void FeedPullSession::Observe(ResourceId resource, bool success,
+                              bool not_modified, std::size_t items_before) {
+  observer_(PullAttempt{
+      resource, fetch_chronon_, success, not_modified,
+      std::span<const FeedItem>(current_items_).subspan(items_before)});
+}
+
+bool FeedPullSession::CountFault(FaultPlan::FaultKind fault) {
+  switch (fault) {
+    case FaultPlan::FaultKind::kTimeout:
+      ++report_->timeouts;
+      return true;
+    case FaultPlan::FaultKind::kServerError:
+      ++report_->server_errors;
+      return true;
+    case FaultPlan::FaultKind::kOutage:
+      ++report_->outage_probes;
+      return true;
+    case FaultPlan::FaultKind::kNone:
+      break;
+  }
+  return false;
+}
+
+bool FeedPullSession::Fetch(ResourceId resource, bool* not_modified_out) {
   std::string& etag = etags_[static_cast<std::size_t>(resource)];
   // The response, unified across both paths as views: into the server's
   // reused buffers on the direct path, or into `faulted` (alive for the
@@ -53,19 +95,7 @@ bool FeedPullSession::Probe(ResourceId resource, Chronon now) {
       ++report_->parse_failures;
       return false;
     }
-    switch (outcome->fault) {
-      case FaultPlan::FaultKind::kTimeout:
-        ++report_->timeouts;
-        return false;
-      case FaultPlan::FaultKind::kServerError:
-        ++report_->server_errors;
-        return false;
-      case FaultPlan::FaultKind::kOutage:
-        ++report_->outage_probes;
-        return false;
-      case FaultPlan::FaultKind::kNone:
-        break;
-    }
+    if (CountFault(outcome->fault)) return false;
     if (outcome->truncated || outcome->corrupted) ++report_->corrupt_bodies;
     faulted = std::move(*outcome);
     mangled = faulted.truncated || faulted.corrupted;
@@ -85,6 +115,7 @@ bool FeedPullSession::Probe(ResourceId resource, Chronon now) {
   ++report_->feeds_fetched;
   if (not_modified) {
     ++report_->not_modified;
+    *not_modified_out = true;
     etag.assign(served_etag);
     return true;  // nothing new to parse or deliver
   }
@@ -120,16 +151,7 @@ bool FeedPullSession::Probe(ResourceId resource, Chronon now) {
     current_items_.insert(current_items_.end(), stored.items.begin(),
                           stored.items.end());
   } else {
-    for (const FeedItemView* item = view.first_item; item != nullptr;
-         item = item->next) {
-      FeedItem copy;
-      copy.guid = std::string(item->guid);
-      copy.title = std::string(item->title);
-      copy.link = std::string(item->link);
-      copy.description = std::string(item->description);
-      copy.published = item->published;
-      current_items_.push_back(std::move(copy));
-    }
+    view.AppendItems(&current_items_);
   }
   return true;
 }
@@ -158,18 +180,7 @@ void FeedPullSession::BeginParallelChronon(int num_workers) {
 
 bool FeedPullSession::DecideAttempt(ResourceId resource, Chronon now,
                                     int token) {
-  // Identical clock/buffer maintenance to the serial Probe(): the clock
-  // advances (once per chronon in practice) and the notification item
-  // buffer resets on the first attempt of a new chronon.
-  if (plan_.has_value()) {
-    plan_->AdvanceTo(now);
-  } else {
-    network_->AdvanceTo(now);
-  }
-  if (now != fetch_chronon_) {
-    current_items_.clear();
-    fetch_chronon_ = now;
-  }
+  BeginProbe(now);
   PULLMON_CHECK(static_cast<std::size_t>(token) == attempts_.size());
   attempts_.emplace_back();
   AttemptRecord& rec = attempts_.back();
@@ -270,16 +281,7 @@ bool FeedPullSession::ResolveBody(AttemptRecord* rec, bool not_modified,
     rec->items = stored.items;
   } else {
     rec->items.reserve(view.num_items);
-    for (const FeedItemView* item = view.first_item; item != nullptr;
-         item = item->next) {
-      FeedItem copy;
-      copy.guid = std::string(item->guid);
-      copy.title = std::string(item->title);
-      copy.link = std::string(item->link);
-      copy.description = std::string(item->description);
-      copy.published = item->published;
-      rec->items.push_back(std::move(copy));
-    }
+    view.AppendItems(&rec->items);
   }
   return true;
 }
@@ -287,47 +289,42 @@ bool FeedPullSession::ResolveBody(AttemptRecord* rec, bool not_modified,
 void FeedPullSession::CommitAttempt(int token) {
   AttemptRecord& rec = attempts_[static_cast<std::size_t>(token)];
   PULLMON_CHECK(rec.done);
-  if (rec.decide_error) {
+  const std::size_t items_before = current_items_.size();
+  const bool success = ApplyAttempt(&rec);
+  if (observer_) Observe(rec.resource, success, rec.not_modified, items_before);
+}
+
+bool FeedPullSession::ApplyAttempt(AttemptRecord* rec) {
+  if (rec->decide_error) {
     ++report_->parse_failures;
-    return;
+    return false;
   }
-  if (rec.decision.has_value()) {
-    switch (rec.decision->fault) {
-      case FaultPlan::FaultKind::kTimeout:
-        ++report_->timeouts;
-        return;
-      case FaultPlan::FaultKind::kServerError:
-        ++report_->server_errors;
-        return;
-      case FaultPlan::FaultKind::kOutage:
-        ++report_->outage_probes;
-        return;
-      case FaultPlan::FaultKind::kNone:
-        break;
-    }
-    if (rec.mangled) ++report_->corrupt_bodies;
+  if (rec->decision.has_value()) {
+    if (CountFault(rec->decision->fault)) return false;
+    if (rec->mangled) ++report_->corrupt_bodies;
   }
   ++report_->feeds_fetched;
-  std::string& etag = etags_[static_cast<std::size_t>(rec.resource)];
-  if (rec.not_modified) {
+  std::string& etag = etags_[static_cast<std::size_t>(rec->resource)];
+  if (rec->not_modified) {
     ++report_->not_modified;
-    etag.assign(rec.served_etag);
-    return;
+    etag.assign(rec->served_etag);
+    return true;
   }
-  report_->feed_bytes += rec.body_size;
+  report_->feed_bytes += rec->body_size;
   // The cache-stat totals are sums of per-attempt deltas either way, so
   // merging here (in canonical attempt order) reproduces the serial
   // counters exactly.
-  if (cache_.has_value()) cache_->MergeStats(rec.cache_delta);
-  if (rec.parse_failed) {
+  if (cache_.has_value()) cache_->MergeStats(rec->cache_delta);
+  if (rec->parse_failed) {
     ++report_->parse_failures;
-    return;
+    return false;
   }
-  etag.assign(rec.served_etag);
-  report_->items_parsed += rec.items.size();
+  etag.assign(rec->served_etag);
+  report_->items_parsed += rec->items.size();
   current_items_.insert(current_items_.end(),
-                        std::make_move_iterator(rec.items.begin()),
-                        std::make_move_iterator(rec.items.end()));
+                        std::make_move_iterator(rec->items.begin()),
+                        std::make_move_iterator(rec->items.end()));
+  return true;
 }
 
 void FeedPullSession::FinishReport(OnlineRunResult run) {
@@ -356,6 +353,7 @@ void FeedPullSession::FinishReport(OnlineRunResult run) {
   if (plan_.has_value()) {
     report_->fault_stats = plan_->stats();
     report_->latency_chronons = report_->fault_stats.latency_total;
+    report_->etag_invalidations = report_->fault_stats.etag_invalidations;
   }
   if (cache_.has_value()) {
     report_->parse_cache_hits = cache_->stats().hits;
@@ -416,9 +414,7 @@ MonitoringProxy::MonitoringProxy(const MonitoringProblem* problem,
       options_(options) {}
 
 Result<ProxyRunReport> MonitoringProxy::Run() {
-  PULLMON_RETURN_NOT_OK(options_.faults.Validate());
-  PULLMON_RETURN_NOT_OK(options_.retry.Validate());
-  PULLMON_RETURN_NOT_OK(options_.breaker.Validate());
+  PULLMON_RETURN_NOT_OK(options_.Validate());
   if (options_.trace_backend == TraceBackend::kPaged &&
       network_->trace_store() == nullptr) {
     return Status::InvalidArgument(
@@ -432,17 +428,11 @@ Result<ProxyRunReport> MonitoringProxy::Run() {
   executor.set_retry_policy(options_.retry);
   executor.set_breaker_options(options_.breaker);
   executor.set_backend(options_.backend);
+  executor.set_threads(options_.threads);
 
   FeedPullSession session(network_, problem_->num_resources, options_,
                           &report);
-
-  executor.set_probe_callback([&](ResourceId resource, Chronon now) {
-    return session.Probe(resource, now);
-  });
-  if (options_.backend == ExecutorBackend::kParallel) {
-    executor.set_threads(options_.threads);
-    executor.set_probe_hooks(session.PipelineHooks());
-  }
+  session.AttachTo(&executor);
 
   executor.set_capture_callback([&](ProfileId profile,
                                     std::size_t t_interval_index,

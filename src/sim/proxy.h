@@ -2,7 +2,9 @@
 #define PULLMON_SIM_PROXY_H_
 
 #include <deque>
+#include <functional>
 #include <optional>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -200,6 +202,20 @@ struct ProxyOptions {
   /// by the serial backends. The report is bit-identical at every
   /// thread count (the thread-invariance suite enforces it).
   int threads = 1;
+
+  /// Range-checks the fault rates, the retry policy and the breaker.
+  Status Validate() const;
+};
+
+/// One committed probe attempt, as FeedPullSession's observer sees it.
+struct PullAttempt {
+  ResourceId resource = 0;
+  Chronon chronon = 0;
+  /// A usable document arrived (a 304 included).
+  bool success = false;
+  bool not_modified = false;
+  /// The items the attempt appended to current_items(); call-scoped.
+  std::span<const FeedItem> items;
 };
 
 /// Resumable state of one FeedPullSession at a chronon boundary: the
@@ -231,13 +247,25 @@ class FeedPullSession {
   /// document (the EI stays a candidate), true otherwise.
   bool Probe(ResourceId resource, Chronon now);
 
-  /// The three-phase probe pipeline over this session (ProbeHooks,
-  /// core/online_executor.h; DESIGN.md section 16): Probe() split so
-  /// the data-plane work runs concurrently while every order-sensitive
-  /// effect stays serial. The committed counters, validators, cache
-  /// state, and item buffer are bit-identical to the serial Probe()
-  /// sequence. The hooks capture `this`.
-  ProbeHooks PipelineHooks();
+  /// Makes this session the probe path of `engine` (OnlineExecutor or
+  /// DynamicMonitor): Probe() as its callback, plus on kParallel the
+  /// three-phase pipeline (ProbeHooks; DESIGN.md section 16), whose
+  /// committed effects are bit-identical to the Probe() sequence.
+  template <typename Engine>
+  void AttachTo(Engine* engine) {
+    engine->set_probe_callback([this](ResourceId resource, Chronon now) {
+      return Probe(resource, now);
+    });
+    if (backend_ == ExecutorBackend::kParallel) {
+      engine->set_probe_hooks(PipelineHooks());
+    }
+  }
+
+  /// The probe path's one observation point: called once per committed
+  /// attempt, in canonical order, by Probe() and by the pipeline's
+  /// commit phase alike (the durable WAL and the estimator attach).
+  using Observer = std::function<void(const PullAttempt&)>;
+  void set_observer(Observer observer) { observer_ = std::move(observer); }
 
   /// Chronon of the most recent successful fetch batch.
   Chronon fetch_chronon() const { return fetch_chronon_; }
@@ -248,8 +276,9 @@ class FeedPullSession {
 
   /// Installs the scheduler's outcome as report.run, mirrors its
   /// probe-path and health counters (and shard telemetry) into the
-  /// report's top-level fields, and copies the fault-plan, parse-cache
-  /// and trace-store counters; call once after the run.
+  /// report's top-level fields, and copies the fault-plan (including
+  /// its ETag-storm count), parse-cache and trace-store counters; call
+  /// once after the run.
   void FinishReport(OnlineRunResult run);
 
   /// Checkpoint support: Capture() at a chronon boundary freezes the
@@ -262,7 +291,20 @@ class FeedPullSession {
   Status Restore(const PullSessionImage& image);
 
  private:
+  /// Advances the network clock to `now`; a new chronon resets the
+  /// item buffer.
+  void BeginProbe(Chronon now);
+  /// Probe() after BeginProbe(); sets `*not_modified` on a 304.
+  bool Fetch(ResourceId resource, bool* not_modified);
+  /// Counts a swallowing fault; false for FaultKind::kNone.
+  bool CountFault(FaultPlan::FaultKind fault);
+  /// Hands the observer the attempt whose items start at `items_before`.
+  void Observe(ResourceId resource, bool success, bool not_modified,
+               std::size_t items_before);
+
   // --- The pipeline phases PipelineHooks() binds. -----------------------
+
+  ProbeHooks PipelineHooks();
 
   /// Serial, before the first decide of a chronon: clears the attempt
   /// records and sizes one parse arena per worker lane.
@@ -286,9 +328,8 @@ class FeedPullSession {
   /// a per-attempt delta merged at commit.
   void ExecuteAttempt(int token, int worker);
 
-  /// Serial, in canonical order: applies the attempt's report counters,
-  /// validator update, cache-stat delta, and item delivery — the exact
-  /// effect sequence of the serial Probe().
+  /// Serial, in canonical order: applies the attempt (ApplyAttempt)
+  /// and hands it to the observer.
   void CommitAttempt(int token);
 
   /// Everything one decided probe attempt carries between the three
@@ -326,8 +367,14 @@ class FeedPullSession {
                    std::string_view body, std::string_view served_etag,
                    Arena* arena);
 
+  /// Applies an attempt's counters, validator, cache-stat delta, and
+  /// items — the effect sequence of Fetch(), whose success it returns.
+  bool ApplyAttempt(AttemptRecord* rec);
+
   FeedNetwork* network_;
   ProxyRunReport* report_;
+  ExecutorBackend backend_;
+  Observer observer_;
   std::optional<FaultPlan> plan_;
   Chronon fetch_chronon_ = -1;
   std::vector<FeedItem> current_items_;

@@ -13,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include "recovery/durable_runner.h"
+#include "recovery/stable_storage.h"
 #include "report_equality.h"
 #include "sim/config.h"
 #include "sim/experiment.h"
@@ -128,8 +130,9 @@ TEST(AdaptiveTest, EstimatedRunsAreDeterministicPerSeed) {
 }
 
 TEST(AdaptiveTest, EstimatedBackendsReportIdentical) {
-  // The indexed executor and the scan-based reference oracle must make
-  // identical decisions from the identical predicted EIs.
+  // The incremental monitor (kIndexed) and the rebuild oracle monitor
+  // that adaptive runs map kReference onto (MonitorIndexMode::kRebuild)
+  // must make identical decisions from the identical predicted EIs.
   SimulationConfig config = SmallConfig();
   config.knowledge = KnowledgeModel::kEstimated;
   config.faults.timeout_rate = 0.1;
@@ -144,6 +147,24 @@ TEST(AdaptiveTest, EstimatedBackendsReportIdentical) {
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
   ExpectProxyReportsEqual(*indexed, *reference, config.epoch_length,
                           "indexed vs reference");
+}
+
+TEST(AdaptiveTest, ChurnAndDurableRunnersRejectEstimatedKnowledge) {
+  // Only the adaptive runner learns EIs; the churn and durable runners
+  // feed the monitor the oracle t-intervals, so a library caller asking
+  // them for estimated knowledge gets a clean error, not an oracle run.
+  SimulationConfig config = SmallConfig();
+  config.knowledge = KnowledgeModel::kEstimated;
+  PolicySpec spec{"MRSF", ExecutionMode::kPreemptive};
+  auto churn = RunChurnOnce(config, spec, 5);
+  ASSERT_FALSE(churn.ok());
+  EXPECT_EQ(churn.status().code(), StatusCode::kInvalidArgument);
+  MemoryStorage storage;
+  DurableOptions options;
+  options.storage = &storage;
+  auto durable = RunDurableOnce(config, spec, 5, options);
+  ASSERT_FALSE(durable.ok());
+  EXPECT_EQ(durable.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(AdaptiveTest, ConvergesTowardOracleOnStationaryPeriodicWorkload) {

@@ -476,6 +476,28 @@ TEST(FaultInjectionEndToEnd, OutagesSurfaceInProxyReportDeterministically) {
   EXPECT_EQ(r1->outage_probes, r2->outage_probes);
 }
 
+TEST(FaultInjectionEndToEnd, EtagStormsSurfaceInProxyAndChurnReports) {
+  // ETag storms force full bodies; every stormed probe the fault plan
+  // counts must reach the report's top-level counter, on the proxy path
+  // and on the churn runner's serial and pipelined probe paths.
+  SimulationConfig config = SmallConfig();
+  config.faults.etag_storm_rate = 0.05;
+  PolicySpec spec{"MRSF", ExecutionMode::kPreemptive};
+  auto check = [](const Result<ProxyRunReport>& r, const char* label) {
+    ASSERT_TRUE(r.ok()) << label << ": " << r.status().ToString();
+    EXPECT_GT(r->fault_stats.etag_invalidations, 0u) << label;
+    EXPECT_EQ(r->etag_invalidations, r->fault_stats.etag_invalidations)
+        << label;
+  };
+  check(RunProxyOnce(config, spec, 19), "proxy");
+  check(RunChurnOnce(config, spec, 19), "churn indexed");
+  config.churn.enabled = true;
+  config.churn.ops_per_chronon = 1.0;
+  config.executor_backend = ExecutorBackend::kParallel;
+  config.threads = 2;
+  check(RunChurnOnce(config, spec, 19), "churn parallel");
+}
+
 TEST(FaultInjectionEndToEnd, RetriesRecoverCompletenessUnderFaults) {
   // With transient faults and spare budget, allowing retries must not
   // hurt and typically helps GC: the trade the paper's C_j budget makes

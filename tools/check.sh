@@ -1,13 +1,16 @@
 #!/usr/bin/env bash
-# Full verification: the tier-1 suite in the default build, then the
-# whole suite again under AddressSanitizer + UBSan, then once more
-# under standalone UBSan (the combined build can mask pure-UB findings
-# behind asan's instrumentation, and the standalone build runs fast
-# enough to keep). Run from anywhere; paths resolve relative to the
-# repository root.
+# Full verification: the tier-1 suite in the default build, a smoke
+# run of the end-to-end benchmark (perfbench/: its Release build plus
+# one 1-second run per workload, each of which must report
+# "correct": true), then the whole suite again under AddressSanitizer +
+# UBSan, then once more under standalone UBSan (the combined build can
+# mask pure-UB findings behind asan's instrumentation, and the
+# standalone build runs fast enough to keep). Run from anywhere; paths
+# resolve relative to the repository root.
 #
-#   tools/check.sh            # all three passes
-#   tools/check.sh --fast     # tier-1 only (skip the sanitizer builds)
+#   tools/check.sh            # all passes
+#   tools/check.sh --fast     # tier-1 + benchmark smoke (skip the
+#                             # sanitizer builds)
 #   tools/check.sh --bench    # also run the bench gates (Release+LTO
 #                             # build): hot-path (2x + zero-alloc),
 #                             # offline solvers (5x + equivalence),
@@ -42,6 +45,18 @@ echo "== tier-1: default build =="
 cmake -B build -S . > /dev/null
 cmake --build build -j "$jobs"
 (cd build && ctest --output-on-failure -j "$jobs")
+
+echo "== end-to-end benchmark smoke: perfbench, every workload =="
+# Builds perfbench/ against this tree (a src/ change that breaks it
+# fails here, not after merge) and runs each workload once; its
+# correctness gate (report fingerprints, durable vs churn runner,
+# budget, GC recomputation) must pass.
+for workload in proxy_clean sched_dense churn_durable adaptive; do
+  python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 \
+      --trace 0 | tail -n 1 | python3 -c \
+      'import json, sys; sys.exit(0 if json.load(sys.stdin)["correct"] else 1)' \
+    || { echo "perfbench $workload: run failed or not correct" >&2; exit 1; }
+done
 
 if [[ "$fast" == 1 ]]; then
   echo "== skipped sanitizer passes (--fast) =="
