@@ -1,11 +1,13 @@
 // Parallel-executor throughput bench: the sharded multi-threaded
-// pipeline (ExecutorBackend::kParallel) against the serial indexed
+// engine (ExecutorBackend::kParallel) against the serial indexed
 // executor on the Figure-5 proxy substrate (n=400, lambda=50, W=20,
 // m=500), with the probe budget raised so every chronon carries a
-// batch of concurrent fetch+parse work — the phase the worker pool
-// actually parallelizes. Two arms: clean, and the full fault surface
-// (timeouts, corruption, ETag storms, retries, breaker), each measured
-// at 1/2/4/8 worker threads.
+// large probe batch. The worker pool parallelizes only the per-shard
+// activation and scoring phases; every probe (fetch, parse, cache)
+// runs serially in the control pass, so the end-to-end speedup is
+// bounded by the scheduling share of the run. Two arms: clean, and the
+// full fault surface (timeouts, corruption, ETag storms, retries,
+// breaker), each measured at 1/2/4/8 worker threads.
 //
 // Every timing point first proves itself: the parallel report must be
 // field-identical to the serial one (all scheduling, transport, fault,
@@ -112,9 +114,8 @@ bool ReportsEqual(const ProxyRunReport& a, const ProxyRunReport& b,
 }
 
 /// The Figure-5 scalability substrate, adapted for the physical probe
-/// path: the budget carries 8 probes per chronon (a batch the worker
-/// pool can spread) and large feed buffers make every fetched body a
-/// real parse workload.
+/// path: the budget carries 8 probes per chronon and large feed
+/// buffers make every fetched body a real parse workload.
 SimulationConfig SubstrateConfig() {
   SimulationConfig config = BaselineConfig();
   config.num_resources = 400;

@@ -28,7 +28,6 @@ DynamicMonitor::DynamicMonitor(int num_resources, Chronon epoch_length,
       mode_(mode),
       options_(options),
       num_shards_(std::max(1, options.shards)),
-      churn_queue_(options.churn_queue_capacity),
       health_(num_resources, options.breaker),
       shard_map_(num_shards_),
       shard_of_resource_(shard_map_.AssignResources(num_resources)),
@@ -49,7 +48,6 @@ DynamicMonitor::DynamicMonitor(int num_resources, Chronon epoch_length,
   shard_stats_.shard_count = num_shards_;
   shard_stats_.candidates_scored.assign(shards, 0);
   shard_stats_.probes_executed.assign(shards, 0);
-  tokens_by_worker_.resize(static_cast<std::size_t>(pool_.threads()));
   policy_->Reset();
   policy_->AttachHealth(&health_);
 }
@@ -328,36 +326,6 @@ void DynamicMonitor::RebuildIndex() {
   partitions_ = std::move(fresh);
 }
 
-void DynamicMonitor::DrainChurnQueue() {
-  churn_queue_.Drain([&](ChurnOp& op) {
-    ChurnOutcome outcome;
-    outcome.kind = op.kind;
-    outcome.profile = op.profile;
-    auto record = [&outcome](const Result<int>& r) {
-      if (r.ok()) {
-        outcome.result = r.value();
-      } else {
-        outcome.status = r.status();
-      }
-    };
-    switch (op.kind) {
-      case ChurnOp::Kind::kSubmit:
-        record(Submit(op.profile, std::move(op.t_interval)));
-        break;
-      case ChurnOp::Kind::kCancel:
-        outcome.status = Cancel(op.profile, op.submission_id);
-        break;
-      case ChurnOp::Kind::kEdit:
-        record(Edit(op.profile, op.submission_id, std::move(op.t_interval)));
-        break;
-      case ChurnOp::Kind::kUnregister:
-        record(Unregister(op.profile));
-        break;
-    }
-    return outcome;
-  });
-}
-
 void DynamicMonitor::CaptureOnProbe(ResourceId resource, StepResult* step) {
   const int shard = shard_of_resource_[static_cast<std::size_t>(resource)];
   partitions_[static_cast<std::size_t>(shard)].CaptureResource(
@@ -375,16 +343,7 @@ void DynamicMonitor::CaptureOnProbe(ResourceId resource, StepResult* step) {
         const int submission =
             submission_id_[static_cast<std::size_t>(hit.t_id)];
         step->captured.emplace_back(parent.profile, submission);
-        if (!capture_callback_) return;
-        if (hooks_.decide) {
-          // Defer past the execute phase: the callback reads probe
-          // payloads that exist only after commit.
-          PendingOp op;
-          op.kind = PendingOp::Kind::kCapture;
-          op.profile = parent.profile;
-          op.submission_id = submission;
-          ops_.push_back(op);
-        } else {
+        if (capture_callback_) {
           capture_callback_(parent.profile, submission, now_);
         }
       });
@@ -509,14 +468,8 @@ Result<StepResult> DynamicMonitor::Step() {
   if (now_ >= epoch_length_) {
     return Status::FailedPrecondition("the epoch is over");
   }
-  // 0. Apply churn that concurrent clients queued since the last
-  // chronon boundary (single consumer: this thread).
-  DrainChurnQueue();
   StepResult step;
   step.chronon = now_;
-  const int num_workers = pool_.threads();
-
-  if (hooks_.begin_chronon) hooks_.begin_chronon(now_, num_workers);
 
   // 1. Reveal EIs starting now, per shard (each shard's starting list
   // touches only that shard's partition; dead parents were retired
@@ -579,28 +532,12 @@ Result<StepResult> DynamicMonitor::Step() {
       std::max(stats_.max_concurrent_candidates, scored);
 
   // 3. Control pass: merge the shard selections into the global order,
-  // then run the budget/retry/breaker loop. With hooks every attempt's
-  // fate is *decided* here (serially, in canonical order) and its
-  // data-plane work is deferred to phase 4.
-  ops_.clear();
-  for (auto& lane : tokens_by_worker_) lane.clear();
-  int tokens_issued = 0;
+  // then run the budget/retry/breaker loop, each attempt through the
+  // probe callback.
   auto attempt = [&](ResourceId r, std::size_t shard) {
     ++stats_.probes_used;
     ++shard_stats_.probes_executed[shard];
-    bool success = true;
-    if (hooks_.decide) {
-      const int token = tokens_issued++;
-      success = hooks_.decide(r, now_, token);
-      PendingOp op;
-      op.kind = PendingOp::Kind::kAttempt;
-      op.token = token;
-      ops_.push_back(op);
-      tokens_by_worker_[shard % static_cast<std::size_t>(num_workers)]
-          .push_back(token);
-    } else if (probe_callback_) {
-      success = probe_callback_(r, now_);
-    }
+    const bool success = !probe_callback_ || probe_callback_(r, now_);
     health_.RecordProbe(r, now_, success);
     if (!success) ++stats_.probes_failed;
     return success;
@@ -659,30 +596,7 @@ Result<StepResult> DynamicMonitor::Step() {
                  static_cast<std::size_t>(probes_this_chronon)));
   }
 
-  // 5. Execute phase: the decided attempts' fetch/parse/cache work runs
-  // concurrently, one lane per worker, each lane in canonical order.
-  // All attempts of one shard go to one worker, so per-resource session
-  // state (etags, cache entries, server-side lazy caches) is
-  // single-writer within the phase.
-  if (hooks_.execute && tokens_issued > 0) {
-    pool_.Run(num_workers, [&](int w) {
-      const auto& lane = tokens_by_worker_[static_cast<std::size_t>(w)];
-      if (!lane.empty()) hooks_.execute(lane, w);
-    });
-  }
-
-  // 6. Commit replay: apply attempt payloads and fire capture
-  // notifications in exactly the order the plain callback path
-  // interleaves them.
-  for (const PendingOp& op : ops_) {
-    if (op.kind == PendingOp::Kind::kAttempt) {
-      if (hooks_.commit) hooks_.commit(op.token);
-    } else {
-      capture_callback_(op.profile, op.submission_id, now_);
-    }
-  }
-
-  // 7. Expire EIs whose window ends now.
+  // 5. Expire EIs whose window ends now.
   ExpireEnding(&step);
 
   ++now_;

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "core/candidate_index.h"
-#include "core/churn_queue.h"
 #include "core/completeness.h"
 #include "core/online_executor.h"
 #include "core/policy.h"
@@ -67,14 +66,10 @@ struct MonitorOptions {
   /// depend on the shard count; the shard telemetry does, and is only
   /// reported when shards > 1.
   int shards = 1;
-  /// Worker threads for the per-shard phases and the probe execute
-  /// phase; <= 1 runs every phase inline. Reports are bit-identical at
-  /// every thread count.
+  /// Worker threads for the per-shard activation and scoring phases;
+  /// <= 1 runs them inline. Probes always run in the serial control
+  /// pass. Reports are bit-identical at every thread count.
   int threads = 1;
-  /// Capacity of the thread-safe churn ingress queue (EnqueueChurn);
-  /// producers park once this many operations are waiting for the next
-  /// chronon boundary.
-  std::size_t churn_queue_capacity = 1024;
 
   /// Shard count of ExecutorBackend::kParallel. Fixed independently of
   /// the thread count, which is what makes the full report — shard
@@ -187,13 +182,12 @@ struct MonitorImage {
 /// consistent hashing (ShardMap), each shard owns a CandidateIndex
 /// partition, and each chronon runs as
 ///
-///   churn drain -> [parallel] per-shard activation -> health begin
+///   [parallel] per-shard activation -> health begin
 ///   -> [parallel] per-shard scoring + shard-local top-k selection
 ///   -> serial ordered merge (an S-way reduction under the global
 ///      (np_class, score, deadline, flat id) order) -> serial control
-///      pass (budget, retries, breaker, capture bookkeeping)
-///   -> [parallel] probe execution via ProbeHooks
-///   -> serial commit replay -> serial merged expiry.
+///      pass (budget, probe callback, retries, breaker, capture
+///      bookkeeping) -> serial merged expiry.
 ///
 /// One shard is the serial engine; any shard and thread count produces
 /// the identical probe set, schedule, stats and health trajectory (the
@@ -228,9 +222,8 @@ class DynamicMonitor {
   using ProbeCallback = std::function<bool(ResourceId, Chronon)>;
 
   /// Invoked when a t-interval completes: (profile, submission id,
-  /// chronon), in StepResult::captured order. With probe hooks it fires
-  /// during the commit replay, so a proxy layer reads fully committed
-  /// payloads.
+  /// chronon), in StepResult::captured order, right after the probe
+  /// that completed it.
   using CaptureCallback = std::function<void(ProfileId, int, Chronon)>;
 
   /// `policy` must outlive the monitor; it is Reset() on construction.
@@ -241,9 +234,6 @@ class DynamicMonitor {
   void set_probe_callback(ProbeCallback callback) {
     probe_callback_ = std::move(callback);
   }
-
-  /// Three-phase probe pipeline; overrides the plain probe callback.
-  void set_probe_hooks(ProbeHooks hooks) { hooks_ = std::move(hooks); }
 
   void set_capture_callback(CaptureCallback callback) {
     capture_callback_ = std::move(callback);
@@ -279,20 +269,8 @@ class DynamicMonitor {
   Result<int> Edit(ProfileId profile, int submission_id,
                    TInterval replacement);
 
-  // --- Thread-safe churn ingress (DESIGN.md section 13, residual c). --
-  // Submit/Cancel/Edit/Unregister mutate the candidate structures and
-  // MUST be called from the monitor's own thread. Concurrent clients
-  // instead enqueue operations here from any thread; Step() drains the
-  // queue at the chronon boundary (FIFO, single consumer) and applies
-  // each operation through the synchronous entry points, delivering the
-  // per-op Status/submission-id to the operation's completion callback.
-
-  /// Blocking enqueue: parks while the queue is full.
-  void EnqueueChurn(ChurnOp op) { churn_queue_.Enqueue(std::move(op)); }
-
   /// Executes the current chronon (probe selection, captures, expiry)
-  /// and advances time, applying queued churn operations first.
-  /// FailedPrecondition once the epoch is over.
+  /// and advances time. FailedPrecondition once the epoch is over.
   Result<StepResult> Step();
 
   /// Runs the remaining chronons; returns the final completeness.
@@ -392,13 +370,9 @@ class DynamicMonitor {
   /// partitions.
   void RebuildIndex();
 
-  /// Applies every queued churn operation (FIFO) through the
-  /// synchronous entry points; called at the top of Step().
-  void DrainChurnQueue();
-
   /// Serial capture bookkeeping of a successful probe of `resource`
-  /// (parent accounting + retire + capture-event recording); capture
-  /// callbacks are deferred into `ops_` when hooks are active.
+  /// (parent accounting + retire + capture-event recording + capture
+  /// callback).
   void CaptureOnProbe(ResourceId resource, StepResult* step);
 
   /// S-way merge of the per-shard sorted prefixes into the global
@@ -417,9 +391,7 @@ class DynamicMonitor {
   MonitorOptions options_;
   int num_shards_;
   ProbeCallback probe_callback_;
-  ProbeHooks hooks_;
   CaptureCallback capture_callback_;
-  ChurnQueue churn_queue_;
   ResourceHealthTracker health_;
   bool validated_options_ = false;
 
@@ -474,19 +446,6 @@ class DynamicMonitor {
   /// Merge/expiry cursors, one per shard (reused across chronons).
   std::vector<std::size_t> merge_pos_;
   std::vector<std::size_t> expiry_pos_;
-
-  /// One replayable operation of the commit phase.
-  struct PendingOp {
-    enum class Kind { kAttempt, kCapture };
-    Kind kind = Kind::kAttempt;
-    int token = -1;             // kAttempt
-    ProfileId profile = 0;      // kCapture
-    int submission_id = 0;      // kCapture
-  };
-  std::vector<PendingOp> ops_;
-  /// Tokens grouped by worker lane (worker = shard % threads), each
-  /// lane's tokens in canonical decide order.
-  std::vector<std::vector<int>> tokens_by_worker_;
 };
 
 }  // namespace pullmon

@@ -87,7 +87,6 @@ Result<OnlineRunResult> OnlineExecutor::Run() {
   }
 
   if (probe_callback_) monitor.set_probe_callback(probe_callback_);
-  if (hooks_.decide) monitor.set_probe_hooks(hooks_);
   if (capture_callback_) {
     monitor.set_capture_callback(
         [this, &t_index_of_submission](ProfileId profile, int submission,

@@ -33,33 +33,6 @@ struct RetryPolicy {
   Status Validate() const;
 };
 
-/// Externalized probe execution (DESIGN.md section 16). The chronon
-/// engine (DynamicMonitor) splits each probe attempt into three phases
-/// so the data-plane work (network fetch, parse, cache) runs
-/// concurrently while every order-sensitive decision stays serial:
-///
-///  * decide(resource, chronon, token): serial, in canonical attempt
-///    order — draws the attempt's fate (fault stream, validator
-///    prediction) and returns success/failure so the control pass can
-///    run retries/breaker exactly like the plain callback path. Tokens
-///    are dense per chronon, issued in decide order.
-///  * execute(tokens, worker): parallel — performs the fetch/parse/
-///    cache work of the given tokens, in token order, on the given
-///    worker lane. All tokens of one resource shard go to one worker.
-///  * commit(token): serial, in canonical order — applies the attempt's
-///    counters and payload to the report/session state.
-///  * begin_chronon(now, num_workers): serial, before the first decide
-///    of each chronon.
-///
-/// Without hooks the monitor uses the plain probe callback (decided
-/// serially, nothing to execute or commit).
-struct ProbeHooks {
-  std::function<void(Chronon, int)> begin_chronon;
-  std::function<bool(ResourceId, Chronon, int)> decide;
-  std::function<void(const std::vector<int>&, int)> execute;
-  std::function<void(int)> commit;
-};
-
 /// Outcome of one online run.
 struct OnlineRunResult {
   Schedule schedule{0};
@@ -124,9 +97,10 @@ enum class ExecutorBackend {
   /// the easy-to-audit oracle.
   kReference,
   /// The incremental engine sharded over MonitorOptions::kParallelShards
-  /// consistent-hash resource partitions: per-shard scoring/selection, a
-  /// deterministic ordered merge, and concurrent probe execution.
-  /// Decision-identical to kIndexed at every thread count.
+  /// consistent-hash resource partitions: per-shard activation and
+  /// scoring/selection, a deterministic ordered merge, and a serial
+  /// control pass that issues the probes. Decision-identical to kIndexed
+  /// at every thread count.
   kParallel,
 };
 
@@ -181,13 +155,10 @@ class OnlineExecutor {
   void set_backend(ExecutorBackend backend) { backend_ = backend; }
   ExecutorBackend backend() const { return backend_; }
 
-  /// Worker threads of the kParallel backend (<= 1 runs the sharded
-  /// pipeline inline); ignored by the serial backends.
+  /// Worker threads of the kParallel backend's sharded activation and
+  /// scoring phases (<= 1 runs them inline); ignored by the serial
+  /// backends.
   void set_threads(int threads) { threads_ = threads; }
-
-  /// Three-phase probe pipeline; overrides the plain probe callback on
-  /// the engine backends. Ignored by the reference backend.
-  void set_probe_hooks(ProbeHooks hooks) { hooks_ = std::move(hooks); }
 
   /// Validates the problem and executes the full epoch. Can be called
   /// repeatedly; each call is an independent run (the policy is Reset()).
@@ -203,7 +174,6 @@ class OnlineExecutor {
   RetryPolicy retry_;
   BreakerOptions breaker_;
   int threads_ = 1;
-  ProbeHooks hooks_;
 };
 
 }  // namespace pullmon

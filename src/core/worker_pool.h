@@ -28,8 +28,6 @@ class WorkerPool {
   WorkerPool(const WorkerPool&) = delete;
   WorkerPool& operator=(const WorkerPool&) = delete;
 
-  int threads() const { return threads_; }
-
   /// Executes fn(0) .. fn(num_jobs - 1), each exactly once, on the pool
   /// (inline when the pool is serial). Blocks until every job is done.
   /// fn must not call Run() reentrantly.

@@ -56,23 +56,23 @@ struct EstimationStats {
 };
 
 /// The closed-loop, per-resource online update model (DESIGN.md
-/// section 17). Feed it ProbeObservations as the proxy commits probe
-/// outcomes; it maintains a DecayingRateTracker plus periodic-pattern
-/// state per resource and answers deterministic event forecasts that
-/// the adaptive runner turns into predicted execution intervals.
+/// section 17). Feed it ProbeObservations as the proxy issues probes;
+/// it maintains a DecayingRateTracker plus periodic-pattern state per
+/// resource and answers deterministic event forecasts that the
+/// adaptive runner turns into predicted execution intervals.
 ///
 /// Everything here is a pure function of the ingested observation
 /// sequence — no RNG, no wall clock — so runs are bit-identical across
 /// repeats and thread counts as long as observations are ingested in
-/// the canonical serial commit order.
+/// the canonical serial attempt order.
 class EstimationSession {
  public:
   EstimationSession(int num_resources, Chronon epoch_length,
                     EstimationOptions options = EstimationOptions{});
 
-  /// Ingests one committed probe outcome. Observations must arrive in
-  /// non-decreasing probed_at order per resource (the serial commit
-  /// phase guarantees it); update chronons already known are dropped.
+  /// Ingests one probe outcome. Observations must arrive in
+  /// non-decreasing probed_at order per resource (the serial control
+  /// pass guarantees it); update chronons already known are dropped.
   void Ingest(const ProbeObservation& observation);
 
   /// Predicted update chronons of `resource` within [from, to), in

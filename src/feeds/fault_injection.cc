@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "util/logging.h"
 #include "util/string_util.h"
 
 namespace pullmon {
@@ -209,7 +208,7 @@ bool FaultPlan::InOutage(ResourceId resource, Chronon t) {
   return outage_dark_[r] != 0;
 }
 
-Result<FaultPlan::ProbeDecision> FaultPlan::DecideProbe(
+Result<FaultPlan::FaultedFetch> FaultPlan::ProbeConditional(
     ResourceId resource, const std::string& if_none_match) {
   if (resource < 0 ||
       static_cast<std::size_t>(resource) >= storm_left_.size()) {
@@ -218,18 +217,18 @@ Result<FaultPlan::ProbeDecision> FaultPlan::DecideProbe(
   }
   const FaultOptions& options = OptionsFor(resource);
   ++stats_.probes_seen;
-  ProbeDecision decision;
+  FaultedFetch outcome;
   if (options.AllZero()) {
-    // Fast pass-through: no stream is touched, the execute phase probes
-    // the wrapped network verbatim — byte-identical to running without
-    // the layer.
-    decision.all_zero = true;
-    return decision;
+    // Fast pass-through: no stream is touched, the wrapped network is
+    // probed verbatim — byte-identical to running without the layer.
+    PULLMON_ASSIGN_OR_RETURN(
+        outcome.fetch, network_->ProbeConditional(resource, if_none_match));
+    return outcome;
   }
 
   auto record_latency = [&] {
-    stats_.latency_total += decision.latency;
-    stats_.latency_max = std::max(stats_.latency_max, decision.latency);
+    stats_.latency_total += outcome.latency;
+    stats_.latency_max = std::max(stats_.latency_max, outcome.latency);
   };
 
   // Outages swallow the probe before any per-probe fate is drawn, so a
@@ -237,138 +236,92 @@ Result<FaultPlan::ProbeDecision> FaultPlan::DecideProbe(
   // per-probe fault sequence after recovery is the same one the
   // resource would have seen without the outage.
   if (InOutage(resource, now_)) {
-    decision.fault = FaultKind::kOutage;
+    outcome.fault = FaultKind::kOutage;
     if (options.latency_mean > 0.0) {
-      decision.latency = options.latency_timeout;
+      outcome.latency = options.latency_timeout;
     }
     ++stats_.outage_probes;
     record_latency();
-    return decision;
+    return outcome;
   }
 
   Rng& rng = StreamFor(resource);
   if (options.latency_mean > 0.0) {
-    decision.latency = rng.NextExponential(1.0 / options.latency_mean);
+    outcome.latency = rng.NextExponential(1.0 / options.latency_mean);
   }
 
   // Hard faults first: the request dies before a response exists, so
   // the wrapped server never sees a fetch.
   if (options.timeout_rate > 0.0 && rng.NextBool(options.timeout_rate)) {
-    decision.fault = FaultKind::kTimeout;
-    decision.latency = std::max(decision.latency, options.latency_timeout);
+    outcome.fault = FaultKind::kTimeout;
+    outcome.latency = std::max(outcome.latency, options.latency_timeout);
     ++stats_.timeouts;
     record_latency();
-    return decision;
+    return outcome;
   }
   if (options.server_error_rate > 0.0 &&
       rng.NextBool(options.server_error_rate)) {
-    decision.fault = FaultKind::kServerError;
+    outcome.fault = FaultKind::kServerError;
     ++stats_.server_errors;
     record_latency();
-    return decision;
+    return outcome;
   }
   // A response slower than the chronon boundary is indistinguishable
   // from a timeout to the prober.
-  if (decision.latency >= options.latency_timeout) {
-    decision.fault = FaultKind::kTimeout;
+  if (outcome.latency >= options.latency_timeout) {
+    outcome.fault = FaultKind::kTimeout;
     ++stats_.timeouts;
     record_latency();
-    return decision;
+    return outcome;
   }
+  record_latency();
 
   // ETag invalidation storms: while active, the server's validators are
   // unstable — the client's If-None-Match can never hit, so the probe is
   // forced to an unconditional full-body fetch and the echoed validator
-  // is salted so the *next* conditional fetch misses too. The salt is
-  // drawn here rather than after the fetch: the fetch consumes no plan
-  // randomness, so the value is unchanged.
+  // is salted so the *next* conditional fetch misses too.
   std::size_t r = static_cast<std::size_t>(resource);
-  decision.storm = storm_left_[r] > 0;
-  if (!decision.storm && options.etag_storm_rate > 0.0 &&
+  bool storm = storm_left_[r] > 0;
+  if (!storm && options.etag_storm_rate > 0.0 &&
       rng.NextBool(options.etag_storm_rate)) {
-    decision.storm = true;
+    storm = true;
     storm_left_[r] = options.etag_storm_length;
     ++stats_.storms_started;
   }
-  if (decision.storm) {
+  PULLMON_ASSIGN_OR_RETURN(
+      outcome.fetch,
+      network_->ProbeConditional(resource,
+                                 storm ? std::string() : if_none_match));
+  if (storm) {
     --storm_left_[r];
-    decision.storm_salt = rng.Next();
+    outcome.fetch.etag += StringFormat(
+        "-storm%016llx", static_cast<unsigned long long>(rng.Next()));
     ++stats_.etag_invalidations;
   }
-
-  // Predict the conditional-fetch outcome: the server's validator moves
-  // only when a chronon boundary publishes items, never on a fetch, so
-  // the state read here is exactly the state the execute-phase fetch
-  // observes (ExecuteDecision checks the prediction).
-  decision.not_modified =
-      !decision.storm && !if_none_match.empty() &&
-      if_none_match == network_->server(resource)->CurrentETagView();
 
   // Served bodies are never empty (WriteFeed output always carries the
   // document skeleton), so a delivered response is mangle-eligible iff
   // it is a full body rather than a 304.
-  if (!decision.not_modified) {
-    if (options.truncation_rate > 0.0 &&
-        rng.NextBool(options.truncation_rate)) {
-      decision.truncated = true;
-      ++stats_.truncations;
-    } else if (options.corruption_rate > 0.0 &&
-               rng.NextBool(options.corruption_rate)) {
-      decision.corrupted = true;
-      ++stats_.corruptions;
-    }
-    if (decision.truncated || decision.corrupted) {
-      // One draw seeds a dedicated mangling generator; letting the cut
-      // points draw from the resource stream directly would make the
-      // stream's position depend on the fetched document.
-      decision.mangle_seed = rng.Next();
-    }
+  if (outcome.fetch.not_modified) return outcome;
+  if (options.truncation_rate > 0.0 &&
+      rng.NextBool(options.truncation_rate)) {
+    outcome.truncated = true;
+    ++stats_.truncations;
+  } else if (options.corruption_rate > 0.0 &&
+             rng.NextBool(options.corruption_rate)) {
+    outcome.corrupted = true;
+    ++stats_.corruptions;
   }
-  record_latency();
-  return decision;
-}
-
-Result<FaultPlan::FaultedFetch> FaultPlan::ExecuteDecision(
-    ResourceId resource, const std::string& if_none_match,
-    const ProbeDecision& decision) const {
-  FaultedFetch outcome;
-  outcome.latency = decision.latency;
-  if (decision.all_zero) {
-    PULLMON_ASSIGN_OR_RETURN(
-        outcome.fetch, network_->ProbeConditional(resource, if_none_match));
-    return outcome;
-  }
-  outcome.fault = decision.fault;
-  if (decision.fault != FaultKind::kNone) return outcome;
-
-  PULLMON_ASSIGN_OR_RETURN(
-      outcome.fetch,
-      network_->ProbeConditional(
-          resource, decision.storm ? std::string() : if_none_match));
-  if (decision.storm) {
-    outcome.fetch.etag += StringFormat(
-        "-storm%016llx",
-        static_cast<unsigned long long>(decision.storm_salt));
-  }
-  PULLMON_CHECK(outcome.fetch.not_modified == decision.not_modified);
-  if (decision.truncated || decision.corrupted) {
-    Rng mangle_rng(decision.mangle_seed);
-    if (decision.truncated) {
-      outcome.fetch.body = TruncateBody(outcome.fetch.body, &mangle_rng);
-      outcome.truncated = true;
-    } else {
-      outcome.fetch.body = CorruptBody(outcome.fetch.body, &mangle_rng);
-      outcome.corrupted = true;
-    }
+  if (outcome.truncated || outcome.corrupted) {
+    // One draw seeds a dedicated mangling generator; letting the cut
+    // points draw from the resource stream directly would make the
+    // stream's position depend on the fetched document.
+    Rng mangle_rng(rng.Next());
+    outcome.fetch.body = outcome.truncated
+                             ? TruncateBody(outcome.fetch.body, &mangle_rng)
+                             : CorruptBody(outcome.fetch.body, &mangle_rng);
   }
   return outcome;
-}
-
-Result<FaultPlan::FaultedFetch> FaultPlan::ProbeConditional(
-    ResourceId resource, const std::string& if_none_match) {
-  auto decision = DecideProbe(resource, if_none_match);
-  if (!decision.ok()) return decision.status();
-  return ExecuteDecision(resource, if_none_match, decision.value());
 }
 
 }  // namespace pullmon

@@ -138,56 +138,6 @@ class FaultPlan {
     FeedServer::ConditionalFetch fetch;
   };
 
-  /// The settled fate of one probe, drawn by DecideProbe() before any
-  /// network fetch happens. A decision consumes the resource's fault
-  /// stream and stats in full, so deciding is the only order-sensitive
-  /// half of a probe: ExecuteDecision() is pure with respect to the
-  /// plan's own state and may run on any thread, for any interleaving
-  /// across resources (DESIGN.md section 16).
-  struct ProbeDecision {
-    FaultKind fault = FaultKind::kNone;
-    /// The per-resource options were all zero: the probe is a plain
-    /// pass-through fetch and none of the fields below are meaningful.
-    bool all_zero = false;
-    bool truncated = false;
-    bool corrupted = false;
-    /// An ETag storm forces this probe to an unconditional fetch.
-    bool storm = false;
-    /// Pre-drawn salt appended to the echoed validator under a storm.
-    uint64_t storm_salt = 0;
-    /// Seed of the dedicated mangling generator (truncation/corruption
-    /// cut points draw from a fresh Rng(mangle_seed), never from the
-    /// resource's fault stream — the stream's consumption must not
-    /// depend on the fetched body).
-    uint64_t mangle_seed = 0;
-    /// Predicted conditional-fetch outcome (exact: the server's
-    /// validator only moves at chronon boundaries, so the decide pass
-    /// sees the same state the fetch will).
-    bool not_modified = false;
-    double latency = 0.0;
-  };
-
-  /// Settles the fate of the next probe of `resource` carrying validator
-  /// `if_none_match`: consumes the resource's fault stream, updates the
-  /// plan's stats, and predicts the conditional-fetch outcome — without
-  /// fetching. Call in canonical probe order; pair each decision with
-  /// exactly one ExecuteDecision() (or none: a timeout/error/outage
-  /// decision needs no fetch, executing it just materializes the
-  /// outcome).
-  Result<ProbeDecision> DecideProbe(ResourceId resource,
-                                    const std::string& if_none_match);
-
-  /// Performs the fetch half of a decision: the conditional fetch
-  /// (unconditional under a storm), validator salting, and body
-  /// mangling, exactly as ProbeConditional() would have. Const on all
-  /// plan state — only the probed server's internal caches move — so
-  /// concurrent executions for resources owned by different shards are
-  /// safe. `resource` and `if_none_match` must be the pair the decision
-  /// was drawn for.
-  Result<FaultedFetch> ExecuteDecision(ResourceId resource,
-                                       const std::string& if_none_match,
-                                       const ProbeDecision& decision) const;
-
   /// `network` must outlive the plan; no ownership taken.
   FaultPlan(FeedNetwork* network, uint64_t seed,
             FaultOptions defaults = FaultOptions{});
@@ -218,7 +168,10 @@ class FaultPlan {
   /// The faulty pull-probe: draws this probe's fate, performs the
   /// underlying conditional fetch unless the fault swallowed it, and
   /// applies body/validator degradations. NotFound for unknown
-  /// resources, like the wrapped network.
+  /// resources, like the wrapped network. Past the outage chain, draws
+  /// come from the resource's stream in a fixed order — latency,
+  /// timeout, server error, storm, storm salt, truncation/corruption,
+  /// mangle seed — which checkpoints and golden tests depend on.
   Result<FaultedFetch> ProbeConditional(ResourceId resource,
                                         const std::string& if_none_match);
 

@@ -15,35 +15,34 @@ uint64_t ParseCache::HashBody(std::string_view body) {
 
 const FeedDocument* ParseCache::Lookup(ResourceId resource,
                                        std::string_view served_etag,
-                                       std::string_view body, bool mangled,
-                                       ParseCacheStats* sink) {
+                                       std::string_view body, bool mangled) {
   // The mangled flag is authoritative: a body the transport layer
   // says is degraded must reach the parser, even when it carries a
   // truthful validator or happens to hash like the stored body. This
   // keeps fault accounting (parse_failures, invalidations) identical
   // with the cache on or off.
   if (mangled) {
-    ++sink->misses;
+    ++stats_.misses;
     return nullptr;
   }
   Entry& entry = entries_[static_cast<std::size_t>(resource)];
   if (entry.valid) {
     // Validator key: the served ETag equals the stored one.
     if (!served_etag.empty() && served_etag == entry.etag) {
-      ++sink->hits;
-      sink->bytes_saved += body.size();
+      ++stats_.hits;
+      stats_.bytes_saved += body.size();
       return &entry.document;
     }
     // Content key: byte-identical body under a different (e.g.
     // storm-salted) validator.
     if (body.size() == entry.body_size &&
         HashBody(body) == entry.body_hash) {
-      ++sink->hits;
-      sink->bytes_saved += body.size();
+      ++stats_.hits;
+      stats_.bytes_saved += body.size();
       return &entry.document;
     }
   }
-  ++sink->misses;
+  ++stats_.misses;
   return nullptr;
 }
 
@@ -60,11 +59,11 @@ const FeedDocument& ParseCache::Store(ResourceId resource,
   return entry.document;
 }
 
-void ParseCache::Invalidate(ResourceId resource, ParseCacheStats* sink) {
+void ParseCache::Invalidate(ResourceId resource) {
   Entry& entry = entries_[static_cast<std::size_t>(resource)];
   if (!entry.valid) return;
   entry.valid = false;
-  ++sink->invalidations;
+  ++stats_.invalidations;
 }
 
 ParseCacheImage ParseCache::Capture() const {

@@ -76,19 +76,7 @@ class ParseCache {
   /// `mangled` marks bodies known to be degraded in flight.
   const FeedDocument* Lookup(ResourceId resource,
                              std::string_view served_etag,
-                             std::string_view body, bool mangled) {
-    return Lookup(resource, served_etag, body, mangled, &stats_);
-  }
-
-  /// Sink variant for the parallel probe pipeline: counter mutations go
-  /// to `sink` instead of the shared stats, so concurrent lanes stay
-  /// race-free (entry state is still mutated — entries are per-resource
-  /// and each resource is owned by one lane). Merge the sink back with
-  /// MergeStats() during the serial commit phase.
-  const FeedDocument* Lookup(ResourceId resource,
-                             std::string_view served_etag,
-                             std::string_view body, bool mangled,
-                             ParseCacheStats* sink);
+                             std::string_view body, bool mangled);
 
   /// Records a successful parse of `body` served under `served_etag`;
   /// returns the stored document (owned by the cache until the next
@@ -99,18 +87,7 @@ class ParseCache {
 
   /// Drops the resource's entry (a parse failure proves the cached
   /// state can no longer be trusted as current).
-  void Invalidate(ResourceId resource) { Invalidate(resource, &stats_); }
-
-  /// Sink variant of Invalidate (see the Lookup overload).
-  void Invalidate(ResourceId resource, ParseCacheStats* sink);
-
-  /// Folds a per-attempt stat delta into the shared stats.
-  void MergeStats(const ParseCacheStats& delta) {
-    stats_.hits += delta.hits;
-    stats_.misses += delta.misses;
-    stats_.invalidations += delta.invalidations;
-    stats_.bytes_saved += delta.bytes_saved;
-  }
+  void Invalidate(ResourceId resource);
 
   const ParseCacheStats& stats() const { return stats_; }
 

@@ -132,9 +132,8 @@ Result<ProxyRunReport> RunDurableOnce(const SimulationConfig& config,
   const std::uint64_t fingerprint = RunFingerprint(config, spec, seed);
   ProxyRunReport& report = run.report();
 
-  // Every committed probe attempt lands in the chronon's WAL group (or
-  // is verified against it during replay), in canonical attempt order
-  // on either probe path.
+  // Every probe attempt lands in the chronon's WAL group (or is
+  // verified against it during replay), in canonical attempt order.
   WalChronon current;
   run.session().set_observer([&current](const PullAttempt& attempt) {
     current.probes.push_back(WalProbeRecord{

@@ -125,9 +125,9 @@ Result<ProxyRunReport> RunAdaptiveOnce(const SimulationConfig& config,
   EstimationOptions eopts;
   eopts.half_life = config.estimator_half_life;
   EstimationSession model(problem.num_resources, epoch_length, eopts);
-  // Every committed probe attempt — the monitor's, on either probe
-  // path, and the explore probes below — reaches the estimator in
-  // canonical order, with the publication chronons of its new items.
+  // Every probe attempt — the monitor's and the explore probes below —
+  // reaches the estimator in canonical order, with the publication
+  // chronons of its new items.
   const ChrononClock clock;
   run.session().set_observer([&](const PullAttempt& attempt) {
     ProbeObservation obs;

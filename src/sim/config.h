@@ -95,9 +95,10 @@ struct SimulationConfig {
   /// reference oracle. Both are decision-identical; the switch exists
   /// for differential testing and perf regression baselines.
   ExecutorBackend executor_backend = ExecutorBackend::kIndexed;
-  /// Worker threads of the kParallel backend's execute phase; ignored
-  /// by the serial backends. Results are bit-identical at every thread
-  /// count (the thread-invariance suite enforces it).
+  /// Worker threads of the kParallel backend's sharded activation and
+  /// scoring phases (probes always run serially); ignored by the serial
+  /// backends. Results are bit-identical at every thread count (the
+  /// thread-invariance suite enforces it).
   int threads = 1;
   /// Per-server feed buffer capacity of the simulated network (proxy
   /// experiments): small buffers make feeds volatile.

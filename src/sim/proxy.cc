@@ -1,6 +1,5 @@
 #include "sim/proxy.h"
 
-#include <iterator>
 #include <utility>
 
 #include "feeds/atom.h"
@@ -19,7 +18,6 @@ FeedPullSession::FeedPullSession(FeedNetwork* network, int num_resources,
                                  ProxyRunReport* report)
     : network_(network),
       report_(report),
-      backend_(options.backend),
       etags_(static_cast<std::size_t>(num_resources)) {
   // The fault layer sits between session and network only when some rate
   // is non-zero; a fresh plan per session makes repeated runs replay the
@@ -33,15 +31,6 @@ FeedPullSession::FeedPullSession(FeedNetwork* network, int num_resources,
 }
 
 bool FeedPullSession::Probe(ResourceId resource, Chronon now) {
-  BeginProbe(now);
-  const std::size_t items_before = current_items_.size();
-  bool not_modified = false;
-  const bool success = Fetch(resource, &not_modified);
-  if (observer_) Observe(resource, success, not_modified, items_before);
-  return success;
-}
-
-void FeedPullSession::BeginProbe(Chronon now) {
   // Clock advancement goes through the fault plan when one exists, so
   // its per-resource outage chains see the current chronon.
   if (plan_.has_value()) {
@@ -53,30 +42,15 @@ void FeedPullSession::BeginProbe(Chronon now) {
     current_items_.clear();
     fetch_chronon_ = now;
   }
-}
-
-void FeedPullSession::Observe(ResourceId resource, bool success,
-                              bool not_modified, std::size_t items_before) {
-  observer_(PullAttempt{
-      resource, fetch_chronon_, success, not_modified,
-      std::span<const FeedItem>(current_items_).subspan(items_before)});
-}
-
-bool FeedPullSession::CountFault(FaultPlan::FaultKind fault) {
-  switch (fault) {
-    case FaultPlan::FaultKind::kTimeout:
-      ++report_->timeouts;
-      return true;
-    case FaultPlan::FaultKind::kServerError:
-      ++report_->server_errors;
-      return true;
-    case FaultPlan::FaultKind::kOutage:
-      ++report_->outage_probes;
-      return true;
-    case FaultPlan::FaultKind::kNone:
-      break;
+  const std::size_t items_before = current_items_.size();
+  bool not_modified = false;
+  const bool success = Fetch(resource, &not_modified);
+  if (observer_) {
+    observer_(PullAttempt{
+        resource, now, success, not_modified,
+        std::span<const FeedItem>(current_items_).subspan(items_before)});
   }
-  return false;
+  return success;
 }
 
 bool FeedPullSession::Fetch(ResourceId resource, bool* not_modified_out) {
@@ -95,7 +69,19 @@ bool FeedPullSession::Fetch(ResourceId resource, bool* not_modified_out) {
       ++report_->parse_failures;
       return false;
     }
-    if (CountFault(outcome->fault)) return false;
+    switch (outcome->fault) {
+      case FaultPlan::FaultKind::kTimeout:
+        ++report_->timeouts;
+        return false;
+      case FaultPlan::FaultKind::kServerError:
+        ++report_->server_errors;
+        return false;
+      case FaultPlan::FaultKind::kOutage:
+        ++report_->outage_probes;
+        return false;
+      case FaultPlan::FaultKind::kNone:
+        break;
+    }
     if (outcome->truncated || outcome->corrupted) ++report_->corrupt_bodies;
     faulted = std::move(*outcome);
     mangled = faulted.truncated || faulted.corrupted;
@@ -153,177 +139,6 @@ bool FeedPullSession::Fetch(ResourceId resource, bool* not_modified_out) {
   } else {
     view.AppendItems(&current_items_);
   }
-  return true;
-}
-
-ProbeHooks FeedPullSession::PipelineHooks() {
-  ProbeHooks hooks;
-  hooks.begin_chronon = [this](Chronon, int num_workers) {
-    BeginParallelChronon(num_workers);
-  };
-  hooks.decide = [this](ResourceId resource, Chronon now, int token) {
-    return DecideAttempt(resource, now, token);
-  };
-  hooks.execute = [this](const std::vector<int>& tokens, int worker) {
-    for (int token : tokens) ExecuteAttempt(token, worker);
-  };
-  hooks.commit = [this](int token) { CommitAttempt(token); };
-  return hooks;
-}
-
-void FeedPullSession::BeginParallelChronon(int num_workers) {
-  attempts_.clear();
-  while (lane_arenas_.size() < static_cast<std::size_t>(num_workers)) {
-    lane_arenas_.emplace_back();
-  }
-}
-
-bool FeedPullSession::DecideAttempt(ResourceId resource, Chronon now,
-                                    int token) {
-  BeginProbe(now);
-  PULLMON_CHECK(static_cast<std::size_t>(token) == attempts_.size());
-  attempts_.emplace_back();
-  AttemptRecord& rec = attempts_.back();
-  rec.resource = resource;
-  rec.if_none_match = etags_[static_cast<std::size_t>(resource)];
-  if (!plan_.has_value()) {
-    // Fault-free fetch of a pristine WriteFeed body: it always parses,
-    // so success is known now and the fetch/parse/cache work defers to
-    // the execute phase.
-    return true;
-  }
-  auto decision = plan_->DecideProbe(resource, rec.if_none_match);
-  if (!decision.ok()) {
-    rec.decide_error = true;
-    rec.done = true;
-    return false;
-  }
-  rec.decision = *decision;
-  if (rec.decision->fault != FaultPlan::FaultKind::kNone) {
-    // Swallowed by the fault: nothing to fetch, the commit phase applies
-    // the counter.
-    rec.done = true;
-    return false;
-  }
-  rec.mangled = rec.decision->truncated || rec.decision->corrupted;
-  if (rec.mangled) {
-    // The only attempts whose success depends on the parse outcome:
-    // resolve inline on the serial arena (rare by construction — the
-    // mangling rates are fault knobs).
-    auto outcome =
-        plan_->ExecuteDecision(resource, rec.if_none_match, *rec.decision);
-    PULLMON_CHECK(outcome.ok());
-    rec.done = true;
-    return ResolveBody(&rec, outcome->fetch.not_modified,
-                       outcome->fetch.body, outcome->fetch.etag, &arena_);
-  }
-  // Clean fetch: not_modified is predicted exactly by the decision, and
-  // a modified body is pristine, so the attempt succeeds either way.
-  return true;
-}
-
-void FeedPullSession::ExecuteAttempt(int token, int worker) {
-  AttemptRecord& rec = attempts_[static_cast<std::size_t>(token)];
-  if (rec.done) return;
-  Arena* arena = &lane_arenas_[static_cast<std::size_t>(worker)];
-  bool ok = false;
-  if (plan_.has_value()) {
-    auto outcome = plan_->ExecuteDecision(rec.resource, rec.if_none_match,
-                                          *rec.decision);
-    PULLMON_CHECK(outcome.ok());
-    ok = ResolveBody(&rec, outcome->fetch.not_modified, outcome->fetch.body,
-                     outcome->fetch.etag, arena);
-  } else {
-    auto direct =
-        network_->ProbeConditionalView(rec.resource, rec.if_none_match);
-    PULLMON_CHECK(direct.ok());
-    ok = ResolveBody(&rec, direct->not_modified, direct->body, direct->etag,
-                     arena);
-  }
-  // Deferred attempts were predicted successful at decide time; the
-  // control pass (retries, breaker, captures) already ran on that
-  // prediction, so a pristine body failing to parse here would be a
-  // divergence bug, not a recoverable fault.
-  PULLMON_CHECK(ok);
-  rec.done = true;
-}
-
-bool FeedPullSession::ResolveBody(AttemptRecord* rec, bool not_modified,
-                                  std::string_view body,
-                                  std::string_view served_etag,
-                                  Arena* arena) {
-  rec->not_modified = not_modified;
-  rec->served_etag.assign(served_etag);
-  if (not_modified) return true;
-  rec->body_size = body.size();
-  if (cache_.has_value()) {
-    const FeedDocument* replay = cache_->Lookup(
-        rec->resource, served_etag, body, rec->mangled, &rec->cache_delta);
-    if (replay != nullptr) {
-      rec->cache_hit = true;
-      rec->items = replay->items;
-      return true;
-    }
-  }
-  arena->Reset();
-  auto parsed = ParseFeed(body, arena);
-  if (!parsed.ok()) {
-    rec->parse_failed = true;
-    if (cache_.has_value()) {
-      cache_->Invalidate(rec->resource, &rec->cache_delta);
-    }
-    return false;
-  }
-  const FeedDocumentView& view = **parsed;
-  if (cache_.has_value()) {
-    const FeedDocument& stored =
-        cache_->Store(rec->resource, served_etag, body, view.Materialize());
-    rec->items = stored.items;
-  } else {
-    rec->items.reserve(view.num_items);
-    view.AppendItems(&rec->items);
-  }
-  return true;
-}
-
-void FeedPullSession::CommitAttempt(int token) {
-  AttemptRecord& rec = attempts_[static_cast<std::size_t>(token)];
-  PULLMON_CHECK(rec.done);
-  const std::size_t items_before = current_items_.size();
-  const bool success = ApplyAttempt(&rec);
-  if (observer_) Observe(rec.resource, success, rec.not_modified, items_before);
-}
-
-bool FeedPullSession::ApplyAttempt(AttemptRecord* rec) {
-  if (rec->decide_error) {
-    ++report_->parse_failures;
-    return false;
-  }
-  if (rec->decision.has_value()) {
-    if (CountFault(rec->decision->fault)) return false;
-    if (rec->mangled) ++report_->corrupt_bodies;
-  }
-  ++report_->feeds_fetched;
-  std::string& etag = etags_[static_cast<std::size_t>(rec->resource)];
-  if (rec->not_modified) {
-    ++report_->not_modified;
-    etag.assign(rec->served_etag);
-    return true;
-  }
-  report_->feed_bytes += rec->body_size;
-  // The cache-stat totals are sums of per-attempt deltas either way, so
-  // merging here (in canonical attempt order) reproduces the serial
-  // counters exactly.
-  if (cache_.has_value()) cache_->MergeStats(rec->cache_delta);
-  if (rec->parse_failed) {
-    ++report_->parse_failures;
-    return false;
-  }
-  etag.assign(rec->served_etag);
-  report_->items_parsed += rec->items.size();
-  current_items_.insert(current_items_.end(),
-                        std::make_move_iterator(rec->items.begin()),
-                        std::make_move_iterator(rec->items.end()));
   return true;
 }
 
@@ -442,9 +257,9 @@ Result<ProxyRunReport> MonitoringProxy::Run() {
     notification.profile = profile;
     notification.t_interval_index = t_interval_index;
     notification.chronon = now;
-    if (now == session.fetch_chronon()) {
-      notification.items = session.current_items();
-    }
+    // A capture at `now` always follows a successful Probe(_, now).
+    PULLMON_CHECK(now == session.fetch_chronon());
+    notification.items = session.current_items();
     notifications_.push_back(std::move(notification));
     ++report.notifications_delivered;
   });

@@ -1,11 +1,9 @@
 #ifndef PULLMON_SIM_PROXY_H_
 #define PULLMON_SIM_PROXY_H_
 
-#include <deque>
 #include <functional>
 #include <optional>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "core/online_executor.h"
@@ -198,16 +196,17 @@ struct ProxyOptions {
   /// store-backed FeedNetwork (Run() rejects the mismatch); the report
   /// is identical either way apart from the trace_* counters.
   TraceBackend trace_backend = TraceBackend::kInMemory;
-  /// Worker threads of the kParallel backend's sharded phases; ignored
-  /// by the serial backends. The report is bit-identical at every
-  /// thread count (the thread-invariance suite enforces it).
+  /// Worker threads of the kParallel backend's sharded activation and
+  /// scoring phases (probes always run serially); ignored by the serial
+  /// backends. The report is bit-identical at every thread count (the
+  /// thread-invariance suite enforces it).
   int threads = 1;
 
   /// Range-checks the fault rates, the retry policy and the breaker.
   Status Validate() const;
 };
 
-/// One committed probe attempt, as FeedPullSession's observer sees it.
+/// One probe attempt, as FeedPullSession's observer sees it.
 struct PullAttempt {
   ResourceId resource = 0;
   Chronon chronon = 0;
@@ -244,30 +243,26 @@ class FeedPullSession {
 
   /// Executes the pull leg of one probe of `resource` at chronon `now`:
   /// returns false when a fault or parse failure delivered no usable
-  /// document (the EI stays a candidate), true otherwise.
+  /// document (the EI stays a candidate), true otherwise. The one way a
+  /// probe attempt runs, on every backend and at every thread count.
   bool Probe(ResourceId resource, Chronon now);
 
-  /// Makes this session the probe path of `engine` (OnlineExecutor or
-  /// DynamicMonitor): Probe() as its callback, plus on kParallel the
-  /// three-phase pipeline (ProbeHooks; DESIGN.md section 16), whose
-  /// committed effects are bit-identical to the Probe() sequence.
+  /// Makes Probe() the probe callback of `engine` (OnlineExecutor or
+  /// DynamicMonitor).
   template <typename Engine>
   void AttachTo(Engine* engine) {
     engine->set_probe_callback([this](ResourceId resource, Chronon now) {
       return Probe(resource, now);
     });
-    if (backend_ == ExecutorBackend::kParallel) {
-      engine->set_probe_hooks(PipelineHooks());
-    }
   }
 
-  /// The probe path's one observation point: called once per committed
-  /// attempt, in canonical order, by Probe() and by the pipeline's
-  /// commit phase alike (the durable WAL and the estimator attach).
+  /// The probe path's one observation point: called by Probe() once per
+  /// attempt, in the engine's attempt order (the durable WAL and the
+  /// estimator attach).
   using Observer = std::function<void(const PullAttempt&)>;
   void set_observer(Observer observer) { observer_ = std::move(observer); }
 
-  /// Chronon of the most recent successful fetch batch.
+  /// Chronon of the most recent probe attempt, failed ones included.
   Chronon fetch_chronon() const { return fetch_chronon_; }
   /// Items pulled during the current chronon (notification payload).
   const std::vector<FeedItem>& current_items() const {
@@ -291,89 +286,11 @@ class FeedPullSession {
   Status Restore(const PullSessionImage& image);
 
  private:
-  /// Advances the network clock to `now`; a new chronon resets the
-  /// item buffer.
-  void BeginProbe(Chronon now);
-  /// Probe() after BeginProbe(); sets `*not_modified` on a 304.
+  /// Probe() after the clock advance; sets `*not_modified` on a 304.
   bool Fetch(ResourceId resource, bool* not_modified);
-  /// Counts a swallowing fault; false for FaultKind::kNone.
-  bool CountFault(FaultPlan::FaultKind fault);
-  /// Hands the observer the attempt whose items start at `items_before`.
-  void Observe(ResourceId resource, bool success, bool not_modified,
-               std::size_t items_before);
-
-  // --- The pipeline phases PipelineHooks() binds. -----------------------
-
-  ProbeHooks PipelineHooks();
-
-  /// Serial, before the first decide of a chronon: clears the attempt
-  /// records and sizes one parse arena per worker lane.
-  void BeginParallelChronon(int num_workers);
-
-  /// Serial, in canonical attempt order. Advances the network/fault
-  /// clock, snapshots the resource's validator, draws the attempt's
-  /// fate from the fault stream, and returns the success the serial
-  /// Probe() would report. Fault-free pristine fetches defer their
-  /// fetch/parse/cache work to ExecuteAttempt; faulted or mangled
-  /// attempts (whose success depends on the parse outcome) resolve
-  /// inline here — both rare by construction. `token` must be dense
-  /// and increasing per chronon.
-  bool DecideAttempt(ResourceId resource, Chronon now, int token);
-
-  /// Parallel: performs the deferred fetch + parse + cache work of one
-  /// attempt on the given worker lane. Safe concurrently across lanes
-  /// because the monitor routes all attempts of one resource shard to
-  /// one lane: per-resource server buffers, validators, and cache
-  /// entries are touched by exactly one thread, and cache stats go to
-  /// a per-attempt delta merged at commit.
-  void ExecuteAttempt(int token, int worker);
-
-  /// Serial, in canonical order: applies the attempt (ApplyAttempt)
-  /// and hands it to the observer.
-  void CommitAttempt(int token);
-
-  /// Everything one decided probe attempt carries between the three
-  /// phases. Filled by DecideAttempt/ExecuteAttempt, consumed by
-  /// CommitAttempt.
-  struct AttemptRecord {
-    ResourceId resource = -1;
-    /// Validator snapshot at decide time (failed attempts never update
-    /// validators, so within-chronon retries see the same snapshot the
-    /// serial path would).
-    std::string if_none_match;
-    std::optional<FaultPlan::ProbeDecision> decision;
-    /// The plan/network refused the probe outright (counts as a parse
-    /// failure, like the serial path).
-    bool decide_error = false;
-    /// Fully resolved at decide time; ExecuteAttempt skips it.
-    bool done = false;
-    bool mangled = false;
-    bool not_modified = false;
-    bool cache_hit = false;
-    bool parse_failed = false;
-    std::string served_etag;
-    std::size_t body_size = 0;
-    /// Materialized items of this attempt (cache replay or parse).
-    std::vector<FeedItem> items;
-    /// Cache-stat mutations of this attempt, merged serially at commit.
-    ParseCacheStats cache_delta;
-  };
-
-  /// Consumes a fault-free fetched response into `rec` (cache lookup,
-  /// parse into `arena`, item materialization) — everything except the
-  /// report counters, which CommitAttempt applies in canonical order.
-  /// Returns the success the serial Probe() would report.
-  bool ResolveBody(AttemptRecord* rec, bool not_modified,
-                   std::string_view body, std::string_view served_etag,
-                   Arena* arena);
-
-  /// Applies an attempt's counters, validator, cache-stat delta, and
-  /// items — the effect sequence of Fetch(), whose success it returns.
-  bool ApplyAttempt(AttemptRecord* rec);
 
   FeedNetwork* network_;
   ProxyRunReport* report_;
-  ExecutorBackend backend_;
   Observer observer_;
   std::optional<FaultPlan> plan_;
   Chronon fetch_chronon_ = -1;
@@ -384,10 +301,6 @@ class FeedPullSession {
   /// The probe hot path parses into one arena, Reset() per document.
   Arena arena_;
   std::optional<ParseCache> cache_;
-  /// Attempt records of the current chronon, indexed by token.
-  std::vector<AttemptRecord> attempts_;
-  /// One parse arena per worker lane (deque: Arena is pinned in place).
-  std::deque<Arena> lane_arenas_;
 };
 
 /// The monitoring proxy: drives the online executor over an epoch while

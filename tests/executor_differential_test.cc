@@ -18,7 +18,9 @@
 #include "policies/policy_factory.h"
 #include "sim/config.h"
 #include "sim/experiment.h"
+#include "sim/proxy.h"
 #include "test_instances.h"
+#include "util/logging.h"
 #include "util/random.h"
 
 namespace pullmon {
@@ -474,6 +476,72 @@ TEST(ExecutorDifferentialTest, ProxyPathMatchesWithOutagesAndBreaker) {
                 reference->open_chronons_by_resource)
           << label;
       EXPECT_EQ(indexed->fault_stats, reference->fault_stats) << label;
+    }
+  }
+}
+
+// Notification payloads, not just counters: with every fault class,
+// retries and the breaker live (and once more with the parse cache),
+// the items pushed with each captured t-interval must be identical on
+// the indexed and reference backends, element by element in delivery
+// order.
+TEST(ExecutorDifferentialTest, ProxyNotificationPayloadsMatch) {
+  SimulationConfig config = BaselineConfig();
+  config.num_resources = 25;
+  config.num_profiles = 35;
+  config.epoch_length = 150;
+  config.lambda = 8.0;
+  config.budget = 2;
+  config.faults.timeout_rate = 0.1;
+  config.faults.server_error_rate = 0.05;
+  config.faults.truncation_rate = 0.05;
+  config.faults.corruption_rate = 0.05;
+  config.faults.etag_storm_rate = 0.1;
+  config.faults.outage_enter_rate = 0.02;
+  config.faults.outage_exit_rate = 0.3;
+  config.retry.max_retries = 2;
+  config.breaker.enabled = true;
+  config.breaker.failure_threshold = 3;
+  PolicySpec spec{"MRSF", ExecutionMode::kPreemptive};
+  const uint64_t seed = 4242;
+
+  auto notifications = [&](const SimulationConfig& run_config) {
+    RunSubstrate substrate;
+    PULLMON_CHECK_OK(BuildSubstrate(run_config, spec, seed, &substrate));
+    MonitoringProxy proxy(&substrate.problem, &*substrate.network,
+                          substrate.policy.get(), spec.mode,
+                          substrate.proxy);
+    PULLMON_CHECK(proxy.Run().ok());
+    return proxy.notifications();
+  };
+
+  for (bool parse_cache : {false, true}) {
+    config.parse_cache = parse_cache;
+    config.executor_backend = ExecutorBackend::kIndexed;
+    std::vector<ProxyNotification> indexed = notifications(config);
+    config.executor_backend = ExecutorBackend::kReference;
+    std::vector<ProxyNotification> reference = notifications(config);
+    std::string label = parse_cache ? "parse cache" : "no cache";
+    ASSERT_GT(indexed.size(), 0u) << label;
+    ASSERT_EQ(indexed.size(), reference.size()) << label;
+    for (std::size_t i = 0; i < indexed.size(); ++i) {
+      const ProxyNotification& a = indexed[i];
+      const ProxyNotification& b = reference[i];
+      std::string at = label + " notification " + std::to_string(i);
+      EXPECT_EQ(a.profile, b.profile) << at;
+      EXPECT_EQ(a.t_interval_index, b.t_interval_index) << at;
+      EXPECT_EQ(a.chronon, b.chronon) << at;
+      ASSERT_EQ(a.items.size(), b.items.size()) << at;
+      for (std::size_t j = 0; j < a.items.size(); ++j) {
+        const FeedItem& x = a.items[j];
+        const FeedItem& y = b.items[j];
+        std::string item = at + " item " + std::to_string(j);
+        EXPECT_EQ(x.guid, y.guid) << item;
+        EXPECT_EQ(x.title, y.title) << item;
+        EXPECT_EQ(x.link, y.link) << item;
+        EXPECT_EQ(x.description, y.description) << item;
+        EXPECT_EQ(x.published, y.published) << item;
+      }
     }
   }
 }

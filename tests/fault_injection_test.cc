@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "feeds/atom.h"
+#include "feeds/parse_cache.h"
 #include "policies/mrsf.h"
 #include "policies/s_edf.h"
 #include "report_equality.h"
@@ -327,6 +328,92 @@ TEST(FaultPlanTest, OutageSwallowsProbeBeforePerProbeFaultDraws) {
   }
 }
 
+TEST(FaultPlanTest, EveryFaultClassReplaysPinnedStream) {
+  // Pins the order of draws from a resource's fault stream (outage,
+  // latency, timeout, server error, latency timeout, storm, storm salt,
+  // truncation/corruption, mangle seed) against values recorded once:
+  // SameSeedSameFaultSequence only compares a run with itself, so a
+  // reordered draw would pass it. The validator is fed back like a pull
+  // session does, so 304s and storm-salted etags both occur.
+  Rng rng(71);
+  auto trace = GeneratePoissonTrace({1, 100, 3.0, 0.0}, &rng);
+  ASSERT_TRUE(trace.ok());
+  FaultOptions all;
+  all.timeout_rate = 0.1;
+  all.server_error_rate = 0.1;
+  all.truncation_rate = 0.1;
+  all.corruption_rate = 0.1;
+  all.etag_storm_rate = 0.08;
+  all.etag_storm_length = 3;
+  all.latency_mean = 0.3;
+  all.latency_timeout = 1.0;
+  all.outage_enter_rate = 0.04;
+  all.outage_exit_rate = 0.3;
+  FeedNetwork network(&*trace, 6);
+  FaultPlan plan(&network, 2024, all);
+  // One letter per probe: o outage, t timeout, e server error, n 304,
+  // T truncated, C corrupted, . clean full body.
+  std::string fates;
+  uint64_t etag_digest = 0;
+  uint64_t body_digest = 0;
+  std::string etag;
+  for (Chronon t = 0; t < 100; ++t) {
+    plan.AdvanceTo(t);
+    for (int i = 0; i < 2; ++i) {
+      auto outcome = plan.ProbeConditional(0, etag);
+      ASSERT_TRUE(outcome.ok());
+      char fate = '.';
+      switch (outcome->fault) {
+        case FaultPlan::FaultKind::kOutage:
+          fate = 'o';
+          break;
+        case FaultPlan::FaultKind::kTimeout:
+          fate = 't';
+          break;
+        case FaultPlan::FaultKind::kServerError:
+          fate = 'e';
+          break;
+        case FaultPlan::FaultKind::kNone:
+          fate = outcome->fetch.not_modified ? 'n'
+                 : outcome->truncated        ? 'T'
+                 : outcome->corrupted        ? 'C'
+                                             : '.';
+          break;
+      }
+      fates.push_back(fate);
+      if (outcome->fault != FaultPlan::FaultKind::kNone) continue;
+      etag_digest = etag_digest * 31 +
+                    ParseCache::HashBody(outcome->fetch.etag);
+      body_digest = body_digest * 31 +
+                    ParseCache::HashBody(outcome->fetch.body);
+      // Like a pull session: a mangled body keeps the old validator.
+      if (!outcome->truncated && !outcome->corrupted) {
+        etag = outcome->fetch.etag;
+      }
+    }
+  }
+  EXPECT_EQ(fates,
+            ".ennnnnn....nnoonnoooontnn..Tt.ntnnneeenooooooooootnnnnnnnnnnn"
+            "tennnn.nen..T.ntCt..te.nnneneTooooeCt.T.ennnnnt....nntT.C.tn"
+            "nnntnn.Tt.e.nnnnnnntnnnententnnnnennnnnn.TTeT.tnttoooooooooo"
+            "oooooooooooooooooo");
+  EXPECT_EQ(etag_digest, 0x7d5ab12c191450c9ULL);
+  EXPECT_EQ(body_digest, 0x69e9460f775a2b1eULL);
+  const FaultStats& s = plan.stats();
+  EXPECT_EQ(s.probes_seen, 200u);
+  EXPECT_EQ(s.timeouts, 20u);
+  EXPECT_EQ(s.server_errors, 16u);
+  EXPECT_EQ(s.truncations, 9u);
+  EXPECT_EQ(s.corruptions, 3u);
+  EXPECT_EQ(s.storms_started, 9u);
+  EXPECT_EQ(s.etag_invalidations, 27u);
+  EXPECT_EQ(s.outage_probes, 48u);
+  EXPECT_EQ(s.outages_entered, 5u);
+  EXPECT_EQ(s.outage_chronons, 24u);
+  EXPECT_EQ(s.latency_total, 0x1.9d8b61d148eb3p+6);
+  EXPECT_EQ(s.latency_max, 0x1.95867c1e8f589p+0);
+}
+
 TEST(CorruptionGeneratorTest, TruncatedBodiesNeverParse) {
   Rng source(29);
   auto trace = GeneratePoissonTrace({1, 50, 20.0, 0.0}, &source);
@@ -479,7 +566,7 @@ TEST(FaultInjectionEndToEnd, OutagesSurfaceInProxyReportDeterministically) {
 TEST(FaultInjectionEndToEnd, EtagStormsSurfaceInProxyAndChurnReports) {
   // ETag storms force full bodies; every stormed probe the fault plan
   // counts must reach the report's top-level counter, on the proxy path
-  // and on the churn runner's serial and pipelined probe paths.
+  // and on the churn runner's serial and sharded engines.
   SimulationConfig config = SmallConfig();
   config.faults.etag_storm_rate = 0.05;
   PolicySpec spec{"MRSF", ExecutionMode::kPreemptive};

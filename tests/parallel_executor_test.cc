@@ -3,15 +3,9 @@
 // decision-identical to the serial (one-shard, one-thread) monitor
 // under arbitrary interleavings of submit/cancel/edit/unregister/step,
 // faults, retries, and the circuit breaker — at every thread count, and
-// with shard telemetry that is bit-identical across thread counts. A
-// second layer validates the churn-queue ingress (enqueue-then-drain
-// equals direct calls) and the three-phase probe hooks
-// (decide/execute/commit replays the plain callback path exactly, with
-// every token executed once on its owning lane and committed in decide
-// order).
+// with shard telemetry that is bit-identical across thread counts.
 
 #include <algorithm>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -81,7 +75,8 @@ TInterval RandomTInterval(Rng* rng, Chronon earliest) {
 
 /// One churn operation of the scripted scenario stream.
 struct ScriptedOp {
-  ChurnOp::Kind kind = ChurnOp::Kind::kSubmit;
+  enum class Kind { kSubmit, kCancel, kEdit, kUnregister };
+  Kind kind = Kind::kSubmit;
   int profile_index = 0;
   int submission_id = 0;
   TInterval t_interval;  // kSubmit / kEdit
@@ -97,7 +92,7 @@ std::vector<std::vector<ScriptedOp>> MakeScript(uint64_t seed) {
     // Submissions (front-loaded, tapering off).
     if (ops.NextBool(t < kEpoch / 2 ? 0.9 : 0.4)) {
       ScriptedOp op;
-      op.kind = ChurnOp::Kind::kSubmit;
+      op.kind = ScriptedOp::Kind::kSubmit;
       op.profile_index = static_cast<int>(ops.NextInt(0, kProfiles - 1));
       op.t_interval = RandomTInterval(&ops, t);
       script[static_cast<std::size_t>(t)].push_back(std::move(op));
@@ -105,7 +100,7 @@ std::vector<std::vector<ScriptedOp>> MakeScript(uint64_t seed) {
     // Cancels — sometimes aimed at dead/unknown submissions on purpose.
     if (ops.NextBool(0.35)) {
       ScriptedOp op;
-      op.kind = ChurnOp::Kind::kCancel;
+      op.kind = ScriptedOp::Kind::kCancel;
       op.profile_index = static_cast<int>(ops.NextInt(0, kProfiles - 1));
       op.submission_id = static_cast<int>(ops.NextInt(0, 6));
       script[static_cast<std::size_t>(t)].push_back(std::move(op));
@@ -113,7 +108,7 @@ std::vector<std::vector<ScriptedOp>> MakeScript(uint64_t seed) {
     // Edits — replacement drawn fresh; dead targets possible.
     if (ops.NextBool(0.3)) {
       ScriptedOp op;
-      op.kind = ChurnOp::Kind::kEdit;
+      op.kind = ScriptedOp::Kind::kEdit;
       op.profile_index = static_cast<int>(ops.NextInt(0, kProfiles - 1));
       op.submission_id = static_cast<int>(ops.NextInt(0, 6));
       op.t_interval = RandomTInterval(&ops, t);
@@ -122,19 +117,13 @@ std::vector<std::vector<ScriptedOp>> MakeScript(uint64_t seed) {
     // Rare unregister (kills the profile for the rest of the epoch).
     if (ops.NextBool(0.02)) {
       ScriptedOp op;
-      op.kind = ChurnOp::Kind::kUnregister;
+      op.kind = ScriptedOp::Kind::kUnregister;
       op.profile_index = static_cast<int>(ops.NextInt(0, kProfiles - 1));
       script[static_cast<std::size_t>(t)].push_back(std::move(op));
     }
   }
   return script;
 }
-
-/// How the scenario feeds churn into the executor under test.
-enum class ChurnIngress {
-  kDirect,  // call Submit/Cancel/Edit/Unregister before Step()
-  kQueue,   // EnqueueChurn; Step() drains
-};
 
 /// Applies one scripted op directly to `monitor`.
 void ApplyDirect(DynamicMonitor* monitor, const ScriptedOp& op,
@@ -143,22 +132,22 @@ void ApplyDirect(DynamicMonitor* monitor, const ScriptedOp& op,
   ProfileId profile =
       profiles[static_cast<std::size_t>(op.profile_index)];
   switch (op.kind) {
-    case ChurnOp::Kind::kSubmit:
+    case ScriptedOp::Kind::kSubmit:
       if (!monitor->Submit(profile, op.t_interval).ok()) {
         ++trace->rejected_ops;
       }
       break;
-    case ChurnOp::Kind::kCancel:
+    case ScriptedOp::Kind::kCancel:
       if (!monitor->Cancel(profile, op.submission_id).ok()) {
         ++trace->rejected_ops;
       }
       break;
-    case ChurnOp::Kind::kEdit:
+    case ScriptedOp::Kind::kEdit:
       if (!monitor->Edit(profile, op.submission_id, op.t_interval).ok()) {
         ++trace->rejected_ops;
       }
       break;
-    case ChurnOp::Kind::kUnregister:
+    case ScriptedOp::Kind::kUnregister:
       if (!monitor->Unregister(profile).ok()) {
         ++trace->rejected_ops;
       }
@@ -168,7 +157,7 @@ void ApplyDirect(DynamicMonitor* monitor, const ScriptedOp& op,
 
 /// Runs one scripted scenario on an already-constructed monitor.
 RunTrace RunScenario(DynamicMonitor* monitor, uint64_t seed,
-                     const FaultConfig& faults, ChurnIngress ingress) {
+                     const FaultConfig& faults) {
   RunTrace trace;
   std::vector<int> attempts_at(
       static_cast<std::size_t>(kResources * kEpoch), 0);
@@ -187,20 +176,7 @@ RunTrace RunScenario(DynamicMonitor* monitor, uint64_t seed,
   std::vector<std::vector<ScriptedOp>> script = MakeScript(seed);
   for (Chronon t = 0; t < kEpoch; ++t) {
     for (const ScriptedOp& op : script[static_cast<std::size_t>(t)]) {
-      if (ingress == ChurnIngress::kDirect) {
-        ApplyDirect(monitor, op, profiles, &trace);
-      } else {
-        ChurnOp queued;
-        queued.kind = op.kind;
-        queued.profile =
-            profiles[static_cast<std::size_t>(op.profile_index)];
-        queued.submission_id = op.submission_id;
-        queued.t_interval = op.t_interval;
-        queued.on_complete = [&trace](const ChurnOutcome& outcome) {
-          if (!outcome.status.ok()) ++trace.rejected_ops;
-        };
-        monitor->EnqueueChurn(std::move(queued));
-      }
+      ApplyDirect(monitor, op, profiles, &trace);
     }
     auto step = monitor->Step();
     PULLMON_CHECK(step.ok());
@@ -228,7 +204,7 @@ RunTrace RunSerial(uint64_t seed, const PolicySpec& spec,
   DynamicMonitor monitor(kResources, kEpoch,
                          BudgetVector::Uniform(2, kEpoch), policy->get(),
                          spec.mode, options);
-  return RunScenario(&monitor, seed, faults, ChurnIngress::kDirect);
+  return RunScenario(&monitor, seed, faults);
 }
 
 struct ParallelRun {
@@ -237,8 +213,7 @@ struct ParallelRun {
 };
 
 ParallelRun RunParallel(uint64_t seed, const PolicySpec& spec,
-                        const FaultConfig& faults, int threads, int shards,
-                        ChurnIngress ingress = ChurnIngress::kDirect) {
+                        const FaultConfig& faults, int threads, int shards) {
   PolicyOptions po;
   po.random_seed = seed ^ 0x5bf03635ULL;
   po.num_resources = kResources;
@@ -253,7 +228,7 @@ ParallelRun RunParallel(uint64_t seed, const PolicySpec& spec,
                           BudgetVector::Uniform(2, kEpoch), policy->get(),
                           spec.mode, options);
   ParallelRun run;
-  run.trace = RunScenario(&executor, seed, faults, ingress);
+  run.trace = RunScenario(&executor, seed, faults);
   run.shard_stats = executor.shard_stats();
   return run;
 }
@@ -367,134 +342,8 @@ TEST(ShardedMonitorTest, ShardCountDoesNotChangeDecisions) {
   }
 }
 
-// Churn submitted through the bounded MPSC queue and drained at the
-// chronon boundary must behave exactly like direct calls made before
-// Step(): same decisions, same accept/reject outcomes.
-TEST(ShardedMonitorTest, QueueIngressMatchesDirectCalls) {
-  std::vector<PolicySpec> specs = StandardPolicySpecs();
-  FaultConfig faults;
-  faults.fail_permille = 200;
-  faults.retry.max_retries = 1;
-  faults.retry.backoff_base = 0.1;
-
-  for (uint64_t seed = 200; seed < 216; ++seed) {
-    const PolicySpec& spec = specs[seed % specs.size()];
-    std::string label = spec.Label() + " seed=" + std::to_string(seed);
-    ParallelRun direct = RunParallel(seed, spec, faults, /*threads=*/4,
-                                     MonitorOptions::kParallelShards,
-                                     ChurnIngress::kDirect);
-    ParallelRun queued = RunParallel(seed, spec, faults, /*threads=*/4,
-                                     MonitorOptions::kParallelShards,
-                                     ChurnIngress::kQueue);
-    ExpectTracesIdentical(direct.trace, queued.trace, label);
-    EXPECT_TRUE(direct.shard_stats == queued.shard_stats) << label;
-  }
-}
-
-// The three-phase probe hooks must replay the plain-callback run
-// exactly: decide order is the canonical attempt order, every decided
-// token is executed exactly once on its owning lane and committed in
-// decide order, and the resulting trace is identical.
-TEST(ShardedMonitorTest, ProbeHooksReplayCallbackPath) {
-  std::vector<PolicySpec> specs = StandardPolicySpecs();
-  FaultConfig faults;
-  faults.fail_permille = 300;
-  faults.retry.max_retries = 2;
-  faults.retry.backoff_base = 0.1;
-
-  for (uint64_t seed = 300; seed < 312; ++seed) {
-    const PolicySpec& spec = specs[seed % specs.size()];
-    std::string label = spec.Label() + " seed=" + std::to_string(seed);
-    ParallelRun callback_run =
-        RunParallel(seed, spec, faults, /*threads=*/4,
-                    MonitorOptions::kParallelShards);
-
-    // Hook-driven arm: decide mirrors the stateless failure source,
-    // execute records lane assignments, commit records replay order.
-    PolicyOptions po;
-    po.random_seed = seed ^ 0x5bf03635ULL;
-    po.num_resources = kResources;
-    auto policy = MakePolicy(spec.policy, po);
-    PULLMON_CHECK(policy.ok());
-    MonitorOptions options;
-    options.retry = faults.retry;
-    options.breaker = faults.breaker;
-    options.threads = 4;
-    options.shards = MonitorOptions::kParallelShards;
-    DynamicMonitor executor(kResources, kEpoch,
-                            BudgetVector::Uniform(2, kEpoch),
-                            policy->get(), spec.mode, options);
-
-    std::vector<int> attempts_at(
-        static_cast<std::size_t>(kResources * kEpoch), 0);
-    std::vector<int> decide_order;      // tokens in decide order
-    std::vector<int> executed_count;    // per token
-    std::vector<int> commit_order;      // tokens in commit order
-    std::mutex executed_mu;
-    ProbeHooks hooks;
-    hooks.begin_chronon = [&](Chronon, int num_workers) {
-      EXPECT_EQ(num_workers, 4);
-      decide_order.clear();
-      executed_count.clear();
-      commit_order.clear();
-    };
-    hooks.decide = [&](ResourceId r, Chronon t, int token) {
-      EXPECT_EQ(token, static_cast<int>(decide_order.size()))
-          << label << " tokens not dense/in order";
-      decide_order.push_back(token);
-      executed_count.push_back(0);
-      int attempt = attempts_at[static_cast<std::size_t>(t) * kResources +
-                                static_cast<std::size_t>(r)]++;
-      return !ProbeFails(seed, r, t, attempt, faults.fail_permille);
-    };
-    hooks.execute = [&](const std::vector<int>& tokens, int worker) {
-      EXPECT_GE(worker, 0);
-      EXPECT_LT(worker, 4);
-      EXPECT_TRUE(std::is_sorted(tokens.begin(), tokens.end()))
-          << label << " lane tokens out of decide order";
-      std::lock_guard<std::mutex> lock(executed_mu);
-      for (int token : tokens) {
-        ASSERT_LT(static_cast<std::size_t>(token), executed_count.size());
-        ++executed_count[static_cast<std::size_t>(token)];
-      }
-    };
-    hooks.commit = [&](int token) { commit_order.push_back(token); };
-    executor.set_probe_hooks(hooks);
-
-    std::vector<ProfileId> profiles;
-    for (int p = 0; p < kProfiles; ++p) {
-      profiles.push_back(
-          executor.RegisterProfile("client-" + std::to_string(p)));
-    }
-    RunTrace trace;
-    std::vector<std::vector<ScriptedOp>> script = MakeScript(seed);
-    for (Chronon t = 0; t < kEpoch; ++t) {
-      for (const ScriptedOp& op : script[static_cast<std::size_t>(t)]) {
-        ApplyDirect(&executor, op, profiles, &trace);
-      }
-      auto step = executor.Step();
-      PULLMON_CHECK(step.ok());
-      trace.steps.push_back(std::move(*step));
-      // Every decided token executed exactly once, committed in order.
-      ASSERT_EQ(commit_order, decide_order) << label << " chronon " << t;
-      for (std::size_t i = 0; i < executed_count.size(); ++i) {
-        EXPECT_EQ(executed_count[i], 1)
-            << label << " token " << i << " chronon " << t;
-      }
-    }
-    trace.stats = executor.stats();
-    trace.health = executor.health().stats();
-    trace.completeness = executor.Completeness();
-    trace.completed = executor.t_intervals_completed();
-    trace.failed = executor.t_intervals_failed();
-    ExpectTracesIdentical(callback_run.trace, trace, label);
-    EXPECT_TRUE(callback_run.shard_stats == executor.shard_stats())
-        << label;
-  }
-}
-
-// Capture callbacks must fire during the commit replay in exactly the
-// order StepResult::captured reports.
+// Capture callbacks must fire in exactly the order StepResult::captured
+// reports.
 TEST(ShardedMonitorTest, CaptureCallbackOrderMatchesStepResult) {
   std::vector<PolicySpec> specs = StandardPolicySpecs();
   FaultConfig faults;

@@ -226,9 +226,8 @@ TEST(ParallelInvarianceTest, AdaptiveParallelMatchesSerialModuloShardBlock) {
 }
 
 /// Notification payloads, not just counters: the items delivered with
-/// every captured t-interval (assembled during the serial commit
-/// replay) must match the serial proxy item for item, in delivery
-/// order.
+/// every captured t-interval must match the serial proxy item for item,
+/// in delivery order.
 TEST(ParallelInvarianceTest, NotificationPayloadsMatchSerial) {
   SimulationConfig config = FaultyConfig();
   config.parse_cache = true;

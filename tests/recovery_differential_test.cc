@@ -133,12 +133,11 @@ TEST(RecoveryDifferentialTest, UninterruptedDurableRunMatchesChurnRunner) {
 
 /// The durable files themselves are backend-invariant: after an
 /// uninterrupted run on a faulty, cached, churning config, the WAL
-/// bytes the serial indexed monitor leaves in storage (probes logged
-/// from the serial probe path) equal those of the sharded monitor on
-/// four threads (probes logged from the pipeline's commit phase), and
-/// so do the snapshot bytes, once the two fields that name the backend
-/// — the run fingerprint and the sharded monitor's shard-telemetry
-/// tail — are set to the serial run's.
+/// bytes the serial indexed monitor leaves in storage equal those of
+/// the sharded monitor on four threads (probes logged from the session
+/// observer on both), and so do the snapshot bytes, once the two fields
+/// that name the backend — the run fingerprint and the sharded
+/// monitor's shard-telemetry tail — are set to the serial run's.
 TEST(RecoveryDifferentialTest, DurableFilesMatchAcrossProbePaths) {
   const std::vector<PolicySpec> specs = StandardPolicySpecs();
   for (std::uint64_t seed = 0; seed < 8; ++seed) {

@@ -74,10 +74,10 @@ else
   # tsan is slow, and the single-threaded tests cannot race.
   cmake --preset tsan > /dev/null
   cmake --build --preset tsan -j "$jobs" --target \
-    parallel_executor_test parallel_invariance_test churn_queue_test \
-    shard_map_test recovery_differential_test
+    parallel_executor_test parallel_invariance_test shard_map_test \
+    recovery_differential_test
   (cd build-tsan && ctest --output-on-failure -j "$jobs" -R \
-    'parallel_executor_test|parallel_invariance_test|churn_queue_test|shard_map_test|recovery_differential_test')
+    'parallel_executor_test|parallel_invariance_test|shard_map_test|recovery_differential_test')
 fi
 
 if [[ "$bench" == 1 ]]; then

@@ -90,10 +90,11 @@ void AddConfigFlags(FlagParser* flags) {
   flags->AddString("executor", "indexed",
                    "scheduling backend: indexed (incremental candidate "
                    "index) | reference (scan-based oracle) | parallel "
-                   "(sharded multi-threaded pipeline)");
+                   "(sharded multi-threaded scheduling)");
   flags->AddInt64("threads", 1,
-                  "worker threads of the parallel backend (results are "
-                  "bit-identical at every thread count)");
+                  "worker threads of the parallel backend's sharded "
+                  "activation and scoring; probes run serially (results "
+                  "are bit-identical at every thread count)");
   flags->AddBool("trace-store", false,
                  "generate and replay the trace through the paged "
                  "compressed trace store instead of in memory "
