@@ -100,22 +100,34 @@ std::string WriteAtom(const FeedDocument& feed) {
 }
 
 void WriteAtomTo(const FeedDocument& feed, std::string* out) {
+  WriteAtomHeadTo(feed, out);
+  for (const auto& item : feed.items) AppendAtomEntry(item, out);
+  AppendAtomTail(out);
+}
+
+void WriteAtomHeadTo(const FeedDocument& feed, std::string* out) {
   XmlWriter writer(out);
   writer.Open("feed", {{"xmlns", "http://www.w3.org/2005/Atom"}});
   writer.Leaf("title", feed.title);
   writer.Leaf("subtitle", feed.description);
   writer.Open("link", {{"href", feed.link}});
   writer.Close();
-  for (const auto& item : feed.items) {
-    writer.Open("entry");
-    writer.Leaf("id", item.guid);
-    writer.Leaf("title", item.title);
-    writer.Leaf("summary", item.description);
-    writer.Open("link", {{"href", item.link}});
-    writer.Close();
-    writer.Leaf("updated", FormatRfc3339(item.published));
-    writer.Close();
-  }
+}
+
+void AppendAtomEntry(const FeedItem& item, std::string* out) {
+  XmlWriter writer(out, {"feed"});
+  writer.Open("entry");
+  writer.Leaf("id", item.guid);
+  writer.Leaf("title", item.title);
+  writer.Leaf("summary", item.description);
+  writer.Open("link", {{"href", item.link}});
+  writer.Close();
+  writer.Leaf("updated", FormatRfc3339(item.published));
+  writer.Close();
+}
+
+void AppendAtomTail(std::string* out) {
+  XmlWriter writer(out, {"feed"});
   writer.Close();
 }
 
@@ -184,6 +196,42 @@ void WriteFeedTo(const FeedDocument& feed, FeedFormat format,
       return;
   }
   out->clear();
+}
+
+void WriteFeedHeadTo(const FeedDocument& feed, FeedFormat format,
+                     std::string* out) {
+  switch (format) {
+    case FeedFormat::kRss2:
+      WriteRssHeadTo(feed, out);
+      return;
+    case FeedFormat::kAtom1:
+      WriteAtomHeadTo(feed, out);
+      return;
+  }
+  out->clear();
+}
+
+void AppendFeedItem(const FeedItem& item, FeedFormat format,
+                    std::string* out) {
+  switch (format) {
+    case FeedFormat::kRss2:
+      AppendRssItem(item, out);
+      return;
+    case FeedFormat::kAtom1:
+      AppendAtomEntry(item, out);
+      return;
+  }
+}
+
+void AppendFeedTail(FeedFormat format, std::string* out) {
+  switch (format) {
+    case FeedFormat::kRss2:
+      AppendRssTail(out);
+      return;
+    case FeedFormat::kAtom1:
+      AppendAtomTail(out);
+      return;
+  }
 }
 
 }  // namespace pullmon

@@ -23,8 +23,19 @@ Result<const FeedDocumentView*> ParseAtom(std::string_view xml,
 /// Serializes a feed as Atom 1.0.
 std::string WriteAtom(const FeedDocument& feed);
 
-/// Serializes into `*out` (cleared first), reusing its capacity.
+/// Serializes into `*out` (cleared first), reusing its capacity. The
+/// output is WriteAtomHeadTo + AppendAtomEntry per item + AppendAtomTail.
 void WriteAtomTo(const FeedDocument& feed, std::string* out);
+
+/// The document's head: declaration, <feed> and the feed's title,
+/// subtitle and link (`feed.items` is ignored). Clears `*out`.
+void WriteAtomHeadTo(const FeedDocument& feed, std::string* out);
+
+/// Appends one <entry> element — the one definition of an entry's bytes.
+void AppendAtomEntry(const FeedItem& item, std::string* out);
+
+/// Appends the closing </feed>.
+void AppendAtomTail(std::string* out);
 
 /// Auto-detects RSS vs Atom by root element and dispatches.
 Result<FeedDocument> ParseFeed(std::string_view xml);
@@ -39,6 +50,17 @@ std::string WriteFeed(const FeedDocument& feed, FeedFormat format);
 /// Serializes into `*out` (cleared first), reusing its capacity.
 void WriteFeedTo(const FeedDocument& feed, FeedFormat format,
                  std::string* out);
+
+/// The three pieces WriteFeedTo is made of, in the requested format:
+/// WriteFeedHeadTo(feed) + AppendFeedItem(item) for each of feed.items
+/// + AppendFeedTail is byte-identical to WriteFeedTo(feed). Lets a
+/// publisher render each item once and reassemble documents from the
+/// cached pieces (FeedServer). The head clears `*out`; the others append.
+void WriteFeedHeadTo(const FeedDocument& feed, FeedFormat format,
+                     std::string* out);
+void AppendFeedItem(const FeedItem& item, FeedFormat format,
+                    std::string* out);
+void AppendFeedTail(FeedFormat format, std::string* out);
 
 }  // namespace pullmon
 

@@ -1,7 +1,6 @@
 #include "feeds/feed_server.h"
 
 #include "feeds/atom.h"
-#include "feeds/rss.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
@@ -18,9 +17,11 @@ FeedServer::FeedServer(ResourceId id, std::string title,
 
 void FeedServer::Publish(FeedItem item) {
   items_.push_front(std::move(item));
+  fragments_.emplace_front();
   ++publish_count_;
   while (items_.size() > capacity_) {
     items_.pop_back();
+    fragments_.pop_back();
     ++evicted_count_;
   }
   body_dirty_ = true;
@@ -78,17 +79,26 @@ FeedServer::ConditionalFetch FeedServer::FetchConditional(
 std::string_view FeedServer::FetchView() {
   ++fetch_count_;
   if (body_dirty_) {
-    // The scratch document and the body buffer keep their capacity, so
-    // rebuilds after the warm-up allocate only for genuinely new item
-    // content.
-    scratch_doc_.title = title_;
-    scratch_doc_.link =
-        StringFormat("http://feeds.example.com/resource/%d", id_);
-    scratch_doc_.description =
-        StringFormat("Volatile feed of resource %d (capacity %zu)", id_,
-                     capacity_);
-    scratch_doc_.items.assign(items_.begin(), items_.end());
-    WriteFeedTo(scratch_doc_, format_, &body_cache_);
+    if (head_.empty()) {
+      FeedDocument channel;
+      channel.title = title_;
+      channel.link =
+          StringFormat("http://feeds.example.com/resource/%d", id_);
+      channel.description =
+          StringFormat("Volatile feed of resource %d (capacity %zu)", id_,
+                       capacity_);
+      WriteFeedHeadTo(channel, format_, &head_);
+      AppendFeedTail(format_, &tail_);
+    }
+    // Each item is rendered once, by the first fetch that serves it;
+    // later bodies only concatenate the cached pieces.
+    body_cache_.assign(head_);
+    for (std::size_t i = 0; i < items_.size(); ++i) {
+      std::string& fragment = fragments_[i];
+      if (fragment.empty()) AppendFeedItem(items_[i], format_, &fragment);
+      body_cache_ += fragment;
+    }
+    body_cache_ += tail_;
     body_dirty_ = false;
   }
   return body_cache_;

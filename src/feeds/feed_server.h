@@ -97,19 +97,27 @@ class FeedServer {
   FeedFormat format_;
   ChrononClock clock_;
   std::deque<FeedItem> items_;
+  /// Rendered XML fragment of each buffered item, parallel to items_
+  /// (pushed and evicted with it). Empty until the first fetch that
+  /// serves the item renders it — a rendered fragment is never empty —
+  /// so items nobody fetches are never rendered.
+  std::deque<std::string> fragments_;
+  /// The channel's head and tail, rendered at the first fetch.
+  std::string head_;
+  std::string tail_;
   std::size_t publish_count_ = 0;
   std::size_t fetch_count_ = 0;
   std::size_t evicted_count_ = 0;
   std::size_t not_modified_count_ = 0;
-  // Serialization and validator caches, invalidated by Publish(). Both
-  // buffers (and the scratch document) retain their capacity across
-  // rebuilds, so probing an unchanged feed allocates nothing. Mutable
-  // because the accessors are logically const (CurrentETag).
+  // Serialization and validator caches, invalidated by Publish(). A
+  // dirty body is reassembled as head_ + fragments_ + tail_ into
+  // body_cache_, which retains its capacity, so probing an unchanged
+  // feed allocates nothing. Mutable because the accessors are logically
+  // const (CurrentETag).
   mutable std::string body_cache_;
   mutable bool body_dirty_ = true;
   mutable std::string etag_cache_;
   mutable bool etag_dirty_ = true;
-  mutable FeedDocument scratch_doc_;
 };
 
 /// A fleet of feed servers, one per resource, replaying an update trace:

@@ -82,21 +82,33 @@ std::string WriteRss(const FeedDocument& feed) {
 }
 
 void WriteRssTo(const FeedDocument& feed, std::string* out) {
+  WriteRssHeadTo(feed, out);
+  for (const auto& item : feed.items) AppendRssItem(item, out);
+  AppendRssTail(out);
+}
+
+void WriteRssHeadTo(const FeedDocument& feed, std::string* out) {
   XmlWriter writer(out);
   writer.Open("rss", {{"version", "2.0"}});
   writer.Open("channel");
   writer.Leaf("title", feed.title);
   writer.Leaf("link", feed.link);
   writer.Leaf("description", feed.description);
-  for (const auto& item : feed.items) {
-    writer.Open("item");
-    writer.Leaf("guid", item.guid);
-    writer.Leaf("title", item.title);
-    writer.Leaf("link", item.link);
-    writer.Leaf("description", item.description);
-    writer.Leaf("pubDate", FormatRfc822(item.published));
-    writer.Close();
-  }
+}
+
+void AppendRssItem(const FeedItem& item, std::string* out) {
+  XmlWriter writer(out, {"rss", "channel"});
+  writer.Open("item");
+  writer.Leaf("guid", item.guid);
+  writer.Leaf("title", item.title);
+  writer.Leaf("link", item.link);
+  writer.Leaf("description", item.description);
+  writer.Leaf("pubDate", FormatRfc822(item.published));
+  writer.Close();
+}
+
+void AppendRssTail(std::string* out) {
+  XmlWriter writer(out, {"rss", "channel"});
   writer.Close();
   writer.Close();
 }

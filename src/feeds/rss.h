@@ -24,8 +24,19 @@ Result<const FeedDocumentView*> ParseRss(std::string_view xml,
 /// Serializes a feed as RSS 2.0. Item pubDates are RFC 822.
 std::string WriteRss(const FeedDocument& feed);
 
-/// Serializes into `*out` (cleared first), reusing its capacity.
+/// Serializes into `*out` (cleared first), reusing its capacity. The
+/// output is WriteRssHeadTo + AppendRssItem per item + AppendRssTail.
 void WriteRssTo(const FeedDocument& feed, std::string* out);
+
+/// The document's head: declaration, <rss>, <channel> and the channel's
+/// title, link and description (`feed.items` is ignored). Clears `*out`.
+void WriteRssHeadTo(const FeedDocument& feed, std::string* out);
+
+/// Appends one <item> element — the one definition of an item's bytes.
+void AppendRssItem(const FeedItem& item, std::string* out);
+
+/// Appends the closing </channel> and </rss>.
+void AppendRssTail(std::string* out);
 
 }  // namespace pullmon
 

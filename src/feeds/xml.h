@@ -103,6 +103,13 @@ class XmlWriter {
   /// buffer must outlive the writer; its capacity is retained.
   explicit XmlWriter(std::string* out) : out_(out) { Start(); }
 
+  /// Fragment mode: appends to `*out` (neither cleared nor given an XML
+  /// declaration) as if the elements `open`, outermost first, were
+  /// already open; Close() closes them in turn. A document written in
+  /// pieces this way is byte-identical to the one-writer output.
+  XmlWriter(std::string* out, std::vector<std::string> open)
+      : out_(out), stack_(std::move(open)) {}
+
   /// Opens <name attr1="v1" ...>; attributes are escaped.
   void Open(std::string_view name,
             const std::vector<std::pair<std::string, std::string>>&

@@ -8,9 +8,9 @@
 
 namespace pullmon {
 
-Result<std::vector<ResourceId>> DrawDistinctResources(int count, int n,
-                                                      double alpha,
-                                                      Rng* rng) {
+namespace {
+
+Status CheckDrawCount(int count, int n) {
   if (count <= 0) {
     return Status::InvalidArgument("resource count must be positive");
   }
@@ -18,7 +18,23 @@ Result<std::vector<ResourceId>> DrawDistinctResources(int count, int n,
     return Status::InvalidArgument(StringFormat(
         "cannot draw %d distinct resources from %d", count, n));
   }
-  ZipfDistribution zipf(alpha, static_cast<uint64_t>(n));
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<std::vector<ResourceId>> DrawDistinctResources(int count, int n,
+                                                      double alpha,
+                                                      Rng* rng) {
+  PULLMON_RETURN_NOT_OK(CheckDrawCount(count, n));
+  return DrawDistinctResources(
+      count, ZipfDistribution(alpha, static_cast<uint64_t>(n)), rng);
+}
+
+Result<std::vector<ResourceId>> DrawDistinctResources(
+    int count, const ZipfDistribution& popularity, Rng* rng) {
+  const int n = static_cast<int>(popularity.n());
+  PULLMON_RETURN_NOT_OK(CheckDrawCount(count, n));
   std::set<ResourceId> chosen;
   // Rejection sampling; for pathological cases (count close to n under a
   // steep alpha) fall back to filling with the most popular unchosen ids.
@@ -26,7 +42,7 @@ Result<std::vector<ResourceId>> DrawDistinctResources(int count, int n,
   const int max_attempts = 64 * count + 1024;
   while (static_cast<int>(chosen.size()) < count &&
          attempts < max_attempts) {
-    chosen.insert(static_cast<ResourceId>(zipf.Sample(rng) - 1));
+    chosen.insert(static_cast<ResourceId>(popularity.Sample(rng) - 1));
     ++attempts;
   }
   for (ResourceId r = 0;
@@ -57,6 +73,8 @@ Result<std::vector<Profile>> GenerateProfilesImpl(
   }
   ZipfDistribution rank_dist(options.beta,
                              static_cast<uint64_t>(options.max_rank));
+  const ZipfDistribution popularity(
+      options.alpha, static_cast<uint64_t>(trace.num_resources()));
   std::vector<Profile> profiles;
   profiles.reserve(static_cast<std::size_t>(options.num_profiles));
 
@@ -68,8 +86,7 @@ Result<std::vector<Profile>> GenerateProfilesImpl(
       int rank = static_cast<int>(rank_dist.Sample(rng));
       PULLMON_ASSIGN_OR_RETURN(
           std::vector<ResourceId> resources,
-          DrawDistinctResources(rank, trace.num_resources(), options.alpha,
-                                rng));
+          DrawDistinctResources(rank, popularity, rng));
       PULLMON_ASSIGN_OR_RETURN(
           profile,
           MakeAuctionWatchProfile(trace, resources, options.ei_options));

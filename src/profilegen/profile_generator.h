@@ -8,6 +8,7 @@
 #include "trace/update_trace.h"
 #include "util/random.h"
 #include "util/status.h"
+#include "util/zipf.h"
 
 namespace pullmon {
 
@@ -58,6 +59,13 @@ Result<std::vector<Profile>> GenerateProfiles(
 Result<std::vector<ResourceId>> DrawDistinctResources(int count, int n,
                                                       double alpha,
                                                       Rng* rng);
+
+/// The same draw over a prebuilt popularity table (n = popularity.n()):
+/// GenerateProfiles builds the O(n) Zipf CDF once and draws every
+/// profile's resources from it. Consumes `rng` exactly as the overload
+/// above does for equal (n, alpha).
+Result<std::vector<ResourceId>> DrawDistinctResources(
+    int count, const ZipfDistribution& popularity, Rng* rng);
 
 }  // namespace pullmon
 

@@ -39,16 +39,20 @@ bool FeedPullSession::Probe(ResourceId resource, Chronon now) {
     network_->AdvanceTo(now);
   }
   if (now != fetch_chronon_) {
-    current_items_.clear();
+    if (current_items_.use_count() > 1) {
+      current_items_ = std::make_shared<std::vector<FeedItem>>();
+    } else {
+      current_items_->clear();
+    }
     fetch_chronon_ = now;
   }
-  const std::size_t items_before = current_items_.size();
+  const std::size_t items_before = current_items_->size();
   bool not_modified = false;
   const bool success = Fetch(resource, &not_modified);
   if (observer_) {
     observer_(PullAttempt{
         resource, now, success, not_modified,
-        std::span<const FeedItem>(current_items_).subspan(items_before)});
+        std::span<const FeedItem>(*current_items_).subspan(items_before)});
   }
   return success;
 }
@@ -112,8 +116,8 @@ bool FeedPullSession::Fetch(ResourceId resource, bool* not_modified_out) {
     if (replay != nullptr) {
       etag.assign(served_etag);
       report_->items_parsed += replay->items.size();
-      current_items_.insert(current_items_.end(), replay->items.begin(),
-                            replay->items.end());
+      current_items_->insert(current_items_->end(), replay->items.begin(),
+                             replay->items.end());
       return true;
     }
   }
@@ -134,10 +138,10 @@ bool FeedPullSession::Fetch(ResourceId resource, bool* not_modified_out) {
   if (cache_.has_value()) {
     const FeedDocument& stored =
         cache_->Store(resource, served_etag, body, view.Materialize());
-    current_items_.insert(current_items_.end(), stored.items.begin(),
-                          stored.items.end());
+    current_items_->insert(current_items_->end(), stored.items.begin(),
+                           stored.items.end());
   } else {
-    view.AppendItems(&current_items_);
+    view.AppendItems(current_items_.get());
   }
   return true;
 }

@@ -2,6 +2,7 @@
 #define PULLMON_SIM_PROXY_H_
 
 #include <functional>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -17,6 +18,36 @@
 
 namespace pullmon {
 
+/// A read-only prefix of one chronon's item vector, shared by every
+/// notification of that chronon instead of copied into each. Copies of
+/// a batch share ownership of the vector, so a batch stays readable
+/// after the session (and proxy) that filled it are gone.
+///
+/// Lifetime rule: while its chronon is still being probed, the session
+/// appends to the shared vector, so elements may move. Read them
+/// through the batch (indices and the prefix never change) and keep no
+/// pointer or iterator into it across a probe.
+class FeedItemBatch {
+ public:
+  FeedItemBatch() = default;
+  FeedItemBatch(std::shared_ptr<const std::vector<FeedItem>> items,
+                std::size_t size)
+      : items_(std::move(items)), size_(size) {}
+
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  const FeedItem& operator[](std::size_t i) const { return (*items_)[i]; }
+  const FeedItem& front() const { return (*items_)[0]; }
+  const FeedItem* begin() const {
+    return items_ == nullptr ? nullptr : items_->data();
+  }
+  const FeedItem* end() const { return begin() + size_; }
+
+ private:
+  std::shared_ptr<const std::vector<FeedItem>> items_;
+  std::size_t size_ = 0;
+};
+
 /// A notification pushed to a client when one of its t-intervals is
 /// fully captured (Section 3's hybrid model: pull from servers, push to
 /// clients).
@@ -25,9 +56,10 @@ struct ProxyNotification {
   /// Index of the captured t-interval within the profile.
   std::size_t t_interval_index = 0;
   Chronon chronon = 0;
-  /// Feed items retrieved by the probes of the capture chronon
-  /// (best-effort payload for the client).
-  std::vector<FeedItem> items;
+  /// Feed items retrieved by the probes of the capture chronon up to
+  /// the capture (best-effort payload for the client): a prefix of the
+  /// chronon's batch, shared with the chronon's other notifications.
+  FeedItemBatch items;
 };
 
 struct ProxyRunReport {
@@ -264,9 +296,13 @@ class FeedPullSession {
 
   /// Chronon of the most recent probe attempt, failed ones included.
   Chronon fetch_chronon() const { return fetch_chronon_; }
-  /// Items pulled during the current chronon (notification payload).
-  const std::vector<FeedItem>& current_items() const {
-    return current_items_;
+  /// Items pulled during the current chronon so far (notification
+  /// payload): a prefix batch of the chronon's shared vector, valid
+  /// after the session is gone. Each parsed item is materialized once,
+  /// into that vector; later probes of the chronon append to it (see
+  /// FeedItemBatch's lifetime rule).
+  FeedItemBatch current_items() const {
+    return FeedItemBatch(current_items_, current_items_->size());
   }
 
   /// Installs the scheduler's outcome as report.run, mirrors its
@@ -294,7 +330,10 @@ class FeedPullSession {
   Observer observer_;
   std::optional<FaultPlan> plan_;
   Chronon fetch_chronon_ = -1;
-  std::vector<FeedItem> current_items_;
+  /// The current chronon's items. A new chronon starts a fresh vector
+  /// when a batch still shares the old one, and reuses it otherwise.
+  std::shared_ptr<std::vector<FeedItem>> current_items_ =
+      std::make_shared<std::vector<FeedItem>>();
   /// Per-resource validators for conditional fetches (HTTP
   /// If-None-Match semantics).
   std::vector<std::string> etags_;

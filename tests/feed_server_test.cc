@@ -115,6 +115,66 @@ TEST(FeedServerTest, ConditionalFetchAfterFullBufferTurnover) {
   EXPECT_EQ(server.not_modified_count(), 1u);
 }
 
+/// What a fetch of `server` must serve: the full render of its channel
+/// and its current buffer.
+std::string FullRender(const FeedServer& server, FeedFormat format) {
+  const std::string id = std::to_string(server.id());
+  FeedDocument feed;
+  feed.title = server.title();
+  feed.link = "http://feeds.example.com/resource/" + id;
+  feed.description = "Volatile feed of resource " + id + " (capacity " +
+                     std::to_string(server.capacity()) + ")";
+  feed.items.assign(server.items().begin(), server.items().end());
+  return WriteFeed(feed, format);
+}
+
+/// An item whose every text field needs escaping.
+FeedItem SpecialCharItem(int i) {
+  FeedItem item = MakeItem(i);
+  item.title = "Bid <" + std::to_string(i) + "> & \"quoted\" 'it'";
+  item.link = "http://example.com/?a=" + std::to_string(i) + "&b=<c>";
+  item.description = "5 > 3 & 2 < 4, \"x\" isn't 'y'";
+  return item;
+}
+
+TEST(FeedServerTest, RenderedBodiesEqualTheFullRender) {
+  // Bodies are reassembled from per-item fragments rendered once; they
+  // must stay byte-identical to rendering the whole buffer from scratch
+  // through publish bursts, fetches, 304s and evictions.
+  for (FeedFormat format : {FeedFormat::kRss2, FeedFormat::kAtom1}) {
+    for (std::size_t capacity : {std::size_t{0}, std::size_t{1},
+                                 std::size_t{3}, std::size_t{50}}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "format " << static_cast<int>(format)
+                   << " capacity " << capacity);
+      FeedServer server(4, "Feed & <\"title\"> 'q'", capacity, format);
+      EXPECT_EQ(server.Fetch(), FullRender(server, format));  // no items
+      std::string etag;
+      int next = 0;
+      for (int step = 0; step < 60; ++step) {
+        const int burst = step % 5;  // 0 publishes: the validator holds
+        for (int k = 0; k < burst; ++k) {
+          server.Publish(SpecialCharItem(next++));
+        }
+        const std::string expected = FullRender(server, format);
+        auto fetch = server.FetchConditional(etag);
+        EXPECT_EQ(fetch.etag, server.CurrentETag());
+        if (burst == 0 && !etag.empty()) {
+          EXPECT_TRUE(fetch.not_modified);
+          EXPECT_TRUE(fetch.body.empty());
+        } else {
+          EXPECT_FALSE(fetch.not_modified);
+          EXPECT_NE(fetch.etag, etag);
+          EXPECT_EQ(fetch.body, expected);
+        }
+        etag = fetch.etag;
+        if (step % 3 == 0) EXPECT_EQ(server.Fetch(), expected);
+      }
+      EXPECT_GT(server.evicted_count(), 0u);
+    }
+  }
+}
+
 UpdateTrace SmallTrace() {
   UpdateTrace trace(2, 10);
   EXPECT_TRUE(trace.AddEvent(0, 1).ok());

@@ -135,6 +135,28 @@ TEST(DrawDistinctResourcesTest, RejectsImpossibleDraws) {
   EXPECT_FALSE(DrawDistinctResources(0, 4, 0.0, &rng).ok());
 }
 
+TEST(DrawDistinctResourcesTest, SharedTableDrawsMatchThePublicDraw) {
+  // GenerateProfiles draws every profile from one prebuilt popularity
+  // table; that must consume the RNG exactly like building the table
+  // per draw, so generated profiles stay bit-identical.
+  for (double alpha : {0.0, 1.0, 1.37, 3.0}) {
+    const ZipfDistribution popularity(alpha, 50);
+    Rng per_draw(99);
+    Rng shared(99);
+    for (int i = 0; i < 200; ++i) {
+      const int count = 1 + i % 7;
+      auto expected = DrawDistinctResources(count, 50, alpha, &per_draw);
+      auto actual = DrawDistinctResources(count, popularity, &shared);
+      ASSERT_TRUE(expected.ok());
+      ASSERT_TRUE(actual.ok());
+      EXPECT_EQ(*actual, *expected) << "alpha " << alpha << " draw " << i;
+    }
+    EXPECT_EQ(shared.Next(), per_draw.Next()) << "alpha " << alpha;
+  }
+  Rng rng(1);
+  EXPECT_FALSE(DrawDistinctResources(5, ZipfDistribution(0.0, 4), &rng).ok());
+}
+
 TEST(GenerateProfilesTest, ProducesRequestedCount) {
   Rng trace_rng(11);
   auto trace = GeneratePoissonTrace({20, 100, 10.0, 0.0}, &trace_rng);

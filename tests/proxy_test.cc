@@ -1,9 +1,15 @@
 #include "sim/proxy.h"
 
+#include <cstdint>
+#include <string_view>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "policies/mrsf.h"
 #include "policies/s_edf.h"
+#include "sim/config.h"
+#include "sim/experiment.h"
 
 namespace pullmon {
 namespace {
@@ -165,6 +171,141 @@ TEST(MonitoringProxyTest, RunIsRepeatableAcrossProxies) {
   ASSERT_TRUE(r2.ok());
   EXPECT_EQ(r1->run.probes_used, r2->run.probes_used);
   EXPECT_EQ(r1->notifications_delivered, r2->notifications_delivered);
+}
+
+/// FNV-1a over every notification's context and payload, in delivery
+/// order. Integers enter as 8 little-endian bytes, strings as their
+/// length followed by their bytes, so field boundaries are unambiguous.
+class PayloadDigest {
+ public:
+  void Add(const ProxyNotification& n) {
+    MixInt(static_cast<uint64_t>(n.profile));
+    MixInt(static_cast<uint64_t>(n.t_interval_index));
+    MixInt(static_cast<uint64_t>(n.chronon));
+    MixInt(n.items.size());
+    for (const FeedItem& item : n.items) {
+      MixString(item.guid);
+      MixString(item.title);
+      MixString(item.link);
+      MixString(item.description);
+      MixInt(static_cast<uint64_t>(item.published));
+    }
+  }
+  uint64_t value() const { return h_; }
+
+ private:
+  void MixByte(unsigned char c) {
+    h_ ^= c;
+    h_ *= 1099511628211ULL;
+  }
+  void MixInt(uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      MixByte(static_cast<unsigned char>(v >> (8 * i)));
+    }
+  }
+  void MixString(std::string_view s) {
+    MixInt(s.size());
+    for (char c : s) MixByte(static_cast<unsigned char>(c));
+  }
+
+  uint64_t h_ = 1469598103934665603ULL;
+};
+
+SimulationConfig PayloadConfig() {
+  SimulationConfig config = BaselineConfig();
+  config.num_resources = 25;
+  config.num_profiles = 35;
+  config.epoch_length = 150;
+  config.lambda = 8.0;
+  config.budget = 2;
+  return config;
+}
+
+/// Runs the proxy path of `config` and returns its notifications.
+std::vector<ProxyNotification> RunNotifications(
+    const SimulationConfig& config) {
+  RunSubstrate sub;
+  const PolicySpec spec{"MRSF", ExecutionMode::kPreemptive};
+  Status built = BuildSubstrate(config, spec, 4242, &sub);
+  EXPECT_TRUE(built.ok()) << built.ToString();
+  if (!built.ok()) return {};
+  MonitoringProxy proxy(&sub.problem, &*sub.network, sub.policy.get(),
+                        spec.mode, sub.proxy);
+  auto report = proxy.Run();
+  EXPECT_TRUE(report.ok()) << report.status().ToString();
+  if (!report.ok()) return {};
+  EXPECT_EQ(report->notifications_delivered, proxy.notifications().size());
+  return proxy.notifications();
+}
+
+/// Golden payload of PayloadConfig()'s clean run, recorded before
+/// notifications shared their chronon's item batch.
+constexpr std::size_t kCleanNotifications = 252;
+constexpr uint64_t kCleanDigest = 0x63a38772e2251e80ULL;
+
+uint64_t DigestOf(const std::vector<ProxyNotification>& notifications) {
+  PayloadDigest digest;
+  for (const ProxyNotification& n : notifications) digest.Add(n);
+  return digest.value();
+}
+
+TEST(MonitoringProxyTest, NotificationPayloadsArePinned) {
+  // Golden digests of every pushed payload. A change to the data plane
+  // (how items are parsed, batched or shared) must not move one byte
+  // of what a client receives.
+  SimulationConfig clean = PayloadConfig();
+
+  SimulationConfig faulty = PayloadConfig();
+  faulty.faults.timeout_rate = 0.1;
+  faulty.faults.server_error_rate = 0.05;
+  faulty.faults.truncation_rate = 0.05;
+  faulty.faults.corruption_rate = 0.05;
+  faulty.faults.etag_storm_rate = 0.1;
+  faulty.faults.outage_enter_rate = 0.02;
+  faulty.faults.outage_exit_rate = 0.3;
+  faulty.retry.max_retries = 2;
+  faulty.breaker.enabled = true;
+  faulty.breaker.failure_threshold = 3;
+
+  SimulationConfig cached = PayloadConfig();
+  cached.parse_cache = true;
+
+  struct Case {
+    const char* name;
+    SimulationConfig config;
+    std::size_t notifications;
+    uint64_t digest;
+  };
+  const Case cases[] = {
+      {"clean", clean, kCleanNotifications, kCleanDigest},
+      {"faulty+breaker", faulty, 246, 0x5082748f533b4f26ULL},
+      // The parse cache replays byte-identical documents.
+      {"parse_cache", cached, kCleanNotifications, kCleanDigest},
+  };
+  for (const Case& c : cases) {
+    const std::vector<ProxyNotification> notes = RunNotifications(c.config);
+    EXPECT_EQ(notes.size(), c.notifications) << c.name;
+    EXPECT_EQ(DigestOf(notes), c.digest) << c.name;
+  }
+}
+
+TEST(MonitoringProxyTest, NotificationsOutliveTheProxy) {
+  // Payloads are owned by the notifications themselves: the copies
+  // RunNotifications returns are read after the proxy, its network and
+  // its pull session are gone (run under AddressSanitizer to catch a
+  // dangling batch).
+  const std::vector<ProxyNotification> copies =
+      RunNotifications(PayloadConfig());
+  ASSERT_EQ(copies.size(), kCleanNotifications);
+  std::size_t items = 0;
+  for (const ProxyNotification& n : copies) {
+    for (const FeedItem& item : n.items) {
+      EXPECT_FALSE(item.guid.empty());
+      ++items;
+    }
+  }
+  EXPECT_GT(items, 0u);
+  EXPECT_EQ(DigestOf(copies), kCleanDigest);
 }
 
 }  // namespace
