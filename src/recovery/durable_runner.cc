@@ -160,18 +160,7 @@ Result<ProxyRunReport> RunDurableOnce(const SimulationConfig& config,
     if (loaded.found) {
       PULLMON_RETURN_NOT_OK(run.monitor().Restore(loaded.snapshot.monitor));
       PULLMON_RETURN_NOT_OK(run.session().Restore(loaded.snapshot.session));
-      report.feeds_fetched = loaded.snapshot.feeds_fetched;
-      report.not_modified = loaded.snapshot.not_modified;
-      report.feed_bytes = loaded.snapshot.feed_bytes;
-      report.items_parsed = loaded.snapshot.items_parsed;
-      report.parse_failures = loaded.snapshot.parse_failures;
-      report.corrupt_bodies = loaded.snapshot.corrupt_bodies;
-      report.timeouts = loaded.snapshot.timeouts;
-      report.server_errors = loaded.snapshot.server_errors;
-      report.outage_probes = loaded.snapshot.outage_probes;
-      report.notifications_delivered =
-          loaded.snapshot.notifications_delivered;
-      report.churn_rejected_ops = loaded.snapshot.churn_rejected_ops;
+      static_cast<LiveReportCounters&>(report) = loaded.snapshot;
       start = loaded.snapshot.chronon;
       run.stream().Resume(start, loaded.snapshot.monitor.submissions);
       generation = start;
@@ -222,17 +211,7 @@ Result<ProxyRunReport> RunDurableOnce(const SimulationConfig& config,
         snapshot.chronon = now;
         snapshot.monitor = run.monitor().Capture();
         snapshot.session = run.session().Capture();
-        snapshot.feeds_fetched = report.feeds_fetched;
-        snapshot.not_modified = report.not_modified;
-        snapshot.feed_bytes = report.feed_bytes;
-        snapshot.items_parsed = report.items_parsed;
-        snapshot.parse_failures = report.parse_failures;
-        snapshot.corrupt_bodies = report.corrupt_bodies;
-        snapshot.timeouts = report.timeouts;
-        snapshot.server_errors = report.server_errors;
-        snapshot.outage_probes = report.outage_probes;
-        snapshot.notifications_delivered = report.notifications_delivered;
-        snapshot.churn_rejected_ops = report.churn_rejected_ops;
+        static_cast<LiveReportCounters&>(snapshot) = report;
         PULLMON_RETURN_NOT_OK(WriteSnapshotFile(&storage, snapshot));
         ++report.recovery_snapshots_written;
         generation = now;

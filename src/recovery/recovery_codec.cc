@@ -173,489 +173,199 @@ Result<RecordView> DecodeRecord(std::string_view bytes) {
 }
 
 // ---------------------------------------------------------------------
-// Snapshot payload pieces
+// Field lists of the snapshot payload (recovery_codec.h)
 // ---------------------------------------------------------------------
 
-namespace {
-
-// A decoded element count cannot exceed the bytes left to decode from
-// (every element costs at least one byte), which bounds allocations on
-// adversarial input before the data is even touched.
-Status ReadCount(ByteReader* r, std::size_t* count) {
-  std::uint64_t raw = 0;
-  PULLMON_RETURN_NOT_OK(r->ReadVarint(&raw));
-  if (raw > r->remaining()) {
-    return Status::ParseError("element count exceeds remaining bytes");
-  }
-  *count = static_cast<std::size_t>(raw);
-  return Status::OK();
+template <typename C, Persisted<ExecutionInterval> E>
+void Fields(C& c, E& ei) {
+  c(kSigned, ei.resource);
+  c(kSigned, ei.start);
+  c(kSigned, ei.finish);
 }
 
-void AppendByteVec(const std::vector<std::uint8_t>& v, std::string* out) {
-  AppendVarint(v.size(), out);
-  out->append(reinterpret_cast<const char*>(v.data()), v.size());
-}
-
-Status ReadByteVec(ByteReader* r, std::vector<std::uint8_t>* v) {
-  std::size_t count = 0;
-  PULLMON_RETURN_NOT_OK(ReadCount(r, &count));
-  v->resize(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    PULLMON_RETURN_NOT_OK(r->ReadByte(&(*v)[i]));
-  }
-  return Status::OK();
-}
-
-template <typename T>
-void AppendSignedVec(const std::vector<T>& v, std::string* out) {
-  AppendVarint(v.size(), out);
-  for (T value : v) AppendSigned(static_cast<std::int64_t>(value), out);
-}
-
-template <typename T>
-Status ReadSignedVec(ByteReader* r, std::vector<T>* v) {
-  std::size_t count = 0;
-  PULLMON_RETURN_NOT_OK(ReadCount(r, &count));
-  v->resize(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    std::int64_t value = 0;
-    PULLMON_RETURN_NOT_OK(r->ReadSigned(&value));
-    (*v)[i] = static_cast<T>(value);
-  }
-  return Status::OK();
-}
-
-void AppendSizeVec(const std::vector<std::size_t>& v, std::string* out) {
-  AppendVarint(v.size(), out);
-  for (std::size_t value : v) AppendVarint(value, out);
-}
-
-Status ReadSizeVec(ByteReader* r, std::vector<std::size_t>* v) {
-  std::size_t count = 0;
-  PULLMON_RETURN_NOT_OK(ReadCount(r, &count));
-  v->resize(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    std::uint64_t value = 0;
-    PULLMON_RETURN_NOT_OK(r->ReadVarint(&value));
-    (*v)[i] = static_cast<std::size_t>(value);
-  }
-  return Status::OK();
-}
-
-void AppendDoubleVec(const std::vector<double>& v, std::string* out) {
-  AppendVarint(v.size(), out);
-  for (double value : v) AppendDouble(value, out);
-}
-
-Status ReadDoubleVec(ByteReader* r, std::vector<double>* v) {
-  std::size_t count = 0;
-  PULLMON_RETURN_NOT_OK(ReadCount(r, &count));
-  v->resize(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    PULLMON_RETURN_NOT_OK(r->ReadDouble(&(*v)[i]));
-  }
-  return Status::OK();
-}
-
-void AppendRngStateVec(const std::vector<std::array<std::uint64_t, 4>>& v,
-                       std::string* out) {
-  AppendVarint(v.size(), out);
-  for (const auto& state : v) {
-    for (std::uint64_t word : state) AppendFixed64(word, out);
-  }
-}
-
-Status ReadRngStateVec(ByteReader* r,
-                       std::vector<std::array<std::uint64_t, 4>>* v) {
-  std::size_t count = 0;
-  PULLMON_RETURN_NOT_OK(ReadCount(r, &count));
-  v->resize(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    for (std::size_t w = 0; w < 4; ++w) {
-      PULLMON_RETURN_NOT_OK(r->ReadFixed64(&(*v)[i][w]));
-    }
-  }
-  return Status::OK();
-}
-
-void AppendStringVec(const std::vector<std::string>& v, std::string* out) {
-  AppendVarint(v.size(), out);
-  for (const std::string& s : v) AppendLengthPrefixed(s, out);
-}
-
-Status ReadStringVec(ByteReader* r, std::vector<std::string>* v) {
-  std::size_t count = 0;
-  PULLMON_RETURN_NOT_OK(ReadCount(r, &count));
-  v->resize(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    PULLMON_RETURN_NOT_OK(r->ReadString(&(*v)[i]));
-  }
-  return Status::OK();
-}
-
-// --- T-intervals. -------------------------------------------------------
-
-void AppendTInterval(const TInterval& t, std::string* out) {
-  AppendVarint(t.eis().size(), out);
-  for (const ExecutionInterval& ei : t.eis()) {
-    AppendSigned(ei.resource, out);
-    AppendSigned(ei.start, out);
-    AppendSigned(ei.finish, out);
-  }
-  AppendDouble(t.weight(), out);
+template <typename C, Persisted<TInterval> T>
+void Fields(C& c, T& t) {
+  // Rebuilding from the EIs resets weight and required, which follow.
+  c(kStruct, t, &TInterval::eis,
+    [](TInterval& ti, std::vector<ExecutionInterval> eis) {
+      ti = TInterval(std::move(eis));
+    });
+  c(kDouble, t, &TInterval::weight, &TInterval::set_weight);
   // required() (not the raw field) is stored: the clamped query value is
   // what selection semantics depend on, and round-tripping it through
   // set_required is behaviorally equivalent.
-  AppendVarint(t.required(), out);
+  c(kVarint, t, &TInterval::required, &TInterval::set_required);
 }
 
-Status ReadTInterval(ByteReader* r, TInterval* t) {
-  std::size_t count = 0;
-  PULLMON_RETURN_NOT_OK(ReadCount(r, &count));
-  std::vector<ExecutionInterval> eis;
-  eis.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    std::int64_t resource = 0, start = 0, finish = 0;
-    PULLMON_RETURN_NOT_OK(r->ReadSigned(&resource));
-    PULLMON_RETURN_NOT_OK(r->ReadSigned(&start));
-    PULLMON_RETURN_NOT_OK(r->ReadSigned(&finish));
-    eis.emplace_back(static_cast<ResourceId>(resource),
-                     static_cast<Chronon>(start),
-                     static_cast<Chronon>(finish));
-  }
-  *t = TInterval(std::move(eis));
-  double weight = 1.0;
-  PULLMON_RETURN_NOT_OK(r->ReadDouble(&weight));
-  t->set_weight(weight);
-  std::uint64_t required = 0;
-  PULLMON_RETURN_NOT_OK(r->ReadVarint(&required));
-  t->set_required(static_cast<std::size_t>(required));
-  return Status::OK();
+template <typename C, Persisted<MonitorStats> S>
+void Fields(C& c, S& s) {
+  c(kVarint, s.probes_used);
+  c(kVarint, s.probes_failed);
+  c(kVarint, s.retries_issued);
+  c(kVarint, s.retry_probes_spent);
+  c(kVarint, s.candidates_scored);
+  c(kVarint, s.max_concurrent_candidates);
+  c(kVarint, s.t_intervals_lost_to_faults);
+  c(kVarint, s.submitted);
+  c(kVarint, s.cancelled);
+  c(kVarint, s.edited);
+  c(kVarint, s.unregistered_profiles);
+  c(kVarint, s.orphaned_probes);
 }
 
-// --- Stats blocks. --------------------------------------------------------
-
-void AppendMonitorStats(const MonitorStats& s, std::string* out) {
-  AppendVarint(s.probes_used, out);
-  AppendVarint(s.probes_failed, out);
-  AppendVarint(s.retries_issued, out);
-  AppendVarint(s.retry_probes_spent, out);
-  AppendVarint(s.candidates_scored, out);
-  AppendVarint(s.max_concurrent_candidates, out);
-  AppendVarint(s.t_intervals_lost_to_faults, out);
-  AppendVarint(s.submitted, out);
-  AppendVarint(s.cancelled, out);
-  AppendVarint(s.edited, out);
-  AppendVarint(s.unregistered_profiles, out);
-  AppendVarint(s.orphaned_probes, out);
+template <typename C, Persisted<HealthStats> S>
+void Fields(C& c, S& s) {
+  c(kVarint, s.circuits_opened);
+  c(kVarint, s.circuits_reopened);
+  c(kVarint, s.probation_probes);
+  c(kVarint, s.probation_successes);
+  c(kVarint, s.probes_suppressed);
+  c(kVarint, s.budget_reclaimed);
+  c(kVarint, s.open_chronons_total);
 }
 
-Status ReadMonitorStats(ByteReader* r, MonitorStats* s) {
-  std::uint64_t v[12];
-  for (auto& value : v) PULLMON_RETURN_NOT_OK(r->ReadVarint(&value));
-  s->probes_used = static_cast<std::size_t>(v[0]);
-  s->probes_failed = static_cast<std::size_t>(v[1]);
-  s->retries_issued = static_cast<std::size_t>(v[2]);
-  s->retry_probes_spent = static_cast<std::size_t>(v[3]);
-  s->candidates_scored = static_cast<std::size_t>(v[4]);
-  s->max_concurrent_candidates = static_cast<std::size_t>(v[5]);
-  s->t_intervals_lost_to_faults = static_cast<std::size_t>(v[6]);
-  s->submitted = static_cast<std::size_t>(v[7]);
-  s->cancelled = static_cast<std::size_t>(v[8]);
-  s->edited = static_cast<std::size_t>(v[9]);
-  s->unregistered_profiles = static_cast<std::size_t>(v[10]);
-  s->orphaned_probes = static_cast<std::size_t>(v[11]);
-  return Status::OK();
+template <typename C, Persisted<FaultStats> S>
+void Fields(C& c, S& s) {
+  c(kVarint, s.probes_seen);
+  c(kVarint, s.timeouts);
+  c(kVarint, s.server_errors);
+  c(kVarint, s.truncations);
+  c(kVarint, s.corruptions);
+  c(kVarint, s.storms_started);
+  c(kVarint, s.etag_invalidations);
+  c(kVarint, s.outage_probes);
+  c(kVarint, s.outages_entered);
+  c(kVarint, s.outage_chronons);
+  c(kDouble, s.latency_total);
+  c(kDouble, s.latency_max);
 }
 
-void AppendHealthStats(const HealthStats& s, std::string* out) {
-  AppendVarint(s.circuits_opened, out);
-  AppendVarint(s.circuits_reopened, out);
-  AppendVarint(s.probation_probes, out);
-  AppendVarint(s.probation_successes, out);
-  AppendVarint(s.probes_suppressed, out);
-  AppendVarint(s.budget_reclaimed, out);
-  AppendVarint(s.open_chronons_total, out);
+template <typename C, Persisted<ShardRunStats> S>
+void Fields(C& c, S& s) {
+  c(kVarint, s.shard_count);
+  c(kVarint, s.candidates_scored);
+  c(kVarint, s.probes_executed);
+  c(kVarint, s.merge_entries);
 }
 
-Status ReadHealthStats(ByteReader* r, HealthStats* s) {
-  std::uint64_t v[7];
-  for (auto& value : v) PULLMON_RETURN_NOT_OK(r->ReadVarint(&value));
-  s->circuits_opened = static_cast<std::size_t>(v[0]);
-  s->circuits_reopened = static_cast<std::size_t>(v[1]);
-  s->probation_probes = static_cast<std::size_t>(v[2]);
-  s->probation_successes = static_cast<std::size_t>(v[3]);
-  s->probes_suppressed = static_cast<std::size_t>(v[4]);
-  s->budget_reclaimed = static_cast<std::size_t>(v[5]);
-  s->open_chronons_total = static_cast<std::size_t>(v[6]);
-  return Status::OK();
+template <typename C, Persisted<HealthImage> H>
+void Fields(C& c, H& h) {
+  c(kByte, h.state);
+  c(kSigned, h.consecutive_failures);
+  c(kDouble, h.ewma_failure);
+  c(kSigned, h.cooldown);
+  c(kSigned, h.open_until);
+  c(kVarint, h.open_chronons);
+  c(kSigned, h.open_list);
+  c(kVarint, h.suppressed_this_chronon);
+  c(kStruct, h.stats);
 }
 
-void AppendFaultStats(const FaultStats& s, std::string* out) {
-  AppendVarint(s.probes_seen, out);
-  AppendVarint(s.timeouts, out);
-  AppendVarint(s.server_errors, out);
-  AppendVarint(s.truncations, out);
-  AppendVarint(s.corruptions, out);
-  AppendVarint(s.storms_started, out);
-  AppendVarint(s.etag_invalidations, out);
-  AppendVarint(s.outage_probes, out);
-  AppendVarint(s.outages_entered, out);
-  AppendVarint(s.outage_chronons, out);
-  AppendDouble(s.latency_total, out);
-  AppendDouble(s.latency_max, out);
+template <typename C, Persisted<MonitorSubmissionImage> S>
+void Fields(C& c, S& sub) {
+  c(kSigned, sub.profile);
+  c(kStruct, sub.definition);
+  c(kByte, sub.ei_captured);
+  c(kSigned, sub.num_expired);
+  c.Bits(sub.cancelled, sub.fault_touched, sub.failed, sub.completed,
+         sub.selected);
 }
 
-Status ReadFaultStats(ByteReader* r, FaultStats* s) {
-  std::uint64_t v[10];
-  for (auto& value : v) PULLMON_RETURN_NOT_OK(r->ReadVarint(&value));
-  s->probes_seen = static_cast<std::size_t>(v[0]);
-  s->timeouts = static_cast<std::size_t>(v[1]);
-  s->server_errors = static_cast<std::size_t>(v[2]);
-  s->truncations = static_cast<std::size_t>(v[3]);
-  s->corruptions = static_cast<std::size_t>(v[4]);
-  s->storms_started = static_cast<std::size_t>(v[5]);
-  s->etag_invalidations = static_cast<std::size_t>(v[6]);
-  s->outage_probes = static_cast<std::size_t>(v[7]);
-  s->outages_entered = static_cast<std::size_t>(v[8]);
-  s->outage_chronons = static_cast<std::size_t>(v[9]);
-  PULLMON_RETURN_NOT_OK(r->ReadDouble(&s->latency_total));
-  PULLMON_RETURN_NOT_OK(r->ReadDouble(&s->latency_max));
-  return Status::OK();
+template <typename C, Persisted<MonitorImage> M>
+void Fields(C& c, M& m) {
+  c(kVarint, m.now);
+  c(kString, m.profile_names);
+  c(kByte, m.profile_unregistered);
+  c(kStruct, m.submissions);
+  c(kSigned, m.probes_by_chronon);
+  c(kStruct, m.stats);
+  c(kStruct, m.health);
+  // m.shards is the snapshot's optional tail (ProxySnapshot below).
 }
 
-// --- Component images. -----------------------------------------------------
-
-void AppendShardStats(const ShardRunStats& s, std::string* out) {
-  AppendVarint(static_cast<std::uint64_t>(s.shard_count), out);
-  AppendSizeVec(s.candidates_scored, out);
-  AppendSizeVec(s.probes_executed, out);
-  AppendVarint(s.merge_entries, out);
+template <typename C, Persisted<FaultPlanImage> F>
+void Fields(C& c, F& f) {
+  c(kFixed64, f.stream_states);
+  c(kByte, f.stream_ready);
+  c(kSigned, f.storm_left);
+  c(kFixed64, f.outage_stream_states);
+  c(kByte, f.outage_stream_ready);
+  c(kByte, f.outage_dark);
+  c(kSigned, f.outage_eval_from);
+  c(kSigned, f.now);
+  c(kStruct, f.stats);
 }
 
-Status ReadShardStats(ByteReader* r, ShardRunStats* s) {
-  std::size_t shard_count = 0;
-  PULLMON_RETURN_NOT_OK(ReadCount(r, &shard_count));
-  s->shard_count = static_cast<int>(shard_count);
-  PULLMON_RETURN_NOT_OK(ReadSizeVec(r, &s->candidates_scored));
-  PULLMON_RETURN_NOT_OK(ReadSizeVec(r, &s->probes_executed));
-  std::uint64_t merge_entries = 0;
-  PULLMON_RETURN_NOT_OK(r->ReadVarint(&merge_entries));
-  s->merge_entries = static_cast<std::size_t>(merge_entries);
-  return Status::OK();
+template <typename C, Persisted<FeedItem> I>
+void Fields(C& c, I& item) {
+  c(kString, item.guid);
+  c(kString, item.title);
+  c(kString, item.link);
+  c(kString, item.description);
+  c(kSigned, item.published);
 }
 
-void AppendHealthImage(const HealthImage& h, std::string* out) {
-  AppendByteVec(h.state, out);
-  AppendSignedVec(h.consecutive_failures, out);
-  AppendDoubleVec(h.ewma_failure, out);
-  AppendSignedVec(h.cooldown, out);
-  AppendSignedVec(h.open_until, out);
-  AppendSizeVec(h.open_chronons, out);
-  AppendSignedVec(h.open_list, out);
-  AppendVarint(h.suppressed_this_chronon, out);
-  AppendHealthStats(h.stats, out);
+template <typename C, Persisted<FeedDocument> D>
+void Fields(C& c, D& doc) {
+  c(kString, doc.title);
+  c(kString, doc.link);
+  c(kString, doc.description);
+  c(kStruct, doc.items);
 }
 
-Status ReadHealthImage(ByteReader* r, HealthImage* h) {
-  PULLMON_RETURN_NOT_OK(ReadByteVec(r, &h->state));
-  PULLMON_RETURN_NOT_OK(ReadSignedVec(r, &h->consecutive_failures));
-  PULLMON_RETURN_NOT_OK(ReadDoubleVec(r, &h->ewma_failure));
-  PULLMON_RETURN_NOT_OK(ReadSignedVec(r, &h->cooldown));
-  PULLMON_RETURN_NOT_OK(ReadSignedVec(r, &h->open_until));
-  PULLMON_RETURN_NOT_OK(ReadSizeVec(r, &h->open_chronons));
-  PULLMON_RETURN_NOT_OK(ReadSignedVec(r, &h->open_list));
-  std::uint64_t suppressed = 0;
-  PULLMON_RETURN_NOT_OK(r->ReadVarint(&suppressed));
-  h->suppressed_this_chronon = static_cast<std::size_t>(suppressed);
-  return ReadHealthStats(r, &h->stats);
+template <typename C, Persisted<ParseCacheEntryImage> E>
+void Fields(C& c, E& entry) {
+  c(kByte, entry.valid);
+  c(kString, entry.etag);
+  c(kFixed64, entry.body_hash);
+  c(kVarint, entry.body_size);
+  c(kStruct, entry.document);
 }
 
-void AppendMonitorImage(const MonitorImage& m, std::string* out) {
-  AppendVarint(static_cast<std::uint64_t>(m.now), out);
-  AppendStringVec(m.profile_names, out);
-  AppendByteVec(m.profile_unregistered, out);
-  AppendVarint(m.submissions.size(), out);
-  for (const MonitorSubmissionImage& sub : m.submissions) {
-    AppendSigned(sub.profile, out);
-    AppendTInterval(sub.definition, out);
-    AppendByteVec(sub.ei_captured, out);
-    AppendSigned(sub.num_expired, out);
-    const std::uint8_t flags = static_cast<std::uint8_t>(
-        (sub.cancelled ? 1 : 0) | (sub.fault_touched ? 2 : 0) |
-        (sub.failed ? 4 : 0) | (sub.completed ? 8 : 0) |
-        (sub.selected ? 16 : 0));
-    out->push_back(static_cast<char>(flags));
-  }
-  AppendVarint(m.probes_by_chronon.size(), out);
-  for (const std::vector<ResourceId>& probes : m.probes_by_chronon) {
-    AppendSignedVec(probes, out);
-  }
-  AppendMonitorStats(m.stats, out);
-  AppendHealthImage(m.health, out);
+template <typename C, Persisted<ParseCacheStats> S>
+void Fields(C& c, S& s) {
+  c(kVarint, s.hits);
+  c(kVarint, s.misses);
+  c(kVarint, s.invalidations);
+  c(kVarint, s.bytes_saved);
 }
 
-Status ReadMonitorImage(ByteReader* r, MonitorImage* m) {
-  std::uint64_t now = 0;
-  PULLMON_RETURN_NOT_OK(r->ReadVarint(&now));
-  m->now = static_cast<Chronon>(now);
-  PULLMON_RETURN_NOT_OK(ReadStringVec(r, &m->profile_names));
-  PULLMON_RETURN_NOT_OK(ReadByteVec(r, &m->profile_unregistered));
-  std::size_t num_subs = 0;
-  PULLMON_RETURN_NOT_OK(ReadCount(r, &num_subs));
-  m->submissions.resize(num_subs);
-  for (MonitorSubmissionImage& sub : m->submissions) {
-    std::int64_t profile = 0;
-    PULLMON_RETURN_NOT_OK(r->ReadSigned(&profile));
-    sub.profile = static_cast<ProfileId>(profile);
-    PULLMON_RETURN_NOT_OK(ReadTInterval(r, &sub.definition));
-    PULLMON_RETURN_NOT_OK(ReadByteVec(r, &sub.ei_captured));
-    std::int64_t num_expired = 0;
-    PULLMON_RETURN_NOT_OK(r->ReadSigned(&num_expired));
-    sub.num_expired = static_cast<int>(num_expired);
-    std::uint8_t flags = 0;
-    PULLMON_RETURN_NOT_OK(r->ReadByte(&flags));
-    sub.cancelled = (flags & 1) ? 1 : 0;
-    sub.fault_touched = (flags & 2) ? 1 : 0;
-    sub.failed = (flags & 4) ? 1 : 0;
-    sub.completed = (flags & 8) ? 1 : 0;
-    sub.selected = (flags & 16) ? 1 : 0;
-  }
-  std::size_t num_chronons = 0;
-  PULLMON_RETURN_NOT_OK(ReadCount(r, &num_chronons));
-  m->probes_by_chronon.resize(num_chronons);
-  for (std::vector<ResourceId>& probes : m->probes_by_chronon) {
-    PULLMON_RETURN_NOT_OK(ReadSignedVec(r, &probes));
-  }
-  PULLMON_RETURN_NOT_OK(ReadMonitorStats(r, &m->stats));
-  return ReadHealthImage(r, &m->health);
+template <typename C, Persisted<ParseCacheImage> P>
+void Fields(C& c, P& cache) {
+  c(kStruct, cache.entries);
+  c(kStruct, cache.stats);
 }
 
-void AppendFaultPlanImage(const FaultPlanImage& f, std::string* out) {
-  AppendRngStateVec(f.stream_states, out);
-  AppendByteVec(f.stream_ready, out);
-  AppendSignedVec(f.storm_left, out);
-  AppendRngStateVec(f.outage_stream_states, out);
-  AppendByteVec(f.outage_stream_ready, out);
-  AppendByteVec(f.outage_dark, out);
-  AppendSignedVec(f.outage_eval_from, out);
-  AppendSigned(f.now, out);
-  AppendFaultStats(f.stats, out);
+template <typename C, Persisted<PullSessionImage> S>
+void Fields(C& c, S& s) {
+  c(kString, s.etags);
+  c(kStruct, s.fault_plan);
+  c(kStruct, s.parse_cache);
 }
 
-Status ReadFaultPlanImage(ByteReader* r, FaultPlanImage* f) {
-  PULLMON_RETURN_NOT_OK(ReadRngStateVec(r, &f->stream_states));
-  PULLMON_RETURN_NOT_OK(ReadByteVec(r, &f->stream_ready));
-  PULLMON_RETURN_NOT_OK(ReadSignedVec(r, &f->storm_left));
-  PULLMON_RETURN_NOT_OK(ReadRngStateVec(r, &f->outage_stream_states));
-  PULLMON_RETURN_NOT_OK(ReadByteVec(r, &f->outage_stream_ready));
-  PULLMON_RETURN_NOT_OK(ReadByteVec(r, &f->outage_dark));
-  PULLMON_RETURN_NOT_OK(ReadSignedVec(r, &f->outage_eval_from));
-  std::int64_t now = 0;
-  PULLMON_RETURN_NOT_OK(r->ReadSigned(&now));
-  f->now = static_cast<Chronon>(now);
-  return ReadFaultStats(r, &f->stats);
+template <typename C, Persisted<ProxySnapshot> S>
+void Fields(C& c, S& s) {
+  c(kFixed64, s.fingerprint);
+  c(kVarint, s.chronon);
+  c(kStruct, s.monitor);
+  c(kStruct, s.session);
+  // The LiveReportCounters base.
+  c(kVarint, s.feeds_fetched);
+  c(kVarint, s.not_modified);
+  c(kVarint, s.feed_bytes);
+  c(kVarint, s.items_parsed);
+  c(kVarint, s.parse_failures);
+  c(kVarint, s.corrupt_bodies);
+  c(kVarint, s.timeouts);
+  c(kVarint, s.server_errors);
+  c(kVarint, s.outage_probes);
+  c(kVarint, s.notifications_delivered);
+  c(kVarint, s.churn_rejected_ops);
+  // Optional tail: only a sharded monitor carries shard telemetry, so
+  // serial snapshots keep their exact bytes.
+  c.Tail(kStruct, s.monitor.shards,
+         [](const ShardRunStats& shards) { return shards.shard_count > 0; });
 }
-
-void AppendFeedDocument(const FeedDocument& doc, std::string* out) {
-  AppendLengthPrefixed(doc.title, out);
-  AppendLengthPrefixed(doc.link, out);
-  AppendLengthPrefixed(doc.description, out);
-  AppendVarint(doc.items.size(), out);
-  for (const FeedItem& item : doc.items) {
-    AppendLengthPrefixed(item.guid, out);
-    AppendLengthPrefixed(item.title, out);
-    AppendLengthPrefixed(item.link, out);
-    AppendLengthPrefixed(item.description, out);
-    AppendSigned(item.published, out);
-  }
-}
-
-Status ReadFeedDocument(ByteReader* r, FeedDocument* doc) {
-  PULLMON_RETURN_NOT_OK(r->ReadString(&doc->title));
-  PULLMON_RETURN_NOT_OK(r->ReadString(&doc->link));
-  PULLMON_RETURN_NOT_OK(r->ReadString(&doc->description));
-  std::size_t num_items = 0;
-  PULLMON_RETURN_NOT_OK(ReadCount(r, &num_items));
-  doc->items.resize(num_items);
-  for (FeedItem& item : doc->items) {
-    PULLMON_RETURN_NOT_OK(r->ReadString(&item.guid));
-    PULLMON_RETURN_NOT_OK(r->ReadString(&item.title));
-    PULLMON_RETURN_NOT_OK(r->ReadString(&item.link));
-    PULLMON_RETURN_NOT_OK(r->ReadString(&item.description));
-    PULLMON_RETURN_NOT_OK(r->ReadSigned(&item.published));
-  }
-  return Status::OK();
-}
-
-void AppendParseCacheImage(const ParseCacheImage& c, std::string* out) {
-  AppendVarint(c.entries.size(), out);
-  for (const ParseCacheEntryImage& entry : c.entries) {
-    out->push_back(entry.valid ? 1 : 0);
-    AppendLengthPrefixed(entry.etag, out);
-    AppendFixed64(entry.body_hash, out);
-    AppendVarint(entry.body_size, out);
-    AppendFeedDocument(entry.document, out);
-  }
-  AppendVarint(c.stats.hits, out);
-  AppendVarint(c.stats.misses, out);
-  AppendVarint(c.stats.invalidations, out);
-  AppendVarint(c.stats.bytes_saved, out);
-}
-
-Status ReadParseCacheImage(ByteReader* r, ParseCacheImage* c) {
-  std::size_t num_entries = 0;
-  PULLMON_RETURN_NOT_OK(ReadCount(r, &num_entries));
-  c->entries.resize(num_entries);
-  for (ParseCacheEntryImage& entry : c->entries) {
-    std::uint8_t valid = 0;
-    PULLMON_RETURN_NOT_OK(r->ReadByte(&valid));
-    entry.valid = valid != 0;
-    PULLMON_RETURN_NOT_OK(r->ReadString(&entry.etag));
-    PULLMON_RETURN_NOT_OK(r->ReadFixed64(&entry.body_hash));
-    std::uint64_t body_size = 0;
-    PULLMON_RETURN_NOT_OK(r->ReadVarint(&body_size));
-    entry.body_size = static_cast<std::size_t>(body_size);
-    PULLMON_RETURN_NOT_OK(ReadFeedDocument(r, &entry.document));
-  }
-  std::uint64_t v[4];
-  for (auto& value : v) PULLMON_RETURN_NOT_OK(r->ReadVarint(&value));
-  c->stats.hits = static_cast<std::size_t>(v[0]);
-  c->stats.misses = static_cast<std::size_t>(v[1]);
-  c->stats.invalidations = static_cast<std::size_t>(v[2]);
-  c->stats.bytes_saved = static_cast<std::size_t>(v[3]);
-  return Status::OK();
-}
-
-void AppendSessionImage(const PullSessionImage& s, std::string* out) {
-  AppendStringVec(s.etags, out);
-  out->push_back(s.fault_plan.has_value() ? 1 : 0);
-  if (s.fault_plan.has_value()) AppendFaultPlanImage(*s.fault_plan, out);
-  out->push_back(s.parse_cache.has_value() ? 1 : 0);
-  if (s.parse_cache.has_value()) AppendParseCacheImage(*s.parse_cache, out);
-}
-
-Status ReadSessionImage(ByteReader* r, PullSessionImage* s) {
-  PULLMON_RETURN_NOT_OK(ReadStringVec(r, &s->etags));
-  std::uint8_t has = 0;
-  PULLMON_RETURN_NOT_OK(r->ReadByte(&has));
-  if (has != 0) {
-    s->fault_plan.emplace();
-    PULLMON_RETURN_NOT_OK(ReadFaultPlanImage(r, &*s->fault_plan));
-  } else {
-    s->fault_plan.reset();
-  }
-  PULLMON_RETURN_NOT_OK(r->ReadByte(&has));
-  if (has != 0) {
-    s->parse_cache.emplace();
-    PULLMON_RETURN_NOT_OK(ReadParseCacheImage(r, &*s->parse_cache));
-  } else {
-    s->parse_cache.reset();
-  }
-  return Status::OK();
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------
 // Snapshot file
@@ -667,26 +377,7 @@ std::string EncodeSnapshot(const ProxySnapshot& snapshot) {
   // generous reservation keeps the encode pass realloc-free.
   payload.reserve(4096 + snapshot.monitor.submissions.size() * 48 +
                   snapshot.monitor.probes_by_chronon.size() * 16);
-  AppendFixed64(snapshot.fingerprint, &payload);
-  AppendVarint(static_cast<std::uint64_t>(snapshot.chronon), &payload);
-  AppendMonitorImage(snapshot.monitor, &payload);
-  AppendSessionImage(snapshot.session, &payload);
-  AppendVarint(snapshot.feeds_fetched, &payload);
-  AppendVarint(snapshot.not_modified, &payload);
-  AppendVarint(snapshot.feed_bytes, &payload);
-  AppendVarint(snapshot.items_parsed, &payload);
-  AppendVarint(snapshot.parse_failures, &payload);
-  AppendVarint(snapshot.corrupt_bodies, &payload);
-  AppendVarint(snapshot.timeouts, &payload);
-  AppendVarint(snapshot.server_errors, &payload);
-  AppendVarint(snapshot.outage_probes, &payload);
-  AppendVarint(snapshot.notifications_delivered, &payload);
-  AppendVarint(snapshot.churn_rejected_ops, &payload);
-  // Optional tail: only a sharded monitor carries shard telemetry, so
-  // serial snapshots keep their exact bytes.
-  if (snapshot.monitor.shards.shard_count > 0) {
-    AppendShardStats(snapshot.monitor.shards, &payload);
-  }
+  EncodeField(kStruct, snapshot, &payload);
 
   std::string out;
   out.append(kSnapshotMagic, sizeof(kSnapshotMagic));
@@ -720,34 +411,11 @@ Result<ProxySnapshot> DecodeSnapshot(std::string_view bytes) {
   }
 
   ProxySnapshot snapshot;
-  ByteReader r(record.payload);
-  PULLMON_RETURN_NOT_OK(r.ReadFixed64(&snapshot.fingerprint));
-  std::uint64_t chronon = 0;
-  PULLMON_RETURN_NOT_OK(r.ReadVarint(&chronon));
-  snapshot.chronon = static_cast<Chronon>(chronon);
-  PULLMON_RETURN_NOT_OK(ReadMonitorImage(&r, &snapshot.monitor));
-  PULLMON_RETURN_NOT_OK(ReadSessionImage(&r, &snapshot.session));
-  std::uint64_t v[11];
-  for (auto& value : v) PULLMON_RETURN_NOT_OK(r.ReadVarint(&value));
-  snapshot.feeds_fetched = static_cast<std::size_t>(v[0]);
-  snapshot.not_modified = static_cast<std::size_t>(v[1]);
-  snapshot.feed_bytes = static_cast<std::size_t>(v[2]);
-  snapshot.items_parsed = static_cast<std::size_t>(v[3]);
-  snapshot.parse_failures = static_cast<std::size_t>(v[4]);
-  snapshot.corrupt_bodies = static_cast<std::size_t>(v[5]);
-  snapshot.timeouts = static_cast<std::size_t>(v[6]);
-  snapshot.server_errors = static_cast<std::size_t>(v[7]);
-  snapshot.outage_probes = static_cast<std::size_t>(v[8]);
-  snapshot.notifications_delivered = static_cast<std::size_t>(v[9]);
-  snapshot.churn_rejected_ops = static_cast<std::size_t>(v[10]);
-  if (!r.AtEnd()) {
-    PULLMON_RETURN_NOT_OK(ReadShardStats(&r, &snapshot.monitor.shards));
-    if (snapshot.monitor.shards.shard_count < 1) {
-      return Status::ParseError("empty shard telemetry in snapshot");
-    }
-  }
-  if (!r.AtEnd()) {
-    return Status::ParseError("trailing bytes in snapshot payload");
+  PULLMON_RETURN_NOT_OK(DecodeField(kStruct, record.payload, &snapshot));
+  // The runner resumes its loop at `chronon` and the monitor at `now`;
+  // a snapshot on which they differ cannot be resumed consistently.
+  if (snapshot.chronon != snapshot.monitor.now) {
+    return Status::ParseError("snapshot chronon differs from the monitor's");
   }
   return snapshot;
 }

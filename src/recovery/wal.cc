@@ -3,50 +3,61 @@
 #include <utility>
 
 #include "recovery/recovery_codec.h"
-#include "trace/page_codec.h"
 
 namespace pullmon {
+
+template <typename C, Persisted<WalChurnRecord> R>
+void Fields(C& c, R& record) {
+  c(kByte, record.kind);
+  c(kSigned, record.profile);
+  c(kSigned, record.submission);
+  c(kByte, record.accepted);
+}
+
+template <typename C, Persisted<WalProbeRecord> R>
+void Fields(C& c, R& record) {
+  c(kSigned, record.resource);
+  c(kByte, record.success);
+}
+
+namespace {
+
+/// Frames `value` (one field of wire kind W) as a record of `type`,
+/// staging its payload in `scratch`.
+template <Wire W, typename T>
+void StageRecord(WalRecordType type, WireTag<W> wire, const T& value,
+                 std::string* scratch, std::string* buffer) {
+  scratch->clear();
+  EncodeField(wire, value, scratch);
+  AppendRecord(static_cast<std::uint64_t>(type), *scratch, buffer);
+}
+
+}  // namespace
 
 WalWriter::WalWriter(StableStorage* storage, std::string name)
     : storage_(storage), name_(std::move(name)) {}
 
 void WalWriter::LogChrononStart(Chronon chronon) {
-  std::string& payload = payload_scratch_;
-  payload.clear();
-  AppendSigned(chronon, &payload);
-  AppendRecord(static_cast<std::uint64_t>(WalRecordType::kChrononStart),
-               payload, &buffer_);
+  StageRecord(WalRecordType::kChrononStart, kSigned, chronon,
+              &payload_scratch_, &buffer_);
   ++records_logged_;
 }
 
 void WalWriter::LogChurn(const WalChurnRecord& record) {
-  std::string& payload = payload_scratch_;
-  payload.clear();
-  payload.push_back(static_cast<char>(record.kind));
-  AppendSigned(record.profile, &payload);
-  AppendSigned(record.submission, &payload);
-  payload.push_back(static_cast<char>(record.accepted));
-  AppendRecord(static_cast<std::uint64_t>(WalRecordType::kChurnOp), payload,
-               &buffer_);
+  StageRecord(WalRecordType::kChurnOp, kStruct, record, &payload_scratch_,
+              &buffer_);
   ++records_logged_;
 }
 
 void WalWriter::LogProbe(const WalProbeRecord& record) {
-  std::string& payload = payload_scratch_;
-  payload.clear();
-  AppendSigned(record.resource, &payload);
-  payload.push_back(static_cast<char>(record.success));
-  AppendRecord(static_cast<std::uint64_t>(WalRecordType::kProbe), payload,
-               &buffer_);
+  StageRecord(WalRecordType::kProbe, kStruct, record, &payload_scratch_,
+              &buffer_);
   ++records_logged_;
 }
 
 Status WalWriter::CommitChronon(Chronon chronon) {
-  std::string& payload = payload_scratch_;
-  payload.clear();
-  AppendSigned(chronon, &payload);
-  AppendRecord(static_cast<std::uint64_t>(WalRecordType::kChrononCommit),
-               payload, &buffer_);
+  StageRecord(WalRecordType::kChrononCommit, kSigned, chronon,
+              &payload_scratch_, &buffer_);
   ++records_logged_;
   PULLMON_RETURN_NOT_OK(storage_->AppendFile(name_, buffer_));
   bytes_flushed_ += buffer_.size();
@@ -65,65 +76,44 @@ Result<WalReadResult> ReadWal(std::string_view bytes) {
   while (offset < bytes.size()) {
     auto record = DecodeRecord(bytes.substr(offset));
     if (!record.ok()) break;  // torn tail: stop at the first bad frame
-    ByteReader r(record->payload);
-    bool intact = true;
-    switch (static_cast<WalRecordType>(record->type)) {
-      case WalRecordType::kChrononStart: {
+    const std::uint64_t type = record->type;
+    if (type < static_cast<std::uint64_t>(WalRecordType::kChrononStart) ||
+        type > static_cast<std::uint64_t>(WalRecordType::kChrononCommit)) {
+      break;  // unknown type: treat as tail corruption
+    }
+    // From here the frame is intact, so a payload that fails to decode
+    // (or decodes out of range) is structural nonsense, not a torn write.
+    const std::string_view payload = record->payload;
+    switch (static_cast<WalRecordType>(type)) {
+      case WalRecordType::kChrononStart:
         if (in_chronon) {
           return Status::ParseError(
               "WAL chronon started before the previous one committed");
         }
-        std::int64_t chronon = 0;
-        if (!r.ReadSigned(&chronon).ok() || !r.AtEnd()) {
-          intact = false;
-          break;
-        }
         pending = WalChronon{};
-        pending.chronon = static_cast<Chronon>(chronon);
+        PULLMON_RETURN_NOT_OK(DecodeField(kSigned, payload, &pending.chronon));
         in_chronon = true;
         break;
-      }
-      case WalRecordType::kChurnOp: {
+      case WalRecordType::kChurnOp:
         if (!in_chronon) {
           return Status::ParseError("WAL churn op outside a chronon");
         }
-        WalChurnRecord churn;
-        std::int64_t profile = 0, submission = 0;
-        if (!r.ReadByte(&churn.kind).ok() ||
-            !r.ReadSigned(&profile).ok() ||
-            !r.ReadSigned(&submission).ok() ||
-            !r.ReadByte(&churn.accepted).ok() || !r.AtEnd()) {
-          intact = false;
-          break;
-        }
-        churn.profile = static_cast<ProfileId>(profile);
-        churn.submission = static_cast<int>(submission);
-        pending.churn.push_back(churn);
+        PULLMON_RETURN_NOT_OK(
+            DecodeField(kStruct, payload, &pending.churn.emplace_back()));
+        ++records_since_commit;
         break;
-      }
-      case WalRecordType::kProbe: {
+      case WalRecordType::kProbe:
         if (!in_chronon) {
           return Status::ParseError("WAL probe outside a chronon");
         }
-        WalProbeRecord probe;
-        std::int64_t resource = 0;
-        if (!r.ReadSigned(&resource).ok() ||
-            !r.ReadByte(&probe.success).ok() || !r.AtEnd()) {
-          intact = false;
-          break;
-        }
-        probe.resource = static_cast<ResourceId>(resource);
-        pending.probes.push_back(probe);
+        PULLMON_RETURN_NOT_OK(
+            DecodeField(kStruct, payload, &pending.probes.emplace_back()));
+        ++records_since_commit;
         break;
-      }
       case WalRecordType::kChrononCommit: {
-        std::int64_t chronon = 0;
-        if (!r.ReadSigned(&chronon).ok() || !r.AtEnd()) {
-          intact = false;
-          break;
-        }
-        if (!in_chronon ||
-            static_cast<Chronon>(chronon) != pending.chronon) {
+        Chronon chronon = 0;
+        PULLMON_RETURN_NOT_OK(DecodeField(kSigned, payload, &chronon));
+        if (!in_chronon || chronon != pending.chronon) {
           return Status::ParseError(
               "WAL commit does not match the open chronon");
         }
@@ -136,16 +126,6 @@ Result<WalReadResult> ReadWal(std::string_view bytes) {
         records_since_commit = 0;
         break;
       }
-      default:
-        intact = false;  // unknown type: treat as tail corruption
-        break;
-    }
-    if (!intact) break;
-    if (static_cast<WalRecordType>(record->type) !=
-            WalRecordType::kChrononCommit &&
-        static_cast<WalRecordType>(record->type) !=
-            WalRecordType::kChrononStart) {
-      ++records_since_commit;
     }
     offset += record->record_bytes;
   }

@@ -112,8 +112,9 @@ struct WalReadResult {
 /// Decodes a WAL byte stream under the torn-tail rule. Corruption never
 /// fails the read — it terminates it: the result covers the longest
 /// intact committed prefix. ParseError only for structural nonsense
-/// *inside* intact frames (e.g. a commit for a chronon that never
-/// started), which no torn write can produce.
+/// *inside* intact frames (a commit for a chronon that never started,
+/// a payload that does not decode under the range rule), which no torn
+/// write can produce.
 Result<WalReadResult> ReadWal(std::string_view bytes);
 
 }  // namespace pullmon

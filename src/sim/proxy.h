@@ -62,16 +62,39 @@ struct ProxyNotification {
   FeedItemBatch items;
 };
 
-struct ProxyRunReport {
-  OnlineRunResult run;
+/// The report counters the probe path and the runner loop bump while
+/// the epoch runs. Every other ProxyRunReport field is derived from
+/// component state when the run finishes, so these are the counters a
+/// durable run checkpoints beside the component images (ProxySnapshot,
+/// recovery/recovery_codec.h).
+struct LiveReportCounters {
   std::size_t feeds_fetched = 0;
   /// Conditional fetches the servers answered 304-style (no body).
   std::size_t not_modified = 0;
   std::size_t feed_bytes = 0;
   std::size_t items_parsed = 0;
   std::size_t parse_failures = 0;
-  std::size_t notifications_delivered = 0;
   // --- Fault-layer telemetry (all zero without injected faults). ------
+  /// Bodies that arrived truncated or garbled.
+  std::size_t corrupt_bodies = 0;
+  /// Probes that timed out before any response.
+  std::size_t timeouts = 0;
+  /// Probes answered with a transient server error.
+  std::size_t server_errors = 0;
+  /// Probes swallowed because their resource was dark (Gilbert-Elliott
+  /// outage; mirrors fault_stats.outage_probes).
+  std::size_t outage_probes = 0;
+  std::size_t notifications_delivered = 0;
+  /// Churn operations the monitor rejected (cancel of a completed
+  /// submission, duplicate unregister, ...) — expected under racy
+  /// workloads and deterministic under seed.
+  std::size_t churn_rejected_ops = 0;
+};
+
+struct ProxyRunReport : LiveReportCounters {
+  OnlineRunResult run;
+  // --- Fault-layer telemetry (all zero without injected faults; the
+  // --- live fault counters are in LiveReportCounters). ---------------
   /// Probe attempts that delivered no usable document: timeouts, server
   /// errors, and unparsable bodies (mirrors run.probes_failed).
   std::size_t probes_failed = 0;
@@ -79,17 +102,8 @@ struct ProxyRunReport {
   std::size_t retries_issued = 0;
   /// Probe-budget units consumed by retries (mirrors run).
   std::size_t retry_probes_spent = 0;
-  /// Bodies that arrived truncated or garbled.
-  std::size_t corrupt_bodies = 0;
-  /// Probes that timed out before any response.
-  std::size_t timeouts = 0;
-  /// Probes answered with a transient server error.
-  std::size_t server_errors = 0;
   /// Conditional fetches forced to full bodies by ETag storms.
   std::size_t etag_invalidations = 0;
-  /// Probes swallowed because their resource was dark (Gilbert-Elliott
-  /// outage; mirrors fault_stats.outage_probes).
-  std::size_t outage_probes = 0;
   /// Total simulated response latency, in fractional chronons.
   double latency_chronons = 0.0;
   /// Fraction of all t-intervals that failed after a fault hit one of
@@ -118,7 +132,8 @@ struct ProxyRunReport {
   /// Body bytes whose parse a cache hit skipped.
   std::size_t parse_cache_bytes_saved = 0;
   // --- Churn telemetry (all zero in churn-free runs; mirrors
-  // --- MonitorStats, see core/dynamic_monitor.h). ---------------------
+  // --- MonitorStats, see core/dynamic_monitor.h; churn_rejected_ops is
+  // --- in LiveReportCounters). ----------------------------------------
   /// Accepted Submit() operations.
   std::size_t churn_submitted = 0;
   /// Accepted Cancel() operations (including Unregister fan-out).
@@ -127,10 +142,6 @@ struct ProxyRunReport {
   std::size_t churn_edited = 0;
   /// Accepted Unregister() operations.
   std::size_t churn_unregistered_profiles = 0;
-  /// Churn operations the monitor rejected (cancel of a completed
-  /// submission, duplicate unregister, ...) — expected under racy
-  /// workloads and deterministic under seed.
-  std::size_t churn_rejected_ops = 0;
   /// Probe work orphaned by churn: EI captures whose parent was
   /// cancelled or edited away before completing.
   std::size_t orphaned_probes = 0;

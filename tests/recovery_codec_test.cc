@@ -9,6 +9,7 @@
 #include <array>
 #include <cmath>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include "recovery/recovery_codec.h"
 #include "recovery/stable_storage.h"
 #include "recovery/wal.h"
+#include "trace/page_codec.h"
 
 namespace pullmon {
 namespace {
@@ -269,6 +271,121 @@ TEST(RecoveryCodecTest, ShardTelemetryIsAnOptionalTail) {
   EXPECT_EQ(plain->monitor.shards.shard_count, 0);
 }
 
+/// 64-bit FNV-1a of a byte string, for pinning encodings in a line.
+uint64_t Fnv1a64(std::string_view bytes) {
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  for (char c : bytes) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+TEST(RecoveryCodecTest, SnapshotBytesArePinned) {
+  // Golden size and digest of RichSnapshot()'s encoding, serial and with
+  // the shard tail. Snapshots written by an older build must keep
+  // loading, so a codec change may not move one byte of either.
+  ProxySnapshot snap = RichSnapshot();
+  const std::string serial = EncodeSnapshot(snap);
+  EXPECT_EQ(serial.size(), 574u);
+  EXPECT_EQ(Fnv1a64(serial), 0x93ccbd449105e89cULL);
+
+  snap.monitor.shards.shard_count = 3;
+  snap.monitor.shards.candidates_scored = {4, 0, 9};
+  snap.monitor.shards.probes_executed = {1, 2, 0};
+  snap.monitor.shards.merge_entries = 6;
+  const std::string sharded = EncodeSnapshot(snap);
+  EXPECT_EQ(sharded.size(), 584u);
+  EXPECT_EQ(Fnv1a64(sharded), 0xfa19f0248655971bULL);
+}
+
+std::string SignedBytes(std::int64_t value) {
+  std::string bytes;
+  AppendSigned(value, &bytes);
+  return bytes;
+}
+
+std::string VarintBytes(std::uint64_t value) {
+  std::string bytes;
+  AppendVarint(value, &bytes);
+  return bytes;
+}
+
+/// `encoded` re-framed, with a valid checksum, around its payload with
+/// the one occurrence of `from` replaced by `to`.
+std::string SpliceSnapshotPayload(const std::string& encoded,
+                                  const std::string& from,
+                                  const std::string& to) {
+  constexpr std::size_t kHeaderBytes = 5;  // magic + varint version
+  auto record = DecodeRecord(std::string_view(encoded).substr(kHeaderBytes));
+  EXPECT_TRUE(record.ok()) << record.status().ToString();
+  if (!record.ok()) return encoded;
+  std::string payload(record->payload);
+  const std::size_t at = payload.find(from);
+  EXPECT_NE(at, std::string::npos);
+  EXPECT_EQ(payload.find(from, at + 1), std::string::npos)
+      << "ambiguous splice";
+  if (at == std::string::npos) return encoded;
+  payload.replace(at, from.size(), to);
+  std::string out = encoded.substr(0, kHeaderBytes);
+  AppendRecord(record->type, payload, &out);
+  return out;
+}
+
+TEST(RecoveryCodecTest, DecoderRejectsValuesItsFieldsCannotHold) {
+  // Each case stores a 32-bit field's value v as v + 2^32 in a frame
+  // with a valid checksum. Cast to 32 bits that is v again, so a decoder
+  // that narrows instead of checking restores the original snapshot.
+  constexpr std::int64_t kWrap = std::int64_t{1} << 32;
+  constexpr std::int64_t kNow = 0x1234567;
+  constexpr std::int64_t kProfile = 0x2345678;
+  constexpr std::int64_t kEiStart = 0x3456789;
+  constexpr std::int64_t kOpen = 0x4567891;
+  ProxySnapshot snap = RichSnapshot();
+  snap.chronon = snap.monitor.now = kNow;
+  snap.monitor.submissions[0].profile = kProfile;
+  TInterval wide;
+  wide.AddEi(ExecutionInterval(1, kEiStart, kEiStart + 9));
+  snap.monitor.submissions[1].definition = wide;
+  snap.monitor.submissions[1].ei_captured = {0};
+  snap.monitor.health.open_list = {kOpen};
+  const std::string encoded = EncodeSnapshot(snap);
+  ASSERT_TRUE(DecodeSnapshot(encoded).ok());
+
+  struct Case {
+    const char* field;
+    std::string from;
+    std::string to;
+  };
+  const Case cases[] = {
+      // chronon and monitor.now are adjacent; only now is widened.
+      {"monitor.now", VarintBytes(kNow) + VarintBytes(kNow),
+       VarintBytes(kNow) + VarintBytes(kNow + kWrap)},
+      {"submission profile", SignedBytes(kProfile),
+       SignedBytes(kProfile + kWrap)},
+      {"EI start", SignedBytes(kEiStart), SignedBytes(kEiStart + kWrap)},
+      {"health open_list element", SignedBytes(kOpen),
+       SignedBytes(kOpen - kWrap)},
+  };
+  for (const Case& c : cases) {
+    const std::string spliced =
+        SpliceSnapshotPayload(encoded, c.from, c.to);
+    EXPECT_NE(spliced, encoded) << c.field;
+    auto decoded = DecodeSnapshot(spliced);
+    EXPECT_FALSE(decoded.ok()) << c.field << " narrowed into range";
+  }
+}
+
+TEST(RecoveryCodecTest, DecoderRejectsAChrononOtherThanTheMonitors) {
+  // The runner resumes its loop at `chronon` and the monitor at
+  // `monitor.now`; a checksum-valid snapshot where they differ cannot
+  // be resumed and must not load.
+  ProxySnapshot snap = RichSnapshot();
+  ASSERT_EQ(snap.chronon, snap.monitor.now);
+  snap.chronon = snap.monitor.now - 1;
+  EXPECT_FALSE(DecodeSnapshot(EncodeSnapshot(snap)).ok());
+}
+
 TEST(RecoveryCodecTest, SnapshotWithoutOptionalLayersRoundTrips) {
   ProxySnapshot snap;
   snap.fingerprint = 1;
@@ -353,6 +470,16 @@ TEST(WalTest, WriteReadRoundTrip) {
   EXPECT_EQ(read->committed_records, 12u);
 }
 
+TEST(WalTest, WalBytesArePinned) {
+  // Golden size and digest of the log WalWriter writes for
+  // ThreeChronons(), which holds all four record types and a negative
+  // submission. A codec change may not move one byte of it.
+  MemoryStorage storage;
+  const std::string bytes = WriteWal(ThreeChronons(), &storage);
+  EXPECT_EQ(bytes.size(), 96u);
+  EXPECT_EQ(Fnv1a64(bytes), 0xfebaf344551f4c31ULL);
+}
+
 TEST(WalTest, EveryTruncationYieldsACommittedPrefix) {
   MemoryStorage storage;
   const std::vector<WalChronon> chronons = ThreeChronons();
@@ -427,6 +554,54 @@ TEST(WalTest, StructuralViolationsInsideIntactFramesAreErrors) {
                  payload, &bytes);
   }
   EXPECT_FALSE(ReadWal(bytes).ok());
+}
+
+/// A log holding one committed chronon 5 whose middle record is
+/// (`type`, `payload`), framed with valid checksums.
+std::string WalAround(WalRecordType type, const std::string& payload,
+                      const std::string& start = SignedBytes(5)) {
+  std::string bytes;
+  AppendRecord(static_cast<std::uint64_t>(WalRecordType::kChrononStart),
+               start, &bytes);
+  AppendRecord(static_cast<std::uint64_t>(type), payload, &bytes);
+  AppendRecord(static_cast<std::uint64_t>(WalRecordType::kChrononCommit),
+               SignedBytes(5), &bytes);
+  return bytes;
+}
+
+TEST(WalTest, ReaderRejectsValuesItsFieldsCannotHold) {
+  // As for snapshots: v + 2^32 in an intact frame casts back to v, so
+  // a reader that narrows would replay a record the writer never wrote.
+  constexpr std::int64_t kWrap = std::int64_t{1} << 32;
+  const std::string yes(1, '\x01');
+  const std::string edit(1, '\x01');
+  auto ok = ReadWal(WalAround(WalRecordType::kProbe, SignedBytes(3) + yes));
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  ASSERT_EQ(ok->chronons.size(), 1u);
+  EXPECT_EQ(ok->chronons[0].probes,
+            (std::vector<WalProbeRecord>{WalProbeRecord{3, 1}}));
+
+  struct Case {
+    const char* field;
+    std::string bytes;
+  };
+  const Case cases[] = {
+      {"probe resource",
+       WalAround(WalRecordType::kProbe, SignedBytes(3 + kWrap) + yes)},
+      {"churn profile",
+       WalAround(WalRecordType::kChurnOp,
+                 edit + SignedBytes(2 + kWrap) + SignedBytes(0) + yes)},
+      {"churn submission",
+       WalAround(WalRecordType::kChurnOp,
+                 edit + SignedBytes(2) + SignedBytes(-1 - kWrap) + yes)},
+      {"chronon start",
+       WalAround(WalRecordType::kProbe, SignedBytes(3) + yes,
+                 SignedBytes(5 + kWrap))},
+  };
+  for (const Case& c : cases) {
+    auto read = ReadWal(c.bytes);
+    EXPECT_FALSE(read.ok()) << c.field << " narrowed into range";
+  }
 }
 
 TEST(WalTest, UncommittedChrononIsTornTail) {

@@ -69,15 +69,15 @@ else
   cmake --preset ubsan > /dev/null
   cmake --build --preset ubsan -j "$jobs"
   (cd build-ubsan && ctest --output-on-failure -j "$jobs")
-  echo "== sanitizer pass: tsan (parallel pipeline) =="
+  echo "== sanitizer pass: tsan (parallel pipeline, sweep threads) =="
   # Only the suites that actually spawn threads: the full suite under
   # tsan is slow, and the single-threaded tests cannot race.
   cmake --preset tsan > /dev/null
   cmake --build --preset tsan -j "$jobs" --target \
     parallel_executor_test parallel_invariance_test shard_map_test \
-    recovery_differential_test
+    recovery_differential_test thread_invariance_test
   (cd build-tsan && ctest --output-on-failure -j "$jobs" -R \
-    'parallel_executor_test|parallel_invariance_test|shard_map_test|recovery_differential_test')
+    'parallel_executor_test|parallel_invariance_test|shard_map_test|recovery_differential_test|thread_invariance_test')
 fi
 
 if [[ "$bench" == 1 ]]; then

@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <utility>
 
 #include "core/overlap_analysis.h"
 #include "feeds/ebay_feed.h"
@@ -189,16 +190,23 @@ Result<ExecutorBackend> BackendFromFlags(const FlagParser& flags) {
       "' (expected: indexed | reference | parallel)");
 }
 
-SimulationConfig ConfigFromFlags(const FlagParser& flags) {
-  SimulationConfig config = BaselineConfig();
-  std::string dataset = ToLower(flags.GetString("dataset"));
-  if (dataset == "auction") {
-    config.dataset = DatasetKind::kAuction;
-  } else if (dataset == "feeds" || dataset == "feed-workload") {
-    config.dataset = DatasetKind::kFeedWorkload;
-  } else {
-    config.dataset = DatasetKind::kPoisson;
+Result<DatasetKind> DatasetFromFlags(const FlagParser& flags) {
+  std::string name = ToLower(flags.GetString("dataset"));
+  if (name == "poisson") return DatasetKind::kPoisson;
+  if (name == "auction") return DatasetKind::kAuction;
+  if (name == "feeds" || name == "feed-workload") {
+    return DatasetKind::kFeedWorkload;
   }
+  return Status::InvalidArgument(
+      "unknown --dataset '" + name + "' (expected: poisson | auction | "
+      "feeds)");
+}
+
+/// The run configuration the flags describe. Unknown dataset, executor
+/// and knowledge names are rejected here, for every command.
+Result<SimulationConfig> ConfigFromFlags(const FlagParser& flags) {
+  SimulationConfig config = BaselineConfig();
+  PULLMON_ASSIGN_OR_RETURN(config.dataset, DatasetFromFlags(flags));
   config.num_resources = static_cast<int>(flags.GetInt64("resources"));
   config.epoch_length = static_cast<Chronon>(flags.GetInt64("chronons"));
   config.num_profiles = static_cast<int>(flags.GetInt64("profiles"));
@@ -255,15 +263,9 @@ SimulationConfig ConfigFromFlags(const FlagParser& flags) {
   config.recover = flags.GetBool("recover");
   // --crash-at needs parse-error reporting, so CommandRun applies it
   // separately via ApplyCrashAtFlag before validating.
-  // Commands reject unknown names via BackendFromFlags before reaching
-  // here, so the fallback is never user-visible.
-  auto backend = BackendFromFlags(flags);
-  config.executor_backend =
-      backend.ok() ? *backend : ExecutorBackend::kIndexed;
+  PULLMON_ASSIGN_OR_RETURN(config.executor_backend, BackendFromFlags(flags));
   config.threads = static_cast<int>(flags.GetInt64("threads"));
-  auto knowledge = KnowledgeFromFlags(flags);
-  config.knowledge =
-      knowledge.ok() ? *knowledge : KnowledgeModel::kOracle;
+  PULLMON_ASSIGN_OR_RETURN(config.knowledge, KnowledgeFromFlags(flags));
   config.estimator_half_life = flags.GetDouble("estimator-half-life");
   config.explore_eps = flags.GetDouble("explore-eps");
   config.forecast_horizon =
@@ -604,21 +606,18 @@ int CommandRun(const std::vector<std::string>& args) {
     std::cout << flags.Usage();
     return 0;
   }
-  if (auto backend = BackendFromFlags(flags); !backend.ok()) {
-    std::cerr << backend.status().ToString() << "\n";
-    return 2;
-  }
-  if (auto knowledge = KnowledgeFromFlags(flags); !knowledge.ok()) {
-    std::cerr << knowledge.status().ToString() << "\n";
-    return 2;
-  }
 
   auto specs = SpecsFromFlags(flags);
   if (!specs.ok()) {
     std::cerr << specs.status().ToString() << "\n";
     return 2;
   }
-  SimulationConfig config = ConfigFromFlags(flags);
+  auto parsed = ConfigFromFlags(flags);
+  if (!parsed.ok()) {
+    std::cerr << parsed.status().ToString() << "\n";
+    return 2;
+  }
+  SimulationConfig config = std::move(*parsed);
   config.churn.enabled = flags.GetBool("churn");
   if (Status st = ApplyCrashAtFlag(flags.GetString("crash-at"), &config);
       !st.ok()) {
@@ -729,21 +728,22 @@ int CommandSweep(const std::vector<std::string>& args) {
     std::cout << flags.Usage();
     return 0;
   }
-  if (auto backend = BackendFromFlags(flags); !backend.ok()) {
-    std::cerr << backend.status().ToString() << "\n";
-    return 2;
-  }
   auto specs = SpecsFromFlags(flags);
   if (!specs.ok()) {
     std::cerr << specs.status().ToString() << "\n";
     return 2;
   }
-  if (Status valid = ConfigFromFlags(flags).Validate(); !valid.ok()) {
+  auto parsed = ConfigFromFlags(flags);
+  if (!parsed.ok()) {
+    std::cerr << parsed.status().ToString() << "\n";
+    return 2;
+  }
+  const SimulationConfig base = std::move(*parsed);
+  if (Status valid = base.Validate(); !valid.ok()) {
     std::cerr << valid.ToString() << "\n";
     return 2;
   }
-  if (!ConfigFromFlags(flags).faults.AllZero() ||
-      flags.GetInt64("retries") > 0) {
+  if (!base.faults.AllZero() || base.retry.max_retries > 0) {
     std::cerr << "fault/retry flags only affect `run --proxy`; sweeps "
                  "use the logical executor\n";
     return 2;
@@ -758,11 +758,7 @@ int CommandSweep(const std::vector<std::string>& args) {
                  "the logical executor\n";
     return 2;
   }
-  if (auto knowledge = KnowledgeFromFlags(flags); !knowledge.ok()) {
-    std::cerr << knowledge.status().ToString() << "\n";
-    return 2;
-  }
-  if (ToLower(flags.GetString("knowledge")) != "oracle") {
+  if (base.knowledge != KnowledgeModel::kOracle) {
     std::cerr << "--knowledge only affects `run --proxy`; sweeps use "
                  "the logical executor\n";
     return 2;
@@ -785,7 +781,7 @@ int CommandSweep(const std::vector<std::string>& args) {
   for (const std::string& raw : Split(flags.GetString("values"), ',')) {
     std::string value(Trim(raw));
     if (value.empty()) continue;
-    SimulationConfig config = ConfigFromFlags(flags);
+    SimulationConfig config = base;
     auto as_double = ParseDouble(value);
     if (!as_double.ok()) {
       std::cerr << "bad sweep value: " << value << "\n";
@@ -853,11 +849,12 @@ int CommandGenTrace(const std::vector<std::string>& args) {
     std::cout << flags.Usage();
     return 0;
   }
-  if (auto backend = BackendFromFlags(flags); !backend.ok()) {
-    std::cerr << backend.status().ToString() << "\n";
+  auto parsed = ConfigFromFlags(flags);
+  if (!parsed.ok()) {
+    std::cerr << parsed.status().ToString() << "\n";
     return 2;
   }
-  SimulationConfig config = ConfigFromFlags(flags);
+  SimulationConfig config = std::move(*parsed);
   Rng rng(static_cast<uint64_t>(flags.GetInt64("seed")));
   if (config.dataset == DatasetKind::kAuction) {
     AuctionTraceOptions options = config.auction;
@@ -904,11 +901,12 @@ int CommandGenFeeds(const std::vector<std::string>& args) {
     std::cout << flags.Usage();
     return 0;
   }
-  if (auto backend = BackendFromFlags(flags); !backend.ok()) {
-    std::cerr << backend.status().ToString() << "\n";
+  auto parsed = ConfigFromFlags(flags);
+  if (!parsed.ok()) {
+    std::cerr << parsed.status().ToString() << "\n";
     return 2;
   }
-  SimulationConfig config = ConfigFromFlags(flags);
+  SimulationConfig config = std::move(*parsed);
   Rng rng(static_cast<uint64_t>(flags.GetInt64("seed")));
   AuctionTraceOptions options = config.auction;
   options.num_auctions = config.num_resources;
@@ -958,11 +956,12 @@ int CommandAnalyze(const std::vector<std::string>& args) {
     std::cout << flags.Usage();
     return 0;
   }
-  if (auto backend = BackendFromFlags(flags); !backend.ok()) {
-    std::cerr << backend.status().ToString() << "\n";
+  auto parsed = ConfigFromFlags(flags);
+  if (!parsed.ok()) {
+    std::cerr << parsed.status().ToString() << "\n";
     return 2;
   }
-  SimulationConfig config = ConfigFromFlags(flags);
+  SimulationConfig config = std::move(*parsed);
   auto problem =
       BuildProblem(config, static_cast<uint64_t>(flags.GetInt64("seed")));
   if (!problem.ok()) {
