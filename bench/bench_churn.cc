@@ -79,8 +79,8 @@ ArmResult RunArm(const MonitoringProblem& problem, const ChurnOptions& churn,
   out.seconds = std::chrono::duration<double>(end - start).count();
   out.schedule = monitor.schedule();
   out.completed = monitor.t_intervals_completed();
-  out.cancelled = monitor.t_intervals_cancelled();
-  out.edited = monitor.stats().edited;
+  out.cancelled = monitor.churn_stats().churn_cancelled;
+  out.edited = monitor.churn_stats().churn_edited;
   out.rejected = report.churn_rejected_ops;
   out.gc = monitor.Completeness().GainedCompleteness();
   out.ok = true;

@@ -41,78 +41,6 @@
 namespace pullmon {
 namespace {
 
-/// Field-level equality of the deterministic report surface (mirrors
-/// tests/report_equality.h with shard_stats=false; benches cannot use
-/// gtest). Prints the first divergent field and returns false.
-bool ReportsEqual(const ProxyRunReport& a, const ProxyRunReport& b,
-                  Chronon epoch_length, const std::string& label) {
-#define PULLMON_BENCH_FIELD_EQ(field)                                    \
-  do {                                                                   \
-    if (!(a.field == b.field)) {                                         \
-      std::cerr << "REPORT DIVERGENCE [" << label << "] field " #field   \
-                << "\n";                                                 \
-      return false;                                                      \
-    }                                                                    \
-  } while (0)
-  for (Chronon t = 0; t < epoch_length; ++t) {
-    if (a.run.schedule.ProbesAt(t) != b.run.schedule.ProbesAt(t)) {
-      std::cerr << "REPORT DIVERGENCE [" << label
-                << "] run.schedule at chronon " << t << "\n";
-      return false;
-    }
-  }
-  PULLMON_BENCH_FIELD_EQ(run.completeness.GainedCompleteness());
-  PULLMON_BENCH_FIELD_EQ(run.probes_used);
-  PULLMON_BENCH_FIELD_EQ(run.t_intervals_completed);
-  PULLMON_BENCH_FIELD_EQ(run.t_intervals_failed);
-  PULLMON_BENCH_FIELD_EQ(run.candidates_scored);
-  PULLMON_BENCH_FIELD_EQ(run.max_concurrent_candidates);
-  PULLMON_BENCH_FIELD_EQ(run.probes_failed);
-  PULLMON_BENCH_FIELD_EQ(run.retries_issued);
-  PULLMON_BENCH_FIELD_EQ(run.retry_probes_spent);
-  PULLMON_BENCH_FIELD_EQ(run.t_intervals_lost_to_faults);
-  PULLMON_BENCH_FIELD_EQ(run.open_chronons_total);
-  PULLMON_BENCH_FIELD_EQ(run.open_chronons_by_resource);
-  PULLMON_BENCH_FIELD_EQ(feeds_fetched);
-  PULLMON_BENCH_FIELD_EQ(not_modified);
-  PULLMON_BENCH_FIELD_EQ(feed_bytes);
-  PULLMON_BENCH_FIELD_EQ(items_parsed);
-  PULLMON_BENCH_FIELD_EQ(parse_failures);
-  PULLMON_BENCH_FIELD_EQ(notifications_delivered);
-  PULLMON_BENCH_FIELD_EQ(probes_failed);
-  PULLMON_BENCH_FIELD_EQ(retries_issued);
-  PULLMON_BENCH_FIELD_EQ(retry_probes_spent);
-  PULLMON_BENCH_FIELD_EQ(corrupt_bodies);
-  PULLMON_BENCH_FIELD_EQ(timeouts);
-  PULLMON_BENCH_FIELD_EQ(server_errors);
-  PULLMON_BENCH_FIELD_EQ(etag_invalidations);
-  PULLMON_BENCH_FIELD_EQ(outage_probes);
-  PULLMON_BENCH_FIELD_EQ(latency_chronons);
-  PULLMON_BENCH_FIELD_EQ(gc_lost_to_faults);
-  if (!(a.fault_stats == b.fault_stats)) {
-    std::cerr << "REPORT DIVERGENCE [" << label << "] fault_stats\n";
-    return false;
-  }
-  PULLMON_BENCH_FIELD_EQ(circuits_opened);
-  PULLMON_BENCH_FIELD_EQ(circuits_reopened);
-  PULLMON_BENCH_FIELD_EQ(probation_probes);
-  PULLMON_BENCH_FIELD_EQ(probation_successes);
-  PULLMON_BENCH_FIELD_EQ(probes_suppressed);
-  PULLMON_BENCH_FIELD_EQ(budget_reclaimed);
-  PULLMON_BENCH_FIELD_EQ(parse_cache_hits);
-  PULLMON_BENCH_FIELD_EQ(parse_cache_misses);
-  PULLMON_BENCH_FIELD_EQ(parse_cache_invalidations);
-  PULLMON_BENCH_FIELD_EQ(parse_cache_bytes_saved);
-  PULLMON_BENCH_FIELD_EQ(churn_submitted);
-  PULLMON_BENCH_FIELD_EQ(churn_cancelled);
-  PULLMON_BENCH_FIELD_EQ(churn_edited);
-  PULLMON_BENCH_FIELD_EQ(churn_unregistered_profiles);
-  PULLMON_BENCH_FIELD_EQ(churn_rejected_ops);
-  PULLMON_BENCH_FIELD_EQ(orphaned_probes);
-#undef PULLMON_BENCH_FIELD_EQ
-  return true;
-}
-
 /// The Figure-5 scalability substrate, adapted for the physical probe
 /// path: the budget carries 8 probes per chronon and large feed
 /// buffers make every fetched body a real parse workload.
@@ -182,10 +110,12 @@ ArmResult MeasureArm(const SimulationConfig& base,
         std::cerr << parallel.status().ToString() << "\n";
         return out;
       }
-      if (!ReportsEqual(*serial, *parallel, config.epoch_length,
-                        label + " seed " + std::to_string(seed) +
-                            " threads " +
-                            std::to_string(kThreadCounts[i]))) {
+      // Only the sharded engine fills the shard_* block.
+      const std::string diff = ReportDifference(*serial, *parallel,
+                                                {.shard_stats = false});
+      if (!diff.empty()) {
+        std::cerr << "REPORT DIVERGENCE [" << label << " seed " << seed
+                  << " threads " << kThreadCounts[i] << "] " << diff << "\n";
         return out;  // always fatal
       }
       parallel_seconds[i].Add(parallel->run.elapsed_seconds);

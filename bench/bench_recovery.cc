@@ -42,6 +42,7 @@
 #include "recovery/stable_storage.h"
 #include "sim/config.h"
 #include "sim/experiment.h"
+#include "sim/proxy.h"
 #include "util/flags.h"
 #include "util/table_printer.h"
 
@@ -107,41 +108,14 @@ SimulationConfig Figure5ChurnConfig() {
 
 constexpr Chronon kPeriodicEvery = 100;
 
-/// The deterministic fields a durable or recovered run must reproduce
-/// exactly. Mirrors tests/report_equality.h on the counters that exist
-/// outside gtest.
+/// A durable or recovered run must reproduce the baseline's report
+/// exactly (ReportDifference skips only the recovery_* counters).
 Status CheckReportsEqual(const ProxyRunReport& got,
                          const ProxyRunReport& want, const char* label) {
-#define PULLMON_BENCH_FIELD_EQ(field)                                   \
-  do {                                                                  \
-    if (got.field != want.field) {                                      \
-      return Status::Internal(StringFormat(                             \
-          "%s diverged on " #field " (run is not replay-exact)",        \
-          label));                                                      \
-    }                                                                   \
-  } while (0)
-  if (got.run.completeness.GainedCompleteness() !=
-      want.run.completeness.GainedCompleteness()) {
-    return Status::Internal(
-        StringFormat("%s diverged on gained completeness", label));
-  }
-  PULLMON_BENCH_FIELD_EQ(run.schedule.TotalProbes());
-  PULLMON_BENCH_FIELD_EQ(run.probes_used);
-  PULLMON_BENCH_FIELD_EQ(run.probes_failed);
-  PULLMON_BENCH_FIELD_EQ(run.t_intervals_completed);
-  PULLMON_BENCH_FIELD_EQ(feeds_fetched);
-  PULLMON_BENCH_FIELD_EQ(not_modified);
-  PULLMON_BENCH_FIELD_EQ(feed_bytes);
-  PULLMON_BENCH_FIELD_EQ(items_parsed);
-  PULLMON_BENCH_FIELD_EQ(notifications_delivered);
-  PULLMON_BENCH_FIELD_EQ(churn_submitted);
-  PULLMON_BENCH_FIELD_EQ(churn_cancelled);
-  PULLMON_BENCH_FIELD_EQ(churn_edited);
-  PULLMON_BENCH_FIELD_EQ(churn_unregistered_profiles);
-  PULLMON_BENCH_FIELD_EQ(churn_rejected_ops);
-  PULLMON_BENCH_FIELD_EQ(orphaned_probes);
-#undef PULLMON_BENCH_FIELD_EQ
-  return Status::OK();
+  const std::string diff = ReportDifference(got, want);
+  if (diff.empty()) return Status::OK();
+  return Status::Internal(StringFormat(
+      "%s diverged on %s (run is not replay-exact)", label, diff.c_str()));
 }
 
 /// What one durable variant measured in one repetition.

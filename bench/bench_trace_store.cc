@@ -144,8 +144,8 @@ Result<ArmResult> RunArm(const Arm& arm, uint64_t seed) {
   out.events = trace.TotalEvents();
   out.in_memory_bytes =
       trace.ApproxMemoryBytes() + trace.TotalEvents() * sizeof(UpdateEvent);
-  out.stored_bytes = store.StoredBytes();
-  out.pages = store.stats().pages_written;
+  out.stored_bytes = store.stats().trace_bytes_stored;
+  out.pages = store.stats().trace_pages_written;
 
   // In-memory replay: what the FeedNetwork's oracle path does —
   // materialize the chronological buffer, then walk it.

@@ -301,13 +301,6 @@ class CandidateIndex {
            live_count_[static_cast<std::size_t>(resource)];
   }
 
-  /// Resources currently holding at least one live candidate (may
-  /// include a few stale entries between compactions; LiveCount is
-  /// authoritative).
-  const std::vector<ResourceId>& ActiveResources() const {
-    return active_resources_;
-  }
-
   /// Exhaustive O(total EIs) audit of the lazy structures, run by the
   /// churn fuzz suite after every operation. Verifies, per resource:
   /// the exact live counter equals the number of non-dead live-list

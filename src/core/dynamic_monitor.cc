@@ -8,16 +8,6 @@
 
 namespace pullmon {
 
-const char* MonitorIndexModeToString(MonitorIndexMode mode) {
-  switch (mode) {
-    case MonitorIndexMode::kIncremental:
-      return "incremental";
-    case MonitorIndexMode::kRebuild:
-      return "rebuild";
-  }
-  return "?";
-}
-
 DynamicMonitor::DynamicMonitor(int num_resources, Chronon epoch_length,
                                BudgetVector budget, Policy* policy,
                                ExecutionMode mode, MonitorOptions options)
@@ -118,7 +108,7 @@ Status DynamicMonitor::CheckSubmit(ProfileId profile,
 Result<int> DynamicMonitor::Submit(ProfileId profile,
                                    TInterval t_interval) {
   PULLMON_RETURN_NOT_OK(CheckSubmit(profile, t_interval));
-  ++stats_.submitted;
+  ++churn_stats_.churn_submitted;
   submitted_.push_back(std::move(t_interval));
   return AppendSubmission(profile, &submitted_.back());
 }
@@ -126,7 +116,7 @@ Result<int> DynamicMonitor::Submit(ProfileId profile,
 Result<int> DynamicMonitor::SubmitStable(ProfileId profile,
                                          const TInterval* t_interval) {
   PULLMON_RETURN_NOT_OK(CheckSubmit(profile, *t_interval));
-  ++stats_.submitted;
+  ++churn_stats_.churn_submitted;
   return AppendSubmission(profile, t_interval);
 }
 
@@ -210,7 +200,7 @@ void DynamicMonitor::CancelLive(int t_id) {
   TIntervalRuntime& rt = runtimes_[static_cast<std::size_t>(t_id)];
   // Captures already spent on a submission the client is withdrawing
   // served nobody: account them as orphaned probe work.
-  stats_.orphaned_probes += static_cast<std::size_t>(rt.num_captured);
+  churn_stats_.orphaned_probes += static_cast<std::size_t>(rt.num_captured);
   cancelled_[static_cast<std::size_t>(t_id)] = 1;
   RetireParent(t_id);
   // Rank is exact, not a high-water mark: withdrawing the submission
@@ -236,7 +226,7 @@ Status DynamicMonitor::Cancel(ProfileId profile, int submission_id) {
                      profile, state));
   }
   CancelLive(t_id);
-  ++stats_.cancelled;
+  ++churn_stats_.churn_cancelled;
   return Status::OK();
 }
 
@@ -256,10 +246,10 @@ Result<int> DynamicMonitor::Unregister(ProfileId profile) {
        runtimes_of_profile_[static_cast<std::size_t>(profile)]) {
     if (!IsLive(t_id)) continue;
     CancelLive(t_id);
-    ++stats_.cancelled;
+    ++churn_stats_.churn_cancelled;
     ++cancelled;
   }
-  ++stats_.unregistered_profiles;
+  ++churn_stats_.churn_unregistered_profiles;
   return cancelled;
 }
 
@@ -280,7 +270,7 @@ Result<int> DynamicMonitor::Edit(ProfileId profile, int submission_id,
   // submission, so a rejected edit is a no-op.
   PULLMON_RETURN_NOT_OK(ValidateArrival(replacement, /*edit=*/true));
   CancelLive(t_id);
-  ++stats_.edited;
+  ++churn_stats_.churn_edited;
   submitted_.push_back(std::move(replacement));
   return AppendSubmission(profile, &submitted_.back());
 }
@@ -418,7 +408,7 @@ void DynamicMonitor::ExpireEnding(StepResult* step) {
     ++failed_;
     RetireParent(flat.t_id);
     if (fault_touched_[static_cast<std::size_t>(flat.t_id)]) {
-      ++stats_.t_intervals_lost_to_faults;
+      ++probe_stats_.t_intervals_lost_to_faults;
     }
     step->failed.emplace_back(
         parent.profile, submission_id_[static_cast<std::size_t>(flat.t_id)]);
@@ -527,19 +517,19 @@ Result<StepResult> DynamicMonitor::Step() {
     scored += shard_scored_[si];
     shard_stats_.candidates_scored[si] += shard_scored_[si];
   }
-  stats_.candidates_scored += scored;
-  stats_.max_concurrent_candidates =
-      std::max(stats_.max_concurrent_candidates, scored);
+  probe_stats_.candidates_scored += scored;
+  probe_stats_.max_concurrent_candidates =
+      std::max(probe_stats_.max_concurrent_candidates, scored);
 
   // 3. Control pass: merge the shard selections into the global order,
   // then run the budget/retry/breaker loop, each attempt through the
   // probe callback.
   auto attempt = [&](ResourceId r, std::size_t shard) {
-    ++stats_.probes_used;
+    ++probe_stats_.probes_used;
     ++shard_stats_.probes_executed[shard];
     const bool success = !probe_callback_ || probe_callback_(r, now_);
     health_.RecordProbe(r, now_, success);
-    if (!success) ++stats_.probes_failed;
+    if (!success) ++probe_stats_.probes_failed;
     return success;
   };
 
@@ -569,8 +559,8 @@ Result<StepResult> DynamicMonitor::Step() {
         if (waited > options_.retry.backoff_budget) break;
         backoff *= options_.retry.backoff_multiplier;
         ++probes_this_chronon;
-        ++stats_.retries_issued;
-        ++stats_.retry_probes_spent;
+        ++probe_stats_.retries_issued;
+        ++probe_stats_.retry_probes_spent;
         success = attempt(r, shard);
       }
       if (!success) {
@@ -635,24 +625,10 @@ CompletenessReport DynamicMonitor::Completeness() const {
 OnlineRunResult DynamicMonitor::RunResult() const {
   OnlineRunResult result;
   result.schedule = schedule_;
-  result.probes_used = stats_.probes_used;
+  static_cast<ProbeStats&>(result) = probe_stats_;
+  static_cast<HealthStats&>(result) = health_.stats();
   result.t_intervals_completed = completed_;
   result.t_intervals_failed = failed_;
-  result.candidates_scored = stats_.candidates_scored;
-  result.max_concurrent_candidates = stats_.max_concurrent_candidates;
-  result.probes_failed = stats_.probes_failed;
-  result.retries_issued = stats_.retries_issued;
-  result.retry_probes_spent = stats_.retry_probes_spent;
-  result.t_intervals_lost_to_faults = stats_.t_intervals_lost_to_faults;
-
-  const HealthStats& hs = health_.stats();
-  result.circuits_opened = hs.circuits_opened;
-  result.circuits_reopened = hs.circuits_reopened;
-  result.probation_probes = hs.probation_probes;
-  result.probation_successes = hs.probation_successes;
-  result.probes_suppressed = hs.probes_suppressed;
-  result.budget_reclaimed = hs.budget_reclaimed;
-  result.open_chronons_total = hs.open_chronons_total;
   if (options_.breaker.enabled) {
     result.open_chronons_by_resource = health_.OpenChrononsByResource();
   }
@@ -690,7 +666,8 @@ MonitorImage DynamicMonitor::Capture() const {
   for (Chronon t = 0; t < now_; ++t) {
     image.probes_by_chronon.push_back(schedule_.ProbesAt(t));
   }
-  image.stats = stats_;
+  image.probe_stats = probe_stats_;
+  image.churn_stats = churn_stats_;
   image.health = health_.Capture();
   if (num_shards_ > 1) image.shards = shard_stats_;
   return image;
@@ -783,7 +760,8 @@ Status DynamicMonitor::Restore(const MonitorImage& image) {
       PULLMON_RETURN_NOT_OK(schedule_.AddProbe(r, t));
     }
   }
-  stats_ = image.stats;
+  probe_stats_ = image.probe_stats;
+  churn_stats_ = image.churn_stats;
   if (num_shards_ > 1) shard_stats_ = image.shards;
   PULLMON_RETURN_NOT_OK(health_.Restore(image.health));
 

@@ -46,9 +46,6 @@ enum class MonitorIndexMode {
   kRebuild,
 };
 
-/// "incremental" / "rebuild".
-const char* MonitorIndexModeToString(MonitorIndexMode mode);
-
 /// Behavioral knobs of the monitor's probe path, index maintenance and
 /// parallelism. Defaults are the serial monitor: no retries, no
 /// breaker, incremental maintenance, one shard, one thread.
@@ -77,32 +74,25 @@ struct MonitorOptions {
   static constexpr int kParallelShards = 16;
 };
 
-/// Deterministic counters of one monitor lifetime (mirrors the
-/// scheduling/fault/churn portions of OnlineRunResult/ProxyRunReport).
-struct MonitorStats {
-  // --- Probe path (identical meaning to OnlineRunResult). -------------
-  std::size_t probes_used = 0;
-  std::size_t probes_failed = 0;
-  std::size_t retries_issued = 0;
-  std::size_t retry_probes_spent = 0;
-  std::size_t candidates_scored = 0;
-  std::size_t max_concurrent_candidates = 0;
-  std::size_t t_intervals_lost_to_faults = 0;
-  // --- Churn telemetry. ------------------------------------------------
+/// Churn counters of one monitor lifetime (all zero in churn-free
+/// runs). The probe-path counters are ProbeStats (core/online_executor.h).
+struct ChurnStats {
   /// Accepted Submit() calls (edit replacements are counted under
-  /// `edited`, not here).
-  std::size_t submitted = 0;
+  /// `churn_edited`, not here).
+  std::size_t churn_submitted = 0;
   /// Accepted Cancel() calls plus per-submission cancellations performed
   /// by Unregister().
-  std::size_t cancelled = 0;
+  std::size_t churn_cancelled = 0;
   /// Accepted Edit() calls.
-  std::size_t edited = 0;
+  std::size_t churn_edited = 0;
   /// Accepted Unregister() calls.
-  std::size_t unregistered_profiles = 0;
+  std::size_t churn_unregistered_profiles = 0;
   /// Probe work orphaned by churn: EI captures whose parent t-interval
   /// was cancelled or edited away before completing — pulls whose data
   /// no client ever received.
   std::size_t orphaned_probes = 0;
+
+  bool operator==(const ChurnStats& other) const = default;
 };
 
 /// Per-shard telemetry of one monitor lifetime (mirrored into the
@@ -150,7 +140,8 @@ struct MonitorImage {
   std::vector<MonitorSubmissionImage> submissions;
   /// Probes of the schedule so far, per chronon in [0, now).
   std::vector<std::vector<ResourceId>> probes_by_chronon;
-  MonitorStats stats;
+  ProbeStats probe_stats;
+  ChurnStats churn_stats;
   HealthImage health;
   /// Shard telemetry of a sharded monitor; shard_count 0 (and empty
   /// vectors) on the serial engine, which reports none.
@@ -209,7 +200,7 @@ struct MonitorImage {
 ///    and refuses future submissions to it.
 ///  * Cancelled submissions leave the completeness denominator — they
 ///    were withdrawn, not missed. Captures they already consumed are
-///    surfaced as MonitorStats::orphaned_probes.
+///    surfaced as ChurnStats::orphaned_probes.
 ///  * A profile's rank is exact: it is the maximum t-interval size over
 ///    the profile's non-withdrawn submissions, so cancelling or editing
 ///    away the submission that carried the maximum lowers it (rank-level
@@ -286,9 +277,9 @@ class DynamicMonitor {
   std::size_t t_intervals_submitted() const { return runtimes_.size(); }
   std::size_t t_intervals_completed() const { return completed_; }
   std::size_t t_intervals_failed() const { return failed_; }
-  std::size_t t_intervals_cancelled() const { return stats_.cancelled; }
 
-  const MonitorStats& stats() const { return stats_; }
+  const ProbeStats& probe_stats() const { return probe_stats_; }
+  const ChurnStats& churn_stats() const { return churn_stats_; }
   const ShardRunStats& shard_stats() const { return shard_stats_; }
   const ResourceHealthTracker& health() const { return health_; }
 
@@ -415,7 +406,8 @@ class DynamicMonitor {
   Schedule schedule_;
   std::size_t completed_ = 0;
   std::size_t failed_ = 0;
-  MonitorStats stats_;
+  ProbeStats probe_stats_;
+  ChurnStats churn_stats_;
   ShardRunStats shard_stats_;
 
   /// Stable storage of copied submissions: TIntervalRuntime::source

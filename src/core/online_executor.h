@@ -33,23 +33,14 @@ struct RetryPolicy {
   Status Validate() const;
 };
 
-/// Outcome of one online run.
-struct OnlineRunResult {
-  Schedule schedule{0};
-  CompletenessReport completeness;
-  /// Wall-clock seconds spent in the online loop (candidate maintenance,
-  /// policy scoring, selection) — the quantity plotted in Figure 5.
-  double elapsed_seconds = 0.0;
+/// Probe-path counters of one chronon engine (DynamicMonitor, or the
+/// ReferenceExecutor oracle). OnlineRunResult inherits them; a monitor
+/// snapshot persists them (recovery/recovery_codec.cc).
+struct ProbeStats {
   /// Probe attempts issued, including failed attempts and retries; each
   /// one consumed a unit of its chronon's budget. Equals the schedule's
   /// probe count when every probe succeeds.
   std::size_t probes_used = 0;
-  std::size_t t_intervals_completed = 0;
-  std::size_t t_intervals_failed = 0;
-  /// Sum over chronons of candidate EIs scored (work measure).
-  std::size_t candidates_scored = 0;
-  /// Largest per-chronon candidate set encountered.
-  std::size_t max_concurrent_candidates = 0;
   /// Probe attempts (initial or retry) the probe callback failed.
   std::size_t probes_failed = 0;
   /// Retry attempts started after a failed probe.
@@ -58,20 +49,29 @@ struct OnlineRunResult {
   /// probed other resources. Coincides with retries_issued under the
   /// unit probe-cost model.
   std::size_t retry_probes_spent = 0;
+  /// Sum over chronons of candidate EIs scored (work measure).
+  std::size_t candidates_scored = 0;
+  /// Largest per-chronon candidate set encountered.
+  std::size_t max_concurrent_candidates = 0;
   /// Failed t-intervals that suffered at least one failed probe while
   /// holding a live candidate EI on the probed resource — an upper bound
   /// on the completeness the faults cost this run.
   std::size_t t_intervals_lost_to_faults = 0;
 
-  // --- Resource-health telemetry (all zero when the breaker is off;
-  // --- mirrors HealthStats, see core/resource_health.h). --------------
-  std::size_t circuits_opened = 0;
-  std::size_t circuits_reopened = 0;
-  std::size_t probation_probes = 0;
-  std::size_t probation_successes = 0;
-  std::size_t probes_suppressed = 0;
-  std::size_t budget_reclaimed = 0;
-  std::size_t open_chronons_total = 0;
+  bool operator==(const ProbeStats& other) const = default;
+};
+
+/// Outcome of one online run: the schedule and its completeness, the
+/// engine's probe-path counters, and the breaker's health counters
+/// (all zero when the breaker is off; core/resource_health.h).
+struct OnlineRunResult : ProbeStats, HealthStats {
+  Schedule schedule{0};
+  CompletenessReport completeness;
+  /// Wall-clock seconds spent in the online loop (candidate maintenance,
+  /// policy scoring, selection) — the quantity plotted in Figure 5.
+  double elapsed_seconds = 0.0;
+  std::size_t t_intervals_completed = 0;
+  std::size_t t_intervals_failed = 0;
   /// Chronons each resource spent circuit-open (indexed by ResourceId);
   /// empty when the breaker is disabled.
   std::vector<std::size_t> open_chronons_by_resource;

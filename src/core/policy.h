@@ -38,13 +38,6 @@ struct TIntervalRuntime {
   bool selected = false;
 
   int NumEis() const { return static_cast<int>(source->eis().size()); }
-  /// EIs still to capture under the all-required default.
-  int NumResidual() const { return NumEis() - num_captured; }
-  /// Captures still needed for completion (>= 0).
-  int RequiredResidual() const {
-    int residual = required - num_captured;
-    return residual > 0 ? residual : 0;
-  }
   /// EIs that are neither captured nor expired.
   int NumAlive() const { return NumEis() - num_captured - num_expired; }
 };

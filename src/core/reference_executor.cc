@@ -290,14 +290,7 @@ Result<OnlineRunResult> ReferenceExecutor::Run() {
   result.elapsed_seconds =
       std::chrono::duration<double>(run_end - run_start).count();
 
-  const HealthStats& hs = health.stats();
-  result.circuits_opened = hs.circuits_opened;
-  result.circuits_reopened = hs.circuits_reopened;
-  result.probation_probes = hs.probation_probes;
-  result.probation_successes = hs.probation_successes;
-  result.probes_suppressed = hs.probes_suppressed;
-  result.budget_reclaimed = hs.budget_reclaimed;
-  result.open_chronons_total = hs.open_chronons_total;
+  static_cast<HealthStats&>(result) = health.stats();
   if (breaker_.enabled) {
     result.open_chronons_by_resource = health.OpenChrononsByResource();
   }

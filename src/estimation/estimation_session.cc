@@ -27,27 +27,27 @@ void EstimationSession::Ingest(const ProbeObservation& observation) {
          observation.resource < num_resources());
   ResourceModel& model =
       models_[static_cast<std::size_t>(observation.resource)];
-  ++stats_.probes_observed;
+  ++stats_.estimation_probes_observed;
   model.last_probe = std::max(model.last_probe, observation.probed_at);
   if (!observation.success) return;
   if (observation.not_modified) {
     // Censored negative evidence: no update since the last successful
     // fetch. The decaying tracker already encodes it — silence lowers
     // RateAt as time passes without Observe() calls.
-    ++stats_.not_modified;
+    ++stats_.estimation_not_modified;
     return;
   }
   bool learned = false;
   for (Chronon u : observation.update_chronons) {
     if (u <= model.last_event) {
       // Feed buffers overlap across probes; the event is already known.
-      ++stats_.duplicate_events;
+      ++stats_.estimation_duplicate_events;
       continue;
     }
     model.events.push_back(u);
     model.last_event = u;
     model.tracker.Observe(u);
-    ++stats_.update_events;
+    ++stats_.estimation_update_events;
     learned = true;
   }
   if (!learned) return;

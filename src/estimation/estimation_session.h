@@ -41,18 +41,20 @@ struct EstimationOptions {
   PeriodicDetectorOptions periodic;
 };
 
-/// Deterministic counters of one estimation session (mirrored into
-/// ProxyRunReport's estimation_* block).
+/// Deterministic counters of one estimation session (a base of
+/// ProxyRunReport; all zero under the oracle knowledge model).
 struct EstimationStats {
   /// Probe outcomes ingested (successes and failures).
-  std::size_t probes_observed = 0;
+  std::size_t estimation_probes_observed = 0;
   /// Distinct update events learned from item diffs.
-  std::size_t update_events = 0;
-  /// 304-not-modified responses observed.
-  std::size_t not_modified = 0;
+  std::size_t estimation_update_events = 0;
+  /// 304-not-modified responses observed (censored negatives).
+  std::size_t estimation_not_modified = 0;
   /// Item timestamps skipped because the event was already known (feed
   /// buffers overlap across probes).
-  std::size_t duplicate_events = 0;
+  std::size_t estimation_duplicate_events = 0;
+
+  bool operator==(const EstimationStats& other) const = default;
 };
 
 /// The closed-loop, per-resource online update model (DESIGN.md

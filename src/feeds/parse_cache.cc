@@ -22,27 +22,27 @@ const FeedDocument* ParseCache::Lookup(ResourceId resource,
   // keeps fault accounting (parse_failures, invalidations) identical
   // with the cache on or off.
   if (mangled) {
-    ++stats_.misses;
+    ++stats_.parse_cache_misses;
     return nullptr;
   }
   Entry& entry = entries_[static_cast<std::size_t>(resource)];
   if (entry.valid) {
     // Validator key: the served ETag equals the stored one.
     if (!served_etag.empty() && served_etag == entry.etag) {
-      ++stats_.hits;
-      stats_.bytes_saved += body.size();
+      ++stats_.parse_cache_hits;
+      stats_.parse_cache_bytes_saved += body.size();
       return &entry.document;
     }
     // Content key: byte-identical body under a different (e.g.
     // storm-salted) validator.
     if (body.size() == entry.body_size &&
         HashBody(body) == entry.body_hash) {
-      ++stats_.hits;
-      stats_.bytes_saved += body.size();
+      ++stats_.parse_cache_hits;
+      stats_.parse_cache_bytes_saved += body.size();
       return &entry.document;
     }
   }
-  ++stats_.misses;
+  ++stats_.parse_cache_misses;
   return nullptr;
 }
 
@@ -63,7 +63,7 @@ void ParseCache::Invalidate(ResourceId resource) {
   Entry& entry = entries_[static_cast<std::size_t>(resource)];
   if (!entry.valid) return;
   entry.valid = false;
-  ++stats_.invalidations;
+  ++stats_.parse_cache_invalidations;
 }
 
 ParseCacheImage ParseCache::Capture() const {

@@ -15,11 +15,11 @@ namespace pullmon {
 
 /// Counters of everything a ParseCache did; deterministic per run.
 struct ParseCacheStats {
-  std::size_t hits = 0;
-  std::size_t misses = 0;
-  std::size_t invalidations = 0;
+  std::size_t parse_cache_hits = 0;
+  std::size_t parse_cache_misses = 0;
+  std::size_t parse_cache_invalidations = 0;
   /// Body bytes whose parse was skipped by a hit.
-  std::size_t bytes_saved = 0;
+  std::size_t parse_cache_bytes_saved = 0;
 
   bool operator==(const ParseCacheStats& other) const = default;
 };

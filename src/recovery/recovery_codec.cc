@@ -197,7 +197,7 @@ void Fields(C& c, T& t) {
   c(kVarint, t, &TInterval::required, &TInterval::set_required);
 }
 
-template <typename C, Persisted<MonitorStats> S>
+template <typename C, Persisted<ProbeStats> S>
 void Fields(C& c, S& s) {
   c(kVarint, s.probes_used);
   c(kVarint, s.probes_failed);
@@ -206,10 +206,14 @@ void Fields(C& c, S& s) {
   c(kVarint, s.candidates_scored);
   c(kVarint, s.max_concurrent_candidates);
   c(kVarint, s.t_intervals_lost_to_faults);
-  c(kVarint, s.submitted);
-  c(kVarint, s.cancelled);
-  c(kVarint, s.edited);
-  c(kVarint, s.unregistered_profiles);
+}
+
+template <typename C, Persisted<ChurnStats> S>
+void Fields(C& c, S& s) {
+  c(kVarint, s.churn_submitted);
+  c(kVarint, s.churn_cancelled);
+  c(kVarint, s.churn_edited);
+  c(kVarint, s.churn_unregistered_profiles);
   c(kVarint, s.orphaned_probes);
 }
 
@@ -278,7 +282,8 @@ void Fields(C& c, M& m) {
   c(kByte, m.profile_unregistered);
   c(kStruct, m.submissions);
   c(kSigned, m.probes_by_chronon);
-  c(kStruct, m.stats);
+  c(kStruct, m.probe_stats);
+  c(kStruct, m.churn_stats);
   c(kStruct, m.health);
   // m.shards is the snapshot's optional tail (ProxySnapshot below).
 }
@@ -324,10 +329,10 @@ void Fields(C& c, E& entry) {
 
 template <typename C, Persisted<ParseCacheStats> S>
 void Fields(C& c, S& s) {
-  c(kVarint, s.hits);
-  c(kVarint, s.misses);
-  c(kVarint, s.invalidations);
-  c(kVarint, s.bytes_saved);
+  c(kVarint, s.parse_cache_hits);
+  c(kVarint, s.parse_cache_misses);
+  c(kVarint, s.parse_cache_invalidations);
+  c(kVarint, s.parse_cache_bytes_saved);
 }
 
 template <typename C, Persisted<ParseCacheImage> P>

@@ -175,7 +175,7 @@ Result<ProxyRunReport> RunAdaptiveOnce(const SimulationConfig& config,
     if (explore_at[static_cast<std::size_t>(now)] != 0) {
       PULLMON_RETURN_NOT_OK(explore_probe(now));
     }
-    const std::size_t probes_before = run.monitor().stats().probes_used;
+    const std::size_t probes_before = run.monitor().probe_stats().probes_used;
     PULLMON_RETURN_NOT_OK(run.StepChronon());
     // Work conservation: budget units the monitor left on the table
     // (too few live predicted candidates this chronon) become further
@@ -184,8 +184,8 @@ Result<ProxyRunReport> RunAdaptiveOnce(const SimulationConfig& config,
     // at all. Each probe's observation lands before the next target is
     // chosen, so consecutive leftover probes walk the coldest
     // resources in round-robin order.
-    const auto monitor_probes =
-        static_cast<int>(run.monitor().stats().probes_used - probes_before);
+    const auto monitor_probes = static_cast<int>(
+        run.monitor().probe_stats().probes_used - probes_before);
     for (int leftover = monitor_budget.at(now) - monitor_probes;
          leftover > 0; --leftover) {
       PULLMON_RETURN_NOT_OK(explore_probe(now));
@@ -193,11 +193,7 @@ Result<ProxyRunReport> RunAdaptiveOnce(const SimulationConfig& config,
   }
 
   PULLMON_ASSIGN_OR_RETURN(ProxyRunReport out, run.Finish(&explore_schedule));
-  const EstimationStats& es = model.stats();
-  out.estimation_probes_observed = es.probes_observed;
-  out.estimation_update_events = es.update_events;
-  out.estimation_not_modified = es.not_modified;
-  out.estimation_duplicate_events = es.duplicate_events;
+  static_cast<EstimationStats&>(out) = model.stats();
   out.estimation_periodic_resources = model.PeriodicResources();
   return out;
 }

@@ -30,18 +30,6 @@ Status ChurnOptions::Validate() const {
   return Status::OK();
 }
 
-const char* ChurnEventKindToString(ChurnEvent::Kind kind) {
-  switch (kind) {
-    case ChurnEvent::Kind::kCancel:
-      return "cancel";
-    case ChurnEvent::Kind::kEdit:
-      return "edit";
-    case ChurnEvent::Kind::kUnregister:
-      return "unregister";
-  }
-  return "?";
-}
-
 ChurnWorkload GenerateChurnWorkload(const ChurnOptions& options,
                                     int num_profiles, Chronon epoch_length,
                                     uint64_t seed) {

@@ -66,8 +66,6 @@ struct ChurnEvent {
   double weight_factor = 1.0;
 };
 
-const char* ChurnEventKindToString(ChurnEvent::Kind kind);
-
 /// A full epoch's churn stream, sorted by chronon (events within one
 /// chronon apply in generation order, before that chronon executes).
 struct ChurnWorkload {

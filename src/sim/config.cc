@@ -41,6 +41,9 @@ Status SimulationConfig::Validate() const {
   if (threads < 1) {
     return Status::InvalidArgument("threads must be >= 1");
   }
+  if (feed_buffer_capacity < 1) {
+    return Status::InvalidArgument("buffer-capacity must be >= 1 items");
+  }
   if (checkpoint_dir.empty()) {
     if (checkpoint_every > 0) {
       return Status::InvalidArgument(

@@ -6,7 +6,6 @@
 #include "policies/policy_factory.h"
 #include "profilegen/profile_generator.h"
 #include "trace/poisson_generator.h"
-#include "util/random.h"
 #include "util/string_util.h"
 
 namespace pullmon {
@@ -25,89 +24,67 @@ std::vector<PolicySpec> StandardPolicySpecs() {
   };
 }
 
+AuctionTraceOptions AuctionOptionsFor(const SimulationConfig& config) {
+  AuctionTraceOptions options = config.auction;
+  options.num_auctions = config.num_resources;
+  options.epoch_length = config.epoch_length;
+  return options;
+}
+
 namespace {
 
+PoissonTraceOptions PoissonOptionsFor(const SimulationConfig& config) {
+  return {.num_resources = config.num_resources,
+          .epoch_length = config.epoch_length,
+          .lambda = config.lambda};
+}
+
+FeedWorkloadOptions FeedWorkloadOptionsFor(const SimulationConfig& config) {
+  FeedWorkloadOptions options = config.feed_workload;
+  options.num_feeds = config.num_resources;
+  options.epoch_length = config.epoch_length;
+  return options;
+}
+
+/// GenerateUpdateTrace's paged twin: the store-direct generators mirror
+/// the UpdateTrace ones draw for draw, so for one seed both backends
+/// hold the same events.
+Result<TraceStore> GenerateTraceStore(const SimulationConfig& config,
+                                      Rng* rng) {
+  switch (config.dataset) {
+    case DatasetKind::kPoisson:
+      return GeneratePoissonTraceStore(PoissonOptionsFor(config), rng,
+                                       config.trace_store);
+    case DatasetKind::kAuction: {
+      PULLMON_ASSIGN_OR_RETURN(
+          AuctionTrace auctions,
+          GenerateAuctionTrace(AuctionOptionsFor(config), rng));
+      return auctions.ToTraceStore(config.trace_store);
+    }
+    case DatasetKind::kFeedWorkload:
+      return GenerateFeedWorkloadStore(FeedWorkloadOptionsFor(config), rng,
+                                       config.trace_store);
+  }
+  return Status::InvalidArgument("unknown dataset");
+}
+
 /// Generates the update trace into whichever representation the config
-/// selects and derives the profiles from it. Both branches consume
-/// `rng` identically (the store-direct generators mirror the
-/// UpdateTrace ones draw for draw), so for one seed the backends build
-/// the same problem from the same events.
+/// selects and derives the profiles from it; both branches consume
+/// `rng` identically.
 Result<std::vector<Profile>> GenerateTraceAndProfiles(
     const SimulationConfig& config, Rng* rng,
     const ProfileGeneratorOptions& pg, UpdateTrace* trace_out,
     std::optional<TraceStore>* store_out) {
-  const bool paged = config.trace_backend == TraceBackend::kPaged;
-  if (paged) {
-    std::optional<TraceStore> store;
-    switch (config.dataset) {
-      case DatasetKind::kPoisson: {
-        PoissonTraceOptions options;
-        options.num_resources = config.num_resources;
-        options.epoch_length = config.epoch_length;
-        options.lambda = config.lambda;
-        PULLMON_ASSIGN_OR_RETURN(
-            TraceStore generated,
-            GeneratePoissonTraceStore(options, rng, config.trace_store));
-        store.emplace(std::move(generated));
-        break;
-      }
-      case DatasetKind::kAuction: {
-        AuctionTraceOptions options = config.auction;
-        options.num_auctions = config.num_resources;
-        options.epoch_length = config.epoch_length;
-        PULLMON_ASSIGN_OR_RETURN(AuctionTrace auctions,
-                                 GenerateAuctionTrace(options, rng));
-        PULLMON_ASSIGN_OR_RETURN(
-            TraceStore generated,
-            auctions.ToTraceStore(config.trace_store));
-        store.emplace(std::move(generated));
-        break;
-      }
-      case DatasetKind::kFeedWorkload: {
-        FeedWorkloadOptions options = config.feed_workload;
-        options.num_feeds = config.num_resources;
-        options.epoch_length = config.epoch_length;
-        PULLMON_ASSIGN_OR_RETURN(
-            TraceStore generated,
-            GenerateFeedWorkloadStore(options, rng, config.trace_store));
-        store.emplace(std::move(generated));
-        break;
-      }
-    }
+  if (config.trace_backend == TraceBackend::kPaged) {
+    PULLMON_ASSIGN_OR_RETURN(TraceStore store,
+                             GenerateTraceStore(config, rng));
     PULLMON_ASSIGN_OR_RETURN(std::vector<Profile> profiles,
-                             GenerateProfiles(*store, pg, rng));
-    if (store_out != nullptr) *store_out = std::move(store);
+                             GenerateProfiles(store, pg, rng));
+    if (store_out != nullptr) store_out->emplace(std::move(store));
     return profiles;
   }
-
-  UpdateTrace trace(0, 0);
-  switch (config.dataset) {
-    case DatasetKind::kPoisson: {
-      PoissonTraceOptions options;
-      options.num_resources = config.num_resources;
-      options.epoch_length = config.epoch_length;
-      options.lambda = config.lambda;
-      PULLMON_ASSIGN_OR_RETURN(trace, GeneratePoissonTrace(options, rng));
-      break;
-    }
-    case DatasetKind::kAuction: {
-      AuctionTraceOptions options = config.auction;
-      options.num_auctions = config.num_resources;
-      options.epoch_length = config.epoch_length;
-      PULLMON_ASSIGN_OR_RETURN(AuctionTrace auctions,
-                               GenerateAuctionTrace(options, rng));
-      PULLMON_ASSIGN_OR_RETURN(trace, auctions.ToUpdateTrace());
-      break;
-    }
-    case DatasetKind::kFeedWorkload: {
-      FeedWorkloadOptions options = config.feed_workload;
-      options.num_feeds = config.num_resources;
-      options.epoch_length = config.epoch_length;
-      PULLMON_ASSIGN_OR_RETURN(trace,
-                               GenerateFeedWorkload(options, rng));
-      break;
-    }
-  }
+  PULLMON_ASSIGN_OR_RETURN(UpdateTrace trace,
+                           GenerateUpdateTrace(config, rng));
   PULLMON_ASSIGN_OR_RETURN(std::vector<Profile> profiles,
                            GenerateProfiles(trace, pg, rng));
   if (trace_out != nullptr) *trace_out = std::move(trace);
@@ -115,6 +92,23 @@ Result<std::vector<Profile>> GenerateTraceAndProfiles(
 }
 
 }  // namespace
+
+Result<UpdateTrace> GenerateUpdateTrace(const SimulationConfig& config,
+                                        Rng* rng) {
+  switch (config.dataset) {
+    case DatasetKind::kPoisson:
+      return GeneratePoissonTrace(PoissonOptionsFor(config), rng);
+    case DatasetKind::kAuction: {
+      PULLMON_ASSIGN_OR_RETURN(
+          AuctionTrace auctions,
+          GenerateAuctionTrace(AuctionOptionsFor(config), rng));
+      return auctions.ToUpdateTrace();
+    }
+    case DatasetKind::kFeedWorkload:
+      return GenerateFeedWorkload(FeedWorkloadOptionsFor(config), rng);
+  }
+  return Status::InvalidArgument("unknown dataset");
+}
 
 Result<MonitoringProblem> BuildProblem(
     const SimulationConfig& config, uint64_t seed, UpdateTrace* trace_out,
@@ -174,11 +168,14 @@ Status BuildSubstrate(const SimulationConfig& config, const PolicySpec& spec,
   options.trace_backend = config.trace_backend;
   options.threads = config.threads;
   PULLMON_RETURN_NOT_OK(options.Validate());
+  if (config.feed_buffer_capacity < 1) {
+    return Status::InvalidArgument("buffer-capacity must be >= 1 items");
+  }
   PULLMON_ASSIGN_OR_RETURN(out->problem,
                            BuildProblem(config, seed, &out->trace,
                                         &out->store));
-  const auto buffer_capacity = static_cast<std::size_t>(
-      config.feed_buffer_capacity < 1 ? 1 : config.feed_buffer_capacity);
+  const auto buffer_capacity =
+      static_cast<std::size_t>(config.feed_buffer_capacity);
   if (out->store.has_value()) {
     out->network.emplace(&*out->store, buffer_capacity);
   } else {

@@ -11,6 +11,7 @@
 #include "offline/local_ratio.h"
 #include "sim/config.h"
 #include "sim/proxy.h"
+#include "util/random.h"
 #include "util/stats.h"
 #include "util/status.h"
 
@@ -28,8 +29,18 @@ struct PolicySpec {
 /// The policy line-up used throughout Section 5.
 std::vector<PolicySpec> StandardPolicySpecs();
 
+/// The auction generator's options for `config`: num_resources
+/// auctions over the epoch.
+AuctionTraceOptions AuctionOptionsFor(const SimulationConfig& config);
+
+/// Generates `config.dataset` as an in-memory update trace (an auction
+/// trace becomes its update events), drawing from `rng` exactly as
+/// BuildProblem does before it derives the profiles.
+Result<UpdateTrace> GenerateUpdateTrace(const SimulationConfig& config,
+                                        Rng* rng);
+
 /// Instantiates a problem from a configuration and seed: generates the
-/// update trace (Poisson or auction), derives profiles with the
+/// update trace (GenerateUpdateTrace), derives profiles with the
 /// three-stage generator, and attaches the uniform budget. When
 /// `trace_out` is non-null it receives the generated update trace (the
 /// proxy path replays it through a FeedNetwork).
@@ -66,7 +77,8 @@ struct RunSubstrate {
 /// Builds the substrate of one run into `out` (freshly constructed).
 /// Every runner — proxy, churn, durable, adaptive — starts here, so they
 /// consume the seed identically. The proxy options are derived and
-/// validated (ProxyOptions::Validate) before anything is generated.
+/// validated (ProxyOptions::Validate), and a feed buffer capacity below
+/// 1 is rejected (InvalidArgument), before anything is generated.
 Status BuildSubstrate(const SimulationConfig& config, const PolicySpec& spec,
                       uint64_t seed, RunSubstrate* out);
 

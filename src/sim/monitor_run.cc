@@ -61,12 +61,7 @@ Result<ProxyRunReport> MonitorRun::Finish(const Schedule* explore_schedule) {
     // schedule-based evaluation (cancelled submissions excluded).
     PULLMON_CHECK(run.completeness.captured_t_intervals ==
                   run.t_intervals_completed);
-    const MonitorStats& ms = monitor_->stats();
-    report_.churn_submitted = ms.submitted;
-    report_.churn_cancelled = ms.cancelled;
-    report_.churn_edited = ms.edited;
-    report_.churn_unregistered_profiles = ms.unregistered_profiles;
-    report_.orphaned_probes = ms.orphaned_probes;
+    static_cast<ChurnStats&>(report_) = monitor_->churn_stats();
   } else {
     // The monitor only ever saw predicted submissions, so its own
     // capture accounting measures the forecasts, not the ground truth.

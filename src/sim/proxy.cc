@@ -1,5 +1,6 @@
 #include "sim/proxy.h"
 
+#include <string>
 #include <utility>
 
 #include "feeds/atom.h"
@@ -152,14 +153,7 @@ void FeedPullSession::FinishReport(OnlineRunResult run) {
   report_->probes_failed = r.probes_failed;
   report_->retries_issued = r.retries_issued;
   report_->retry_probes_spent = r.retry_probes_spent;
-  report_->circuits_opened = r.circuits_opened;
-  report_->circuits_reopened = r.circuits_reopened;
-  report_->probation_probes = r.probation_probes;
-  report_->probation_successes = r.probation_successes;
-  report_->probes_suppressed = r.probes_suppressed;
-  report_->budget_reclaimed = r.budget_reclaimed;
-  report_->open_chronons_total = r.open_chronons_total;
-  report_->open_chronons_by_resource = r.open_chronons_by_resource;
+  static_cast<HealthStats&>(*report_) = r;
   report_->shard_count = r.shard_count;
   report_->shard_candidates_scored = r.shard_candidates_scored;
   report_->shard_probes_executed = r.shard_probes_executed;
@@ -171,24 +165,14 @@ void FeedPullSession::FinishReport(OnlineRunResult run) {
                        static_cast<double>(total);
   if (plan_.has_value()) {
     report_->fault_stats = plan_->stats();
-    report_->latency_chronons = report_->fault_stats.latency_total;
     report_->etag_invalidations = report_->fault_stats.etag_invalidations;
   }
   if (cache_.has_value()) {
-    report_->parse_cache_hits = cache_->stats().hits;
-    report_->parse_cache_misses = cache_->stats().misses;
-    report_->parse_cache_invalidations = cache_->stats().invalidations;
-    report_->parse_cache_bytes_saved = cache_->stats().bytes_saved;
+    static_cast<ParseCacheStats&>(*report_) = cache_->stats();
   }
   if (const TraceStore* store = network_->trace_store();
       store != nullptr) {
-    const TraceStoreStats& stats = store->stats();
-    report_->trace_pages_written = stats.pages_written;
-    report_->trace_bytes_stored = stats.bytes_stored;
-    report_->trace_in_memory_bytes = stats.in_memory_bytes;
-    report_->trace_cache_hits = stats.cache_hits;
-    report_->trace_cache_misses = stats.cache_misses;
-    report_->trace_cache_evictions = stats.cache_evictions;
+    static_cast<TraceStoreStats&>(*report_) = store->stats();
   }
 }
 
@@ -221,6 +205,77 @@ Status FeedPullSession::Restore(const PullSessionImage& image) {
     PULLMON_RETURN_NOT_OK(cache_->Restore(*image.parse_cache));
   }
   return Status::OK();
+}
+
+namespace {
+
+/// Keeps the name of the first compared pair that differs. A block is
+/// compared through its defaulted operator==, by naming its struct as
+/// T: Check<ProbeStats>("ProbeStats", a, b).
+class FirstDifference {
+ public:
+  template <typename T>
+  FirstDifference& Check(const char* name, const T& a, const T& b,
+                         bool compare = true) {
+    if (name_.empty() && compare && !(a == b)) name_ = name;
+    return *this;
+  }
+
+  std::string name() const { return name_; }
+
+ private:
+  std::string name_;
+};
+
+}  // namespace
+
+std::string ReportDifference(const ProxyRunReport& a, const ProxyRunReport& b,
+                             const ReportEqualityOptions& options) {
+  const Schedule& sa = a.run.schedule;
+  const Schedule& sb = b.run.schedule;
+  if (sa.epoch_length() != sb.epoch_length()) return "run.schedule length";
+  for (Chronon t = 0; t < sa.epoch_length(); ++t) {
+    if (sa.ProbesAt(t) != sb.ProbesAt(t)) {
+      return "run.schedule at chronon " + std::to_string(t);
+    }
+  }
+  return FirstDifference()
+      .Check("run.completeness", a.run.completeness.GainedCompleteness(),
+             b.run.completeness.GainedCompleteness())
+      .Check<ProbeStats>("run.ProbeStats", a.run, b.run)
+      .Check("run.t_intervals_completed", a.run.t_intervals_completed,
+             b.run.t_intervals_completed)
+      .Check("run.t_intervals_failed", a.run.t_intervals_failed,
+             b.run.t_intervals_failed)
+      .Check<HealthStats>("run.HealthStats", a.run, b.run)
+      .Check("run.open_chronons_by_resource",
+             a.run.open_chronons_by_resource,
+             b.run.open_chronons_by_resource)
+      .Check<LiveReportCounters>("LiveReportCounters", a, b)
+      .Check("probes_failed", a.probes_failed, b.probes_failed)
+      .Check("retries_issued", a.retries_issued, b.retries_issued)
+      .Check("retry_probes_spent", a.retry_probes_spent,
+             b.retry_probes_spent)
+      .Check("etag_invalidations", a.etag_invalidations,
+             b.etag_invalidations)
+      .Check("gc_lost_to_faults", a.gc_lost_to_faults, b.gc_lost_to_faults)
+      .Check("fault_stats", a.fault_stats, b.fault_stats)
+      .Check<HealthStats>("HealthStats", a, b)
+      .Check<ParseCacheStats>("ParseCacheStats", a, b,
+                              options.parse_cache_stats)
+      .Check<ChurnStats>("ChurnStats", a, b)
+      .Check<TraceStoreStats>("TraceStoreStats", a, b, options.trace_stats)
+      .Check("shard_count", a.shard_count, b.shard_count,
+             options.shard_stats)
+      .Check("shard_candidates_scored", a.shard_candidates_scored,
+             b.shard_candidates_scored, options.shard_stats)
+      .Check("shard_probes_executed", a.shard_probes_executed,
+             b.shard_probes_executed, options.shard_stats)
+      .Check("shard_merge_entries", a.shard_merge_entries,
+             b.shard_merge_entries, options.shard_stats)
+      .Check<EstimationStats>("EstimationStats", a, b)
+      .Check<AdaptiveRunStats>("AdaptiveRunStats", a, b)
+      .name();
 }
 
 MonitoringProxy::MonitoringProxy(const MonitoringProblem* problem,

@@ -5,14 +5,18 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
+#include "core/dynamic_monitor.h"
 #include "core/online_executor.h"
 #include "core/problem.h"
+#include "estimation/estimation_session.h"
 #include "feeds/fault_injection.h"
 #include "feeds/feed_item.h"
 #include "feeds/feed_server.h"
 #include "feeds/parse_cache.h"
+#include "trace/trace_store.h"
 #include "util/arena.h"
 #include "util/status.h"
 
@@ -75,7 +79,10 @@ struct LiveReportCounters {
   std::size_t items_parsed = 0;
   std::size_t parse_failures = 0;
   // --- Fault-layer telemetry (all zero without injected faults). ------
-  /// Bodies that arrived truncated or garbled.
+  // The next four mirror FaultStats and leave at the next snapshot
+  // format change (DESIGN.md section 15).
+  /// Bodies that arrived truncated or garbled (fault_stats.truncations
+  /// plus fault_stats.corruptions).
   std::size_t corrupt_bodies = 0;
   /// Probes that timed out before any response.
   std::size_t timeouts = 0;
@@ -89,9 +96,41 @@ struct LiveReportCounters {
   /// submission, duplicate unregister, ...) — expected under racy
   /// workloads and deterministic under seed.
   std::size_t churn_rejected_ops = 0;
+
+  bool operator==(const LiveReportCounters& other) const = default;
 };
 
-struct ProxyRunReport : LiveReportCounters {
+/// The adaptive runner's own counters (all zero under the oracle
+/// knowledge model; sim/adaptive.cc, DESIGN.md section 17).
+struct AdaptiveRunStats {
+  /// Resources carrying a detected periodic pattern at epoch end.
+  std::size_t estimation_periodic_resources = 0;
+  /// Rolling-horizon forecast refreshes performed.
+  std::size_t estimation_forecast_refreshes = 0;
+  /// Predicted t-intervals submitted to the monitor.
+  std::size_t estimation_predicted_t_intervals = 0;
+  /// Predicted EIs inside those t-intervals.
+  std::size_t estimation_predicted_eis = 0;
+  /// Epsilon explore probes issued to cold resources (budget-charged).
+  std::size_t estimation_explore_probes = 0;
+
+  bool operator==(const AdaptiveRunStats& other) const = default;
+};
+
+/// Outcome of one proxy run. Each counter is declared once, in the
+/// stats block of the subsystem that owns it, and the report inherits
+/// the blocks (DESIGN.md, "Telemetry blocks"). A block is all zero when
+/// its subsystem is off: the breaker's HealthStats, the parse cache's
+/// ParseCacheStats, the monitor's ChurnStats, the paged trace store's
+/// TraceStoreStats, and the estimator's EstimationStats and
+/// AdaptiveRunStats.
+struct ProxyRunReport : LiveReportCounters,
+                        HealthStats,
+                        ParseCacheStats,
+                        ChurnStats,
+                        TraceStoreStats,
+                        EstimationStats,
+                        AdaptiveRunStats {
   OnlineRunResult run;
   // --- Fault-layer telemetry (all zero without injected faults; the
   // --- live fault counters are in LiveReportCounters). ---------------
@@ -102,66 +141,19 @@ struct ProxyRunReport : LiveReportCounters {
   std::size_t retries_issued = 0;
   /// Probe-budget units consumed by retries (mirrors run).
   std::size_t retry_probes_spent = 0;
-  /// Conditional fetches forced to full bodies by ETag storms.
+  /// Conditional fetches forced to full bodies by ETag storms (mirrors
+  /// fault_stats).
   std::size_t etag_invalidations = 0;
-  /// Total simulated response latency, in fractional chronons.
-  double latency_chronons = 0.0;
   /// Fraction of all t-intervals that failed after a fault hit one of
   /// their live candidate EIs — GC the faults (at most) cost this run,
   /// on the same scale as CompletenessReport::GainedCompleteness().
   double gc_lost_to_faults = 0.0;
   /// Counters of the fault layer itself (empty without one).
   FaultStats fault_stats;
-  // --- Resource-health telemetry (all zero with the breaker disabled;
-  // --- mirrors OnlineRunResult, see core/resource_health.h). ----------
-  std::size_t circuits_opened = 0;
-  std::size_t circuits_reopened = 0;
-  std::size_t probation_probes = 0;
-  std::size_t probation_successes = 0;
-  std::size_t probes_suppressed = 0;
-  std::size_t budget_reclaimed = 0;
-  std::size_t open_chronons_total = 0;
-  /// Chronons each resource spent circuit-open (indexed by ResourceId);
-  /// empty when the breaker is disabled.
-  std::vector<std::size_t> open_chronons_by_resource;
-  // --- Parse-cache telemetry (all zero with the cache disabled; every
-  // --- other report field is byte-identical cache on or off). ---------
-  std::size_t parse_cache_hits = 0;
-  std::size_t parse_cache_misses = 0;
-  std::size_t parse_cache_invalidations = 0;
-  /// Body bytes whose parse a cache hit skipped.
-  std::size_t parse_cache_bytes_saved = 0;
-  // --- Churn telemetry (all zero in churn-free runs; mirrors
-  // --- MonitorStats, see core/dynamic_monitor.h; churn_rejected_ops is
-  // --- in LiveReportCounters). ----------------------------------------
-  /// Accepted Submit() operations.
-  std::size_t churn_submitted = 0;
-  /// Accepted Cancel() operations (including Unregister fan-out).
-  std::size_t churn_cancelled = 0;
-  /// Accepted Edit() operations.
-  std::size_t churn_edited = 0;
-  /// Accepted Unregister() operations.
-  std::size_t churn_unregistered_profiles = 0;
-  /// Probe work orphaned by churn: EI captures whose parent was
-  /// cancelled or edited away before completing.
-  std::size_t orphaned_probes = 0;
-  // --- Trace-store telemetry (all zero on the in-memory backend; every
-  // --- other report field is identical across trace backends). --------
-  /// Compressed pages the paged backend wrote at generation time.
-  std::size_t trace_pages_written = 0;
-  /// Encoded bytes (plus page index) holding the trace.
-  std::size_t trace_bytes_stored = 0;
-  /// What the same trace costs in UpdateTrace form (modeled).
-  std::size_t trace_in_memory_bytes = 0;
-  /// Page-cache traffic of the per-resource read path (profile
-  /// generation and EI derivation read through the LRU cache).
-  std::size_t trace_cache_hits = 0;
-  std::size_t trace_cache_misses = 0;
-  std::size_t trace_cache_evictions = 0;
   // --- Recovery telemetry (all zero without a checkpoint directory;
   // --- src/recovery/. These are the ONLY fields allowed to differ
-  // --- between an uninterrupted run and a crash-recovered one — the
-  // --- recovery differential suite asserts everything above is equal).
+  // --- between an uninterrupted run and a crash-recovered one, and
+  // --- ReportDifference never compares them).
   /// Snapshots the durable runner persisted this run.
   std::size_t recovery_snapshots_written = 0;
   /// Snapshots loaded to seed this run (1 on a recovered run).
@@ -188,29 +180,31 @@ struct ProxyRunReport : LiveReportCounters {
   std::vector<std::size_t> shard_probes_executed;
   /// Total entries through the two-phase selection merge.
   std::size_t shard_merge_entries = 0;
-  // --- Estimation telemetry (all zero under the oracle knowledge
-  // --- model; mirrors EstimationStats plus the adaptive runner's own
-  // --- counters, see estimation/estimation_session.h and DESIGN.md
-  // --- section 17). ---------------------------------------------------
-  /// Probe outcomes the estimation session ingested.
-  std::size_t estimation_probes_observed = 0;
-  /// Distinct update events learned from item diffs.
-  std::size_t estimation_update_events = 0;
-  /// 304-not-modified responses the estimator saw (censored negatives).
-  std::size_t estimation_not_modified = 0;
-  /// Item timestamps dropped as already-known (buffer overlap).
-  std::size_t estimation_duplicate_events = 0;
-  /// Resources carrying a detected periodic pattern at epoch end.
-  std::size_t estimation_periodic_resources = 0;
-  /// Rolling-horizon forecast refreshes performed.
-  std::size_t estimation_forecast_refreshes = 0;
-  /// Predicted t-intervals submitted to the monitor.
-  std::size_t estimation_predicted_t_intervals = 0;
-  /// Predicted EIs inside those t-intervals.
-  std::size_t estimation_predicted_eis = 0;
-  /// Epsilon explore probes issued to cold resources (budget-charged).
-  std::size_t estimation_explore_probes = 0;
 };
+
+/// Blocks a report comparison may skip: they describe a mechanism, not
+/// the run, so a passthrough suite excludes exactly its own block.
+struct ReportEqualityOptions {
+  /// ParseCacheStats (off for cache-on vs cache-off suites).
+  bool parse_cache_stats = true;
+  /// TraceStoreStats (off for in-memory vs paged suites).
+  bool trace_stats = true;
+  /// The shard_* fields (off for serial-vs-parallel suites; kept on
+  /// across thread counts, which never change them).
+  bool shard_stats = true;
+};
+
+/// Block-wise equality of two reports: the schedule (its length, then
+/// chronon by chronon), the gained completeness, then each stats block
+/// (through its defaulted operator==) and each remaining field, minus
+/// the blocks `options` skips. Never compared: wall-clock time, report.run's
+/// shard_* copy, and the recovery_* counters (the one documented
+/// difference between an uninterrupted and a crash-recovered run).
+/// Returns "" when equal, else the name of the first block or field
+/// that differs ("run.ProbeStats", "ChurnStats", "probes_failed", ...).
+std::string ReportDifference(const ProxyRunReport& a, const ProxyRunReport& b,
+                             const ReportEqualityOptions& options =
+                                 ReportEqualityOptions{});
 
 /// Behavioral knobs of the proxy's physical probe path. The defaults
 /// (no faults, no retries) reproduce the pre-fault-layer proxy exactly.
@@ -316,11 +310,11 @@ class FeedPullSession {
     return FeedItemBatch(current_items_, current_items_->size());
   }
 
-  /// Installs the scheduler's outcome as report.run, mirrors its
-  /// probe-path and health counters (and shard telemetry) into the
-  /// report's top-level fields, and copies the fault-plan (including
-  /// its ETag-storm count), parse-cache and trace-store counters; call
-  /// once after the run.
+  /// Installs the scheduler's outcome as report.run, mirrors its retry
+  /// counters, HealthStats block and shard telemetry into the report,
+  /// and copies the fault-plan stats (and their ETag-storm count) and
+  /// the ParseCacheStats and TraceStoreStats blocks; call once after
+  /// the run.
   void FinishReport(OnlineRunResult run);
 
   /// Checkpoint support: Capture() at a chronon boundary freezes the

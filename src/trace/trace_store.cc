@@ -133,8 +133,8 @@ Status TraceStore::FlushOpenResource() {
       page_offset_.push_back(bytes_.size());
       i = j;
     }
-    stats_.events += n;
-    stats_.in_memory_bytes += RoundUpPow2(n) * sizeof(Chronon);
+    events_ += n;
+    stats_.trace_in_memory_bytes += RoundUpPow2(n) * sizeof(Chronon);
     staging_.clear();
   }
   return Status::OK();
@@ -151,14 +151,14 @@ Status TraceStore::Seal() {
   sealed_ = true;
   bytes_.shrink_to_fit();
   page_offset_.shrink_to_fit();
-  stats_.pages_written = static_cast<std::size_t>(pages);
-  stats_.bytes_stored = bytes_.size() +
+  stats_.trace_pages_written = static_cast<std::size_t>(pages);
+  stats_.trace_bytes_stored = bytes_.size() +
                         page_offset_.size() * sizeof(std::uint64_t) +
                         first_page_.size() * sizeof(std::int32_t);
   // What UpdateTrace would hold for the same events: the outer vector
   // plus one inner vector header per resource, on top of the
   // doubling-growth element storage accumulated at flush time.
-  stats_.in_memory_bytes +=
+  stats_.trace_in_memory_bytes +=
       sizeof(std::vector<std::vector<Chronon>>) +
       static_cast<std::size_t>(num_resources_) *
           sizeof(std::vector<Chronon>);
@@ -166,7 +166,7 @@ Status TraceStore::Seal() {
 }
 
 double TraceStore::MeanIntensity() const {
-  return static_cast<double>(stats_.events) /
+  return static_cast<double>(events_) /
          static_cast<double>(num_resources_);
 }
 
@@ -183,11 +183,11 @@ Result<std::shared_ptr<const std::vector<Chronon>>> TraceStore::FetchPage(
   PULLMON_CHECK(sealed_);
   auto it = cache_index_.find(page_id);
   if (it != cache_index_.end()) {
-    ++stats_.cache_hits;
+    ++stats_.trace_cache_hits;
     cache_lru_.splice(cache_lru_.begin(), cache_lru_, it->second);
     return it->second->events;
   }
-  ++stats_.cache_misses;
+  ++stats_.trace_cache_misses;
   auto events = std::make_shared<std::vector<Chronon>>();
   PULLMON_ASSIGN_OR_RETURN(PageHeader header,
                            DecodePage(PageBytes(page_id), events.get()));
@@ -202,7 +202,7 @@ Result<std::shared_ptr<const std::vector<Chronon>>> TraceStore::FetchPage(
   while (cache_lru_.size() > options_.cache_pages) {
     cache_index_.erase(cache_lru_.back().page_id);
     cache_lru_.pop_back();
-    ++stats_.cache_evictions;
+    ++stats_.trace_cache_evictions;
   }
   return cache_lru_.front().events;
 }
@@ -282,11 +282,11 @@ Status TraceStore::VerifyAllPages() const {
       events += scratch.size();
     }
   }
-  if (events != stats_.events) {
+  if (events != events_) {
     return Status::ParseError(StringFormat(
         "trace store corrupt: pages hold %zu events, the store "
         "recorded %zu",
-        events, stats_.events));
+        events, events_));
   }
   return Status::OK();
 }

@@ -39,21 +39,25 @@ struct TraceStoreOptions {
   Status Validate() const;
 };
 
-/// Counters of the store: write-side totals are fixed at Seal(); the
-/// cache counters accumulate as the read path runs.
+/// Counters of the store (a base of ProxyRunReport; all zero on the
+/// in-memory backend): write-side totals are fixed at Seal(); the cache
+/// counters accumulate as the read path runs.
 struct TraceStoreStats {
-  std::size_t pages_written = 0;
+  /// Compressed pages written at generation time.
+  std::size_t trace_pages_written = 0;
   /// Encoded bytes plus the page/resource index overhead — the resident
   /// footprint of holding the sealed trace.
-  std::size_t bytes_stored = 0;
+  std::size_t trace_bytes_stored = 0;
   /// What the same events cost in UpdateTrace's representation: one
   /// vector per resource with doubling growth (24-byte header plus
   /// 4 bytes x capacity rounded to a power of two).
-  std::size_t in_memory_bytes = 0;
-  std::size_t events = 0;
-  std::size_t cache_hits = 0;
-  std::size_t cache_misses = 0;
-  std::size_t cache_evictions = 0;
+  std::size_t trace_in_memory_bytes = 0;
+  /// Page-cache traffic of the per-resource read path.
+  std::size_t trace_cache_hits = 0;
+  std::size_t trace_cache_misses = 0;
+  std::size_t trace_cache_evictions = 0;
+
+  bool operator==(const TraceStoreStats& other) const = default;
 };
 
 /// Compressed, paged storage of an update trace (DESIGN.md section 14).
@@ -106,7 +110,7 @@ class TraceStore {
   Status Seal();
 
   /// Total events across resources (sealed stores only).
-  std::size_t TotalEvents() const { return stats_.events; }
+  std::size_t TotalEvents() const { return events_; }
 
   /// Average events per resource — UpdateTrace::MeanIntensity.
   double MeanIntensity() const;
@@ -145,9 +149,6 @@ class TraceStore {
   EventCursor EventsFor(ResourceId resource) const;
 
   const TraceStoreStats& stats() const { return stats_; }
-
-  /// Encoded bytes plus index overhead (= stats().bytes_stored).
-  std::size_t StoredBytes() const { return stats_.bytes_stored; }
 
   /// Decodes and checksums every page — a full-store integrity audit.
   Status VerifyAllPages() const;
@@ -194,6 +195,8 @@ class TraceStore {
   /// first_page_ entries below this index are final.
   int filled_through_ = 0;
 
+  /// Events across resources, fixed as resources are flushed.
+  std::size_t events_ = 0;
   mutable TraceStoreStats stats_;
 
   // LRU cache of decoded pages: most recent at the front. Mutable

@@ -232,7 +232,7 @@ TEST(CancelStormTest, MonitorStormMatchesRebuildOracle) {
     }
     return std::make_tuple(monitor.schedule().ToString(),
                            monitor.Completeness().GainedCompleteness(),
-                           monitor.stats().cancelled,
+                           monitor.churn_stats().churn_cancelled,
                            monitor.t_intervals_completed());
   };
   auto incremental = run(MonitorIndexMode::kIncremental);

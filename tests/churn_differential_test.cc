@@ -16,7 +16,6 @@
 
 #include "core/dynamic_monitor.h"
 #include "policies/policy_factory.h"
-#include "report_equality.h"
 #include "sim/config.h"
 #include "sim/experiment.h"
 #include "util/random.h"
@@ -35,7 +34,8 @@ struct FaultConfig {
 struct ChurnTrace {
   std::vector<StepResult> steps;
   std::vector<std::vector<ResourceId>> probes_by_chronon;
-  MonitorStats stats;
+  ProbeStats probe_stats;
+  ChurnStats churn_stats;
   CompletenessReport completeness;
   std::size_t completed = 0;
   std::size_t failed = 0;
@@ -166,7 +166,8 @@ ChurnTrace RunScenario(uint64_t seed, const PolicySpec& spec,
     trace.steps.push_back(std::move(*step));
   }
   PULLMON_CHECK_OK(monitor.CheckInvariants());
-  trace.stats = monitor.stats();
+  trace.probe_stats = monitor.probe_stats();
+  trace.churn_stats = monitor.churn_stats();
   trace.completeness = monitor.Completeness();
   trace.completed = monitor.t_intervals_completed();
   trace.failed = monitor.t_intervals_failed();
@@ -184,20 +185,8 @@ void ExpectTracesIdentical(const ChurnTrace& a, const ChurnTrace& b,
     EXPECT_EQ(a.steps[i].failed, b.steps[i].failed)
         << label << " chronon " << i;
   }
-  EXPECT_EQ(a.stats.probes_used, b.stats.probes_used) << label;
-  EXPECT_EQ(a.stats.probes_failed, b.stats.probes_failed) << label;
-  EXPECT_EQ(a.stats.retries_issued, b.stats.retries_issued) << label;
-  EXPECT_EQ(a.stats.candidates_scored, b.stats.candidates_scored)
-      << label;
-  EXPECT_EQ(a.stats.t_intervals_lost_to_faults,
-            b.stats.t_intervals_lost_to_faults)
-      << label;
-  EXPECT_EQ(a.stats.submitted, b.stats.submitted) << label;
-  EXPECT_EQ(a.stats.cancelled, b.stats.cancelled) << label;
-  EXPECT_EQ(a.stats.edited, b.stats.edited) << label;
-  EXPECT_EQ(a.stats.unregistered_profiles, b.stats.unregistered_profiles)
-      << label;
-  EXPECT_EQ(a.stats.orphaned_probes, b.stats.orphaned_probes) << label;
+  EXPECT_TRUE(a.probe_stats == b.probe_stats) << label << " [ProbeStats]";
+  EXPECT_TRUE(a.churn_stats == b.churn_stats) << label << " [ChurnStats]";
   EXPECT_EQ(a.rejected_ops, b.rejected_ops) << label;
   EXPECT_EQ(a.completed, b.completed) << label;
   EXPECT_EQ(a.failed, b.failed) << label;
@@ -242,13 +231,6 @@ TEST(ChurnDifferentialTest, IncrementalMatchesRebuildOracle) {
     if (HasFatalFailure()) return;
   }
 }
-
-void ExpectReportsIdentical(const ProxyRunReport& a,
-                            const ProxyRunReport& b, Chronon epoch_length,
-                            const std::string& label) {
-  ExpectProxyReportsEqual(a, b, epoch_length, label);
-}
-
 // The end-to-end layer: RunChurnOnce drives the full feed substrate
 // (fault plan, retries, breaker, parse cache); the backend switch flips
 // the monitor between incremental maintenance and the rebuild oracle
@@ -282,9 +264,8 @@ TEST(ChurnDifferentialTest, ChurnRunReportsMatchAcrossBackends) {
       auto b = RunChurnOnce(reference, spec, seed);
       ASSERT_TRUE(a.ok()) << a.status().ToString();
       ASSERT_TRUE(b.ok()) << b.status().ToString();
-      ExpectReportsIdentical(
-          *a, *b, config.epoch_length,
-          spec.Label() + " seed=" + std::to_string(seed));
+      EXPECT_EQ(ReportDifference(*a, *b), "")
+          << spec.Label() << " seed=" << seed;
     }
   }
 }

@@ -36,12 +36,12 @@ TEST(ChurnFuzzTest, DoubleCancelIsRejected) {
 
   ASSERT_TRUE(monitor.Cancel(client, *sub).ok());
   CHECK_MONITOR(monitor);
-  EXPECT_EQ(monitor.t_intervals_cancelled(), 1u);
+  EXPECT_EQ(monitor.churn_stats().churn_cancelled, 1u);
 
   Status again = monitor.Cancel(client, *sub);
   EXPECT_EQ(again.code(), StatusCode::kInvalidArgument);
   CHECK_MONITOR(monitor);
-  EXPECT_EQ(monitor.t_intervals_cancelled(), 1u);
+  EXPECT_EQ(monitor.churn_stats().churn_cancelled, 1u);
 
   // Unknown submission and unknown profile are InvalidArgument too.
   EXPECT_EQ(monitor.Cancel(client, 99).code(),
@@ -67,8 +67,8 @@ TEST(ChurnFuzzTest, CancelAfterCaptureIsRejected) {
   EXPECT_NE(cancel.message().find("completed"), std::string::npos);
   CHECK_MONITOR(monitor);
   // The capture stands: no orphaned work, nothing cancelled.
-  EXPECT_EQ(monitor.stats().orphaned_probes, 0u);
-  EXPECT_EQ(monitor.t_intervals_cancelled(), 0u);
+  EXPECT_EQ(monitor.churn_stats().orphaned_probes, 0u);
+  EXPECT_EQ(monitor.churn_stats().churn_cancelled, 0u);
 }
 
 TEST(ChurnFuzzTest, CancelAtDeadlineChronon) {
@@ -121,8 +121,8 @@ TEST(ChurnFuzzTest, EditToPastDeadlineIsRejectedAtomically) {
   auto bad = monitor.Edit(client, *sub, TInterval({{0, 1, 8}}));
   EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
   CHECK_MONITOR(monitor);
-  EXPECT_EQ(monitor.stats().edited, 0u);
-  EXPECT_EQ(monitor.t_intervals_cancelled(), 0u);
+  EXPECT_EQ(monitor.churn_stats().churn_edited, 0u);
+  EXPECT_EQ(monitor.churn_stats().churn_cancelled, 0u);
 
   // An empty replacement (every EI already opened) is rejected too.
   auto empty = monitor.Edit(client, *sub, TInterval{});
@@ -134,7 +134,7 @@ TEST(ChurnFuzzTest, EditToPastDeadlineIsRejectedAtomically) {
   ASSERT_TRUE(good.ok());
   EXPECT_EQ(*good, 1);
   CHECK_MONITOR(monitor);
-  EXPECT_EQ(monitor.stats().edited, 1u);
+  EXPECT_EQ(monitor.churn_stats().churn_edited, 1u);
   // Editing the now-cancelled original again is rejected.
   EXPECT_EQ(monitor.Edit(client, *sub, TInterval({{1, 5, 9}}))
                 .status()
@@ -159,17 +159,17 @@ TEST(ChurnFuzzTest, UnregisterMidRetry) {
   ASSERT_TRUE(monitor.Step().ok());
   ASSERT_TRUE(monitor.Step().ok());
   CHECK_MONITOR(monitor);
-  EXPECT_GT(monitor.stats().retries_issued, 0u);
+  EXPECT_GT(monitor.probe_stats().retries_issued, 0u);
 
   auto cancelled = monitor.Unregister(client);
   ASSERT_TRUE(cancelled.ok());
   EXPECT_EQ(*cancelled, 2);
   CHECK_MONITOR(monitor);
 
-  std::size_t probes_before = monitor.stats().probes_used;
+  std::size_t probes_before = monitor.probe_stats().probes_used;
   ASSERT_TRUE(monitor.Step().ok());
   // No live candidates remain, so no probes are spent.
-  EXPECT_EQ(monitor.stats().probes_used, probes_before);
+  EXPECT_EQ(monitor.probe_stats().probes_used, probes_before);
   CHECK_MONITOR(monitor);
 
   // The profile is dead for good.
@@ -177,7 +177,7 @@ TEST(ChurnFuzzTest, UnregisterMidRetry) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(monitor.Unregister(client).status().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(monitor.stats().unregistered_profiles, 1u);
+  EXPECT_EQ(monitor.churn_stats().churn_unregistered_profiles, 1u);
 }
 
 TEST(ChurnFuzzTest, RandomInterleavingsKeepInvariants) {

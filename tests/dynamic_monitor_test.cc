@@ -205,7 +205,7 @@ TEST(DynamicMonitorTest, CancelledLeaveCompletenessDenominator) {
   EXPECT_EQ(report->total_t_intervals, 1u);
   EXPECT_EQ(report->captured_t_intervals, 1u);
   EXPECT_DOUBLE_EQ(report->GainedCompleteness(), 1.0);
-  EXPECT_EQ(monitor.t_intervals_cancelled(), 1u);
+  EXPECT_EQ(monitor.churn_stats().churn_cancelled, 1u);
   EXPECT_EQ(monitor.t_intervals_failed(), 0u);
 }
 
@@ -221,8 +221,8 @@ TEST(DynamicMonitorTest, OrphanedProbeAccounting) {
   ASSERT_TRUE(monitor.Step().ok());  // captures the r0 EI
   EXPECT_EQ(monitor.t_intervals_completed(), 0u);
   ASSERT_TRUE(monitor.Cancel(client, *sub).ok());
-  EXPECT_EQ(monitor.stats().orphaned_probes, 1u);
-  EXPECT_EQ(monitor.stats().cancelled, 1u);
+  EXPECT_EQ(monitor.churn_stats().orphaned_probes, 1u);
+  EXPECT_EQ(monitor.churn_stats().churn_cancelled, 1u);
 }
 
 TEST(DynamicMonitorTest, EditMovesWorkToReplacement) {
@@ -246,9 +246,9 @@ TEST(DynamicMonitorTest, EditMovesWorkToReplacement) {
   // The replaced original counts as edited — not cancelled — yet still
   // leaves the completeness denominator.
   EXPECT_EQ(monitor.t_intervals_submitted(), 2u);
-  EXPECT_EQ(monitor.t_intervals_cancelled(), 0u);
+  EXPECT_EQ(monitor.churn_stats().churn_cancelled, 0u);
   EXPECT_EQ(monitor.t_intervals_completed(), 1u);
-  EXPECT_EQ(monitor.stats().edited, 1u);
+  EXPECT_EQ(monitor.churn_stats().churn_edited, 1u);
   EXPECT_EQ(monitor.Completeness().total_t_intervals, 1u);
 }
 
@@ -269,7 +269,7 @@ TEST(DynamicMonitorTest, UnregisterBarsFutureSubmissions) {
   EXPECT_EQ(monitor.Cancel(gone, 0).code(), StatusCode::kInvalidArgument);
   // The other profile is unaffected.
   EXPECT_TRUE(monitor.Submit(stays, TInterval({{1, 4, 6}})).ok());
-  EXPECT_EQ(monitor.stats().unregistered_profiles, 1u);
+  EXPECT_EQ(monitor.churn_stats().churn_unregistered_profiles, 1u);
 }
 
 class DynamicEquivalenceTest : public testing::TestWithParam<uint64_t> {};

@@ -276,10 +276,10 @@ TEST(EstimationSessionTest, CountsAndDeduplicatesObservations) {
   failed.probed_at = 30;
   session.Ingest(failed);
 
-  EXPECT_EQ(session.stats().probes_observed, 4u);
-  EXPECT_EQ(session.stats().update_events, 3u);
-  EXPECT_EQ(session.stats().duplicate_events, 1u);
-  EXPECT_EQ(session.stats().not_modified, 1u);
+  EXPECT_EQ(session.stats().estimation_probes_observed, 4u);
+  EXPECT_EQ(session.stats().estimation_update_events, 3u);
+  EXPECT_EQ(session.stats().estimation_duplicate_events, 1u);
+  EXPECT_EQ(session.stats().estimation_not_modified, 1u);
   EXPECT_EQ(session.LastProbe(0), 20);
   // A failed probe still moves the staleness clock.
   EXPECT_EQ(session.LastProbe(1), 30);

@@ -10,19 +10,11 @@
 #include <gtest/gtest.h>
 
 #include "core/online_executor.h"
-#include "report_equality.h"
 #include "sim/config.h"
 #include "sim/experiment.h"
 
 namespace pullmon {
 namespace {
-
-void ExpectReportsIdentical(const ProxyRunReport& a,
-                            const ProxyRunReport& b, Chronon epoch_length,
-                            const std::string& label) {
-  ExpectProxyReportsEqual(a, b, epoch_length, label);
-}
-
 SimulationConfig ChurnHeavyConfig() {
   SimulationConfig config = BaselineConfig();
   config.num_resources = 30;
@@ -65,9 +57,8 @@ TEST(ExecutorDeterminismTest, IndexedProxyRunsAreReproducible) {
       auto second = RunProxyOnce(config, spec, seed);
       ASSERT_TRUE(first.ok()) << first.status().ToString();
       ASSERT_TRUE(second.ok()) << second.status().ToString();
-      ExpectReportsIdentical(
-          *first, *second, config.epoch_length,
-          spec.Label() + " seed=" + std::to_string(seed));
+      EXPECT_EQ(ReportDifference(*first, *second), "")
+          << spec.Label() << " seed=" << seed;
     }
   }
 }
@@ -84,9 +75,8 @@ TEST(ExecutorDeterminismTest, ChurnHeavyRunsAreReproducible) {
       ASSERT_TRUE(first.ok()) << first.status().ToString();
       ASSERT_TRUE(second.ok()) << second.status().ToString();
       EXPECT_GT(first->churn_cancelled + first->churn_edited, 0u);
-      ExpectReportsIdentical(
-          *first, *second, config.epoch_length,
-          spec.Label() + " churn seed=" + std::to_string(seed));
+      EXPECT_EQ(ReportDifference(*first, *second), "")
+          << spec.Label() << " churn seed=" << seed;
     }
   }
 }
@@ -103,8 +93,8 @@ TEST(ExecutorDeterminismTest, ChurnIdenticalAcrossBackends) {
   auto reference = RunChurnOnce(config, spec, 29);
   ASSERT_TRUE(indexed.ok()) << indexed.status().ToString();
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-  ExpectReportsIdentical(*indexed, *reference, config.epoch_length,
-                         "backend differential");
+  EXPECT_EQ(ReportDifference(*indexed, *reference), "")
+      << "backend differential";
 }
 
 TEST(ExecutorDeterminismTest, DifferentSeedsDiverge) {

@@ -26,26 +26,6 @@
 namespace pullmon {
 namespace {
 
-struct RunOutcome {
-  std::vector<std::vector<ResourceId>> probes_by_chronon;
-  double gained_completeness = 0.0;
-  std::size_t probes_used = 0;
-  std::size_t probes_failed = 0;
-  std::size_t retries_issued = 0;
-  std::size_t candidates_scored = 0;
-  std::size_t t_intervals_completed = 0;
-  std::size_t t_intervals_failed = 0;
-  std::size_t t_intervals_lost_to_faults = 0;
-  std::size_t circuits_opened = 0;
-  std::size_t circuits_reopened = 0;
-  std::size_t probation_probes = 0;
-  std::size_t probation_successes = 0;
-  std::size_t probes_suppressed = 0;
-  std::size_t budget_reclaimed = 0;
-  std::size_t open_chronons_total = 0;
-  std::vector<std::size_t> open_chronons_by_resource;
-};
-
 /// Deterministic flaky probe callback: ~25% of attempts fail, but a
 /// retry of the same (resource, chronon) may succeed because the
 /// attempt ordinal enters the hash. Both backends issue identical
@@ -111,12 +91,14 @@ BreakerOptions BreakerVariant(uint64_t seed) {
   return breaker;
 }
 
-RunOutcome RunBackend(const MonitoringProblem& problem,
-                      const std::string& policy_name, ExecutionMode mode,
-                      ExecutorBackend backend, bool with_faults,
-                      uint64_t fault_seed,
-                      const BreakerOptions* breaker = nullptr,
-                      Chronon outage_episode_len = 0) {
+/// One executor run, as the `run` of an otherwise empty report so that
+/// ReportDifference compares the two backends.
+ProxyRunReport RunBackend(const MonitoringProblem& problem,
+                          const std::string& policy_name, ExecutionMode mode,
+                          ExecutorBackend backend, bool with_faults,
+                          uint64_t fault_seed,
+                          const BreakerOptions* breaker = nullptr,
+                          Chronon outage_episode_len = 0) {
   PolicyOptions po;
   po.random_seed = 4242;
   po.num_resources = problem.num_resources;
@@ -140,66 +122,9 @@ RunOutcome RunBackend(const MonitoringProblem& problem,
   if (breaker != nullptr) executor.set_breaker_options(*breaker);
   auto run = executor.Run();
   EXPECT_TRUE(run.ok()) << run.status().ToString();
-
-  RunOutcome outcome;
-  for (Chronon t = 0; t < problem.epoch.length; ++t) {
-    outcome.probes_by_chronon.push_back(run->schedule.ProbesAt(t));
-  }
-  outcome.gained_completeness = run->completeness.GainedCompleteness();
-  outcome.probes_used = run->probes_used;
-  outcome.probes_failed = run->probes_failed;
-  outcome.retries_issued = run->retries_issued;
-  outcome.candidates_scored = run->candidates_scored;
-  outcome.t_intervals_completed = run->t_intervals_completed;
-  outcome.t_intervals_failed = run->t_intervals_failed;
-  outcome.t_intervals_lost_to_faults = run->t_intervals_lost_to_faults;
-  outcome.circuits_opened = run->circuits_opened;
-  outcome.circuits_reopened = run->circuits_reopened;
-  outcome.probation_probes = run->probation_probes;
-  outcome.probation_successes = run->probation_successes;
-  outcome.probes_suppressed = run->probes_suppressed;
-  outcome.budget_reclaimed = run->budget_reclaimed;
-  outcome.open_chronons_total = run->open_chronons_total;
-  outcome.open_chronons_by_resource = run->open_chronons_by_resource;
-  return outcome;
-}
-
-void ExpectIdentical(const RunOutcome& indexed,
-                     const RunOutcome& reference,
-                     const std::string& label) {
-  EXPECT_EQ(indexed.probes_by_chronon, reference.probes_by_chronon)
-      << label;
-  EXPECT_EQ(indexed.gained_completeness, reference.gained_completeness)
-      << label;
-  EXPECT_EQ(indexed.probes_used, reference.probes_used) << label;
-  EXPECT_EQ(indexed.probes_failed, reference.probes_failed) << label;
-  EXPECT_EQ(indexed.retries_issued, reference.retries_issued) << label;
-  EXPECT_EQ(indexed.candidates_scored, reference.candidates_scored)
-      << label;
-  EXPECT_EQ(indexed.t_intervals_completed,
-            reference.t_intervals_completed)
-      << label;
-  EXPECT_EQ(indexed.t_intervals_failed, reference.t_intervals_failed)
-      << label;
-  EXPECT_EQ(indexed.t_intervals_lost_to_faults,
-            reference.t_intervals_lost_to_faults)
-      << label;
-  EXPECT_EQ(indexed.circuits_opened, reference.circuits_opened) << label;
-  EXPECT_EQ(indexed.circuits_reopened, reference.circuits_reopened)
-      << label;
-  EXPECT_EQ(indexed.probation_probes, reference.probation_probes)
-      << label;
-  EXPECT_EQ(indexed.probation_successes, reference.probation_successes)
-      << label;
-  EXPECT_EQ(indexed.probes_suppressed, reference.probes_suppressed)
-      << label;
-  EXPECT_EQ(indexed.budget_reclaimed, reference.budget_reclaimed)
-      << label;
-  EXPECT_EQ(indexed.open_chronons_total, reference.open_chronons_total)
-      << label;
-  EXPECT_EQ(indexed.open_chronons_by_resource,
-            reference.open_chronons_by_resource)
-      << label;
+  ProxyRunReport report;
+  if (run.ok()) report.run = std::move(*run);
+  return report;
 }
 
 /// The four instance shapes the seeds cycle through: small/dense,
@@ -280,13 +205,13 @@ TEST(ExecutorDifferentialTest, IndexedMatchesReferenceEverywhere) {
               " policy=" + policy +
               " mode=" + std::string(ExecutionModeToString(mode)) +
               (with_faults ? " faults" : "");
-          RunOutcome indexed =
+          ProxyRunReport indexed =
               RunBackend(problem, policy, mode,
                          ExecutorBackend::kIndexed, with_faults, seed);
-          RunOutcome reference =
+          ProxyRunReport reference =
               RunBackend(problem, policy, mode,
                          ExecutorBackend::kReference, with_faults, seed);
-          ExpectIdentical(indexed, reference, label);
+          EXPECT_EQ(ReportDifference(indexed, reference), "") << label;
           if (::testing::Test::HasFailure()) {
             FAIL() << "stopping at first divergence: " << label;
           }
@@ -329,15 +254,15 @@ TEST(ExecutorDifferentialTest, IndexedMatchesReferenceWithBreakers) {
               " variant=" + std::to_string(variant) +
               " policy=" + policy +
               " mode=" + std::string(ExecutionModeToString(mode));
-          RunOutcome indexed = RunBackend(
+          ProxyRunReport indexed = RunBackend(
               problem, policy, mode, ExecutorBackend::kIndexed,
               /*with_faults=*/true, seed, &breaker, episode_len);
-          RunOutcome reference = RunBackend(
+          ProxyRunReport reference = RunBackend(
               problem, policy, mode, ExecutorBackend::kReference,
               /*with_faults=*/true, seed, &breaker, episode_len);
-          ExpectIdentical(indexed, reference, label);
-          total_opened += indexed.circuits_opened;
-          total_suppressed += indexed.probes_suppressed;
+          EXPECT_EQ(ReportDifference(indexed, reference), "") << label;
+          total_opened += indexed.run.circuits_opened;
+          total_suppressed += indexed.run.probes_suppressed;
           if (::testing::Test::HasFailure()) {
             FAIL() << "stopping at first divergence: " << label;
           }
@@ -382,30 +307,7 @@ TEST(ExecutorDifferentialTest, ProxyPathMatchesThroughFaultLayer) {
       ASSERT_TRUE(reference.ok()) << reference.status().ToString();
 
       std::string label = spec.Label() + " seed=" + std::to_string(seed);
-      EXPECT_EQ(indexed->run.completeness.GainedCompleteness(),
-                reference->run.completeness.GainedCompleteness())
-          << label;
-      for (Chronon t = 0; t < config.epoch_length; ++t) {
-        EXPECT_EQ(indexed->run.schedule.ProbesAt(t),
-                  reference->run.schedule.ProbesAt(t))
-            << label << " chronon " << t;
-      }
-      EXPECT_EQ(indexed->run.probes_used, reference->run.probes_used)
-          << label;
-      EXPECT_EQ(indexed->probes_failed, reference->probes_failed)
-          << label;
-      EXPECT_EQ(indexed->retries_issued, reference->retries_issued)
-          << label;
-      EXPECT_EQ(indexed->feeds_fetched, reference->feeds_fetched)
-          << label;
-      EXPECT_EQ(indexed->feed_bytes, reference->feed_bytes) << label;
-      EXPECT_EQ(indexed->items_parsed, reference->items_parsed) << label;
-      EXPECT_EQ(indexed->notifications_delivered,
-                reference->notifications_delivered)
-          << label;
-      EXPECT_EQ(indexed->fault_stats, reference->fault_stats) << label;
-      EXPECT_EQ(indexed->gc_lost_to_faults, reference->gc_lost_to_faults)
-          << label;
+      EXPECT_EQ(ReportDifference(*indexed, *reference), "") << label;
     }
   }
 }
@@ -446,36 +348,7 @@ TEST(ExecutorDifferentialTest, ProxyPathMatchesWithOutagesAndBreaker) {
       ASSERT_TRUE(reference.ok()) << reference.status().ToString();
 
       std::string label = spec.Label() + " seed=" + std::to_string(seed);
-      for (Chronon t = 0; t < config.epoch_length; ++t) {
-        EXPECT_EQ(indexed->run.schedule.ProbesAt(t),
-                  reference->run.schedule.ProbesAt(t))
-            << label << " chronon " << t;
-      }
-      EXPECT_EQ(indexed->run.completeness.GainedCompleteness(),
-                reference->run.completeness.GainedCompleteness())
-          << label;
-      EXPECT_EQ(indexed->outage_probes, reference->outage_probes)
-          << label;
-      EXPECT_EQ(indexed->circuits_opened, reference->circuits_opened)
-          << label;
-      EXPECT_EQ(indexed->circuits_reopened, reference->circuits_reopened)
-          << label;
-      EXPECT_EQ(indexed->probation_probes, reference->probation_probes)
-          << label;
-      EXPECT_EQ(indexed->probation_successes,
-                reference->probation_successes)
-          << label;
-      EXPECT_EQ(indexed->probes_suppressed, reference->probes_suppressed)
-          << label;
-      EXPECT_EQ(indexed->budget_reclaimed, reference->budget_reclaimed)
-          << label;
-      EXPECT_EQ(indexed->open_chronons_total,
-                reference->open_chronons_total)
-          << label;
-      EXPECT_EQ(indexed->open_chronons_by_resource,
-                reference->open_chronons_by_resource)
-          << label;
-      EXPECT_EQ(indexed->fault_stats, reference->fault_stats) << label;
+      EXPECT_EQ(ReportDifference(*indexed, *reference), "") << label;
     }
   }
 }

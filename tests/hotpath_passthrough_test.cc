@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include "policies/mrsf.h"
-#include "report_equality.h"
 #include "sim/config.h"
 #include "sim/experiment.h"
 #include "sim/proxy.h"
@@ -27,17 +26,6 @@ SimulationConfig SmallConfig() {
   return config;
 }
 
-/// Every deterministic report field (wall-clock timing excluded),
-/// including the probe schedule itself. parse_cache_* fields are the
-/// documented exclusion: they describe the cache, not the run.
-void ExpectReportEqualityModuloCacheStats(const ProxyRunReport& a,
-                                          const ProxyRunReport& b,
-                                          Chronon epoch) {
-  ReportEqualityOptions options;
-  options.parse_cache_stats = false;
-  ExpectProxyReportsEqual(a, b, epoch, "", options);
-}
-
 TEST(HotpathPassthroughTest, CacheOnOffIdenticalCleanRunBothBackends) {
   SimulationConfig config = SmallConfig();
   PolicySpec spec{"MRSF", ExecutionMode::kPreemptive};
@@ -50,7 +38,8 @@ TEST(HotpathPassthroughTest, CacheOnOffIdenticalCleanRunBothBackends) {
     auto on = RunProxyOnce(config, spec, 404);
     ASSERT_TRUE(off.ok());
     ASSERT_TRUE(on.ok());
-    ExpectReportEqualityModuloCacheStats(*off, *on, config.epoch_length);
+    EXPECT_EQ(
+        ReportDifference(*off, *on, {.parse_cache_stats = false}), "");
     // The disabled path reports no cache activity at all.
     EXPECT_EQ(off->parse_cache_hits, 0u);
     EXPECT_EQ(off->parse_cache_misses, 0u);
@@ -91,7 +80,8 @@ TEST(HotpathPassthroughTest, CacheOnOffIdenticalUnderFaultsAndRetries) {
     EXPECT_GT(off->corrupt_bodies, 0u);
     EXPECT_GT(on->parse_cache_misses, 0u);
     EXPECT_GT(on->parse_cache_invalidations, 0u);
-    ExpectReportEqualityModuloCacheStats(*off, *on, config.epoch_length);
+    EXPECT_EQ(
+        ReportDifference(*off, *on, {.parse_cache_stats = false}), "");
   }
 }
 

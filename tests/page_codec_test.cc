@@ -175,7 +175,7 @@ TEST(PageCodecTest, StoreWithEmptyAndSingleEventResources) {
 
   // With a one-page budget the dense resource's walk evicts constantly
   // yet still decodes exactly.
-  EXPECT_GT(store.stats().cache_evictions, 0u);
+  EXPECT_GT(store.stats().trace_cache_evictions, 0u);
 }
 
 TEST(PageCodecTest, StoreCollapsesDuplicatesAndUnsortedAppends) {

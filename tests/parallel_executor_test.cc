@@ -30,7 +30,8 @@ struct FaultConfig {
 /// Everything observable about one run.
 struct RunTrace {
   std::vector<StepResult> steps;
-  MonitorStats stats;
+  ProbeStats probe_stats;
+  ChurnStats churn_stats;
   HealthStats health;
   CompletenessReport completeness;
   std::size_t completed = 0;
@@ -183,7 +184,8 @@ RunTrace RunScenario(DynamicMonitor* monitor, uint64_t seed,
     trace.steps.push_back(std::move(*step));
     PULLMON_CHECK_OK(monitor->CheckInvariants());
   }
-  trace.stats = monitor->stats();
+  trace.probe_stats = monitor->probe_stats();
+  trace.churn_stats = monitor->churn_stats();
   trace.health = monitor->health().stats();
   trace.completeness = monitor->Completeness();
   trace.completed = monitor->t_intervals_completed();
@@ -244,19 +246,8 @@ void ExpectTracesIdentical(const RunTrace& a, const RunTrace& b,
     EXPECT_EQ(a.steps[i].failed, b.steps[i].failed)
         << label << " chronon " << i;
   }
-  EXPECT_EQ(a.stats.probes_used, b.stats.probes_used) << label;
-  EXPECT_EQ(a.stats.probes_failed, b.stats.probes_failed) << label;
-  EXPECT_EQ(a.stats.retries_issued, b.stats.retries_issued) << label;
-  EXPECT_EQ(a.stats.candidates_scored, b.stats.candidates_scored) << label;
-  EXPECT_EQ(a.stats.t_intervals_lost_to_faults,
-            b.stats.t_intervals_lost_to_faults)
-      << label;
-  EXPECT_EQ(a.stats.submitted, b.stats.submitted) << label;
-  EXPECT_EQ(a.stats.cancelled, b.stats.cancelled) << label;
-  EXPECT_EQ(a.stats.edited, b.stats.edited) << label;
-  EXPECT_EQ(a.stats.unregistered_profiles, b.stats.unregistered_profiles)
-      << label;
-  EXPECT_EQ(a.stats.orphaned_probes, b.stats.orphaned_probes) << label;
+  EXPECT_TRUE(a.probe_stats == b.probe_stats) << label << " [ProbeStats]";
+  EXPECT_TRUE(a.churn_stats == b.churn_stats) << label << " [ChurnStats]";
   EXPECT_TRUE(a.health == b.health) << label;
   EXPECT_EQ(a.rejected_ops, b.rejected_ops) << label;
   EXPECT_EQ(a.completed, b.completed) << label;

@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include "policies/policy_factory.h"
-#include "report_equality.h"
 #include "sim/config.h"
 #include "sim/experiment.h"
 #include "sim/proxy.h"
@@ -86,12 +85,8 @@ TEST(ParallelInvarianceTest, ProxyReportsBitIdenticalAcrossThreadCounts) {
         auto report = RunProxyOnce(config, spec, seed);
         ASSERT_TRUE(report.ok())
             << scenario.name << ": " << report.status().ToString();
-        ExpectProxyReportsEqual(
-            *baseline, *report, config.epoch_length,
-            std::string(scenario.name) + " seed " +
-                std::to_string(seed) + " threads " +
-                std::to_string(threads));
-        if (HasFatalFailure()) return;
+        ASSERT_EQ(ReportDifference(*baseline, *report), "")
+            << scenario.name << " seed " << seed << " threads " << threads;
       }
     }
   }
@@ -112,9 +107,8 @@ TEST(ParallelInvarianceTest, ParallelMatchesSerialModuloShardBlock) {
         << scenario.name << ": " << serial.status().ToString();
     ASSERT_TRUE(parallel.ok())
         << scenario.name << ": " << parallel.status().ToString();
-    ExpectProxyReportsEqual(*serial, *parallel, config.epoch_length,
-                            scenario.name, options);
-    if (HasFatalFailure()) return;
+    ASSERT_EQ(ReportDifference(*serial, *parallel, options), "")
+        << scenario.name;
     // The excluded block is present only on the parallel side, and its
     // per-shard probe counts must add up to the probes the run issued.
     EXPECT_EQ(serial->shard_count, 0u) << scenario.name;
@@ -145,10 +139,8 @@ TEST(ParallelInvarianceTest, ChurnReportsBitIdenticalAcrossThreadCounts) {
       config.threads = threads;
       auto report = RunChurnOnce(config, spec, seed);
       ASSERT_TRUE(report.ok()) << report.status().ToString();
-      ExpectProxyReportsEqual(*baseline, *report, config.epoch_length,
-                              "churn seed " + std::to_string(seed) +
-                                  " threads " + std::to_string(threads));
-      if (HasFatalFailure()) return;
+      ASSERT_EQ(ReportDifference(*baseline, *report), "")
+          << "churn seed " << seed << " threads " << threads;
     }
   }
 }
@@ -167,8 +159,7 @@ TEST(ParallelInvarianceTest, ChurnParallelMatchesSerialMonitor) {
   auto parallel = RunChurnOnce(config, spec, 31337);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-  ExpectProxyReportsEqual(*serial, *parallel, config.epoch_length, "churn",
-                          options);
+  EXPECT_EQ(ReportDifference(*serial, *parallel, options), "") << "churn";
 }
 
 /// The closed-loop estimation path (knowledge=estimated) feeds probe
@@ -201,10 +192,8 @@ TEST(ParallelInvarianceTest, AdaptiveReportsBitIdenticalAcrossThreadCounts) {
       config.threads = threads;
       auto report = RunProxyOnce(config, spec, seed);
       ASSERT_TRUE(report.ok()) << report.status().ToString();
-      ExpectProxyReportsEqual(*baseline, *report, config.epoch_length,
-                              "adaptive seed " + std::to_string(seed) +
-                                  " threads " + std::to_string(threads));
-      if (HasFatalFailure()) return;
+      ASSERT_EQ(ReportDifference(*baseline, *report), "")
+          << "adaptive seed " << seed << " threads " << threads;
     }
   }
 }
@@ -221,8 +210,7 @@ TEST(ParallelInvarianceTest, AdaptiveParallelMatchesSerialModuloShardBlock) {
   auto parallel = RunProxyOnce(config, spec, 31337);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-  ExpectProxyReportsEqual(*serial, *parallel, config.epoch_length,
-                          "adaptive", options);
+  EXPECT_EQ(ReportDifference(*serial, *parallel, options), "") << "adaptive";
 }
 
 /// Notification payloads, not just counters: the items delivered with

@@ -31,13 +31,13 @@ TEST(ParseCacheTest, MissThenStoreThenHitByValidator) {
   ParseCache cache(2);
   std::string body = "<rss><channel><title>x</title></channel></rss>";
   EXPECT_EQ(cache.Lookup(0, "\"e1\"", body, false), nullptr);
-  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().parse_cache_misses, 1u);
   cache.Store(0, "\"e1\"", body, OneItemDoc("g1"));
   const FeedDocument* hit = cache.Lookup(0, "\"e1\"", body, false);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->items[0].guid, "g1");
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.stats().bytes_saved, body.size());
+  EXPECT_EQ(cache.stats().parse_cache_hits, 1u);
+  EXPECT_EQ(cache.stats().parse_cache_bytes_saved, body.size());
   // Entries are per resource: resource 1 knows nothing.
   EXPECT_EQ(cache.Lookup(1, "\"e1\"", body, false), nullptr);
 }
@@ -50,7 +50,7 @@ TEST(ParseCacheTest, HitByContentWhenValidatorIsUnstable) {
   cache.Store(0, "\"e1\"", body, OneItemDoc("g1"));
   EXPECT_NE(cache.Lookup(0, "\"e1\"-storm01", body, false), nullptr);
   EXPECT_NE(cache.Lookup(0, "\"e1\"-storm02", body, false), nullptr);
-  EXPECT_EQ(cache.stats().hits, 2u);
+  EXPECT_EQ(cache.stats().parse_cache_hits, 2u);
 }
 
 TEST(ParseCacheTest, MangledBodyNeverHits) {
@@ -66,8 +66,8 @@ TEST(ParseCacheTest, MangledBodyNeverHits) {
   // Even byte-identical content is refused when flagged mangled (the
   // flag is authoritative; replay must not bypass the fault).
   EXPECT_EQ(cache.Lookup(0, "\"e1\"", body, true), nullptr);
-  EXPECT_EQ(cache.stats().hits, 0u);
-  EXPECT_EQ(cache.stats().misses, 2u);
+  EXPECT_EQ(cache.stats().parse_cache_hits, 0u);
+  EXPECT_EQ(cache.stats().parse_cache_misses, 2u);
 }
 
 TEST(ParseCacheTest, ContentChangeMissesAndInvalidateCounts) {
@@ -77,10 +77,10 @@ TEST(ParseCacheTest, ContentChangeMissesAndInvalidateCounts) {
   cache.Store(0, "\"e1\"", body_a, OneItemDoc("g1"));
   EXPECT_EQ(cache.Lookup(0, "\"e2\"", body_b, false), nullptr);
   cache.Invalidate(0);
-  EXPECT_EQ(cache.stats().invalidations, 1u);
+  EXPECT_EQ(cache.stats().parse_cache_invalidations, 1u);
   // Invalidating twice counts once; the entry is already gone.
   cache.Invalidate(0);
-  EXPECT_EQ(cache.stats().invalidations, 1u);
+  EXPECT_EQ(cache.stats().parse_cache_invalidations, 1u);
   EXPECT_EQ(cache.Lookup(0, "\"e1\"", body_a, false), nullptr);
 }
 
@@ -184,7 +184,7 @@ TEST(ParseCacheStormTest, StormNeverServesStaleBody) {
   EXPECT_GT(full_bodies, 16u);
   EXPECT_GT(plan.stats().etag_invalidations, 0u);
   // And the unchanged-content probes between publishes were cache hits.
-  EXPECT_GT(cache.stats().hits, 0u);
+  EXPECT_GT(cache.stats().parse_cache_hits, 0u);
 }
 
 // Corruption drill: a corrupt delivery must invalidate, and the next
@@ -211,7 +211,7 @@ TEST(ParseCacheStormTest, CorruptBodyInvalidatesThenReparses) {
   EXPECT_EQ(cache.Lookup(0, etag, corrupt, true), nullptr);
   EXPECT_FALSE(ParseFeed(corrupt).ok());
   cache.Invalidate(0);
-  EXPECT_EQ(cache.stats().invalidations, 1u);
+  EXPECT_EQ(cache.stats().parse_cache_invalidations, 1u);
 
   // The retry delivers the pristine body again: by policy this is a
   // miss (the entry is gone) and must be re-parsed and re-stored.

@@ -155,12 +155,12 @@ ProxySnapshot RichSnapshot() {
     m.submissions.push_back(sub);
   }
   m.probes_by_chronon = {{0, 3}, {}, {1}, {2, 4, 5}};
-  m.stats.probes_used = 11;
-  m.stats.probes_failed = 2;
-  m.stats.retries_issued = 1;
-  m.stats.submitted = 3;
-  m.stats.cancelled = 1;
-  m.stats.orphaned_probes = 1;
+  m.probe_stats.probes_used = 11;
+  m.probe_stats.probes_failed = 2;
+  m.probe_stats.retries_issued = 1;
+  m.churn_stats.churn_submitted = 3;
+  m.churn_stats.churn_cancelled = 1;
+  m.churn_stats.orphaned_probes = 1;
   m.health.state = {0, 1, 2};
   m.health.consecutive_failures = {0, 4, 1};
   m.health.ewma_failure = {0.0, 0.75, 0.125};
@@ -201,8 +201,8 @@ ProxySnapshot RichSnapshot() {
   item.published = 33;
   entry.document.items.push_back(item);
   cache.entries = {entry, ParseCacheEntryImage{}};
-  cache.stats.hits = 9;
-  cache.stats.misses = 4;
+  cache.stats.parse_cache_hits = 9;
+  cache.stats.parse_cache_misses = 4;
   s.parse_cache = cache;
 
   snap.feeds_fetched = 40;

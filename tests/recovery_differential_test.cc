@@ -21,7 +21,6 @@
 #include "recovery/crash_plan.h"
 #include "recovery/durable_runner.h"
 #include "recovery/stable_storage.h"
-#include "report_equality.h"
 #include "sim/config.h"
 #include "sim/experiment.h"
 
@@ -121,9 +120,7 @@ TEST(RecoveryDifferentialTest, UninterruptedDurableRunMatchesChurnRunner) {
     auto durable = RunDurableOnce(config, spec, seed, options);
     ASSERT_TRUE(durable.ok()) << label << ": "
                               << durable.status().ToString();
-    ExpectProxyReportsEqual(*durable, baseline, config.epoch_length,
-                            label);
-    if (HasFatalFailure()) return;
+    ASSERT_EQ(ReportDifference(*durable, baseline), "") << label;
     EXPECT_GE(durable->recovery_snapshots_written, 1u) << label;
     EXPECT_GT(durable->recovery_wal_records_logged, 0u) << label;
     EXPECT_EQ(durable->recovery_snapshots_loaded, 0u) << label;
@@ -258,9 +255,7 @@ TEST(RecoveryDifferentialTest, CrashAtEveryBoundaryRecoversExactly) {
             CrashThenRecover(config, spec, arm.seed, base, &storage,
                              crash_at, offset, label);
         if (HasFatalFailure()) return;
-        ExpectProxyReportsEqual(recovered, baseline, config.epoch_length,
-                                label);
-        if (HasFatalFailure()) return;
+        ASSERT_EQ(ReportDifference(recovered, baseline), "") << label;
       }
     }
   }
@@ -279,8 +274,8 @@ TEST(RecoveryDifferentialTest, CrashBeforeFirstSnapshotRecoversFresh) {
   base.checkpoint_every = 5;
   ProxyRunReport recovered = CrashThenRecover(
       config, spec, seed, base, &storage, 0, 10, "first-snapshot-crash");
-  ExpectProxyReportsEqual(recovered, baseline, config.epoch_length,
-                          "first-snapshot-crash");
+  EXPECT_EQ(ReportDifference(recovered, baseline), "")
+      << "first-snapshot-crash";
   EXPECT_EQ(recovered.recovery_snapshots_loaded, 0u);
   EXPECT_GE(recovered.recovery_snapshots_rejected, 1u);
 }
@@ -300,8 +295,7 @@ TEST(RecoveryDifferentialTest, WalSizeTriggersSnapshotsAndStaysExact) {
   options.snapshot_wal_bytes = 256;
   auto durable = RunDurableOnce(config, spec, seed, options);
   ASSERT_TRUE(durable.ok()) << durable.status().ToString();
-  ExpectProxyReportsEqual(*durable, baseline, config.epoch_length,
-                          "wal-size-trigger");
+  EXPECT_EQ(ReportDifference(*durable, baseline), "") << "wal-size-trigger";
   EXPECT_GE(durable->recovery_snapshots_written, 3u);
 
   // And a crash mid-epoch on the same trigger recovers exactly.
@@ -312,8 +306,7 @@ TEST(RecoveryDifferentialTest, WalSizeTriggersSnapshotsAndStaysExact) {
   ProxyRunReport recovered =
       CrashThenRecover(config, spec, seed, base, &crashed_storage,
                        config.epoch_length / 2, 120, "wal-size-crash");
-  ExpectProxyReportsEqual(recovered, baseline, config.epoch_length,
-                          "wal-size-crash");
+  EXPECT_EQ(ReportDifference(recovered, baseline), "") << "wal-size-crash";
 }
 
 /// Corruption sweep at the storage level: after a crash, flip one bit
@@ -373,9 +366,7 @@ TEST(RecoveryDifferentialTest, BitFlippedCheckpointFilesNeverCorruptTheRun) {
       auto recovered = RunDurableOnce(config, spec, seed, recovering);
       ASSERT_TRUE(recovered.ok())
           << label << ": " << recovered.status().ToString();
-      ExpectProxyReportsEqual(*recovered, baseline, config.epoch_length,
-                              label);
-      if (HasFatalFailure()) return;
+      ASSERT_EQ(ReportDifference(*recovered, baseline), "") << label;
     }
   }
 }
@@ -460,8 +451,7 @@ TEST(RecoveryDifferentialTest, FreshRunClearsStaleCheckpoints) {
   EXPECT_TRUE(storage.ReadFile("unrelated.txt").ok());
 
   const ProxyRunReport baseline = MustChurnRun(config, spec, 9);
-  ExpectProxyReportsEqual(*report, baseline, config.epoch_length,
-                          "fresh-after-stale");
+  EXPECT_EQ(ReportDifference(*report, baseline), "") << "fresh-after-stale";
 }
 
 /// Old generations are pruned as new snapshots land: storage holds at

@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include "policies/mrsf.h"
-#include "report_equality.h"
 #include "sim/config.h"
 #include "sim/experiment.h"
 #include "sim/proxy.h"
@@ -177,17 +176,6 @@ SimulationConfig SmallConfig() {
   return config;
 }
 
-/// Every deterministic report field must match across trace backends;
-/// the trace_* telemetry block is the documented exclusion (it
-/// describes the store, not the run) and is asserted separately.
-void ExpectReportEqualityModuloTraceStats(const ProxyRunReport& a,
-                                          const ProxyRunReport& b,
-                                          Chronon epoch) {
-  ReportEqualityOptions options;
-  options.trace_stats = false;
-  ExpectProxyReportsEqual(a, b, epoch, "", options);
-}
-
 TEST(TraceStoreDifferentialTest, ProxyReportsIdenticalCleanRun) {
   SimulationConfig config = SmallConfig();
   PolicySpec spec{"MRSF", ExecutionMode::kPreemptive};
@@ -201,9 +189,8 @@ TEST(TraceStoreDifferentialTest, ProxyReportsIdenticalCleanRun) {
       auto paged = RunProxyOnce(config, spec, seed);
       ASSERT_TRUE(in_memory.ok()) << in_memory.status().ToString();
       ASSERT_TRUE(paged.ok()) << paged.status().ToString();
-      ExpectReportEqualityModuloTraceStats(*in_memory, *paged,
-                                           config.epoch_length);
-      if (HasFatalFailure()) return;
+      ASSERT_EQ(
+          ReportDifference(*in_memory, *paged, {.trace_stats = false}), "");
       // The backends report their own telemetry honestly: zeros on the
       // in-memory side, a real compressed footprint on the paged side.
       EXPECT_EQ(in_memory->trace_bytes_stored, 0u);
@@ -243,9 +230,8 @@ TEST(TraceStoreDifferentialTest, ProxyReportsIdenticalUnderFaults) {
     // The faults actually fired, or this equality proves nothing.
     EXPECT_GT(in_memory->probes_failed, 0u);
     EXPECT_GT(in_memory->corrupt_bodies, 0u);
-    ExpectReportEqualityModuloTraceStats(*in_memory, *paged,
-                                         config.epoch_length);
-    if (HasFatalFailure()) return;
+    ASSERT_EQ(
+        ReportDifference(*in_memory, *paged, {.trace_stats = false}), "");
     // One-page budget + multi-page resources => the derivation path
     // actually churned the cache.
     EXPECT_GT(paged->trace_cache_evictions, 0u);

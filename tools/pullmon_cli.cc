@@ -22,7 +22,6 @@
 #include "recovery/stable_storage.h"
 #include "sim/experiment.h"
 #include "sim/report.h"
-#include "trace/poisson_generator.h"
 #include "trace/trace_io.h"
 #include "util/csv.h"
 #include "util/flags.h"
@@ -857,21 +856,16 @@ int CommandGenTrace(const std::vector<std::string>& args) {
   SimulationConfig config = std::move(*parsed);
   Rng rng(static_cast<uint64_t>(flags.GetInt64("seed")));
   if (config.dataset == DatasetKind::kAuction) {
-    AuctionTraceOptions options = config.auction;
-    options.num_auctions = config.num_resources;
-    options.epoch_length = config.epoch_length;
-    auto trace = GenerateAuctionTrace(options, &rng);
+    // An auction trace is written with its listings, not only its
+    // update events.
+    auto trace = GenerateAuctionTrace(AuctionOptionsFor(config), &rng);
     if (!trace.ok()) {
       std::cerr << trace.status().ToString() << "\n";
       return 1;
     }
     st = WriteAuctionTraceFile(*trace, flags.GetString("out"));
   } else {
-    PoissonTraceOptions options;
-    options.num_resources = config.num_resources;
-    options.epoch_length = config.epoch_length;
-    options.lambda = config.lambda;
-    auto trace = GeneratePoissonTrace(options, &rng);
+    auto trace = GenerateUpdateTrace(config, &rng);
     if (!trace.ok()) {
       std::cerr << trace.status().ToString() << "\n";
       return 1;
@@ -907,11 +901,13 @@ int CommandGenFeeds(const std::vector<std::string>& args) {
     return 2;
   }
   SimulationConfig config = std::move(*parsed);
+  if (flags.WasSet("dataset") && config.dataset != DatasetKind::kAuction) {
+    std::cerr << "gen-feeds writes auction listings; --dataset="
+              << flags.GetString("dataset") << " is not supported\n";
+    return 2;
+  }
   Rng rng(static_cast<uint64_t>(flags.GetInt64("seed")));
-  AuctionTraceOptions options = config.auction;
-  options.num_auctions = config.num_resources;
-  options.epoch_length = config.epoch_length;
-  auto trace = GenerateAuctionTrace(options, &rng);
+  auto trace = GenerateAuctionTrace(AuctionOptionsFor(config), &rng);
   if (!trace.ok()) {
     std::cerr << trace.status().ToString() << "\n";
     return 1;
