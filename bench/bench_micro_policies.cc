@@ -33,6 +33,7 @@ void BM_SEdfScore(benchmark::State& state) {
   runtime.profile_rank = 4;
   runtime.source = &eta;
   runtime.ei_captured.assign(4, 0);
+  runtime.edf = ScanEdfAggregate(runtime, 2);
   SEdfPolicy policy;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
@@ -47,6 +48,7 @@ void BM_MrsfScore(benchmark::State& state) {
   runtime.profile_rank = 4;
   runtime.source = &eta;
   runtime.ei_captured.assign(4, 0);
+  runtime.edf = ScanEdfAggregate(runtime, 2);
   MrsfPolicy policy;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
@@ -62,6 +64,7 @@ void BM_MEdfScore(benchmark::State& state) {
   runtime.profile_rank = rank;
   runtime.source = &eta;
   runtime.ei_captured.assign(static_cast<std::size_t>(rank), 0);
+  runtime.edf = ScanEdfAggregate(runtime, 2);
   MEdfPolicy policy;
   for (auto _ : state) {
     benchmark::DoNotOptimize(

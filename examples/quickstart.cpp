@@ -95,6 +95,7 @@ int RunQuickstart() {
   runtime.num_captured = 2;
 
   const Chronon now = 3;
+  runtime.edf = ScanEdfAggregate(runtime, now);
   SEdfPolicy s_edf;
   MEdfPolicy m_edf;
   MrsfPolicy mrsf;

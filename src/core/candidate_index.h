@@ -63,11 +63,14 @@ struct ResourceCandidate {
 /// candidates, which is what makes the indexed executor decision-
 /// identical to ReferenceExecutor (a differential test enforces this).
 ///
-/// Per-chronon cost: O(A) scoring for A live candidates (scores depend
-/// on `now`, so they cannot be cached across chronons for a black-box
-/// policy), plus O(R_active + C_j log C_j) selection, plus O(1)
-/// amortized per EI lifecycle event — against the reference path's
-/// O(total EIs + A log A) rebuild, re-sort and rescan.
+/// Per-chronon cost: O(A) scoring for A live candidates, plus
+/// O(R_active + C_j log C_j) selection, plus O(1) amortized per EI
+/// lifecycle event — against the reference path's O(total EIs +
+/// A log A) rebuild, re-sort and rescan. Scores depend on `now` and are
+/// recomputed every chronon, but each one is O(1) for the shipped
+/// policies: what a score needs beyond the EI lives in its parent's
+/// TIntervalRuntime, which the monitor maintains at lifecycle events
+/// (num_captured for MRSF, the EdfAggregate for M-EDF).
 class CandidateIndex {
  public:
   CandidateIndex(int num_resources, Chronon epoch_length);
@@ -239,6 +242,14 @@ class CandidateIndex {
   /// captured/expired/unstarted EIs are left as they are (their
   /// counters were already settled).
   void Deactivate(int flat_id);
+
+  /// The flat ids whose windows open at `now`, in registration order
+  /// (every EI ever added, dead or not: the lists are never compacted).
+  /// DynamicMonitor walks them serially to count opened windows into
+  /// each parent's EdfAggregate.
+  const std::vector<int>& StartingAt(Chronon now) const {
+    return starting_at_[static_cast<std::size_t>(now)];
+  }
 
   /// The flat ids whose windows close at `now`, in registration order
   /// (dead entries included — callers filter through ExpireOne).

@@ -143,6 +143,9 @@ int DynamicMonitor::AppendSubmission(ProfileId profile,
   rt.weight = stored->weight();
   rt.required = static_cast<int>(stored->required());
   rt.ei_captured.assign(stored->size(), 0);
+  // Windows opened so far are those of chronons before now_ (none, for a
+  // validated arrival); Step() counts the later ones as they open.
+  rt.edf = ScanEdfAggregate(rt, now_ - 1);
   runtimes_.push_back(std::move(rt));
   cancelled_.push_back(0);
   fault_touched_.push_back(0);
@@ -324,6 +327,7 @@ void DynamicMonitor::CaptureOnProbe(ResourceId resource, StepResult* step) {
             runtimes_[static_cast<std::size_t>(hit.t_id)];
         parent.ei_captured[static_cast<std::size_t>(hit.ei_index)] = 1;
         ++parent.num_captured;
+        parent.edf.uncaptured_finish_sum -= hit.ei.finish;
         parent.selected = true;
         if (parent.num_captured < parent.required) return;
         // The probe completed the parent: its other EIs leave play.
@@ -468,6 +472,15 @@ Result<StepResult> DynamicMonitor::Step() {
     partitions_[static_cast<std::size_t>(s)].ActivateArrivals(
         now_, [](int) { return true; });
   });
+  // Serial: count the opened windows into their parents' M-EDF
+  // aggregates. A parent's EIs may sit in several shards, so this write
+  // stays out of the parallel phases; scoring below only reads it.
+  for (const CandidateIndex& partition : partitions_) {
+    for (int local : partition.StartingAt(now_)) {
+      ++runtimes_[static_cast<std::size_t>(partition.at(local).t_id)]
+            .edf.num_started;
+    }
+  }
 
   // Expired cool-downs move to probation before scoring, so a half-open
   // resource competes in this chronon's selection.
@@ -740,6 +753,7 @@ Status DynamicMonitor::Restore(const MonitorImage& image) {
     rt.failed = sub.failed != 0;
     rt.completed = sub.completed != 0;
     rt.selected = sub.selected != 0;
+    rt.edf = ScanEdfAggregate(rt, image.now - 1);
     cancelled_[static_cast<std::size_t>(t_id)] = sub.cancelled;
     fault_touched_[static_cast<std::size_t>(t_id)] = sub.fault_touched;
     if (rt.completed) ++completed_;
@@ -785,6 +799,18 @@ Status DynamicMonitor::CheckInvariants() const {
       return Status::InvalidArgument(StringFormat(
           "t-interval %zu capture counter %d != %d flagged EIs", t,
           rt.num_captured, captured));
+    }
+    // The maintained M-EDF terms against the scan, over the windows
+    // opened by the chronons executed so far.
+    const EdfAggregate scan = ScanEdfAggregate(rt, now_ - 1);
+    if (rt.edf != scan) {
+      return Status::InvalidArgument(StringFormat(
+          "t-interval %zu M-EDF aggregate (finish sum %lld, %d started) != "
+          "scan (%lld, %d)",
+          t, static_cast<long long>(rt.edf.uncaptured_finish_sum),
+          rt.edf.num_started,
+          static_cast<long long>(scan.uncaptured_finish_sum),
+          scan.num_started));
     }
     if (rt.completed && rt.num_captured < rt.required) {
       return Status::InvalidArgument(StringFormat(

@@ -173,7 +173,8 @@ struct MonitorImage {
 /// consistent hashing (ShardMap), each shard owns a CandidateIndex
 /// partition, and each chronon runs as
 ///
-///   [parallel] per-shard activation -> health begin
+///   [parallel] per-shard activation -> serial window count into the
+///      parents' EdfAggregate -> health begin
 ///   -> [parallel] per-shard scoring + shard-local top-k selection
 ///   -> serial ordered merge (an S-way reduction under the global
 ///      (np_class, score, deadline, flat id) order) -> serial control
@@ -185,7 +186,10 @@ struct MonitorImage {
 /// sharded-monitor, thread-invariance and differential suites enforce
 /// it). With threads > 1 the policy's Score() must be a pure function of
 /// its arguments and attached health state (true of every shipped
-/// policy), because shards score concurrently.
+/// policy), because shards score concurrently. Runtimes, the M-EDF
+/// aggregate included, are written only in the serial phases (submit,
+/// window count, capture, expiry, restore); the scoring phase only
+/// reads them.
 ///
 /// Churn semantics (DESIGN.md section 13):
 ///  * Cancel(profile, submission) withdraws a live submission; its
@@ -295,8 +299,9 @@ class DynamicMonitor {
 
   /// Audits every candidate-index partition's lazy structures plus the
   /// monitor's parent bookkeeping (dead parents hold no live EIs,
-  /// capture counts consistent) — the churn fuzz suite runs this after
-  /// every op.
+  /// capture counts consistent, every runtime's EdfAggregate equal to
+  /// ScanEdfAggregate() over the chronons executed so far) — the churn
+  /// fuzz suite runs this after every op.
   Status CheckInvariants() const;
 
   /// Checkpoint support. Capture() freezes everything a resumed run

@@ -2,6 +2,16 @@
 
 namespace pullmon {
 
+EdfAggregate ScanEdfAggregate(const TIntervalRuntime& rt, Chronon now) {
+  EdfAggregate aggregate;
+  const auto& eis = rt.source->eis();
+  for (std::size_t i = 0; i < eis.size(); ++i) {
+    if (eis[i].start <= now) ++aggregate.num_started;
+    if (!rt.ei_captured[i]) aggregate.uncaptured_finish_sum += eis[i].finish;
+  }
+  return aggregate;
+}
+
 const char* ExecutionModeToString(ExecutionMode mode) {
   switch (mode) {
     case ExecutionMode::kPreemptive:

@@ -11,6 +11,24 @@ namespace pullmon {
 
 class ResourceHealthTracker;
 
+/// The two integer terms of a t-interval's M-EDF value (DESIGN.md section
+/// 4.2). Summing S-EDF over the uncaptured EIs gives
+///
+///   M-EDF(now) = uncaptured_finish_sum - now * (num_started - num_captured)
+///
+/// because a started EI contributes finish - now, an unstarted one
+/// finish, and every captured EI has started. Both terms change only at
+/// discrete events (a window opens, an EI is captured), so the executor
+/// maintains them and M-EDF scores in O(1).
+struct EdfAggregate {
+  /// Sum of I.T_f over the uncaptured EIs, expired ones included.
+  int64_t uncaptured_finish_sum = 0;
+  /// EIs whose window has opened: start <= the chronon being scored.
+  int num_started = 0;
+
+  bool operator==(const EdfAggregate& other) const = default;
+};
+
 /// Live state of one t-interval during an online run, shared between the
 /// executor and the policies (policies read, the executor writes).
 struct TIntervalRuntime {
@@ -20,11 +38,15 @@ struct TIntervalRuntime {
   int profile_rank = 0;
   /// The static definition (owned by the problem; outlives the run).
   const TInterval* source = nullptr;
-  /// Per-EI capture flags, parallel to source->eis().
-  std::vector<uint8_t> ei_captured;
   int num_captured = 0;
   /// EIs that expired uncaptured.
   int num_expired = 0;
+  /// The M-EDF terms, kept current by the executor at every capture and
+  /// window opening; ScanEdfAggregate() is their from-scratch value.
+  /// Placed beside num_captured so an M-EDF score reads one cache line.
+  EdfAggregate edf;
+  /// Per-EI capture flags, parallel to source->eis().
+  std::vector<uint8_t> ei_captured;
   /// Client utility of the t-interval (TInterval::weight()).
   double weight = 1.0;
   /// Captures needed for completion (TInterval::required()).
@@ -86,7 +108,7 @@ class Policy {
   /// Value of probing candidate EI `ei` (the `ei_index`-th EI of `parent`)
   /// at chronon `now`. The EI is guaranteed active (start <= now <=
   /// finish) and uncaptured, with a live (non-failed, non-completed)
-  /// parent. Lower is better.
+  /// parent whose `edf` aggregate is current at `now`. Lower is better.
   virtual double Score(const ExecutionInterval& ei,
                        const TIntervalRuntime& parent, int ei_index,
                        Chronon now) = 0;
@@ -111,6 +133,13 @@ inline double SingleEdfValue(const ExecutionInterval& ei, Chronon now) {
   if (now < ei.start) return static_cast<double>(ei.finish);
   return static_cast<double>(ei.finish - now);
 }
+
+/// `rt`'s EdfAggregate recomputed from its capture flags as of chronon
+/// `now` (EIs with start <= now have started); O(|eta|). The maintained
+/// `rt.edf` must equal it: ReferenceExecutor refills it this way before
+/// every Score(), DynamicMonitor::CheckInvariants() audits against it,
+/// and hand-built runtimes (tests, examples) are filled with it.
+EdfAggregate ScanEdfAggregate(const TIntervalRuntime& rt, Chronon now);
 
 }  // namespace pullmon
 

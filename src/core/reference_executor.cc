@@ -153,8 +153,12 @@ Result<OnlineRunResult> ReferenceExecutor::Run() {
         }
         continue;
       }
-      const TIntervalRuntime& parent =
+      // The oracle fills the M-EDF aggregate from scratch for every
+      // candidate, so the differential suites check the monitor's
+      // maintained one against the scan.
+      TIntervalRuntime& parent =
           runtimes[static_cast<std::size_t>(flat.t_id)];
+      parent.edf = ScanEdfAggregate(parent, now);
       ScoredCandidate cand;
       cand.flat_id = id;
       cand.np_class = (mode_ == ExecutionMode::kNonPreemptive &&

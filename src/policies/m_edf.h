@@ -16,6 +16,9 @@ namespace pullmon {
 /// where a not-yet-active sibling is evaluated with T = 0. A t-interval
 /// with fewer total remaining chronons is less likely to collide with
 /// others, hence is served first.
+///
+/// Score() reads the parent's maintained EdfAggregate in O(1); Value()
+/// is the O(|eta|) sibling scan it must equal exactly.
 class MEdfPolicy : public Policy {
  public:
   std::string name() const override { return "M-EDF"; }
@@ -24,8 +27,9 @@ class MEdfPolicy : public Policy {
   double Score(const ExecutionInterval& ei, const TIntervalRuntime& parent,
                int ei_index, Chronon now) override;
 
-  /// The raw M-EDF value of a whole t-interval (used by tests replicating
-  /// the paper's Example 1 / Figure 2).
+  /// The raw M-EDF value of a whole t-interval by scanning its EIs'
+  /// capture flags — the oracle of Score() (and the form tests replicating
+  /// the paper's Example 1 / Figure 2 check).
   static double Value(const TIntervalRuntime& parent, Chronon now);
 };
 

@@ -26,6 +26,7 @@ struct Example1 {
     runtime.source = &eta;
     runtime.ei_captured = {1, 1, 0, 0};
     runtime.num_captured = 2;
+    runtime.edf = ScanEdfAggregate(runtime, 3);
   }
 };
 
@@ -75,6 +76,7 @@ TEST(MrsfPolicyTest, UsesProfileRankNotTIntervalSize) {
   runtime.source = &eta;
   runtime.ei_captured = {0};
   runtime.num_captured = 0;
+  runtime.edf = ScanEdfAggregate(runtime, 0);
   MrsfPolicy policy;
   EXPECT_DOUBLE_EQ(policy.Score(eta.eis()[0], runtime, 0, 0), 3.0);
 }

@@ -64,10 +64,11 @@ Schedule ReferenceRun(const MonitoringProblem& problem, Policy* policy,
     std::vector<Cand> cands;
     for (int id = 0; id < static_cast<int>(eis.size()); ++id) {
       RefEi& flat = eis[static_cast<std::size_t>(id)];
-      const TIntervalRuntime& parent =
+      TIntervalRuntime& parent =
           runtimes[static_cast<std::size_t>(flat.t_id)];
       if (flat.captured || parent.failed || parent.completed) continue;
       if (!flat.ei.Contains(now)) continue;
+      parent.edf = ScanEdfAggregate(parent, now);
       Cand cand;
       cand.flat_id = id;
       cand.np_class = (mode == ExecutionMode::kNonPreemptive &&

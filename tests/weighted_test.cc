@@ -106,9 +106,11 @@ TEST(UtilityPoliciesTest, UtilityMrsfPrefersHighWeight) {
   heavy.ei_captured = {0};
   heavy.weight = 4.0;
   heavy.required = 1;
+  heavy.edf = ScanEdfAggregate(heavy, 0);
   TIntervalRuntime light = heavy;
   light.source = &light_eta;
   light.weight = 1.0;
+  light.edf = ScanEdfAggregate(light, 0);
 
   UtilityMrsfPolicy policy;
   EXPECT_LT(policy.Score(heavy_eta.eis()[0], heavy, 0, 0),

@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <utility>
 
 #include "core/overlap_analysis.h"
@@ -201,23 +202,38 @@ Result<DatasetKind> DatasetFromFlags(const FlagParser& flags) {
       "feeds)");
 }
 
+/// The 64-bit integer flag `name` as an int, or InvalidArgument naming
+/// the flag when the value does not fit (a bare narrowing cast would run
+/// --buffer-capacity=4294967297 as 1).
+Result<int> IntFlag(const FlagParser& flags, const std::string& name) {
+  const int64_t value = flags.GetInt64(name);
+  if (value < std::numeric_limits<int>::min() ||
+      value > std::numeric_limits<int>::max()) {
+    return Status::InvalidArgument(StringFormat(
+        "--%s=%lld is out of range (must fit in 32 bits)", name.c_str(),
+        static_cast<long long>(value)));
+  }
+  return static_cast<int>(value);
+}
+
 /// The run configuration the flags describe. Unknown dataset, executor
-/// and knowledge names are rejected here, for every command.
+/// and knowledge names, and integer values that overflow their field,
+/// are rejected here, for every command.
 Result<SimulationConfig> ConfigFromFlags(const FlagParser& flags) {
   SimulationConfig config = BaselineConfig();
   PULLMON_ASSIGN_OR_RETURN(config.dataset, DatasetFromFlags(flags));
-  config.num_resources = static_cast<int>(flags.GetInt64("resources"));
-  config.epoch_length = static_cast<Chronon>(flags.GetInt64("chronons"));
-  config.num_profiles = static_cast<int>(flags.GetInt64("profiles"));
-  config.max_rank = static_cast<int>(flags.GetInt64("rank"));
+  PULLMON_ASSIGN_OR_RETURN(config.num_resources, IntFlag(flags, "resources"));
+  PULLMON_ASSIGN_OR_RETURN(config.epoch_length, IntFlag(flags, "chronons"));
+  PULLMON_ASSIGN_OR_RETURN(config.num_profiles, IntFlag(flags, "profiles"));
+  PULLMON_ASSIGN_OR_RETURN(config.max_rank, IntFlag(flags, "rank"));
   config.lambda = flags.GetDouble("lambda");
   config.alpha = flags.GetDouble("alpha");
   config.beta = flags.GetDouble("beta");
   config.restriction = flags.GetBool("overwrite")
                            ? LengthRestriction::kOverwrite
                            : LengthRestriction::kWindow;
-  config.window = static_cast<Chronon>(flags.GetInt64("window"));
-  config.budget = static_cast<int>(flags.GetInt64("budget"));
+  PULLMON_ASSIGN_OR_RETURN(config.window, IntFlag(flags, "window"));
+  PULLMON_ASSIGN_OR_RETURN(config.budget, IntFlag(flags, "budget"));
   config.faults.timeout_rate = flags.GetDouble("fault-timeout");
   config.faults.server_error_rate = flags.GetDouble("fault-server-error");
   config.faults.truncation_rate = flags.GetDouble("fault-truncate");
@@ -227,19 +243,19 @@ Result<SimulationConfig> ConfigFromFlags(const FlagParser& flags) {
   config.faults.outage_enter_rate = flags.GetDouble("outage-enter");
   config.faults.outage_exit_rate = flags.GetDouble("outage-exit");
   config.fault_seed = static_cast<uint64_t>(flags.GetInt64("fault-seed"));
-  config.retry.max_retries = static_cast<int>(flags.GetInt64("retries"));
+  PULLMON_ASSIGN_OR_RETURN(config.retry.max_retries, IntFlag(flags, "retries"));
   config.retry.backoff_base = flags.GetDouble("retry-backoff");
   config.breaker.enabled = flags.GetBool("breaker");
-  config.breaker.failure_threshold =
-      static_cast<int>(flags.GetInt64("breaker-threshold"));
-  config.breaker.cooldown_base =
-      static_cast<Chronon>(flags.GetInt64("breaker-cooldown"));
+  PULLMON_ASSIGN_OR_RETURN(config.breaker.failure_threshold,
+                           IntFlag(flags, "breaker-threshold"));
+  PULLMON_ASSIGN_OR_RETURN(config.breaker.cooldown_base,
+                           IntFlag(flags, "breaker-cooldown"));
   config.breaker.cooldown_multiplier = flags.GetDouble("breaker-multiplier");
-  config.breaker.max_cooldown =
-      static_cast<Chronon>(flags.GetInt64("breaker-max-cooldown"));
+  PULLMON_ASSIGN_OR_RETURN(config.breaker.max_cooldown,
+                           IntFlag(flags, "breaker-max-cooldown"));
   config.breaker.ewma_alpha = flags.GetDouble("breaker-alpha");
-  config.feed_buffer_capacity =
-      static_cast<int>(flags.GetInt64("buffer-capacity"));
+  PULLMON_ASSIGN_OR_RETURN(config.feed_buffer_capacity,
+                           IntFlag(flags, "buffer-capacity"));
   config.parse_cache = flags.GetBool("parse-cache");
   config.trace_backend = flags.GetBool("trace-store")
                              ? TraceBackend::kPaged
@@ -257,18 +273,18 @@ Result<SimulationConfig> ConfigFromFlags(const FlagParser& flags) {
   config.churn.zipf_theta = flags.GetDouble("churn-theta");
   config.churn.seed = static_cast<uint64_t>(flags.GetInt64("churn-seed"));
   config.checkpoint_dir = flags.GetString("checkpoint-dir");
-  config.checkpoint_every =
-      static_cast<Chronon>(flags.GetInt64("checkpoint-every"));
+  PULLMON_ASSIGN_OR_RETURN(config.checkpoint_every,
+                           IntFlag(flags, "checkpoint-every"));
   config.recover = flags.GetBool("recover");
   // --crash-at needs parse-error reporting, so CommandRun applies it
   // separately via ApplyCrashAtFlag before validating.
   PULLMON_ASSIGN_OR_RETURN(config.executor_backend, BackendFromFlags(flags));
-  config.threads = static_cast<int>(flags.GetInt64("threads"));
+  PULLMON_ASSIGN_OR_RETURN(config.threads, IntFlag(flags, "threads"));
   PULLMON_ASSIGN_OR_RETURN(config.knowledge, KnowledgeFromFlags(flags));
   config.estimator_half_life = flags.GetDouble("estimator-half-life");
   config.explore_eps = flags.GetDouble("explore-eps");
-  config.forecast_horizon =
-      static_cast<Chronon>(flags.GetInt64("forecast-horizon"));
+  PULLMON_ASSIGN_OR_RETURN(config.forecast_horizon,
+                           IntFlag(flags, "forecast-horizon"));
   return config;
 }
 
@@ -616,6 +632,11 @@ int CommandRun(const std::vector<std::string>& args) {
     std::cerr << parsed.status().ToString() << "\n";
     return 2;
   }
+  auto reps = IntFlag(flags, "reps");
+  if (!reps.ok()) {
+    std::cerr << reps.status().ToString() << "\n";
+    return 2;
+  }
   SimulationConfig config = std::move(*parsed);
   config.churn.enabled = flags.GetBool("churn");
   if (Status st = ApplyCrashAtFlag(flags.GetString("crash-at"), &config);
@@ -646,8 +667,7 @@ int CommandRun(const std::vector<std::string>& args) {
         config, *specs, static_cast<uint64_t>(flags.GetInt64("seed")));
   }
   if (config.churn.enabled) {
-    return RunChurnExperiment(config, *specs,
-                              static_cast<int>(flags.GetInt64("reps")),
+    return RunChurnExperiment(config, *specs, *reps,
                               static_cast<uint64_t>(flags.GetInt64("seed")),
                               flags.GetString("csv"));
   }
@@ -656,8 +676,7 @@ int CommandRun(const std::vector<std::string>& args) {
     return 2;
   }
   if (flags.GetBool("proxy")) {
-    return RunProxyExperiment(config, *specs,
-                              static_cast<int>(flags.GetInt64("reps")),
+    return RunProxyExperiment(config, *specs, *reps,
                               static_cast<uint64_t>(flags.GetInt64("seed")),
                               flags.GetString("csv"));
   }
@@ -682,7 +701,7 @@ int CommandRun(const std::vector<std::string>& args) {
                  "construction\n";
     return 2;
   }
-  ExperimentRunner runner(static_cast<int>(flags.GetInt64("reps")),
+  ExperimentRunner runner(*reps,
                           static_cast<uint64_t>(flags.GetInt64("seed")));
   // The CLI exposes the strong Local-Ratio variant: probe-sharing-aware
   // conflicts plus greedy augmentation. The faithful [2] reduction (used
@@ -735,6 +754,11 @@ int CommandSweep(const std::vector<std::string>& args) {
   auto parsed = ConfigFromFlags(flags);
   if (!parsed.ok()) {
     std::cerr << parsed.status().ToString() << "\n";
+    return 2;
+  }
+  auto reps = IntFlag(flags, "reps");
+  if (!reps.ok()) {
+    std::cerr << reps.status().ToString() << "\n";
     return 2;
   }
   const SimulationConfig base = std::move(*parsed);
@@ -805,7 +829,7 @@ int CommandSweep(const std::vector<std::string>& args) {
       std::cerr << "unknown sweep parameter: " << param << "\n";
       return 2;
     }
-    ExperimentRunner runner(static_cast<int>(flags.GetInt64("reps")),
+    ExperimentRunner runner(*reps,
                             static_cast<uint64_t>(flags.GetInt64("seed")));
     auto result = runner.Run(config, *specs);
     if (!result.ok()) {
