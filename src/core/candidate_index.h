@@ -1,10 +1,7 @@
 #ifndef PULLMON_CORE_CANDIDATE_INDEX_H_
 #define PULLMON_CORE_CANDIDATE_INDEX_H_
 
-#include <algorithm>
 #include <cstddef>
-#include <functional>
-#include <utility>
 #include <vector>
 
 #include "core/chronon.h"
@@ -21,8 +18,6 @@ struct IndexedEi {
   ExecutionInterval ei;
   int t_id = 0;
   int ei_index = 0;
-  /// Captured by a successful probe of its resource.
-  bool captured = false;
   /// Permanently out of play (captured, expired, or parent dead).
   bool dead = false;
   /// Currently a member of its resource's live-candidate list.
@@ -47,11 +42,9 @@ struct ResourceCandidate {
 /// arrive, get captured, and expire:
 ///
 ///  * start/expiry event lists bucketed by chronon (built once);
-///  * per-resource live-candidate lists with lazy compaction;
-///  * per-resource running counters — live-candidate count (the
-///    sharable-probe gain of one probe) and an earliest-deadline heap
-///    (urgency) — updated on activation, capture, deactivation and
-///    expiry instead of recomputed;
+///  * per-resource live-candidate lists with lazy compaction: a capture,
+///    expiry or deactivation only marks the EI dead, and the next
+///    CollectResourceCandidates pass drops it;
 ///  * a compact list of resources that currently hold candidates, so a
 ///    chronon's selection touches O(active resources), not O(n).
 ///
@@ -86,46 +79,27 @@ class CandidateIndex {
     return eis_[static_cast<std::size_t>(flat_id)];
   }
 
-  /// Activates the EIs whose window opens at `now`, skipping those whose
-  /// parent is already dead. `parent_alive` is a callable int(t_id) ->
-  /// bool.
-  template <typename ParentAlive>
-  void ActivateArrivals(Chronon now, ParentAlive&& parent_alive) {
-    for (int id : starting_at_[static_cast<std::size_t>(now)]) {
-      IndexedEi& flat = eis_[static_cast<std::size_t>(id)];
-      if (flat.dead) continue;
-      if (!parent_alive(flat.t_id)) {
-        flat.dead = true;
-        continue;
-      }
-      Activate(id);
-    }
-  }
+  /// Activates the EIs whose window opens at `now`, skipping dead ones
+  /// (a dead parent's unstarted EIs were retired by Deactivate()).
+  void ActivateArrivals(Chronon now);
 
-  /// Scores every live candidate at `now` and reduces to one
-  /// ResourceCandidate per resource holding the minimal key. `scorer` is
-  /// a callable (const IndexedEi&) -> std::pair<int, double> returning
-  /// (np_class, score). Also lazily compacts the per-resource lists and
-  /// the active-resource list. Returns the number of candidates scored
-  /// (the executor's work measure).
-  template <typename Scorer>
-  std::size_t CollectResourceCandidates(Chronon now, Scorer&& scorer,
-                                        std::vector<ResourceCandidate>* out) {
-    return CollectResourceCandidates(
-        now, scorer, [](ResourceId) { return false; },
-        [](ResourceId, int) {}, out);
-  }
-
-  /// Suppression-aware variant (DESIGN.md section 10): resources for
-  /// which `suppressed` (a callable ResourceId -> bool) returns true are
+  /// Scores every live candidate and reduces to one ResourceCandidate
+  /// per resource holding the minimal key. `scorer` is a callable
+  /// (const IndexedEi&) -> std::pair<int, double> returning (np_class,
+  /// score). Also lazily compacts the per-resource lists and the
+  /// active-resource list. Returns the number of candidates scored (the
+  /// executor's work measure).
+  ///
+  /// Suppression (DESIGN.md section 10): resources for which
+  /// `suppressed` (a callable ResourceId -> bool) returns true are
   /// excluded from scoring and from `out` but stay fully indexed — their
-  /// buckets are still compacted, their live counters stay exact, and
-  /// they keep their slot in the active-resource list, so lifting the
-  /// suppression next chronon needs no rebuild. Each suppressed resource
-  /// still holding live candidates is reported to `on_suppressed` (a
-  /// callable (ResourceId, int live_count)) for telemetry.
+  /// buckets are still compacted and they keep their slot in the
+  /// active-resource list, so lifting the suppression next chronon needs
+  /// no rebuild. Each suppressed resource still holding live candidates
+  /// is reported to `on_suppressed` (a callable (ResourceId, int
+  /// live_count)) for telemetry.
   template <typename Scorer, typename Suppressed, typename OnSuppressed>
-  std::size_t CollectResourceCandidates(Chronon now, Scorer&& scorer,
+  std::size_t CollectResourceCandidates(Scorer&& scorer,
                                         Suppressed&& suppressed,
                                         OnSuppressed&& on_suppressed,
                                         std::vector<ResourceCandidate>* out) {
@@ -161,8 +135,6 @@ class CandidateIndex {
         }
       }
       bucket.resize(write);
-      live_count_[static_cast<std::size_t>(r)] =
-          static_cast<int>(write);
       if (write == 0) {
         in_play_[static_cast<std::size_t>(r)] = false;
         continue;  // drop r from the active-resource list
@@ -175,7 +147,6 @@ class CandidateIndex {
       }
     }
     active_resources_.resize(keep);
-    (void)now;
     return scored;
   }
 
@@ -186,34 +157,25 @@ class CandidateIndex {
   static std::size_t SelectTopResources(
       std::vector<ResourceCandidate>* entries, int budget);
 
-  /// Marks every live candidate on `resource` captured (a successful
+  /// Takes every live candidate on `resource` out of play (a successful
   /// probe: intra-resource probe sharing) and empties the resource's
   /// list. `on_capture` is a callable (int flat_id, const IndexedEi&)
-  /// invoked per captured EI — parent accounting lives in the caller,
-  /// which may Deactivate() sibling EIs reentrantly (other resources
-  /// only; `resource`'s own list is detached during the sweep).
+  /// invoked per captured EI — parent accounting, including the capture
+  /// flag, lives in the caller, which may Deactivate() sibling EIs
+  /// reentrantly (a sibling on this same resource is then skipped as
+  /// dead).
   template <typename OnCapture>
   void CaptureResource(ResourceId resource, OnCapture&& on_capture) {
     auto& bucket = live_on_resource_[static_cast<std::size_t>(resource)];
     capture_scratch_.clear();
     capture_scratch_.swap(bucket);
-    live_count_[static_cast<std::size_t>(resource)] = 0;
-    // Detach first: a reentrant Deactivate() of an entry still in the
-    // scratch list (a sibling on this same resource) must not touch the
-    // already-zeroed counter.
-    for (int id : capture_scratch_) {
-      eis_[static_cast<std::size_t>(id)].active = false;
-    }
     for (int id : capture_scratch_) {
       IndexedEi& flat = eis_[static_cast<std::size_t>(id)];
+      flat.active = false;
       if (flat.dead) continue;
-      flat.captured = true;
       flat.dead = true;
       on_capture(id, const_cast<const IndexedEi&>(flat));
     }
-    // Every scratch entry is dead now; their deadline-heap entries are
-    // all corpses.
-    MaybeCompactHeap(resource);
   }
 
   /// Visits every live candidate on `resource` without mutating it —
@@ -230,18 +192,15 @@ class CandidateIndex {
   /// Removes an EI from play because its parent died (completed,
   /// failed, or withdrawn by a client cancel/edit) — the "interval
   /// departs" event of dynamic interval scheduling. This is the
-  /// incremental-delete primitive: the pending start/expiry bucket
-  /// entries and the live-list slot are retired *lazily* (skipped as
-  /// dead, compacted on the next CollectResourceCandidates pass), while
-  /// the per-resource live counter is settled immediately and the
-  /// deadline heap cleans itself on the next EarliestDeadline query —
-  /// or, when a cancel storm leaves it corpse-dominated, is compacted
-  /// outright (MaybeCompactHeap) so its size stays bounded by the live
-  /// population — so no churn operation ever rebuilds the index. Safe
-  /// on any state:
-  /// captured/expired/unstarted EIs are left as they are (their
-  /// counters were already settled).
-  void Deactivate(int flat_id);
+  /// incremental-delete primitive: it only marks the EI dead. The
+  /// pending start/expiry bucket entries and the live-list slot are
+  /// retired *lazily* (skipped as dead, compacted on the next
+  /// CollectResourceCandidates pass), so no churn operation ever
+  /// rebuilds the index. Safe on any state: an unstarted EI is never
+  /// activated, and an already dead one is left as it is.
+  void Deactivate(int flat_id) {
+    eis_[static_cast<std::size_t>(flat_id)].dead = true;
+  }
 
   /// The flat ids whose windows open at `now`, in registration order
   /// (every EI ever added, dead or not: the lists are never compacted).
@@ -270,56 +229,18 @@ class CandidateIndex {
   bool ExpireOne(int flat_id, OnExpire&& on_expire) {
     IndexedEi& flat = eis_[static_cast<std::size_t>(flat_id)];
     if (flat.dead) return false;
-    RemoveFromPlay(&flat);
+    flat.dead = true;
     on_expire(flat_id, const_cast<const IndexedEi&>(flat));
     return true;
   }
 
-  // --- Running per-resource counters (maintained, not recomputed). ----
-
-  /// Live candidates on `resource` — how many EIs one probe would
-  /// capture (the sharable-probe gain). Exact at chronon boundaries;
-  /// during a chronon it reflects all mutations so far.
-  int LiveCount(ResourceId resource) const {
-    return live_count_[static_cast<std::size_t>(resource)];
-  }
-
-  /// Earliest deadline among live candidates on `resource`, or -1 when
-  /// none — the resource's urgency. Amortized O(log) via a lazily
-  /// cleaned min-heap.
-  Chronon EarliestDeadline(ResourceId resource) const;
-
-  /// Corpse floor below which compaction never runs — lazy pops in
-  /// EarliestDeadline() handle small corpse populations for free.
-  static constexpr int kHeapCompactionMinCorpses = 64;
-
-  /// Physical size of `resource`'s deadline heap, corpses included —
-  /// the quantity MaybeCompactHeap() bounds. The heap never holds more
-  /// than max(kHeapCompactionMinCorpses, 2 * LiveCount(resource)) + 1
-  /// corpses at a public-API boundary.
-  std::size_t DeadlineHeapSize(ResourceId resource) const {
-    return deadline_heap_[static_cast<std::size_t>(resource)].size();
-  }
-
-  /// Dead entries currently parked in `resource`'s deadline heap.
-  /// Exact without any bookkeeping: every live EI owns exactly one heap
-  /// entry, so corpses = heap size - live counter. (That identity also
-  /// holds through CaptureResource's reentrant window — detaching the
-  /// list zeroes the live counter at the same moment the whole scratch
-  /// set's heap entries become doomed.)
-  int DeadlineHeapCorpses(ResourceId resource) const {
-    return static_cast<int>(DeadlineHeapSize(resource)) -
-           live_count_[static_cast<std::size_t>(resource)];
-  }
-
   /// Exhaustive O(total EIs) audit of the lazy structures, run by the
   /// churn fuzz suite after every operation. Verifies, per resource:
-  /// the exact live counter equals the number of non-dead live-list
-  /// entries; non-dead entries are flagged active; every live EI
-  /// appears in exactly one live-list slot and has a deadline-heap
-  /// entry; a resource holding live candidates is on the active list;
-  /// and captured implies dead. Returns InvalidArgument naming the
-  /// first violated invariant.
+  /// live-list entries are filed under their own resource; non-dead
+  /// entries are flagged active; every live EI appears in exactly one
+  /// live-list slot; and a resource holding live candidates is on the
+  /// active list. Returns InvalidArgument naming the first violated
+  /// invariant.
   Status CheckInvariants() const;
 
  private:
@@ -331,32 +252,14 @@ class CandidateIndex {
     return id < best.flat_id;
   }
 
-  void Activate(int flat_id);
-  /// Settles counters for an EI leaving play (expiry / deactivation).
-  void RemoveFromPlay(IndexedEi* flat);
-
-  /// Rebuilds `resource`'s deadline heap without its corpses when dead
-  /// entries dominate (> kHeapCompactionMinCorpses of them AND more
-  /// than twice the live population). EarliestDeadline()'s lazy pops
-  /// only clean the heap *top*; a cancel storm against a never-queried
-  /// resource would otherwise grow the heap with one corpse per
-  /// cancelled EI for the rest of the epoch. The ratio trigger keeps
-  /// the rebuild O(1) amortized per death: each compaction erases more
-  /// than half the heap, so its O(size) cost is charged to the deaths
-  /// since the previous one.
-  void MaybeCompactHeap(ResourceId resource);
-
   int num_resources_;
   Chronon epoch_length_;
   std::vector<IndexedEi> eis_;
   std::vector<std::vector<int>> starting_at_;  // chronon -> flat ids
   std::vector<std::vector<int>> ending_at_;
   std::vector<std::vector<int>> live_on_resource_;
-  std::vector<int> live_count_;
   std::vector<bool> in_play_;  // resource present in active_resources_
   std::vector<ResourceId> active_resources_;
-  /// Per-resource min-heaps of (deadline, flat id), cleaned lazily.
-  mutable std::vector<std::vector<std::pair<Chronon, int>>> deadline_heap_;
   std::vector<int> capture_scratch_;
 };
 

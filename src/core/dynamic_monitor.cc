@@ -140,8 +140,6 @@ int DynamicMonitor::AppendSubmission(ProfileId profile,
   rt.profile = profile;
   rt.profile_rank = rank;
   rt.source = stored;
-  rt.weight = stored->weight();
-  rt.required = static_cast<int>(stored->required());
   rt.ei_captured.assign(stored->size(), 0);
   // Windows opened so far are those of chronons before now_ (none, for a
   // validated arrival); Step() counts the later ones as they open.
@@ -313,7 +311,7 @@ void DynamicMonitor::RebuildIndex() {
   }
   for (CandidateIndex& partition : fresh) {
     for (Chronon t = 0; t < now_; ++t) {
-      partition.ActivateArrivals(t, [](int) { return true; });
+      partition.ActivateArrivals(t);
     }
   }
   partitions_ = std::move(fresh);
@@ -329,7 +327,7 @@ void DynamicMonitor::CaptureOnProbe(ResourceId resource, StepResult* step) {
         ++parent.num_captured;
         parent.edf.uncaptured_finish_sum -= hit.ei.finish;
         parent.selected = true;
-        if (parent.num_captured < parent.required) return;
+        if (parent.num_captured < parent.Required()) return;
         // The probe completed the parent: its other EIs leave play.
         parent.completed = true;
         ++completed_;
@@ -407,7 +405,7 @@ void DynamicMonitor::ExpireEnding(StepResult* step) {
       return;
     }
     ++parent.num_expired;
-    if (parent.num_captured + parent.NumAlive() >= parent.required) return;
+    if (parent.num_captured + parent.NumAlive() >= parent.Required()) return;
     parent.failed = true;
     ++failed_;
     RetireParent(flat.t_id);
@@ -469,8 +467,7 @@ Result<StepResult> DynamicMonitor::Step() {
   // touches only that shard's partition; dead parents were retired
   // eagerly).
   pool_.Run(num_shards_, [&](int s) {
-    partitions_[static_cast<std::size_t>(s)].ActivateArrivals(
-        now_, [](int) { return true; });
+    partitions_[static_cast<std::size_t>(s)].ActivateArrivals(now_);
   });
   // Serial: count the opened windows into their parents' M-EDF
   // aggregates. A parent's EIs may sit in several shards, so this write
@@ -497,7 +494,6 @@ Result<StepResult> DynamicMonitor::Step() {
     const std::size_t si = static_cast<std::size_t>(s);
     shard_suppressed_[si].clear();
     shard_scored_[si] = partitions_[si].CollectResourceCandidates(
-        now_,
         [&](const IndexedEi& flat) {
           const TIntervalRuntime& parent =
               runtimes_[static_cast<std::size_t>(flat.t_id)];
@@ -566,7 +562,7 @@ Result<StepResult> DynamicMonitor::Step() {
       double backoff = options_.retry.backoff_base;
       for (int retry = 0; !success && retry < options_.retry.max_retries &&
                           probes_this_chronon < budget &&
-                          !health_.CircuitOpen(r);
+                          !health_.IsSuppressed(r);
            ++retry) {
         waited += backoff;
         if (waited > options_.retry.backoff_budget) break;
@@ -625,11 +621,11 @@ CompletenessReport DynamicMonitor::Completeness() const {
     auto& pc = report.per_profile[static_cast<std::size_t>(rt.profile)];
     ++pc.total;
     ++report.total_t_intervals;
-    report.total_weight += rt.weight;
+    report.total_weight += rt.source->weight();
     if (IsCaptured(*rt.source, schedule_)) {
       ++pc.captured;
       ++report.captured_t_intervals;
-      report.captured_weight += rt.weight;
+      report.captured_weight += rt.source->weight();
     }
   }
   return report;
@@ -812,12 +808,28 @@ Status DynamicMonitor::CheckInvariants() const {
           static_cast<long long>(scan.uncaptured_finish_sum),
           scan.num_started));
     }
-    if (rt.completed && rt.num_captured < rt.required) {
+    if (rt.completed && rt.num_captured < rt.Required()) {
       return Status::InvalidArgument(StringFormat(
           "t-interval %zu completed with %d of %d required captures", t,
-          rt.num_captured, rt.required));
+          rt.num_captured, rt.Required()));
     }
+    // ExpireEnding counts each uncaptured EI whose window closes while
+    // the parent is live, so num_expired is at most the uncaptured EIs
+    // closed before now_, and exactly that while the parent lives.
     const bool dead = rt.completed || rt.failed || cancelled_[t] != 0;
+    int closed = 0;
+    for (std::size_t i = 0; i < rt.ei_captured.size(); ++i) {
+      if (rt.ei_captured[i] == 0 && rt.source->eis()[i].finish < now_) {
+        ++closed;
+      }
+    }
+    if (rt.num_expired < 0 || rt.num_expired > closed ||
+        (!dead && rt.num_expired != closed)) {
+      return Status::InvalidArgument(StringFormat(
+          "%s t-interval %zu expiry counter %d against %d uncaptured EIs "
+          "closed before chronon %d",
+          dead ? "dead" : "live", t, rt.num_expired, closed, now_));
+    }
     if (!dead) continue;
     const int first = first_flat_[t];
     for (int g = first; g < first + rt.NumEis(); ++g) {

@@ -112,8 +112,9 @@ struct ShardRunStats {
 };
 
 /// One submission of a MonitorImage, in flat t_id (arrival) order. The
-/// runtime's derived fields (num_captured, weight, required, rank) are
-/// reconstructed from the definition and the capture flags on restore.
+/// runtime's derived fields (num_captured, rank, the M-EDF aggregate)
+/// are reconstructed from the definition and the capture flags on
+/// restore.
 struct MonitorSubmissionImage {
   ProfileId profile = 0;
   TInterval definition;

@@ -47,10 +47,6 @@ struct TIntervalRuntime {
   EdfAggregate edf;
   /// Per-EI capture flags, parallel to source->eis().
   std::vector<uint8_t> ei_captured;
-  /// Client utility of the t-interval (TInterval::weight()).
-  double weight = 1.0;
-  /// Captures needed for completion (TInterval::required()).
-  int required = 0;
   /// Too few EIs remain alive: the t-interval can no longer be captured.
   bool failed = false;
   /// required captures achieved.
@@ -60,6 +56,8 @@ struct TIntervalRuntime {
   bool selected = false;
 
   int NumEis() const { return static_cast<int>(source->eis().size()); }
+  /// Captures needed for completion (TInterval::required()).
+  int Required() const { return static_cast<int>(source->required()); }
   /// EIs that are neither captured nor expired.
   int NumAlive() const { return NumEis() - num_captured - num_expired; }
 };

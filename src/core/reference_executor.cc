@@ -60,8 +60,6 @@ Result<OnlineRunResult> ReferenceExecutor::Run() {
       rt.profile = pid;
       rt.profile_rank = rank;
       rt.source = &eta;
-      rt.weight = eta.weight();
-      rt.required = static_cast<int>(eta.required());
       rt.ei_captured.assign(eta.size(), 0);
       int t_id = static_cast<int>(runtimes.size());
       runtimes.push_back(std::move(rt));
@@ -208,7 +206,7 @@ Result<OnlineRunResult> ReferenceExecutor::Run() {
           double backoff = retry_.backoff_base;
           for (int attempt = 0; attempt < retry_.max_retries &&
                                 probes_this_chronon < budget &&
-                                !health.CircuitOpen(r);
+                                !health.IsSuppressed(r);
                ++attempt) {
             waited += backoff;
             if (waited > retry_.backoff_budget) break;
@@ -250,7 +248,7 @@ Result<OnlineRunResult> ReferenceExecutor::Run() {
           parent.ei_captured[static_cast<std::size_t>(hit.ei_index)] = 1;
           ++parent.num_captured;
           parent.selected = true;
-          if (parent.num_captured >= parent.required) {
+          if (parent.num_captured >= parent.Required()) {
             parent.completed = true;
             ++result.t_intervals_completed;
             if (capture_callback_) {
@@ -280,7 +278,7 @@ Result<OnlineRunResult> ReferenceExecutor::Run() {
           runtimes[static_cast<std::size_t>(flat.t_id)];
       if (parent.failed || parent.completed) continue;
       ++parent.num_expired;
-      if (parent.num_captured + parent.NumAlive() < parent.required) {
+      if (parent.num_captured + parent.NumAlive() < parent.Required()) {
         parent.failed = true;
         ++result.t_intervals_failed;
         if (fault_touched[static_cast<std::size_t>(flat.t_id)]) {

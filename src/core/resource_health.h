@@ -113,7 +113,9 @@ class ResourceHealthTracker {
   void BeginChronon(Chronon now);
 
   /// True when the breaker is enabled and the resource's circuit is
-  /// open — the executor excludes it from candidate selection.
+  /// open. The executors exclude it from candidate selection, and after
+  /// a failed attempt they abandon same-chronon retries of a resource
+  /// the breaker just gave up on.
   bool IsSuppressed(ResourceId resource) const {
     return options_.enabled &&
            state_[static_cast<std::size_t>(resource)] == CircuitState::kOpen;
@@ -131,14 +133,6 @@ class ResourceHealthTracker {
   /// even when the breaker is disabled, so health-aware policies work
   /// without it.
   void RecordProbe(ResourceId resource, Chronon now, bool success);
-
-  /// True when the circuit is open right now — the executors use this
-  /// after a failed attempt to abandon same-chronon retries of a
-  /// resource the breaker just gave up on.
-  bool CircuitOpen(ResourceId resource) const {
-    return options_.enabled &&
-           state_[static_cast<std::size_t>(resource)] == CircuitState::kOpen;
-  }
 
   CircuitState state(ResourceId resource) const {
     return state_[static_cast<std::size_t>(resource)];

@@ -10,14 +10,14 @@ double UtilityMrsfPolicy::Score(const ExecutionInterval& ei,
   (void)now;
   double residual =
       static_cast<double>(parent.profile_rank - parent.num_captured);
-  return residual / parent.weight;
+  return residual / parent.source->weight();
 }
 
 double UtilityEdfPolicy::Score(const ExecutionInterval& ei,
                                const TIntervalRuntime& parent,
                                int ei_index, Chronon now) {
   (void)ei_index;
-  return SingleEdfValue(ei, now) / parent.weight;
+  return SingleEdfValue(ei, now) / parent.source->weight();
 }
 
 double LrsfPolicy::Score(const ExecutionInterval& ei,

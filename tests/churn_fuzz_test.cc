@@ -1,7 +1,8 @@
-// Churn op-sequence fuzz (ISSUE 6): random interleavings of
+// Churn op-sequence fuzz: random interleavings of
 // submit/cancel/edit/unregister/step against DynamicMonitor, auditing
-// the CandidateIndex counter/heap invariants and the monitor's parent
-// bookkeeping after EVERY operation (CheckInvariants is an exhaustive
+// the CandidateIndex live-list invariants and the monitor's parent
+// bookkeeping (capture and expiry counters, the M-EDF aggregate) after
+// EVERY operation (CheckInvariants is an exhaustive
 // O(total EIs) sweep). Directed cases pin the named edge conditions:
 // double-cancel, cancel-after-capture, cancel-at-deadline-chronon,
 // edit-to-past-deadline, and unregister-mid-retry. The whole file runs

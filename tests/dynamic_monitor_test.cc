@@ -1,5 +1,8 @@
 #include "core/dynamic_monitor.h"
 
+#include <memory>
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "core/online_executor.h"
@@ -270,6 +273,49 @@ TEST(DynamicMonitorTest, UnregisterBarsFutureSubmissions) {
   // The other profile is unaffected.
   EXPECT_TRUE(monitor.Submit(stays, TInterval({{1, 4, 6}})).ok());
   EXPECT_EQ(monitor.churn_stats().churn_unregistered_profiles, 1u);
+}
+
+TEST(DynamicMonitorTest, RestoreRejectsExpiryCounterOutOfRange) {
+  SEdfPolicy policy;
+  auto make_monitor = [&policy]() {
+    auto monitor = std::make_unique<DynamicMonitor>(
+        2, 10, BudgetVector::Uniform(1, 10), &policy,
+        ExecutionMode::kPreemptive);
+    // Every probe fails, so nothing is ever captured.
+    monitor->set_probe_callback([](ResourceId, Chronon) { return false; });
+    return monitor;
+  };
+  auto monitor = make_monitor();
+  ProfileId client = monitor->RegisterProfile("client");
+  // Fails when its first EI closes at chronon 1: one expiry, then dead.
+  ASSERT_TRUE(monitor->Submit(client, TInterval({{0, 0, 1}, {1, 0, 5}})).ok());
+  // Still live at chronon 3 with no closed window.
+  ASSERT_TRUE(monitor->Submit(client, TInterval({{1, 0, 8}})).ok());
+  // Needs one capture of two: still live at chronon 3 after one expiry.
+  TInterval alternatives({{0, 0, 1}, {1, 0, 8}});
+  alternatives.set_required(1);
+  ASSERT_TRUE(monitor->Submit(client, alternatives).ok());
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(monitor->Step().ok());
+  const MonitorImage image = monitor->Capture();
+  ASSERT_EQ(image.submissions[0].failed, 1);
+  ASSERT_EQ(image.submissions[0].num_expired, 1);
+  ASSERT_EQ(image.submissions[1].num_expired, 0);
+  ASSERT_EQ(image.submissions[2].failed, 0);
+  ASSERT_EQ(image.submissions[2].num_expired, 1);
+  ASSERT_TRUE(make_monitor()->Restore(image).ok());
+
+  // (submission, num_expired): below zero, and one above the uncaptured
+  // EIs whose window closed before chronon 3, for a dead and a live
+  // submission; and, for a live one, below that count.
+  for (const auto& [sub, num_expired] :
+       {std::pair{0, -1}, std::pair{0, 2}, std::pair{1, -1},
+        std::pair{1, 1}, std::pair{2, 0}}) {
+    MonitorImage bad = image;
+    bad.submissions[static_cast<std::size_t>(sub)].num_expired = num_expired;
+    EXPECT_EQ(make_monitor()->Restore(bad).code(),
+              StatusCode::kInvalidArgument)
+        << "submission " << sub << " num_expired " << num_expired;
+  }
 }
 
 class DynamicEquivalenceTest : public testing::TestWithParam<uint64_t> {};

@@ -48,7 +48,6 @@ TEST(MEdfAggregateTest, ClosedFormEqualsScanUnderRandomCaptureOrders) {
     const TInterval eta = RandomTInterval(&rng);
     TIntervalRuntime rt;
     rt.source = &eta;
-    rt.required = static_cast<int>(eta.required());
     rt.ei_captured.assign(eta.size(), 0);
     rt.edf = ScanEdfAggregate(rt, -1);
     const auto horizon = static_cast<Chronon>(rng.NextInt(0, 39));
@@ -72,7 +71,7 @@ TEST(MEdfAggregateTest, ClosedFormEqualsScanUnderRandomCaptureOrders) {
       }
       rng.Shuffle(&order);
       for (int i : order) {
-        if (rt.num_captured >= rt.required || !rng.NextBool(0.4)) break;
+        if (rt.num_captured >= rt.Required() || !rng.NextBool(0.4)) break;
         rt.ei_captured[static_cast<std::size_t>(i)] = 1;
         ++rt.num_captured;
         rt.edf.uncaptured_finish_sum -=

@@ -41,8 +41,6 @@ Schedule ReferenceRun(const MonitoringProblem& problem, Policy* policy,
       rt.profile = pid;
       rt.profile_rank = static_cast<int>(p.rank());
       rt.source = &eta;
-      rt.weight = eta.weight();
-      rt.required = static_cast<int>(eta.required());
       rt.ei_captured.assign(eta.size(), 0);
       int t_id = static_cast<int>(runtimes.size());
       runtimes.push_back(std::move(rt));
@@ -110,7 +108,7 @@ Schedule ReferenceRun(const MonitoringProblem& problem, Policy* policy,
         parent.ei_captured[static_cast<std::size_t>(hit.ei_index)] = 1;
         ++parent.num_captured;
         parent.selected = true;
-        if (parent.num_captured >= parent.required) {
+        if (parent.num_captured >= parent.Required()) {
           parent.completed = true;
         }
       }
@@ -122,7 +120,7 @@ Schedule ReferenceRun(const MonitoringProblem& problem, Policy* policy,
           runtimes[static_cast<std::size_t>(flat.t_id)];
       if (parent.failed || parent.completed) continue;
       ++parent.num_expired;
-      if (parent.num_captured + parent.NumAlive() < parent.required) {
+      if (parent.num_captured + parent.NumAlive() < parent.Required()) {
         parent.failed = true;
       }
     }

@@ -44,7 +44,6 @@ TEST(ResourceHealthTrackerTest, DisabledBreakerNeverSuppresses) {
     tracker.BeginChronon(t);
     tracker.RecordProbe(0, t, /*success=*/false);
     EXPECT_FALSE(tracker.IsSuppressed(0));
-    EXPECT_FALSE(tracker.CircuitOpen(0));
     EXPECT_EQ(tracker.state(0), CircuitState::kClosed);
   }
   // Health estimation still runs so health-aware policies work.

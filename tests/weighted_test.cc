@@ -104,12 +104,9 @@ TEST(UtilityPoliciesTest, UtilityMrsfPrefersHighWeight) {
   heavy.profile_rank = 1;
   heavy.source = &heavy_eta;
   heavy.ei_captured = {0};
-  heavy.weight = 4.0;
-  heavy.required = 1;
   heavy.edf = ScanEdfAggregate(heavy, 0);
   TIntervalRuntime light = heavy;
   light.source = &light_eta;
-  light.weight = 1.0;
   light.edf = ScanEdfAggregate(light, 0);
 
   UtilityMrsfPolicy policy;
