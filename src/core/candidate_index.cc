@@ -18,19 +18,20 @@ CandidateIndex::CandidateIndex(int num_resources, Chronon epoch_length)
 int CandidateIndex::AddEi(const ExecutionInterval& ei, int t_id,
                           int ei_index) {
   PULLMON_CHECK(ei.resource >= 0 && ei.resource < num_resources_);
-  PULLMON_CHECK(ei.start >= 0 && ei.finish < epoch_length_);
+  PULLMON_CHECK(ei.start >= activated_until_ && ei.finish < epoch_length_);
   int flat_id = static_cast<int>(eis_.size());
-  eis_.push_back(IndexedEi{ei, t_id, ei_index, false, false});
+  eis_.push_back(IndexedEi{ei, t_id, ei_index, false});
   starting_at_[static_cast<std::size_t>(ei.start)].push_back(flat_id);
   ending_at_[static_cast<std::size_t>(ei.finish)].push_back(flat_id);
   return flat_id;
 }
 
 void CandidateIndex::ActivateArrivals(Chronon now) {
+  PULLMON_CHECK(now >= activated_until_);
+  activated_until_ = now + 1;
   for (int id : starting_at_[static_cast<std::size_t>(now)]) {
-    IndexedEi& flat = eis_[static_cast<std::size_t>(id)];
+    const IndexedEi& flat = eis_[static_cast<std::size_t>(id)];
     if (flat.dead) continue;
-    flat.active = true;
     const ResourceId r = flat.ei.resource;
     live_on_resource_[static_cast<std::size_t>(r)].push_back(id);
     if (!in_play_[static_cast<std::size_t>(r)]) {
@@ -57,14 +58,7 @@ Status CandidateIndex::CheckInvariants() const {
             id, flat.ei.resource, r));
       }
       ++list_occurrences[static_cast<std::size_t>(id)];
-      if (!flat.dead) {
-        holds_live = true;
-        if (!flat.active) {
-          return Status::InvalidArgument(StringFormat(
-              "flat id %d is listed live on resource %d but not active",
-              id, r));
-        }
-      }
+      holds_live = holds_live || !flat.dead;
     }
     if (holds_live && !in_play_[static_cast<std::size_t>(r)]) {
       return Status::InvalidArgument(StringFormat(
@@ -91,12 +85,16 @@ Status CandidateIndex::CheckInvariants() const {
   }
   for (std::size_t id = 0; id < eis_.size(); ++id) {
     const IndexedEi& flat = eis_[id];
-    if (!flat.active || flat.dead) continue;
-    // A live candidate occupies exactly one live-list slot.
-    if (list_occurrences[id] != 1) {
+    // Activated and never dead: exactly one slot. Dead after activation:
+    // at most one, pending compaction. Not yet activated: none.
+    const int slots = flat.ei.start < activated_until_ ? 1 : 0;
+    const int seen = list_occurrences[id];
+    if (flat.dead ? seen > slots : seen != slots) {
       return Status::InvalidArgument(StringFormat(
-          "live flat id %zu appears %d times in resource %d's live list",
-          id, list_occurrences[id], flat.ei.resource));
+          "%s flat id %zu (start %d, watermark %d) appears %d times in "
+          "resource %d's live list",
+          flat.dead ? "dead" : "live", id, flat.ei.start, activated_until_,
+          seen, flat.ei.resource));
     }
   }
   return Status::OK();

@@ -20,8 +20,6 @@ struct IndexedEi {
   int ei_index = 0;
   /// Permanently out of play (captured, expired, or parent dead).
   bool dead = false;
-  /// Currently a member of its resource's live-candidate list.
-  bool active = false;
 };
 
 /// The per-resource reduction of one chronon's candidates: the minimal
@@ -74,13 +72,19 @@ class CandidateIndex {
   /// arrivals).
   int AddEi(const ExecutionInterval& ei, int t_id, int ei_index);
 
+  /// Sizes the EI table for `eis` registrations in total, so a bulk
+  /// registration does not grow it by doubling.
+  void Reserve(std::size_t eis) { eis_.reserve(eis); }
+
   std::size_t size() const { return eis_.size(); }
   const IndexedEi& at(int flat_id) const {
     return eis_[static_cast<std::size_t>(flat_id)];
   }
 
   /// Activates the EIs whose window opens at `now`, skipping dead ones
-  /// (a dead parent's unstarted EIs were retired by Deactivate()).
+  /// (a dead parent's unstarted EIs were retired by Deactivate()), and
+  /// moves the activation watermark to now + 1. Chronons are activated
+  /// in ascending order.
   void ActivateArrivals(Chronon now);
 
   /// Scores every live candidate and reduces to one ResourceCandidate
@@ -115,11 +119,8 @@ class CandidateIndex {
       bool have_best = false;
       for (std::size_t read = 0; read < bucket.size(); ++read) {
         int id = bucket[read];
-        IndexedEi& flat = eis_[static_cast<std::size_t>(id)];
-        if (flat.dead) {
-          flat.active = false;
-          continue;
-        }
+        const IndexedEi& flat = eis_[static_cast<std::size_t>(id)];
+        if (flat.dead) continue;
         bucket[write++] = id;
         if (skip) continue;
         const auto [np_class, score] = scorer(flat);
@@ -171,7 +172,6 @@ class CandidateIndex {
     capture_scratch_.swap(bucket);
     for (int id : capture_scratch_) {
       IndexedEi& flat = eis_[static_cast<std::size_t>(id)];
-      flat.active = false;
       if (flat.dead) continue;
       flat.dead = true;
       on_capture(id, const_cast<const IndexedEi&>(flat));
@@ -235,12 +235,13 @@ class CandidateIndex {
   }
 
   /// Exhaustive O(total EIs) audit of the lazy structures, run by the
-  /// churn fuzz suite after every operation. Verifies, per resource:
-  /// live-list entries are filed under their own resource; non-dead
-  /// entries are flagged active; every live EI appears in exactly one
-  /// live-list slot; and a resource holding live candidates is on the
-  /// active list. Returns InvalidArgument naming the first violated
-  /// invariant.
+  /// churn fuzz suite after every operation. Verifies: live-list entries
+  /// are filed under their own resource; every non-dead EI whose window
+  /// opened below the activation watermark fills exactly one live-list
+  /// slot, and no other EI fills one (dead EIs may still sit in a slot
+  /// awaiting lazy compaction); and a resource holding live candidates
+  /// is on the active list. Returns InvalidArgument naming the first
+  /// violated invariant.
   Status CheckInvariants() const;
 
  private:
@@ -254,6 +255,9 @@ class CandidateIndex {
 
   int num_resources_;
   Chronon epoch_length_;
+  /// The chronon after the last ActivateArrivals(): every EI that
+  /// starts below it has been activated (or skipped as dead).
+  Chronon activated_until_ = 0;
   std::vector<IndexedEi> eis_;
   std::vector<std::vector<int>> starting_at_;  // chronon -> flat ids
   std::vector<std::vector<int>> ending_at_;

@@ -50,6 +50,21 @@ ProfileId DynamicMonitor::RegisterProfile(std::string name) {
   return static_cast<ProfileId>(profile_names_.size()) - 1;
 }
 
+void DynamicMonitor::Reserve(std::size_t t_intervals, std::size_t eis) {
+  runtimes_.reserve(t_intervals);
+  first_flat_.reserve(t_intervals);
+  cancelled_.reserve(t_intervals);
+  fault_touched_.reserve(t_intervals);
+  submission_id_.reserve(t_intervals);
+  handle_of_global_.reserve(eis);
+  // Sharded EIs split across partitions by resource; only the one-shard
+  // split is known up front.
+  if (num_shards_ == 1) {
+    partitions_[0].Reserve(eis);
+    global_of_local_[0].reserve(eis);
+  }
+}
+
 Result<int> DynamicMonitor::ResolveSubmission(ProfileId profile,
                                               int submission_id) const {
   if (profile < 0 ||
@@ -611,6 +626,7 @@ Result<CompletenessReport> DynamicMonitor::RunToEnd() {
 }
 
 CompletenessReport DynamicMonitor::Completeness() const {
+  const ProbeIndex probes(schedule_);
   CompletenessReport report;
   report.per_profile.resize(profile_names_.size());
   for (std::size_t t = 0; t < runtimes_.size(); ++t) {
@@ -622,7 +638,7 @@ CompletenessReport DynamicMonitor::Completeness() const {
     ++pc.total;
     ++report.total_t_intervals;
     report.total_weight += rt.source->weight();
-    if (IsCaptured(*rt.source, schedule_)) {
+    if (probes.Captures(*rt.source)) {
       ++pc.captured;
       ++report.captured_t_intervals;
       report.captured_weight += rt.source->weight();
@@ -836,9 +852,9 @@ Status DynamicMonitor::CheckInvariants() const {
       const EiHandle& h = handle_of_global_[static_cast<std::size_t>(g)];
       const IndexedEi& flat =
           partitions_[static_cast<std::size_t>(h.shard)].at(h.local_id);
-      if (flat.active && !flat.dead) {
+      if (!flat.dead) {
         return Status::InvalidArgument(StringFormat(
-            "dead t-interval %zu still holds live EI (flat id %d)", t, g));
+            "dead t-interval %zu still holds a live EI (flat id %d)", t, g));
       }
     }
   }

@@ -239,6 +239,12 @@ class DynamicMonitor {
   /// submitted (rank-level policies see the current rank).
   ProfileId RegisterProfile(std::string name);
 
+  /// Sizes the per-submission and per-EI tables for `t_intervals`
+  /// submissions carrying `eis` EIs in total (counts include what is
+  /// already registered), so a bulk registration does not grow them by
+  /// doubling. A capacity hint only: wrong counts change no decision.
+  void Reserve(std::size_t t_intervals, std::size_t eis);
+
   /// Submits a t-interval for a registered profile. The t-interval must
   /// be valid, lie within the epoch, and must not start before the
   /// current chronon (no retroactive arrivals). Returns a submission id

@@ -71,6 +71,7 @@ Result<OnlineRunResult> OnlineExecutor::Run() {
   // by the t-interval's index within its profile.
   std::vector<std::vector<std::size_t>> t_index_of_submission(
       problem_->profiles.size());
+  monitor.Reserve(problem_->TotalTIntervalCount(), problem_->TotalEiCount());
   for (ProfileId pid = 0;
        pid < static_cast<ProfileId>(problem_->profiles.size()); ++pid) {
     const Profile& p = problem_->profiles[static_cast<std::size_t>(pid)];

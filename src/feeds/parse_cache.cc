@@ -25,7 +25,7 @@ const FeedDocument* ParseCache::Lookup(ResourceId resource,
     ++stats_.parse_cache_misses;
     return nullptr;
   }
-  Entry& entry = entries_[static_cast<std::size_t>(resource)];
+  ParseCacheEntryImage& entry = entries_[static_cast<std::size_t>(resource)];
   if (entry.valid) {
     // Validator key: the served ETag equals the stored one.
     if (!served_etag.empty() && served_etag == entry.etag) {
@@ -50,7 +50,7 @@ const FeedDocument& ParseCache::Store(ResourceId resource,
                                       std::string_view served_etag,
                                       std::string_view body,
                                       FeedDocument document) {
-  Entry& entry = entries_[static_cast<std::size_t>(resource)];
+  ParseCacheEntryImage& entry = entries_[static_cast<std::size_t>(resource)];
   entry.valid = true;
   entry.etag.assign(served_etag);
   entry.body_hash = HashBody(body);
@@ -60,26 +60,14 @@ const FeedDocument& ParseCache::Store(ResourceId resource,
 }
 
 void ParseCache::Invalidate(ResourceId resource) {
-  Entry& entry = entries_[static_cast<std::size_t>(resource)];
+  ParseCacheEntryImage& entry = entries_[static_cast<std::size_t>(resource)];
   if (!entry.valid) return;
   entry.valid = false;
   ++stats_.parse_cache_invalidations;
 }
 
 ParseCacheImage ParseCache::Capture() const {
-  ParseCacheImage image;
-  image.entries.reserve(entries_.size());
-  for (const Entry& entry : entries_) {
-    ParseCacheEntryImage out;
-    out.valid = entry.valid;
-    out.etag = entry.etag;
-    out.body_hash = entry.body_hash;
-    out.body_size = entry.body_size;
-    out.document = entry.document;
-    image.entries.push_back(std::move(out));
-  }
-  image.stats = stats_;
-  return image;
+  return ParseCacheImage{entries_, stats_};
 }
 
 Status ParseCache::Restore(const ParseCacheImage& image) {
@@ -87,15 +75,7 @@ Status ParseCache::Restore(const ParseCacheImage& image) {
     return Status::InvalidArgument(
         "parse-cache image resource count does not match the cache");
   }
-  for (std::size_t r = 0; r < entries_.size(); ++r) {
-    const ParseCacheEntryImage& in = image.entries[r];
-    Entry& entry = entries_[r];
-    entry.valid = in.valid;
-    entry.etag = in.etag;
-    entry.body_hash = in.body_hash;
-    entry.body_size = in.body_size;
-    entry.document = in.document;
-  }
+  entries_ = image.entries;
   stats_ = image.stats;
   return Status::OK();
 }

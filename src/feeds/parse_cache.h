@@ -24,11 +24,12 @@ struct ParseCacheStats {
   bool operator==(const ParseCacheStats& other) const = default;
 };
 
-/// Resumable state of one ParseCache, produced by Capture() and consumed
-/// by Restore() — the recovery layer serializes it into proxy snapshots.
-/// The full cached documents travel with the validators: a restored run
-/// must replay the same hits (and skip the same parses) the uninterrupted
-/// run would have, or the parse_cache_* counters diverge.
+/// One resource's ParseCache entry. The cache holds these directly, and
+/// its Capture()/Restore() image is a copy of them — the recovery layer
+/// serializes it into proxy snapshots. The full cached documents travel
+/// with the validators: a restored run must replay the same hits (and
+/// skip the same parses) the uninterrupted run would have, or the
+/// parse_cache_* counters diverge.
 struct ParseCacheEntryImage {
   bool valid = false;
   std::string etag;
@@ -101,15 +102,7 @@ class ParseCache {
   static uint64_t HashBody(std::string_view body);
 
  private:
-  struct Entry {
-    bool valid = false;
-    std::string etag;
-    uint64_t body_hash = 0;
-    std::size_t body_size = 0;
-    FeedDocument document;
-  };
-
-  std::vector<Entry> entries_;
+  std::vector<ParseCacheEntryImage> entries_;
   ParseCacheStats stats_;
 };
 

@@ -1,6 +1,7 @@
 #include "core/dynamic_monitor.h"
 
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include <gtest/gtest.h>
@@ -8,6 +9,7 @@
 #include "core/online_executor.h"
 #include "policies/mrsf.h"
 #include "policies/s_edf.h"
+#include "sim/proxy.h"
 #include "test_instances.h"
 #include "util/random.h"
 
@@ -364,6 +366,75 @@ TEST_P(DynamicEquivalenceTest, UpfrontSubmissionMatchesOnlineExecutor) {
     }
     EXPECT_EQ(report->captured_t_intervals,
               batch->completeness.captured_t_intervals);
+  }
+}
+
+// Reserve() is a capacity hint: reserving too few, too many or zero
+// slots, before or after part of the workload is registered, must not
+// change one field of the run's report on the serial or sharded engine.
+TEST(DynamicMonitorTest, ReserveCountsNeverChangeTheReport) {
+  struct Hint {
+    const char* name;
+    // Counts as a fraction of the workload's (t-intervals, EIs); nullopt
+    // runs without Reserve().
+    std::optional<double> scale;
+    // Submissions registered before Reserve() is called.
+    std::size_t submitted_first = 0;
+  };
+  const Hint hints[] = {{"exact", 1.0},       {"under", 0.5},
+                        {"over", 3.0},        {"zero", 0.0},
+                        {"late", 1.0, 5},     {"late-under", 0.25, 5}};
+  Rng rng(0x5EED5);
+  RandomInstanceOptions opts;
+  opts.num_resources = 6;
+  opts.epoch_length = 24;
+  opts.num_t_intervals = 40;
+  opts.max_rank = 3;
+  opts.max_width = 5;
+  opts.budget = 2;
+  opts.random_weights = true;
+  opts.random_alternatives = true;
+  for (int instance = 0; instance < 8; ++instance) {
+    const MonitoringProblem problem =
+        MakeRandomInstance(opts, &rng, /*t_intervals_per_profile=*/3);
+    const double t_total = static_cast<double>(problem.TotalTIntervalCount());
+    const double ei_total = static_cast<double>(problem.TotalEiCount());
+    for (int shards : {1, MonitorOptions::kParallelShards}) {
+      auto run = [&](const Hint& hint) {
+        MrsfPolicy policy;
+        MonitorOptions options;
+        options.shards = shards;
+        DynamicMonitor monitor(problem.num_resources, problem.epoch.length,
+                               problem.budget, &policy,
+                               ExecutionMode::kPreemptive, options);
+        std::size_t submitted = 0;
+        auto reserve = [&] {
+          if (!hint.scale.has_value()) return;
+          monitor.Reserve(static_cast<std::size_t>(*hint.scale * t_total),
+                          static_cast<std::size_t>(*hint.scale * ei_total));
+        };
+        for (const auto& profile : problem.profiles) {
+          ProfileId pid = monitor.RegisterProfile(profile.name());
+          for (const auto& eta : profile.t_intervals()) {
+            if (submitted++ == hint.submitted_first) reserve();
+            EXPECT_TRUE(monitor.Submit(pid, eta).ok());
+          }
+        }
+        ProxyRunReport report;
+        auto completeness = monitor.RunToEnd();
+        EXPECT_TRUE(completeness.ok());
+        report.run = monitor.RunResult();
+        report.run.completeness = *completeness;
+        EXPECT_TRUE(monitor.CheckInvariants().ok());
+        return report;
+      };
+      const ProxyRunReport baseline = run(Hint{"none", std::nullopt});
+      for (const Hint& hint : hints) {
+        EXPECT_EQ(ReportDifference(baseline, run(hint)), "")
+            << hint.name << " reserve, instance " << instance << ", "
+            << shards << " shards";
+      }
+    }
   }
 }
 
