@@ -1,8 +1,8 @@
 // Probe hot-path throughput bench: the zero-copy data path (view-based
 // conditional fetches, arena-pooled XML parsing, ETag/content-keyed
-// parse cache) against the seed data path (string fetches, heap-node
-// XML parsing, no cache) at the Figure-5 substrate scale (n=400,
-// K=1000, lambda=50). Two regimes per arm pair:
+// parse cache) against the seed data path (a copied body per fetch,
+// heap-node XML parsing, no cache) at the Figure-5 substrate scale
+// (n=400, K=1000, lambda=50). Two regimes per arm pair:
 //
 //   conditional — clients hold per-resource validators, so unchanged
 //       feeds answer 304 and only fresh content is parsed. This is the
@@ -155,8 +155,8 @@ struct ArmResult {
   std::size_t full_bodies = 0;  // probes that carried a body
 };
 
-/// The seed data path, conditional regime: string-valued conditional
-/// fetches (a body copy per full response) and the heap-node parser.
+/// The seed data path, conditional regime: each full response's body is
+/// copied out of the served view, then parsed by the heap-node parser.
 Result<ArmResult> RunSeedConditional(const UpdateTrace& trace,
                                      int probes_per_chronon) {
   FeedNetwork network(&trace, kBufferCapacity);
@@ -169,15 +169,16 @@ Result<ArmResult> RunSeedConditional(const UpdateTrace& trace,
       ResourceId r = static_cast<ResourceId>(
           (static_cast<long long>(t) * probes_per_chronon + k) %
           kResources);
-      PULLMON_ASSIGN_OR_RETURN(
-          FeedServer::ConditionalFetch fetch,
-          network.ProbeConditional(r, etags[static_cast<std::size_t>(r)]));
+      std::string& etag = etags[static_cast<std::size_t>(r)];
+      PULLMON_ASSIGN_OR_RETURN(FeedServer::ConditionalFetchView fetch,
+                               network.ProbeConditionalView(r, etag));
       ++out.probes;
-      etags[static_cast<std::size_t>(r)] = fetch.etag;
+      etag.assign(fetch.etag);
       if (fetch.not_modified) continue;
       ++out.full_bodies;
-      out.bytes += fetch.body.size();
-      PULLMON_ASSIGN_OR_RETURN(FeedDocument doc, ParseFeed(fetch.body));
+      std::string body(fetch.body);
+      out.bytes += body.size();
+      PULLMON_ASSIGN_OR_RETURN(FeedDocument doc, ParseFeed(body));
       out.items += doc.items.size();
     }
   }
@@ -231,7 +232,7 @@ Result<ArmResult> RunSeedStorm(const UpdateTrace& trace,
       ResourceId r = static_cast<ResourceId>(
           (static_cast<long long>(t) * probes_per_chronon + k) %
           kResources);
-      PULLMON_ASSIGN_OR_RETURN(std::string body, network.Probe(r));
+      std::string body(network.server(r)->FetchView());
       ++out.probes;
       ++out.full_bodies;
       out.bytes += body.size();

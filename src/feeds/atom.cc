@@ -95,14 +95,10 @@ Result<const FeedDocumentView*> ParseAtom(std::string_view xml,
 
 std::string WriteAtom(const FeedDocument& feed) {
   std::string out;
-  WriteAtomTo(feed, &out);
+  WriteAtomHeadTo(feed, &out);
+  for (const auto& item : feed.items) AppendAtomEntry(item, &out);
+  AppendAtomTail(&out);
   return out;
-}
-
-void WriteAtomTo(const FeedDocument& feed, std::string* out) {
-  WriteAtomHeadTo(feed, out);
-  for (const auto& item : feed.items) AppendAtomEntry(item, out);
-  AppendAtomTail(out);
 }
 
 void WriteAtomHeadTo(const FeedDocument& feed, std::string* out) {
@@ -181,21 +177,10 @@ Result<const FeedDocumentView*> ParseFeed(std::string_view xml,
 
 std::string WriteFeed(const FeedDocument& feed, FeedFormat format) {
   std::string out;
-  WriteFeedTo(feed, format, &out);
+  WriteFeedHeadTo(feed, format, &out);
+  for (const auto& item : feed.items) AppendFeedItem(item, format, &out);
+  AppendFeedTail(format, &out);
   return out;
-}
-
-void WriteFeedTo(const FeedDocument& feed, FeedFormat format,
-                 std::string* out) {
-  switch (format) {
-    case FeedFormat::kRss2:
-      WriteRssTo(feed, out);
-      return;
-    case FeedFormat::kAtom1:
-      WriteAtomTo(feed, out);
-      return;
-  }
-  out->clear();
 }
 
 void WriteFeedHeadTo(const FeedDocument& feed, FeedFormat format,

@@ -20,12 +20,9 @@ Result<FeedDocument> ParseAtom(std::string_view xml);
 Result<const FeedDocumentView*> ParseAtom(std::string_view xml,
                                           Arena* arena);
 
-/// Serializes a feed as Atom 1.0.
+/// Serializes a feed as Atom 1.0. The output is WriteAtomHeadTo +
+/// AppendAtomEntry per item + AppendAtomTail.
 std::string WriteAtom(const FeedDocument& feed);
-
-/// Serializes into `*out` (cleared first), reusing its capacity. The
-/// output is WriteAtomHeadTo + AppendAtomEntry per item + AppendAtomTail.
-void WriteAtomTo(const FeedDocument& feed, std::string* out);
 
 /// The document's head: declaration, <feed> and the feed's title,
 /// subtitle and link (`feed.items` is ignored). Clears `*out`.
@@ -47,13 +44,9 @@ Result<const FeedDocumentView*> ParseFeed(std::string_view xml,
 /// Serializes in the requested format.
 std::string WriteFeed(const FeedDocument& feed, FeedFormat format);
 
-/// Serializes into `*out` (cleared first), reusing its capacity.
-void WriteFeedTo(const FeedDocument& feed, FeedFormat format,
-                 std::string* out);
-
-/// The three pieces WriteFeedTo is made of, in the requested format:
+/// The three pieces WriteFeed is made of, in the requested format:
 /// WriteFeedHeadTo(feed) + AppendFeedItem(item) for each of feed.items
-/// + AppendFeedTail is byte-identical to WriteFeedTo(feed). Lets a
+/// + AppendFeedTail is byte-identical to WriteFeed(feed). Lets a
 /// publisher render each item once and reassemble documents from the
 /// cached pieces (FeedServer). The head clears `*out`; the others append.
 void WriteFeedHeadTo(const FeedDocument& feed, FeedFormat format,

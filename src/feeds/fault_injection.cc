@@ -1,6 +1,7 @@
 #include "feeds/fault_injection.h"
 
 #include <algorithm>
+#include <cstdio>
 
 #include "util/string_util.h"
 
@@ -46,7 +47,7 @@ Status FaultOptions::Validate() const {
   return Status::OK();
 }
 
-std::string TruncateBody(const std::string& body, Rng* rng) {
+std::string_view TruncateBody(std::string_view body, Rng* rng) {
   // Serialized feeds end in a closing root tag of at most 8 bytes
   // ("</feed>\n"); keeping strictly fewer than size-8 bytes guarantees
   // the root element is left open and the parser reports an error.
@@ -57,8 +58,8 @@ std::string TruncateBody(const std::string& body, Rng* rng) {
   return body.substr(0, keep);
 }
 
-std::string CorruptBody(const std::string& body, Rng* rng) {
-  std::string mangled = body;
+std::string CorruptBody(std::string_view body, Rng* rng) {
+  std::string mangled(body);
   if (mangled.size() < 16) return "<<";
   // Land the damage in the second half of the document — past the XML
   // declaration, inside the root element — so the raw "<<" is a
@@ -209,7 +210,7 @@ bool FaultPlan::InOutage(ResourceId resource, Chronon t) {
 }
 
 Result<FaultPlan::FaultedFetch> FaultPlan::ProbeConditional(
-    ResourceId resource, const std::string& if_none_match) {
+    ResourceId resource, std::string_view if_none_match) {
   if (resource < 0 ||
       static_cast<std::size_t>(resource) >= storm_left_.size()) {
     return Status::NotFound(
@@ -222,7 +223,8 @@ Result<FaultPlan::FaultedFetch> FaultPlan::ProbeConditional(
     // Fast pass-through: no stream is touched, the wrapped network is
     // probed verbatim — byte-identical to running without the layer.
     PULLMON_ASSIGN_OR_RETURN(
-        outcome.fetch, network_->ProbeConditional(resource, if_none_match));
+        outcome.fetch,
+        network_->ProbeConditionalView(resource, if_none_match));
     return outcome;
   }
 
@@ -290,12 +292,15 @@ Result<FaultPlan::FaultedFetch> FaultPlan::ProbeConditional(
   }
   PULLMON_ASSIGN_OR_RETURN(
       outcome.fetch,
-      network_->ProbeConditional(resource,
-                                 storm ? std::string() : if_none_match));
+      network_->ProbeConditionalView(
+          resource, storm ? std::string_view() : if_none_match));
   if (storm) {
     --storm_left_[r];
-    outcome.fetch.etag += StringFormat(
-        "-storm%016llx", static_cast<unsigned long long>(rng.Next()));
+    char salt[24];
+    std::snprintf(salt, sizeof(salt), "-storm%016llx",
+                  static_cast<unsigned long long>(rng.Next()));
+    storm_etag_.assign(outcome.fetch.etag).append(salt);
+    outcome.fetch.etag = storm_etag_;
     ++stats_.etag_invalidations;
   }
 
@@ -317,9 +322,12 @@ Result<FaultPlan::FaultedFetch> FaultPlan::ProbeConditional(
     // points draw from the resource stream directly would make the
     // stream's position depend on the fetched document.
     Rng mangle_rng(rng.Next());
-    outcome.fetch.body = outcome.truncated
-                             ? TruncateBody(outcome.fetch.body, &mangle_rng)
-                             : CorruptBody(outcome.fetch.body, &mangle_rng);
+    if (outcome.truncated) {
+      outcome.fetch.body = TruncateBody(outcome.fetch.body, &mangle_rng);
+    } else {
+      corrupt_body_ = CorruptBody(outcome.fetch.body, &mangle_rng);
+      outcome.fetch.body = corrupt_body_;
+    }
   }
   return outcome;
 }

@@ -4,6 +4,7 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/chronon.h"
@@ -84,14 +85,15 @@ struct FaultStats {
 
 /// Truncates a serialized feed body at a pseudo-random cut point chosen
 /// so the closing root tag is always lost — the result never parses.
-/// Deterministic given the generator state.
-std::string TruncateBody(const std::string& body, Rng* rng);
+/// The result is a prefix of `body`: no byte is copied. Deterministic
+/// given the generator state.
+std::string_view TruncateBody(std::string_view body, Rng* rng);
 
-/// Garbles a serialized feed body by overwriting a window in its second
-/// half with structurally invalid bytes (always containing "<<"), so the
-/// result never parses for documents produced by WriteFeed.
-/// Deterministic given the generator state.
-std::string CorruptBody(const std::string& body, Rng* rng);
+/// Garbles a copy of a serialized feed body by overwriting a window in
+/// its second half with structurally invalid bytes (always containing
+/// "<<"), so the result never parses for documents produced by
+/// WriteFeed. Deterministic given the generator state.
+std::string CorruptBody(std::string_view body, Rng* rng);
 
 /// Resumable state of one FaultPlan, produced by Capture() and consumed
 /// by Restore() — the recovery layer serializes it into proxy snapshots
@@ -117,6 +119,12 @@ struct FaultPlanImage {
 /// from a per-resource stream derived from a single 64-bit seed, so the
 /// full fault sequence of a run is reproducible from (seed, probe order)
 /// and independent streams keep resources from perturbing each other.
+///
+/// Responses cross the layer as views. The layer writes bytes only where
+/// it changes them — a corrupted body and a storm-salted validator — and
+/// those go into scratch buffers the plan owns; everything else is a
+/// view of the wrapped server's buffers (a truncated body is a prefix of
+/// one).
 class FaultPlan {
  public:
   /// What a probe through the layer experienced.
@@ -135,7 +143,9 @@ class FaultPlan {
     /// full chronon waited on a timeout).
     double latency = 0.0;
     /// The (possibly mangled) response; meaningful iff fault == kNone.
-    FeedServer::ConditionalFetch fetch;
+    /// Its views are valid until this plan's next ProbeConditional or the
+    /// probed server's next Publish(), whichever comes first.
+    FeedServer::ConditionalFetchView fetch;
   };
 
   /// `network` must outlive the plan; no ownership taken.
@@ -173,7 +183,7 @@ class FaultPlan {
   /// timeout, server error, storm, storm salt, truncation/corruption,
   /// mangle seed — which checkpoints and golden tests depend on.
   Result<FaultedFetch> ProbeConditional(ResourceId resource,
-                                        const std::string& if_none_match);
+                                        std::string_view if_none_match);
 
   FeedNetwork* network() { return network_; }
   const FaultStats& stats() const { return stats_; }
@@ -210,6 +220,11 @@ class FaultPlan {
   std::vector<Chronon> outage_eval_from_;
   Chronon now_ = 0;
   FaultStats stats_;
+  /// What FaultedFetch::fetch views for a corrupted body or a salted
+  /// validator. Not part of the checkpoint image: no response outlives
+  /// a probe.
+  std::string corrupt_body_;
+  std::string storm_etag_;
 };
 
 }  // namespace pullmon

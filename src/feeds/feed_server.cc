@@ -1,6 +1,7 @@
 #include "feeds/feed_server.h"
 
 #include "feeds/atom.h"
+#include "util/hash.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
@@ -32,24 +33,14 @@ std::string_view FeedServer::CurrentETagView() const {
   if (etag_dirty_) {
     // A content-derived validator: publish count plus the newest guid
     // is enough to distinguish every buffer state of this server.
-    uint64_t h = 1469598103934665603ULL;  // FNV-1a
-    auto mix = [&h](const std::string& s) {
-      for (unsigned char c : s) {
-        h ^= c;
-        h *= 1099511628211ULL;
-      }
-    };
-    mix(StringFormat("%zu", publish_count_));
-    if (!items_.empty()) mix(items_.front().guid);
+    uint64_t h =
+        Fnv1a64(StringFormat("%zu", publish_count_), kFnv1a64FeedBasis);
+    if (!items_.empty()) h = Fnv1a64(items_.front().guid, h);
     etag_cache_ =
         StringFormat("\"%016llx\"", static_cast<unsigned long long>(h));
     etag_dirty_ = false;
   }
   return etag_cache_;
-}
-
-std::string FeedServer::CurrentETag() const {
-  return std::string(CurrentETagView());
 }
 
 FeedServer::ConditionalFetchView FeedServer::FetchConditionalView(
@@ -63,16 +54,6 @@ FeedServer::ConditionalFetchView FeedServer::FetchConditionalView(
     return result;
   }
   result.body = FetchView();
-  return result;
-}
-
-FeedServer::ConditionalFetch FeedServer::FetchConditional(
-    const std::string& if_none_match) {
-  ConditionalFetchView view = FetchConditionalView(if_none_match);
-  ConditionalFetch result;
-  result.not_modified = view.not_modified;
-  result.body.assign(view.body);
-  result.etag.assign(view.etag);
   return result;
 }
 
@@ -103,8 +84,6 @@ std::string_view FeedServer::FetchView() {
   }
   return body_cache_;
 }
-
-std::string FeedServer::Fetch() { return std::string(FetchView()); }
 
 FeedNetwork::FeedNetwork(const UpdateTrace* trace,
                          std::size_t buffer_capacity, FeedFormat format,
@@ -174,26 +153,6 @@ void FeedNetwork::AdvanceTo(Chronon t) {
     }
   }
   published_through_ = t;
-}
-
-Result<std::string> FeedNetwork::Probe(ResourceId resource) {
-  if (resource < 0 ||
-      resource >= static_cast<ResourceId>(servers_.size())) {
-    return Status::NotFound(
-        StringFormat("no feed server for resource %d", resource));
-  }
-  return servers_[static_cast<std::size_t>(resource)].Fetch();
-}
-
-Result<FeedServer::ConditionalFetch> FeedNetwork::ProbeConditional(
-    ResourceId resource, const std::string& if_none_match) {
-  if (resource < 0 ||
-      resource >= static_cast<ResourceId>(servers_.size())) {
-    return Status::NotFound(
-        StringFormat("no feed server for resource %d", resource));
-  }
-  return servers_[static_cast<std::size_t>(resource)].FetchConditional(
-      if_none_match);
 }
 
 Result<FeedServer::ConditionalFetchView> FeedNetwork::ProbeConditionalView(

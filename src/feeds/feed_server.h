@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <deque>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <optional>
@@ -37,30 +38,22 @@ class FeedServer {
   void Publish(FeedItem item);
 
   /// Serves the current buffer as a serialized feed document — the pull
-  /// protocol endpoint (an HTTP GET in a deployment).
-  std::string Fetch();
-
-  /// Zero-copy Fetch: a view of the server's cached serialization,
-  /// valid until the next Publish() (serialization and its buffer are
-  /// reused across probes of an unchanged feed — the probe hot path
-  /// performs no allocation in the steady state).
+  /// protocol endpoint (an HTTP GET in a deployment). The view is of the
+  /// server's cached serialization and stays valid until the next
+  /// Publish(); the body buffer is reused across probes of an unchanged
+  /// feed, so the probe hot path allocates nothing in the steady state.
+  /// Callers that keep a body past the next Publish() copy it.
   std::string_view FetchView();
 
-  /// Result of a conditional fetch (HTTP If-None-Match semantics).
-  struct ConditionalFetch {
+  /// Result of a conditional fetch (HTTP If-None-Match semantics): views
+  /// into the server's cached body and validator buffers, valid until
+  /// the next Publish().
+  struct ConditionalFetchView {
     /// True when the client's validator still matches: no body is sent
     /// (an HTTP 304), only the validator is echoed.
     bool not_modified = false;
-    std::string body;  // empty when not_modified
-    /// Opaque validator of the served state; present either way.
-    std::string etag;
-  };
-
-  /// Zero-copy ConditionalFetch: views into the server's cached body
-  /// and validator buffers, valid until the next Publish().
-  struct ConditionalFetchView {
-    bool not_modified = false;
     std::string_view body;  // empty when not_modified
+    /// Opaque validator of the served state; present either way.
     std::string_view etag;
   };
 
@@ -68,16 +61,10 @@ class FeedServer {
   /// for an unconditional one). When the feed state is unchanged the
   /// server answers not_modified with an empty body — the bandwidth
   /// economy that makes frequent polling viable in deployments.
-  ConditionalFetch FetchConditional(const std::string& if_none_match);
-
-  /// Zero-copy FetchConditional (same protocol and counters).
   ConditionalFetchView FetchConditionalView(std::string_view if_none_match);
 
-  /// Validator of the current buffer state (changes on every publish).
-  std::string CurrentETag() const;
-
-  /// Zero-copy CurrentETag: a view of the cached validator, valid until
-  /// the next Publish().
+  /// Validator of the current buffer state (changes on every publish): a
+  /// view of the cached validator, valid until the next Publish().
   std::string_view CurrentETagView() const;
 
   /// Items currently buffered, newest first.
@@ -113,7 +100,7 @@ class FeedServer {
   // dirty body is reassembled as head_ + fragments_ + tail_ into
   // body_cache_, which retains its capacity, so probing an unchanged
   // feed allocates nothing. Mutable because the accessors are logically
-  // const (CurrentETag).
+  // const (CurrentETagView).
   mutable std::string body_cache_;
   mutable bool body_dirty_ = true;
   mutable std::string etag_cache_;
@@ -122,7 +109,8 @@ class FeedServer {
 
 /// A fleet of feed servers, one per resource, replaying an update trace:
 /// advancing the network clock publishes the due items; probing a
-/// resource fetches (and parses, at the caller's choice) its feed.
+/// resource fetches (and parses, at the caller's choice) its feed. Every
+/// response is a FeedServer::ConditionalFetchView.
 /// Used by the proxy layer and the examples to exercise the full
 /// pull path end to end.
 class FeedNetwork {
@@ -148,17 +136,9 @@ class FeedNetwork {
   /// published yet. Must be called with non-decreasing t.
   void AdvanceTo(Chronon t);
 
-  /// Pull-probe of one resource: the serialized feed at the current
-  /// clock. NotFound for unknown resources.
-  Result<std::string> Probe(ResourceId resource);
-
-  /// Conditional pull-probe (If-None-Match). NotFound for unknown
-  /// resources.
-  Result<FeedServer::ConditionalFetch> ProbeConditional(
-      ResourceId resource, const std::string& if_none_match);
-
-  /// Zero-copy conditional pull-probe: views valid until the probed
-  /// server's next Publish(). NotFound for unknown resources.
+  /// Conditional pull-probe (If-None-Match) of one resource at the
+  /// current clock: views valid until the probed server's next
+  /// Publish(). NotFound for unknown resources.
   Result<FeedServer::ConditionalFetchView> ProbeConditionalView(
       ResourceId resource, std::string_view if_none_match);
 

@@ -2,15 +2,12 @@
 
 #include <utility>
 
+#include "util/hash.h"
+
 namespace pullmon {
 
 uint64_t ParseCache::HashBody(std::string_view body) {
-  uint64_t h = 1469598103934665603ULL;  // FNV-1a offset basis
-  for (unsigned char c : body) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
+  return Fnv1a64(body, kFnv1a64FeedBasis);
 }
 
 const FeedDocument* ParseCache::Lookup(ResourceId resource,

@@ -77,14 +77,10 @@ Result<const FeedDocumentView*> ParseRss(std::string_view xml,
 
 std::string WriteRss(const FeedDocument& feed) {
   std::string out;
-  WriteRssTo(feed, &out);
+  WriteRssHeadTo(feed, &out);
+  for (const auto& item : feed.items) AppendRssItem(item, &out);
+  AppendRssTail(&out);
   return out;
-}
-
-void WriteRssTo(const FeedDocument& feed, std::string* out) {
-  WriteRssHeadTo(feed, out);
-  for (const auto& item : feed.items) AppendRssItem(item, out);
-  AppendRssTail(out);
 }
 
 void WriteRssHeadTo(const FeedDocument& feed, std::string* out) {

@@ -21,12 +21,9 @@ Result<FeedDocument> ParseRss(std::string_view xml);
 Result<const FeedDocumentView*> ParseRss(std::string_view xml,
                                          Arena* arena);
 
-/// Serializes a feed as RSS 2.0. Item pubDates are RFC 822.
+/// Serializes a feed as RSS 2.0. Item pubDates are RFC 822. The output
+/// is WriteRssHeadTo + AppendRssItem per item + AppendRssTail.
 std::string WriteRss(const FeedDocument& feed);
-
-/// Serializes into `*out` (cleared first), reusing its capacity. The
-/// output is WriteRssHeadTo + AppendRssItem per item + AppendRssTail.
-void WriteRssTo(const FeedDocument& feed, std::string* out);
 
 /// The document's head: declaration, <rss>, <channel> and the channel's
 /// title, link and description (`feed.items` is ignored). Clears `*out`.

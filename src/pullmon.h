@@ -81,6 +81,7 @@
 #include "util/csv.h"            // IWYU pragma: export
 #include "util/datetime.h"       // IWYU pragma: export
 #include "util/flags.h"          // IWYU pragma: export
+#include "util/hash.h"           // IWYU pragma: export
 #include "util/logging.h"        // IWYU pragma: export
 #include "util/random.h"         // IWYU pragma: export
 #include "util/stats.h"          // IWYU pragma: export

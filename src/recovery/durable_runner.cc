@@ -9,6 +9,7 @@
 #include "recovery/wal.h"
 #include "sim/monitor_run.h"
 #include "trace/page_codec.h"
+#include "util/hash.h"
 #include "util/string_util.h"
 
 namespace pullmon {
@@ -25,19 +26,6 @@ Status DurableOptions::Validate() const {
   }
   return Status::OK();
 }
-
-namespace {
-
-std::uint64_t Fnv64(std::string_view bytes) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (char c : bytes) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
-}  // namespace
 
 std::uint64_t RunFingerprint(const SimulationConfig& config,
                              const PolicySpec& spec, std::uint64_t seed) {
@@ -115,7 +103,7 @@ std::uint64_t RunFingerprint(const SimulationConfig& config,
   AppendLengthPrefixed(spec.policy, &bytes);
   AppendVarint(static_cast<std::uint64_t>(spec.mode), &bytes);
   AppendFixed64(seed, &bytes);
-  return Fnv64(bytes);
+  return Fnv1a64(bytes);
 }
 
 Result<ProxyRunReport> RunDurableOnce(const SimulationConfig& config,

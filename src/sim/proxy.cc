@@ -60,14 +60,11 @@ bool FeedPullSession::Probe(ResourceId resource, Chronon now) {
 
 bool FeedPullSession::Fetch(ResourceId resource, bool* not_modified_out) {
   std::string& etag = etags_[static_cast<std::size_t>(resource)];
-  // The response, unified across both paths as views: into the server's
-  // reused buffers on the direct path, or into `faulted` (alive for the
-  // rest of the probe) on the fault-plan path.
-  bool not_modified = false;
-  std::string_view body;
-  std::string_view served_etag;
+  // One response type on both paths: views into the server's reused
+  // buffers, or into the fault plan's scratch buffers for the bytes it
+  // mangled — either way alive for the rest of this probe.
+  FeedServer::ConditionalFetchView fetch;
   bool mangled = false;
-  FaultPlan::FaultedFetch faulted;
   if (plan_.has_value()) {
     auto outcome = plan_->ProbeConditional(resource, etag);
     if (!outcome.ok()) {
@@ -87,35 +84,30 @@ bool FeedPullSession::Fetch(ResourceId resource, bool* not_modified_out) {
       case FaultPlan::FaultKind::kNone:
         break;
     }
-    if (outcome->truncated || outcome->corrupted) ++report_->corrupt_bodies;
-    faulted = std::move(*outcome);
-    mangled = faulted.truncated || faulted.corrupted;
-    not_modified = faulted.fetch.not_modified;
-    body = faulted.fetch.body;
-    served_etag = faulted.fetch.etag;
+    mangled = outcome->truncated || outcome->corrupted;
+    if (mangled) ++report_->corrupt_bodies;
+    fetch = outcome->fetch;
   } else {
     auto direct = network_->ProbeConditionalView(resource, etag);
     if (!direct.ok()) {
       ++report_->parse_failures;
       return false;
     }
-    not_modified = direct->not_modified;
-    body = direct->body;
-    served_etag = direct->etag;
+    fetch = *direct;
   }
   ++report_->feeds_fetched;
-  if (not_modified) {
+  if (fetch.not_modified) {
     ++report_->not_modified;
     *not_modified_out = true;
-    etag.assign(served_etag);
+    etag.assign(fetch.etag);
     return true;  // nothing new to parse or deliver
   }
-  report_->feed_bytes += body.size();
+  report_->feed_bytes += fetch.body.size();
   if (cache_.has_value()) {
     const FeedDocument* replay =
-        cache_->Lookup(resource, served_etag, body, mangled);
+        cache_->Lookup(resource, fetch.etag, fetch.body, mangled);
     if (replay != nullptr) {
-      etag.assign(served_etag);
+      etag.assign(fetch.etag);
       report_->items_parsed += replay->items.size();
       current_items_->insert(current_items_->end(), replay->items.begin(),
                              replay->items.end());
@@ -123,7 +115,7 @@ bool FeedPullSession::Fetch(ResourceId resource, bool* not_modified_out) {
     }
   }
   arena_.Reset();
-  auto parsed = ParseFeed(body, &arena_);
+  auto parsed = ParseFeed(fetch.body, &arena_);
   if (!parsed.ok()) {
     ++report_->parse_failures;
     // An unparsable response proves nothing about the feed state: keep
@@ -134,11 +126,11 @@ bool FeedPullSession::Fetch(ResourceId resource, bool* not_modified_out) {
     return false;
   }
   const FeedDocumentView& view = **parsed;
-  etag.assign(served_etag);
+  etag.assign(fetch.etag);
   report_->items_parsed += view.num_items;
   if (cache_.has_value()) {
     const FeedDocument& stored =
-        cache_->Store(resource, served_etag, body, view.Materialize());
+        cache_->Store(resource, fetch.etag, fetch.body, view.Materialize());
     current_items_->insert(current_items_->end(), stored.items.begin(),
                            stored.items.end());
   } else {

@@ -1,6 +1,9 @@
 #include "feeds/fault_injection.h"
 
 #include <algorithm>
+#include <initializer_list>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -11,6 +14,7 @@
 #include "sim/experiment.h"
 #include "sim/proxy.h"
 #include "trace/poisson_generator.h"
+#include "util/hash.h"
 
 namespace pullmon {
 namespace {
@@ -92,7 +96,7 @@ TEST(FaultPlanTest, SameSeedSameFaultSequence) {
         auto outcome = plan.ProbeConditional(r, "");
         EXPECT_TRUE(outcome.ok());
         kinds.push_back(static_cast<int>(outcome->fault));
-        bodies.push_back(outcome->fetch.body);
+        bodies.push_back(std::string(outcome->fetch.body));
       }
     }
     return std::make_tuple(kinds, bodies, plan.stats());
@@ -405,19 +409,116 @@ TEST(FaultPlanTest, EveryFaultClassReplaysPinnedStream) {
   EXPECT_EQ(s.latency_max, 0x1.95867c1e8f589p+0);
 }
 
+/// Allocates blocks around each of `sizes` bytes and fills them with a
+/// byte no feed body or validator contains: a view into memory freed
+/// just before reads changed bytes afterwards.
+std::vector<std::string> ChurnHeap(std::initializer_list<std::size_t> sizes) {
+  std::vector<std::string> blocks;
+  for (std::size_t size : sizes) {
+    for (std::size_t delta = 0; delta <= 64; delta += 8) {
+      blocks.emplace_back(size + delta, '\x7f');
+      if (size > delta) blocks.emplace_back(size - delta, '\x7f');
+    }
+  }
+  return blocks;
+}
+
+TEST(FaultPlanTest, DeliveredViewsMatchTwinAndHoldUntilNextProbe) {
+  // The plan hands out views: bytes it leaves alone are the wrapped
+  // server's (a truncated body is a prefix of them), bytes it changes
+  // live in the plan's scratch buffers. A twin network over the same
+  // trace serves what the server really held. Each delivery is hashed
+  // before anything allocates, the heap is churned, and the views must
+  // still hash the same: a view into a temporary the plan already freed
+  // reads the churned bytes (or trips AddressSanitizer).
+  Rng rng(83);
+  auto trace = GeneratePoissonTrace({3, 200, 4.0, 0.0}, &rng);
+  ASSERT_TRUE(trace.ok());
+  FaultOptions all;
+  all.timeout_rate = 0.08;
+  all.server_error_rate = 0.08;
+  all.truncation_rate = 0.12;
+  all.corruption_rate = 0.12;
+  all.etag_storm_rate = 0.1;
+  all.etag_storm_length = 3;
+  all.latency_mean = 0.2;
+  all.outage_enter_rate = 0.02;
+  all.outage_exit_rate = 0.3;
+  FeedNetwork network(&*trace, 6);
+  FeedNetwork twin(&*trace, 6);
+  FaultPlan plan(&network, 4242, all);
+  std::vector<std::string> etags(3);
+  std::size_t clean = 0, not_modified = 0, truncated = 0, corrupted = 0,
+              salted = 0;
+  for (Chronon t = 0; t < 200; ++t) {
+    plan.AdvanceTo(t);
+    twin.AdvanceTo(t);
+    for (ResourceId r = 0; r < 3; ++r) {
+      std::string& etag = etags[static_cast<std::size_t>(r)];
+      auto outcome = plan.ProbeConditional(r, etag);
+      ASSERT_TRUE(outcome.ok());
+      if (outcome->fault != FaultPlan::FaultKind::kNone) continue;
+      const FeedServer::ConditionalFetchView fetch = outcome->fetch;
+      const uint64_t body_hash = Fnv1a64(fetch.body);
+      const uint64_t etag_hash = Fnv1a64(fetch.etag);
+      {
+        std::vector<std::string> churn =
+            ChurnHeap({fetch.body.size(), fetch.etag.size()});
+        ASSERT_EQ(Fnv1a64(fetch.body), body_hash) << "chronon " << t;
+        ASSERT_EQ(Fnv1a64(fetch.etag), etag_hash) << "chronon " << t;
+      }
+
+      auto served = twin.ProbeConditionalView(r, "");
+      ASSERT_TRUE(served.ok());
+      if (fetch.etag != served->etag) {
+        // A storm-salted validator: the server's, plus the salt.
+        ASSERT_EQ(fetch.etag.substr(0, served->etag.size()), served->etag);
+        EXPECT_EQ(fetch.etag.substr(served->etag.size(), 6), "-storm");
+        ++salted;
+      }
+      if (fetch.not_modified) {
+        EXPECT_TRUE(fetch.body.empty());
+        ++not_modified;
+      } else if (outcome->truncated) {
+        EXPECT_LT(fetch.body.size(), served->body.size());
+        EXPECT_EQ(fetch.body, served->body.substr(0, fetch.body.size()));
+        ++truncated;
+      } else if (outcome->corrupted) {
+        EXPECT_EQ(fetch.body.size(), served->body.size());
+        EXPECT_NE(fetch.body, served->body);
+        ++corrupted;
+      } else {
+        EXPECT_EQ(fetch.body, served->body) << "chronon " << t;
+        ++clean;
+      }
+      if (!outcome->truncated && !outcome->corrupted) etag = fetch.etag;
+    }
+  }
+  // Every fault class occurred, so every branch above was checked.
+  EXPECT_GT(clean, 0u);
+  EXPECT_GT(not_modified, 0u);
+  EXPECT_GT(truncated, 0u);
+  EXPECT_GT(corrupted, 0u);
+  EXPECT_GT(salted, 0u);
+  EXPECT_GT(plan.stats().timeouts, 0u);
+  EXPECT_GT(plan.stats().server_errors, 0u);
+  EXPECT_GT(plan.stats().outage_probes, 0u);
+}
+
 TEST(CorruptionGeneratorTest, TruncatedBodiesNeverParse) {
   Rng source(29);
   auto trace = GeneratePoissonTrace({1, 50, 20.0, 0.0}, &source);
   ASSERT_TRUE(trace.ok());
   FeedNetwork network(&*trace, 10);
   network.AdvanceTo(49);
-  auto body = network.Probe(0);
-  ASSERT_TRUE(body.ok());
-  ASSERT_TRUE(ParseFeed(*body).ok());
+  auto fetch = network.ProbeConditionalView(0, "");
+  ASSERT_TRUE(fetch.ok());
+  const std::string body(fetch->body);
+  ASSERT_TRUE(ParseFeed(body).ok());
   Rng rng(31);
   for (int i = 0; i < 200; ++i) {
-    std::string mangled = TruncateBody(*body, &rng);
-    EXPECT_LT(mangled.size(), body->size());
+    std::string mangled(TruncateBody(body, &rng));
+    EXPECT_LT(mangled.size(), body.size());
     EXPECT_FALSE(ParseFeed(mangled).ok());
   }
 }
@@ -428,13 +529,14 @@ TEST(CorruptionGeneratorTest, CorruptedBodiesNeverParse) {
   ASSERT_TRUE(trace.ok());
   FeedNetwork network(&*trace, 10);
   network.AdvanceTo(49);
-  auto body = network.Probe(0);
-  ASSERT_TRUE(body.ok());
+  auto fetch = network.ProbeConditionalView(0, "");
+  ASSERT_TRUE(fetch.ok());
+  const std::string body(fetch->body);
   Rng rng(41);
   for (int i = 0; i < 200; ++i) {
-    std::string mangled = CorruptBody(*body, &rng);
-    EXPECT_EQ(mangled.size(), body->size());
-    EXPECT_NE(mangled, *body);
+    std::string mangled = CorruptBody(body, &rng);
+    EXPECT_EQ(mangled.size(), body.size());
+    EXPECT_NE(mangled, body);
     EXPECT_FALSE(ParseFeed(mangled).ok());
   }
 }

@@ -45,7 +45,7 @@ TEST(FeedServerTest, ZeroCapacityClampedToOne) {
 TEST(FeedServerTest, FetchServesParsableRss) {
   FeedServer server(7, "resource seven", 10);
   server.Publish(MakeItem(1));
-  std::string xml = server.Fetch();
+  std::string xml(server.FetchView());
   EXPECT_EQ(server.fetch_count(), 1u);
   auto parsed = ParseFeed(xml);
   ASSERT_TRUE(parsed.ok());
@@ -57,7 +57,7 @@ TEST(FeedServerTest, FetchServesParsableRss) {
 TEST(FeedServerTest, AtomFormatSupported) {
   FeedServer server(1, "atom server", 5, FeedFormat::kAtom1);
   server.Publish(MakeItem(3));
-  auto parsed = ParseFeed(server.Fetch());
+  auto parsed = ParseFeed(server.FetchView());
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->items[0].guid, "g3");
 }
@@ -67,10 +67,10 @@ TEST(FeedServerTest, CapacityZeroAndOneConditionalFetches) {
   // replaces the buffer and rolls the validator.
   for (std::size_t capacity : {std::size_t{0}, std::size_t{1}}) {
     FeedServer server(0, "tiny", capacity);
-    std::string etag = server.CurrentETag();
+    std::string etag(server.CurrentETagView());
     for (int i = 0; i < 4; ++i) {
       server.Publish(MakeItem(i));
-      auto fetch = server.FetchConditional(etag);
+      auto fetch = server.FetchConditionalView(etag);
       EXPECT_FALSE(fetch.not_modified);
       ASSERT_EQ(server.items().size(), 1u);
       EXPECT_EQ(server.items()[0].guid, MakeItem(i).guid);
@@ -85,9 +85,9 @@ TEST(FeedServerTest, CapacityZeroAndOneConditionalFetches) {
 TEST(FeedServerTest, ETagRollsOnEveryPublishEvenWithSameGuid) {
   FeedServer server(0, "test", 4);
   server.Publish(MakeItem(1));
-  std::string before = server.CurrentETag();
+  std::string before(server.CurrentETagView());
   server.Publish(MakeItem(1));  // same guid, republished
-  EXPECT_NE(server.CurrentETag(), before);
+  EXPECT_NE(server.CurrentETagView(), before);
 }
 
 TEST(FeedServerTest, ConditionalFetchAfterFullBufferTurnover) {
@@ -96,12 +96,13 @@ TEST(FeedServerTest, ConditionalFetchAfterFullBufferTurnover) {
   // only the surviving (new) items.
   FeedServer server(0, "turnover", 3);
   for (int i = 0; i < 3; ++i) server.Publish(MakeItem(i));
-  auto first = server.FetchConditional("");
+  auto first = server.FetchConditionalView("");
   ASSERT_FALSE(first.not_modified);
+  std::string first_etag(first.etag);
   for (int i = 3; i < 6; ++i) server.Publish(MakeItem(i));
-  auto second = server.FetchConditional(first.etag);
+  auto second = server.FetchConditionalView(first_etag);
   EXPECT_FALSE(second.not_modified);
-  EXPECT_NE(second.etag, first.etag);
+  EXPECT_NE(second.etag, first_etag);
   auto parsed = ParseFeed(second.body);
   ASSERT_TRUE(parsed.ok());
   ASSERT_EQ(parsed->items.size(), 3u);
@@ -109,7 +110,7 @@ TEST(FeedServerTest, ConditionalFetchAfterFullBufferTurnover) {
   EXPECT_EQ(parsed->items[2].guid, "g3");
   EXPECT_EQ(server.evicted_count(), 3u);
   // The turned-over validator is stable until the next publish.
-  auto third = server.FetchConditional(second.etag);
+  auto third = server.FetchConditionalView(second.etag);
   EXPECT_TRUE(third.not_modified);
   EXPECT_TRUE(third.body.empty());
   EXPECT_EQ(server.not_modified_count(), 1u);
@@ -148,7 +149,7 @@ TEST(FeedServerTest, RenderedBodiesEqualTheFullRender) {
                    << "format " << static_cast<int>(format)
                    << " capacity " << capacity);
       FeedServer server(4, "Feed & <\"title\"> 'q'", capacity, format);
-      EXPECT_EQ(server.Fetch(), FullRender(server, format));  // no items
+      EXPECT_EQ(server.FetchView(), FullRender(server, format));  // no items
       std::string etag;
       int next = 0;
       for (int step = 0; step < 60; ++step) {
@@ -157,8 +158,8 @@ TEST(FeedServerTest, RenderedBodiesEqualTheFullRender) {
           server.Publish(SpecialCharItem(next++));
         }
         const std::string expected = FullRender(server, format);
-        auto fetch = server.FetchConditional(etag);
-        EXPECT_EQ(fetch.etag, server.CurrentETag());
+        auto fetch = server.FetchConditionalView(etag);
+        EXPECT_EQ(fetch.etag, server.CurrentETagView());
         if (burst == 0 && !etag.empty()) {
           EXPECT_TRUE(fetch.not_modified);
           EXPECT_TRUE(fetch.body.empty());
@@ -168,7 +169,9 @@ TEST(FeedServerTest, RenderedBodiesEqualTheFullRender) {
           EXPECT_EQ(fetch.body, expected);
         }
         etag = fetch.etag;
-        if (step % 3 == 0) EXPECT_EQ(server.Fetch(), expected);
+        if (step % 3 == 0) {
+          EXPECT_EQ(server.FetchView(), expected);
+        }
       }
       EXPECT_GT(server.evicted_count(), 0u);
     }
@@ -208,9 +211,9 @@ TEST(FeedNetworkTest, ProbeReturnsCurrentFeed) {
   UpdateTrace trace = SmallTrace();
   FeedNetwork network(&trace, 10);
   network.AdvanceTo(2);
-  auto xml = network.Probe(1);
+  auto xml = network.ProbeConditionalView(1, "");
   ASSERT_TRUE(xml.ok());
-  auto parsed = ParseFeed(*xml);
+  auto parsed = ParseFeed(xml->body);
   ASSERT_TRUE(parsed.ok());
   ASSERT_EQ(parsed->items.size(), 1u);
   // Item timestamp maps back to the update chronon.
@@ -221,8 +224,8 @@ TEST(FeedNetworkTest, ProbeReturnsCurrentFeed) {
 TEST(FeedNetworkTest, ProbeUnknownResourceFails) {
   UpdateTrace trace = SmallTrace();
   FeedNetwork network(&trace, 10);
-  EXPECT_FALSE(network.Probe(9).ok());
-  EXPECT_FALSE(network.Probe(-1).ok());
+  EXPECT_FALSE(network.ProbeConditionalView(9, "").ok());
+  EXPECT_FALSE(network.ProbeConditionalView(-1, "").ok());
   EXPECT_EQ(network.server(9), nullptr);
 }
 
@@ -235,9 +238,9 @@ TEST(FeedNetworkTest, TightBufferLosesLateData) {
   network.AdvanceTo(9);
   EXPECT_EQ(network.server(0)->items().size(), 1u);
   EXPECT_EQ(network.TotalEvicted(), 1u);
-  auto xml = network.Probe(0);
+  auto xml = network.ProbeConditionalView(0, "");
   ASSERT_TRUE(xml.ok());
-  auto parsed = ParseFeed(*xml);
+  auto parsed = ParseFeed(xml->body);
   ASSERT_TRUE(parsed.ok());
   ChrononClock clock;
   EXPECT_EQ(clock.FromUnix(parsed->items[0].published), 3);
@@ -249,13 +252,13 @@ TEST(FeedNetworkTest, ETagStableAcrossNoOpAdvance) {
   UpdateTrace trace = SmallTrace();
   FeedNetwork network(&trace, 10);
   network.AdvanceTo(3);  // all events published
-  auto fetch = network.ProbeConditional(0, "");
+  auto fetch = network.ProbeConditionalView(0, "");
   ASSERT_TRUE(fetch.ok());
-  std::string etag = fetch->etag;
+  std::string etag(fetch->etag);
   network.AdvanceTo(7);
   network.AdvanceTo(9);
-  EXPECT_EQ(network.server(0)->CurrentETag(), etag);
-  auto again = network.ProbeConditional(0, etag);
+  EXPECT_EQ(network.server(0)->CurrentETagView(), etag);
+  auto again = network.ProbeConditionalView(0, etag);
   ASSERT_TRUE(again.ok());
   EXPECT_TRUE(again->not_modified);
   EXPECT_TRUE(again->body.empty());
@@ -272,9 +275,9 @@ TEST(FeedNetworkTest, EvictionCountWhenProbeRacesPublishBurst) {
   FeedNetwork network(&trace, 3);
   network.AdvanceTo(3);  // 4 published, 1 evicted
   EXPECT_EQ(network.TotalEvicted(), 1u);
-  auto mid = network.Probe(0);
+  auto mid = network.ProbeConditionalView(0, "");
   ASSERT_TRUE(mid.ok());
-  auto mid_parsed = ParseFeed(*mid);
+  auto mid_parsed = ParseFeed(mid->body);
   ASSERT_TRUE(mid_parsed.ok());
   ASSERT_EQ(mid_parsed->items.size(), 3u);
   ChrononClock clock;
@@ -282,9 +285,9 @@ TEST(FeedNetworkTest, EvictionCountWhenProbeRacesPublishBurst) {
   network.AdvanceTo(7);  // remaining 4 published, 4 more evicted
   EXPECT_EQ(network.TotalEvicted(), 5u);
   EXPECT_EQ(network.server(0)->publish_count(), 8u);
-  auto late = network.Probe(0);
+  auto late = network.ProbeConditionalView(0, "");
   ASSERT_TRUE(late.ok());
-  auto late_parsed = ParseFeed(*late);
+  auto late_parsed = ParseFeed(late->body);
   ASSERT_TRUE(late_parsed.ok());
   // The mid-burst snapshot's items are unreachable now.
   EXPECT_EQ(clock.FromUnix(late_parsed->items[2].published), 5);

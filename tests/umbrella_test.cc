@@ -35,15 +35,16 @@ TEST(ConditionalFetchTest, UnchangedStateIsNotModified) {
   item.published = 1167609600;
   server.Publish(item);
 
-  auto first = server.FetchConditional("");
+  auto first = server.FetchConditionalView("");
   EXPECT_FALSE(first.not_modified);
   EXPECT_FALSE(first.body.empty());
   EXPECT_FALSE(first.etag.empty());
+  std::string first_etag(first.etag);
 
-  auto second = server.FetchConditional(first.etag);
+  auto second = server.FetchConditionalView(first_etag);
   EXPECT_TRUE(second.not_modified);
   EXPECT_TRUE(second.body.empty());
-  EXPECT_EQ(second.etag, first.etag);
+  EXPECT_EQ(second.etag, first_etag);
   EXPECT_EQ(server.not_modified_count(), 1u);
 }
 
@@ -52,18 +53,18 @@ TEST(ConditionalFetchTest, PublishInvalidatesValidator) {
   FeedItem item;
   item.guid = "g1";
   server.Publish(item);
-  auto first = server.FetchConditional("");
+  std::string first_etag(server.FetchConditionalView("").etag);
   item.guid = "g2";
   server.Publish(item);
-  auto second = server.FetchConditional(first.etag);
+  auto second = server.FetchConditionalView(first_etag);
   EXPECT_FALSE(second.not_modified);
-  EXPECT_NE(second.etag, first.etag);
+  EXPECT_NE(second.etag, first_etag);
   EXPECT_FALSE(second.body.empty());
 }
 
 TEST(ConditionalFetchTest, StaleValidatorAlwaysGetsBody) {
   FeedServer server(0, "feed", 5);
-  auto fetched = server.FetchConditional("\"bogus\"");
+  auto fetched = server.FetchConditionalView("\"bogus\"");
   EXPECT_FALSE(fetched.not_modified);
   EXPECT_FALSE(fetched.body.empty());
 }
