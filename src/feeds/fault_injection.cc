@@ -78,11 +78,9 @@ std::string CorruptBody(std::string_view body, Rng* rng) {
 }
 
 FaultPlan::FaultPlan(FeedNetwork* network, uint64_t seed,
-                     FaultOptions defaults)
-    : network_(network), seed_(seed), defaults_(defaults) {
+                     FaultOptions options)
+    : network_(network), seed_(seed), options_(options) {
   std::size_t n = network_->num_servers();
-  overrides_.resize(n);
-  has_override_.assign(n, 0);
   streams_.resize(n, Rng(0));
   stream_ready_.assign(n, 0);
   storm_left_.assign(n, 0);
@@ -90,30 +88,6 @@ FaultPlan::FaultPlan(FeedNetwork* network, uint64_t seed,
   outage_stream_ready_.assign(n, 0);
   outage_dark_.assign(n, 0);
   outage_eval_from_.assign(n, 0);
-}
-
-void FaultPlan::SetResourceOptions(ResourceId resource,
-                                   FaultOptions options) {
-  std::size_t r = static_cast<std::size_t>(resource);
-  if (r >= overrides_.size()) return;
-  overrides_[r] = options;
-  has_override_[r] = 1;
-}
-
-const FaultOptions& FaultPlan::OptionsFor(ResourceId resource) const {
-  std::size_t r = static_cast<std::size_t>(resource);
-  if (r < has_override_.size() && has_override_[r]) return overrides_[r];
-  return defaults_;
-}
-
-void FaultPlan::Reset() {
-  std::fill(stream_ready_.begin(), stream_ready_.end(), 0);
-  std::fill(storm_left_.begin(), storm_left_.end(), 0);
-  std::fill(outage_stream_ready_.begin(), outage_stream_ready_.end(), 0);
-  std::fill(outage_dark_.begin(), outage_dark_.end(), 0);
-  std::fill(outage_eval_from_.begin(), outage_eval_from_.end(), 0);
-  now_ = 0;
-  stats_ = FaultStats{};
 }
 
 FaultPlanImage FaultPlan::Capture() const {
@@ -187,7 +161,7 @@ Rng& FaultPlan::OutageStreamFor(ResourceId resource) {
 }
 
 bool FaultPlan::InOutage(ResourceId resource, Chronon t) {
-  const FaultOptions& options = OptionsFor(resource);
+  const FaultOptions& options = options_;
   if (options.outage_enter_rate <= 0.0) return false;
   std::size_t r = static_cast<std::size_t>(resource);
   Rng& rng = OutageStreamFor(resource);
@@ -216,7 +190,7 @@ Result<FaultPlan::FaultedFetch> FaultPlan::ProbeConditional(
     return Status::NotFound(
         StringFormat("no feed server for resource %d", resource));
   }
-  const FaultOptions& options = OptionsFor(resource);
+  const FaultOptions& options = options_;
   ++stats_.probes_seen;
   FaultedFetch outcome;
   if (options.AllZero()) {

@@ -98,8 +98,8 @@ std::string CorruptBody(std::string_view body, Rng* rng);
 /// Resumable state of one FaultPlan, produced by Capture() and consumed
 /// by Restore() — the recovery layer serializes it into proxy snapshots
 /// so a restored run replays the exact fault sequence from the point of
-/// interruption. Per-resource overrides and the options/seed are not
-/// part of the image: they come from the run configuration.
+/// interruption. The options and seed are not part of the image: they
+/// come from the run configuration.
 struct FaultPlanImage {
   /// Raw xoshiro states of the lazily created per-resource streams
   /// (entries where *_ready is 0 are placeholders).
@@ -148,18 +148,10 @@ class FaultPlan {
     FeedServer::ConditionalFetchView fetch;
   };
 
-  /// `network` must outlive the plan; no ownership taken.
+  /// `network` must outlive the plan; no ownership taken. Every
+  /// resource draws its faults at the rates of `options`.
   FaultPlan(FeedNetwork* network, uint64_t seed,
-            FaultOptions defaults = FaultOptions{});
-
-  /// Overrides the fault rates of one resource (heterogeneous networks:
-  /// a flaky CDN edge next to healthy origins).
-  void SetResourceOptions(ResourceId resource, FaultOptions options);
-  const FaultOptions& OptionsFor(ResourceId resource) const;
-
-  /// Restarts every per-resource stream and storm state from the seed —
-  /// the next run replays the identical fault sequence. Stats reset too.
-  void Reset();
+            FaultOptions options = FaultOptions{});
 
   /// Delegates clock advancement to the wrapped network and records the
   /// current chronon: the per-resource outage chains are evaluated lazily
@@ -171,10 +163,6 @@ class FaultPlan {
     network_->AdvanceTo(t);
   }
 
-  /// Whether `resource` is dark at chronon `t` (advances its chain to
-  /// `t` if needed; `t` must not precede chronons already evaluated).
-  bool InOutage(ResourceId resource, Chronon t);
-
   /// The faulty pull-probe: draws this probe's fate, performs the
   /// underlying conditional fetch unless the fault swallowed it, and
   /// applies body/validator degradations. NotFound for unknown
@@ -185,7 +173,6 @@ class FaultPlan {
   Result<FaultedFetch> ProbeConditional(ResourceId resource,
                                         std::string_view if_none_match);
 
-  FeedNetwork* network() { return network_; }
   const FaultStats& stats() const { return stats_; }
 
   /// Checkpoint support: Capture() freezes the full dynamic state
@@ -198,13 +185,13 @@ class FaultPlan {
  private:
   Rng& StreamFor(ResourceId resource);
   Rng& OutageStreamFor(ResourceId resource);
+  /// Whether `resource` is dark at chronon `t` (advances its chain to
+  /// `t` if needed; `t` must not precede chronons already evaluated).
+  bool InOutage(ResourceId resource, Chronon t);
 
   FeedNetwork* network_;
   uint64_t seed_;
-  FaultOptions defaults_;
-  /// Sparse per-resource overrides, parallel to `has_override_`.
-  std::vector<FaultOptions> overrides_;
-  std::vector<uint8_t> has_override_;
+  FaultOptions options_;
   /// Lazily created per-resource generators (index == ResourceId).
   std::vector<Rng> streams_;
   std::vector<uint8_t> stream_ready_;

@@ -121,22 +121,29 @@ Status ByteReader::ReadByte(std::uint8_t* value) {
 // Record framing
 // ---------------------------------------------------------------------
 
-void AppendRecord(std::uint64_t type, std::string_view payload,
-                  std::string* out) {
-  // Snapshot payloads run to hundreds of kilobytes; one reservation up
-  // front keeps the append + checksum pass out of the allocator. WAL
-  // payloads are a handful of bytes logged tens of thousands of times
-  // per epoch, so skip the call for them.
-  if (payload.size() >= 4096) {
-    out->reserve(out->size() + payload.size() + 24);
-  }
-  const std::size_t frame_start = out->size();
-  AppendVarint(type, out);
-  AppendVarint(payload.size(), out);
-  out->append(payload.data(), payload.size());
+void CloseRecord(std::uint64_t type, std::size_t frame_start,
+                 std::string* out) {
+  const std::size_t payload_size =
+      out->size() - frame_start - kMaxRecordHeaderBytes;
+  std::string header;  // two short varints: fits the small-string buffer
+  AppendVarint(type, &header);
+  AppendVarint(payload_size, &header);
+  char* frame = out->data() + frame_start;
+  std::memmove(frame + header.size(), frame + kMaxRecordHeaderBytes,
+               payload_size);
+  std::memcpy(frame, header.data(), header.size());
+  out->resize(frame_start + header.size() + payload_size);
   const std::uint32_t checksum = PageChecksum(
       std::string_view(out->data() + frame_start, out->size() - frame_start));
   AppendFixed32(checksum, out);
+}
+
+void AppendRecord(std::uint64_t type, std::string_view payload,
+                  std::string* out) {
+  const std::size_t frame_start = out->size();
+  out->append(kMaxRecordHeaderBytes, '\0');
+  out->append(payload.data(), payload.size());
+  CloseRecord(type, frame_start, out);
 }
 
 Result<RecordView> DecodeRecord(std::string_view bytes) {
@@ -377,17 +384,14 @@ void Fields(C& c, S& s) {
 // ---------------------------------------------------------------------
 
 std::string EncodeSnapshot(const ProxySnapshot& snapshot) {
-  std::string payload;
+  std::string out;
   // Submissions dominate the payload (a few dozen bytes each); one
   // generous reservation keeps the encode pass realloc-free.
-  payload.reserve(4096 + snapshot.monitor.submissions.size() * 48 +
-                  snapshot.monitor.probes_by_chronon.size() * 16);
-  EncodeField(kStruct, snapshot, &payload);
-
-  std::string out;
+  out.reserve(4096 + snapshot.monitor.submissions.size() * 48 +
+              snapshot.monitor.probes_by_chronon.size() * 16);
   out.append(kSnapshotMagic, sizeof(kSnapshotMagic));
   AppendVarint(kSnapshotVersion, &out);
-  AppendRecord(kSnapshotRecordType, payload, &out);
+  AppendRecordField(kSnapshotRecordType, kStruct, snapshot, &out);
   return out;
 }
 

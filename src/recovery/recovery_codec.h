@@ -333,7 +333,29 @@ struct RecordView {
   std::size_t record_bytes = 0;
 };
 
-/// Appends one framed record to `out`.
+/// Room a frame reserves for its header (type and payload-size varints,
+/// at most 10 bytes each) before the payload is encoded behind it.
+inline constexpr std::size_t kMaxRecordHeaderBytes = 20;
+
+/// Frames the payload `out` holds past frame_start + kMaxRecordHeaderBytes
+/// as one record of `type`, in place: writes the header into the gap the
+/// caller reserved at `frame_start`, closes the gap up, and appends the
+/// checksum. No second copy of the payload is made.
+void CloseRecord(std::uint64_t type, std::size_t frame_start,
+                 std::string* out);
+
+/// Appends `value` (one field of wire kind W) to `out` as one framed
+/// record of `type`, encoding the payload straight into `out`.
+template <Wire W, typename T>
+void AppendRecordField(std::uint64_t type, WireTag<W> wire, const T& value,
+                       std::string* out) {
+  const std::size_t frame_start = out->size();
+  out->append(kMaxRecordHeaderBytes, '\0');
+  EncodeField(wire, value, out);
+  CloseRecord(type, frame_start, out);
+}
+
+/// Appends `payload` to `out` as one framed record of `type`.
 void AppendRecord(std::uint64_t type, std::string_view payload,
                   std::string* out);
 

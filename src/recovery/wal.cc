@@ -20,44 +20,30 @@ void Fields(C& c, R& record) {
   c(kByte, record.success);
 }
 
-namespace {
-
-/// Frames `value` (one field of wire kind W) as a record of `type`,
-/// staging its payload in `scratch`.
-template <Wire W, typename T>
-void StageRecord(WalRecordType type, WireTag<W> wire, const T& value,
-                 std::string* scratch, std::string* buffer) {
-  scratch->clear();
-  EncodeField(wire, value, scratch);
-  AppendRecord(static_cast<std::uint64_t>(type), *scratch, buffer);
-}
-
-}  // namespace
-
 WalWriter::WalWriter(StableStorage* storage, std::string name)
     : storage_(storage), name_(std::move(name)) {}
 
 void WalWriter::LogChrononStart(Chronon chronon) {
-  StageRecord(WalRecordType::kChrononStart, kSigned, chronon,
-              &payload_scratch_, &buffer_);
+  AppendRecordField(static_cast<std::uint64_t>(WalRecordType::kChrononStart),
+                    kSigned, chronon, &buffer_);
   ++records_logged_;
 }
 
 void WalWriter::LogChurn(const WalChurnRecord& record) {
-  StageRecord(WalRecordType::kChurnOp, kStruct, record, &payload_scratch_,
-              &buffer_);
+  AppendRecordField(static_cast<std::uint64_t>(WalRecordType::kChurnOp),
+                    kStruct, record, &buffer_);
   ++records_logged_;
 }
 
 void WalWriter::LogProbe(const WalProbeRecord& record) {
-  StageRecord(WalRecordType::kProbe, kStruct, record, &payload_scratch_,
-              &buffer_);
+  AppendRecordField(static_cast<std::uint64_t>(WalRecordType::kProbe),
+                    kStruct, record, &buffer_);
   ++records_logged_;
 }
 
 Status WalWriter::CommitChronon(Chronon chronon) {
-  StageRecord(WalRecordType::kChrononCommit, kSigned, chronon,
-              &payload_scratch_, &buffer_);
+  AppendRecordField(static_cast<std::uint64_t>(WalRecordType::kChrononCommit),
+                    kSigned, chronon, &buffer_);
   ++records_logged_;
   PULLMON_RETURN_NOT_OK(storage_->AppendFile(name_, buffer_));
   bytes_flushed_ += buffer_.size();

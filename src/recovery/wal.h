@@ -79,10 +79,6 @@ class WalWriter {
   StableStorage* storage_;
   std::string name_;
   std::string buffer_;
-  // Reused per-record payload staging: Log* runs tens of thousands of
-  // times per epoch, and a fresh std::string each call is pure
-  // allocator traffic.
-  std::string payload_scratch_;
   std::size_t records_logged_ = 0;
   std::size_t bytes_flushed_ = 0;
 };

@@ -112,49 +112,6 @@ TEST(FaultPlanTest, SameSeedSameFaultSequence) {
   EXPECT_NE(kinds1, kinds3);
 }
 
-TEST(FaultPlanTest, ResetReplaysTheIdenticalSequence) {
-  Rng rng(5);
-  auto trace = GeneratePoissonTrace({3, 50, 10.0, 0.0}, &rng);
-  ASSERT_TRUE(trace.ok());
-  FeedNetwork network(&*trace, 6);
-  network.AdvanceTo(49);
-  FaultPlan plan(&network, 7, HeavyFaults());
-  std::vector<int> first, second;
-  for (int i = 0; i < 120; ++i) {
-    auto outcome = plan.ProbeConditional(i % 3, "");
-    ASSERT_TRUE(outcome.ok());
-    first.push_back(static_cast<int>(outcome->fault));
-  }
-  plan.Reset();
-  for (int i = 0; i < 120; ++i) {
-    auto outcome = plan.ProbeConditional(i % 3, "");
-    ASSERT_TRUE(outcome.ok());
-    second.push_back(static_cast<int>(outcome->fault));
-  }
-  EXPECT_EQ(first, second);
-}
-
-TEST(FaultPlanTest, PerResourceOverridesIsolateFaults) {
-  Rng rng(11);
-  auto trace = GeneratePoissonTrace({2, 50, 5.0, 0.0}, &rng);
-  ASSERT_TRUE(trace.ok());
-  FeedNetwork network(&*trace, 6);
-  // Default: healthy. Resource 1: always times out.
-  FaultPlan plan(&network, 13, FaultOptions{});
-  FaultOptions broken;
-  broken.timeout_rate = 1.0;
-  plan.SetResourceOptions(1, broken);
-  for (int i = 0; i < 20; ++i) {
-    auto healthy = plan.ProbeConditional(0, "");
-    ASSERT_TRUE(healthy.ok());
-    EXPECT_EQ(healthy->fault, FaultPlan::FaultKind::kNone);
-    auto faulty = plan.ProbeConditional(1, "");
-    ASSERT_TRUE(faulty.ok());
-    EXPECT_EQ(faulty->fault, FaultPlan::FaultKind::kTimeout);
-  }
-  EXPECT_EQ(plan.stats().timeouts, 20u);
-}
-
 TEST(FaultPlanTest, UnknownResourceIsNotFound) {
   Rng rng(17);
   auto trace = GeneratePoissonTrace({2, 20, 5.0, 0.0}, &rng);

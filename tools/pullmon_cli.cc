@@ -6,13 +6,23 @@
 //   pullmon_cli gen-trace --dataset=auction --out=trace.csv
 //   pullmon_cli gen-feeds --outdir=/tmp/feeds --resources=20
 //   pullmon_cli policies
+//
+// Three declarations carry the commands: the knob table (Knobs) binds
+// each shared flag to its SimulationConfig field, one column list per
+// run kind names each printed counter, and CheckRunPath says which
+// knobs each run path reads.
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <limits>
+#include <optional>
+#include <span>
+#include <type_traits>
 #include <utility>
 
 #include "core/overlap_analysis.h"
@@ -33,174 +43,13 @@
 namespace pullmon {
 namespace {
 
-void AddConfigFlags(FlagParser* flags) {
-  flags->AddString("dataset", "poisson",
-                   "poisson | auction | feeds");
-  flags->AddInt64("resources", 400, "n: number of monitored resources");
-  flags->AddInt64("chronons", 1000, "K: epoch length");
-  flags->AddInt64("profiles", 500, "m: number of client profiles");
-  flags->AddInt64("rank", 3, "k: maximal profile complexity");
-  flags->AddDouble("lambda", 20.0, "updates per resource (poisson)");
-  flags->AddDouble("alpha", 0.0, "inter-user resource popularity skew");
-  flags->AddDouble("beta", 0.0, "intra-user simplicity preference");
-  flags->AddBool("overwrite", false,
-                 "use the overwrite restriction instead of window(W)");
-  flags->AddInt64("window", 20, "W: staleness window in chronons");
-  flags->AddInt64("budget", 1, "C: probes per chronon");
-  flags->AddInt64("reps", 10, "experiment repetitions");
-  flags->AddInt64("seed", 1234, "base random seed");
-  // Fault-injection layer (proxy runs only; see --proxy under `run`).
-  flags->AddDouble("fault-timeout", 0.0, "probe timeout probability");
-  flags->AddDouble("fault-server-error", 0.0,
-                   "transient server error probability");
-  flags->AddDouble("fault-truncate", 0.0,
-                   "truncated feed body probability");
-  flags->AddDouble("fault-corrupt", 0.0,
-                   "corrupted feed body probability");
-  flags->AddDouble("fault-etag-storm", 0.0,
-                   "ETag invalidation storm start probability");
-  flags->AddDouble("fault-latency", 0.0,
-                   "mean simulated response latency (chronons)");
-  flags->AddInt64("fault-seed", 0x5EED, "fault layer random seed");
-  flags->AddInt64("retries", 0,
-                  "probe retries per failure (spend budget C)");
-  flags->AddDouble("retry-backoff", 0.125,
-                   "initial retry backoff (chronons, doubles per try)");
-  flags->AddDouble("outage-enter", 0.0,
-                   "per-chronon probability a resource goes dark "
-                   "(Gilbert-Elliott outage chain)");
-  flags->AddDouble("outage-exit", 0.25,
-                   "per-chronon probability a dark resource recovers");
-  flags->AddBool("breaker", false,
-                 "enable the per-resource circuit breaker");
-  flags->AddInt64("breaker-threshold", 3,
-                  "consecutive probe failures that open a circuit");
-  flags->AddInt64("breaker-cooldown", 4,
-                  "initial open-circuit cool-down (chronons)");
-  flags->AddDouble("breaker-multiplier", 2.0,
-                   "cool-down growth per probation failure");
-  flags->AddInt64("breaker-max-cooldown", 64,
-                  "exponential cool-down cap (chronons)");
-  flags->AddDouble("breaker-alpha", 0.2,
-                   "EWMA smoothing of per-resource failure rates");
-  flags->AddInt64("buffer-capacity", 8,
-                  "feed server buffer size (proxy runs)");
-  flags->AddBool("parse-cache", false,
-                 "ETag/content-keyed parse cache on the proxy's probe "
-                 "path (proxy runs)");
-  flags->AddString("executor", "indexed",
-                   "scheduling backend: indexed (incremental candidate "
-                   "index) | reference (scan-based oracle) | parallel "
-                   "(sharded multi-threaded scheduling)");
-  flags->AddInt64("threads", 1,
-                  "worker threads of the parallel backend's sharded "
-                  "activation and scoring; probes run serially (results "
-                  "are bit-identical at every thread count)");
-  flags->AddBool("trace-store", false,
-                 "generate and replay the trace through the paged "
-                 "compressed trace store instead of in memory "
-                 "(decision-identical; adds trace_* telemetry)");
-  flags->AddInt64("trace-page-size", 256,
-                  "target encoded payload bytes per trace page");
-  flags->AddInt64("trace-cache-pages", 64,
-                  "decoded pages the trace store's LRU cache keeps "
-                  "resident");
-  flags->AddString("knowledge", "oracle",
-                   "update-knowledge model of `run --proxy`: oracle "
-                   "(FPN(1) EIs from the full trace) | estimated "
-                   "(closed-loop EIs predicted from the proxy's own "
-                   "probe diffs)");
-  flags->AddDouble("estimator-half-life", 32.0,
-                   "half-life (chronons) of the estimator's decaying "
-                   "per-resource rate tracker (--knowledge=estimated)");
-  flags->AddDouble("explore-eps", 0.05,
-                   "fraction of chronons that divert one budget unit "
-                   "into an explore probe of the coldest resource "
-                   "(--knowledge=estimated)");
-  flags->AddInt64("forecast-horizon", 50,
-                  "chronons between predicted-EI regenerations "
-                  "(--knowledge=estimated)");
-  // Profile churn (churn runs only; see --churn under `run`).
-  flags->AddDouble("churn-rate", 0.0,
-                   "mean churn operations per chronon");
-  flags->AddDouble("churn-cancel", 0.60,
-                   "fraction of churn ops that cancel a submission");
-  flags->AddDouble("churn-edit", 0.35,
-                   "fraction of churn ops that edit a submission");
-  flags->AddDouble("churn-unregister", 0.05,
-                   "fraction of churn ops that unregister a client");
-  flags->AddDouble("churn-theta", 1.37,
-                   "Zipf skew of per-client churn activity");
-  flags->AddInt64("churn-seed", 0xC4A2, "churn stream random seed");
-  // Durability layer (run only; see --checkpoint-dir under `run`).
-  flags->AddString("checkpoint-dir", "",
-                   "directory for proxy snapshots + write-ahead logs; "
-                   "runs the durable monitoring service (src/recovery/)");
-  flags->AddInt64("checkpoint-every", 0,
-                  "snapshot every N chronon boundaries (0 = initial "
-                  "snapshot plus WAL-size-triggered only)");
-  flags->AddString("crash-at", "",
-                   "<chronon>[:offset] — crash-injection harness: kill "
-                   "the run at the first durable write at or after the "
-                   "chronon, after `offset` further bytes");
-  flags->AddBool("recover", false,
-                 "resume from the newest valid checkpoint in "
-                 "--checkpoint-dir instead of starting fresh");
+/// Prints `status` and returns `exit_code`.
+int Fail(const Status& status, int exit_code) {
+  std::cerr << status.ToString() << "\n";
+  return exit_code;
 }
 
-Status ApplyCrashAtFlag(const std::string& value,
-                        SimulationConfig* config) {
-  if (value.empty()) return Status::OK();
-  std::vector<std::string> parts = Split(value, ':');
-  if (parts.empty() || parts.size() > 2) {
-    return Status::InvalidArgument(
-        "--crash-at expects <chronon>[:offset]");
-  }
-  PULLMON_ASSIGN_OR_RETURN(std::int64_t chronon, ParseInt64(parts[0]));
-  if (chronon < 0) {
-    return Status::InvalidArgument("--crash-at chronon must be >= 0");
-  }
-  config->crash_at_chronon = static_cast<Chronon>(chronon);
-  if (parts.size() == 2) {
-    PULLMON_ASSIGN_OR_RETURN(std::int64_t offset, ParseInt64(parts[1]));
-    if (offset < 0) {
-      return Status::InvalidArgument("--crash-at offset must be >= 0");
-    }
-    config->crash_at_offset = static_cast<std::size_t>(offset);
-  }
-  return Status::OK();
-}
-
-Result<KnowledgeModel> KnowledgeFromFlags(const FlagParser& flags) {
-  std::string name = ToLower(flags.GetString("knowledge"));
-  if (name == "oracle") return KnowledgeModel::kOracle;
-  if (name == "estimated") return KnowledgeModel::kEstimated;
-  return Status::InvalidArgument(
-      "unknown --knowledge model '" + name +
-      "' (expected: oracle | estimated)");
-}
-
-Result<ExecutorBackend> BackendFromFlags(const FlagParser& flags) {
-  std::string name = ToLower(flags.GetString("executor"));
-  if (name == "indexed") return ExecutorBackend::kIndexed;
-  if (name == "reference") return ExecutorBackend::kReference;
-  if (name == "parallel") return ExecutorBackend::kParallel;
-  return Status::InvalidArgument(
-      "unknown --executor backend '" + name +
-      "' (expected: indexed | reference | parallel)");
-}
-
-Result<DatasetKind> DatasetFromFlags(const FlagParser& flags) {
-  std::string name = ToLower(flags.GetString("dataset"));
-  if (name == "poisson") return DatasetKind::kPoisson;
-  if (name == "auction") return DatasetKind::kAuction;
-  if (name == "feeds" || name == "feed-workload") {
-    return DatasetKind::kFeedWorkload;
-  }
-  return Status::InvalidArgument(
-      "unknown --dataset '" + name + "' (expected: poisson | auction | "
-      "feeds)");
-}
+// --- Knobs: the flags every command shares ---
 
 /// The 64-bit integer flag `name` as an int, or InvalidArgument naming
 /// the flag when the value does not fit (a bare narrowing cast would run
@@ -216,105 +65,420 @@ Result<int> IntFlag(const FlagParser& flags, const std::string& name) {
   return static_cast<int>(value);
 }
 
-/// The run configuration the flags describe. Unknown dataset, executor
-/// and knowledge names, and integer values that overflow their field,
-/// are rejected here, for every command.
-Result<SimulationConfig> ConfigFromFlags(const FlagParser& flags) {
-  SimulationConfig config = BaselineConfig();
-  PULLMON_ASSIGN_OR_RETURN(config.dataset, DatasetFromFlags(flags));
-  PULLMON_ASSIGN_OR_RETURN(config.num_resources, IntFlag(flags, "resources"));
-  PULLMON_ASSIGN_OR_RETURN(config.epoch_length, IntFlag(flags, "chronons"));
-  PULLMON_ASSIGN_OR_RETURN(config.num_profiles, IntFlag(flags, "profiles"));
-  PULLMON_ASSIGN_OR_RETURN(config.max_rank, IntFlag(flags, "rank"));
-  config.lambda = flags.GetDouble("lambda");
-  config.alpha = flags.GetDouble("alpha");
-  config.beta = flags.GetDouble("beta");
-  config.restriction = flags.GetBool("overwrite")
-                           ? LengthRestriction::kOverwrite
-                           : LengthRestriction::kWindow;
-  PULLMON_ASSIGN_OR_RETURN(config.window, IntFlag(flags, "window"));
-  PULLMON_ASSIGN_OR_RETURN(config.budget, IntFlag(flags, "budget"));
-  config.faults.timeout_rate = flags.GetDouble("fault-timeout");
-  config.faults.server_error_rate = flags.GetDouble("fault-server-error");
-  config.faults.truncation_rate = flags.GetDouble("fault-truncate");
-  config.faults.corruption_rate = flags.GetDouble("fault-corrupt");
-  config.faults.etag_storm_rate = flags.GetDouble("fault-etag-storm");
-  config.faults.latency_mean = flags.GetDouble("fault-latency");
-  config.faults.outage_enter_rate = flags.GetDouble("outage-enter");
-  config.faults.outage_exit_rate = flags.GetDouble("outage-exit");
-  config.fault_seed = static_cast<uint64_t>(flags.GetInt64("fault-seed"));
-  PULLMON_ASSIGN_OR_RETURN(config.retry.max_retries, IntFlag(flags, "retries"));
-  config.retry.backoff_base = flags.GetDouble("retry-backoff");
-  config.breaker.enabled = flags.GetBool("breaker");
-  PULLMON_ASSIGN_OR_RETURN(config.breaker.failure_threshold,
-                           IntFlag(flags, "breaker-threshold"));
-  PULLMON_ASSIGN_OR_RETURN(config.breaker.cooldown_base,
-                           IntFlag(flags, "breaker-cooldown"));
-  config.breaker.cooldown_multiplier = flags.GetDouble("breaker-multiplier");
-  PULLMON_ASSIGN_OR_RETURN(config.breaker.max_cooldown,
-                           IntFlag(flags, "breaker-max-cooldown"));
-  config.breaker.ewma_alpha = flags.GetDouble("breaker-alpha");
-  PULLMON_ASSIGN_OR_RETURN(config.feed_buffer_capacity,
-                           IntFlag(flags, "buffer-capacity"));
-  config.parse_cache = flags.GetBool("parse-cache");
-  config.trace_backend = flags.GetBool("trace-store")
-                             ? TraceBackend::kPaged
-                             : TraceBackend::kInMemory;
-  // Clamp negatives to 0 before widening to size_t so -1 lands in
-  // TraceStoreOptions::Validate's rejection range instead of SIZE_MAX.
-  config.trace_store.page_size = static_cast<std::size_t>(
-      std::max<std::int64_t>(0, flags.GetInt64("trace-page-size")));
-  config.trace_store.cache_pages = static_cast<std::size_t>(
-      std::max<std::int64_t>(0, flags.GetInt64("trace-cache-pages")));
-  config.churn.ops_per_chronon = flags.GetDouble("churn-rate");
-  config.churn.cancel_fraction = flags.GetDouble("churn-cancel");
-  config.churn.edit_fraction = flags.GetDouble("churn-edit");
-  config.churn.unregister_fraction = flags.GetDouble("churn-unregister");
-  config.churn.zipf_theta = flags.GetDouble("churn-theta");
-  config.churn.seed = static_cast<uint64_t>(flags.GetInt64("churn-seed"));
-  config.checkpoint_dir = flags.GetString("checkpoint-dir");
-  PULLMON_ASSIGN_OR_RETURN(config.checkpoint_every,
-                           IntFlag(flags, "checkpoint-every"));
-  config.recover = flags.GetBool("recover");
-  // --crash-at needs parse-error reporting, so CommandRun applies it
-  // separately via ApplyCrashAtFlag before validating.
-  PULLMON_ASSIGN_OR_RETURN(config.executor_backend, BackendFromFlags(flags));
-  PULLMON_ASSIGN_OR_RETURN(config.threads, IntFlag(flags, "threads"));
-  PULLMON_ASSIGN_OR_RETURN(config.knowledge, KnowledgeFromFlags(flags));
-  config.estimator_half_life = flags.GetDouble("estimator-half-life");
-  config.explore_eps = flags.GetDouble("explore-eps");
-  PULLMON_ASSIGN_OR_RETURN(config.forecast_horizon,
-                           IntFlag(flags, "forecast-horizon"));
-  return config;
+/// The field a chain of member pointers reaches inside `config`.
+template <typename Config, typename... Path>
+auto& FieldOf(Config& config, Path... path) {
+  return (config .* ... .* path);
 }
 
-Result<std::vector<PolicySpec>> SpecsFromFlags(const FlagParser& flags) {
+/// One flag every command registers. Each row but --reps and --seed is
+/// bound to a SimulationConfig field: registration reads the flag's
+/// default from BaselineConfig(), and ParseCommandLine writes the parsed
+/// value back through the same binding.
+struct Knob {
+  const char* name;
+  /// Registers the flag, its default read from the given config.
+  std::function<void(FlagParser*, const SimulationConfig&)> add = {};
+  /// Writes the parsed flag into the config; empty for --reps and --seed.
+  std::function<Status(const FlagParser&, SimulationConfig*)> apply = {};
+};
+
+/// A flag of its field's type: an int (which must fit 32 bits), double,
+/// bool, string, or a 64-bit seed given as a signed value. Size fields
+/// take Size instead.
+template <typename... Path>
+Knob Bound(const char* name, const char* help, Path... path) {
+  using T = std::remove_cvref_t<decltype(FieldOf(
+      std::declval<SimulationConfig&>(), path...))>;
+  Knob knob{.name = name};
+  knob.add = [=](FlagParser* flags, const SimulationConfig& baseline) {
+    const T& value = FieldOf(baseline, path...);
+    if constexpr (std::is_same_v<T, double>) {
+      flags->AddDouble(name, value, help);
+    } else if constexpr (std::is_same_v<T, bool>) {
+      flags->AddBool(name, value, help);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      flags->AddString(name, value, help);
+    } else {
+      flags->AddInt64(name, static_cast<int64_t>(value), help);
+    }
+  };
+  knob.apply = [=](const FlagParser& flags,
+                   SimulationConfig* config) -> Status {
+    T& field = FieldOf(*config, path...);
+    if constexpr (std::is_same_v<T, double>) {
+      field = flags.GetDouble(name);
+    } else if constexpr (std::is_same_v<T, bool>) {
+      field = flags.GetBool(name);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      field = flags.GetString(name);
+    } else if constexpr (std::is_same_v<T, int>) {
+      PULLMON_ASSIGN_OR_RETURN(field, IntFlag(flags, name));
+    } else {
+      static_assert(std::is_same_v<T, uint64_t>);
+      field = static_cast<uint64_t>(flags.GetInt64(name));
+    }
+    return Status::OK();
+  };
+  return knob;
+}
+
+/// A size field. Negatives clamp to 0 before widening to size_t, so -1
+/// lands in the field's own range check instead of becoming SIZE_MAX.
+template <typename... Path>
+Knob Size(const char* name, const char* help, Path... path) {
+  Knob knob{.name = name};
+  knob.add = [=](FlagParser* flags, const SimulationConfig& baseline) {
+    flags->AddInt64(name, static_cast<int64_t>(FieldOf(baseline, path...)),
+                    help);
+  };
+  knob.apply = [=](const FlagParser& flags, SimulationConfig* config) {
+    FieldOf(*config, path...) = static_cast<std::size_t>(
+        std::max<int64_t>(0, flags.GetInt64(name)));
+    return Status::OK();
+  };
+  return knob;
+}
+
+/// A bool flag choosing between two values of an enum field.
+template <typename E, typename... Path>
+Knob Switch(const char* name, const char* help, E on, E off,
+            Path... path) {
+  Knob knob{.name = name};
+  knob.add = [=](FlagParser* flags, const SimulationConfig& baseline) {
+    flags->AddBool(name, FieldOf(baseline, path...) == on, help);
+  };
+  knob.apply = [=](const FlagParser& flags, SimulationConfig* config) {
+    FieldOf(*config, path...) = flags.GetBool(name) ? on : off;
+    return Status::OK();
+  };
+  return knob;
+}
+
+/// A string flag naming one value of an enum field, case-insensitively;
+/// the first name of a value is the one its default prints. `noun`
+/// reads in the rejection of an unknown name.
+template <typename E, typename... Path>
+Knob Enum(const char* name, const char* noun, const char* help,
+          std::vector<std::pair<std::string, E>> names, Path... path) {
+  Knob knob{.name = name};
+  knob.add = [=](FlagParser* flags, const SimulationConfig& baseline) {
+    auto it = std::find_if(names.begin(), names.end(), [&](const auto& n) {
+      return n.second == FieldOf(baseline, path...);
+    });
+    flags->AddString(name, it->first, help);
+  };
+  knob.apply = [=](const FlagParser& flags, SimulationConfig* config) {
+    const std::string value = ToLower(flags.GetString(name));
+    std::vector<std::string> expected;
+    for (const auto& [text, enumerator] : names) {
+      if (text == value) {
+        FieldOf(*config, path...) = enumerator;
+        return Status::OK();
+      }
+      expected.push_back(text);
+    }
+    return Status::InvalidArgument(
+        StringFormat("unknown --%s%s '%s' (expected: %s)", name, noun,
+                     value.c_str(), Join(expected, " | ").c_str()));
+  };
+  return knob;
+}
+
+/// A shared flag bound to no config field.
+Knob Unbound(const char* name, int64_t default_value, const char* help) {
+  return {.name = name,
+          .add = [=](FlagParser* flags, const SimulationConfig&) {
+            flags->AddInt64(name, default_value, help);
+          }};
+}
+
+/// --crash-at=<chronon>[:offset] sets two fields from one string; the
+/// default "" leaves the crash plan disarmed.
+Knob CrashAt(const char* help) {
+  Knob knob{.name = "crash-at"};
+  knob.add = [=](FlagParser* flags, const SimulationConfig&) {
+    flags->AddString("crash-at", "", help);
+  };
+  knob.apply = [](const FlagParser& flags,
+                  SimulationConfig* config) -> Status {
+    const std::string value = flags.GetString("crash-at");
+    if (value.empty()) return Status::OK();
+    std::vector<std::string> parts = Split(value, ':');
+    if (parts.empty() || parts.size() > 2) {
+      return Status::InvalidArgument(
+          "--crash-at expects <chronon>[:offset]");
+    }
+    PULLMON_ASSIGN_OR_RETURN(std::int64_t chronon, ParseInt64(parts[0]));
+    if (chronon < 0) {
+      return Status::InvalidArgument("--crash-at chronon must be >= 0");
+    }
+    config->crash_at_chronon = static_cast<Chronon>(chronon);
+    if (parts.size() == 2) {
+      PULLMON_ASSIGN_OR_RETURN(std::int64_t offset, ParseInt64(parts[1]));
+      if (offset < 0) {
+        return Status::InvalidArgument("--crash-at offset must be >= 0");
+      }
+      config->crash_at_offset = static_cast<std::size_t>(offset);
+    }
+    return Status::OK();
+  };
+  return knob;
+}
+
+const std::vector<Knob>& Knobs() {
+  using C = SimulationConfig;
+  using F = FaultOptions;
+  using B = BreakerOptions;
+  static const std::vector<Knob> knobs = {
+      Enum<DatasetKind>("dataset", "", "poisson | auction | feeds",
+                        {{"poisson", DatasetKind::kPoisson},
+                         {"auction", DatasetKind::kAuction},
+                         {"feeds", DatasetKind::kFeedWorkload},
+                         {"feed-workload", DatasetKind::kFeedWorkload}},
+                        &C::dataset),
+      Bound("resources", "n: number of monitored resources",
+            &C::num_resources),
+      Bound("chronons", "K: epoch length", &C::epoch_length),
+      Bound("profiles", "m: number of client profiles", &C::num_profiles),
+      Bound("rank", "k: maximal profile complexity", &C::max_rank),
+      Bound("lambda", "updates per resource (poisson)", &C::lambda),
+      Bound("alpha", "inter-user resource popularity skew", &C::alpha),
+      Bound("beta", "intra-user simplicity preference", &C::beta),
+      Switch("overwrite",
+             "use the overwrite restriction instead of window(W)",
+             LengthRestriction::kOverwrite, LengthRestriction::kWindow,
+             &C::restriction),
+      Bound("window", "W: staleness window in chronons", &C::window),
+      Bound("budget", "C: probes per chronon", &C::budget),
+      Unbound("reps", 10, "experiment repetitions"),
+      Unbound("seed", 1234, "base random seed"),
+      // Fault-injection layer (proxy runs only; see --proxy under `run`).
+      Bound("fault-timeout", "probe timeout probability", &C::faults,
+            &F::timeout_rate),
+      Bound("fault-server-error", "transient server error probability",
+            &C::faults, &F::server_error_rate),
+      Bound("fault-truncate", "truncated feed body probability", &C::faults,
+            &F::truncation_rate),
+      Bound("fault-corrupt", "corrupted feed body probability", &C::faults,
+            &F::corruption_rate),
+      Bound("fault-etag-storm", "ETag invalidation storm start probability",
+            &C::faults, &F::etag_storm_rate),
+      Bound("fault-latency", "mean simulated response latency (chronons)",
+            &C::faults, &F::latency_mean),
+      Bound("fault-seed", "fault layer random seed", &C::fault_seed),
+      Bound("retries", "probe retries per failure (spend budget C)",
+            &C::retry, &RetryPolicy::max_retries),
+      Bound("retry-backoff",
+            "initial retry backoff (chronons, doubles per try)", &C::retry,
+            &RetryPolicy::backoff_base),
+      Bound("outage-enter",
+            "per-chronon probability a resource goes dark (Gilbert-Elliott "
+            "outage chain)",
+            &C::faults, &F::outage_enter_rate),
+      Bound("outage-exit", "per-chronon probability a dark resource recovers",
+            &C::faults, &F::outage_exit_rate),
+      Bound("breaker", "enable the per-resource circuit breaker", &C::breaker,
+            &B::enabled),
+      Bound("breaker-threshold",
+            "consecutive probe failures that open a circuit", &C::breaker,
+            &B::failure_threshold),
+      Bound("breaker-cooldown", "initial open-circuit cool-down (chronons)",
+            &C::breaker, &B::cooldown_base),
+      Bound("breaker-multiplier", "cool-down growth per probation failure",
+            &C::breaker, &B::cooldown_multiplier),
+      Bound("breaker-max-cooldown", "exponential cool-down cap (chronons)",
+            &C::breaker, &B::max_cooldown),
+      Bound("breaker-alpha", "EWMA smoothing of per-resource failure rates",
+            &C::breaker, &B::ewma_alpha),
+      Bound("buffer-capacity", "feed server buffer size (proxy runs)",
+            &C::feed_buffer_capacity),
+      Bound("parse-cache",
+            "ETag/content-keyed parse cache on the proxy's probe path (proxy "
+            "runs)",
+            &C::parse_cache),
+      Enum<ExecutorBackend>(
+          "executor", " backend",
+          "scheduling backend: indexed (incremental candidate index) | "
+          "reference (scan-based oracle) | parallel (sharded multi-threaded "
+          "scheduling)",
+          {{"indexed", ExecutorBackend::kIndexed},
+           {"reference", ExecutorBackend::kReference},
+           {"parallel", ExecutorBackend::kParallel}},
+          &C::executor_backend),
+      Bound("threads",
+            "worker threads of the parallel backend's sharded activation and "
+            "scoring; probes run serially (results are bit-identical at every "
+            "thread count)",
+            &C::threads),
+      Switch("trace-store",
+             "generate and replay the trace through the paged compressed "
+             "trace store instead of in memory (decision-identical; adds "
+             "trace_* telemetry)",
+             TraceBackend::kPaged, TraceBackend::kInMemory, &C::trace_backend),
+      Size("trace-page-size", "target encoded payload bytes per trace page",
+           &C::trace_store, &TraceStoreOptions::page_size),
+      Size("trace-cache-pages",
+           "decoded pages the trace store's LRU cache keeps resident",
+           &C::trace_store, &TraceStoreOptions::cache_pages),
+      Enum<KnowledgeModel>(
+          "knowledge", " model",
+          "update-knowledge model of `run --proxy`: oracle (FPN(1) EIs from "
+          "the full trace) | estimated (closed-loop EIs predicted from the "
+          "proxy's own probe diffs)",
+          {{"oracle", KnowledgeModel::kOracle},
+           {"estimated", KnowledgeModel::kEstimated}},
+          &C::knowledge),
+      Bound("estimator-half-life",
+            "half-life (chronons) of the estimator's decaying per-resource "
+            "rate tracker (--knowledge=estimated)",
+            &C::estimator_half_life),
+      Bound("explore-eps",
+            "fraction of chronons that divert one budget unit into an explore "
+            "probe of the coldest resource (--knowledge=estimated)",
+            &C::explore_eps),
+      Bound("forecast-horizon",
+            "chronons between predicted-EI regenerations "
+            "(--knowledge=estimated)",
+            &C::forecast_horizon),
+      // Profile churn (churn runs only; see --churn under `run`).
+      Bound("churn-rate", "mean churn operations per chronon", &C::churn,
+            &ChurnOptions::ops_per_chronon),
+      Bound("churn-cancel", "fraction of churn ops that cancel a submission",
+            &C::churn, &ChurnOptions::cancel_fraction),
+      Bound("churn-edit", "fraction of churn ops that edit a submission",
+            &C::churn, &ChurnOptions::edit_fraction),
+      Bound("churn-unregister",
+            "fraction of churn ops that unregister a client", &C::churn,
+            &ChurnOptions::unregister_fraction),
+      Bound("churn-theta", "Zipf skew of per-client churn activity", &C::churn,
+            &ChurnOptions::zipf_theta),
+      Bound("churn-seed", "churn stream random seed", &C::churn,
+            &ChurnOptions::seed),
+      // Durability layer (run only; see --checkpoint-dir under `run`).
+      Bound("checkpoint-dir",
+            "directory for proxy snapshots + write-ahead logs; runs the "
+            "durable monitoring service (src/recovery/)",
+            &C::checkpoint_dir),
+      Bound("checkpoint-every",
+            "snapshot every N chronon boundaries (0 = initial snapshot plus "
+            "WAL-size-triggered only)",
+            &C::checkpoint_every),
+      CrashAt("<chronon>[:offset] — crash-injection harness: kill the run "
+              "at the first durable write at or after the chronon, after "
+              "`offset` further bytes"),
+      Bound("recover",
+            "resume from the newest valid checkpoint in --checkpoint-dir "
+            "instead of starting fresh",
+            &C::recover),
+  };
+  return knobs;
+}
+
+void AddKnobs(FlagParser* flags) {
+  const SimulationConfig baseline = BaselineConfig();
+  for (const Knob& knob : Knobs()) knob.add(flags, baseline);
+}
+
+/// Parses a command line whose flags are registered and writes every
+/// knob into `config`: nullopt to go on, else the exit code to stop with
+/// (0 after printing --help, 2 after printing why the command line is
+/// bad). Unknown enum names, integers that overflow their field and a
+/// malformed --crash-at are rejected here, for every command.
+std::optional<int> ParseCommandLine(FlagParser& flags,
+                                    const std::vector<std::string>& args,
+                                    SimulationConfig* config) {
+  if (Status st = flags.Parse(args); !st.ok()) return Fail(st, 2);
+  if (flags.help_requested()) {
+    std::cout << flags.Usage();
+    return 0;
+  }
+  *config = BaselineConfig();
+  for (const Knob& knob : Knobs()) {
+    if (!knob.apply) continue;
+    if (Status st = knob.apply(flags, config); !st.ok()) return Fail(st, 2);
+  }
+  return std::nullopt;
+}
+
+// --- Run paths ---
+
+/// The run paths of `run` and `sweep`.
+enum class RunPath { kLogical, kSweep, kProxy, kChurn, kDurable };
+
+/// Validates `config`, then rejects every knob `path` would ignore, so
+/// no flag is accepted and then silently dropped. This is the one place
+/// that says which run path reads which knob; a knob at its default
+/// passes on every path.
+Status CheckRunPath(const SimulationConfig& config, RunPath path) {
+  // Out-of-range values fail here, not mid-run.
+  PULLMON_RETURN_NOT_OK(config.Validate());
+  auto bit = [](RunPath p) { return 1u << static_cast<unsigned>(p); };
+  const unsigned monitor = bit(RunPath::kChurn) | bit(RunPath::kDurable);
+  const unsigned physical = bit(RunPath::kProxy) | monitor;
+  const struct {
+    const char* knobs;
+    bool set;
+    unsigned read_by;
+  } rules[] = {
+      {"--churn", config.churn.enabled, monitor},
+      {"--churn-*", config.churn.ops_per_chronon > 0.0, monitor},
+      {"--fault-*/--outage-*/--retries",
+       !config.faults.AllZero() || config.retry.max_retries > 0, physical},
+      {"--parse-cache", config.parse_cache, physical},
+      {"--trace-store", config.trace_backend != TraceBackend::kInMemory,
+       physical},
+      {"--knowledge=estimated", config.knowledge != KnowledgeModel::kOracle,
+       bit(RunPath::kProxy)},
+      {"--checkpoint-dir/--checkpoint-every/--crash-at/--recover",
+       !config.checkpoint_dir.empty() || config.checkpoint_every != 0 ||
+           config.crash_at_chronon >= 0 || config.recover,
+       bit(RunPath::kDurable)},
+  };
+  static constexpr const char* kPathNames[] = {
+      "the logical executor (`run`)", "`sweep` (the logical executor)",
+      "`run --proxy`", "`run --churn`",
+      "durable runs (`run --checkpoint-dir`)"};
+  for (const auto& rule : rules) {
+    if (rule.set && (rule.read_by & bit(path)) == 0) {
+      return Status::InvalidArgument(
+          StringFormat("%s has no effect on %s", rule.knobs,
+                       kPathNames[static_cast<int>(path)]));
+    }
+  }
+  return Status::OK();
+}
+
+/// What `run` and `sweep` hand their run path.
+struct RunRequest {
+  SimulationConfig config;
   std::vector<PolicySpec> specs;
-  for (const std::string& name : Split(flags.GetString("policy"), ',')) {
-    if (Trim(name).empty()) continue;
+  int reps = 0;
+  uint64_t seed = 0;
+  std::string csv_path;
+};
+
+Result<std::vector<PolicySpec>> SpecsFromFlags(const FlagParser& flags) {
+  const std::string mode = ToLower(flags.GetString("mode"));
+  std::vector<ExecutionMode> modes;
+  if (mode == "p") {
+    modes = {ExecutionMode::kPreemptive};
+  } else if (mode == "np") {
+    modes = {ExecutionMode::kNonPreemptive};
+  } else if (mode == "both") {
+    modes = {ExecutionMode::kNonPreemptive, ExecutionMode::kPreemptive};
+  } else {
+    return Status::InvalidArgument("--mode must be p, np or both");
+  }
+  std::vector<PolicySpec> specs;
+  for (const std::string& raw : Split(flags.GetString("policy"), ',')) {
+    const std::string name(Trim(raw));
+    if (name.empty()) continue;
     // Validate early for a friendly error.
     PolicyOptions po;
     po.num_resources = 1;
-    PULLMON_ASSIGN_OR_RETURN(auto policy,
-                             MakePolicy(std::string(Trim(name)), po));
-    (void)policy;
-    PolicySpec spec;
-    spec.policy = std::string(Trim(name));
-    std::string mode = ToLower(flags.GetString("mode"));
-    if (mode == "p") {
-      spec.mode = ExecutionMode::kPreemptive;
-      specs.push_back(spec);
-    } else if (mode == "np") {
-      spec.mode = ExecutionMode::kNonPreemptive;
-      specs.push_back(spec);
-    } else if (mode == "both") {
-      spec.mode = ExecutionMode::kNonPreemptive;
-      specs.push_back(spec);
-      spec.mode = ExecutionMode::kPreemptive;
-      specs.push_back(spec);
-    } else {
-      return Status::InvalidArgument("--mode must be p, np or both");
-    }
+    PULLMON_RETURN_NOT_OK(MakePolicy(name, po).status());
+    for (ExecutionMode m : modes) specs.push_back({name, m});
   }
   if (specs.empty()) {
     return Status::InvalidArgument("no policies given (--policy=...)");
@@ -322,244 +486,279 @@ Result<std::vector<PolicySpec>> SpecsFromFlags(const FlagParser& flags) {
   return specs;
 }
 
-Status PrintOutcomes(const ComparisonResult& result,
-                     const std::string& csv_path) {
-  TablePrinter table({"policy", "GC", "GC ci95", "runtime(ms)", "probes"});
-  for (const auto& outcome : result.policies) {
-    table.AddRow({outcome.spec.Label(),
-                  TablePrinter::FormatDouble(outcome.gc.mean(), 4),
-                  TablePrinter::FormatDouble(outcome.gc.ci95_halfwidth(), 4),
-                  TablePrinter::FormatDouble(
-                      outcome.runtime_seconds.mean() * 1e3, 2),
-                  TablePrinter::FormatDouble(outcome.probes_used.mean(),
-                                             0)});
+/// Fills the policies, repetitions, seed and CSV path of `request`.
+/// Fewer than one repetition is rejected: it would print a table of
+/// zeros.
+Status ReadRunRequest(const FlagParser& flags, RunRequest* request) {
+  PULLMON_ASSIGN_OR_RETURN(request->specs, SpecsFromFlags(flags));
+  PULLMON_ASSIGN_OR_RETURN(request->reps, IntFlag(flags, "reps"));
+  if (request->reps < 1) {
+    return Status::InvalidArgument(
+        StringFormat("--reps must be >= 1, got %d", request->reps));
   }
-  if (result.offline.has_value()) {
-    table.AddRow({"offline-LR",
-                  TablePrinter::FormatDouble(result.offline->gc.mean(), 4),
-                  TablePrinter::FormatDouble(
-                      result.offline->gc.ci95_halfwidth(), 4),
-                  TablePrinter::FormatDouble(
-                      result.offline->runtime_seconds.mean() * 1e3, 2),
-                  ""});
-  }
-  table.Print(std::cout);
-  std::cout << "Instances: " << result.t_intervals.mean()
-            << " t-intervals / " << result.eis.mean()
-            << " EIs on average\n";
-
-  if (!csv_path.empty()) {
-    PULLMON_ASSIGN_OR_RETURN(CsvWriter writer, CsvWriter::Open(csv_path));
-    writer.WriteRow({"policy", "gc_mean", "gc_ci95", "runtime_ms",
-                     "probes"});
-    for (const auto& outcome : result.policies) {
-      writer.WriteRow(
-          {outcome.spec.Label(),
-           TablePrinter::FormatDouble(outcome.gc.mean(), 6),
-           TablePrinter::FormatDouble(outcome.gc.ci95_halfwidth(), 6),
-           TablePrinter::FormatDouble(
-               outcome.runtime_seconds.mean() * 1e3, 4),
-           TablePrinter::FormatDouble(outcome.probes_used.mean(), 1)});
-    }
-    writer.Flush();
-    std::cout << "Wrote " << csv_path << "\n";
-  }
+  request->seed = static_cast<uint64_t>(flags.GetInt64("seed"));
+  request->csv_path = flags.GetString("csv");
   return Status::OK();
 }
 
-/// The physical (proxy) run path: full pull-parse-push over simulated
-/// feed servers, with the fault layer and retry budget active. One row
-/// per policy, aggregated over repetitions.
-int RunProxyExperiment(const SimulationConfig& config,
-                       const std::vector<PolicySpec>& specs, int reps,
-                       uint64_t base_seed, const std::string& csv_path) {
-  TablePrinter table({"policy", "GC", "GC lost to faults", "probes",
-                      "failed", "retries", "corrupt", "opened",
-                      "suppressed", "cache hits", "notifications"});
-  std::vector<std::vector<std::string>> csv_rows;
-  RunningStats trace_pages, trace_bytes, trace_in_memory, trace_hits,
-      trace_misses;
-  for (const PolicySpec& spec : specs) {
-    RunningStats gc, gc_lost, probes, failed, retries, corrupt, delivered;
-    RunningStats opened, suppressed, cache_hits;
-    for (int rep = 0; rep < reps; ++rep) {
-      uint64_t seed = base_seed + static_cast<uint64_t>(rep) * 7919;
-      auto report = RunProxyOnce(config, spec, seed);
-      if (!report.ok()) {
-        std::cerr << "proxy run failed: " << report.status().ToString()
-                  << "\n";
-        return 1;
-      }
-      gc.Add(report->run.completeness.GainedCompleteness());
-      gc_lost.Add(report->gc_lost_to_faults);
-      probes.Add(static_cast<double>(report->run.probes_used));
-      failed.Add(static_cast<double>(report->probes_failed));
-      retries.Add(static_cast<double>(report->retries_issued));
-      corrupt.Add(static_cast<double>(report->corrupt_bodies));
-      opened.Add(static_cast<double>(report->circuits_opened));
-      suppressed.Add(static_cast<double>(report->probes_suppressed));
-      cache_hits.Add(static_cast<double>(report->parse_cache_hits));
-      delivered.Add(
-          static_cast<double>(report->notifications_delivered));
-      if (config.trace_backend == TraceBackend::kPaged) {
-        trace_pages.Add(static_cast<double>(report->trace_pages_written));
-        trace_bytes.Add(static_cast<double>(report->trace_bytes_stored));
-        trace_in_memory.Add(
-            static_cast<double>(report->trace_in_memory_bytes));
-        trace_hits.Add(static_cast<double>(report->trace_cache_hits));
-        trace_misses.Add(
-            static_cast<double>(report->trace_cache_misses));
-      }
-    }
-    table.AddRow({spec.Label(), TablePrinter::FormatDouble(gc.mean(), 4),
-                  TablePrinter::FormatDouble(gc_lost.mean(), 4),
-                  TablePrinter::FormatDouble(probes.mean(), 0),
-                  TablePrinter::FormatDouble(failed.mean(), 1),
-                  TablePrinter::FormatDouble(retries.mean(), 1),
-                  TablePrinter::FormatDouble(corrupt.mean(), 1),
-                  TablePrinter::FormatDouble(opened.mean(), 1),
-                  TablePrinter::FormatDouble(suppressed.mean(), 1),
-                  TablePrinter::FormatDouble(cache_hits.mean(), 1),
-                  TablePrinter::FormatDouble(delivered.mean(), 0)});
-    csv_rows.push_back(
-        {spec.Label(), TablePrinter::FormatDouble(gc.mean(), 6),
-         TablePrinter::FormatDouble(gc_lost.mean(), 6),
-         TablePrinter::FormatDouble(probes.mean(), 1),
-         TablePrinter::FormatDouble(failed.mean(), 1),
-         TablePrinter::FormatDouble(retries.mean(), 1),
-         TablePrinter::FormatDouble(corrupt.mean(), 1),
-         TablePrinter::FormatDouble(opened.mean(), 1),
-         TablePrinter::FormatDouble(suppressed.mean(), 1),
-         TablePrinter::FormatDouble(cache_hits.mean(), 1),
-         TablePrinter::FormatDouble(delivered.mean(), 1)});
+// --- Columns: the counters each run kind prints ---
+
+/// One printed counter: its table and CSV headers, the decimals each
+/// shows, and how it is read from a row's source (one run's report, or
+/// one policy's aggregated outcome).
+template <typename Source>
+struct Column {
+  const char* header;
+  const char* csv_header;
+  int table_decimals;
+  int csv_decimals;
+  double (*read)(const Source&);
+};
+
+/// One table or CSV row: the policy label and one value per column (a
+/// row may stop before the last columns).
+struct Row {
+  std::string label;
+  std::vector<double> values;
+};
+
+template <typename Columns, typename Source>
+Row ReadRow(std::string label, const Columns& columns,
+            const Source& source) {
+  Row row{std::move(label), {}};
+  for (const auto& column : columns) {
+    row.values.push_back(column.read(source));
   }
+  return row;
+}
+
+template <typename Columns>
+std::vector<std::string> HeaderCells(const Columns& columns, bool csv) {
+  std::vector<std::string> cells = {"policy"};
+  for (const auto& column : columns) {
+    cells.push_back(csv ? column.csv_header : column.header);
+  }
+  return cells;
+}
+
+template <typename Columns>
+std::vector<std::string> RowCells(const Columns& columns, const Row& row,
+                                  bool csv) {
+  std::vector<std::string> cells = {row.label};
+  for (std::size_t i = 0; i < row.values.size(); ++i) {
+    cells.push_back(TablePrinter::FormatDouble(
+        row.values[i],
+        csv ? columns[i].csv_decimals : columns[i].table_decimals));
+  }
+  return cells;
+}
+
+template <typename Columns>
+void PrintTable(const Columns& columns, std::span<const Row> rows) {
+  TablePrinter table(HeaderCells(columns, /*csv=*/false));
+  for (const Row& row : rows) table.AddRow(RowCells(columns, row, false));
   table.Print(std::cout);
-  if (config.trace_backend == TraceBackend::kPaged) {
-    double lookups = trace_hits.mean() + trace_misses.mean();
-    std::cout << "Trace store: " << trace_pages.mean() << " pages, "
-              << trace_bytes.mean() << " B stored vs "
-              << trace_in_memory.mean() << " B in-memory ("
+}
+
+/// Writes `rows` to the CSV file `path`; nothing when `path` is empty.
+template <typename Columns>
+Status WriteCsv(const std::string& path, const Columns& columns,
+                std::span<const Row> rows) {
+  if (path.empty()) return Status::OK();
+  PULLMON_ASSIGN_OR_RETURN(CsvWriter writer, CsvWriter::Open(path));
+  writer.WriteRow(HeaderCells(columns, /*csv=*/true));
+  for (const Row& row : rows) writer.WriteRow(RowCells(columns, row, true));
+  writer.Flush();
+  std::cout << "Wrote " << path << "\n";
+  return Status::OK();
+}
+
+using Report = ProxyRunReport;
+
+double Gc(const Report& r) { return r.run.completeness.GainedCompleteness(); }
+double Probes(const Report& r) { return r.run.probes_used; }
+/// A counter field of the report.
+template <auto field>
+double Count(const Report& r) {
+  return static_cast<double>(r.*field);
+}
+
+constexpr std::array<Column<PolicyOutcome>, 4> kLogicalColumns = {{
+    {"GC", "gc_mean", 4, 6, [](const PolicyOutcome& o) { return o.gc.mean(); }},
+    {"GC ci95", "gc_ci95", 4, 6,
+     [](const PolicyOutcome& o) { return o.gc.ci95_halfwidth(); }},
+    {"runtime(ms)", "runtime_ms", 2, 4,
+     [](const PolicyOutcome& o) { return o.runtime_seconds.mean() * 1e3; }},
+    {"probes", "probes", 0, 1,
+     [](const PolicyOutcome& o) { return o.probes_used.mean(); }},
+}};
+
+constexpr std::array<Column<Report>, 10> kProxyColumns = {{
+    {"GC", "gc_mean", 4, 6, Gc},
+    {"GC lost to faults", "gc_lost_to_faults", 4, 6,
+     Count<&Report::gc_lost_to_faults>},
+    {"probes", "probes", 0, 1, Probes},
+    {"failed", "probes_failed", 1, 1, Count<&Report::probes_failed>},
+    {"retries", "retries", 1, 1, Count<&Report::retries_issued>},
+    {"corrupt", "corrupt_bodies", 1, 1, Count<&Report::corrupt_bodies>},
+    {"opened", "circuits_opened", 1, 1, Count<&Report::circuits_opened>},
+    {"suppressed", "probes_suppressed", 1, 1,
+     Count<&Report::probes_suppressed>},
+    {"cache hits", "parse_cache_hits", 1, 1, Count<&Report::parse_cache_hits>},
+    {"notifications", "notifications", 0, 1,
+     Count<&Report::notifications_delivered>},
+}};
+
+constexpr std::array<Column<Report>, 9> kChurnColumns = {{
+    {"GC", "gc_mean", 4, 6, Gc},
+    {"probes", "probes", 0, 1, Probes},
+    {"submitted", "churn_submitted", 0, 1, Count<&Report::churn_submitted>},
+    {"cancelled", "churn_cancelled", 1, 1, Count<&Report::churn_cancelled>},
+    {"edited", "churn_edited", 1, 1, Count<&Report::churn_edited>},
+    {"unregistered", "churn_unregistered", 1, 1,
+     Count<&Report::churn_unregistered_profiles>},
+    {"rejected", "churn_rejected", 1, 1, Count<&Report::churn_rejected_ops>},
+    {"orphaned", "orphaned_probes", 1, 1, Count<&Report::orphaned_probes>},
+    {"notifications", "notifications", 0, 1,
+     Count<&Report::notifications_delivered>},
+}};
+
+/// A durable run is one repetition and writes no CSV.
+constexpr std::array<Column<Report>, 5> kDurableColumns = {{
+    {"GC", nullptr, 4, 0, Gc},
+    {"probes", nullptr, 0, 0, Probes},
+    {"notifications", nullptr, 0, 0, Count<&Report::notifications_delivered>},
+    {"snapshots", nullptr, 0, 0, Count<&Report::recovery_snapshots_written>},
+    {"wal records", nullptr, 0, 0, Count<&Report::recovery_wal_records_logged>},
+}};
+
+/// The logical run path: ExperimentRunner over generated instances,
+/// optionally with the offline Local-Ratio.
+int RunLogical(const RunRequest& request, bool offline) {
+  ExperimentRunner runner(request.reps, request.seed);
+  // The CLI exposes the strong Local-Ratio variant: probe-sharing-aware
+  // conflicts plus greedy augmentation. The faithful [2] reduction (used
+  // by the Figure 4/5 harnesses) is only a sensible baseline on P^[1]
+  // instances; on wide-window instances it is hopelessly conservative.
+  LocalRatioOptions offline_options;
+  offline_options.sharing_aware_conflicts = true;
+  offline_options.greedy_augmentation = true;
+  auto result =
+      runner.Run(request.config, request.specs, offline, offline_options);
+  if (!result.ok()) {
+    std::cerr << "experiment failed: " << result.status().ToString()
+              << "\n";
+    return 1;
+  }
+  std::vector<Row> rows;
+  for (const PolicyOutcome& outcome : result->policies) {
+    rows.push_back(ReadRow(outcome.spec.Label(), kLogicalColumns, outcome));
+  }
+  const std::size_t policy_rows = rows.size();
+  if (result->offline.has_value()) {
+    // Local-Ratio counts no probes: its table row stops before that
+    // column, and the CSV has no offline row.
+    const PolicyOutcome offline_outcome{{}, result->offline->gc,
+                                        result->offline->runtime_seconds,
+                                        {}};
+    rows.push_back(ReadRow("offline-LR", kLogicalColumns, offline_outcome));
+    rows.back().values.pop_back();
+  }
+  PrintTable(kLogicalColumns, rows);
+  std::cout << "Instances: " << result->t_intervals.mean()
+            << " t-intervals / " << result->eis.mean()
+            << " EIs on average\n";
+  Status wrote = WriteCsv(request.csv_path, kLogicalColumns,
+                          std::span<const Row>(rows).first(policy_rows));
+  return wrote.ok() ? 0 : Fail(wrote, 1);
+}
+
+/// Means of the paged trace store's counters over every run.
+struct TraceStoreSummary {
+  RunningStats pages, bytes, in_memory, hits, misses;
+
+  void Add(const Report& r) {
+    pages.Add(static_cast<double>(r.trace_pages_written));
+    bytes.Add(static_cast<double>(r.trace_bytes_stored));
+    in_memory.Add(static_cast<double>(r.trace_in_memory_bytes));
+    hits.Add(static_cast<double>(r.trace_cache_hits));
+    misses.Add(static_cast<double>(r.trace_cache_misses));
+  }
+
+  void Print() const {
+    const double lookups = hits.mean() + misses.mean();
+    std::cout << "Trace store: " << pages.mean() << " pages, "
+              << bytes.mean() << " B stored vs " << in_memory.mean()
+              << " B in-memory ("
               << TablePrinter::FormatDouble(
-                     trace_bytes.mean() > 0.0
-                         ? trace_in_memory.mean() / trace_bytes.mean()
-                         : 0.0,
+                     bytes.mean() > 0.0 ? in_memory.mean() / bytes.mean()
+                                        : 0.0,
                      2)
               << "x), cache hit rate "
               << TablePrinter::FormatDouble(
-                     lookups > 0.0 ? trace_hits.mean() / lookups : 0.0, 3)
+                     lookups > 0.0 ? hits.mean() / lookups : 0.0, 3)
               << "\n";
   }
-  if (!csv_path.empty()) {
-    auto writer = CsvWriter::Open(csv_path);
-    if (!writer.ok()) {
-      std::cerr << writer.status().ToString() << "\n";
-      return 1;
-    }
-    writer->WriteRow({"policy", "gc_mean", "gc_lost_to_faults", "probes",
-                      "probes_failed", "retries", "corrupt_bodies",
-                      "circuits_opened", "probes_suppressed",
-                      "parse_cache_hits", "notifications"});
-    for (const auto& row : csv_rows) writer->WriteRow(row);
-    writer->Flush();
-    std::cout << "Wrote " << csv_path << "\n";
-  }
-  return 0;
-}
+};
 
-/// The churn run path: DynamicMonitor with mid-epoch submissions plus
-/// the generated cancel/edit/unregister stream, pulled through the same
-/// feed substrate as --proxy. One row per policy.
-int RunChurnExperiment(const SimulationConfig& config,
-                       const std::vector<PolicySpec>& specs, int reps,
-                       uint64_t base_seed, const std::string& csv_path) {
-  TablePrinter table({"policy", "GC", "probes", "submitted", "cancelled",
-                      "edited", "unregistered", "rejected", "orphaned",
-                      "notifications"});
-  std::vector<std::vector<std::string>> csv_rows;
-  for (const PolicySpec& spec : specs) {
-    RunningStats gc, probes, submitted, cancelled, edited, unregistered;
-    RunningStats rejected, orphaned, delivered;
-    for (int rep = 0; rep < reps; ++rep) {
-      uint64_t seed = base_seed + static_cast<uint64_t>(rep) * 7919;
-      auto report = RunChurnOnce(config, spec, seed);
+using RunOnceFn = Result<Report> (*)(const SimulationConfig&,
+                                     const PolicySpec&, uint64_t);
+
+/// A run path `run` repeats per policy (--proxy, --churn): one row per
+/// policy, each column the mean over the repetitions. A paged trace
+/// store's summary line follows the table when `trace_store_summary`.
+int RunRepeated(const RunRequest& request, const char* kind,
+                RunOnceFn run_once, std::span<const Column<Report>> columns,
+                bool trace_store_summary) {
+  const bool summarize = trace_store_summary &&
+                         request.config.trace_backend == TraceBackend::kPaged;
+  TraceStoreSummary trace_store;
+  std::vector<Row> rows;
+  for (const PolicySpec& spec : request.specs) {
+    std::vector<RunningStats> stats(columns.size());
+    for (int rep = 0; rep < request.reps; ++rep) {
+      auto report = run_once(request.config, spec,
+                             request.seed + static_cast<uint64_t>(rep) * 7919);
       if (!report.ok()) {
-        std::cerr << "churn run failed: " << report.status().ToString()
-                  << "\n";
+        std::cerr << kind << " run failed: "
+                  << report.status().ToString() << "\n";
         return 1;
       }
-      gc.Add(report->run.completeness.GainedCompleteness());
-      probes.Add(static_cast<double>(report->run.probes_used));
-      submitted.Add(static_cast<double>(report->churn_submitted));
-      cancelled.Add(static_cast<double>(report->churn_cancelled));
-      edited.Add(static_cast<double>(report->churn_edited));
-      unregistered.Add(
-          static_cast<double>(report->churn_unregistered_profiles));
-      rejected.Add(static_cast<double>(report->churn_rejected_ops));
-      orphaned.Add(static_cast<double>(report->orphaned_probes));
-      delivered.Add(
-          static_cast<double>(report->notifications_delivered));
+      for (std::size_t i = 0; i < stats.size(); ++i) {
+        stats[i].Add(columns[i].read(*report));
+      }
+      if (summarize) trace_store.Add(*report);
     }
-    table.AddRow({spec.Label(), TablePrinter::FormatDouble(gc.mean(), 4),
-                  TablePrinter::FormatDouble(probes.mean(), 0),
-                  TablePrinter::FormatDouble(submitted.mean(), 0),
-                  TablePrinter::FormatDouble(cancelled.mean(), 1),
-                  TablePrinter::FormatDouble(edited.mean(), 1),
-                  TablePrinter::FormatDouble(unregistered.mean(), 1),
-                  TablePrinter::FormatDouble(rejected.mean(), 1),
-                  TablePrinter::FormatDouble(orphaned.mean(), 1),
-                  TablePrinter::FormatDouble(delivered.mean(), 0)});
-    csv_rows.push_back(
-        {spec.Label(), TablePrinter::FormatDouble(gc.mean(), 6),
-         TablePrinter::FormatDouble(probes.mean(), 1),
-         TablePrinter::FormatDouble(submitted.mean(), 1),
-         TablePrinter::FormatDouble(cancelled.mean(), 1),
-         TablePrinter::FormatDouble(edited.mean(), 1),
-         TablePrinter::FormatDouble(unregistered.mean(), 1),
-         TablePrinter::FormatDouble(rejected.mean(), 1),
-         TablePrinter::FormatDouble(orphaned.mean(), 1),
-         TablePrinter::FormatDouble(delivered.mean(), 1)});
+    Row row{spec.Label(), {}};
+    for (const RunningStats& s : stats) row.values.push_back(s.mean());
+    rows.push_back(std::move(row));
   }
-  table.Print(std::cout);
-  if (!csv_path.empty()) {
-    auto writer = CsvWriter::Open(csv_path);
-    if (!writer.ok()) {
-      std::cerr << writer.status().ToString() << "\n";
-      return 1;
-    }
-    writer->WriteRow({"policy", "gc_mean", "probes", "churn_submitted",
-                      "churn_cancelled", "churn_edited",
-                      "churn_unregistered", "churn_rejected",
-                      "orphaned_probes", "notifications"});
-    for (const auto& row : csv_rows) writer->WriteRow(row);
-    writer->Flush();
-    std::cout << "Wrote " << csv_path << "\n";
-  }
-  return 0;
+  PrintTable(columns, rows);
+  if (summarize) trace_store.Print();
+  Status wrote = WriteCsv(request.csv_path, columns, rows);
+  return wrote.ok() ? 0 : Fail(wrote, 1);
 }
 
 /// The durable run path (--checkpoint-dir): one monitoring-service run
 /// through RunDurableOnce with snapshots + WAL in a DirectoryStorage,
 /// optionally crash-injected (--crash-at) or resumed (--recover).
-int RunDurableExperiment(const SimulationConfig& config,
-                         const std::vector<PolicySpec>& specs,
-                         uint64_t seed) {
-  if (specs.size() != 1) {
+int RunDurable(const RunRequest& request) {
+  const SimulationConfig& config = request.config;
+  if (request.specs.size() != 1) {
     std::cerr << "durable runs (--checkpoint-dir) take exactly one "
                  "--policy / --mode combination\n";
     return 2;
   }
   DirectoryStorage storage(config.checkpoint_dir);
-  if (Status st = storage.Prepare(); !st.ok()) {
-    std::cerr << st.ToString() << "\n";
-    return 1;
-  }
+  if (Status st = storage.Prepare(); !st.ok()) return Fail(st, 1);
   DurableOptions options;
   options.storage = &storage;
   options.checkpoint_every = config.checkpoint_every;
   options.recover = config.recover;
   options.crash.chronon = config.crash_at_chronon;
   options.crash.write_offset = config.crash_at_offset;
-  auto report = RunDurableOnce(config, specs[0], seed, options);
+  auto report =
+      RunDurableOnce(config, request.specs[0], request.seed, options);
   if (!report.ok()) {
     if (report.status().code() == StatusCode::kAborted) {
       std::cout << "crash injected at chronon " << config.crash_at_chronon
@@ -581,26 +780,20 @@ int RunDurableExperiment(const SimulationConfig& config,
               << report->recovery_torn_tail_truncated
               << " torn-tail bytes truncated\n";
   }
-  TablePrinter table({"policy", "GC", "probes", "notifications",
-                      "snapshots", "wal records"});
-  table.AddRow(
-      {specs[0].Label(),
-       TablePrinter::FormatDouble(
-           report->run.completeness.GainedCompleteness(), 4),
-       StringFormat("%zu", report->run.probes_used),
-       StringFormat("%zu", report->notifications_delivered),
-       StringFormat("%zu", report->recovery_snapshots_written),
-       StringFormat("%zu", report->recovery_wal_records_logged)});
-  table.Print(std::cout);
+  const Row row =
+      ReadRow(request.specs[0].Label(), kDurableColumns, *report);
+  PrintTable(kDurableColumns, std::span<const Row>(&row, 1));
   std::cout << "Durable state in " << config.checkpoint_dir
-            << " (single repetition, seed " << seed << ")\n";
+            << " (single repetition, seed " << request.seed << ")\n";
   return 0;
 }
+
+// --- Commands ---
 
 int CommandRun(const std::vector<std::string>& args) {
   FlagParser flags("pullmon_cli run",
                    "run one monitoring experiment and print/emit results");
-  AddConfigFlags(&flags);
+  AddKnobs(&flags);
   flags.AddString("policy", "s-edf,m-edf,mrsf", "comma-separated policies");
   flags.AddString("mode", "p", "execution mode: p | np | both");
   flags.AddBool("offline", false, "also run the offline Local-Ratio");
@@ -612,248 +805,91 @@ int CommandRun(const std::vector<std::string>& args) {
                 "(DynamicMonitor with mid-epoch submit/cancel/edit/"
                 "unregister per the --churn-* knobs)");
   flags.AddString("csv", "", "write results to this CSV file");
-  Status st = flags.Parse(args);
-  if (!st.ok()) {
-    std::cerr << st.ToString() << "\n";
-    return 2;
+  RunRequest request;
+  SimulationConfig& config = request.config;
+  if (auto code = ParseCommandLine(flags, args, &config)) return *code;
+  if (Status st = ReadRunRequest(flags, &request); !st.ok()) {
+    return Fail(st, 2);
   }
-  if (flags.help_requested()) {
-    std::cout << flags.Usage();
-    return 0;
-  }
-
-  auto specs = SpecsFromFlags(flags);
-  if (!specs.ok()) {
-    std::cerr << specs.status().ToString() << "\n";
-    return 2;
-  }
-  auto parsed = ConfigFromFlags(flags);
-  if (!parsed.ok()) {
-    std::cerr << parsed.status().ToString() << "\n";
-    return 2;
-  }
-  auto reps = IntFlag(flags, "reps");
-  if (!reps.ok()) {
-    std::cerr << reps.status().ToString() << "\n";
-    return 2;
-  }
-  SimulationConfig config = std::move(*parsed);
   config.churn.enabled = flags.GetBool("churn");
-  if (Status st = ApplyCrashAtFlag(flags.GetString("crash-at"), &config);
-      !st.ok()) {
-    std::cerr << st.ToString() << "\n";
-    return 2;
+  const RunPath path = flags.GetBool("proxy")           ? RunPath::kProxy
+                       : !config.checkpoint_dir.empty() ? RunPath::kDurable
+                       : config.churn.enabled           ? RunPath::kChurn
+                                                        : RunPath::kLogical;
+  if (Status st = CheckRunPath(config, path); !st.ok()) return Fail(st, 2);
+  if (path == RunPath::kProxy) {
+    // The physical path: full pull-parse-push over simulated feed
+    // servers, with the fault layer and retry budget active.
+    return RunRepeated(request, "proxy", RunProxyOnce, kProxyColumns, true);
   }
-  // Reject out-of-range --fault-*/--outage-*/--breaker-*/--churn-*
-  // values (and checkpoint/crash flag combinations) up front with the
-  // InvalidArgument the option structs produce, instead of failing (or
-  // silently misbehaving) mid-run.
-  if (Status valid = config.Validate(); !valid.ok()) {
-    std::cerr << valid.ToString() << "\n";
-    return 2;
+  if (path == RunPath::kChurn) {
+    // DynamicMonitor with mid-epoch submissions plus the generated
+    // cancel/edit/unregister stream, pulled through the same feed
+    // substrate as --proxy.
+    return RunRepeated(request, "churn", RunChurnOnce, kChurnColumns, false);
   }
-  if (config.churn.enabled && flags.GetBool("proxy")) {
-    std::cerr << "--churn and --proxy are mutually exclusive run paths\n";
-    return 2;
-  }
-  if (!config.checkpoint_dir.empty()) {
-    if (flags.GetBool("proxy")) {
-      std::cerr << "--checkpoint-dir runs the durable monitoring "
-                   "service (the churn-capable run path); it is "
-                   "incompatible with --proxy\n";
-      return 2;
-    }
-    return RunDurableExperiment(
-        config, *specs, static_cast<uint64_t>(flags.GetInt64("seed")));
-  }
-  if (config.churn.enabled) {
-    return RunChurnExperiment(config, *specs, *reps,
-                              static_cast<uint64_t>(flags.GetInt64("seed")),
-                              flags.GetString("csv"));
-  }
-  if (config.churn.ops_per_chronon > 0.0) {
-    std::cerr << "--churn-* flags only affect --churn runs\n";
-    return 2;
-  }
-  if (flags.GetBool("proxy")) {
-    return RunProxyExperiment(config, *specs, *reps,
-                              static_cast<uint64_t>(flags.GetInt64("seed")),
-                              flags.GetString("csv"));
-  }
-  if (!config.faults.AllZero() || config.retry.max_retries > 0) {
-    std::cerr << "fault/retry flags only affect --proxy runs; the "
-                 "logical executor assumes a reliable network\n";
-    return 2;
-  }
-  if (config.parse_cache) {
-    std::cerr << "--parse-cache only affects --proxy runs; the logical "
-                 "executor never parses feed bodies\n";
-    return 2;
-  }
-  if (config.trace_backend != TraceBackend::kInMemory) {
-    std::cerr << "--trace-store only affects --proxy runs; the logical "
-                 "executor replays the in-memory trace directly\n";
-    return 2;
-  }
-  if (config.knowledge != KnowledgeModel::kOracle) {
-    std::cerr << "--knowledge=estimated only affects --proxy runs; the "
-                 "logical executor consumes oracle EIs by "
-                 "construction\n";
-    return 2;
-  }
-  ExperimentRunner runner(*reps,
-                          static_cast<uint64_t>(flags.GetInt64("seed")));
-  // The CLI exposes the strong Local-Ratio variant: probe-sharing-aware
-  // conflicts plus greedy augmentation. The faithful [2] reduction (used
-  // by the Figure 4/5 harnesses) is only a sensible baseline on P^[1]
-  // instances; on wide-window instances it is hopelessly conservative.
-  LocalRatioOptions offline_options;
-  offline_options.sharing_aware_conflicts = true;
-  offline_options.greedy_augmentation = true;
-  auto result = runner.Run(config, *specs, flags.GetBool("offline"),
-                           offline_options);
-  if (!result.ok()) {
-    std::cerr << "experiment failed: " << result.status().ToString()
-              << "\n";
-    return 1;
-  }
-  st = PrintOutcomes(*result, flags.GetString("csv"));
-  if (!st.ok()) {
-    std::cerr << st.ToString() << "\n";
-    return 1;
-  }
-  return 0;
+  if (path == RunPath::kDurable) return RunDurable(request);
+  return RunLogical(request, flags.GetBool("offline"));
 }
 
 int CommandSweep(const std::vector<std::string>& args) {
+  // The knobs `--param` can vary; each is set through its knob row.
+  const std::vector<std::string> sweepable = {
+      "budget", "profiles", "lambda", "rank", "alpha", "beta", "window"};
   FlagParser flags("pullmon_cli sweep",
                    "run an experiment per value of one swept parameter");
-  AddConfigFlags(&flags);
+  AddKnobs(&flags);
   flags.AddString("policy", "s-edf,mrsf", "comma-separated policies");
   flags.AddString("mode", "p", "execution mode: p | np | both");
-  flags.AddString("param", "budget",
-                  "one of: budget, profiles, lambda, rank, alpha, beta, "
-                  "window");
+  flags.AddString("param", "budget", "one of: " + Join(sweepable, ", "));
   flags.AddString("values", "1,2,3", "comma-separated sweep values");
   flags.AddString("csv", "", "write the sweep as CSV to this file");
   flags.AddBool("markdown", false, "also print a Markdown table");
-  Status st = flags.Parse(args);
-  if (!st.ok()) {
-    std::cerr << st.ToString() << "\n";
+  RunRequest request;
+  if (auto code = ParseCommandLine(flags, args, &request.config)) return *code;
+  if (Status st = ReadRunRequest(flags, &request); !st.ok()) {
+    return Fail(st, 2);
+  }
+  if (Status st = CheckRunPath(request.config, RunPath::kSweep); !st.ok()) {
+    return Fail(st, 2);
+  }
+  const std::string param = ToLower(flags.GetString("param"));
+  if (std::ranges::find(sweepable, param) == sweepable.end()) {
+    std::cerr << "unknown sweep parameter: " << param << "\n";
     return 2;
   }
-  if (flags.help_requested()) {
-    std::cout << flags.Usage();
-    return 0;
-  }
-  auto specs = SpecsFromFlags(flags);
-  if (!specs.ok()) {
-    std::cerr << specs.status().ToString() << "\n";
-    return 2;
-  }
-  auto parsed = ConfigFromFlags(flags);
-  if (!parsed.ok()) {
-    std::cerr << parsed.status().ToString() << "\n";
-    return 2;
-  }
-  auto reps = IntFlag(flags, "reps");
-  if (!reps.ok()) {
-    std::cerr << reps.status().ToString() << "\n";
-    return 2;
-  }
-  const SimulationConfig base = std::move(*parsed);
-  if (Status valid = base.Validate(); !valid.ok()) {
-    std::cerr << valid.ToString() << "\n";
-    return 2;
-  }
-  if (!base.faults.AllZero() || base.retry.max_retries > 0) {
-    std::cerr << "fault/retry flags only affect `run --proxy`; sweeps "
-                 "use the logical executor\n";
-    return 2;
-  }
-  if (flags.GetBool("parse-cache")) {
-    std::cerr << "--parse-cache only affects `run --proxy`; sweeps use "
-                 "the logical executor\n";
-    return 2;
-  }
-  if (flags.GetBool("trace-store")) {
-    std::cerr << "--trace-store only affects `run --proxy`; sweeps use "
-                 "the logical executor\n";
-    return 2;
-  }
-  if (base.knowledge != KnowledgeModel::kOracle) {
-    std::cerr << "--knowledge only affects `run --proxy`; sweeps use "
-                 "the logical executor\n";
-    return 2;
-  }
-  if (!flags.GetString("checkpoint-dir").empty() ||
-      flags.GetInt64("checkpoint-every") != 0 ||
-      !flags.GetString("crash-at").empty() || flags.GetBool("recover")) {
-    std::cerr << "--checkpoint-dir/--checkpoint-every/--crash-at/"
-                 "--recover only affect `run`; sweeps are volatile\n";
-    return 2;
-  }
-  if (flags.GetDouble("churn-rate") > 0.0) {
-    std::cerr << "--churn-* flags only affect `run --churn`; sweeps use "
-                 "the logical executor\n";
-    return 2;
-  }
-  std::string param = ToLower(flags.GetString("param"));
+  const Knob& knob = *std::ranges::find(Knobs(), param, &Knob::name);
   SweepReport report(param);
-
   for (const std::string& raw : Split(flags.GetString("values"), ',')) {
     std::string value(Trim(raw));
     if (value.empty()) continue;
-    SimulationConfig config = base;
-    auto as_double = ParseDouble(value);
-    if (!as_double.ok()) {
-      std::cerr << "bad sweep value: " << value << "\n";
-      return 2;
-    }
-    double v = *as_double;
-    if (param == "budget") {
-      config.budget = static_cast<int>(v);
-    } else if (param == "profiles") {
-      config.num_profiles = static_cast<int>(v);
-    } else if (param == "lambda") {
-      config.lambda = v;
-    } else if (param == "rank") {
-      config.max_rank = static_cast<int>(v);
-    } else if (param == "alpha") {
-      config.alpha = v;
-    } else if (param == "beta") {
-      config.beta = v;
-    } else if (param == "window") {
-      config.window = static_cast<Chronon>(v);
-    } else {
-      std::cerr << "unknown sweep parameter: " << param << "\n";
-      return 2;
-    }
-    ExperimentRunner runner(*reps,
-                            static_cast<uint64_t>(flags.GetInt64("seed")));
-    auto result = runner.Run(config, *specs);
+    // A value is parsed and range-checked exactly as the knob's flag.
+    FlagParser value_flag("pullmon_cli sweep", "one --values entry");
+    knob.add(&value_flag, request.config);
+    SimulationConfig config = request.config;
+    Status st = value_flag.Parse({"--" + param + "=" + value});
+    if (st.ok()) st = knob.apply(value_flag, &config);
+    if (!st.ok()) return Fail(st, 2);
+    ExperimentRunner runner(request.reps, request.seed);
+    auto result = runner.Run(config, request.specs);
     if (!result.ok()) {
       std::cerr << "experiment failed: " << result.status().ToString()
                 << "\n";
       return 1;
     }
-    Status add = report.Add(value, *result);
-    if (!add.ok()) {
-      std::cerr << add.ToString() << "\n";
-      return 1;
+    if (Status add = report.Add(value, *result); !add.ok()) {
+      return Fail(add, 1);
     }
   }
   std::cout << report.ToTable();
   if (flags.GetBool("markdown")) {
     std::cout << "\n" << report.ToMarkdown();
   }
-  if (!flags.GetString("csv").empty()) {
-    Status wrote = report.WriteCsvFile(flags.GetString("csv"));
-    if (!wrote.ok()) {
-      std::cerr << wrote.ToString() << "\n";
-      return 1;
+  if (!request.csv_path.empty()) {
+    if (Status wrote = report.WriteCsvFile(request.csv_path); !wrote.ok()) {
+      return Fail(wrote, 1);
     }
-    std::cout << "Wrote " << flags.GetString("csv") << "\n";
+    std::cout << "Wrote " << request.csv_path << "\n";
   }
   return 0;
 }
@@ -861,45 +897,24 @@ int CommandSweep(const std::vector<std::string>& args) {
 int CommandGenTrace(const std::vector<std::string>& args) {
   FlagParser flags("pullmon_cli gen-trace",
                    "generate an update trace and write it as CSV");
-  AddConfigFlags(&flags);
+  AddKnobs(&flags);
   flags.AddString("out", "trace.csv", "output path");
-  Status st = flags.Parse(args);
-  if (!st.ok()) {
-    std::cerr << st.ToString() << "\n";
-    return 2;
-  }
-  if (flags.help_requested()) {
-    std::cout << flags.Usage();
-    return 0;
-  }
-  auto parsed = ConfigFromFlags(flags);
-  if (!parsed.ok()) {
-    std::cerr << parsed.status().ToString() << "\n";
-    return 2;
-  }
-  SimulationConfig config = std::move(*parsed);
+  SimulationConfig config;
+  if (auto code = ParseCommandLine(flags, args, &config)) return *code;
   Rng rng(static_cast<uint64_t>(flags.GetInt64("seed")));
+  Status st;
   if (config.dataset == DatasetKind::kAuction) {
     // An auction trace is written with its listings, not only its
     // update events.
     auto trace = GenerateAuctionTrace(AuctionOptionsFor(config), &rng);
-    if (!trace.ok()) {
-      std::cerr << trace.status().ToString() << "\n";
-      return 1;
-    }
+    if (!trace.ok()) return Fail(trace.status(), 1);
     st = WriteAuctionTraceFile(*trace, flags.GetString("out"));
   } else {
     auto trace = GenerateUpdateTrace(config, &rng);
-    if (!trace.ok()) {
-      std::cerr << trace.status().ToString() << "\n";
-      return 1;
-    }
+    if (!trace.ok()) return Fail(trace.status(), 1);
     st = WriteUpdateTraceFile(*trace, flags.GetString("out"));
   }
-  if (!st.ok()) {
-    std::cerr << st.ToString() << "\n";
-    return 1;
-  }
+  if (!st.ok()) return Fail(st, 1);
   std::cout << "Wrote " << flags.GetString("out") << "\n";
   return 0;
 }
@@ -907,24 +922,11 @@ int CommandGenTrace(const std::vector<std::string>& args) {
 int CommandGenFeeds(const std::vector<std::string>& args) {
   FlagParser flags("pullmon_cli gen-feeds",
                    "simulate auctions and write one RSS file per listing");
-  AddConfigFlags(&flags);
+  AddKnobs(&flags);
   flags.AddString("outdir", "feeds", "output directory");
   flags.AddBool("atom", false, "write Atom 1.0 instead of RSS 2.0");
-  Status st = flags.Parse(args);
-  if (!st.ok()) {
-    std::cerr << st.ToString() << "\n";
-    return 2;
-  }
-  if (flags.help_requested()) {
-    std::cout << flags.Usage();
-    return 0;
-  }
-  auto parsed = ConfigFromFlags(flags);
-  if (!parsed.ok()) {
-    std::cerr << parsed.status().ToString() << "\n";
-    return 2;
-  }
-  SimulationConfig config = std::move(*parsed);
+  SimulationConfig config;
+  if (auto code = ParseCommandLine(flags, args, &config)) return *code;
   if (flags.WasSet("dataset") && config.dataset != DatasetKind::kAuction) {
     std::cerr << "gen-feeds writes auction listings; --dataset="
               << flags.GetString("dataset") << " is not supported\n";
@@ -932,10 +934,7 @@ int CommandGenFeeds(const std::vector<std::string>& args) {
   }
   Rng rng(static_cast<uint64_t>(flags.GetInt64("seed")));
   auto trace = GenerateAuctionTrace(AuctionOptionsFor(config), &rng);
-  if (!trace.ok()) {
-    std::cerr << trace.status().ToString() << "\n";
-    return 1;
-  }
+  if (!trace.ok()) return Fail(trace.status(), 1);
   FeedFormat format =
       flags.GetBool("atom") ? FeedFormat::kAtom1 : FeedFormat::kRss2;
   std::vector<std::string> feeds = AuctionTraceToFeeds(*trace, format);
@@ -966,53 +965,33 @@ int CommandAnalyze(const std::vector<std::string>& args) {
   FlagParser flags("pullmon_cli analyze",
                    "generate an instance and report its overlap/sharing "
                    "structure");
-  AddConfigFlags(&flags);
-  Status st = flags.Parse(args);
-  if (!st.ok()) {
-    std::cerr << st.ToString() << "\n";
-    return 2;
-  }
-  if (flags.help_requested()) {
-    std::cout << flags.Usage();
-    return 0;
-  }
-  auto parsed = ConfigFromFlags(flags);
-  if (!parsed.ok()) {
-    std::cerr << parsed.status().ToString() << "\n";
-    return 2;
-  }
-  SimulationConfig config = std::move(*parsed);
+  AddKnobs(&flags);
+  SimulationConfig config;
+  if (auto code = ParseCommandLine(flags, args, &config)) return *code;
   auto problem =
       BuildProblem(config, static_cast<uint64_t>(flags.GetInt64("seed")));
-  if (!problem.ok()) {
-    std::cerr << problem.status().ToString() << "\n";
-    return 1;
-  }
+  if (!problem.ok()) return Fail(problem.status(), 1);
   OverlapReport report = AnalyzeOverlap(
       problem->profiles, problem->num_resources, problem->epoch.length);
+  const std::pair<const char*, std::string> rows[] = {
+      {"profiles", StringFormat("%zu", problem->profiles.size())},
+      {"t-intervals", StringFormat("%zu", problem->TotalTIntervalCount())},
+      {"execution intervals", StringFormat("%zu", report.total_eis)},
+      {"resources touched", StringFormat("%zu", report.resources_touched)},
+      {"intra-resource overlapping pairs",
+       StringFormat("%zu", report.intra_resource_overlapping_pairs)},
+      {"min probes (no budget)",
+       StringFormat("%zu", report.min_probes_ignoring_budget)},
+      {"sharing potential",
+       TablePrinter::FormatDouble(report.sharing_potential, 3)},
+      {"peak concurrent resources",
+       StringFormat("%zu", report.peak_concurrent_resources)},
+      {"mean concurrent resources",
+       TablePrinter::FormatDouble(report.mean_concurrent_resources, 2)},
+      {"budget per chronon", StringFormat("%d", config.budget)},
+  };
   TablePrinter table({"metric", "value"});
-  table.AddRow({"profiles",
-                StringFormat("%zu", problem->profiles.size())});
-  table.AddRow({"t-intervals",
-                StringFormat("%zu", problem->TotalTIntervalCount())});
-  table.AddRow({"execution intervals",
-                StringFormat("%zu", report.total_eis)});
-  table.AddRow({"resources touched",
-                StringFormat("%zu", report.resources_touched)});
-  table.AddRow({"intra-resource overlapping pairs",
-                StringFormat("%zu",
-                             report.intra_resource_overlapping_pairs)});
-  table.AddRow({"min probes (no budget)",
-                StringFormat("%zu", report.min_probes_ignoring_budget)});
-  table.AddRow({"sharing potential",
-                TablePrinter::FormatDouble(report.sharing_potential, 3)});
-  table.AddRow({"peak concurrent resources",
-                StringFormat("%zu", report.peak_concurrent_resources)});
-  table.AddRow({"mean concurrent resources",
-                TablePrinter::FormatDouble(
-                    report.mean_concurrent_resources, 2)});
-  table.AddRow({"budget per chronon",
-                StringFormat("%d", config.budget)});
+  for (const auto& [metric, value] : rows) table.AddRow({metric, value});
   table.Print(std::cout);
   std::cout << "Sharing potential is the probe work intra-resource "
                "overlap can save; peak\nconcurrency vs the budget bounds "
