@@ -267,8 +267,10 @@ Result<ArmResult> RunWarmCacheStorm(const UpdateTrace& trace,
       ++out.probes;
       ++out.full_bodies;
       out.bytes += fetch.body.size();
-      if (const FeedDocument* replay =
-              cache.Lookup(r, std::string_view(), fetch.body, false)) {
+      PULLMON_ASSIGN_OR_RETURN(
+          const FeedDocument* replay,
+          cache.Lookup(r, std::string_view(), fetch.body, false));
+      if (replay != nullptr) {
         out.items += replay->items.size();
         continue;
       }
@@ -329,8 +331,8 @@ Result<AllocAudit> RunAllocAudit() {
     PULLMON_ASSIGN_OR_RETURN(
         FeedServer::ConditionalFetchView fetch,
         network.ProbeConditionalView(r, std::string_view()));
-    const FeedDocument* replay =
-        cache.Lookup(r, fetch.etag, fetch.body, false);
+    PULLMON_ASSIGN_OR_RETURN(const FeedDocument* replay,
+                             cache.Lookup(r, fetch.etag, fetch.body, false));
     if (replay == nullptr) {
       return Status::Internal("steady-state cache lookup missed");
     }

@@ -677,7 +677,6 @@ MonitorImage DynamicMonitor::Capture() const {
     const TIntervalRuntime& rt = runtimes_[t];
     MonitorSubmissionImage sub;
     sub.profile = rt.profile;
-    sub.definition = *rt.source;
     sub.ei_captured = rt.ei_captured;
     sub.num_expired = rt.num_expired;
     sub.cancelled = cancelled_[t];
@@ -698,7 +697,8 @@ MonitorImage DynamicMonitor::Capture() const {
   return image;
 }
 
-Status DynamicMonitor::Restore(const MonitorImage& image) {
+Status DynamicMonitor::Restore(const MonitorImage& image,
+                               std::vector<TInterval> definitions) {
   if (now_ != 0 || !runtimes_.empty() || !profile_names_.empty()) {
     return Status::FailedPrecondition(
         "Restore() requires a freshly constructed monitor");
@@ -711,6 +711,10 @@ Status DynamicMonitor::Restore(const MonitorImage& image) {
   if (image.profile_unregistered.size() != image.profile_names.size()) {
     return Status::InvalidArgument(
         "image profile arrays disagree on the profile count");
+  }
+  if (definitions.size() != image.submissions.size()) {
+    return Status::InvalidArgument(
+        "restore needs one definition per image submission");
   }
   if (image.probes_by_chronon.size() !=
       static_cast<std::size_t>(image.now)) {
@@ -736,26 +740,28 @@ Status DynamicMonitor::Restore(const MonitorImage& image) {
   // (rank high-water marks, per-profile submission ids, flat EI ids come
   // out exactly as the original run produced them), then lay the
   // captured/expired/terminal state of the image over the runtimes.
-  for (const MonitorSubmissionImage& sub : image.submissions) {
+  for (std::size_t i = 0; i < image.submissions.size(); ++i) {
+    const MonitorSubmissionImage& sub = image.submissions[i];
+    TInterval& definition = definitions[i];
     if (sub.profile < 0 ||
         sub.profile >= static_cast<ProfileId>(profile_names_.size())) {
       return Status::InvalidArgument(StringFormat(
           "image submission names unknown profile %d", sub.profile));
     }
-    PULLMON_RETURN_NOT_OK(sub.definition.Validate(Epoch{epoch_length_}));
-    for (const auto& ei : sub.definition.eis()) {
+    PULLMON_RETURN_NOT_OK(definition.Validate(Epoch{epoch_length_}));
+    for (const auto& ei : definition.eis()) {
       if (ei.resource >= num_resources_) {
         return Status::InvalidArgument(StringFormat(
             "image EI resource %d outside [0,%d)", ei.resource,
             num_resources_));
       }
     }
-    if (sub.ei_captured.size() != sub.definition.size()) {
+    if (sub.ei_captured.size() != definition.size()) {
       return Status::InvalidArgument(
           "image capture flags do not match the definition's EI count");
     }
     int t_id = static_cast<int>(runtimes_.size());
-    submitted_.push_back(sub.definition);
+    submitted_.push_back(std::move(definition));
     AppendSubmission(sub.profile, &submitted_.back());
     TIntervalRuntime& rt = runtimes_[static_cast<std::size_t>(t_id)];
     rt.ei_captured = sub.ei_captured;

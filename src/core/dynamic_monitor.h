@@ -112,12 +112,12 @@ struct ShardRunStats {
 };
 
 /// One submission of a MonitorImage, in flat t_id (arrival) order. The
-/// runtime's derived fields (num_captured, rank, the M-EDF aggregate)
-/// are reconstructed from the definition and the capture flags on
-/// restore.
+/// definition is not part of the image: whoever submitted it rebuilds it
+/// and hands it to Restore(). The runtime's derived fields
+/// (num_captured, rank, the M-EDF aggregate) are reconstructed from the
+/// definition and the capture flags on restore.
 struct MonitorSubmissionImage {
   ProfileId profile = 0;
-  TInterval definition;
   std::vector<uint8_t> ei_captured;
   int num_expired = 0;
   uint8_t cancelled = 0;
@@ -313,11 +313,14 @@ class DynamicMonitor {
 
   /// Checkpoint support. Capture() freezes everything a resumed run
   /// needs at a chronon boundary (call between Step()s, never inside
-  /// one). Restore() resumes the image on a *fresh* monitor built with
-  /// the same constructor parameters — FailedPrecondition if this
-  /// monitor has already registered, submitted, or stepped.
+  /// one) but the submissions' definitions. Restore() resumes the image
+  /// on a *fresh* monitor built with the same constructor parameters,
+  /// with `definitions` holding each image submission's definition in
+  /// the same order — FailedPrecondition if this monitor has already
+  /// registered, submitted, or stepped.
   MonitorImage Capture() const;
-  Status Restore(const MonitorImage& image);
+  Status Restore(const MonitorImage& image,
+                 std::vector<TInterval> definitions);
 
  private:
   /// Where one EI lives: its shard partition and its dense index

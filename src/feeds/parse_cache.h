@@ -24,23 +24,28 @@ struct ParseCacheStats {
   bool operator==(const ParseCacheStats& other) const = default;
 };
 
-/// One resource's ParseCache entry. The cache holds these directly, and
-/// its Capture()/Restore() image is a copy of them — the recovery layer
-/// serializes it into proxy snapshots. The full cached documents travel
-/// with the validators: a restored run must replay the same hits (and
-/// skip the same parses) the uninterrupted run would have, or the
-/// parse_cache_* counters diverge.
+/// The key of one resource's ParseCache entry: what a snapshot keeps of
+/// it. The parsed document is not persisted. A restored entry is
+/// *pending*, and its first hit parses the body that hit it (see
+/// ParseCache::Lookup), so a restored run replays the same hits, and
+/// counts the same parse_cache_* values, as the uninterrupted run.
 struct ParseCacheEntryImage {
   bool valid = false;
   std::string etag;
   uint64_t body_hash = 0;
   std::size_t body_size = 0;
-  FeedDocument document;
 };
 
 struct ParseCacheImage {
   std::vector<ParseCacheEntryImage> entries;
   ParseCacheStats stats;
+};
+
+/// Hits that filled a pending (restored) entry, by the key that hit;
+/// zero on a cache that restored nothing.
+struct PendingFillStats {
+  std::size_t content_fills = 0;
+  std::size_t validator_fills = 0;
 };
 
 /// A per-resource parse cache in front of the feed layer: remembers the
@@ -66,7 +71,9 @@ struct ParseCacheImage {
 /// byte-identical to one that parsed successfully before (or served
 /// under its exact validator), so the replayed document equals what the
 /// parser would have produced — callers observe identical items,
-/// counters, and notifications with the cache on or off.
+/// counters, and notifications with the cache on or off. The same holds
+/// for a restored entry: the body that first hits it is the body its
+/// key was stored for, so parsing that body rebuilds the document.
 class ParseCache {
  public:
   explicit ParseCache(std::size_t num_resources)
@@ -74,10 +81,13 @@ class ParseCache {
 
   /// The cached document for this response, or nullptr on a miss.
   /// `served_etag` is the validator accompanying the response body;
-  /// `mangled` marks bodies known to be degraded in flight.
-  const FeedDocument* Lookup(ResourceId resource,
-                             std::string_view served_etag,
-                             std::string_view body, bool mangled);
+  /// `mangled` marks bodies known to be degraded in flight. A hit on a
+  /// pending entry parses `body` into the entry first. That body must
+  /// have the stored hash and size and must parse, or the restored key
+  /// does not describe what the server serves: Status::Internal.
+  Result<const FeedDocument*> Lookup(ResourceId resource,
+                                     std::string_view served_etag,
+                                     std::string_view body, bool mangled);
 
   /// Records a successful parse of `body` served under `served_etag`;
   /// returns the stored document (owned by the cache until the next
@@ -91,10 +101,12 @@ class ParseCache {
   void Invalidate(ResourceId resource);
 
   const ParseCacheStats& stats() const { return stats_; }
+  const PendingFillStats& pending_fills() const { return pending_fills_; }
 
-  /// Checkpoint support: Capture() freezes entries and stats; Restore()
-  /// resumes them on a cache built with the same resource count.
-  /// InvalidArgument on a size mismatch.
+  /// Checkpoint support: Capture() freezes the entry keys and stats;
+  /// Restore() resumes them, every valid entry pending, on a cache
+  /// built with the same resource count. InvalidArgument on a size
+  /// mismatch.
   ParseCacheImage Capture() const;
   Status Restore(const ParseCacheImage& image);
 
@@ -102,8 +114,20 @@ class ParseCache {
   static uint64_t HashBody(std::string_view body);
 
  private:
-  std::vector<ParseCacheEntryImage> entries_;
+  struct Entry {
+    ParseCacheEntryImage key;
+    /// Restored without its document, which the next hit parses.
+    bool pending = false;
+    FeedDocument document;
+  };
+
+  /// Counts a hit of `entry` on `body`, filling it first when pending.
+  Result<const FeedDocument*> Hit(Entry& entry, std::string_view body,
+                                  bool by_validator);
+
+  std::vector<Entry> entries_;
   ParseCacheStats stats_;
+  PendingFillStats pending_fills_;
 };
 
 }  // namespace pullmon

@@ -146,11 +146,16 @@ Result<ProxyRunReport> RunDurableOnce(const SimulationConfig& config,
         LoadedCheckpoint loaded,
         LoadNewestCheckpoint(options.storage, fingerprint));
     if (loaded.found) {
-      PULLMON_RETURN_NOT_OK(run.monitor().Restore(loaded.snapshot.monitor));
+      start = loaded.snapshot.chronon;
+      // The stream rebuilds the definitions the snapshot names by origin.
+      PULLMON_ASSIGN_OR_RETURN(
+          std::vector<TInterval> definitions,
+          run.stream().Resume(start, loaded.snapshot.monitor.submissions,
+                              std::move(loaded.snapshot.origins)));
+      PULLMON_RETURN_NOT_OK(run.monitor().Restore(loaded.snapshot.monitor,
+                                                  std::move(definitions)));
       PULLMON_RETURN_NOT_OK(run.session().Restore(loaded.snapshot.session));
       static_cast<LiveReportCounters&>(report) = loaded.snapshot;
-      start = loaded.snapshot.chronon;
-      run.stream().Resume(start, loaded.snapshot.monitor.submissions);
       generation = start;
       replay = std::move(loaded.wal.chronons);
       wal_base_bytes = loaded.wal.valid_bytes;
@@ -198,6 +203,7 @@ Result<ProxyRunReport> RunDurableOnce(const SimulationConfig& config,
         snapshot.fingerprint = fingerprint;
         snapshot.chronon = now;
         snapshot.monitor = run.monitor().Capture();
+        snapshot.origins = run.stream().origins();
         snapshot.session = run.session().Capture();
         static_cast<LiveReportCounters&>(snapshot) = report;
         PULLMON_RETURN_NOT_OK(WriteSnapshotFile(&storage, snapshot));

@@ -183,27 +183,6 @@ Result<RecordView> DecodeRecord(std::string_view bytes) {
 // Field lists of the snapshot payload (recovery_codec.h)
 // ---------------------------------------------------------------------
 
-template <typename C, Persisted<ExecutionInterval> E>
-void Fields(C& c, E& ei) {
-  c(kSigned, ei.resource);
-  c(kSigned, ei.start);
-  c(kSigned, ei.finish);
-}
-
-template <typename C, Persisted<TInterval> T>
-void Fields(C& c, T& t) {
-  // Rebuilding from the EIs resets weight and required, which follow.
-  c(kStruct, t, &TInterval::eis,
-    [](TInterval& ti, std::vector<ExecutionInterval> eis) {
-      ti = TInterval(std::move(eis));
-    });
-  c(kDouble, t, &TInterval::weight, &TInterval::set_weight);
-  // required() (not the raw field) is stored: the clamped query value is
-  // what selection semantics depend on, and round-tripping it through
-  // set_required is behaviorally equivalent.
-  c(kVarint, t, &TInterval::required, &TInterval::set_required);
-}
-
 template <typename C, Persisted<ProbeStats> S>
 void Fields(C& c, S& s) {
   c(kVarint, s.probes_used);
@@ -275,7 +254,6 @@ void Fields(C& c, H& h) {
 template <typename C, Persisted<MonitorSubmissionImage> S>
 void Fields(C& c, S& sub) {
   c(kSigned, sub.profile);
-  c(kStruct, sub.definition);
   c(kByte, sub.ei_captured);
   c(kSigned, sub.num_expired);
   c.Bits(sub.cancelled, sub.fault_touched, sub.failed, sub.completed,
@@ -295,6 +273,12 @@ void Fields(C& c, M& m) {
   // m.shards is the snapshot's optional tail (ProxySnapshot below).
 }
 
+template <typename C, Persisted<SubmissionOrigin> O>
+void Fields(C& c, O& origin) {
+  c(kByte, origin.edit);
+  c(kVarint, origin.index);
+}
+
 template <typename C, Persisted<FaultPlanImage> F>
 void Fields(C& c, F& f) {
   c(kFixed64, f.stream_states);
@@ -308,30 +292,12 @@ void Fields(C& c, F& f) {
   c(kStruct, f.stats);
 }
 
-template <typename C, Persisted<FeedItem> I>
-void Fields(C& c, I& item) {
-  c(kString, item.guid);
-  c(kString, item.title);
-  c(kString, item.link);
-  c(kString, item.description);
-  c(kSigned, item.published);
-}
-
-template <typename C, Persisted<FeedDocument> D>
-void Fields(C& c, D& doc) {
-  c(kString, doc.title);
-  c(kString, doc.link);
-  c(kString, doc.description);
-  c(kStruct, doc.items);
-}
-
 template <typename C, Persisted<ParseCacheEntryImage> E>
 void Fields(C& c, E& entry) {
   c(kByte, entry.valid);
   c(kString, entry.etag);
   c(kFixed64, entry.body_hash);
   c(kVarint, entry.body_size);
-  c(kStruct, entry.document);
 }
 
 template <typename C, Persisted<ParseCacheStats> S>
@@ -360,6 +326,7 @@ void Fields(C& c, S& s) {
   c(kFixed64, s.fingerprint);
   c(kVarint, s.chronon);
   c(kStruct, s.monitor);
+  c(kStruct, s.origins);
   c(kStruct, s.session);
   // The LiveReportCounters base.
   c(kVarint, s.feeds_fetched);
@@ -367,10 +334,6 @@ void Fields(C& c, S& s) {
   c(kVarint, s.feed_bytes);
   c(kVarint, s.items_parsed);
   c(kVarint, s.parse_failures);
-  c(kVarint, s.corrupt_bodies);
-  c(kVarint, s.timeouts);
-  c(kVarint, s.server_errors);
-  c(kVarint, s.outage_probes);
   c(kVarint, s.notifications_delivered);
   c(kVarint, s.churn_rejected_ops);
   // Optional tail: only a sharded monitor carries shard telemetry, so
@@ -385,8 +348,8 @@ void Fields(C& c, S& s) {
 
 std::string EncodeSnapshot(const ProxySnapshot& snapshot) {
   std::string out;
-  // Submissions dominate the payload (a few dozen bytes each); one
-  // generous reservation keeps the encode pass realloc-free.
+  // Submissions dominate the payload; one generous reservation keeps
+  // the encode pass realloc-free.
   out.reserve(4096 + snapshot.monitor.submissions.size() * 48 +
               snapshot.monitor.probes_by_chronon.size() * 16);
   out.append(kSnapshotMagic, sizeof(kSnapshotMagic));

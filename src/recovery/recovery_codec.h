@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/dynamic_monitor.h"
+#include "sim/churn.h"
 #include "sim/proxy.h"
 #include "trace/page_codec.h"
 #include "util/status.h"
@@ -368,12 +369,15 @@ Result<RecordView> DecodeRecord(std::string_view bytes);
 
 /// Everything a resumed churn run needs at a chronon boundary that is
 /// not re-derivable from (config, spec, seed): the monitor image, the
-/// pull-session image, and the report counters the run bumps live (the
-/// LiveReportCounters base, copied from and back into the report). The
-/// problem instance, trace, profiles, churn workload, policy, and
-/// feed-network position are deliberately absent — they are pure
-/// functions of the run configuration (DESIGN.md section 15 lists the
-/// full argument).
+/// origin of each submission's definition, the pull-session image, and
+/// the report counters the run bumps live (the LiveReportCounters base,
+/// copied from and back into the report). The problem instance, trace,
+/// profiles, churn workload, policy, and feed-network position are
+/// deliberately absent — they are pure functions of the run
+/// configuration — and so are the submissions' definitions and the
+/// parse cache's documents, which the run re-derives from the origins
+/// and the served bodies (DESIGN.md section 15 lists the full
+/// argument).
 struct ProxySnapshot : LiveReportCounters {
   /// Fingerprint of (config, spec, seed); Restore under a different
   /// configuration is refused instead of silently diverging.
@@ -381,6 +385,9 @@ struct ProxySnapshot : LiveReportCounters {
   /// The chronon the snapshot was taken at (== monitor.now).
   Chronon chronon = 0;
   MonitorImage monitor;
+  /// One per monitor submission, in the same order
+  /// (ChurnStream::origins()).
+  std::vector<SubmissionOrigin> origins;
   PullSessionImage session;
 };
 
@@ -395,8 +402,10 @@ std::string EncodeSnapshot(const ProxySnapshot& snapshot);
 /// Any corruption is a ParseError.
 Result<ProxySnapshot> DecodeSnapshot(std::string_view bytes);
 
-/// Current snapshot format version.
-inline constexpr std::uint64_t kSnapshotVersion = 1;
+/// Current snapshot format version. Version 2 stores definitions and
+/// parse-cache entries by reference and drops the four report counters
+/// that mirrored FaultStats; version 1 files are refused (ParseError).
+inline constexpr std::uint64_t kSnapshotVersion = 2;
 
 }  // namespace pullmon
 

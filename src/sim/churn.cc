@@ -83,7 +83,8 @@ TInterval BuildEditReplacement(const TInterval& current, Chronon now,
 
 ChurnStream::ChurnStream(const MonitoringProblem& problem,
                          const ChurnOptions& churn, uint64_t seed)
-    : epoch_length_(problem.epoch.length),
+    : problem_(&problem),
+      epoch_length_(problem.epoch.length),
       arrivals_(static_cast<std::size_t>(epoch_length_)),
       // The churn stream draws from its own generator, so enabling churn
       // perturbs no trace/profile/fault/policy randomness.
@@ -92,27 +93,83 @@ ChurnStream::ChurnStream(const MonitoringProblem& problem,
           churn.seed ^ (seed * 0x9E3779B97F4A7C15ULL))),
       defs_(problem.profiles.size()) {
   for (std::size_t i = 0; i < problem.profiles.size(); ++i) {
-    for (const TInterval& eta : problem.profiles[i].t_intervals()) {
-      if (eta.empty()) continue;
-      const Chronon at = eta.EarliestStart();
+    const std::vector<TInterval>& etas = problem.profiles[i].t_intervals();
+    for (std::size_t k = 0; k < etas.size(); ++k) {
+      if (etas[k].empty()) continue;
+      const Chronon at = etas[k].EarliestStart();
       if (at < 0 || at >= epoch_length_) continue;
       arrivals_[static_cast<std::size_t>(at)].emplace_back(
-          static_cast<ProfileId>(i), &eta);
+          static_cast<ProfileId>(i), k);
     }
   }
 }
 
-void ChurnStream::Resume(
-    Chronon start, const std::vector<MonitorSubmissionImage>& submissions) {
-  // Acceptance order is flat order, which is exactly how the original
-  // run appended them per profile.
-  for (const MonitorSubmissionImage& sub : submissions) {
-    defs_[static_cast<std::size_t>(sub.profile)].push_back(sub.definition);
+const TInterval* ChurnStream::ArrivalAt(ProfileId profile,
+                                        std::size_t index) const {
+  const std::vector<TInterval>& etas =
+      problem_->profiles[static_cast<std::size_t>(profile)].t_intervals();
+  return index < etas.size() ? &etas[index] : nullptr;
+}
+
+Result<std::vector<TInterval>> ChurnStream::Resume(
+    Chronon start, const std::vector<MonitorSubmissionImage>& submissions,
+    std::vector<SubmissionOrigin> origins) {
+  if (origins.size() != submissions.size()) {
+    return Status::InvalidArgument(
+        "snapshot names an origin for a different number of submissions");
   }
+  // Acceptance order is flat order, which is exactly how the original
+  // run appended them per profile, so each edit's `pick % count` sees
+  // the count it saw then.
+  std::vector<TInterval> definitions;
+  definitions.reserve(submissions.size());
+  for (std::size_t i = 0; i < submissions.size(); ++i) {
+    const ProfileId profile = submissions[i].profile;
+    const SubmissionOrigin& origin = origins[i];
+    if (profile < 0 || static_cast<std::size_t>(profile) >= defs_.size()) {
+      return Status::InvalidArgument(StringFormat(
+          "snapshot submission names unknown profile %d", profile));
+    }
+    auto& defs = defs_[static_cast<std::size_t>(profile)];
+    if (!origin.edit) {
+      const TInterval* eta = ArrivalAt(profile, origin.index);
+      if (eta == nullptr || eta->empty() || eta->EarliestStart() >= start) {
+        return Status::InvalidArgument(StringFormat(
+            "snapshot names t-interval %zu of profile %d, which has not "
+            "arrived by chronon %d",
+            origin.index, profile, start));
+      }
+      defs.push_back(*eta);
+    } else {
+      if (origin.index >= workload_.events.size()) {
+        return Status::InvalidArgument(StringFormat(
+            "snapshot names churn event %zu of %zu", origin.index,
+            workload_.events.size()));
+      }
+      const ChurnEvent& event = workload_.events[origin.index];
+      if (event.kind != ChurnEvent::Kind::kEdit ||
+          event.profile != profile || event.chronon >= start ||
+          defs.empty()) {
+        return Status::InvalidArgument(StringFormat(
+            "snapshot names churn event %zu, which is no edit profile %d "
+            "could have made before chronon %d",
+            origin.index, profile, start));
+      }
+      const TInterval& source =
+          defs[static_cast<std::size_t>(event.pick % defs.size())];
+      defs.push_back(BuildEditReplacement(source, event.chronon,
+                                          epoch_length_,
+                                          event.deadline_delta,
+                                          event.weight_factor));
+    }
+    definitions.push_back(defs.back());
+  }
+  origins_ = std::move(origins);
   while (next_event_ < workload_.events.size() &&
          workload_.events[next_event_].chronon < start) {
     ++next_event_;
   }
+  return definitions;
 }
 
 void ChurnStream::ApplyChronon(Chronon now, DynamicMonitor* monitor,
@@ -126,14 +183,19 @@ void ChurnStream::ApplyChronon(Chronon now, DynamicMonitor* monitor,
     if (!accepted) ++report->churn_rejected_ops;
     if (on_op) on_op(Op{kind, profile, submission, accepted});
   };
-  for (const auto& [pid, eta] : arrivals_[static_cast<std::size_t>(now)]) {
-    auto submitted = monitor->Submit(pid, *eta);
-    if (submitted.ok()) defs_[static_cast<std::size_t>(pid)].push_back(*eta);
+  for (const auto& [pid, index] : arrivals_[static_cast<std::size_t>(now)]) {
+    const TInterval& eta = *ArrivalAt(pid, index);
+    auto submitted = monitor->Submit(pid, eta);
+    if (submitted.ok()) {
+      defs_[static_cast<std::size_t>(pid)].push_back(eta);
+      origins_.push_back(SubmissionOrigin{false, index});
+    }
     record(kArrival, pid, submitted.ok() ? *submitted : -1, submitted.ok());
   }
   while (next_event_ < workload_.events.size() &&
          workload_.events[next_event_].chronon == now) {
-    const ChurnEvent& event = workload_.events[next_event_++];
+    const std::size_t event_index = next_event_++;
+    const ChurnEvent& event = workload_.events[event_index];
     auto& defs = defs_[static_cast<std::size_t>(event.profile)];
     const int count = static_cast<int>(defs.size());
     // An inactive client's op targets submission 0 on purpose.
@@ -153,7 +215,10 @@ void ChurnStream::ApplyChronon(Chronon now, DynamicMonitor* monitor,
               event.deadline_delta, event.weight_factor);
         }
         accepted = monitor->Edit(event.profile, sub, replacement).ok();
-        if (accepted) defs.push_back(std::move(replacement));
+        if (accepted) {
+          defs.push_back(std::move(replacement));
+          origins_.push_back(SubmissionOrigin{true, event_index});
+        }
         break;
       }
       case ChurnEvent::Kind::kUnregister:

@@ -94,6 +94,17 @@ TInterval BuildEditReplacement(const TInterval& current, Chronon now,
                                Chronon epoch_length, Chronon delta,
                                double weight_factor);
 
+/// Where one accepted submission's definition came from, so a snapshot
+/// can name it instead of copying it: a true t-interval arriving, or an
+/// accepted edit.
+struct SubmissionOrigin {
+  /// False: an arrival, and `index` is the t-interval's index within
+  /// its profile. True: an edit, and `index` is the ChurnEvent's index
+  /// within the workload.
+  bool edit = false;
+  std::size_t index = 0;
+};
+
 /// The churn-driven workload of one run, applied chronon by chronon:
 /// each t-interval is submitted the chronon its earliest EI opens, then
 /// the chronon's generated churn events are resolved against the
@@ -117,14 +128,25 @@ class ChurnStream {
   static constexpr int kArrival = 3;
 
   /// Buckets the arrivals of `problem` (profile i is ProfileId i) and
-  /// draws the churn stream from `churn` and the run seed.
+  /// draws the churn stream from `churn` and the run seed. `problem`
+  /// must outlive the stream.
   ChurnStream(const MonitoringProblem& problem, const ChurnOptions& churn,
               uint64_t seed);
 
-  /// Resumes at chronon `start` over a restored monitor whose image
-  /// lists `submissions` in acceptance order.
-  void Resume(Chronon start,
-              const std::vector<MonitorSubmissionImage>& submissions);
+  /// The origin of every submission accepted so far, in acceptance
+  /// (flat) order: what a snapshot keeps of the definitions.
+  const std::vector<SubmissionOrigin>& origins() const { return origins_; }
+
+  /// Resumes at chronon `start` on a fresh stream, for a monitor image
+  /// whose `submissions` (acceptance order) came from `origins`.
+  /// Rebuilds every definition from its origin — an edit's from its
+  /// source, `pick % count` over the profile's earlier submissions — and
+  /// returns them in acceptance order for DynamicMonitor::Restore.
+  /// InvalidArgument when an origin names no arrival or accepted edit
+  /// the run could have made before `start`.
+  Result<std::vector<TInterval>> Resume(
+      Chronon start, const std::vector<MonitorSubmissionImage>& submissions,
+      std::vector<SubmissionOrigin> origins);
 
   /// Applies chronon `now`'s arrivals and churn events to `monitor`
   /// (before its Step()). Rejected operations count into
@@ -135,14 +157,19 @@ class ChurnStream {
                     const std::function<void(const Op&)>& on_op = {});
 
  private:
+  /// The t-interval of an arrival origin of `profile`, or nullptr.
+  const TInterval* ArrivalAt(ProfileId profile, std::size_t index) const;
+
+  const MonitoringProblem* problem_;
   Chronon epoch_length_;
-  std::vector<std::vector<std::pair<ProfileId, const TInterval*>>>
-      arrivals_;
+  /// Per chronon, the (profile, t-interval index) pairs arriving.
+  std::vector<std::vector<std::pair<ProfileId, std::size_t>>> arrivals_;
   ChurnWorkload workload_;
   std::size_t next_event_ = 0;
   /// The definition currently live under each submission id, per
   /// profile: resolves churn targets and builds edit replacements.
   std::vector<std::vector<TInterval>> defs_;
+  std::vector<SubmissionOrigin> origins_;
 };
 
 }  // namespace pullmon

@@ -46,6 +46,7 @@ Status MonitorRun::StepChronon(
     stream_->ApplyChronon(monitor_->now(), &*monitor_, &report_, on_op);
   }
   PULLMON_ASSIGN_OR_RETURN(StepResult step, monitor_->Step());
+  PULLMON_RETURN_NOT_OK(session_->status());
   report_.notifications_delivered += step.captured.size();
   return Status::OK();
 }

@@ -71,21 +71,10 @@ bool FeedPullSession::Fetch(ResourceId resource, bool* not_modified_out) {
       ++report_->parse_failures;
       return false;
     }
-    switch (outcome->fault) {
-      case FaultPlan::FaultKind::kTimeout:
-        ++report_->timeouts;
-        return false;
-      case FaultPlan::FaultKind::kServerError:
-        ++report_->server_errors;
-        return false;
-      case FaultPlan::FaultKind::kOutage:
-        ++report_->outage_probes;
-        return false;
-      case FaultPlan::FaultKind::kNone:
-        break;
-    }
+    // Timeouts, server errors and outages deliver nothing; the fault
+    // plan counts them.
+    if (outcome->fault != FaultPlan::FaultKind::kNone) return false;
     mangled = outcome->truncated || outcome->corrupted;
-    if (mangled) ++report_->corrupt_bodies;
     fetch = outcome->fetch;
   } else {
     auto direct = network_->ProbeConditionalView(resource, etag);
@@ -104,9 +93,12 @@ bool FeedPullSession::Fetch(ResourceId resource, bool* not_modified_out) {
   }
   report_->feed_bytes += fetch.body.size();
   if (cache_.has_value()) {
-    const FeedDocument* replay =
-        cache_->Lookup(resource, fetch.etag, fetch.body, mangled);
-    if (replay != nullptr) {
+    auto lookup = cache_->Lookup(resource, fetch.etag, fetch.body, mangled);
+    if (!lookup.ok()) {
+      if (status_.ok()) status_ = lookup.status();
+      return false;
+    }
+    if (const FeedDocument* replay = *lookup; replay != nullptr) {
       etag.assign(fetch.etag);
       report_->items_parsed += replay->items.size();
       current_items_->insert(current_items_->end(), replay->items.begin(),
@@ -156,8 +148,12 @@ void FeedPullSession::FinishReport(OnlineRunResult run) {
                  : static_cast<double>(r.t_intervals_lost_to_faults) /
                        static_cast<double>(total);
   if (plan_.has_value()) {
-    report_->fault_stats = plan_->stats();
-    report_->etag_invalidations = report_->fault_stats.etag_invalidations;
+    const FaultStats& f = report_->fault_stats = plan_->stats();
+    report_->corrupt_bodies = f.truncations + f.corruptions;
+    report_->timeouts = f.timeouts;
+    report_->server_errors = f.server_errors;
+    report_->outage_probes = f.outage_probes;
+    report_->etag_invalidations = f.etag_invalidations;
   }
   if (cache_.has_value()) {
     static_cast<ParseCacheStats&>(*report_) = cache_->stats();
@@ -245,6 +241,10 @@ std::string ReportDifference(const ProxyRunReport& a, const ProxyRunReport& b,
              b.run.open_chronons_by_resource)
       .Check<LiveReportCounters>("LiveReportCounters", a, b)
       .Check("probes_failed", a.probes_failed, b.probes_failed)
+      .Check("corrupt_bodies", a.corrupt_bodies, b.corrupt_bodies)
+      .Check("timeouts", a.timeouts, b.timeouts)
+      .Check("server_errors", a.server_errors, b.server_errors)
+      .Check("outage_probes", a.outage_probes, b.outage_probes)
       .Check("retries_issued", a.retries_issued, b.retries_issued)
       .Check("retry_probes_spent", a.retry_probes_spent,
              b.retry_probes_spent)

@@ -78,19 +78,6 @@ struct LiveReportCounters {
   std::size_t feed_bytes = 0;
   std::size_t items_parsed = 0;
   std::size_t parse_failures = 0;
-  // --- Fault-layer telemetry (all zero without injected faults). ------
-  // The next four mirror FaultStats and leave at the next snapshot
-  // format change (DESIGN.md section 15).
-  /// Bodies that arrived truncated or garbled (fault_stats.truncations
-  /// plus fault_stats.corruptions).
-  std::size_t corrupt_bodies = 0;
-  /// Probes that timed out before any response.
-  std::size_t timeouts = 0;
-  /// Probes answered with a transient server error.
-  std::size_t server_errors = 0;
-  /// Probes swallowed because their resource was dark (Gilbert-Elliott
-  /// outage; mirrors fault_stats.outage_probes).
-  std::size_t outage_probes = 0;
   std::size_t notifications_delivered = 0;
   /// Churn operations the monitor rejected (cancel of a completed
   /// submission, duplicate unregister, ...) — expected under racy
@@ -132,11 +119,22 @@ struct ProxyRunReport : LiveReportCounters,
                         EstimationStats,
                         AdaptiveRunStats {
   OnlineRunResult run;
-  // --- Fault-layer telemetry (all zero without injected faults; the
-  // --- live fault counters are in LiveReportCounters). ---------------
+  // --- Fault-layer telemetry (all zero without injected faults). The
+  // --- fault counters below are read off fault_stats by FinishReport.
   /// Probe attempts that delivered no usable document: timeouts, server
   /// errors, and unparsable bodies (mirrors run.probes_failed).
   std::size_t probes_failed = 0;
+  /// Bodies that arrived truncated or garbled (fault_stats.truncations
+  /// plus fault_stats.corruptions).
+  std::size_t corrupt_bodies = 0;
+  /// Probes that timed out before any response (fault_stats.timeouts).
+  std::size_t timeouts = 0;
+  /// Probes answered with a transient server error
+  /// (fault_stats.server_errors).
+  std::size_t server_errors = 0;
+  /// Probes swallowed because their resource was dark (Gilbert-Elliott
+  /// outage; fault_stats.outage_probes).
+  std::size_t outage_probes = 0;
   /// Retry attempts issued after failed probes (mirrors run).
   std::size_t retries_issued = 0;
   /// Probe-budget units consumed by retries (mirrors run).
@@ -299,6 +297,17 @@ class FeedPullSession {
   using Observer = std::function<void(const PullAttempt&)>;
   void set_observer(Observer observer) { observer_ = std::move(observer); }
 
+  /// OK, or the first internal error of the pull leg (a restored
+  /// parse-cache entry hit by a body its key does not describe). The
+  /// probe that hit it reports failure; the run loop checks this after
+  /// every chronon and stops.
+  const Status& status() const { return status_; }
+
+  /// The parse cache, or nullptr when the session runs without one.
+  const ParseCache* parse_cache() const {
+    return cache_.has_value() ? &*cache_ : nullptr;
+  }
+
   /// Chronon of the most recent probe attempt, failed ones included.
   Chronon fetch_chronon() const { return fetch_chronon_; }
   /// Items pulled during the current chronon so far (notification
@@ -312,9 +321,9 @@ class FeedPullSession {
 
   /// Installs the scheduler's outcome as report.run, mirrors its retry
   /// counters, HealthStats block and shard telemetry into the report,
-  /// and copies the fault-plan stats (and their ETag-storm count) and
-  /// the ParseCacheStats and TraceStoreStats blocks; call once after
-  /// the run.
+  /// copies the fault-plan stats and derives the report's fault
+  /// counters from them, and copies the ParseCacheStats and
+  /// TraceStoreStats blocks; call once after the run.
   void FinishReport(OnlineRunResult run);
 
   /// Checkpoint support: Capture() at a chronon boundary freezes the
@@ -322,7 +331,9 @@ class FeedPullSession {
   /// session built from the same options. InvalidArgument when the
   /// image disagrees with the session's layers or resource count. The
   /// current-chronon item buffer is intentionally not captured: it is
-  /// rebuilt by the first probe of the next chronon.
+  /// rebuilt by the first probe of the next chronon. Neither are the
+  /// parse cache's documents: restored entries are pending
+  /// (ParseCache::Lookup).
   PullSessionImage Capture() const;
   Status Restore(const PullSessionImage& image);
 
@@ -333,6 +344,7 @@ class FeedPullSession {
   FeedNetwork* network_;
   ProxyRunReport* report_;
   Observer observer_;
+  Status status_;
   std::optional<FaultPlan> plan_;
   Chronon fetch_chronon_ = -1;
   /// The current chronon's items. A new chronon starts a fresh vector

@@ -3,6 +3,7 @@
 #include <memory>
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -297,6 +298,9 @@ TEST(DynamicMonitorTest, RestoreRejectsExpiryCounterOutOfRange) {
   TInterval alternatives({{0, 0, 1}, {1, 0, 8}});
   alternatives.set_required(1);
   ASSERT_TRUE(monitor->Submit(client, alternatives).ok());
+  const std::vector<TInterval> definitions = {
+      TInterval({{0, 0, 1}, {1, 0, 5}}), TInterval({{1, 0, 8}}),
+      alternatives};
   for (int i = 0; i < 3; ++i) ASSERT_TRUE(monitor->Step().ok());
   const MonitorImage image = monitor->Capture();
   ASSERT_EQ(image.submissions[0].failed, 1);
@@ -304,7 +308,12 @@ TEST(DynamicMonitorTest, RestoreRejectsExpiryCounterOutOfRange) {
   ASSERT_EQ(image.submissions[1].num_expired, 0);
   ASSERT_EQ(image.submissions[2].failed, 0);
   ASSERT_EQ(image.submissions[2].num_expired, 1);
-  ASSERT_TRUE(make_monitor()->Restore(image).ok());
+  ASSERT_TRUE(make_monitor()->Restore(image, definitions).ok());
+  // One definition per image submission, no fewer.
+  EXPECT_EQ(make_monitor()
+                ->Restore(image, {definitions[0], definitions[1]})
+                .code(),
+            StatusCode::kInvalidArgument);
 
   // (submission, num_expired): below zero, and one above the uncaptured
   // EIs whose window closed before chronon 3, for a dead and a live
@@ -314,7 +323,7 @@ TEST(DynamicMonitorTest, RestoreRejectsExpiryCounterOutOfRange) {
         std::pair{1, 1}, std::pair{2, 0}}) {
     MonitorImage bad = image;
     bad.submissions[static_cast<std::size_t>(sub)].num_expired = num_expired;
-    EXPECT_EQ(make_monitor()->Restore(bad).code(),
+    EXPECT_EQ(make_monitor()->Restore(bad, definitions).code(),
               StatusCode::kInvalidArgument)
         << "submission " << sub << " num_expired " << num_expired;
   }

@@ -161,8 +161,14 @@ TEST_P(MonitorAggregateTest, EveryMonitorScoreEqualsTheScan) {
         // run from an image on a fresh monitor.
         (void)monitor->Cancel(ids[0], 0);
         const MonitorImage image = monitor->Capture();
+        std::vector<TInterval> definitions;
+        for (const Profile& profile : problem.profiles) {
+          for (const TInterval& eta : profile.t_intervals()) {
+            definitions.push_back(eta);
+          }
+        }
         monitor = make_monitor();
-        ASSERT_TRUE(monitor->Restore(image).ok());
+        ASSERT_TRUE(monitor->Restore(image, std::move(definitions)).ok());
       }
       ASSERT_TRUE(monitor->Step().ok());
       const Status audit = monitor->CheckInvariants();

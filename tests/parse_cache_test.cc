@@ -30,16 +30,16 @@ FeedDocument OneItemDoc(const std::string& guid) {
 TEST(ParseCacheTest, MissThenStoreThenHitByValidator) {
   ParseCache cache(2);
   std::string body = "<rss><channel><title>x</title></channel></rss>";
-  EXPECT_EQ(cache.Lookup(0, "\"e1\"", body, false), nullptr);
+  EXPECT_EQ(*cache.Lookup(0, "\"e1\"", body, false), nullptr);
   EXPECT_EQ(cache.stats().parse_cache_misses, 1u);
   cache.Store(0, "\"e1\"", body, OneItemDoc("g1"));
-  const FeedDocument* hit = cache.Lookup(0, "\"e1\"", body, false);
+  const FeedDocument* hit = *cache.Lookup(0, "\"e1\"", body, false);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->items[0].guid, "g1");
   EXPECT_EQ(cache.stats().parse_cache_hits, 1u);
   EXPECT_EQ(cache.stats().parse_cache_bytes_saved, body.size());
   // Entries are per resource: resource 1 knows nothing.
-  EXPECT_EQ(cache.Lookup(1, "\"e1\"", body, false), nullptr);
+  EXPECT_EQ(*cache.Lookup(1, "\"e1\"", body, false), nullptr);
 }
 
 TEST(ParseCacheTest, HitByContentWhenValidatorIsUnstable) {
@@ -48,8 +48,8 @@ TEST(ParseCacheTest, HitByContentWhenValidatorIsUnstable) {
   ParseCache cache(1);
   std::string body = "<rss><channel><title>x</title></channel></rss>";
   cache.Store(0, "\"e1\"", body, OneItemDoc("g1"));
-  EXPECT_NE(cache.Lookup(0, "\"e1\"-storm01", body, false), nullptr);
-  EXPECT_NE(cache.Lookup(0, "\"e1\"-storm02", body, false), nullptr);
+  EXPECT_NE(*cache.Lookup(0, "\"e1\"-storm01", body, false), nullptr);
+  EXPECT_NE(*cache.Lookup(0, "\"e1\"-storm02", body, false), nullptr);
   EXPECT_EQ(cache.stats().parse_cache_hits, 2u);
 }
 
@@ -62,10 +62,10 @@ TEST(ParseCacheTest, MangledBodyNeverHits) {
   // content key fails because the bytes differ.
   std::string corrupt = body;
   corrupt[10] = '<';
-  EXPECT_EQ(cache.Lookup(0, "\"e1\"", corrupt, true), nullptr);
+  EXPECT_EQ(*cache.Lookup(0, "\"e1\"", corrupt, true), nullptr);
   // Even byte-identical content is refused when flagged mangled (the
   // flag is authoritative; replay must not bypass the fault).
-  EXPECT_EQ(cache.Lookup(0, "\"e1\"", body, true), nullptr);
+  EXPECT_EQ(*cache.Lookup(0, "\"e1\"", body, true), nullptr);
   EXPECT_EQ(cache.stats().parse_cache_hits, 0u);
   EXPECT_EQ(cache.stats().parse_cache_misses, 2u);
 }
@@ -75,13 +75,13 @@ TEST(ParseCacheTest, ContentChangeMissesAndInvalidateCounts) {
   std::string body_a = "<rss><channel><title>a</title></channel></rss>";
   std::string body_b = "<rss><channel><title>bb</title></channel></rss>";
   cache.Store(0, "\"e1\"", body_a, OneItemDoc("g1"));
-  EXPECT_EQ(cache.Lookup(0, "\"e2\"", body_b, false), nullptr);
+  EXPECT_EQ(*cache.Lookup(0, "\"e2\"", body_b, false), nullptr);
   cache.Invalidate(0);
   EXPECT_EQ(cache.stats().parse_cache_invalidations, 1u);
   // Invalidating twice counts once; the entry is already gone.
   cache.Invalidate(0);
   EXPECT_EQ(cache.stats().parse_cache_invalidations, 1u);
-  EXPECT_EQ(cache.Lookup(0, "\"e1\"", body_a, false), nullptr);
+  EXPECT_EQ(*cache.Lookup(0, "\"e1\"", body_a, false), nullptr);
 }
 
 TEST(FeedServerETagTest, ValidatorIsStableBetweenPublishes) {
@@ -164,7 +164,7 @@ TEST(ParseCacheStormTest, StormNeverServesStaleBody) {
     auto fresh = ParseFeed(body);
     ASSERT_TRUE(fresh.ok());
     const FeedDocument* used =
-        cache.Lookup(0, outcome->fetch.etag, body, false);
+        *cache.Lookup(0, outcome->fetch.etag, body, false);
     if (used == nullptr) {
       used = &cache.Store(0, outcome->fetch.etag, body, *fresh);
     }
@@ -206,18 +206,81 @@ TEST(ParseCacheStormTest, CorruptBodyInvalidatesThenReparses) {
   // parse fails and the proxy's discipline invalidates.
   Rng rng(7);
   std::string corrupt = CorruptBody(body, &rng);
-  EXPECT_EQ(cache.Lookup(0, etag, corrupt, true), nullptr);
+  EXPECT_EQ(*cache.Lookup(0, etag, corrupt, true), nullptr);
   EXPECT_FALSE(ParseFeed(corrupt).ok());
   cache.Invalidate(0);
   EXPECT_EQ(cache.stats().parse_cache_invalidations, 1u);
 
   // The retry delivers the pristine body again: by policy this is a
   // miss (the entry is gone) and must be re-parsed and re-stored.
-  EXPECT_EQ(cache.Lookup(0, etag, body, false), nullptr);
+  EXPECT_EQ(*cache.Lookup(0, etag, body, false), nullptr);
   auto reparsed = ParseFeed(body);
   ASSERT_TRUE(reparsed.ok());
   const FeedDocument& stored = cache.Store(0, etag, body, *reparsed);
   EXPECT_EQ(stored.items.size(), parsed->items.size());
+}
+
+// A snapshot keeps entry keys, not documents: a restored entry is
+// pending, and its first hit parses the body that hit it.
+TEST(ParseCacheRestoreTest, RestoredEntriesFillOnTheirFirstHit) {
+  UpdateTrace trace(2, 8);
+  ASSERT_TRUE(trace.AddEvent(0, 0).ok());
+  ASSERT_TRUE(trace.AddEvent(1, 0).ok());
+  FeedNetwork network(&trace, 4);
+  network.AdvanceTo(0);
+
+  ParseCache cache(2);
+  std::string bodies[2];
+  std::string etags[2];
+  for (ResourceId r = 0; r < 2; ++r) {
+    auto fetch = network.ProbeConditionalView(r, "");
+    ASSERT_TRUE(fetch.ok());
+    bodies[r] = std::string(fetch->body);
+    etags[r] = std::string(fetch->etag);
+    auto parsed = ParseFeed(bodies[r]);
+    ASSERT_TRUE(parsed.ok());
+    cache.Store(r, etags[r], bodies[r], *parsed);
+  }
+  const ParseCacheImage image = cache.Capture();
+  ASSERT_EQ(image.entries.size(), 2u);
+  EXPECT_TRUE(image.entries[0].valid);
+  EXPECT_EQ(image.entries[1].etag, etags[1]);
+  EXPECT_EQ(ParseCache(3).Restore(image).code(),
+            StatusCode::kInvalidArgument);
+
+  ParseCache restored(2);
+  ASSERT_TRUE(restored.Restore(image).ok());
+  EXPECT_EQ(restored.stats(), cache.stats());
+
+  // Content key (a storm-salted validator): fills, and counts as a hit.
+  auto by_content = restored.Lookup(0, etags[0] + "-storm", bodies[0], false);
+  ASSERT_TRUE(by_content.ok()) << by_content.status().ToString();
+  ASSERT_NE(*by_content, nullptr);
+  const FeedDocument* cached = *cache.Lookup(0, etags[0], bodies[0], false);
+  ASSERT_EQ((*by_content)->items.size(), cached->items.size());
+  for (std::size_t i = 0; i < cached->items.size(); ++i) {
+    EXPECT_TRUE((*by_content)->items[i] == cached->items[i]) << "item " << i;
+  }
+  EXPECT_EQ(restored.stats().parse_cache_hits, 1u);
+  EXPECT_EQ(restored.stats().parse_cache_bytes_saved, bodies[0].size());
+  EXPECT_EQ(restored.pending_fills().content_fills, 1u);
+  // A filled entry is an ordinary one: the next hit parses nothing.
+  ASSERT_NE(*restored.Lookup(0, etags[0], bodies[0], false), nullptr);
+  EXPECT_EQ(restored.pending_fills().content_fills, 1u);
+  EXPECT_EQ(restored.pending_fills().validator_fills, 0u);
+
+  // Validator key: the body must hash like the one the key was stored
+  // for, or the restored key does not describe what the server serves.
+  ParseCache mismatched(2);
+  ASSERT_TRUE(mismatched.Restore(image).ok());
+  EXPECT_EQ(mismatched.Lookup(1, etags[1], bodies[0], false).status().code(),
+            StatusCode::kInternal);
+  auto by_validator = restored.Lookup(1, etags[1], bodies[1], false);
+  ASSERT_TRUE(by_validator.ok()) << by_validator.status().ToString();
+  ASSERT_NE(*by_validator, nullptr);
+  EXPECT_FALSE((*by_validator)->items.empty());
+  EXPECT_EQ(restored.pending_fills().validator_fills, 1u);
+  EXPECT_EQ(restored.stats().parse_cache_hits, 3u);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "recovery/checkpoint.h"
 #include "recovery/crash_plan.h"
 #include "recovery/recovery_codec.h"
 #include "recovery/stable_storage.h"
@@ -120,7 +121,7 @@ TEST(RecoveryCodecTest, RecordFramingDetectsEveryBitFlip) {
 
 /// A snapshot with every optional layer populated and non-trivial
 /// values in each field family (signed, unsigned, double, rng state,
-/// string, nested document).
+/// string, submission origin).
 ProxySnapshot RichSnapshot() {
   ProxySnapshot snap;
   snap.fingerprint = 0xFEEDFACECAFEBEEFULL;
@@ -133,19 +134,6 @@ ProxySnapshot RichSnapshot() {
   for (int i = 0; i < 3; ++i) {
     MonitorSubmissionImage sub;
     sub.profile = i;
-    TInterval ti;
-    ExecutionInterval ei;
-    ei.resource = 2 * i;
-    ei.start = 5 + i;
-    ei.finish = 20 + i;
-    ti.AddEi(ei);
-    ei.resource = 2 * i + 1;
-    ei.start = 8;
-    ei.finish = 30;
-    ti.AddEi(ei);
-    ti.set_weight(1.5 + i);
-    ti.set_required(1);
-    sub.definition = ti;
     sub.ei_captured = {1, 0};
     sub.num_expired = i;
     sub.cancelled = i == 1;
@@ -154,6 +142,8 @@ ProxySnapshot RichSnapshot() {
     sub.selected = 1;
     m.submissions.push_back(sub);
   }
+  snap.origins = {SubmissionOrigin{false, 0}, SubmissionOrigin{false, 4},
+                  SubmissionOrigin{true, 131}};
   m.probes_by_chronon = {{0, 3}, {}, {1}, {2, 4, 5}};
   m.probe_stats.probes_used = 11;
   m.probe_stats.probes_failed = 2;
@@ -193,13 +183,6 @@ ProxySnapshot RichSnapshot() {
   entry.etag = "\"etag-0\"";
   entry.body_hash = 0xABCDEF0123456789ULL;
   entry.body_size = 512;
-  entry.document.title = "feed title";
-  entry.document.link = "http://example.test/feed";
-  FeedItem item;
-  item.guid = "guid-1";
-  item.title = "item title";
-  item.published = 33;
-  entry.document.items.push_back(item);
   cache.entries = {entry, ParseCacheEntryImage{}};
   cache.stats.parse_cache_hits = 9;
   cache.stats.parse_cache_misses = 4;
@@ -210,10 +193,6 @@ ProxySnapshot RichSnapshot() {
   snap.feed_bytes = 12345;
   snap.items_parsed = 222;
   snap.parse_failures = 3;
-  snap.corrupt_bodies = 2;
-  snap.timeouts = 4;
-  snap.server_errors = 1;
-  snap.outage_probes = 2;
   snap.notifications_delivered = 7;
   snap.churn_rejected_ops = 5;
   return snap;
@@ -231,9 +210,11 @@ TEST(RecoveryCodecTest, SnapshotRoundTripIsIdentity) {
   EXPECT_EQ(decoded->monitor.profile_names, snap.monitor.profile_names);
   ASSERT_EQ(decoded->monitor.submissions.size(), 3u);
   EXPECT_EQ(decoded->monitor.submissions[1].cancelled, 1);
-  EXPECT_EQ(decoded->monitor.submissions[0].definition.required(), 1u);
-  EXPECT_DOUBLE_EQ(decoded->monitor.submissions[2].definition.weight(),
-                   3.5);
+  ASSERT_EQ(decoded->origins.size(), 3u);
+  EXPECT_FALSE(decoded->origins[1].edit);
+  EXPECT_EQ(decoded->origins[1].index, 4u);
+  EXPECT_TRUE(decoded->origins[2].edit);
+  EXPECT_EQ(decoded->origins[2].index, 131u);
   EXPECT_EQ(decoded->monitor.probes_by_chronon,
             snap.monitor.probes_by_chronon);
   EXPECT_EQ(decoded->monitor.health.open_list,
@@ -243,8 +224,9 @@ TEST(RecoveryCodecTest, SnapshotRoundTripIsIdentity) {
             snap.session.fault_plan->stream_states);
   ASSERT_TRUE(decoded->session.parse_cache.has_value());
   ASSERT_EQ(decoded->session.parse_cache->entries.size(), 2u);
-  EXPECT_EQ(decoded->session.parse_cache->entries[0].document.items[0].guid,
-            "guid-1");
+  EXPECT_EQ(decoded->session.parse_cache->entries[0].etag, "\"etag-0\"");
+  EXPECT_EQ(decoded->session.parse_cache->entries[0].body_hash,
+            0xABCDEF0123456789ULL);
   EXPECT_EQ(decoded->churn_rejected_ops, 5u);
 
   // ...and the authoritative identity: re-encoding the decoded snapshot
@@ -282,21 +264,49 @@ uint64_t Fnv1a64(std::string_view bytes) {
 }
 
 TEST(RecoveryCodecTest, SnapshotBytesArePinned) {
-  // Golden size and digest of RichSnapshot()'s encoding, serial and with
-  // the shard tail. Snapshots written by an older build must keep
-  // loading, so a codec change may not move one byte of either.
+  // Golden size and digest of RichSnapshot()'s encoding in format
+  // version 2, serial and with the shard tail. A codec change that moves
+  // one byte of either is a format change: it bumps kSnapshotVersion,
+  // so that older files are refused rather than misread, and re-records
+  // both goldens. (Version 1 pinned 574 B 0x93ccbd449105e89c and 584 B
+  // 0xfa19f0248655971b; it carried definitions and cached documents.)
   ProxySnapshot snap = RichSnapshot();
   const std::string serial = EncodeSnapshot(snap);
-  EXPECT_EQ(serial.size(), 574u);
-  EXPECT_EQ(Fnv1a64(serial), 0x93ccbd449105e89cULL);
+  EXPECT_EQ(serial.size(), 467u);
+  EXPECT_EQ(Fnv1a64(serial), 0x43328a113afcedb9ULL);
 
   snap.monitor.shards.shard_count = 3;
   snap.monitor.shards.candidates_scored = {4, 0, 9};
   snap.monitor.shards.probes_executed = {1, 2, 0};
   snap.monitor.shards.merge_entries = 6;
   const std::string sharded = EncodeSnapshot(snap);
-  EXPECT_EQ(sharded.size(), 584u);
-  EXPECT_EQ(Fnv1a64(sharded), 0xfa19f0248655971bULL);
+  EXPECT_EQ(sharded.size(), 477u);
+  EXPECT_EQ(Fnv1a64(sharded), 0x5733e903e6b09897ULL);
+}
+
+TEST(RecoveryCodecTest, VersionOneSnapshotIsRefused) {
+  // A version-1 file: the version-2 payload behind the old version
+  // number, framed with a valid checksum. Only the number differs, and
+  // the file must not load.
+  const std::string v2 = EncodeSnapshot(RichSnapshot());
+  constexpr std::size_t kHeaderBytes = 5;  // magic + varint version
+  ASSERT_EQ(static_cast<std::uint64_t>(v2[4]), kSnapshotVersion);
+  std::string v1 = v2;
+  v1[4] = 1;
+  auto decoded = DecodeSnapshot(v1);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kParseError);
+  ASSERT_TRUE(DecodeSnapshot(v2).ok());
+  ASSERT_TRUE(DecodeRecord(std::string_view(v1).substr(kHeaderBytes)).ok());
+
+  // Recovery counts it as rejected and finds nothing to resume.
+  MemoryStorage storage;
+  ASSERT_TRUE(storage.WriteFile(SnapshotFileName(37), v1).ok());
+  auto loaded = LoadNewestCheckpoint(&storage, RichSnapshot().fingerprint);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_FALSE(loaded->found);
+  EXPECT_EQ(loaded->snapshots_seen, 1u);
+  EXPECT_EQ(loaded->snapshots_rejected, 1u);
 }
 
 std::string SignedBytes(std::int64_t value) {
@@ -339,15 +349,12 @@ TEST(RecoveryCodecTest, DecoderRejectsValuesItsFieldsCannotHold) {
   constexpr std::int64_t kWrap = std::int64_t{1} << 32;
   constexpr std::int64_t kNow = 0x1234567;
   constexpr std::int64_t kProfile = 0x2345678;
-  constexpr std::int64_t kEiStart = 0x3456789;
+  constexpr std::int64_t kExpired = 0x3456789;
   constexpr std::int64_t kOpen = 0x4567891;
   ProxySnapshot snap = RichSnapshot();
   snap.chronon = snap.monitor.now = kNow;
   snap.monitor.submissions[0].profile = kProfile;
-  TInterval wide;
-  wide.AddEi(ExecutionInterval(1, kEiStart, kEiStart + 9));
-  snap.monitor.submissions[1].definition = wide;
-  snap.monitor.submissions[1].ei_captured = {0};
+  snap.monitor.submissions[1].num_expired = kExpired;
   snap.monitor.health.open_list = {kOpen};
   const std::string encoded = EncodeSnapshot(snap);
   ASSERT_TRUE(DecodeSnapshot(encoded).ok());
@@ -363,7 +370,8 @@ TEST(RecoveryCodecTest, DecoderRejectsValuesItsFieldsCannotHold) {
        VarintBytes(kNow) + VarintBytes(kNow + kWrap)},
       {"submission profile", SignedBytes(kProfile),
        SignedBytes(kProfile + kWrap)},
-      {"EI start", SignedBytes(kEiStart), SignedBytes(kEiStart + kWrap)},
+      {"submission num_expired", SignedBytes(kExpired),
+       SignedBytes(kExpired + kWrap)},
       {"health open_list element", SignedBytes(kOpen),
        SignedBytes(kOpen - kWrap)},
   };

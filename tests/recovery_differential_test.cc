@@ -20,9 +20,12 @@
 #include "recovery/checkpoint.h"
 #include "recovery/crash_plan.h"
 #include "recovery/durable_runner.h"
+#include "recovery/recovery_codec.h"
 #include "recovery/stable_storage.h"
 #include "sim/config.h"
 #include "sim/experiment.h"
+#include "sim/proxy.h"
+#include "trace/update_trace.h"
 
 namespace pullmon {
 namespace {
@@ -259,6 +262,82 @@ TEST(RecoveryDifferentialTest, CrashAtEveryBoundaryRecoversExactly) {
       }
     }
   }
+}
+
+/// A snapshot keeps the parse cache's entry keys, not its documents: a
+/// restored entry is pending until its first hit parses the body that
+/// hit it. Durable runs schedule on oracle knowledge, where every EI
+/// opens at an update and a conditional fetch of unchanged content is
+/// answered 304, so their cache never hits; this test therefore drives
+/// the pull session itself. One feed updated every 8 chronons is probed
+/// every chronon through ETag storms, which hit the cache by content
+/// (inside a storm) and by validator (the first full body after one).
+/// The session is checkpointed through a snapshot file at every
+/// boundary where the feed has a cached entry and resumed on a fresh
+/// network and session; the resumed leg must count exactly the
+/// uninterrupted run's cache hits, parsed items and live counters, and
+/// both keys must land on a pending entry somewhere in the sweep.
+TEST(RecoveryDifferentialTest, RestoredCacheEntriesFillOnTheirFirstHit) {
+  constexpr Chronon kEpoch = 64;
+  UpdateTrace trace(1, kEpoch);
+  for (Chronon t = 0; t < kEpoch; t += 8) {
+    ASSERT_TRUE(trace.AddEvent(0, t).ok());
+  }
+  ProxyOptions options;
+  options.faults.etag_storm_rate = 0.3;
+  options.faults.etag_storm_length = 3;
+  options.parse_cache = true;
+
+  struct Leg {
+    explicit Leg(const UpdateTrace* trace, const ProxyOptions& options)
+        : network(trace, 4), session(&network, 1, options, &report) {}
+    FeedNetwork network;
+    ProxyRunReport report;
+    FeedPullSession session;
+  };
+  auto finish = [](Leg* leg) {
+    leg->session.FinishReport(OnlineRunResult{});
+    return leg->report;
+  };
+  Leg uninterrupted(&trace, options);
+  for (Chronon t = 0; t < kEpoch; ++t) uninterrupted.session.Probe(0, t);
+  const ProxyRunReport baseline = finish(&uninterrupted);
+  ASSERT_GT(baseline.parse_cache_hits, 0u);
+
+  std::size_t content_fills = 0;
+  std::size_t validator_fills = 0;
+  for (Chronon boundary = 1; boundary < kEpoch; ++boundary) {
+    const std::string label = "boundary=" + std::to_string(boundary);
+    Leg crashed(&trace, options);
+    for (Chronon t = 0; t < boundary; ++t) crashed.session.Probe(0, t);
+    ProxySnapshot snapshot;
+    snapshot.chronon = snapshot.monitor.now = boundary;
+    snapshot.session = crashed.session.Capture();
+    static_cast<LiveReportCounters&>(snapshot) = crashed.report;
+    if (!snapshot.session.parse_cache->entries[0].valid) continue;
+    auto decoded = DecodeSnapshot(EncodeSnapshot(snapshot));
+    ASSERT_TRUE(decoded.ok()) << label << ": "
+                              << decoded.status().ToString();
+
+    Leg resumed(&trace, options);
+    ASSERT_TRUE(resumed.session.Restore(decoded->session).ok()) << label;
+    static_cast<LiveReportCounters&>(resumed.report) = *decoded;
+    for (Chronon t = boundary; t < kEpoch; ++t) resumed.session.Probe(0, t);
+    ASSERT_TRUE(resumed.session.status().ok())
+        << label << ": " << resumed.session.status().ToString();
+    const ProxyRunReport report = finish(&resumed);
+    EXPECT_TRUE(static_cast<const ParseCacheStats&>(report) ==
+                static_cast<const ParseCacheStats&>(baseline))
+        << label;
+    EXPECT_EQ(report.items_parsed, baseline.items_parsed) << label;
+    ASSERT_EQ(ReportDifference(report, baseline), "") << label;
+    const PendingFillStats& fills =
+        resumed.session.parse_cache()->pending_fills();
+    content_fills += fills.content_fills;
+    validator_fills += fills.validator_fills;
+  }
+  EXPECT_GT(content_fills, 0u);
+  EXPECT_GT(validator_fills, 0u);
 }
 
 /// Crashing inside the very first snapshot leaves no durable state at

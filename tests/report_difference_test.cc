@@ -86,6 +86,10 @@ std::vector<Mutation> Mutations() {
       {"LiveReportCounters",
        [](ProxyRunReport* r) { ++r->churn_rejected_ops; }},
       {"probes_failed", [](ProxyRunReport* r) { ++r->probes_failed; }},
+      {"corrupt_bodies", [](ProxyRunReport* r) { ++r->corrupt_bodies; }},
+      {"timeouts", [](ProxyRunReport* r) { ++r->timeouts; }},
+      {"server_errors", [](ProxyRunReport* r) { ++r->server_errors; }},
+      {"outage_probes", [](ProxyRunReport* r) { ++r->outage_probes; }},
       {"retries_issued", [](ProxyRunReport* r) { ++r->retries_issued; }},
       {"retry_probes_spent",
        [](ProxyRunReport* r) { ++r->retry_probes_spent; }},

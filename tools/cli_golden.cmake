@@ -18,7 +18,7 @@ endif()
 set(small --profiles=10 --resources=20 --chronons=80 --lambda=5 --reps=2)
 set(durable --churn --churn-rate=1 --profiles=15 --resources=20
             --chronons=60 --lambda=5 --policy=mrsf --checkpoint-every=10)
-file(REMOVE_RECURSE cli_golden_ckpt cli_golden_crash)
+file(REMOVE_RECURSE cli_golden_ckpt cli_golden_ckpt_csv cli_golden_crash)
 
 # Masks the runtime(ms) cell of table rows shaped like the logical run
 # table (label, GC and ci95 with 4 decimals, runtime with 2).
@@ -127,8 +127,14 @@ golden_case(run_churn 0 CSV ARGS
   run --churn --churn-rate=2 --profiles=20 --resources=20 --chronons=80
   --lambda=5 --reps=2 --policy=mrsf,s-edf --mode=both
   --fault-timeout=0.05 --retries=1)
+golden_case(run_churn_trace_store 0 CSV ARGS
+  run --churn --churn-rate=1 --profiles=15 --resources=20 --chronons=60
+  --lambda=5 --reps=2 --policy=mrsf --trace-store --trace-page-size=32
+  --trace-cache-pages=1)
 golden_case(run_durable 0 ARGS
   run ${durable} --checkpoint-dir=cli_golden_ckpt)
+golden_case(run_durable_csv 0 CSV ARGS
+  run ${durable} --checkpoint-dir=cli_golden_ckpt_csv)
 golden_case(run_durable_crash 3 ARGS
   run ${durable} --checkpoint-dir=cli_golden_crash --crash-at=30:100)
 golden_case(run_durable_recover 0 ARGS

@@ -406,11 +406,12 @@ std::optional<int> ParseCommandLine(FlagParser& flags,
 /// The run paths of `run` and `sweep`.
 enum class RunPath { kLogical, kSweep, kProxy, kChurn, kDurable };
 
-/// Validates `config`, then rejects every knob `path` would ignore, so
-/// no flag is accepted and then silently dropped. This is the one place
-/// that says which run path reads which knob; a knob at its default
-/// passes on every path.
-Status CheckRunPath(const SimulationConfig& config, RunPath path) {
+/// Validates `config`, then rejects every knob and run flag `path`
+/// would ignore, so no flag is accepted and then silently dropped. This
+/// is the one place that says which run path reads which knob; a knob
+/// at its default passes on every path.
+Status CheckRunPath(const SimulationConfig& config, const FlagParser& flags,
+                    RunPath path) {
   // Out-of-range values fail here, not mid-run.
   PULLMON_RETURN_NOT_OK(config.Validate());
   auto bit = [](RunPath p) { return 1u << static_cast<unsigned>(p); };
@@ -421,6 +422,12 @@ Status CheckRunPath(const SimulationConfig& config, RunPath path) {
     bool set;
     unsigned read_by;
   } rules[] = {
+      {"--offline", flags.WasSet("offline") && flags.GetBool("offline"),
+       bit(RunPath::kLogical)},
+      // A durable run is one repetition.
+      {"--reps", flags.WasSet("reps"),
+       bit(RunPath::kLogical) | bit(RunPath::kSweep) | bit(RunPath::kProxy) |
+           bit(RunPath::kChurn)},
       {"--churn", config.churn.enabled, monitor},
       {"--churn-*", config.churn.ops_per_chronon > 0.0, monitor},
       {"--fault-*/--outage-*/--retries",
@@ -623,13 +630,16 @@ constexpr std::array<Column<Report>, 9> kChurnColumns = {{
      Count<&Report::notifications_delivered>},
 }};
 
-/// A durable run is one repetition and writes no CSV.
+/// A durable run is one repetition: its row holds that run's counts.
 constexpr std::array<Column<Report>, 5> kDurableColumns = {{
-    {"GC", nullptr, 4, 0, Gc},
-    {"probes", nullptr, 0, 0, Probes},
-    {"notifications", nullptr, 0, 0, Count<&Report::notifications_delivered>},
-    {"snapshots", nullptr, 0, 0, Count<&Report::recovery_snapshots_written>},
-    {"wal records", nullptr, 0, 0, Count<&Report::recovery_wal_records_logged>},
+    {"GC", "gc", 4, 6, Gc},
+    {"probes", "probes", 0, 0, Probes},
+    {"notifications", "notifications", 0, 0,
+     Count<&Report::notifications_delivered>},
+    {"snapshots", "snapshots_written", 0, 0,
+     Count<&Report::recovery_snapshots_written>},
+    {"wal records", "wal_records_logged", 0, 0,
+     Count<&Report::recovery_wal_records_logged>},
 }};
 
 /// The logical run path: ExperimentRunner over generated instances,
@@ -706,12 +716,10 @@ using RunOnceFn = Result<Report> (*)(const SimulationConfig&,
 
 /// A run path `run` repeats per policy (--proxy, --churn): one row per
 /// policy, each column the mean over the repetitions. A paged trace
-/// store's summary line follows the table when `trace_store_summary`.
+/// store's summary line follows the table.
 int RunRepeated(const RunRequest& request, const char* kind,
-                RunOnceFn run_once, std::span<const Column<Report>> columns,
-                bool trace_store_summary) {
-  const bool summarize = trace_store_summary &&
-                         request.config.trace_backend == TraceBackend::kPaged;
+                RunOnceFn run_once, std::span<const Column<Report>> columns) {
+  const bool summarize = request.config.trace_backend == TraceBackend::kPaged;
   TraceStoreSummary trace_store;
   std::vector<Row> rows;
   for (const PolicySpec& spec : request.specs) {
@@ -785,7 +793,9 @@ int RunDurable(const RunRequest& request) {
   PrintTable(kDurableColumns, std::span<const Row>(&row, 1));
   std::cout << "Durable state in " << config.checkpoint_dir
             << " (single repetition, seed " << request.seed << ")\n";
-  return 0;
+  Status wrote =
+      WriteCsv(request.csv_path, kDurableColumns, std::span<const Row>(&row, 1));
+  return wrote.ok() ? 0 : Fail(wrote, 1);
 }
 
 // --- Commands ---
@@ -816,17 +826,19 @@ int CommandRun(const std::vector<std::string>& args) {
                        : !config.checkpoint_dir.empty() ? RunPath::kDurable
                        : config.churn.enabled           ? RunPath::kChurn
                                                         : RunPath::kLogical;
-  if (Status st = CheckRunPath(config, path); !st.ok()) return Fail(st, 2);
+  if (Status st = CheckRunPath(config, flags, path); !st.ok()) {
+    return Fail(st, 2);
+  }
   if (path == RunPath::kProxy) {
     // The physical path: full pull-parse-push over simulated feed
     // servers, with the fault layer and retry budget active.
-    return RunRepeated(request, "proxy", RunProxyOnce, kProxyColumns, true);
+    return RunRepeated(request, "proxy", RunProxyOnce, kProxyColumns);
   }
   if (path == RunPath::kChurn) {
     // DynamicMonitor with mid-epoch submissions plus the generated
     // cancel/edit/unregister stream, pulled through the same feed
     // substrate as --proxy.
-    return RunRepeated(request, "churn", RunChurnOnce, kChurnColumns, false);
+    return RunRepeated(request, "churn", RunChurnOnce, kChurnColumns);
   }
   if (path == RunPath::kDurable) return RunDurable(request);
   return RunLogical(request, flags.GetBool("offline"));
@@ -850,7 +862,8 @@ int CommandSweep(const std::vector<std::string>& args) {
   if (Status st = ReadRunRequest(flags, &request); !st.ok()) {
     return Fail(st, 2);
   }
-  if (Status st = CheckRunPath(request.config, RunPath::kSweep); !st.ok()) {
+  if (Status st = CheckRunPath(request.config, flags, RunPath::kSweep);
+      !st.ok()) {
     return Fail(st, 2);
   }
   const std::string param = ToLower(flags.GetString("param"));
