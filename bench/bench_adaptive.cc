@@ -17,10 +17,6 @@
 //                periods (period_jitter=8, period_spread=0.8) and a
 //                short estimator half-life, so learned structure keeps
 //                going stale. Reported, ungated.
-//
-// Every regime also cross-checks that the estimated arm's report is
-// identical on the serial and parallel backends — always fatal, gate
-// or no gate.
 
 #include <cstdlib>
 #include <iostream>
@@ -145,28 +141,6 @@ int RunBench(const AdaptiveOptions& options,
       explore.Add(static_cast<double>(estimated->estimation_explore_probes));
       periodic.Add(
           static_cast<double>(estimated->estimation_periodic_resources));
-
-      if (rep == 0) {
-        // Cross-backend equality of the estimated arm: the closed loop
-        // must not depend on which executor runs it. Always fatal.
-        config.executor_backend = ExecutorBackend::kParallel;
-        config.threads = 4;
-        auto parallel = RunProxyOnce(config, spec, seed);
-        if (!parallel.ok()) {
-          std::cerr << parallel.status().ToString() << "\n";
-          return 1;
-        }
-        if (parallel->run.probes_used != estimated->run.probes_used ||
-            parallel->run.completeness.GainedCompleteness() !=
-                estimated->run.completeness.GainedCompleteness() ||
-            parallel->estimation_update_events !=
-                estimated->estimation_update_events) {
-          std::cerr << "FATAL: estimated-knowledge reports diverge "
-                       "between serial and parallel backends (regime "
-                    << regime.name << ")\n";
-          return 1;
-        }
-      }
     }
 
     const double ratio =

@@ -212,8 +212,7 @@ class CandidateIndex {
 
   /// The flat ids whose windows close at `now`, in registration order
   /// (dead entries included — callers filter through ExpireOne).
-  /// DynamicMonitor k-way-merges the per-shard lists into global
-  /// registration order before applying ExpireOne() entry by entry.
+  /// DynamicMonitor applies ExpireOne() entry by entry in this order.
   const std::vector<int>& EndingAt(Chronon now) const {
     return ending_at_[static_cast<std::size_t>(now)];
   }

@@ -1,7 +1,6 @@
 #include "core/dynamic_monitor.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -17,27 +16,9 @@ DynamicMonitor::DynamicMonitor(int num_resources, Chronon epoch_length,
       policy_(policy),
       mode_(mode),
       options_(options),
-      num_shards_(std::max(1, options.shards)),
       health_(num_resources, options.breaker),
-      shard_map_(num_shards_),
-      shard_of_resource_(shard_map_.AssignResources(num_resources)),
-      pool_(options.threads),
+      index_(num_resources, epoch_length),
       schedule_(epoch_length) {
-  const auto shards = static_cast<std::size_t>(num_shards_);
-  partitions_.reserve(shards);
-  for (int s = 0; s < num_shards_; ++s) {
-    partitions_.emplace_back(num_resources, epoch_length);
-  }
-  global_of_local_.resize(shards);
-  shard_entries_.resize(shards);
-  shard_take_.assign(shards, 0);
-  shard_suppressed_.resize(shards);
-  shard_scored_.assign(shards, 0);
-  merge_pos_.assign(shards, 0);
-  expiry_pos_.assign(shards, 0);
-  shard_stats_.shard_count = num_shards_;
-  shard_stats_.candidates_scored.assign(shards, 0);
-  shard_stats_.probes_executed.assign(shards, 0);
   policy_->Reset();
   policy_->AttachHealth(&health_);
 }
@@ -56,13 +37,7 @@ void DynamicMonitor::Reserve(std::size_t t_intervals, std::size_t eis) {
   cancelled_.reserve(t_intervals);
   fault_touched_.reserve(t_intervals);
   submission_id_.reserve(t_intervals);
-  handle_of_global_.reserve(eis);
-  // Sharded EIs split across partitions by resource; only the one-shard
-  // split is known up front.
-  if (num_shards_ == 1) {
-    partitions_[0].Reserve(eis);
-    global_of_local_[0].reserve(eis);
-  }
+  index_.Reserve(eis);
 }
 
 Result<int> DynamicMonitor::ResolveSubmission(ProfileId profile,
@@ -165,21 +140,10 @@ int DynamicMonitor::AppendSubmission(ProfileId profile,
   const int submission = static_cast<int>(siblings.size()) - 1;
   submission_id_.push_back(submission);
 
-  // Register the EIs into their owning shard partitions under
-  // contiguous global flat ids; local flat ids are handed out in global
-  // registration order, so within any one shard they sort exactly like
-  // the global ids.
-  first_flat_.push_back(static_cast<int>(handle_of_global_.size()));
+  // Register the EIs under contiguous flat ids.
+  first_flat_.push_back(static_cast<int>(index_.size()));
   for (std::size_t i = 0; i < stored->eis().size(); ++i) {
-    const ExecutionInterval& ei = stored->eis()[i];
-    const int shard =
-        shard_of_resource_[static_cast<std::size_t>(ei.resource)];
-    auto& globals = global_of_local_[static_cast<std::size_t>(shard)];
-    const int local = partitions_[static_cast<std::size_t>(shard)].AddEi(
-        ei, t_id, static_cast<int>(i));
-    PULLMON_CHECK(local == static_cast<int>(globals.size()));
-    globals.push_back(static_cast<int>(handle_of_global_.size()));
-    handle_of_global_.push_back(EiHandle{shard, local});
+    index_.AddEi(stored->eis()[i], t_id, static_cast<int>(i));
   }
   return submission;
 }
@@ -187,9 +151,8 @@ int DynamicMonitor::AppendSubmission(ProfileId profile,
 void DynamicMonitor::RetireParent(int t_id) {
   const int first = first_flat_[static_cast<std::size_t>(t_id)];
   const int end = first + runtimes_[static_cast<std::size_t>(t_id)].NumEis();
-  for (int g = first; g < end; ++g) {
-    const EiHandle& h = handle_of_global_[static_cast<std::size_t>(g)];
-    partitions_[static_cast<std::size_t>(h.shard)].Deactivate(h.local_id);
+  for (int flat_id = first; flat_id < end; ++flat_id) {
+    index_.Deactivate(flat_id);
   }
 }
 
@@ -301,111 +264,46 @@ void DynamicMonitor::RebuildIndex() {
   // candidates in activation order, matching the incremental index's
   // observable state (its lists may additionally carry dead entries
   // awaiting lazy compaction, which nothing observes).
-  std::vector<CandidateIndex> fresh;
-  fresh.reserve(partitions_.size());
-  for (int s = 0; s < num_shards_; ++s) {
-    fresh.emplace_back(num_resources_, epoch_length_);
-  }
+  CandidateIndex fresh(num_resources_, epoch_length_);
   for (std::size_t t = 0; t < runtimes_.size(); ++t) {
     const TIntervalRuntime& rt = runtimes_[t];
     const bool parent_dead =
         rt.completed || rt.failed || cancelled_[t] != 0;
     const auto& eis = rt.source->eis();
     for (std::size_t i = 0; i < eis.size(); ++i) {
-      const EiHandle& h = handle_of_global_[static_cast<std::size_t>(
-          first_flat_[t] + static_cast<int>(i))];
-      CandidateIndex& partition = fresh[static_cast<std::size_t>(h.shard)];
-      const int local =
-          partition.AddEi(eis[i], static_cast<int>(t), static_cast<int>(i));
-      PULLMON_CHECK(local == h.local_id);
+      const int flat_id =
+          fresh.AddEi(eis[i], static_cast<int>(t), static_cast<int>(i));
+      PULLMON_CHECK(flat_id == first_flat_[t] + static_cast<int>(i));
       if (parent_dead || rt.ei_captured[i] != 0 ||
           eis[i].finish < now_) {
-        partition.Deactivate(local);
+        fresh.Deactivate(flat_id);
       }
     }
   }
-  for (CandidateIndex& partition : fresh) {
-    for (Chronon t = 0; t < now_; ++t) {
-      partition.ActivateArrivals(t);
-    }
+  for (Chronon t = 0; t < now_; ++t) {
+    fresh.ActivateArrivals(t);
   }
-  partitions_ = std::move(fresh);
+  index_ = std::move(fresh);
 }
 
 void DynamicMonitor::CaptureOnProbe(ResourceId resource, StepResult* step) {
-  const int shard = shard_of_resource_[static_cast<std::size_t>(resource)];
-  partitions_[static_cast<std::size_t>(shard)].CaptureResource(
-      resource, [&](int, const IndexedEi& hit) {
-        TIntervalRuntime& parent =
-            runtimes_[static_cast<std::size_t>(hit.t_id)];
-        parent.ei_captured[static_cast<std::size_t>(hit.ei_index)] = 1;
-        ++parent.num_captured;
-        parent.edf.uncaptured_finish_sum -= hit.ei.finish;
-        parent.selected = true;
-        if (parent.num_captured < parent.Required()) return;
-        // The probe completed the parent: its other EIs leave play.
-        parent.completed = true;
-        ++completed_;
-        RetireParent(hit.t_id);
-        const int submission =
-            submission_id_[static_cast<std::size_t>(hit.t_id)];
-        step->captured.emplace_back(parent.profile, submission);
-        if (capture_callback_) {
-          capture_callback_(parent.profile, submission, now_);
-        }
-      });
-}
-
-void DynamicMonitor::MergeShardSelections(int budget) {
-  merged_entries_.clear();
-  std::fill(merge_pos_.begin(), merge_pos_.end(), 0);
-  // S-way merge of sorted shard prefixes under the global total order:
-  // (np_class, score, deadline, global flat id) ascending. The shard
-  // prefixes each hold their shard's best min(budget, ·) resources, so
-  // the union covers the global top-budget set.
-  while (static_cast<int>(merged_entries_.size()) < budget) {
-    int best_shard = -1;
-    int best_global = 0;
-    for (int s = 0; s < num_shards_; ++s) {
-      const std::size_t p = merge_pos_[static_cast<std::size_t>(s)];
-      if (p >= shard_take_[static_cast<std::size_t>(s)]) continue;
-      const ResourceCandidate& c =
-          shard_entries_[static_cast<std::size_t>(s)][p];
-      const int global =
-          global_of_local_[static_cast<std::size_t>(s)]
-                          [static_cast<std::size_t>(c.flat_id)];
-      if (best_shard < 0) {
-        best_shard = s;
-        best_global = global;
-        continue;
-      }
-      const ResourceCandidate& b =
-          shard_entries_[static_cast<std::size_t>(best_shard)]
-                        [merge_pos_[static_cast<std::size_t>(best_shard)]];
-      bool better;
-      if (c.np_class != b.np_class) {
-        better = c.np_class < b.np_class;
-      } else if (c.score != b.score) {
-        better = c.score < b.score;
-      } else if (c.deadline != b.deadline) {
-        better = c.deadline < b.deadline;
-      } else {
-        better = global < best_global;
-      }
-      if (better) {
-        best_shard = s;
-        best_global = global;
-      }
+  index_.CaptureResource(resource, [&](int, const IndexedEi& hit) {
+    TIntervalRuntime& parent = runtimes_[static_cast<std::size_t>(hit.t_id)];
+    parent.ei_captured[static_cast<std::size_t>(hit.ei_index)] = 1;
+    ++parent.num_captured;
+    parent.edf.uncaptured_finish_sum -= hit.ei.finish;
+    parent.selected = true;
+    if (parent.num_captured < parent.Required()) return;
+    // The probe completed the parent: its other EIs leave play.
+    parent.completed = true;
+    ++completed_;
+    RetireParent(hit.t_id);
+    const int submission = submission_id_[static_cast<std::size_t>(hit.t_id)];
+    step->captured.emplace_back(parent.profile, submission);
+    if (capture_callback_) {
+      capture_callback_(parent.profile, submission, now_);
     }
-    if (best_shard < 0) break;
-    ResourceCandidate chosen =
-        shard_entries_[static_cast<std::size_t>(best_shard)]
-                      [merge_pos_[static_cast<std::size_t>(best_shard)]];
-    chosen.flat_id = best_global;  // expose the global id downstream
-    merged_entries_.push_back(chosen);
-    ++merge_pos_[static_cast<std::size_t>(best_shard)];
-  }
-  shard_stats_.merge_entries += merged_entries_.size();
+  });
 }
 
 void DynamicMonitor::ExpireEnding(StepResult* step) {
@@ -430,36 +328,8 @@ void DynamicMonitor::ExpireEnding(StepResult* step) {
     step->failed.emplace_back(
         parent.profile, submission_id_[static_cast<std::size_t>(flat.t_id)]);
   };
-  if (num_shards_ == 1) {
-    // One partition: local ids are global ids, its list is the order.
-    for (int local : partitions_[0].EndingAt(now_)) {
-      partitions_[0].ExpireOne(local, expire_fn);
-    }
-    return;
-  }
-  // S-way merge of the per-shard ending lists back into global
-  // registration order.
-  std::fill(expiry_pos_.begin(), expiry_pos_.end(), 0);
-  while (true) {
-    int best_shard = -1;
-    int best_global = std::numeric_limits<int>::max();
-    for (int s = 0; s < num_shards_; ++s) {
-      const std::size_t si = static_cast<std::size_t>(s);
-      const auto& list = partitions_[si].EndingAt(now_);
-      if (expiry_pos_[si] >= list.size()) continue;
-      const int global =
-          global_of_local_[si]
-                          [static_cast<std::size_t>(list[expiry_pos_[si]])];
-      if (best_shard < 0 || global < best_global) {
-        best_shard = s;
-        best_global = global;
-      }
-    }
-    if (best_shard < 0) break;
-    const std::size_t si = static_cast<std::size_t>(best_shard);
-    const int local = partitions_[si].EndingAt(now_)[expiry_pos_[si]];
-    partitions_[si].ExpireOne(local, expire_fn);
-    ++expiry_pos_[si];
+  for (int flat_id : index_.EndingAt(now_)) {
+    index_.ExpireOne(flat_id, expire_fn);
   }
 }
 
@@ -467,9 +337,6 @@ Result<StepResult> DynamicMonitor::Step() {
   if (!validated_options_) {
     PULLMON_RETURN_NOT_OK(options_.retry.Validate());
     PULLMON_RETURN_NOT_OK(options_.breaker.Validate());
-    if (options_.shards < 1) {
-      return Status::InvalidArgument("shards must be >= 1");
-    }
     validated_options_ = true;
   }
   if (now_ >= epoch_length_) {
@@ -478,96 +345,60 @@ Result<StepResult> DynamicMonitor::Step() {
   StepResult step;
   step.chronon = now_;
 
-  // 1. Reveal EIs starting now, per shard (each shard's starting list
-  // touches only that shard's partition; dead parents were retired
-  // eagerly).
-  pool_.Run(num_shards_, [&](int s) {
-    partitions_[static_cast<std::size_t>(s)].ActivateArrivals(now_);
-  });
-  // Serial: count the opened windows into their parents' M-EDF
-  // aggregates. A parent's EIs may sit in several shards, so this write
-  // stays out of the parallel phases; scoring below only reads it.
-  for (const CandidateIndex& partition : partitions_) {
-    for (int local : partition.StartingAt(now_)) {
-      ++runtimes_[static_cast<std::size_t>(partition.at(local).t_id)]
-            .edf.num_started;
-    }
+  // 1. Reveal EIs starting now (dead parents were retired eagerly) and
+  // count the opened windows into their parents' M-EDF aggregates.
+  index_.ActivateArrivals(now_);
+  for (int flat_id : index_.StartingAt(now_)) {
+    ++runtimes_[static_cast<std::size_t>(index_.at(flat_id).t_id)]
+          .edf.num_started;
   }
 
   // Expired cool-downs move to probation before scoring, so a half-open
   // resource competes in this chronon's selection.
   health_.BeginChronon(now_);
 
-  // 2. Score per shard, one minimal key per resource, and select each
-  // shard's local top-k against the budget. Open-circuit resources are
+  // 2. Score, one minimal key per resource. Open-circuit resources are
   // skipped, so their would-be budget flows to the next-ranked
-  // candidates. The health tracker is only *read* here (IsSuppressed);
-  // suppression telemetry is deferred and applied serially below so the
-  // tracker never sees concurrent writes.
-  const int budget = budget_.at(now_);
-  pool_.Run(num_shards_, [&](int s) {
-    const std::size_t si = static_cast<std::size_t>(s);
-    shard_suppressed_[si].clear();
-    shard_scored_[si] = partitions_[si].CollectResourceCandidates(
-        [&](const IndexedEi& flat) {
-          const TIntervalRuntime& parent =
-              runtimes_[static_cast<std::size_t>(flat.t_id)];
-          int np_class =
-              (mode_ == ExecutionMode::kNonPreemptive && !parent.selected)
-                  ? 1
-                  : 0;
-          return std::make_pair(
-              np_class, policy_->Score(flat.ei, parent, flat.ei_index, now_));
-        },
-        [&](ResourceId r) { return health_.IsSuppressed(r); },
-        [&](ResourceId r, int live) {
-          shard_suppressed_[si].emplace_back(r, live);
-        },
-        &shard_entries_[si]);
-    shard_take_[si] =
-        budget > 0
-            ? CandidateIndex::SelectTopResources(&shard_entries_[si], budget)
-            : 0;
-  });
-
-  // Serial post-barrier bookkeeping: suppression telemetry in shard
-  // order (the recorded values are order-independent counters) and the
-  // scored-work counters.
-  std::size_t scored = 0;
-  for (std::size_t si = 0; si < partitions_.size(); ++si) {
-    for (const auto& [r, live] : shard_suppressed_[si]) {
-      health_.NoteSuppressed(r, live);
-    }
-    scored += shard_scored_[si];
-    shard_stats_.candidates_scored[si] += shard_scored_[si];
-  }
+  // candidates.
+  const std::size_t scored = index_.CollectResourceCandidates(
+      [&](const IndexedEi& flat) {
+        const TIntervalRuntime& parent =
+            runtimes_[static_cast<std::size_t>(flat.t_id)];
+        int np_class =
+            (mode_ == ExecutionMode::kNonPreemptive && !parent.selected)
+                ? 1
+                : 0;
+        return std::make_pair(
+            np_class, policy_->Score(flat.ei, parent, flat.ei_index, now_));
+      },
+      [&](ResourceId r) { return health_.IsSuppressed(r); },
+      [&](ResourceId r, int live) { health_.NoteSuppressed(r, live); },
+      &entries_);
   probe_stats_.candidates_scored += scored;
   probe_stats_.max_concurrent_candidates =
       std::max(probe_stats_.max_concurrent_candidates, scored);
 
-  // 3. Control pass: merge the shard selections into the global order,
-  // then run the budget/retry/breaker loop, each attempt through the
-  // probe callback.
-  auto attempt = [&](ResourceId r, std::size_t shard) {
+  // 3. Control pass: select the top resources against the budget, then
+  // run the budget/retry/breaker loop over them best first, each attempt
+  // through the probe callback.
+  auto attempt = [&](ResourceId r) {
     ++probe_stats_.probes_used;
-    ++shard_stats_.probes_executed[shard];
     const bool success = !probe_callback_ || probe_callback_(r, now_);
     health_.RecordProbe(r, now_, success);
     if (!success) ++probe_stats_.probes_failed;
     return success;
   };
 
+  const int budget = budget_.at(now_);
   if (budget > 0) {
-    MergeShardSelections(budget);
+    const std::size_t take =
+        CandidateIndex::SelectTopResources(&entries_, budget);
     int probes_this_chronon = 0;
-    for (const ResourceCandidate& entry : merged_entries_) {
+    for (std::size_t i = 0; i < take; ++i) {
       if (probes_this_chronon >= budget) break;
-      const ResourceId r = entry.resource;
-      const auto shard =
-          static_cast<std::size_t>(shard_of_resource_[
-              static_cast<std::size_t>(r)]);
+      const ResourceId r = entries_[i].resource;
       ++probes_this_chronon;
-      bool success = attempt(r, shard);
+      bool success = attempt(r);
       // Same-chronon retries with exponential backoff, each charged one
       // budget unit; abandoned when the accumulated wait would cross the
       // chronon boundary, the budget runs dry, or the breaker opens the
@@ -585,16 +416,15 @@ Result<StepResult> DynamicMonitor::Step() {
         ++probes_this_chronon;
         ++probe_stats_.retries_issued;
         ++probe_stats_.retry_probes_spent;
-        success = attempt(r, shard);
+        success = attempt(r);
       }
       if (!success) {
         // The probe never delivered: nothing is captured, candidates on
         // r stay candidates for later chronons. Record which parents the
         // failure touched for loss attribution.
-        partitions_[shard].ForEachLiveOnResource(
-            r, [&](int, const IndexedEi& miss) {
-              fault_touched_[static_cast<std::size_t>(miss.t_id)] = 1;
-            });
+        index_.ForEachLiveOnResource(r, [&](int, const IndexedEi& miss) {
+          fault_touched_[static_cast<std::size_t>(miss.t_id)] = 1;
+        });
         continue;
       }
       step.probed.push_back(r);
@@ -658,12 +488,6 @@ OnlineRunResult DynamicMonitor::RunResult() const {
     result.open_chronons_by_resource = health_.OpenChrononsByResource();
   }
 
-  if (num_shards_ > 1) {
-    result.shard_count = static_cast<std::size_t>(num_shards_);
-    result.shard_candidates_scored = shard_stats_.candidates_scored;
-    result.shard_probes_executed = shard_stats_.probes_executed;
-    result.shard_merge_entries = shard_stats_.merge_entries;
-  }
   return result;
 }
 
@@ -693,7 +517,6 @@ MonitorImage DynamicMonitor::Capture() const {
   image.probe_stats = probe_stats_;
   image.churn_stats = churn_stats_;
   image.health = health_.Capture();
-  if (num_shards_ > 1) image.shards = shard_stats_;
   return image;
 }
 
@@ -720,15 +543,6 @@ Status DynamicMonitor::Restore(const MonitorImage& image,
       static_cast<std::size_t>(image.now)) {
     return Status::InvalidArgument(
         "image schedule does not cover exactly the chronons before now");
-  }
-  const int image_shards = num_shards_ > 1 ? num_shards_ : 0;
-  if (image.shards.shard_count != image_shards ||
-      image.shards.candidates_scored.size() !=
-          static_cast<std::size_t>(image_shards) ||
-      image.shards.probes_executed.size() !=
-          static_cast<std::size_t>(image_shards)) {
-    return Status::InvalidArgument(
-        "image shard telemetry does not match the monitor's shard count");
   }
   // The profile registry first, so submissions can validate against it.
   for (const std::string& name : image.profile_names) {
@@ -794,7 +608,6 @@ Status DynamicMonitor::Restore(const MonitorImage& image,
   }
   probe_stats_ = image.probe_stats;
   churn_stats_ = image.churn_stats;
-  if (num_shards_ > 1) shard_stats_ = image.shards;
   PULLMON_RETURN_NOT_OK(health_.Restore(image.health));
 
   // The candidate structures come back through the rebuild oracle:
@@ -806,9 +619,7 @@ Status DynamicMonitor::Restore(const MonitorImage& image,
 }
 
 Status DynamicMonitor::CheckInvariants() const {
-  for (const CandidateIndex& partition : partitions_) {
-    PULLMON_RETURN_NOT_OK(partition.CheckInvariants());
-  }
+  PULLMON_RETURN_NOT_OK(index_.CheckInvariants());
   for (std::size_t t = 0; t < runtimes_.size(); ++t) {
     const TIntervalRuntime& rt = runtimes_[t];
     int captured = 0;
@@ -854,13 +665,11 @@ Status DynamicMonitor::CheckInvariants() const {
     }
     if (!dead) continue;
     const int first = first_flat_[t];
-    for (int g = first; g < first + rt.NumEis(); ++g) {
-      const EiHandle& h = handle_of_global_[static_cast<std::size_t>(g)];
-      const IndexedEi& flat =
-          partitions_[static_cast<std::size_t>(h.shard)].at(h.local_id);
-      if (!flat.dead) {
+    for (int flat_id = first; flat_id < first + rt.NumEis(); ++flat_id) {
+      if (!index_.at(flat_id).dead) {
         return Status::InvalidArgument(StringFormat(
-            "dead t-interval %zu still holds a live EI (flat id %d)", t, g));
+            "dead t-interval %zu still holds a live EI (flat id %d)", t,
+            flat_id));
       }
     }
   }

@@ -13,8 +13,6 @@
 #include "core/policy.h"
 #include "core/problem.h"
 #include "core/resource_health.h"
-#include "core/shard_map.h"
-#include "core/worker_pool.h"
 #include "util/status.h"
 
 namespace pullmon {
@@ -46,9 +44,9 @@ enum class MonitorIndexMode {
   kRebuild,
 };
 
-/// Behavioral knobs of the monitor's probe path, index maintenance and
-/// parallelism. Defaults are the serial monitor: no retries, no
-/// breaker, incremental maintenance, one shard, one thread.
+/// Behavioral knobs of the monitor's probe path and index maintenance.
+/// Defaults are the plain monitor: no retries, no breaker, incremental
+/// maintenance.
 struct MonitorOptions {
   /// Same-chronon retry/backoff for failed probes (needs a probe
   /// callback to ever fail).
@@ -58,20 +56,6 @@ struct MonitorOptions {
   BreakerOptions breaker;
   /// Candidate-structure maintenance under churn.
   MonitorIndexMode maintenance = MonitorIndexMode::kIncremental;
-  /// Resource shards (consistent hashing via ShardMap), each owning one
-  /// CandidateIndex partition. 1 is the serial engine. Decisions never
-  /// depend on the shard count; the shard telemetry does, and is only
-  /// reported when shards > 1.
-  int shards = 1;
-  /// Worker threads for the per-shard activation and scoring phases;
-  /// <= 1 runs them inline. Probes always run in the serial control
-  /// pass. Reports are bit-identical at every thread count.
-  int threads = 1;
-
-  /// Shard count of ExecutorBackend::kParallel. Fixed independently of
-  /// the thread count, which is what makes the full report — shard
-  /// telemetry included — bit-identical at 1/2/4/8 threads.
-  static constexpr int kParallelShards = 16;
 };
 
 /// Churn counters of one monitor lifetime (all zero in churn-free
@@ -93,22 +77,6 @@ struct ChurnStats {
   std::size_t orphaned_probes = 0;
 
   bool operator==(const ChurnStats& other) const = default;
-};
-
-/// Per-shard telemetry of one monitor lifetime (mirrored into the
-/// shard_* fields of OnlineRunResult/ProxyRunReport when the monitor is
-/// sharded). Depends on the shard map and the workload only — never on
-/// the thread count.
-struct ShardRunStats {
-  int shard_count = 0;
-  /// Candidate EIs scored per shard, summed over chronons.
-  std::vector<std::size_t> candidates_scored;
-  /// Probe attempts whose resource belonged to the shard.
-  std::vector<std::size_t> probes_executed;
-  /// Total entries that went through the two-phase merge.
-  std::size_t merge_entries = 0;
-
-  bool operator==(const ShardRunStats& other) const = default;
 };
 
 /// One submission of a MonitorImage, in flat t_id (arrival) order. The
@@ -144,9 +112,6 @@ struct MonitorImage {
   ProbeStats probe_stats;
   ChurnStats churn_stats;
   HealthImage health;
-  /// Shard telemetry of a sharded monitor; shard_count 0 (and empty
-  /// vectors) on the serial engine, which reports none.
-  ShardRunStats shards;
 };
 
 /// The chronon engine of the library — the one implementation of the
@@ -170,27 +135,12 @@ struct MonitorImage {
 ///  * Ties are broken by (np_class, score, EI deadline, flat id), where
 ///    flat ids are handed out in submission order.
 ///
-/// Sharding (DESIGN.md section 16): resources are partitioned by
-/// consistent hashing (ShardMap), each shard owns a CandidateIndex
-/// partition, and each chronon runs as
-///
-///   [parallel] per-shard activation -> serial window count into the
-///      parents' EdfAggregate -> health begin
-///   -> [parallel] per-shard scoring + shard-local top-k selection
-///   -> serial ordered merge (an S-way reduction under the global
-///      (np_class, score, deadline, flat id) order) -> serial control
-///      pass (budget, probe callback, retries, breaker, capture
-///      bookkeeping) -> serial merged expiry.
-///
-/// One shard is the serial engine; any shard and thread count produces
-/// the identical probe set, schedule, stats and health trajectory (the
-/// sharded-monitor, thread-invariance and differential suites enforce
-/// it). With threads > 1 the policy's Score() must be a pure function of
-/// its arguments and attached health state (true of every shipped
-/// policy), because shards score concurrently. Runtimes, the M-EDF
-/// aggregate included, are written only in the serial phases (submit,
-/// window count, capture, expiry, restore); the scoring phase only
-/// reads them.
+/// One chronon (DESIGN.md section 16) runs serially: activation, the
+/// window count into the parents' EdfAggregate, health begin, scoring
+/// with one minimal key per resource, partial top-C_j selection, the
+/// control pass (budget, probe callback, retries, breaker, capture
+/// bookkeeping), and expiry in flat-id order. One CandidateIndex holds
+/// every EI under its flat id.
 ///
 /// Churn semantics (DESIGN.md section 13):
 ///  * Cancel(profile, submission) withdraws a live submission; its
@@ -291,7 +241,6 @@ class DynamicMonitor {
 
   const ProbeStats& probe_stats() const { return probe_stats_; }
   const ChurnStats& churn_stats() const { return churn_stats_; }
-  const ShardRunStats& shard_stats() const { return shard_stats_; }
   const ResourceHealthTracker& health() const { return health_; }
 
   /// Completeness of the schedule so far against everything submitted
@@ -299,14 +248,14 @@ class DynamicMonitor {
   CompletenessReport Completeness() const;
 
   /// The run so far as an OnlineRunResult: schedule, the probe/fault
-  /// counters, health telemetry, and — on a sharded monitor — the shard
-  /// telemetry. completeness and elapsed_seconds are the caller's to
-  /// fill: it knows which t-intervals the run is scored against.
+  /// counters and health telemetry. completeness and elapsed_seconds
+  /// are the caller's to fill: it knows which t-intervals the run is
+  /// scored against.
   OnlineRunResult RunResult() const;
 
-  /// Audits every candidate-index partition's lazy structures plus the
-  /// monitor's parent bookkeeping (dead parents hold no live EIs,
-  /// capture counts consistent, every runtime's EdfAggregate equal to
+  /// Audits the candidate index's lazy structures plus the monitor's
+  /// parent bookkeeping (dead parents hold no live EIs, capture counts
+  /// consistent, every runtime's EdfAggregate equal to
   /// ScanEdfAggregate() over the chronons executed so far) — the churn
   /// fuzz suite runs this after every op.
   Status CheckInvariants() const;
@@ -323,13 +272,6 @@ class DynamicMonitor {
                  std::vector<TInterval> definitions);
 
  private:
-  /// Where one EI lives: its shard partition and its dense index
-  /// *within* that partition (partition-local flat id).
-  struct EiHandle {
-    int shard = 0;
-    int local_id = 0;
-  };
-
   /// True when the submission can still be mutated (not completed,
   /// failed, or cancelled).
   bool IsLive(int t_id) const {
@@ -352,11 +294,11 @@ class DynamicMonitor {
 
   /// Records a pre-validated t-interval held in stable storage (shared
   /// tail of Submit, SubmitStable and Edit); returns the submission id
-  /// within the profile. EIs get contiguous global flat ids.
+  /// within the profile. EIs get contiguous flat ids.
   int AppendSubmission(ProfileId profile, const TInterval* stored);
 
   /// Removes a dead (completed/failed/cancelled) parent's remaining EIs
-  /// from the candidate partitions.
+  /// from the candidate index.
   void RetireParent(int t_id);
 
   /// Marks a live submission cancelled: orphan accounting, retire, rank
@@ -370,10 +312,10 @@ class DynamicMonitor {
   /// cached profile_rank when the value changed.
   void RecomputeProfileRank(ProfileId profile);
 
-  /// The rebuild oracle: reconstructs every partition from the monitor's
-  /// parent bookkeeping (flat ids, live/dead state, activation replay),
-  /// exactly as if every surviving EI had been registered into fresh
-  /// partitions.
+  /// The rebuild oracle: reconstructs the candidate index from the
+  /// monitor's parent bookkeeping (flat ids, live/dead state, activation
+  /// replay), exactly as if every surviving EI had been registered into a
+  /// fresh index.
   void RebuildIndex();
 
   /// Serial capture bookkeeping of a successful probe of `resource`
@@ -381,12 +323,7 @@ class DynamicMonitor {
   /// callback).
   void CaptureOnProbe(ResourceId resource, StepResult* step);
 
-  /// S-way merge of the per-shard sorted prefixes into the global
-  /// best-first order (ties by translated global flat id).
-  void MergeShardSelections(int budget);
-
-  /// Expires the EIs whose windows close at now_, in global flat-id
-  /// order across the partitions.
+  /// Expires the EIs whose windows close at now_, in flat-id order.
   void ExpireEnding(StepResult* step);
 
   int num_resources_;
@@ -395,27 +332,13 @@ class DynamicMonitor {
   Policy* policy_;
   ExecutionMode mode_;
   MonitorOptions options_;
-  int num_shards_;
   ProbeCallback probe_callback_;
   CaptureCallback capture_callback_;
   ResourceHealthTracker health_;
   bool validated_options_ = false;
 
-  ShardMap shard_map_;
-  /// Dense resource -> shard (precomputed from the ring).
-  std::vector<int> shard_of_resource_;
-  /// One CandidateIndex per shard, holding only the shard's EIs under
-  /// partition-local flat ids.
-  std::vector<CandidateIndex> partitions_;
-  /// Partition-local flat id -> global flat id, per shard. Local ids
-  /// are assigned in global registration order, so within one shard
-  /// local-id comparisons agree with global-id comparisons (the
-  /// within-shard tiebreak stays correct without translation).
-  std::vector<std::vector<int>> global_of_local_;
-  /// Global flat id -> owning EI handle.
-  std::vector<EiHandle> handle_of_global_;
-
-  WorkerPool pool_;
+  /// Every EI, under its flat id.
+  CandidateIndex index_;
 
   Chronon now_ = 0;
   Schedule schedule_;
@@ -423,13 +346,12 @@ class DynamicMonitor {
   std::size_t failed_ = 0;
   ProbeStats probe_stats_;
   ChurnStats churn_stats_;
-  ShardRunStats shard_stats_;
 
   /// Stable storage of copied submissions: TIntervalRuntime::source
   /// points into this deque (or at a SubmitStable() caller's object).
   std::deque<TInterval> submitted_;
   std::vector<TIntervalRuntime> runtimes_;
-  std::vector<int> first_flat_;      // per runtime: first global flat id
+  std::vector<int> first_flat_;      // per runtime: first flat id
   std::vector<uint8_t> cancelled_;   // per runtime: withdrawn by client
   std::vector<uint8_t> fault_touched_;  // per runtime: failed probe seen
   std::vector<int> submission_id_;   // per runtime, unique in profile
@@ -438,21 +360,8 @@ class DynamicMonitor {
   std::vector<std::vector<int>> runtimes_of_profile_;
   std::vector<std::string> profile_names_;
 
-  // --- Per-chronon scratch (sized once, reused). ----------------------
-  /// Per-shard candidate entries (flat ids are partition-local).
-  std::vector<std::vector<ResourceCandidate>> shard_entries_;
-  /// Usable sorted prefix of each shard's entries after top-k.
-  std::vector<std::size_t> shard_take_;
-  /// Per-shard (resource, live count) pairs deferred from the scoring
-  /// phase to the serial NoteSuppressed application.
-  std::vector<std::vector<std::pair<ResourceId, int>>> shard_suppressed_;
-  /// Per-shard candidates scored this chronon.
-  std::vector<std::size_t> shard_scored_;
-  /// Globally merged selection, best first (flat ids are global).
-  std::vector<ResourceCandidate> merged_entries_;
-  /// Merge/expiry cursors, one per shard (reused across chronons).
-  std::vector<std::size_t> merge_pos_;
-  std::vector<std::size_t> expiry_pos_;
+  /// Per-chronon candidate entries (sized once, reused).
+  std::vector<ResourceCandidate> entries_;
 };
 
 }  // namespace pullmon

@@ -15,8 +15,6 @@ const char* ExecutorBackendToString(ExecutorBackend backend) {
       return "indexed";
     case ExecutorBackend::kReference:
       return "reference";
-    case ExecutorBackend::kParallel:
-      return "parallel";
   }
   return "?";
 }
@@ -57,10 +55,6 @@ Result<OnlineRunResult> OnlineExecutor::Run() {
   MonitorOptions options;
   options.retry = retry_;
   options.breaker = breaker_;
-  if (backend_ == ExecutorBackend::kParallel) {
-    options.shards = MonitorOptions::kParallelShards;
-    options.threads = threads_;
-  }
   DynamicMonitor monitor(problem_->num_resources, problem_->epoch.length,
                          problem_->budget, policy_, mode_, options);
 

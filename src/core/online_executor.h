@@ -75,15 +75,6 @@ struct OnlineRunResult : ProbeStats, HealthStats {
   /// Chronons each resource spent circuit-open (indexed by ResourceId);
   /// empty when the breaker is disabled.
   std::vector<std::size_t> open_chronons_by_resource;
-
-  // --- Shard telemetry (kParallel only; zero/empty on the serial
-  // --- backends; mirrors ShardRunStats, core/dynamic_monitor.h).
-  // --- Depends on the shard map and workload, never the thread count —
-  // --- the thread-invariance suite compares it bit-for-bit. ------------
-  std::size_t shard_count = 0;
-  std::vector<std::size_t> shard_candidates_scored;
-  std::vector<std::size_t> shard_probes_executed;
-  std::size_t shard_merge_entries = 0;
 };
 
 /// Which implementation of the online semantics executes a run. Both are
@@ -96,20 +87,16 @@ enum class ExecutorBackend {
   /// Rebuild-and-fully-sort every chronon (core/reference_executor.h) —
   /// the easy-to-audit oracle.
   kReference,
-  /// The incremental engine sharded over MonitorOptions::kParallelShards
-  /// consistent-hash resource partitions: per-shard activation and
-  /// scoring/selection, a deterministic ordered merge, and a serial
-  /// control pass that issues the probes. Decision-identical to kIndexed
-  /// at every thread count.
-  kParallel,
+  /// Read only by perfbench/; removed once perfbench/ stops naming it.
+  kParallel = kIndexed,
 };
 
-/// "indexed" / "reference" / "parallel".
+/// "indexed" / "reference".
 const char* ExecutorBackendToString(ExecutorBackend backend);
 
 /// Runs an online policy over a monitoring problem, chronon by chronon
-/// (Section 4.2.1). The indexed and parallel backends drive the chronon
-/// engine (DynamicMonitor, which documents the online semantics): every
+/// (Section 4.2.1). The indexed backend drives the chronon engine
+/// (DynamicMonitor, which documents the online semantics): every
 /// non-empty t-interval is submitted up front in profile order — so
 /// flat ids, and with them the tie-breaks, follow the problem's order —
 /// and the epoch is stepped to its end. set_backend(kReference)
@@ -155,10 +142,8 @@ class OnlineExecutor {
   void set_backend(ExecutorBackend backend) { backend_ = backend; }
   ExecutorBackend backend() const { return backend_; }
 
-  /// Worker threads of the kParallel backend's sharded activation and
-  /// scoring phases (<= 1 runs them inline); ignored by the serial
-  /// backends.
-  void set_threads(int threads) { threads_ = threads; }
+  /// Read only by perfbench/; removed once perfbench/ stops naming it.
+  void set_threads(int) {}
 
   /// Validates the problem and executes the full epoch. Can be called
   /// repeatedly; each call is an independent run (the policy is Reset()).
@@ -173,7 +158,6 @@ class OnlineExecutor {
   ProbeCallback probe_callback_;
   RetryPolicy retry_;
   BreakerOptions breaker_;
-  int threads_ = 1;
 };
 
 }  // namespace pullmon

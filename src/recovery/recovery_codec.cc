@@ -230,14 +230,6 @@ void Fields(C& c, S& s) {
   c(kDouble, s.latency_max);
 }
 
-template <typename C, Persisted<ShardRunStats> S>
-void Fields(C& c, S& s) {
-  c(kVarint, s.shard_count);
-  c(kVarint, s.candidates_scored);
-  c(kVarint, s.probes_executed);
-  c(kVarint, s.merge_entries);
-}
-
 template <typename C, Persisted<HealthImage> H>
 void Fields(C& c, H& h) {
   c(kByte, h.state);
@@ -270,7 +262,6 @@ void Fields(C& c, M& m) {
   c(kStruct, m.probe_stats);
   c(kStruct, m.churn_stats);
   c(kStruct, m.health);
-  // m.shards is the snapshot's optional tail (ProxySnapshot below).
 }
 
 template <typename C, Persisted<SubmissionOrigin> O>
@@ -336,10 +327,6 @@ void Fields(C& c, S& s) {
   c(kVarint, s.parse_failures);
   c(kVarint, s.notifications_delivered);
   c(kVarint, s.churn_rejected_ops);
-  // Optional tail: only a sharded monitor carries shard telemetry, so
-  // serial snapshots keep their exact bytes.
-  c.Tail(kStruct, s.monitor.shards,
-         [](const ShardRunStats& shards) { return shards.shard_count > 0; });
 }
 
 // ---------------------------------------------------------------------

@@ -186,12 +186,6 @@ class FieldEncoder {
     out_->push_back(static_cast<char>(bits));
   }
 
-  /// A trailing optional section, written only when present(value).
-  template <Wire W, typename T, typename Present>
-  void Tail(WireTag<W> wire, const T& value, Present present) {
-    if (present(value)) (*this)(wire, value);
-  }
-
  private:
   std::string* out_;
 };
@@ -270,16 +264,6 @@ class FieldDecoder {
     if (!status_.ok()) return;
     unsigned bit = 0;
     ((flags = static_cast<Flag>((bits >> bit++) & 1u)), ...);
-  }
-
-  /// Read when bytes remain; what was read must then be present.
-  template <Wire W, typename T, typename Present>
-  void Tail(WireTag<W> wire, T& value, Present present) {
-    if (!status_.ok() || reader_.AtEnd()) return;
-    (*this)(wire, value);
-    if (status_.ok() && !present(value)) {
-      status_ = Status::ParseError("empty trailing section");
-    }
   }
 
  private:
@@ -393,8 +377,6 @@ struct ProxySnapshot : LiveReportCounters {
 
 /// Serializes a snapshot into a self-validating file: 4-byte magic,
 /// varint format version, then one framed record holding the payload.
-/// The payload ends with an optional section — the shard telemetry of a
-/// sharded monitor — absent for the serial engine.
 std::string EncodeSnapshot(const ProxySnapshot& snapshot);
 
 /// Parses and validates a snapshot file (magic, version, checksum,

@@ -38,9 +38,6 @@ Status SimulationConfig::Validate() const {
     return Status::InvalidArgument(
         "checkpoint-every must be >= 0 chronons");
   }
-  if (threads < 1) {
-    return Status::InvalidArgument("threads must be >= 1");
-  }
   if (feed_buffer_capacity < 1) {
     return Status::InvalidArgument("buffer-capacity must be >= 1 items");
   }
@@ -143,9 +140,6 @@ std::vector<std::pair<std::string, std::string>> SimulationConfig::ToRows()
   if (executor_backend != ExecutorBackend::kIndexed) {
     rows.emplace_back("executor",
                       ExecutorBackendToString(executor_backend));
-  }
-  if (threads > 1) {
-    rows.emplace_back("threads", StringFormat("%d", threads));
   }
   if (parse_cache) rows.emplace_back("parse cache", "on");
   if (trace_backend != TraceBackend::kInMemory) {

@@ -148,10 +148,6 @@ MonitorOptions MonitorOptionsFor(const SimulationConfig& config) {
       // backend differential tests cover churn too.
       options.maintenance = MonitorIndexMode::kRebuild;
       break;
-    case ExecutorBackend::kParallel:
-      options.shards = MonitorOptions::kParallelShards;
-      options.threads = config.threads;
-      break;
   }
   return options;
 }
@@ -166,7 +162,6 @@ Status BuildSubstrate(const SimulationConfig& config, const PolicySpec& spec,
   options.backend = config.executor_backend;
   options.parse_cache = config.parse_cache;
   options.trace_backend = config.trace_backend;
-  options.threads = config.threads;
   PULLMON_RETURN_NOT_OK(options.Validate());
   if (config.feed_buffer_capacity < 1) {
     return Status::InvalidArgument("buffer-capacity must be >= 1 items");
@@ -220,7 +215,6 @@ Status ExperimentRunner::RunRepetition(
     OnlineExecutor executor(&problem, policy.get(), specs[s].mode);
     executor.set_backend(config.executor_backend);
     executor.set_breaker_options(config.breaker);
-    executor.set_threads(config.threads);
     PULLMON_ASSIGN_OR_RETURN(OnlineRunResult run, executor.Run());
     out->policies[s].gc = run.completeness.GainedCompleteness();
     out->policies[s].runtime_seconds = run.elapsed_seconds;

@@ -83,9 +83,8 @@ Status BuildSubstrate(const SimulationConfig& config, const PolicySpec& spec,
                       uint64_t seed, RunSubstrate* out);
 
 /// The chronon-engine options of a monitor-driven run of `config`:
-/// retry and breaker knobs, the backend's shape (reference -> the
-/// rebuild oracle, parallel -> MonitorOptions::kParallelShards shards on
-/// config.threads workers), serial otherwise.
+/// retry and breaker knobs, and index maintenance (reference -> the
+/// rebuild oracle, incremental otherwise).
 MonitorOptions MonitorOptionsFor(const SimulationConfig& config);
 
 /// Runs the *physical* proxy path once: generates the instance, replays

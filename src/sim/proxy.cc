@@ -138,10 +138,6 @@ void FeedPullSession::FinishReport(OnlineRunResult run) {
   report_->retries_issued = r.retries_issued;
   report_->retry_probes_spent = r.retry_probes_spent;
   static_cast<HealthStats&>(*report_) = r;
-  report_->shard_count = r.shard_count;
-  report_->shard_candidates_scored = r.shard_candidates_scored;
-  report_->shard_probes_executed = r.shard_probes_executed;
-  report_->shard_merge_entries = r.shard_merge_entries;
   const std::size_t total = r.completeness.total_t_intervals;
   report_->gc_lost_to_faults =
       total == 0 ? 0.0
@@ -257,14 +253,6 @@ std::string ReportDifference(const ProxyRunReport& a, const ProxyRunReport& b,
                               options.parse_cache_stats)
       .Check<ChurnStats>("ChurnStats", a, b)
       .Check<TraceStoreStats>("TraceStoreStats", a, b, options.trace_stats)
-      .Check("shard_count", a.shard_count, b.shard_count,
-             options.shard_stats)
-      .Check("shard_candidates_scored", a.shard_candidates_scored,
-             b.shard_candidates_scored, options.shard_stats)
-      .Check("shard_probes_executed", a.shard_probes_executed,
-             b.shard_probes_executed, options.shard_stats)
-      .Check("shard_merge_entries", a.shard_merge_entries,
-             b.shard_merge_entries, options.shard_stats)
       .Check<EstimationStats>("EstimationStats", a, b)
       .Check<AdaptiveRunStats>("AdaptiveRunStats", a, b)
       .name();
@@ -294,7 +282,6 @@ Result<ProxyRunReport> MonitoringProxy::Run() {
   executor.set_retry_policy(options_.retry);
   executor.set_breaker_options(options_.breaker);
   executor.set_backend(options_.backend);
-  executor.set_threads(options_.threads);
 
   FeedPullSession session(network_, problem_->num_resources, options_,
                           &report);

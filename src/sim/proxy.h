@@ -166,17 +166,9 @@ struct ProxyRunReport : LiveReportCounters,
   /// WAL records discarded by the torn-tail rule (bytes after the last
   /// intact chronon commit, or after the first corrupt record).
   std::size_t recovery_torn_tail_truncated = 0;
-  // --- Shard telemetry (zero/empty on the serial backends; mirrors
-  // --- ShardRunStats of the sharded kParallel engine. A function of the
-  // --- shard map and the workload only — bit-identical across thread
-  // --- counts, so thread-invariance suites compare it in full; only
-  // --- serial-vs-parallel comparisons skip it). -----------------------
+  /// Always 0. Read only by perfbench/; removed once perfbench/ stops naming it.
   std::size_t shard_count = 0;
-  /// Candidate EIs scored per shard, summed over chronons.
-  std::vector<std::size_t> shard_candidates_scored;
-  /// Probe attempts whose resource belonged to the shard.
-  std::vector<std::size_t> shard_probes_executed;
-  /// Total entries through the two-phase selection merge.
+  /// Always 0. Read only by perfbench/; removed once perfbench/ stops naming it.
   std::size_t shard_merge_entries = 0;
 };
 
@@ -187,17 +179,15 @@ struct ReportEqualityOptions {
   bool parse_cache_stats = true;
   /// TraceStoreStats (off for in-memory vs paged suites).
   bool trace_stats = true;
-  /// The shard_* fields (off for serial-vs-parallel suites; kept on
-  /// across thread counts, which never change them).
-  bool shard_stats = true;
 };
 
 /// Block-wise equality of two reports: the schedule (its length, then
 /// chronon by chronon), the gained completeness, then each stats block
 /// (through its defaulted operator==) and each remaining field, minus
-/// the blocks `options` skips. Never compared: wall-clock time, report.run's
-/// shard_* copy, and the recovery_* counters (the one documented
-/// difference between an uninterrupted and a crash-recovered run).
+/// the blocks `options` skips. Never compared: wall-clock time, the two
+/// always-zero compat fields, and the recovery_* counters (the one
+/// documented difference between an uninterrupted and a crash-recovered
+/// run).
 /// Returns "" when equal, else the name of the first block or field
 /// that differs ("run.ProbeStats", "ChurnStats", "probes_failed", ...).
 std::string ReportDifference(const ProxyRunReport& a, const ProxyRunReport& b,
@@ -231,10 +221,7 @@ struct ProxyOptions {
   /// store-backed FeedNetwork (Run() rejects the mismatch); the report
   /// is identical either way apart from the trace_* counters.
   TraceBackend trace_backend = TraceBackend::kInMemory;
-  /// Worker threads of the kParallel backend's sharded activation and
-  /// scoring phases (probes always run serially); ignored by the serial
-  /// backends. The report is bit-identical at every thread count (the
-  /// thread-invariance suite enforces it).
+  /// Read only by perfbench/; removed once perfbench/ stops naming it.
   int threads = 1;
 
   /// Range-checks the fault rates, the retry policy and the breaker.
@@ -279,7 +266,7 @@ class FeedPullSession {
   /// Executes the pull leg of one probe of `resource` at chronon `now`:
   /// returns false when a fault or parse failure delivered no usable
   /// document (the EI stays a candidate), true otherwise. The one way a
-  /// probe attempt runs, on every backend and at every thread count.
+  /// probe attempt runs, on every backend.
   bool Probe(ResourceId resource, Chronon now);
 
   /// Makes Probe() the probe callback of `engine` (OnlineExecutor or
@@ -320,7 +307,7 @@ class FeedPullSession {
   }
 
   /// Installs the scheduler's outcome as report.run, mirrors its retry
-  /// counters, HealthStats block and shard telemetry into the report,
+  /// counters and HealthStats block into the report,
   /// copies the fault-plan stats and derives the report's fault
   /// counters from them, and copies the ParseCacheStats and
   /// TraceStoreStats blocks; call once after the run.

@@ -54,10 +54,8 @@ TEST(AdaptiveTest, OracleKnowledgeIgnoresEstimatorKnobs) {
   config.retry.max_retries = 2;
   PolicySpec spec{"MRSF", ExecutionMode::kPreemptive};
   for (ExecutorBackend backend :
-       {ExecutorBackend::kIndexed, ExecutorBackend::kReference,
-        ExecutorBackend::kParallel}) {
+       {ExecutorBackend::kIndexed, ExecutorBackend::kReference}) {
     config.executor_backend = backend;
-    config.threads = backend == ExecutorBackend::kParallel ? 3 : 1;
     config.knowledge = KnowledgeModel::kOracle;
     config.estimator_half_life = 32.0;
     config.explore_eps = 0.05;

@@ -207,12 +207,10 @@ TEST(ProbeIndexTest, MonitorCompletenessMatchesOracleAfterChurn) {
   for (int seed = 1; seed <= 24; ++seed) {
     Rng rng(static_cast<uint64_t>(seed) * 7919);
     MEdfPolicy policy;
-    MonitorOptions options;
-    options.shards = seed % 2 == 0 ? MonitorOptions::kParallelShards : 1;
     DynamicMonitor monitor(
         kResources, kEpoch,
         BudgetVector::Uniform(static_cast<int>(rng.NextInt(1, 2)), kEpoch),
-        &policy, ExecutionMode::kPreemptive, options);
+        &policy, ExecutionMode::kPreemptive);
     for (int p = 0; p < kProfiles; ++p) {
       monitor.RegisterProfile("p" + std::to_string(p));
     }

@@ -1,7 +1,9 @@
 #include "core/dynamic_monitor.h"
 
+#include <algorithm>
 #include <memory>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -9,7 +11,9 @@
 
 #include "core/online_executor.h"
 #include "policies/mrsf.h"
+#include "policies/policy_factory.h"
 #include "policies/s_edf.h"
+#include "sim/experiment.h"
 #include "sim/proxy.h"
 #include "test_instances.h"
 #include "util/random.h"
@@ -380,7 +384,7 @@ TEST_P(DynamicEquivalenceTest, UpfrontSubmissionMatchesOnlineExecutor) {
 
 // Reserve() is a capacity hint: reserving too few, too many or zero
 // slots, before or after part of the workload is registered, must not
-// change one field of the run's report on the serial or sharded engine.
+// change one field of the run's report.
 TEST(DynamicMonitorTest, ReserveCountsNeverChangeTheReport) {
   struct Hint {
     const char* name;
@@ -408,41 +412,170 @@ TEST(DynamicMonitorTest, ReserveCountsNeverChangeTheReport) {
         MakeRandomInstance(opts, &rng, /*t_intervals_per_profile=*/3);
     const double t_total = static_cast<double>(problem.TotalTIntervalCount());
     const double ei_total = static_cast<double>(problem.TotalEiCount());
-    for (int shards : {1, MonitorOptions::kParallelShards}) {
-      auto run = [&](const Hint& hint) {
-        MrsfPolicy policy;
-        MonitorOptions options;
-        options.shards = shards;
-        DynamicMonitor monitor(problem.num_resources, problem.epoch.length,
-                               problem.budget, &policy,
-                               ExecutionMode::kPreemptive, options);
-        std::size_t submitted = 0;
-        auto reserve = [&] {
-          if (!hint.scale.has_value()) return;
-          monitor.Reserve(static_cast<std::size_t>(*hint.scale * t_total),
-                          static_cast<std::size_t>(*hint.scale * ei_total));
-        };
-        for (const auto& profile : problem.profiles) {
-          ProfileId pid = monitor.RegisterProfile(profile.name());
-          for (const auto& eta : profile.t_intervals()) {
-            if (submitted++ == hint.submitted_first) reserve();
-            EXPECT_TRUE(monitor.Submit(pid, eta).ok());
-          }
-        }
-        ProxyRunReport report;
-        auto completeness = monitor.RunToEnd();
-        EXPECT_TRUE(completeness.ok());
-        report.run = monitor.RunResult();
-        report.run.completeness = *completeness;
-        EXPECT_TRUE(monitor.CheckInvariants().ok());
-        return report;
+    auto run = [&](const Hint& hint) {
+      MrsfPolicy policy;
+      DynamicMonitor monitor(problem.num_resources, problem.epoch.length,
+                             problem.budget, &policy,
+                             ExecutionMode::kPreemptive);
+      std::size_t submitted = 0;
+      auto reserve = [&] {
+        if (!hint.scale.has_value()) return;
+        monitor.Reserve(static_cast<std::size_t>(*hint.scale * t_total),
+                        static_cast<std::size_t>(*hint.scale * ei_total));
       };
-      const ProxyRunReport baseline = run(Hint{"none", std::nullopt});
-      for (const Hint& hint : hints) {
-        EXPECT_EQ(ReportDifference(baseline, run(hint)), "")
-            << hint.name << " reserve, instance " << instance << ", "
-            << shards << " shards";
+      for (const auto& profile : problem.profiles) {
+        ProfileId pid = monitor.RegisterProfile(profile.name());
+        for (const auto& eta : profile.t_intervals()) {
+          if (submitted++ == hint.submitted_first) reserve();
+          EXPECT_TRUE(monitor.Submit(pid, eta).ok());
+        }
       }
+      ProxyRunReport report;
+      auto completeness = monitor.RunToEnd();
+      EXPECT_TRUE(completeness.ok());
+      report.run = monitor.RunResult();
+      report.run.completeness = *completeness;
+      EXPECT_TRUE(monitor.CheckInvariants().ok());
+      return report;
+    };
+    const ProxyRunReport baseline = run(Hint{"none", std::nullopt});
+    for (const Hint& hint : hints) {
+      EXPECT_EQ(ReportDifference(baseline, run(hint)), "")
+          << hint.name << " reserve, instance " << instance;
+    }
+  }
+}
+
+// A scripted churn scenario: each chronon's submits, cancels, edits and
+// rare unregisters, drawn once per seed. Some ops target dead or unknown
+// submissions on purpose; the monitor rejects those.
+struct ScriptedOp {
+  enum class Kind { kSubmit, kCancel, kEdit, kUnregister };
+  Kind kind = Kind::kSubmit;
+  int profile_index = 0;
+  int submission_id = 0;
+  TInterval t_interval;  // kSubmit / kEdit
+};
+
+constexpr int kScriptResources = 6;
+constexpr Chronon kScriptEpoch = 24;
+constexpr int kScriptProfiles = 4;
+
+TInterval ScriptedTInterval(Rng* rng, Chronon earliest) {
+  TInterval eta;
+  int rank = static_cast<int>(rng->NextInt(1, 2));
+  for (int i = 0; i < rank; ++i) {
+    ExecutionInterval ei;
+    ei.resource =
+        static_cast<ResourceId>(rng->NextInt(0, kScriptResources - 1));
+    ei.start = static_cast<Chronon>(
+        rng->NextInt(earliest, std::max(earliest, kScriptEpoch - 2)));
+    ei.finish = static_cast<Chronon>(rng->NextInt(
+        ei.start, std::min<Chronon>(ei.start + 4, kScriptEpoch - 1)));
+    eta.AddEi(ei);
+  }
+  eta.set_weight(0.5 + rng->NextDouble());
+  if (eta.size() >= 2 && rng->NextBool(0.3)) {
+    eta.set_required(eta.size() - 1);
+  }
+  return eta;
+}
+
+std::vector<std::vector<ScriptedOp>> MakeScript(uint64_t seed) {
+  std::vector<std::vector<ScriptedOp>> script(kScriptEpoch);
+  Rng ops(seed * 0x2545F4914F6CDD1DULL + 17);
+  for (Chronon t = 0; t < kScriptEpoch; ++t) {
+    auto& at = script[static_cast<std::size_t>(t)];
+    if (ops.NextBool(t < kScriptEpoch / 2 ? 0.9 : 0.4)) {
+      ScriptedOp op;
+      op.kind = ScriptedOp::Kind::kSubmit;
+      op.profile_index =
+          static_cast<int>(ops.NextInt(0, kScriptProfiles - 1));
+      op.t_interval = ScriptedTInterval(&ops, t);
+      at.push_back(std::move(op));
+    }
+    if (ops.NextBool(0.35)) {
+      ScriptedOp op;
+      op.kind = ScriptedOp::Kind::kCancel;
+      op.profile_index =
+          static_cast<int>(ops.NextInt(0, kScriptProfiles - 1));
+      op.submission_id = static_cast<int>(ops.NextInt(0, 6));
+      at.push_back(std::move(op));
+    }
+    if (ops.NextBool(0.3)) {
+      ScriptedOp op;
+      op.kind = ScriptedOp::Kind::kEdit;
+      op.profile_index =
+          static_cast<int>(ops.NextInt(0, kScriptProfiles - 1));
+      op.submission_id = static_cast<int>(ops.NextInt(0, 6));
+      op.t_interval = ScriptedTInterval(&ops, t);
+      at.push_back(std::move(op));
+    }
+    if (ops.NextBool(0.02)) {
+      ScriptedOp op;
+      op.kind = ScriptedOp::Kind::kUnregister;
+      op.profile_index =
+          static_cast<int>(ops.NextInt(0, kScriptProfiles - 1));
+      at.push_back(std::move(op));
+    }
+  }
+  return script;
+}
+
+void ApplyScriptedOp(DynamicMonitor* monitor, const ScriptedOp& op,
+                     const std::vector<ProfileId>& profiles) {
+  const ProfileId profile =
+      profiles[static_cast<std::size_t>(op.profile_index)];
+  switch (op.kind) {
+    case ScriptedOp::Kind::kSubmit:
+      (void)monitor->Submit(profile, op.t_interval);
+      break;
+    case ScriptedOp::Kind::kCancel:
+      (void)monitor->Cancel(profile, op.submission_id);
+      break;
+    case ScriptedOp::Kind::kEdit:
+      (void)monitor->Edit(profile, op.submission_id, op.t_interval);
+      break;
+    case ScriptedOp::Kind::kUnregister:
+      (void)monitor->Unregister(profile);
+      break;
+  }
+}
+
+// Capture callbacks must fire in exactly the order StepResult::captured
+// reports, under every standard policy and a churning workload.
+TEST(DynamicMonitorTest, CaptureCallbackOrderMatchesStepResult) {
+  std::vector<PolicySpec> specs = StandardPolicySpecs();
+  for (uint64_t seed = 400; seed < 408; ++seed) {
+    const PolicySpec& spec = specs[seed % specs.size()];
+    PolicyOptions po;
+    po.random_seed = seed ^ 0x5bf03635ULL;
+    po.num_resources = kScriptResources;
+    auto policy = MakePolicy(spec.policy, po);
+    ASSERT_TRUE(policy.ok());
+    DynamicMonitor monitor(kScriptResources, kScriptEpoch,
+                           BudgetVector::Uniform(2, kScriptEpoch),
+                           policy->get(), spec.mode);
+    std::vector<std::pair<ProfileId, int>> fired;
+    monitor.set_capture_callback(
+        [&](ProfileId profile, int submission, Chronon) {
+          fired.emplace_back(profile, submission);
+        });
+    std::vector<ProfileId> profiles;
+    for (int p = 0; p < kScriptProfiles; ++p) {
+      profiles.push_back(
+          monitor.RegisterProfile("client-" + std::to_string(p)));
+    }
+    const std::vector<std::vector<ScriptedOp>> script = MakeScript(seed);
+    for (Chronon t = 0; t < kScriptEpoch; ++t) {
+      for (const ScriptedOp& op : script[static_cast<std::size_t>(t)]) {
+        ApplyScriptedOp(&monitor, op, profiles);
+      }
+      fired.clear();
+      auto step = monitor.Step();
+      ASSERT_TRUE(step.ok());
+      EXPECT_EQ(fired, step->captured)
+          << spec.Label() << " seed=" << seed << " chronon " << t;
     }
   }
 }

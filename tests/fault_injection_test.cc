@@ -616,7 +616,7 @@ TEST(FaultInjectionEndToEnd, OutagesSurfaceInProxyReportDeterministically) {
 TEST(FaultInjectionEndToEnd, EtagStormsSurfaceInProxyAndChurnReports) {
   // ETag storms force full bodies; every stormed probe the fault plan
   // counts must reach the report's top-level counter, on the proxy path
-  // and on the churn runner's serial and sharded engines.
+  // and on the churn runner, without and with churn ops.
   SimulationConfig config = SmallConfig();
   config.faults.etag_storm_rate = 0.05;
   PolicySpec spec{"MRSF", ExecutionMode::kPreemptive};
@@ -630,9 +630,7 @@ TEST(FaultInjectionEndToEnd, EtagStormsSurfaceInProxyAndChurnReports) {
   check(RunChurnOnce(config, spec, 19), "churn indexed");
   config.churn.enabled = true;
   config.churn.ops_per_chronon = 1.0;
-  config.executor_backend = ExecutorBackend::kParallel;
-  config.threads = 2;
-  check(RunChurnOnce(config, spec, 19), "churn parallel");
+  check(RunChurnOnce(config, spec, 19), "churn with ops");
 }
 
 TEST(FaultInjectionEndToEnd, RetriesRecoverCompletenessUnderFaults) {

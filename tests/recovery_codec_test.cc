@@ -234,23 +234,30 @@ TEST(RecoveryCodecTest, SnapshotRoundTripIsIdentity) {
   EXPECT_EQ(EncodeSnapshot(*decoded), encoded);
 }
 
-TEST(RecoveryCodecTest, ShardTelemetryIsAnOptionalTail) {
-  ProxySnapshot snap = RichSnapshot();
-  const std::string serial = EncodeSnapshot(snap);
-  snap.monitor.shards.shard_count = 3;
-  snap.monitor.shards.candidates_scored = {4, 0, 9};
-  snap.monitor.shards.probes_executed = {1, 2, 0};
-  snap.monitor.shards.merge_entries = 6;
-  const std::string sharded = EncodeSnapshot(snap);
-  EXPECT_GT(sharded.size(), serial.size());
-  auto decoded = DecodeSnapshot(sharded);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_TRUE(decoded->monitor.shards == snap.monitor.shards);
-  EXPECT_EQ(EncodeSnapshot(*decoded), sharded);
-  // A serial snapshot decodes with no shard telemetry at all.
-  auto plain = DecodeSnapshot(serial);
-  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
-  EXPECT_EQ(plain->monitor.shards.shard_count, 0);
+TEST(RecoveryCodecTest, FormerShardTailIsRefusedAsTrailingBytes) {
+  // Snapshots of the retired sharded engine appended its telemetry after
+  // the payload's last field: the shard count, per-shard scored and
+  // probed counts, and the merge-entry total. The payload now ends at
+  // the live counters, so a frame that still carries that section (its
+  // checksum intact) is refused, never half-read.
+  const std::string serial = EncodeSnapshot(RichSnapshot());
+  constexpr std::size_t kHeaderBytes = 5;  // magic + varint version
+  auto record = DecodeRecord(std::string_view(serial).substr(kHeaderBytes));
+  ASSERT_TRUE(record.ok()) << record.status().ToString();
+  std::string payload(record->payload);
+  AppendVarint(3, &payload);  // shard count
+  for (std::uint64_t v : {3, 4, 0, 9}) AppendVarint(v, &payload);
+  for (std::uint64_t v : {3, 1, 2, 0}) AppendVarint(v, &payload);
+  AppendVarint(6, &payload);  // merge entries
+  std::string tailed = serial.substr(0, kHeaderBytes);
+  AppendRecord(record->type, payload, &tailed);
+  ASSERT_TRUE(
+      DecodeRecord(std::string_view(tailed).substr(kHeaderBytes)).ok());
+
+  auto decoded = DecodeSnapshot(tailed);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kParseError);
+  EXPECT_EQ(decoded.status().message(), "trailing bytes after the last field");
 }
 
 /// 64-bit FNV-1a of a byte string, for pinning encodings in a line.
@@ -265,23 +272,15 @@ uint64_t Fnv1a64(std::string_view bytes) {
 
 TEST(RecoveryCodecTest, SnapshotBytesArePinned) {
   // Golden size and digest of RichSnapshot()'s encoding in format
-  // version 2, serial and with the shard tail. A codec change that moves
-  // one byte of either is a format change: it bumps kSnapshotVersion,
-  // so that older files are refused rather than misread, and re-records
-  // both goldens. (Version 1 pinned 574 B 0x93ccbd449105e89c and 584 B
-  // 0xfa19f0248655971b; it carried definitions and cached documents.)
+  // version 2. A codec change that moves one byte of it is a format
+  // change: it bumps kSnapshotVersion, so that older files are refused
+  // rather than misread, and re-records the golden. (Version 1 pinned
+  // 574 B 0x93ccbd449105e89c; it carried definitions and cached
+  // documents.)
   ProxySnapshot snap = RichSnapshot();
   const std::string serial = EncodeSnapshot(snap);
   EXPECT_EQ(serial.size(), 467u);
   EXPECT_EQ(Fnv1a64(serial), 0x43328a113afcedb9ULL);
-
-  snap.monitor.shards.shard_count = 3;
-  snap.monitor.shards.candidates_scored = {4, 0, 9};
-  snap.monitor.shards.probes_executed = {1, 2, 0};
-  snap.monitor.shards.merge_entries = 6;
-  const std::string sharded = EncodeSnapshot(snap);
-  EXPECT_EQ(sharded.size(), 477u);
-  EXPECT_EQ(Fnv1a64(sharded), 0x5733e903e6b09897ULL);
 }
 
 TEST(RecoveryCodecTest, VersionOneSnapshotIsRefused) {

@@ -3,7 +3,7 @@
 // crash-recovered run must finish with a ProxyRunReport equal to the
 // uninterrupted run's on every field except the recovery telemetry.
 // The suite sweeps ~200 seeded scenarios (clean, faults, breakers,
-// churn, parse cache; all three executor backends; both trace backends)
+// churn, parse cache; both executor backends; both trace backends)
 // through the durable runner, kills it at every chronon boundary with
 // several torn-write offsets, recovers, and demands full-report
 // equality via the shared comparator — plus the negative paths:
@@ -96,17 +96,15 @@ ProxyRunReport MustChurnRun(const SimulationConfig& config,
 /// Uninterrupted durable runs must behave exactly like the plain churn
 /// runner on every field — checkpointing and WAL writes are observable
 /// only through the recovery telemetry. ~200 scenarios across the four
-/// families, the three executor backends (the sharded one on two
-/// threads), both trace backends, and the Section-5 policy line-up.
+/// families, both executor backends, both trace backends, and the
+/// Section-5 policy line-up.
 TEST(RecoveryDifferentialTest, UninterruptedDurableRunMatchesChurnRunner) {
   const std::vector<PolicySpec> specs = StandardPolicySpecs();
   for (std::uint64_t seed = 0; seed < 200; ++seed) {
     SimulationConfig config = ScenarioConfig(static_cast<int>(seed));
     const ExecutorBackend backends[] = {ExecutorBackend::kIndexed,
-                                        ExecutorBackend::kReference,
-                                        ExecutorBackend::kParallel};
-    config.executor_backend = backends[(seed / 4) % 3];
-    config.threads = 2;
+                                        ExecutorBackend::kReference};
+    config.executor_backend = backends[(seed / 4) % 2];
     config.trace_backend = (seed / 8) % 2 == 0 ? TraceBackend::kInMemory
                                                : TraceBackend::kPaged;
     const PolicySpec& spec = specs[seed % specs.size()];
@@ -128,56 +126,6 @@ TEST(RecoveryDifferentialTest, UninterruptedDurableRunMatchesChurnRunner) {
     EXPECT_GT(durable->recovery_wal_records_logged, 0u) << label;
     EXPECT_EQ(durable->recovery_snapshots_loaded, 0u) << label;
     EXPECT_EQ(durable->recovery_wal_records_replayed, 0u) << label;
-  }
-}
-
-/// The durable files themselves are backend-invariant: after an
-/// uninterrupted run on a faulty, cached, churning config, the WAL
-/// bytes the serial indexed monitor leaves in storage equal those of
-/// the sharded monitor on four threads (probes logged from the session
-/// observer on both), and so do the snapshot bytes, once the two fields
-/// that name the backend — the run fingerprint and the sharded
-/// monitor's shard-telemetry tail — are set to the serial run's.
-TEST(RecoveryDifferentialTest, DurableFilesMatchAcrossProbePaths) {
-  const std::vector<PolicySpec> specs = StandardPolicySpecs();
-  for (std::uint64_t seed = 0; seed < 8; ++seed) {
-    SimulationConfig config = ScenarioConfig(3);
-    const PolicySpec& spec = specs[seed % specs.size()];
-    DurableOptions options;
-    options.checkpoint_every = seed % 2 == 0 ? 0 : 7;
-    const std::string label = spec.Label() + " seed=" + std::to_string(seed);
-
-    MemoryStorage serial;
-    options.storage = &serial;
-    config.executor_backend = ExecutorBackend::kIndexed;
-    ASSERT_TRUE(RunDurableOnce(config, spec, seed, options).ok()) << label;
-    MemoryStorage sharded;
-    options.storage = &sharded;
-    config.executor_backend = ExecutorBackend::kParallel;
-    config.threads = 4;
-    ASSERT_TRUE(RunDurableOnce(config, spec, seed, options).ok()) << label;
-
-    auto names = serial.ListFiles();
-    ASSERT_TRUE(names.ok());
-    ASSERT_EQ(*names, *sharded.ListFiles()) << label;
-    std::size_t wal_bytes = 0;
-    for (const std::string& name : *names) {
-      const std::string a = *serial.ReadFile(name);
-      std::string b = *sharded.ReadFile(name);
-      if (ParseSnapshotFileName(name) >= 0) {
-        auto serial_snapshot = DecodeSnapshot(a);
-        auto sharded_snapshot = DecodeSnapshot(b);
-        ASSERT_TRUE(serial_snapshot.ok() && sharded_snapshot.ok()) << label;
-        EXPECT_GT(sharded_snapshot->monitor.shards.shard_count, 0) << label;
-        sharded_snapshot->fingerprint = serial_snapshot->fingerprint;
-        sharded_snapshot->monitor.shards = serial_snapshot->monitor.shards;
-        b = EncodeSnapshot(*sharded_snapshot);
-      } else {
-        wal_bytes += a.size();
-      }
-      EXPECT_EQ(a, b) << label << " [file: " << name << "]";
-    }
-    EXPECT_GT(wal_bytes, 0u) << label;
   }
 }
 
@@ -229,14 +177,12 @@ TEST(RecoveryDifferentialTest, CrashAtEveryBoundaryRecoversExactly) {
       {2, ExecutorBackend::kIndexed, TraceBackend::kInMemory, "S-EDF", 53},
       {3, ExecutorBackend::kIndexed, TraceBackend::kInMemory, "MRSF", 91},
       {3, ExecutorBackend::kReference, TraceBackend::kInMemory, "MRSF", 91},
-      {3, ExecutorBackend::kParallel, TraceBackend::kInMemory, "MRSF", 91},
       {3, ExecutorBackend::kIndexed, TraceBackend::kPaged, "MRSF", 29},
       {1, ExecutorBackend::kReference, TraceBackend::kPaged, "S-EDF", 71},
   };
   for (const Arm& arm : arms) {
     SimulationConfig config = ScenarioConfig(arm.family);
     config.executor_backend = arm.backend;
-    config.threads = 3;
     config.trace_backend = arm.trace;
     PolicySpec spec{arm.policy, ExecutionMode::kPreemptive};
     const ProxyRunReport baseline = MustChurnRun(config, spec, arm.seed);

@@ -28,7 +28,6 @@ ProxyRunReport RichReport() {
   r.run.t_intervals_failed = 2;
   r.run.circuits_opened = 1;
   r.run.open_chronons_by_resource = {0, 2, 0, 1};
-  r.run.shard_count = 16;
   r.feeds_fetched = 9;
   r.timeouts = 2;
   r.probes_failed = 2;
@@ -42,10 +41,6 @@ ProxyRunReport RichReport() {
   r.churn_submitted = 4;
   r.trace_pages_written = 7;
   r.recovery_snapshots_written = 2;
-  r.shard_count = 16;
-  r.shard_candidates_scored = {5, 6};
-  r.shard_probes_executed = {4, 5};
-  r.shard_merge_entries = 11;
   r.estimation_probes_observed = 9;
   r.estimation_explore_probes = 2;
   return r;
@@ -105,13 +100,6 @@ std::vector<Mutation> Mutations() {
       {"ChurnStats", [](ProxyRunReport* r) { ++r->orphaned_probes; }},
       {"TraceStoreStats",
        [](ProxyRunReport* r) { ++r->trace_cache_evictions; }},
-      {"shard_count", [](ProxyRunReport* r) { ++r->shard_count; }},
-      {"shard_candidates_scored",
-       [](ProxyRunReport* r) { ++r->shard_candidates_scored[0]; }},
-      {"shard_probes_executed",
-       [](ProxyRunReport* r) { r->shard_probes_executed.push_back(1); }},
-      {"shard_merge_entries",
-       [](ProxyRunReport* r) { ++r->shard_merge_entries; }},
       {"EstimationStats",
        [](ProxyRunReport* r) { ++r->estimation_duplicate_events; }},
       {"AdaptiveRunStats",
@@ -133,11 +121,12 @@ TEST(ReportDifferenceTest, NamesTheChangedBlockOrField) {
   }
 }
 
-TEST(ReportDifferenceTest, TimingRecoveryAndRunShardCopyAreNotCompared) {
+TEST(ReportDifferenceTest, TimingRecoveryAndCompatFieldsAreNotCompared) {
   const ProxyRunReport rich = RichReport();
   ProxyRunReport copy = rich;
   copy.run.elapsed_seconds += 1.0;
-  copy.run.shard_count = 0;
+  copy.shard_count = 1;
+  copy.shard_merge_entries = 1;
   copy.recovery_snapshots_written = 0;
   copy.recovery_snapshots_loaded = 1;
   copy.recovery_snapshots_rejected = 2;
@@ -155,7 +144,6 @@ TEST(ReportDifferenceTest, SkipTogglesSkipOnlyTheirBlock) {
   } toggles[] = {
       {{.parse_cache_stats = false}, "ParseCacheStats"},
       {{.trace_stats = false}, "TraceStoreStats"},
-      {{.shard_stats = false}, "shard_"},
   };
   for (const auto& toggle : toggles) {
     for (const Mutation& m : Mutations()) {

@@ -19,10 +19,8 @@
 #                             # trace store (8x compression + 0.5x
 #                             # replay + cross-backend equality) and
 #                             # the durability layer (<= 5% checkpoint
-#                             # overhead + replay-exact recovery), the
-#                             # parallel pipeline (hardware-scaled
-#                             # speedup + bit-identical cross-backend
-#                             # reports) and the closed-loop estimator
+#                             # overhead + replay-exact recovery) and
+#                             # the closed-loop estimator
 #                             # (>= 0.5x oracle GC on the steady feed
 #                             # regime)
 
@@ -69,15 +67,14 @@ else
   cmake --preset ubsan > /dev/null
   cmake --build --preset ubsan -j "$jobs"
   (cd build-ubsan && ctest --output-on-failure -j "$jobs")
-  echo "== sanitizer pass: tsan (parallel pipeline, sweep threads) =="
-  # Only the suites that actually spawn threads: the full suite under
-  # tsan is slow, and the single-threaded tests cannot race.
+  echo "== sanitizer pass: tsan (sweep threads, concurrent proxy runs) =="
+  # Only the suite that spawns threads: ExperimentRunner's sweep threads
+  # and concurrent RunProxyOnce calls. The full suite under tsan is slow,
+  # and the single-threaded tests cannot race.
   cmake --preset tsan > /dev/null
-  cmake --build --preset tsan -j "$jobs" --target \
-    parallel_executor_test parallel_invariance_test shard_map_test \
-    recovery_differential_test thread_invariance_test
+  cmake --build --preset tsan -j "$jobs" --target thread_invariance_test
   (cd build-tsan && ctest --output-on-failure -j "$jobs" -R \
-    'parallel_executor_test|parallel_invariance_test|shard_map_test|recovery_differential_test|thread_invariance_test')
+    'thread_invariance_test')
 fi
 
 if [[ "$bench" == 1 ]]; then
@@ -102,10 +99,6 @@ if [[ "$bench" == 1 ]]; then
   cmake --build --preset release -j "$jobs" --target bench_recovery
   ./build-release/bench/bench_recovery --json=BENCH_recovery_local.json
   python3 tools/bench_diff.py BENCH_recovery.json BENCH_recovery_local.json
-  echo "== parallel bench gate: Release + LTO =="
-  cmake --build --preset release -j "$jobs" --target bench_parallel
-  ./build-release/bench/bench_parallel --json=BENCH_parallel_local.json
-  python3 tools/bench_diff.py BENCH_parallel.json BENCH_parallel_local.json
   echo "== adaptive estimation bench gate: Release + LTO =="
   cmake --build --preset release -j "$jobs" --target bench_adaptive
   ./build-release/bench/bench_adaptive --json=BENCH_adaptive_local.json

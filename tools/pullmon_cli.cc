@@ -300,17 +300,10 @@ const std::vector<Knob>& Knobs() {
       Enum<ExecutorBackend>(
           "executor", " backend",
           "scheduling backend: indexed (incremental candidate index) | "
-          "reference (scan-based oracle) | parallel (sharded multi-threaded "
-          "scheduling)",
+          "reference (scan-based oracle)",
           {{"indexed", ExecutorBackend::kIndexed},
-           {"reference", ExecutorBackend::kReference},
-           {"parallel", ExecutorBackend::kParallel}},
+           {"reference", ExecutorBackend::kReference}},
           &C::executor_backend),
-      Bound("threads",
-            "worker threads of the parallel backend's sharded activation and "
-            "scoring; probes run serially (results are bit-identical at every "
-            "thread count)",
-            &C::threads),
       Switch("trace-store",
              "generate and replay the trace through the paged compressed "
              "trace store instead of in memory (decision-identical; adds "
