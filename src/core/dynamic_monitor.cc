@@ -676,4 +676,20 @@ Status DynamicMonitor::CheckInvariants() const {
   return Status::OK();
 }
 
+Status SubmitProblem(const MonitoringProblem& problem,
+                     DynamicMonitor* monitor) {
+  monitor->Reserve(problem.TotalTIntervalCount(), problem.TotalEiCount());
+  for (ProfileId pid = 0;
+       pid < static_cast<ProfileId>(problem.profiles.size()); ++pid) {
+    const Profile& p = problem.profiles[static_cast<std::size_t>(pid)];
+    PULLMON_CHECK(monitor->RegisterProfile(p.name()) == pid);
+    for (std::size_t ti = 0; ti < p.t_intervals().size(); ++ti) {
+      PULLMON_ASSIGN_OR_RETURN(
+          int submission, monitor->SubmitStable(pid, &p.t_intervals()[ti]));
+      PULLMON_CHECK(static_cast<std::size_t>(submission) == ti);
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace pullmon

@@ -241,7 +241,6 @@ class DynamicMonitor {
 
   const ProbeStats& probe_stats() const { return probe_stats_; }
   const ChurnStats& churn_stats() const { return churn_stats_; }
-  const ResourceHealthTracker& health() const { return health_; }
 
   /// Completeness of the schedule so far against everything submitted
   /// and not withdrawn (cancelled submissions are excluded).
@@ -363,6 +362,14 @@ class DynamicMonitor {
   /// Per-chronon candidate entries (sized once, reused).
   std::vector<ResourceCandidate> entries_;
 };
+
+/// Loads a validated problem, which must outlive the monitor, before
+/// chronon 0 (OnlineExecutor, MonitorRun's static kind): every profile
+/// registered and its t-intervals submitted in problem order, so flat
+/// ids and tie-breaks follow the problem, and each submission id is
+/// its t-interval's index within the profile.
+Status SubmitProblem(const MonitoringProblem& problem,
+                     DynamicMonitor* monitor);
 
 }  // namespace pullmon
 

@@ -1,7 +1,6 @@
 #include "core/online_executor.h"
 
 #include <chrono>
-#include <vector>
 
 #include "core/dynamic_monitor.h"
 #include "core/reference_executor.h"
@@ -49,50 +48,14 @@ Result<OnlineRunResult> OnlineExecutor::Run() {
     return reference.Run();
   }
   PULLMON_RETURN_NOT_OK(problem_->Validate());
-  PULLMON_RETURN_NOT_OK(retry_.Validate());
-  PULLMON_RETURN_NOT_OK(breaker_.Validate());
-
-  MonitorOptions options;
+  MonitorOptions options;  // validated by the monitor's first Step()
   options.retry = retry_;
   options.breaker = breaker_;
   DynamicMonitor monitor(problem_->num_resources, problem_->epoch.length,
                          problem_->budget, policy_, mode_, options);
-
-  // Register every profile and submit its t-intervals in profile order,
-  // so flat ids follow the problem's order. Submission ids are
-  // per-profile and empty t-intervals are unsubmittable, so an explicit
-  // submission -> t-interval-index map keeps capture callbacks addressed
-  // by the t-interval's index within its profile.
-  std::vector<std::vector<std::size_t>> t_index_of_submission(
-      problem_->profiles.size());
-  monitor.Reserve(problem_->TotalTIntervalCount(), problem_->TotalEiCount());
-  for (ProfileId pid = 0;
-       pid < static_cast<ProfileId>(problem_->profiles.size()); ++pid) {
-    const Profile& p = problem_->profiles[static_cast<std::size_t>(pid)];
-    PULLMON_CHECK(monitor.RegisterProfile(p.name()) == pid);
-    auto& t_index = t_index_of_submission[static_cast<std::size_t>(pid)];
-    for (std::size_t ti = 0; ti < p.t_intervals().size(); ++ti) {
-      const TInterval& eta = p.t_intervals()[ti];
-      if (eta.empty()) continue;
-      PULLMON_ASSIGN_OR_RETURN(int submission,
-                               monitor.SubmitStable(pid, &eta));
-      PULLMON_CHECK(static_cast<std::size_t>(submission) == t_index.size());
-      t_index.push_back(ti);
-    }
-  }
-
+  PULLMON_RETURN_NOT_OK(SubmitProblem(*problem_, &monitor));
   if (probe_callback_) monitor.set_probe_callback(probe_callback_);
-  if (capture_callback_) {
-    monitor.set_capture_callback(
-        [this, &t_index_of_submission](ProfileId profile, int submission,
-                                       Chronon now) {
-          capture_callback_(
-              profile,
-              t_index_of_submission[static_cast<std::size_t>(profile)]
-                                   [static_cast<std::size_t>(submission)],
-              now);
-        });
-  }
+  if (capture_callback_) monitor.set_capture_callback(capture_callback_);
 
   const auto run_start = std::chrono::steady_clock::now();
   for (Chronon now = 0; now < problem_->epoch.length; ++now) {

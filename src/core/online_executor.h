@@ -95,23 +95,21 @@ enum class ExecutorBackend {
 const char* ExecutorBackendToString(ExecutorBackend backend);
 
 /// Runs an online policy over a monitoring problem, chronon by chronon
-/// (Section 4.2.1). The indexed backend drives the chronon engine
-/// (DynamicMonitor, which documents the online semantics): every
-/// non-empty t-interval is submitted up front in profile order — so
-/// flat ids, and with them the tie-breaks, follow the problem's order —
-/// and the epoch is stepped to its end. set_backend(kReference)
-/// switches to the scan-based oracle implementation.
+/// (Section 4.2.1). The indexed backend loads the chronon engine
+/// (DynamicMonitor, which documents the online semantics) with the
+/// whole problem up front — SubmitProblem, the loader the physical
+/// proxy run shares — and steps the epoch to its end.
+/// set_backend(kReference) switches to the scan-based oracle
+/// implementation.
 class OnlineExecutor {
  public:
   /// Invoked when a t-interval is fully captured: (profile, index of the
-  /// t-interval within the profile, capture chronon). Used by the proxy
-  /// push layer to deliver notifications.
+  /// t-interval within the profile, capture chronon).
   using CaptureCallback =
       std::function<void(ProfileId, std::size_t, Chronon)>;
 
   /// Invoked for every probe attempt the executor issues: (resource,
-  /// chronon). The proxy layer uses this to perform the physical pull
-  /// (feed fetch). Returns whether the probe succeeded: a failed probe
+  /// chronon). Returns whether the probe succeeded: a failed probe
   /// consumes budget but captures nothing — its candidate EIs stay
   /// candidates, eligible for same-chronon retries (see RetryPolicy) and
   /// re-scoring at later chronons. Without a callback every probe

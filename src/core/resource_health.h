@@ -105,7 +105,6 @@ class ResourceHealthTracker {
   ResourceHealthTracker(int num_resources, BreakerOptions options);
 
   const BreakerOptions& options() const { return options_; }
-  bool breaker_enabled() const { return options_.enabled; }
 
   /// Advances the state machine to `now`: circuits whose cool-down has
   /// elapsed move to half-open, and still-open circuits accrue one open

@@ -150,7 +150,6 @@ Status DirectoryStorage::WriteFile(const std::string& name,
       return Status::IoError("fdatasync on " + tmp_path + " failed: " +
                              std::strerror(errno));
     }
-    ++data_syncs_;
   }
 #else
   {
@@ -179,7 +178,6 @@ Status DirectoryStorage::WriteFile(const std::string& name,
       return Status::IoError("fsync on directory " + directory_ +
                              " failed: " + std::strerror(errno));
     }
-    ++dir_syncs_;
   }
 #endif
   return Status::OK();
@@ -202,7 +200,6 @@ Status DirectoryStorage::AppendFile(const std::string& name,
     return Status::IoError("fdatasync on " + path + " failed: " +
                            std::strerror(errno));
   }
-  ++data_syncs_;
   return Status::OK();
 #else
   std::ofstream out(path, std::ios::binary | std::ios::app);

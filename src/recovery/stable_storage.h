@@ -95,18 +95,10 @@ class DirectoryStorage : public StableStorage {
 
   const std::string& directory() const { return directory_; }
 
-  /// Successful fdatasync() calls on file data (one per append, one per
-  /// whole-file write) — lets tests pin the durability protocol down.
-  std::size_t data_syncs() const { return data_syncs_; }
-  /// Successful fsync() calls on the directory (one per rename).
-  std::size_t dir_syncs() const { return dir_syncs_; }
-
  private:
   std::string PathFor(const std::string& name) const;
 
   std::string directory_;
-  std::size_t data_syncs_ = 0;
-  std::size_t dir_syncs_ = 0;
 };
 
 }  // namespace pullmon

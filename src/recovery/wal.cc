@@ -26,25 +26,21 @@ WalWriter::WalWriter(StableStorage* storage, std::string name)
 void WalWriter::LogChrononStart(Chronon chronon) {
   AppendRecordField(static_cast<std::uint64_t>(WalRecordType::kChrononStart),
                     kSigned, chronon, &buffer_);
-  ++records_logged_;
 }
 
 void WalWriter::LogChurn(const WalChurnRecord& record) {
   AppendRecordField(static_cast<std::uint64_t>(WalRecordType::kChurnOp),
                     kStruct, record, &buffer_);
-  ++records_logged_;
 }
 
 void WalWriter::LogProbe(const WalProbeRecord& record) {
   AppendRecordField(static_cast<std::uint64_t>(WalRecordType::kProbe),
                     kStruct, record, &buffer_);
-  ++records_logged_;
 }
 
 Status WalWriter::CommitChronon(Chronon chronon) {
   AppendRecordField(static_cast<std::uint64_t>(WalRecordType::kChrononCommit),
                     kSigned, chronon, &buffer_);
-  ++records_logged_;
   PULLMON_RETURN_NOT_OK(storage_->AppendFile(name_, buffer_));
   bytes_flushed_ += buffer_.size();
   buffer_.clear();

@@ -70,8 +70,6 @@ class WalWriter {
   /// the kChrononCommit record for `chronon`.
   Status CommitChronon(Chronon chronon);
 
-  /// Records staged or flushed over the writer's lifetime.
-  std::size_t records_logged() const { return records_logged_; }
   /// Bytes successfully appended to storage so far.
   std::size_t bytes_flushed() const { return bytes_flushed_; }
 
@@ -79,7 +77,6 @@ class WalWriter {
   StableStorage* storage_;
   std::string name_;
   std::string buffer_;
-  std::size_t records_logged_ = 0;
   std::size_t bytes_flushed_ = 0;
 };
 

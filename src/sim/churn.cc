@@ -235,10 +235,7 @@ Result<ProxyRunReport> RunChurnOnce(const SimulationConfig& config,
   PULLMON_RETURN_NOT_OK(
       run.Start(config, spec, seed, MonitorRun::Kind::kChurn));
   run.RegisterProfiles();
-  for (Chronon now = 0; now < run.problem().epoch.length; ++now) {
-    PULLMON_RETURN_NOT_OK(run.StepChronon());
-  }
-  return run.Finish();
+  return run.RunToEnd();
 }
 
 }  // namespace pullmon

@@ -136,16 +136,16 @@ Result<MonitoringProblem> BuildProblem(
   return problem;
 }
 
-MonitorOptions MonitorOptionsFor(const SimulationConfig& config) {
+MonitorOptions MonitorOptionsFor(const ProxyOptions& proxy) {
   MonitorOptions options;
-  options.retry = config.retry;
-  options.breaker = config.breaker;
-  switch (config.executor_backend) {
+  options.retry = proxy.retry;
+  options.breaker = proxy.breaker;
+  switch (proxy.backend) {
     case ExecutorBackend::kIndexed:
       break;
     case ExecutorBackend::kReference:
       // The reference backend runs the from-scratch rebuild oracle, so
-      // backend differential tests cover churn too.
+      // backend differential tests cover every physical run.
       options.maintenance = MonitorIndexMode::kRebuild;
       break;
   }

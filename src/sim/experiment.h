@@ -82,14 +82,15 @@ struct RunSubstrate {
 Status BuildSubstrate(const SimulationConfig& config, const PolicySpec& spec,
                       uint64_t seed, RunSubstrate* out);
 
-/// The chronon-engine options of a monitor-driven run of `config`:
-/// retry and breaker knobs, and index maintenance (reference -> the
-/// rebuild oracle, incremental otherwise).
-MonitorOptions MonitorOptionsFor(const SimulationConfig& config);
+/// The chronon-engine options of every MonitorRun on `proxy`: its retry
+/// and breaker knobs, and index maintenance from its backend (reference
+/// -> the MonitorIndexMode::kRebuild oracle, incremental otherwise).
+MonitorOptions MonitorOptionsFor(const ProxyOptions& proxy);
 
 /// Runs the *physical* proxy path once: generates the instance, replays
 /// its trace through a FeedNetwork (buffer capacity, fault rates, and
-/// the retry policy all from `config`), and drives MonitoringProxy with
+/// the retry policy all from `config`), and drives MonitoringProxy
+/// (MonitorRun's static kind; kReference runs the rebuild oracle) with
 /// the given policy. Deterministic in (config, spec, seed).
 Result<ProxyRunReport> RunProxyOnce(const SimulationConfig& config,
                                     const PolicySpec& spec, uint64_t seed);

@@ -17,25 +17,47 @@ Status MonitorRun::Start(const SimulationConfig& config,
           "--knowledge=estimated runs the adaptive runner");
     }
     PULLMON_RETURN_NOT_OK(config.churn.Validate());
-  } else {
+  } else if (kind == Kind::kAdaptive) {
     PULLMON_RETURN_NOT_OK(config.ValidateEstimation());
   }
   PULLMON_RETURN_NOT_OK(BuildSubstrate(config, spec, seed, &substrate_));
-  const MonitoringProblem& problem = substrate_.problem;
-  session_.emplace(&*substrate_.network, problem.num_resources,
-                   substrate_.proxy, &report_);
+  PULLMON_RETURN_NOT_OK(Start(substrate_.problem, &*substrate_.network,
+                              substrate_.policy.get(), spec.mode,
+                              substrate_.proxy, kind,
+                              std::move(monitor_budget)));
+  if (kind == Kind::kChurn) stream_.emplace(*problem_, config.churn, seed);
+  return Status::OK();
+}
+
+Status MonitorRun::Start(const MonitoringProblem& problem,
+                         FeedNetwork* network, Policy* policy,
+                         ExecutionMode mode, const ProxyOptions& options,
+                         Kind kind,
+                         std::optional<BudgetVector> monitor_budget) {
+  PULLMON_RETURN_NOT_OK(options.Validate());
+  if (options.trace_backend == TraceBackend::kPaged &&
+      network->trace_store() == nullptr) {
+    return Status::InvalidArgument(
+        "trace_backend is paged but the feed network replays an "
+        "in-memory trace");
+  }
+  if (kind == Kind::kStatic) PULLMON_RETURN_NOT_OK(problem.Validate());
+  kind_ = kind;
+  problem_ = &problem;
+  session_.emplace(network, problem.num_resources, options, &report_);
   monitor_.emplace(problem.num_resources, problem.epoch.length,
-                   monitor_budget.value_or(problem.budget),
-                   substrate_.policy.get(), spec.mode,
-                   MonitorOptionsFor(config));
+                   monitor_budget.value_or(problem.budget), policy, mode,
+                   MonitorOptionsFor(options));
   session_->AttachTo(&*monitor_);
-  if (kind == Kind::kChurn) stream_.emplace(problem, config.churn, seed);
+  if (kind == Kind::kStatic) {
+    PULLMON_RETURN_NOT_OK(SubmitProblem(problem, &*monitor_));
+  }
   start_ = std::chrono::steady_clock::now();
   return Status::OK();
 }
 
 void MonitorRun::RegisterProfiles() {
-  for (const Profile& p : substrate_.problem.profiles) {
+  for (const Profile& p : problem_->profiles) {
     monitor_->RegisterProfile(p.name());
   }
 }
@@ -51,34 +73,39 @@ Status MonitorRun::StepChronon(
   return Status::OK();
 }
 
+Result<ProxyRunReport> MonitorRun::RunToEnd() {
+  while (monitor_->now() < problem_->epoch.length) {
+    PULLMON_RETURN_NOT_OK(StepChronon());
+  }
+  return Finish();
+}
+
 Result<ProxyRunReport> MonitorRun::Finish(const Schedule* explore_schedule) {
   const double elapsed = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - start_)
                              .count();
   OnlineRunResult run = monitor_->RunResult();
-  if (explore_schedule == nullptr) {
+  if (kind_ == Kind::kChurn) {
+    // Cancelled submissions leave the denominator.
     run.completeness = monitor_->Completeness();
-    // The monitor's own capture accounting must agree with the
-    // schedule-based evaluation (cancelled submissions excluded).
-    PULLMON_CHECK(run.completeness.captured_t_intervals ==
-                  run.t_intervals_completed);
     static_cast<ChurnStats&>(report_) = monitor_->churn_stats();
   } else {
-    // The monitor only ever saw predicted submissions, so its own
-    // capture accounting measures the forecasts, not the ground truth.
-    const MonitoringProblem& problem = substrate_.problem;
-    Schedule combined(problem.epoch.length);
-    for (Chronon t = 0; t < problem.epoch.length; ++t) {
-      for (ResourceId r : run.schedule.ProbesAt(t)) {
-        PULLMON_RETURN_NOT_OK(combined.AddProbe(r, t));
+    if (explore_schedule != nullptr) {
+      for (Chronon t = 0; t < problem_->epoch.length; ++t) {
+        for (ResourceId r : explore_schedule->ProbesAt(t)) {
+          PULLMON_RETURN_NOT_OK(run.schedule.AddProbe(r, t));
+        }
       }
-      for (ResourceId r : explore_schedule->ProbesAt(t)) {
-        PULLMON_RETURN_NOT_OK(combined.AddProbe(r, t));
-      }
+      run.probes_used += report_.estimation_explore_probes;
     }
-    run.completeness = EvaluateCompleteness(problem.profiles, combined);
-    run.schedule = std::move(combined);
-    run.probes_used += report_.estimation_explore_probes;
+    run.completeness = EvaluateCompleteness(problem_->profiles, run.schedule);
+  }
+  // The monitor's own capture accounting must agree with the
+  // schedule-based evaluation, except under forecasts: an adaptive
+  // monitor only ever saw predicted submissions.
+  if (kind_ != Kind::kAdaptive) {
+    PULLMON_CHECK(run.completeness.captured_t_intervals ==
+                  run.t_intervals_completed);
   }
   run.elapsed_seconds = elapsed;
   session_->FinishReport(std::move(run));

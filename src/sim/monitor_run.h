@@ -14,17 +14,20 @@
 
 namespace pullmon {
 
-/// The monitor-run core of the churn, durable and adaptive runners
-/// (DESIGN.md section 13): one run's substrate, report, pull session
-/// and DynamicMonitor, wired together, plus the chronon step and report
-/// finish they share. Each runner drives it from its own loop and keeps
-/// only its own logic: RunChurnOnce is the bare loop, the durable
-/// runner adds restore, checkpoints and the WAL, and the adaptive
-/// runner adds forecasts and explore probes.
+/// The one online loop of every physical run (DESIGN.md section 13):
+/// one run's pull session, report and DynamicMonitor, wired together,
+/// plus the chronon step and report finish they share. Each entry point
+/// drives it from its own loop and keeps only its own logic:
+/// MonitoringProxy pushes notifications, RunChurnOnce is the bare loop,
+/// the durable runner adds restore, checkpoints and the WAL, and the
+/// adaptive runner adds forecasts and explore probes.
 class MonitorRun {
  public:
   /// What the monitor is fed.
   enum class Kind {
+    /// Every true t-interval, submitted before chronon 0 in problem
+    /// order (SubmitProblem). Scored against the problem.
+    kStatic,
     /// The true t-intervals, each submitted the chronon its earliest EI
     /// opens, plus the configured churn (a ChurnStream). Oracle
     /// knowledge only.
@@ -38,12 +41,21 @@ class MonitorRun {
   MonitorRun(const MonitorRun&) = delete;
   MonitorRun& operator=(const MonitorRun&) = delete;
 
-  /// Validates `config` for `kind`, builds the substrate, the session,
-  /// and the monitor (on `monitor_budget`, default the problem's) with
-  /// the session as its probe path, and starts the run clock. Registers
-  /// no profile: a monitor to be restored must start empty.
+  /// Validates `config` for `kind`, builds the substrate and starts on
+  /// it (below); kChurn also gets its ChurnStream.
   Status Start(const SimulationConfig& config, const PolicySpec& spec,
                uint64_t seed, Kind kind,
+               std::optional<BudgetVector> monitor_budget = std::nullopt);
+
+  /// Starts on borrowed parts, which must outlive the run: checks
+  /// `options` (a paged trace backend needs a store-backed network),
+  /// builds the session and the monitor (on `monitor_budget`, default
+  /// the problem's) with the session as its probe path, and starts the
+  /// clock. kStatic validates and submits `problem` (SubmitProblem);
+  /// the other kinds register no profile, so a restore can follow.
+  Status Start(const MonitoringProblem& problem, FeedNetwork* network,
+               Policy* policy, ExecutionMode mode,
+               const ProxyOptions& options, Kind kind,
                std::optional<BudgetVector> monitor_budget = std::nullopt);
 
   /// Registers every true profile in problem order (profile i is
@@ -56,14 +68,18 @@ class MonitorRun {
   Status StepChronon(
       const std::function<void(const ChurnStream::Op&)>& on_op = {});
 
-  /// Completes the report after the epoch. Without `explore_schedule`
-  /// completeness is scored against the monitor's live submissions
-  /// (churn counters mirrored); with it, against the true profiles over
-  /// the monitor's plus the explore schedule, whose budget units
-  /// (report().estimation_explore_probes) join probes_used.
+  /// Steps the remaining chronons, then Finish().
+  Result<ProxyRunReport> RunToEnd();
+
+  /// Completes the report after the epoch. kChurn scores completeness
+  /// against the monitor's live submissions and copies its ChurnStats;
+  /// kStatic scores it against the problem's profiles, and kAdaptive
+  /// against them over the monitor's plus `explore_schedule`, whose
+  /// budget units (report().estimation_explore_probes) join
+  /// probes_used.
   Result<ProxyRunReport> Finish(const Schedule* explore_schedule = nullptr);
 
-  const MonitoringProblem& problem() const { return substrate_.problem; }
+  const MonitoringProblem& problem() const { return *problem_; }
   DynamicMonitor& monitor() { return *monitor_; }
   FeedPullSession& session() { return *session_; }
   ChurnStream& stream() { return *stream_; }
@@ -71,6 +87,8 @@ class MonitorRun {
 
  private:
   RunSubstrate substrate_;
+  Kind kind_ = Kind::kStatic;
+  const MonitoringProblem* problem_ = nullptr;
   ProxyRunReport report_;
   std::optional<FeedPullSession> session_;
   std::optional<DynamicMonitor> monitor_;

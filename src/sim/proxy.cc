@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "feeds/atom.h"
+#include "sim/monitor_run.h"
 #include "util/logging.h"
 
 namespace pullmon {
@@ -268,43 +269,21 @@ MonitoringProxy::MonitoringProxy(const MonitoringProblem* problem,
       options_(options) {}
 
 Result<ProxyRunReport> MonitoringProxy::Run() {
-  PULLMON_RETURN_NOT_OK(options_.Validate());
-  if (options_.trace_backend == TraceBackend::kPaged &&
-      network_->trace_store() == nullptr) {
-    return Status::InvalidArgument(
-        "trace_backend is paged but the feed network replays an "
-        "in-memory trace");
-  }
   notifications_.clear();
-  ProxyRunReport report;
-
-  OnlineExecutor executor(problem_, policy_, mode_);
-  executor.set_retry_policy(options_.retry);
-  executor.set_breaker_options(options_.breaker);
-  executor.set_backend(options_.backend);
-
-  FeedPullSession session(network_, problem_->num_resources, options_,
-                          &report);
-  session.AttachTo(&executor);
-
-  executor.set_capture_callback([&](ProfileId profile,
-                                    std::size_t t_interval_index,
-                                    Chronon now) {
-    // The push leg: deliver the captured t-interval to its client.
-    ProxyNotification notification;
-    notification.profile = profile;
-    notification.t_interval_index = t_interval_index;
-    notification.chronon = now;
-    // A capture at `now` always follows a successful Probe(_, now).
-    PULLMON_CHECK(now == session.fetch_chronon());
-    notification.items = session.current_items();
-    notifications_.push_back(std::move(notification));
-    ++report.notifications_delivered;
-  });
-
-  PULLMON_ASSIGN_OR_RETURN(OnlineRunResult run, executor.Run());
-  session.FinishReport(std::move(run));
-  return report;
+  MonitorRun run;
+  PULLMON_RETURN_NOT_OK(run.Start(*problem_, network_, policy_, mode_,
+                                  options_, MonitorRun::Kind::kStatic));
+  // The push leg: deliver each captured t-interval to its client (a
+  // static submission id is the t-interval's index in its profile).
+  run.monitor().set_capture_callback(
+      [this, &run](ProfileId profile, int submission, Chronon now) {
+        // A capture at `now` always follows a successful Probe(_, now).
+        PULLMON_CHECK(now == run.session().fetch_chronon());
+        notifications_.push_back(ProxyNotification{
+            profile, static_cast<std::size_t>(submission), now,
+            run.session().current_items()});
+      });
+  return run.RunToEnd();
 }
 
 }  // namespace pullmon

@@ -208,9 +208,10 @@ struct ProxyOptions {
   /// Circuit-breaker behavior of the executor's resource-health
   /// tracking; disabled by default (byte-identical to no breaker).
   BreakerOptions breaker;
-  /// Scheduling implementation driving the probe path; both backends
-  /// issue identical probe sequences (differentially tested), so this
-  /// only affects scheduling cost.
+  /// Index maintenance of the run's monitor (MonitorOptionsFor):
+  /// kReference runs the MonitorIndexMode::kRebuild oracle. Both issue
+  /// identical probe sequences (differentially tested), so this only
+  /// affects scheduling cost.
   ExecutorBackend backend = ExecutorBackend::kIndexed;
   /// ETag/content-keyed parse cache in front of the feed layer: a probe
   /// whose response matches the cached entry replays the cached
@@ -249,8 +250,8 @@ struct PullSessionImage {
   std::optional<ParseCacheImage> parse_cache;
 };
 
-/// The physical pull leg shared by MonitoringProxy and the churn,
-/// durable and adaptive runners: conditional
+/// The physical pull leg of every MonitorRun (the proxy, churn, durable
+/// and adaptive runs): conditional
 /// fetches through an optional deterministic fault plan, arena-backed
 /// parsing, and the optional ETag/content parse cache — one Probe() call
 /// per scheduled probe, filling the transport counters of a
@@ -269,8 +270,8 @@ class FeedPullSession {
   /// probe attempt runs, on every backend.
   bool Probe(ResourceId resource, Chronon now);
 
-  /// Makes Probe() the probe callback of `engine` (OnlineExecutor or
-  /// DynamicMonitor).
+  /// Makes Probe() the probe callback of `engine`: the run's
+  /// DynamicMonitor, or a test's ReferenceExecutor oracle.
   template <typename Engine>
   void AttachTo(Engine* engine) {
     engine->set_probe_callback([this](ResourceId resource, Chronon now) {
@@ -346,13 +347,14 @@ class FeedPullSession {
   std::optional<ParseCache> cache_;
 };
 
-/// The monitoring proxy: drives the online executor over an epoch while
-/// performing the *physical* data path — every scheduled probe pulls the
+/// The monitoring proxy: steps MonitorRun's static kind (the whole
+/// problem submitted before chronon 0) over an epoch while performing
+/// the *physical* data path — every scheduled probe pulls the
 /// resource's feed document from the FeedNetwork (optionally through a
 /// deterministic fault-injection layer), parses it, and captured
 /// t-intervals are pushed to clients as notifications. This is the
-/// end-to-end integration of scheduler and feed substrate used by the
-/// examples and integration tests.
+/// end-to-end integration of scheduler and feed substrate used by
+/// RunProxyOnce, the examples and integration tests.
 class MonitoringProxy {
  public:
   /// All pointers must outlive the proxy; no ownership taken. The

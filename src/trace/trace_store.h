@@ -153,9 +153,6 @@ class TraceStore {
   /// Decodes and checksums every page — a full-store integrity audit.
   Status VerifyAllPages() const;
 
-  /// Raw encoded bytes (page stream) — telemetry and tests.
-  std::string_view raw_bytes() const { return bytes_; }
-
   /// Test hook: mutable access to the page stream so corruption tests
   /// can flip stored bytes and assert the read paths surface it.
   std::string* mutable_bytes_for_testing() { return &bytes_; }

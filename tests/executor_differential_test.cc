@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "core/online_executor.h"
+#include "core/reference_executor.h"
 #include "policies/policy_factory.h"
 #include "sim/config.h"
 #include "sim/experiment.h"
@@ -124,6 +125,37 @@ ProxyRunReport RunBackend(const MonitoringProblem& problem,
   EXPECT_TRUE(run.ok()) << run.status().ToString();
   ProxyRunReport report;
   if (run.ok()) report.run = std::move(*run);
+  return report;
+}
+
+/// The physical proxy path on the scan-based ReferenceExecutor oracle:
+/// RunProxyOnce's substrate and pull session (AttachTo, FinishReport)
+/// under the reference executor instead of the run's monitor, pushing
+/// each capture into `notifications` when one is given.
+ProxyRunReport RunReferenceProxy(
+    const SimulationConfig& config, const PolicySpec& spec, uint64_t seed,
+    std::vector<ProxyNotification>* notifications = nullptr) {
+  RunSubstrate substrate;
+  PULLMON_CHECK_OK(BuildSubstrate(config, spec, seed, &substrate));
+  ProxyRunReport report;
+  FeedPullSession session(&*substrate.network,
+                          substrate.problem.num_resources, substrate.proxy,
+                          &report);
+  ReferenceExecutor reference(&substrate.problem, substrate.policy.get(),
+                              spec.mode);
+  reference.set_retry_policy(substrate.proxy.retry);
+  reference.set_breaker_options(substrate.proxy.breaker);
+  session.AttachTo(&reference);
+  reference.set_capture_callback(
+      [&](ProfileId profile, std::size_t t_interval_index, Chronon now) {
+        ++report.notifications_delivered;
+        if (notifications == nullptr) return;
+        notifications->push_back(ProxyNotification{
+            profile, t_interval_index, now, session.current_items()});
+      });
+  auto run = reference.Run();
+  PULLMON_CHECK_OK(run.status());
+  session.FinishReport(std::move(*run));
   return report;
 }
 
@@ -278,8 +310,10 @@ TEST(ExecutorDifferentialTest, IndexedMatchesReferenceWithBreakers) {
 }
 
 // The full physical path — FeedNetwork, FaultPlan, RetryPolicy, proxy
-// notifications — must also be backend-independent: the backend choice
-// may only change scheduling cost, never a probe or a byte fetched.
+// notifications — must also be backend-independent: the indexed
+// monitor, the kRebuild monitor (--executor=reference) and the
+// ReferenceExecutor wired to the same pull session may only differ in
+// scheduling cost, never in a probe or a byte fetched.
 TEST(ExecutorDifferentialTest, ProxyPathMatchesThroughFaultLayer) {
   SimulationConfig config = BaselineConfig();
   config.num_resources = 20;
@@ -308,13 +342,17 @@ TEST(ExecutorDifferentialTest, ProxyPathMatchesThroughFaultLayer) {
 
       std::string label = spec.Label() + " seed=" + std::to_string(seed);
       EXPECT_EQ(ReportDifference(*indexed, *reference), "") << label;
+      EXPECT_EQ(ReportDifference(*indexed,
+                                 RunReferenceProxy(config, spec, seed)),
+                "")
+          << label << " reference executor";
     }
   }
 }
 
 // Same physical-path identity with the Gilbert-Elliott outage process
 // and the circuit breaker live: the health telemetry itself must also
-// agree between backends, byte for byte.
+// agree between all three, byte for byte.
 TEST(ExecutorDifferentialTest, ProxyPathMatchesWithOutagesAndBreaker) {
   SimulationConfig config = BaselineConfig();
   config.num_resources = 20;
@@ -349,6 +387,10 @@ TEST(ExecutorDifferentialTest, ProxyPathMatchesWithOutagesAndBreaker) {
 
       std::string label = spec.Label() + " seed=" + std::to_string(seed);
       EXPECT_EQ(ReportDifference(*indexed, *reference), "") << label;
+      EXPECT_EQ(ReportDifference(*indexed,
+                                 RunReferenceProxy(config, spec, seed)),
+                "")
+          << label << " reference executor";
     }
   }
 }
@@ -356,8 +398,8 @@ TEST(ExecutorDifferentialTest, ProxyPathMatchesWithOutagesAndBreaker) {
 // Notification payloads, not just counters: with every fault class,
 // retries and the breaker live (and once more with the parse cache),
 // the items pushed with each captured t-interval must be identical on
-// the indexed and reference backends, element by element in delivery
-// order.
+// the indexed and reference backends and on the ReferenceExecutor
+// wiring, element by element in delivery order.
 TEST(ExecutorDifferentialTest, ProxyNotificationPayloadsMatch) {
   SimulationConfig config = BaselineConfig();
   config.num_resources = 25;
@@ -393,27 +435,34 @@ TEST(ExecutorDifferentialTest, ProxyNotificationPayloadsMatch) {
     config.executor_backend = ExecutorBackend::kIndexed;
     std::vector<ProxyNotification> indexed = notifications(config);
     config.executor_backend = ExecutorBackend::kReference;
-    std::vector<ProxyNotification> reference = notifications(config);
-    std::string label = parse_cache ? "parse cache" : "no cache";
-    ASSERT_GT(indexed.size(), 0u) << label;
-    ASSERT_EQ(indexed.size(), reference.size()) << label;
-    for (std::size_t i = 0; i < indexed.size(); ++i) {
-      const ProxyNotification& a = indexed[i];
-      const ProxyNotification& b = reference[i];
-      std::string at = label + " notification " + std::to_string(i);
-      EXPECT_EQ(a.profile, b.profile) << at;
-      EXPECT_EQ(a.t_interval_index, b.t_interval_index) << at;
-      EXPECT_EQ(a.chronon, b.chronon) << at;
-      ASSERT_EQ(a.items.size(), b.items.size()) << at;
-      for (std::size_t j = 0; j < a.items.size(); ++j) {
-        const FeedItem& x = a.items[j];
-        const FeedItem& y = b.items[j];
-        std::string item = at + " item " + std::to_string(j);
-        EXPECT_EQ(x.guid, y.guid) << item;
-        EXPECT_EQ(x.title, y.title) << item;
-        EXPECT_EQ(x.link, y.link) << item;
-        EXPECT_EQ(x.description, y.description) << item;
-        EXPECT_EQ(x.published, y.published) << item;
+    std::vector<ProxyNotification> rebuild = notifications(config);
+    std::vector<ProxyNotification> oracle;
+    RunReferenceProxy(config, spec, seed, &oracle);
+    for (const auto& [arm, reference] :
+         {std::pair{"reference", &rebuild},
+          std::pair{"reference executor", &oracle}}) {
+      std::string label =
+          std::string(parse_cache ? "parse cache" : "no cache") + " " + arm;
+      ASSERT_GT(indexed.size(), 0u) << label;
+      ASSERT_EQ(indexed.size(), reference->size()) << label;
+      for (std::size_t i = 0; i < indexed.size(); ++i) {
+        const ProxyNotification& a = indexed[i];
+        const ProxyNotification& b = (*reference)[i];
+        std::string at = label + " notification " + std::to_string(i);
+        EXPECT_EQ(a.profile, b.profile) << at;
+        EXPECT_EQ(a.t_interval_index, b.t_interval_index) << at;
+        EXPECT_EQ(a.chronon, b.chronon) << at;
+        ASSERT_EQ(a.items.size(), b.items.size()) << at;
+        for (std::size_t j = 0; j < a.items.size(); ++j) {
+          const FeedItem& x = a.items[j];
+          const FeedItem& y = b.items[j];
+          std::string item = at + " item " + std::to_string(j);
+          EXPECT_EQ(x.guid, y.guid) << item;
+          EXPECT_EQ(x.title, y.title) << item;
+          EXPECT_EQ(x.link, y.link) << item;
+          EXPECT_EQ(x.description, y.description) << item;
+          EXPECT_EQ(x.published, y.published) << item;
+        }
       }
     }
   }

@@ -1,9 +1,10 @@
-// The four fault counters LiveReportCounters keeps beside FaultStats
-// (timeouts, server_errors, outage_probes, corrupt_bodies) must agree
-// with the fault layer's own counts on every runner that drives a
-// faulty probe path: the proxy, the churn runner, and the durable
-// runner, uninterrupted and recovered after a crash. They stay until
-// the next snapshot-format change (DESIGN.md section 15) removes them.
+// The report's four fault counters (timeouts, server_errors,
+// outage_probes, corrupt_bodies) are derived from the fault layer's
+// FaultStats when FeedPullSession::FinishReport completes a run. This
+// checks, on every runner that drives a faulty probe path — the proxy,
+// the churn runner, and the durable runner, uninterrupted and
+// recovered after a crash — that every fault class fired and that each
+// counter equals its FaultStats source.
 
 #include <gtest/gtest.h>
 
@@ -85,8 +86,8 @@ TEST(FaultMirrorTest, DurableRunMirrorsFaultStatsAcrossRecovery) {
   ASSERT_TRUE(durable.ok()) << durable.status().ToString();
   ExpectMirrorsFaultStats(*durable, "durable");
 
-  // The mirrors are checkpointed beside the fault-plan image, so a run
-  // restored from a snapshot must still agree.
+  // The fault-plan image carries the FaultStats, so a run restored
+  // from a snapshot must still agree.
   MemoryStorage crashed;
   DurableOptions crashing = options;
   crashing.storage = &crashed;

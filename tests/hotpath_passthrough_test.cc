@@ -72,10 +72,10 @@ TEST(HotpathPassthroughTest, CacheOnOffIdenticalUnderFaultsAndRetries) {
     ASSERT_TRUE(off.ok());
     ASSERT_TRUE(on.ok());
     // The faults actually fired and the cache was actually exercised,
-    // or this test proves nothing. Hits stay near zero on this path by
-    // design — the demand-driven scheduler probes a resource when it
-    // updated, so full bodies almost always carry fresh content (the
-    // hit paths are covered by parse_cache_test's manual harness).
+    // or this test proves nothing. Hits stay at zero on this oracle
+    // path by design — the demand-driven scheduler probes a resource
+    // when it updated, so full bodies carry fresh content (the
+    // estimated arm below replays hits).
     EXPECT_GT(off->probes_failed, 0u);
     EXPECT_GT(off->corrupt_bodies, 0u);
     EXPECT_GT(on->parse_cache_misses, 0u);
@@ -83,6 +83,22 @@ TEST(HotpathPassthroughTest, CacheOnOffIdenticalUnderFaultsAndRetries) {
     EXPECT_EQ(
         ReportDifference(*off, *on, {.parse_cache_stats = false}), "");
   }
+
+  // The estimated-knowledge arm replays real hits end to end: forecast
+  // and explore probes refetch feeds that have not changed, and the
+  // storms turn those 304s into full bodies the cache already holds.
+  config.executor_backend = ExecutorBackend::kIndexed;
+  config.knowledge = KnowledgeModel::kEstimated;
+  config.dataset = DatasetKind::kFeedWorkload;
+  config.faults.etag_storm_rate = 0.3;
+  config.parse_cache = false;
+  auto off = RunProxyOnce(config, spec, 777);
+  config.parse_cache = true;
+  auto on = RunProxyOnce(config, spec, 777);
+  ASSERT_TRUE(off.ok()) << off.status().ToString();
+  ASSERT_TRUE(on.ok()) << on.status().ToString();
+  EXPECT_GT(on->parse_cache_hits, 0u);
+  EXPECT_EQ(ReportDifference(*off, *on, {.parse_cache_stats = false}), "");
 }
 
 TEST(HotpathPassthroughTest, NotificationPayloadsIdenticalWithCache) {

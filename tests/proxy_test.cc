@@ -85,6 +85,29 @@ TEST(MonitoringProxyTest, FetchCountsMatchServers) {
   EXPECT_EQ(total_fetches, report->feeds_fetched);
 }
 
+TEST(MonitoringProxyTest, StaticRunScoresTheProblemWithoutChurnStats) {
+  // The whole problem is submitted before chronon 0; the report scores
+  // it against the problem itself and carries no churn, although the
+  // monitor counts every up-front submission as churn_submitted.
+  Fixture fx;
+  FeedNetwork network(&fx.trace, 8);
+  MrsfPolicy policy;
+  MonitoringProxy proxy(&fx.problem, &network, &policy,
+                        ExecutionMode::kPreemptive);
+  auto report = proxy.Run();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->run.completeness.total_t_intervals,
+            fx.problem.TotalTIntervalCount());
+  EXPECT_TRUE(static_cast<const ChurnStats&>(*report) == ChurnStats{});
+
+  // An empty t-interval never reaches the monitor: the problem check
+  // rejects it before anything is submitted.
+  fx.problem.profiles.push_back(Profile("empty", {TInterval()}));
+  MonitoringProxy rejected(&fx.problem, &network, &policy,
+                           ExecutionMode::kPreemptive);
+  EXPECT_EQ(rejected.Run().status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(MonitoringProxyTest, ZeroFaultRatesAreAnExactNoOp) {
   // Regression guard for the fault layer: all-zero rates must leave
   // every report field bit-identical to a proxy built without

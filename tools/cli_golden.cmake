@@ -84,12 +84,22 @@ function(check_golden file actual)
   endif()
 endfunction()
 
-# golden_case(<name> <expected exit> [MASK_TABLE] [CSV] ARGS <args...>)
+# golden_case(<name> <expected exit> [MASK_TABLE] [CSV] [SAME_AS <case>]
+#             ARGS <args...>)
 # runs `pullmon_cli <args...>`; with CSV it appends
-# --csv=cli_golden_<name>.csv and also checks that file.
+# --csv=cli_golden_<name>.csv and also checks that file. SAME_AS checks
+# the output against <case>'s expected files instead of its own (the
+# written CSV's name aside) and records nothing.
 function(golden_case name expected_exit)
-  cmake_parse_arguments(PARSE_ARGV 2 opt "MASK_TABLE;CSV" "" "ARGS")
+  cmake_parse_arguments(PARSE_ARGV 2 opt "MASK_TABLE;CSV" "SAME_AS" "ARGS")
   set(args ${opt_ARGS})
+  set(expected_name "${name}")
+  if(opt_SAME_AS)
+    if(RECORD)
+      return()
+    endif()
+    set(expected_name "${opt_SAME_AS}")
+  endif()
   set(csv_path "cli_golden_${name}.csv")
   if(opt_CSV)
     file(REMOVE "${csv_path}")
@@ -104,22 +114,28 @@ function(golden_case name expected_exit)
   if(opt_MASK_TABLE)
     mask_table_runtime("${out}" out)
   endif()
-  check_golden("${name}.out" "${out}")
+  string(REPLACE "cli_golden_${name}.csv" "cli_golden_${expected_name}.csv"
+    out "${out}")
+  check_golden("${expected_name}.out" "${out}")
   if(opt_CSV)
     file(READ "${csv_path}" csv)
     mask_csv_runtime("${csv}" csv)
-    check_golden("${name}.csv" "${csv}")
+    check_golden("${expected_name}.csv" "${csv}")
   endif()
 endfunction()
 
 golden_case(run_logical 0 MASK_TABLE CSV ARGS
   run ${small} --policy=mrsf,s-edf --mode=both --offline)
-golden_case(run_proxy 0 CSV ARGS
-  run --proxy ${small} --policy=mrsf,health:mrsf --mode=p --budget=3
+set(proxy run --proxy ${small} --policy=mrsf,health:mrsf --mode=p --budget=3
   --fault-timeout=0.05 --fault-server-error=0.05 --fault-truncate=0.05
   --fault-corrupt=0.05 --fault-etag-storm=0.1 --fault-latency=0.2
   --outage-enter=0.02 --outage-exit=0.2 --retries=2 --breaker
   --breaker-threshold=2 --parse-cache)
+golden_case(run_proxy 0 CSV ARGS ${proxy})
+# --executor=reference runs the proxy's monitor on the rebuild oracle,
+# which decides every probe as the incremental index does.
+golden_case(run_proxy_reference 0 CSV SAME_AS run_proxy ARGS
+  ${proxy} --executor=reference)
 golden_case(run_proxy_trace_store 0 CSV ARGS
   run --proxy ${small} --policy=mrsf --trace-store --trace-page-size=32
   --trace-cache-pages=1 --fault-timeout=0.1)
