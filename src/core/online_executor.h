@@ -78,14 +78,17 @@ struct OnlineRunResult : ProbeStats, HealthStats {
 };
 
 /// Which implementation of the online semantics executes a run. Both are
-/// decision-identical (a differential test enforces it); they differ
-/// only in per-chronon cost.
+/// decision-identical (differential tests enforce it); they differ only
+/// in per-chronon cost.
 enum class ExecutorBackend {
   /// Incremental candidate index with partial top-C_j selection
   /// (core/candidate_index.h) — the default production path.
   kIndexed,
-  /// Rebuild-and-fully-sort every chronon (core/reference_executor.h) —
-  /// the easy-to-audit oracle.
+  /// A differential oracle. Behind OnlineExecutor (the logical run) it
+  /// is ReferenceExecutor, which rebuilds and fully sorts every chronon
+  /// (core/reference_executor.h); on the physical runs, which step
+  /// MonitorRun, it is the engine's MonitorIndexMode::kRebuild
+  /// (MonitorOptionsFor, sim/experiment.h).
   kReference,
   /// Read only by perfbench/; removed once perfbench/ stops naming it.
   kParallel = kIndexed,
@@ -136,7 +139,9 @@ class OnlineExecutor {
   /// disabled, which is byte-identical to running without the breaker).
   void set_breaker_options(BreakerOptions breaker) { breaker_ = breaker; }
 
-  /// Selects the implementation (default: the incremental index).
+  /// Selects the implementation (default: the incremental index);
+  /// kReference runs ReferenceExecutor. Only this logical executor runs
+  /// it: a physical run maps kReference to MonitorIndexMode::kRebuild.
   void set_backend(ExecutorBackend backend) { backend_ = backend; }
   ExecutorBackend backend() const { return backend_; }
 

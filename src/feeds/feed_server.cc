@@ -2,7 +2,6 @@
 
 #include "feeds/atom.h"
 #include "util/hash.h"
-#include "util/logging.h"
 #include "util/string_util.h"
 
 namespace pullmon {
@@ -97,59 +96,23 @@ FeedNetwork::FeedNetwork(const UpdateTrace* trace,
   }
 }
 
-FeedNetwork::FeedNetwork(const TraceStore* store,
-                         std::size_t buffer_capacity, FeedFormat format,
-                         ChrononClock clock)
-    : store_(store), clock_(clock) {
-  servers_.reserve(static_cast<std::size_t>(store->num_resources()));
-  next_event_.assign(static_cast<std::size_t>(store->num_resources()), 0);
-  for (ResourceId r = 0; r < store->num_resources(); ++r) {
-    servers_.emplace_back(r, StringFormat("Resource %d updates", r),
-                          buffer_capacity, format, clock);
-  }
-  reader_.emplace(store_);
-}
-
-void FeedNetwork::PublishEvent(ResourceId r, Chronon when) {
-  const std::size_t next = next_event_[static_cast<std::size_t>(r)];
-  FeedItem item;
-  item.guid = StringFormat("resource-%d-update-%zu", r, next);
-  item.title = StringFormat("Update %zu of resource %d", next, r);
-  item.link =
-      StringFormat("http://feeds.example.com/resource/%d/%zu", r, next);
-  item.description =
-      StringFormat("State change observed at chronon %d", when);
-  item.published = clock_.ToUnix(when);
-  servers_[static_cast<std::size_t>(r)].Publish(std::move(item));
-  ++next_event_[static_cast<std::size_t>(r)];
-}
-
 void FeedNetwork::AdvanceTo(Chronon t) {
   if (t <= published_through_) return;
-  if (store_ != nullptr) {
-    // Streaming replay: drain the merge reader up to t. The reader
-    // yields (chronon, resource)-ordered events, so per-server publish
-    // order matches the in-memory path.
-    while (true) {
-      if (!pending_.has_value()) {
-        UpdateEvent event;
-        if (!reader_->Next(&event)) break;
-        pending_ = event;
-      }
-      if (pending_->chronon > t) break;
-      PublishEvent(pending_->resource, pending_->chronon);
-      pending_.reset();
-    }
-    // A replay that cannot trust its own trace must not limp on.
-    PULLMON_CHECK(reader_->status().ok());
-  } else {
-    for (ResourceId r = 0; r < trace_->num_resources(); ++r) {
-      const auto& events = trace_->EventsFor(r);
-      std::size_t& next = next_event_[static_cast<std::size_t>(r)];
-      while (next < events.size() && events[next] <= t) {
-        Chronon when = events[next];
-        PublishEvent(r, when);
-      }
+  for (ResourceId r = 0; r < trace_->num_resources(); ++r) {
+    const auto& events = trace_->EventsFor(r);
+    std::size_t& next = next_event_[static_cast<std::size_t>(r)];
+    while (next < events.size() && events[next] <= t) {
+      const Chronon when = events[next];
+      FeedItem item;
+      item.guid = StringFormat("resource-%d-update-%zu", r, next);
+      item.title = StringFormat("Update %zu of resource %d", next, r);
+      item.link =
+          StringFormat("http://feeds.example.com/resource/%d/%zu", r, next);
+      item.description =
+          StringFormat("State change observed at chronon %d", when);
+      item.published = clock_.ToUnix(when);
+      servers_[static_cast<std::size_t>(r)].Publish(std::move(item));
+      ++next;
     }
   }
   published_through_ = t;

@@ -7,11 +7,8 @@
 #include <string_view>
 #include <vector>
 
-#include <optional>
-
 #include "core/chronon.h"
 #include "feeds/feed_item.h"
-#include "trace/trace_store.h"
 #include "trace/update_trace.h"
 #include "util/datetime.h"
 #include "util/status.h"
@@ -121,17 +118,6 @@ class FeedNetwork {
               FeedFormat format = FeedFormat::kRss2,
               ChrononClock clock = ChrononClock{});
 
-  /// Paged-backend variant: replays a sealed TraceStore through a
-  /// StreamingTraceReader, so the pending trace is never materialized —
-  /// AdvanceTo holds O(num_resources) reader state instead of the whole
-  /// event list. Per-server publish order and item content are
-  /// identical to the in-memory constructor for equal traces (servers
-  /// are independent, so the cross-server interleaving within one
-  /// AdvanceTo batch is immaterial). `store` must outlive the network.
-  FeedNetwork(const TraceStore* store, std::size_t buffer_capacity,
-              FeedFormat format = FeedFormat::kRss2,
-              ChrononClock clock = ChrononClock{});
-
   /// Publishes every update event with chronon <= t that has not been
   /// published yet. Must be called with non-decreasing t.
   void AdvanceTo(Chronon t);
@@ -148,27 +134,14 @@ class FeedNetwork {
   /// Total items evicted across servers so far.
   std::size_t TotalEvicted() const;
 
-  /// The paged store backing this network, or nullptr when it replays
-  /// an in-memory UpdateTrace. Proxy telemetry reads store stats here.
-  const TraceStore* trace_store() const { return store_; }
-
  private:
-  /// Publishes one trace event to its server (shared by both replay
-  /// paths; the guid indexes per-resource publish order).
-  void PublishEvent(ResourceId r, Chronon when);
-
-  /// Exactly one of trace_ / store_ is set.
-  const UpdateTrace* trace_ = nullptr;
-  const TraceStore* store_ = nullptr;
+  const UpdateTrace* trace_;
   ChrononClock clock_;
   Chronon published_through_ = -1;
   std::vector<FeedServer> servers_;
-  /// Per-resource count of already-published events (the guid index;
-  /// doubles as the replay cursor on the in-memory path).
+  /// Per-resource count of already-published events: the replay cursor
+  /// and the guid index.
   std::vector<std::size_t> next_event_;
-  /// Streaming replay state of the paged path.
-  std::optional<StreamingTraceReader> reader_;
-  std::optional<UpdateEvent> pending_;
 };
 
 }  // namespace pullmon

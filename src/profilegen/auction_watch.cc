@@ -7,14 +7,9 @@
 
 namespace pullmon {
 
-namespace {
-
-/// Validation plus the round-wise combination rule, shared by both
-/// trace backends; `derive` yields one resource's EIs.
-template <typename DeriveEis>
-Result<Profile> MakeAuctionWatchFromDeriver(
-    int num_resources, const std::vector<ResourceId>& resources,
-    DeriveEis&& derive) {
+Result<Profile> MakeAuctionWatchProfile(
+    const UpdateTrace& trace, const std::vector<ResourceId>& resources,
+    const EiDerivationOptions& ei_options) {
   if (resources.empty()) {
     return Status::InvalidArgument("AuctionWatch requires >= 1 resource");
   }
@@ -23,7 +18,7 @@ Result<Profile> MakeAuctionWatchFromDeriver(
     return Status::InvalidArgument("duplicate resources in AuctionWatch");
   }
   for (ResourceId r : resources) {
-    if (r < 0 || r >= num_resources) {
+    if (r < 0 || r >= trace.num_resources()) {
       return Status::OutOfRange(
           StringFormat("AuctionWatch resource %d outside trace", r));
     }
@@ -33,9 +28,7 @@ Result<Profile> MakeAuctionWatchFromDeriver(
   per_resource.reserve(resources.size());
   std::size_t rounds = SIZE_MAX;
   for (ResourceId r : resources) {
-    PULLMON_ASSIGN_OR_RETURN(std::vector<ExecutionInterval> eis,
-                             derive(r));
-    per_resource.push_back(std::move(eis));
+    per_resource.push_back(DeriveExecutionIntervals(trace, r, ei_options));
     rounds = std::min(rounds, per_resource.back().size());
   }
   if (rounds == SIZE_MAX) rounds = 0;
@@ -48,28 +41,6 @@ Result<Profile> MakeAuctionWatchFromDeriver(
     profile.AddTInterval(std::move(eta));
   }
   return profile;
-}
-
-}  // namespace
-
-Result<Profile> MakeAuctionWatchProfile(
-    const UpdateTrace& trace, const std::vector<ResourceId>& resources,
-    const EiDerivationOptions& ei_options) {
-  return MakeAuctionWatchFromDeriver(
-      trace.num_resources(), resources,
-      [&](ResourceId r) -> Result<std::vector<ExecutionInterval>> {
-        return DeriveExecutionIntervals(trace, r, ei_options);
-      });
-}
-
-Result<Profile> MakeAuctionWatchProfile(
-    const TraceStore& trace, const std::vector<ResourceId>& resources,
-    const EiDerivationOptions& ei_options) {
-  return MakeAuctionWatchFromDeriver(
-      trace.num_resources(), resources,
-      [&](ResourceId r) -> Result<std::vector<ExecutionInterval>> {
-        return DeriveExecutionIntervals(trace, r, ei_options);
-      });
 }
 
 Result<Profile> MakeArbitrageProfile(const UpdateTrace& trace,

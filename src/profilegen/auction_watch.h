@@ -23,12 +23,6 @@ Result<Profile> MakeAuctionWatchProfile(
     const UpdateTrace& trace, const std::vector<ResourceId>& resources,
     const EiDerivationOptions& ei_options);
 
-/// Paged-store variant: identical combination rule, EIs derived through
-/// the store's page cache so only the watched resources are decoded.
-Result<Profile> MakeAuctionWatchProfile(
-    const TraceStore& trace, const std::vector<ResourceId>& resources,
-    const EiDerivationOptions& ei_options);
-
 /// The arbitrage template of the paper's introduction (Figure 1): pairs
 /// every EI of `market_a` with each *time-overlapping* EI of `market_b`
 /// into rank-2 t-intervals, so a captured pair certifies two price

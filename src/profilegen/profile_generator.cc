@@ -52,14 +52,8 @@ Result<std::vector<ResourceId>> DrawDistinctResources(
   return std::vector<ResourceId>(chosen.begin(), chosen.end());
 }
 
-namespace {
-
-/// The generator body, templated over the trace backend — both expose
-/// num_resources() and a MakeAuctionWatchProfile overload, which is all
-/// the draw consumes.
-template <typename Trace>
-Result<std::vector<Profile>> GenerateProfilesImpl(
-    const Trace& trace, const ProfileGeneratorOptions& options,
+Result<std::vector<Profile>> GenerateProfiles(
+    const UpdateTrace& trace, const ProfileGeneratorOptions& options,
     Rng* rng) {
   if (options.num_profiles <= 0) {
     return Status::InvalidArgument("num_profiles must be positive");
@@ -107,20 +101,6 @@ Result<std::vector<Profile>> GenerateProfilesImpl(
     profiles.push_back(std::move(profile));
   }
   return profiles;
-}
-
-}  // namespace
-
-Result<std::vector<Profile>> GenerateProfiles(
-    const UpdateTrace& trace, const ProfileGeneratorOptions& options,
-    Rng* rng) {
-  return GenerateProfilesImpl(trace, options, rng);
-}
-
-Result<std::vector<Profile>> GenerateProfiles(
-    const TraceStore& trace, const ProfileGeneratorOptions& options,
-    Rng* rng) {
-  return GenerateProfilesImpl(trace, options, rng);
 }
 
 }  // namespace pullmon

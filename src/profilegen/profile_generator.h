@@ -45,13 +45,6 @@ Result<std::vector<Profile>> GenerateProfiles(
     const UpdateTrace& trace, const ProfileGeneratorOptions& options,
     Rng* rng);
 
-/// Paged-store variant: same three-stage draw (consumes `rng`
-/// identically to the UpdateTrace overload when the backing events are
-/// equal), with EIs derived through the store's page cache.
-Result<std::vector<Profile>> GenerateProfiles(
-    const TraceStore& trace, const ProfileGeneratorOptions& options,
-    Rng* rng);
-
 /// Draws `count` distinct resource ids from Zipf(alpha, n). The Zipf
 /// rank order coincides with resource ids (resource 0 most popular),
 /// matching how feed popularity is indexed in the paper's setup.

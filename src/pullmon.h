@@ -50,10 +50,8 @@
 #include "trace/auction_generator.h"       // IWYU pragma: export
 #include "trace/feed_workload.h"           // IWYU pragma: export
 #include "trace/perturb.h"                 // IWYU pragma: export
-#include "trace/page_codec.h"              // IWYU pragma: export
 #include "trace/poisson_generator.h"       // IWYU pragma: export
 #include "trace/trace_io.h"                // IWYU pragma: export
-#include "trace/trace_store.h"             // IWYU pragma: export
 #include "trace/update_model.h"            // IWYU pragma: export
 #include "trace/update_trace.h"            // IWYU pragma: export
 

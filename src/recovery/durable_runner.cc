@@ -8,7 +8,6 @@
 #include "recovery/recovery_codec.h"
 #include "recovery/wal.h"
 #include "sim/monitor_run.h"
-#include "trace/page_codec.h"
 #include "util/hash.h"
 #include "util/string_util.h"
 
@@ -97,9 +96,6 @@ std::uint64_t RunFingerprint(const SimulationConfig& config,
   AppendDouble(c.unregister_fraction, &bytes);
   AppendDouble(c.zipf_theta, &bytes);
   AppendFixed64(c.seed, &bytes);
-  AppendVarint(static_cast<std::uint64_t>(config.trace_backend), &bytes);
-  AppendVarint(config.trace_store.page_size, &bytes);
-  AppendVarint(config.trace_store.cache_pages, &bytes);
   AppendLengthPrefixed(spec.policy, &bytes);
   AppendVarint(static_cast<std::uint64_t>(spec.mode), &bytes);
   AppendFixed64(seed, &bytes);

@@ -3,7 +3,7 @@
 #include <bit>
 #include <cstring>
 
-#include "trace/page_codec.h"
+#include "util/hash.h"
 
 namespace pullmon {
 
@@ -11,6 +11,7 @@ namespace {
 
 constexpr char kSnapshotMagic[4] = {'P', 'M', 'S', 'N'};
 constexpr std::uint64_t kSnapshotRecordType = 0x51;
+constexpr int kMaxVarintBytes = 10;
 
 std::uint64_t ZigzagEncode(std::int64_t value) {
   return (static_cast<std::uint64_t>(value) << 1) ^
@@ -27,6 +28,35 @@ std::int64_t ZigzagDecode(std::uint64_t value) {
 // ---------------------------------------------------------------------
 // Primitives
 // ---------------------------------------------------------------------
+
+void AppendVarint(std::uint64_t value, std::string* out) {
+  // Staged through a stack buffer: one append beats up to ten
+  // capacity-checked push_backs on the snapshot-encoding hot path.
+  char buf[kMaxVarintBytes];
+  std::size_t n = 0;
+  while (value >= 0x80) {
+    buf[n++] = static_cast<char>((value & 0x7F) | 0x80);
+    value >>= 7;
+  }
+  buf[n++] = static_cast<char>(value);
+  out->append(buf, n);
+}
+
+const char* DecodeVarint(const char* p, const char* end,
+                         std::uint64_t* value) {
+  std::uint64_t result = 0;
+  int shift = 0;
+  for (int i = 0; i < kMaxVarintBytes && p < end; ++i, ++p) {
+    std::uint64_t byte = static_cast<unsigned char>(*p);
+    result |= (byte & 0x7F) << shift;
+    if ((byte & 0x80) == 0) {
+      *value = result;
+      return p + 1;
+    }
+    shift += 7;
+  }
+  return nullptr;  // truncated or overlong
+}
 
 void AppendSigned(std::int64_t value, std::string* out) {
   AppendVarint(ZigzagEncode(value), out);
@@ -133,7 +163,7 @@ void CloseRecord(std::uint64_t type, std::size_t frame_start,
                payload_size);
   std::memcpy(frame, header.data(), header.size());
   out->resize(frame_start + header.size() + payload_size);
-  const std::uint32_t checksum = PageChecksum(
+  const std::uint32_t checksum = Fnv1a32(
       std::string_view(out->data() + frame_start, out->size() - frame_start));
   AppendFixed32(checksum, out);
 }
@@ -167,7 +197,7 @@ Result<RecordView> DecodeRecord(std::string_view bytes) {
   std::uint32_t stored = 0;
   PULLMON_RETURN_NOT_OK(tail.ReadFixed32(&stored));
   const std::uint32_t computed =
-      PageChecksum(std::string_view(begin, checked_bytes));
+      Fnv1a32(std::string_view(begin, checked_bytes));
   if (stored != computed) {
     return Status::ParseError("record checksum mismatch");
   }

@@ -16,21 +16,28 @@
 #include "core/dynamic_monitor.h"
 #include "sim/churn.h"
 #include "sim/proxy.h"
-#include "trace/page_codec.h"
 #include "util/status.h"
 
 namespace pullmon {
 
-/// Serialization of resumable proxy state (DESIGN.md section 15). The
-/// codec reuses the trace page codec's discipline: LEB128 varints,
-/// length-prefixed strings, and FNV-1a-32 checksums, with signed values
+/// Serialization of resumable proxy state (DESIGN.md section 15): LEB128
+/// varints, length-prefixed strings, and FNV-1a-32 record checksums
+/// (Fnv1a32, util/hash.h), with signed values
 /// zigzag-encoded and raw 64-bit material (rng states, hashes, doubles)
 /// stored as fixed little-endian words. Decoding never trusts the
 /// input: truncated, overlong, or checksum-mangled bytes come back as a
 /// Status, never a crash or a silent replay (fuzzed under asan, and the
 /// recovery differential suite proves every single-bit flip detected).
 
-// --- Write primitives (varints come from trace/page_codec.h). ---------
+// --- Write primitives. ------------------------------------------------
+
+/// Appends `value` to `out` as a LEB128 varint (1-10 bytes).
+void AppendVarint(std::uint64_t value, std::string* out);
+
+/// Decodes one varint from [p, end). Returns the byte past the varint,
+/// or nullptr when the input is truncated or longer than 10 bytes.
+const char* DecodeVarint(const char* p, const char* end,
+                         std::uint64_t* value);
 
 /// Appends `value` zigzag-mapped as a varint (small magnitudes of
 /// either sign stay short).

@@ -33,7 +33,6 @@ Status SimulationConfig::Validate() const {
   PULLMON_RETURN_NOT_OK(retry.Validate());
   PULLMON_RETURN_NOT_OK(breaker.Validate());
   PULLMON_RETURN_NOT_OK(churn.Validate());
-  PULLMON_RETURN_NOT_OK(trace_store.Validate());
   if (checkpoint_every < 0) {
     return Status::InvalidArgument(
         "checkpoint-every must be >= 0 chronons");
@@ -142,14 +141,6 @@ std::vector<std::pair<std::string, std::string>> SimulationConfig::ToRows()
                       ExecutorBackendToString(executor_backend));
   }
   if (parse_cache) rows.emplace_back("parse cache", "on");
-  if (trace_backend != TraceBackend::kInMemory) {
-    rows.emplace_back("trace backend",
-                      TraceBackendToString(trace_backend));
-    rows.emplace_back(
-        "trace store (page/cache)",
-        StringFormat("%zu B / %zu pages", trace_store.page_size,
-                     trace_store.cache_pages));
-  }
   if (churn.enabled) {
     rows.emplace_back(
         "churn (ops/chronon)",

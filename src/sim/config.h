@@ -12,7 +12,6 @@
 #include "sim/churn.h"
 #include "trace/auction_generator.h"
 #include "trace/feed_workload.h"
-#include "trace/trace_store.h"
 #include "trace/update_model.h"
 
 namespace pullmon {
@@ -90,10 +89,13 @@ struct SimulationConfig {
   /// Circuit-breaker behavior of the executor's resource-health
   /// tracking (core/resource_health.h); disabled by default.
   BreakerOptions breaker;
-  /// Which online-executor implementation runs (core/online_executor.h):
-  /// the incremental candidate index (default) or the scan-based
-  /// reference oracle. Both are decision-identical; the switch exists
-  /// for differential testing and perf regression baselines.
+  /// Which oracle backs a run: kIndexed (default) or kReference. On the
+  /// logical run (`run`, `sweep`, ExperimentRunner) kReference executes
+  /// ReferenceExecutor behind OnlineExecutor; on every physical run
+  /// (proxy, churn, durable, adaptive) it selects the
+  /// MonitorIndexMode::kRebuild oracle of the one chronon engine
+  /// (MonitorOptionsFor). Decisions are identical either way; the switch
+  /// exists for differential testing and perf regression baselines.
   ExecutorBackend executor_backend = ExecutorBackend::kIndexed;
   /// Read only by perfbench/; removed once perfbench/ stops naming it.
   int threads = 1;
@@ -108,13 +110,8 @@ struct SimulationConfig {
   /// streams with Zipf-skewed client activity, driven through
   /// DynamicMonitor by RunChurnOnce. Disabled by default.
   ChurnOptions churn;
-  /// Trace representation the proxy paths generate and replay
-  /// (trace/trace_store.h): the in-memory UpdateTrace oracle (default)
-  /// or the paged compressed TraceStore. Decision-identical; the paged
-  /// backend adds its own telemetry to ProxyRunReport.
+  /// Read only by perfbench/; removed once perfbench/ stops naming it.
   TraceBackend trace_backend = TraceBackend::kInMemory;
-  /// Page size and cache budget of the paged backend.
-  TraceStoreOptions trace_store;
   /// Durability layer (src/recovery/): directory snapshots and WALs are
   /// written to. Empty (the default) runs fully volatile. The
   /// durability knobs below are process configuration, not simulation

@@ -46,51 +46,6 @@ FeedWorkloadOptions FeedWorkloadOptionsFor(const SimulationConfig& config) {
   return options;
 }
 
-/// GenerateUpdateTrace's paged twin: the store-direct generators mirror
-/// the UpdateTrace ones draw for draw, so for one seed both backends
-/// hold the same events.
-Result<TraceStore> GenerateTraceStore(const SimulationConfig& config,
-                                      Rng* rng) {
-  switch (config.dataset) {
-    case DatasetKind::kPoisson:
-      return GeneratePoissonTraceStore(PoissonOptionsFor(config), rng,
-                                       config.trace_store);
-    case DatasetKind::kAuction: {
-      PULLMON_ASSIGN_OR_RETURN(
-          AuctionTrace auctions,
-          GenerateAuctionTrace(AuctionOptionsFor(config), rng));
-      return auctions.ToTraceStore(config.trace_store);
-    }
-    case DatasetKind::kFeedWorkload:
-      return GenerateFeedWorkloadStore(FeedWorkloadOptionsFor(config), rng,
-                                       config.trace_store);
-  }
-  return Status::InvalidArgument("unknown dataset");
-}
-
-/// Generates the update trace into whichever representation the config
-/// selects and derives the profiles from it; both branches consume
-/// `rng` identically.
-Result<std::vector<Profile>> GenerateTraceAndProfiles(
-    const SimulationConfig& config, Rng* rng,
-    const ProfileGeneratorOptions& pg, UpdateTrace* trace_out,
-    std::optional<TraceStore>* store_out) {
-  if (config.trace_backend == TraceBackend::kPaged) {
-    PULLMON_ASSIGN_OR_RETURN(TraceStore store,
-                             GenerateTraceStore(config, rng));
-    PULLMON_ASSIGN_OR_RETURN(std::vector<Profile> profiles,
-                             GenerateProfiles(store, pg, rng));
-    if (store_out != nullptr) store_out->emplace(std::move(store));
-    return profiles;
-  }
-  PULLMON_ASSIGN_OR_RETURN(UpdateTrace trace,
-                           GenerateUpdateTrace(config, rng));
-  PULLMON_ASSIGN_OR_RETURN(std::vector<Profile> profiles,
-                           GenerateProfiles(trace, pg, rng));
-  if (trace_out != nullptr) *trace_out = std::move(trace);
-  return profiles;
-}
-
 }  // namespace
 
 Result<UpdateTrace> GenerateUpdateTrace(const SimulationConfig& config,
@@ -110,9 +65,9 @@ Result<UpdateTrace> GenerateUpdateTrace(const SimulationConfig& config,
   return Status::InvalidArgument("unknown dataset");
 }
 
-Result<MonitoringProblem> BuildProblem(
-    const SimulationConfig& config, uint64_t seed, UpdateTrace* trace_out,
-    std::optional<TraceStore>* store_out) {
+Result<MonitoringProblem> BuildProblem(const SimulationConfig& config,
+                                       uint64_t seed,
+                                       UpdateTrace* trace_out) {
   Rng rng(seed);
 
   ProfileGeneratorOptions pg;
@@ -123,9 +78,11 @@ Result<MonitoringProblem> BuildProblem(
   pg.ei_options.restriction = config.restriction;
   pg.ei_options.window = config.window;
   pg.max_t_intervals_per_profile = config.max_t_intervals_per_profile;
-  PULLMON_ASSIGN_OR_RETURN(
-      std::vector<Profile> profiles,
-      GenerateTraceAndProfiles(config, &rng, pg, trace_out, store_out));
+  PULLMON_ASSIGN_OR_RETURN(UpdateTrace trace,
+                           GenerateUpdateTrace(config, &rng));
+  PULLMON_ASSIGN_OR_RETURN(std::vector<Profile> profiles,
+                           GenerateProfiles(trace, pg, &rng));
+  if (trace_out != nullptr) *trace_out = std::move(trace);
 
   MonitoringProblem problem;
   problem.num_resources = config.num_resources;
@@ -161,21 +118,14 @@ Status BuildSubstrate(const SimulationConfig& config, const PolicySpec& spec,
   options.breaker = config.breaker;
   options.backend = config.executor_backend;
   options.parse_cache = config.parse_cache;
-  options.trace_backend = config.trace_backend;
   PULLMON_RETURN_NOT_OK(options.Validate());
   if (config.feed_buffer_capacity < 1) {
     return Status::InvalidArgument("buffer-capacity must be >= 1 items");
   }
   PULLMON_ASSIGN_OR_RETURN(out->problem,
-                           BuildProblem(config, seed, &out->trace,
-                                        &out->store));
-  const auto buffer_capacity =
-      static_cast<std::size_t>(config.feed_buffer_capacity);
-  if (out->store.has_value()) {
-    out->network.emplace(&*out->store, buffer_capacity);
-  } else {
-    out->network.emplace(&out->trace, buffer_capacity);
-  }
+                           BuildProblem(config, seed, &out->trace));
+  out->network.emplace(
+      &out->trace, static_cast<std::size_t>(config.feed_buffer_capacity));
   PolicyOptions po;
   po.random_seed = seed ^ 0x5bf03635ULL;
   po.num_resources = out->problem.num_resources;

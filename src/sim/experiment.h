@@ -44,26 +44,17 @@ Result<UpdateTrace> GenerateUpdateTrace(const SimulationConfig& config,
 /// three-stage generator, and attaches the uniform budget. When
 /// `trace_out` is non-null it receives the generated update trace (the
 /// proxy path replays it through a FeedNetwork).
-///
-/// With config.trace_backend == kPaged the trace is generated straight
-/// into a compressed TraceStore (profiles derived through its page
-/// cache, so nothing is ever fully resident) and `store_out` — if
-/// non-null — receives it; `trace_out` is left untouched. The two
-/// backends consume the seed identically, so they build the same
-/// problem from the same events.
-Result<MonitoringProblem> BuildProblem(
-    const SimulationConfig& config, uint64_t seed,
-    UpdateTrace* trace_out = nullptr,
-    std::optional<TraceStore>* store_out = nullptr);
+Result<MonitoringProblem> BuildProblem(const SimulationConfig& config,
+                                       uint64_t seed,
+                                       UpdateTrace* trace_out = nullptr);
 
 /// Everything a proxy-path run builds from (config, spec, seed) before
-/// its first chronon: the problem instance, its trace (in memory or
-/// paged), the feed network replaying it, the policy, and the proxy
+/// its first chronon: the problem instance, its update trace, the feed
+/// network replaying it, the policy, and the proxy
 /// options. The network points into the trace, so a substrate is built
 /// in place and never copied or moved.
 struct RunSubstrate {
   UpdateTrace trace{0, 0};
-  std::optional<TraceStore> store;
   MonitoringProblem problem;
   std::optional<FeedNetwork> network;
   std::unique_ptr<Policy> policy;

@@ -35,12 +35,6 @@ Status MonitorRun::Start(const MonitoringProblem& problem,
                          Kind kind,
                          std::optional<BudgetVector> monitor_budget) {
   PULLMON_RETURN_NOT_OK(options.Validate());
-  if (options.trace_backend == TraceBackend::kPaged &&
-      network->trace_store() == nullptr) {
-    return Status::InvalidArgument(
-        "trace_backend is paged but the feed network replays an "
-        "in-memory trace");
-  }
   if (kind == Kind::kStatic) PULLMON_RETURN_NOT_OK(problem.Validate());
   kind_ = kind;
   problem_ = &problem;

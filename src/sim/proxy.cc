@@ -145,19 +145,12 @@ void FeedPullSession::FinishReport(OnlineRunResult run) {
                  : static_cast<double>(r.t_intervals_lost_to_faults) /
                        static_cast<double>(total);
   if (plan_.has_value()) {
-    const FaultStats& f = report_->fault_stats = plan_->stats();
+    const FaultStats& f = static_cast<FaultStats&>(*report_) =
+        plan_->stats();
     report_->corrupt_bodies = f.truncations + f.corruptions;
-    report_->timeouts = f.timeouts;
-    report_->server_errors = f.server_errors;
-    report_->outage_probes = f.outage_probes;
-    report_->etag_invalidations = f.etag_invalidations;
   }
   if (cache_.has_value()) {
     static_cast<ParseCacheStats&>(*report_) = cache_->stats();
-  }
-  if (const TraceStore* store = network_->trace_store();
-      store != nullptr) {
-    static_cast<TraceStoreStats&>(*report_) = store->stats();
   }
 }
 
@@ -239,21 +232,15 @@ std::string ReportDifference(const ProxyRunReport& a, const ProxyRunReport& b,
       .Check<LiveReportCounters>("LiveReportCounters", a, b)
       .Check("probes_failed", a.probes_failed, b.probes_failed)
       .Check("corrupt_bodies", a.corrupt_bodies, b.corrupt_bodies)
-      .Check("timeouts", a.timeouts, b.timeouts)
-      .Check("server_errors", a.server_errors, b.server_errors)
-      .Check("outage_probes", a.outage_probes, b.outage_probes)
       .Check("retries_issued", a.retries_issued, b.retries_issued)
       .Check("retry_probes_spent", a.retry_probes_spent,
              b.retry_probes_spent)
-      .Check("etag_invalidations", a.etag_invalidations,
-             b.etag_invalidations)
       .Check("gc_lost_to_faults", a.gc_lost_to_faults, b.gc_lost_to_faults)
-      .Check("fault_stats", a.fault_stats, b.fault_stats)
+      .Check<FaultStats>("FaultStats", a, b)
       .Check<HealthStats>("HealthStats", a, b)
       .Check<ParseCacheStats>("ParseCacheStats", a, b,
                               options.parse_cache_stats)
       .Check<ChurnStats>("ChurnStats", a, b)
-      .Check<TraceStoreStats>("TraceStoreStats", a, b, options.trace_stats)
       .Check<EstimationStats>("EstimationStats", a, b)
       .Check<AdaptiveRunStats>("AdaptiveRunStats", a, b)
       .name();

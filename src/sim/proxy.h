@@ -16,7 +16,6 @@
 #include "feeds/feed_item.h"
 #include "feeds/feed_server.h"
 #include "feeds/parse_cache.h"
-#include "trace/trace_store.h"
 #include "util/arena.h"
 #include "util/status.h"
 
@@ -107,47 +106,31 @@ struct AdaptiveRunStats {
 /// Outcome of one proxy run. Each counter is declared once, in the
 /// stats block of the subsystem that owns it, and the report inherits
 /// the blocks (DESIGN.md, "Telemetry blocks"). A block is all zero when
-/// its subsystem is off: the breaker's HealthStats, the parse cache's
-/// ParseCacheStats, the monitor's ChurnStats, the paged trace store's
-/// TraceStoreStats, and the estimator's EstimationStats and
-/// AdaptiveRunStats.
+/// its subsystem is off: the fault layer's FaultStats, the breaker's
+/// HealthStats, the parse cache's ParseCacheStats, the monitor's
+/// ChurnStats, and the estimator's EstimationStats and AdaptiveRunStats.
 struct ProxyRunReport : LiveReportCounters,
+                        FaultStats,
                         HealthStats,
                         ParseCacheStats,
                         ChurnStats,
-                        TraceStoreStats,
                         EstimationStats,
                         AdaptiveRunStats {
   OnlineRunResult run;
-  // --- Fault-layer telemetry (all zero without injected faults). The
-  // --- fault counters below are read off fault_stats by FinishReport.
   /// Probe attempts that delivered no usable document: timeouts, server
   /// errors, and unparsable bodies (mirrors run.probes_failed).
   std::size_t probes_failed = 0;
-  /// Bodies that arrived truncated or garbled (fault_stats.truncations
-  /// plus fault_stats.corruptions).
+  /// Bodies that arrived truncated or garbled: truncations plus
+  /// corruptions of the FaultStats block.
   std::size_t corrupt_bodies = 0;
-  /// Probes that timed out before any response (fault_stats.timeouts).
-  std::size_t timeouts = 0;
-  /// Probes answered with a transient server error
-  /// (fault_stats.server_errors).
-  std::size_t server_errors = 0;
-  /// Probes swallowed because their resource was dark (Gilbert-Elliott
-  /// outage; fault_stats.outage_probes).
-  std::size_t outage_probes = 0;
   /// Retry attempts issued after failed probes (mirrors run).
   std::size_t retries_issued = 0;
   /// Probe-budget units consumed by retries (mirrors run).
   std::size_t retry_probes_spent = 0;
-  /// Conditional fetches forced to full bodies by ETag storms (mirrors
-  /// fault_stats).
-  std::size_t etag_invalidations = 0;
   /// Fraction of all t-intervals that failed after a fault hit one of
   /// their live candidate EIs — GC the faults (at most) cost this run,
   /// on the same scale as CompletenessReport::GainedCompleteness().
   double gc_lost_to_faults = 0.0;
-  /// Counters of the fault layer itself (empty without one).
-  FaultStats fault_stats;
   // --- Recovery telemetry (all zero without a checkpoint directory;
   // --- src/recovery/. These are the ONLY fields allowed to differ
   // --- between an uninterrupted run and a crash-recovered one, and
@@ -177,8 +160,6 @@ struct ProxyRunReport : LiveReportCounters,
 struct ReportEqualityOptions {
   /// ParseCacheStats (off for cache-on vs cache-off suites).
   bool parse_cache_stats = true;
-  /// TraceStoreStats (off for in-memory vs paged suites).
-  bool trace_stats = true;
 };
 
 /// Block-wise equality of two reports: the schedule (its length, then
@@ -218,9 +199,7 @@ struct ProxyOptions {
   /// document instead of reparsing. Off by default; the report is
   /// byte-identical either way apart from the parse_cache_* counters.
   bool parse_cache = false;
-  /// Which trace representation the network replays. kPaged requires a
-  /// store-backed FeedNetwork (Run() rejects the mismatch); the report
-  /// is identical either way apart from the trace_* counters.
+  /// Read only by perfbench/; removed once perfbench/ stops naming it.
   TraceBackend trace_backend = TraceBackend::kInMemory;
   /// Read only by perfbench/; removed once perfbench/ stops naming it.
   int threads = 1;
@@ -308,10 +287,9 @@ class FeedPullSession {
   }
 
   /// Installs the scheduler's outcome as report.run, mirrors its retry
-  /// counters and HealthStats block into the report,
-  /// copies the fault-plan stats and derives the report's fault
-  /// counters from them, and copies the ParseCacheStats and
-  /// TraceStoreStats blocks; call once after the run.
+  /// counters and HealthStats block into the report, copies the
+  /// FaultStats block (deriving corrupt_bodies from it) and the
+  /// ParseCacheStats block; call once after the run.
   void FinishReport(OnlineRunResult run);
 
   /// Checkpoint support: Capture() at a chronon boundary freezes the

@@ -33,18 +33,6 @@ Result<UpdateTrace> AuctionTrace::ToUpdateTrace() const {
   return trace;
 }
 
-Result<TraceStore> AuctionTrace::ToTraceStore(
-    TraceStoreOptions store_options) const {
-  PULLMON_RETURN_NOT_OK(store_options.Validate());
-  TraceStore store(static_cast<int>(auctions.size()), epoch_length,
-                   store_options);
-  for (const auto& bid : bids) {
-    PULLMON_RETURN_NOT_OK(store.Append(bid.auction, bid.chronon));
-  }
-  PULLMON_RETURN_NOT_OK(store.Seal());
-  return store;
-}
-
 Result<AuctionTrace> GenerateAuctionTrace(const AuctionTraceOptions& options,
                                           Rng* rng) {
   if (options.num_auctions <= 0) {

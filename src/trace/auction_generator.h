@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "trace/trace_store.h"
 #include "trace/update_trace.h"
 #include "util/random.h"
 #include "util/status.h"
@@ -43,11 +42,6 @@ struct AuctionTrace {
   /// Projects bid timestamps into an update-event trace (one resource per
   /// auction) — the input the scheduling layer consumes.
   Result<UpdateTrace> ToUpdateTrace() const;
-
-  /// Same projection into a sealed paged store (bids are already sorted
-  /// by (auction, chronon), the store's append order).
-  Result<TraceStore> ToTraceStore(
-      TraceStoreOptions store_options = TraceStoreOptions{}) const;
 };
 
 /// Knobs of the synthetic eBay-style bidding process.

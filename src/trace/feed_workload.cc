@@ -7,9 +7,8 @@
 
 namespace pullmon {
 
-namespace {
-
-Status ValidateFeedOptions(const FeedWorkloadOptions& options) {
+Result<UpdateTrace> GenerateFeedWorkload(const FeedWorkloadOptions& options,
+                                         Rng* rng) {
   if (options.num_feeds <= 0 || options.epoch_length <= 0) {
     return Status::InvalidArgument("feed workload sizes must be positive");
   }
@@ -19,14 +18,7 @@ Status ValidateFeedOptions(const FeedWorkloadOptions& options) {
   if (options.periodic_fraction < 0.0 || options.periodic_fraction > 1.0) {
     return Status::InvalidArgument("periodic_fraction must be in [0,1]");
   }
-  return Status::OK();
-}
-
-/// The draw itself, parameterized over the event sink so the
-/// UpdateTrace and TraceStore variants consume `rng` identically.
-template <typename AddEvent>
-Status GenerateFeedsInto(const FeedWorkloadOptions& options, Rng* rng,
-                         AddEvent&& add_event) {
+  UpdateTrace trace(options.num_feeds, options.epoch_length);
   const Chronon last = options.epoch_length - 1;
 
   // Aperiodic activity skew: feed i gets intensity proportional to the
@@ -52,7 +44,7 @@ Status GenerateFeedsInto(const FeedWorkloadOptions& options, Rng* rng,
             rng->NextGaussian() * options.period_jitter;
         Chronon when = static_cast<Chronon>(std::lround(
             std::clamp(jittered, 0.0, static_cast<double>(last))));
-        PULLMON_RETURN_NOT_OK(add_event(feed, when));
+        PULLMON_RETURN_NOT_OK(trace.AddEvent(feed, when));
       }
     } else {
       double intensity =
@@ -62,37 +54,11 @@ Status GenerateFeedsInto(const FeedWorkloadOptions& options, Rng* rng,
       for (int64_t i = 0; i < count; ++i) {
         Chronon t = static_cast<Chronon>(
             rng->NextBounded(static_cast<uint64_t>(last + 1)));
-        PULLMON_RETURN_NOT_OK(add_event(feed, t));
+        PULLMON_RETURN_NOT_OK(trace.AddEvent(feed, t));
       }
     }
   }
-  return Status::OK();
-}
-
-}  // namespace
-
-Result<UpdateTrace> GenerateFeedWorkload(const FeedWorkloadOptions& options,
-                                         Rng* rng) {
-  PULLMON_RETURN_NOT_OK(ValidateFeedOptions(options));
-  UpdateTrace trace(options.num_feeds, options.epoch_length);
-  PULLMON_RETURN_NOT_OK(GenerateFeedsInto(
-      options, rng,
-      [&trace](ResourceId r, Chronon t) { return trace.AddEvent(r, t); }));
   return trace;
-}
-
-Result<TraceStore> GenerateFeedWorkloadStore(
-    const FeedWorkloadOptions& options, Rng* rng,
-    TraceStoreOptions store_options) {
-  PULLMON_RETURN_NOT_OK(ValidateFeedOptions(options));
-  PULLMON_RETURN_NOT_OK(store_options.Validate());
-  TraceStore store(options.num_feeds, options.epoch_length,
-                   store_options);
-  PULLMON_RETURN_NOT_OK(GenerateFeedsInto(
-      options, rng,
-      [&store](ResourceId r, Chronon t) { return store.Append(r, t); }));
-  PULLMON_RETURN_NOT_OK(store.Seal());
-  return store;
 }
 
 }  // namespace pullmon

@@ -1,7 +1,6 @@
 #ifndef PULLMON_TRACE_FEED_WORKLOAD_H_
 #define PULLMON_TRACE_FEED_WORKLOAD_H_
 
-#include "trace/trace_store.h"
 #include "trace/update_trace.h"
 #include "util/random.h"
 #include "util/status.h"
@@ -36,13 +35,6 @@ struct FeedWorkloadOptions {
 /// Draws a feed workload trace. Deterministic given `rng`.
 Result<UpdateTrace> GenerateFeedWorkload(const FeedWorkloadOptions& options,
                                          Rng* rng);
-
-/// Same draw written straight into a sealed paged store: consumes `rng`
-/// identically to GenerateFeedWorkload (same seed => same events), but
-/// only the feed being generated is ever resident uncompressed.
-Result<TraceStore> GenerateFeedWorkloadStore(
-    const FeedWorkloadOptions& options, Rng* rng,
-    TraceStoreOptions store_options = TraceStoreOptions{});
 
 }  // namespace pullmon
 

@@ -5,93 +5,36 @@
 
 namespace pullmon {
 
-namespace {
-
-Status ValidatePerturbationOptions(
-    const TracePerturbationOptions& options) {
+Result<UpdateTrace> PerturbTrace(const UpdateTrace& truth,
+                                 const TracePerturbationOptions& options,
+                                 Rng* rng) {
   if (options.jitter_stddev < 0.0 || options.miss_probability < 0.0 ||
       options.miss_probability > 1.0 || options.spurious_rate < 0.0) {
     return Status::InvalidArgument("malformed perturbation options");
   }
-  return Status::OK();
-}
-
-/// Perturbs one resource's true events, parameterized over the event
-/// sink so the UpdateTrace and TraceStore variants consume `rng`
-/// identically. `TruthCursor` yields the resource's ascending chronons.
-template <typename TruthCursor, typename AddEvent>
-Status PerturbResourceInto(ResourceId r, Chronon last,
-                           const TracePerturbationOptions& options,
-                           Rng* rng, TruthCursor&& next_truth,
-                           AddEvent&& add_event) {
-  Chronon t = 0;
-  while (next_truth(&t)) {
-    if (rng->NextBool(options.miss_probability)) continue;
-    Chronon predicted = t;
-    if (options.jitter_stddev > 0.0) {
-      double shifted = static_cast<double>(t) +
-                       rng->NextGaussian() * options.jitter_stddev;
-      predicted = static_cast<Chronon>(std::lround(
-          std::clamp(shifted, 0.0, static_cast<double>(last))));
-    }
-    PULLMON_RETURN_NOT_OK(add_event(r, predicted));
-  }
-  if (options.spurious_rate > 0.0) {
-    int64_t extras = rng->NextPoisson(options.spurious_rate);
-    for (int64_t i = 0; i < extras; ++i) {
-      Chronon when = static_cast<Chronon>(
-          rng->NextBounded(static_cast<uint64_t>(last + 1)));
-      PULLMON_RETURN_NOT_OK(add_event(r, when));
-    }
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-Result<UpdateTrace> PerturbTrace(const UpdateTrace& truth,
-                                 const TracePerturbationOptions& options,
-                                 Rng* rng) {
-  PULLMON_RETURN_NOT_OK(ValidatePerturbationOptions(options));
   UpdateTrace estimated(truth.num_resources(), truth.epoch_length());
   const Chronon last = truth.epoch_length() - 1;
   for (ResourceId r = 0; r < truth.num_resources(); ++r) {
-    const auto& events = truth.EventsFor(r);
-    std::size_t i = 0;
-    PULLMON_RETURN_NOT_OK(PerturbResourceInto(
-        r, last, options, rng,
-        [&events, &i](Chronon* t) {
-          if (i >= events.size()) return false;
-          *t = events[i++];
-          return true;
-        },
-        [&estimated](ResourceId resource, Chronon t) {
-          return estimated.AddEvent(resource, t);
-        }));
+    for (Chronon t : truth.EventsFor(r)) {
+      if (rng->NextBool(options.miss_probability)) continue;
+      Chronon predicted = t;
+      if (options.jitter_stddev > 0.0) {
+        double shifted = static_cast<double>(t) +
+                         rng->NextGaussian() * options.jitter_stddev;
+        predicted = static_cast<Chronon>(std::lround(
+            std::clamp(shifted, 0.0, static_cast<double>(last))));
+      }
+      PULLMON_RETURN_NOT_OK(estimated.AddEvent(r, predicted));
+    }
+    if (options.spurious_rate > 0.0) {
+      int64_t extras = rng->NextPoisson(options.spurious_rate);
+      for (int64_t i = 0; i < extras; ++i) {
+        Chronon when = static_cast<Chronon>(
+            rng->NextBounded(static_cast<uint64_t>(last + 1)));
+        PULLMON_RETURN_NOT_OK(estimated.AddEvent(r, when));
+      }
+    }
   }
-  return estimated;
-}
-
-Result<TraceStore> PerturbTrace(const TraceStore& truth,
-                                const TracePerturbationOptions& options,
-                                Rng* rng,
-                                TraceStoreOptions store_options) {
-  PULLMON_RETURN_NOT_OK(ValidatePerturbationOptions(options));
-  PULLMON_RETURN_NOT_OK(store_options.Validate());
-  TraceStore estimated(truth.num_resources(), truth.epoch_length(),
-                       store_options);
-  const Chronon last = truth.epoch_length() - 1;
-  for (ResourceId r = 0; r < truth.num_resources(); ++r) {
-    auto cursor = truth.EventsFor(r);
-    PULLMON_RETURN_NOT_OK(PerturbResourceInto(
-        r, last, options, rng,
-        [&cursor](Chronon* t) { return cursor.Next(t); },
-        [&estimated](ResourceId resource, Chronon t) {
-          return estimated.Append(resource, t);
-        }));
-    PULLMON_RETURN_NOT_OK(cursor.status());
-  }
-  PULLMON_RETURN_NOT_OK(estimated.Seal());
   return estimated;
 }
 

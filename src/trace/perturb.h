@@ -1,7 +1,6 @@
 #ifndef PULLMON_TRACE_PERTURB_H_
 #define PULLMON_TRACE_PERTURB_H_
 
-#include "trace/trace_store.h"
 #include "trace/update_trace.h"
 #include "util/random.h"
 #include "util/status.h"
@@ -28,18 +27,6 @@ struct TracePerturbationOptions {
 Result<UpdateTrace> PerturbTrace(const UpdateTrace& truth,
                                  const TracePerturbationOptions& options,
                                  Rng* rng);
-
-/// Store-to-store variant: reads `truth` through a streaming cursor and
-/// writes the estimate straight into a sealed paged store, consuming
-/// `rng` identically to the UpdateTrace overload for the same truth
-/// events. Memory stays O(one resource), never O(total events) —
-/// jittered chronons can land out of order, so the perturbed resource
-/// is staged uncompressed inside the store until it closes.
-Result<TraceStore> PerturbTrace(const TraceStore& truth,
-                                const TracePerturbationOptions& options,
-                                Rng* rng,
-                                TraceStoreOptions store_options =
-                                    TraceStoreOptions{});
 
 }  // namespace pullmon
 

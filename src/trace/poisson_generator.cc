@@ -4,13 +4,18 @@
 
 namespace pullmon {
 
-namespace {
-
-/// The draw itself, parameterized over the event sink so the
-/// UpdateTrace and TraceStore variants consume `rng` identically.
-template <typename AddEvent>
-Status GeneratePoissonInto(const PoissonTraceOptions& options, Rng* rng,
-                           AddEvent&& add_event) {
+Result<UpdateTrace> GeneratePoissonTrace(const PoissonTraceOptions& options,
+                                         Rng* rng) {
+  if (options.num_resources <= 0) {
+    return Status::InvalidArgument("num_resources must be positive");
+  }
+  if (options.epoch_length <= 0) {
+    return Status::InvalidArgument("epoch_length must be positive");
+  }
+  if (options.lambda < 0.0) {
+    return Status::InvalidArgument("lambda must be non-negative");
+  }
+  UpdateTrace trace(options.num_resources, options.epoch_length);
   for (ResourceId r = 0; r < options.num_resources; ++r) {
     double intensity = options.lambda;
     if (options.heterogeneity > 0.0) {
@@ -24,49 +29,10 @@ Status GeneratePoissonInto(const PoissonTraceOptions& options, Rng* rng,
     for (int64_t i = 0; i < count; ++i) {
       Chronon t = static_cast<Chronon>(rng->NextBounded(
           static_cast<uint64_t>(options.epoch_length)));
-      PULLMON_RETURN_NOT_OK(add_event(r, t));
+      PULLMON_RETURN_NOT_OK(trace.AddEvent(r, t));
     }
   }
-  return Status::OK();
-}
-
-Status ValidatePoissonOptions(const PoissonTraceOptions& options) {
-  if (options.num_resources <= 0) {
-    return Status::InvalidArgument("num_resources must be positive");
-  }
-  if (options.epoch_length <= 0) {
-    return Status::InvalidArgument("epoch_length must be positive");
-  }
-  if (options.lambda < 0.0) {
-    return Status::InvalidArgument("lambda must be non-negative");
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-Result<UpdateTrace> GeneratePoissonTrace(const PoissonTraceOptions& options,
-                                         Rng* rng) {
-  PULLMON_RETURN_NOT_OK(ValidatePoissonOptions(options));
-  UpdateTrace trace(options.num_resources, options.epoch_length);
-  PULLMON_RETURN_NOT_OK(GeneratePoissonInto(
-      options, rng,
-      [&trace](ResourceId r, Chronon t) { return trace.AddEvent(r, t); }));
   return trace;
-}
-
-Result<TraceStore> GeneratePoissonTraceStore(
-    const PoissonTraceOptions& options, Rng* rng,
-    TraceStoreOptions store_options) {
-  PULLMON_RETURN_NOT_OK(ValidatePoissonOptions(options));
-  PULLMON_RETURN_NOT_OK(store_options.Validate());
-  TraceStore store(options.num_resources, options.epoch_length,
-                   store_options);
-  PULLMON_RETURN_NOT_OK(GeneratePoissonInto(
-      options, rng,
-      [&store](ResourceId r, Chronon t) { return store.Append(r, t); }));
-  PULLMON_RETURN_NOT_OK(store.Seal());
-  return store;
 }
 
 }  // namespace pullmon

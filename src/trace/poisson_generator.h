@@ -1,7 +1,6 @@
 #ifndef PULLMON_TRACE_POISSON_GENERATOR_H_
 #define PULLMON_TRACE_POISSON_GENERATOR_H_
 
-#include "trace/trace_store.h"
 #include "trace/update_trace.h"
 #include "util/random.h"
 #include "util/status.h"
@@ -27,13 +26,6 @@ struct PoissonTraceOptions {
 /// process conditioned on its count), collapsed to one event per chronon.
 Result<UpdateTrace> GeneratePoissonTrace(const PoissonTraceOptions& options,
                                          Rng* rng);
-
-/// Same draw written straight into a sealed paged store: consumes `rng`
-/// identically to GeneratePoissonTrace (same seed => same events), but
-/// only the resource being generated is ever resident uncompressed.
-Result<TraceStore> GeneratePoissonTraceStore(
-    const PoissonTraceOptions& options, Rng* rng,
-    TraceStoreOptions store_options = TraceStoreOptions{});
 
 }  // namespace pullmon
 

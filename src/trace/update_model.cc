@@ -22,15 +22,6 @@ std::vector<ExecutionInterval> DeriveExecutionIntervals(
                                             trace.epoch_length(), options);
 }
 
-Result<std::vector<ExecutionInterval>> DeriveExecutionIntervals(
-    const TraceStore& trace, ResourceId resource,
-    const EiDerivationOptions& options) {
-  std::vector<Chronon> updates;
-  PULLMON_RETURN_NOT_OK(trace.ReadResource(resource, &updates));
-  return DeriveExecutionIntervalsFromEvents(updates, resource,
-                                            trace.epoch_length(), options);
-}
-
 std::vector<ExecutionInterval> DeriveExecutionIntervalsFromEvents(
     const std::vector<Chronon>& updates, ResourceId resource,
     Chronon epoch_length, const EiDerivationOptions& options) {

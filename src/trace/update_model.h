@@ -4,9 +4,7 @@
 #include <vector>
 
 #include "core/execution_interval.h"
-#include "trace/trace_store.h"
 #include "trace/update_trace.h"
-#include "util/status.h"
 
 namespace pullmon {
 
@@ -40,17 +38,11 @@ std::vector<ExecutionInterval> DeriveExecutionIntervals(
     const UpdateTrace& trace, ResourceId resource,
     const EiDerivationOptions& options);
 
-/// Derivation from a resource's raw ascending update chronons — the
-/// shared core both trace backends delegate to.
+/// Derivation from a resource's raw ascending update chronons (the
+/// estimator derives predicted EIs from forecast chronons this way).
 std::vector<ExecutionInterval> DeriveExecutionIntervalsFromEvents(
     const std::vector<Chronon>& updates, ResourceId resource,
     Chronon epoch_length, const EiDerivationOptions& options);
-
-/// Paged-store derivation: reads the resource's events through the
-/// store's page cache. Fails only on a corrupt store.
-Result<std::vector<ExecutionInterval>> DeriveExecutionIntervals(
-    const TraceStore& trace, ResourceId resource,
-    const EiDerivationOptions& options);
 
 /// Derivation over all resources, concatenated in resource order.
 std::vector<ExecutionInterval> DeriveAllExecutionIntervals(

@@ -37,16 +37,6 @@ const std::vector<Chronon>& UpdateTrace::EventsFor(
   return events_by_resource_[static_cast<std::size_t>(resource)];
 }
 
-std::size_t UpdateTrace::ApproxMemoryBytes() const {
-  std::size_t bytes = sizeof(events_by_resource_) +
-                      events_by_resource_.capacity() *
-                          sizeof(std::vector<Chronon>);
-  for (const auto& events : events_by_resource_) {
-    bytes += events.capacity() * sizeof(Chronon);
-  }
-  return bytes;
-}
-
 double UpdateTrace::MeanIntensity() const {
   if (num_resources_ == 0) return 0.0;
   return static_cast<double>(total_events_) /

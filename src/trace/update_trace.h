@@ -9,6 +9,9 @@
 
 namespace pullmon {
 
+/// Read only by perfbench/; removed once perfbench/ stops naming it.
+enum class TraceBackend { kInMemory };
+
 /// A single update event: resource r_i changed state at chronon t.
 struct UpdateEvent {
   ResourceId resource = 0;
@@ -38,11 +41,6 @@ class UpdateTrace {
 
   /// Total number of events across resources.
   std::size_t TotalEvents() const { return total_events_; }
-
-  /// Measured heap footprint of the event storage: every inner vector's
-  /// header plus its actual capacity. The denominator TraceStore's
-  /// compression is judged against (bench_trace_store).
-  std::size_t ApproxMemoryBytes() const;
 
   /// Average events per resource (the lambda actually realized).
   double MeanIntensity() const;

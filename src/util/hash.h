@@ -28,6 +28,17 @@ inline uint64_t Fnv1a64(std::string_view bytes,
   return hash;
 }
 
+/// FNV-1a 32-bit over `bytes` from the standard basis: the checksum of
+/// every snapshot and WAL record frame, which pinned-byte tests fix.
+inline uint32_t Fnv1a32(std::string_view bytes) {
+  uint32_t hash = 2166136261u;
+  for (unsigned char c : bytes) {
+    hash ^= c;
+    hash *= 16777619u;
+  }
+  return hash;
+}
+
 }  // namespace pullmon
 
 #endif  // PULLMON_UTIL_HASH_H_

@@ -114,7 +114,8 @@ TEST(ExecutorDeterminismTest, DifferentSeedsDiverge) {
   auto b = RunProxyOnce(config, spec, 2);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  EXPECT_NE(a->fault_stats, b->fault_stats);
+  EXPECT_NE(static_cast<const FaultStats&>(*a),
+            static_cast<const FaultStats&>(*b));
 }
 
 }  // namespace

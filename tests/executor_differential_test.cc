@@ -6,6 +6,7 @@
 // instances x 9 policies x 2 modes; any divergence is a scheduling bug,
 // not a tolerance issue, so all comparisons are exact.
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -131,10 +132,12 @@ ProxyRunReport RunBackend(const MonitoringProblem& problem,
 /// The physical proxy path on the scan-based ReferenceExecutor oracle:
 /// RunProxyOnce's substrate and pull session (AttachTo, FinishReport)
 /// under the reference executor instead of the run's monitor, pushing
-/// each capture into `notifications` when one is given.
+/// each capture into `notifications` and each probe attempt into
+/// `observer` when one is given.
 ProxyRunReport RunReferenceProxy(
     const SimulationConfig& config, const PolicySpec& spec, uint64_t seed,
-    std::vector<ProxyNotification>* notifications = nullptr) {
+    std::vector<ProxyNotification>* notifications = nullptr,
+    FeedPullSession::Observer observer = nullptr) {
   RunSubstrate substrate;
   PULLMON_CHECK_OK(BuildSubstrate(config, spec, seed, &substrate));
   ProxyRunReport report;
@@ -146,6 +149,7 @@ ProxyRunReport RunReferenceProxy(
   reference.set_retry_policy(substrate.proxy.retry);
   reference.set_breaker_options(substrate.proxy.breaker);
   session.AttachTo(&reference);
+  session.set_observer(std::move(observer));
   reference.set_capture_callback(
       [&](ProfileId profile, std::size_t t_interval_index, Chronon now) {
         ++report.notifications_delivered;
@@ -348,6 +352,52 @@ TEST(ExecutorDifferentialTest, ProxyPathMatchesThroughFaultLayer) {
           << label << " reference executor";
     }
   }
+}
+
+// At budget 2 a failed probe's second same-chronon retry never fits in
+// the chronon's budget. At budget 4 the full chain (a probe and both
+// retries) runs, and all three arms must still agree on every attempt.
+TEST(ExecutorDifferentialTest, ProxyPathMatchesThroughFullRetryChains) {
+  SimulationConfig config = BaselineConfig();
+  config.num_resources = 20;
+  config.epoch_length = 60;
+  config.num_profiles = 30;
+  config.lambda = 6.0;
+  config.budget = 4;
+  config.faults.timeout_rate = 0.3;
+  config.faults.server_error_rate = 0.1;
+  config.faults.corruption_rate = 0.05;
+  config.retry.max_retries = 2;
+  config.retry.backoff_base = 0.1;
+
+  int longest_chain = 0;
+  for (const PolicySpec& spec : StandardPolicySpecs()) {
+    for (uint64_t seed : {5u, 33u, 81u}) {
+      SimulationConfig indexed_config = config;
+      indexed_config.executor_backend = ExecutorBackend::kIndexed;
+      SimulationConfig reference_config = config;
+      reference_config.executor_backend = ExecutorBackend::kReference;
+
+      auto indexed = RunProxyOnce(indexed_config, spec, seed);
+      auto reference = RunProxyOnce(reference_config, spec, seed);
+      ASSERT_TRUE(indexed.ok()) << indexed.status().ToString();
+      ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+
+      std::map<std::pair<ResourceId, Chronon>, int> attempts;
+      const ProxyRunReport oracle = RunReferenceProxy(
+          config, spec, seed, nullptr, [&](const PullAttempt& attempt) {
+            const int n = ++attempts[{attempt.resource, attempt.chronon}];
+            longest_chain = std::max(longest_chain, n);
+          });
+
+      std::string label = spec.Label() + " seed=" + std::to_string(seed);
+      EXPECT_EQ(ReportDifference(*indexed, *reference), "") << label;
+      EXPECT_EQ(ReportDifference(*indexed, oracle), "")
+          << label << " reference executor";
+    }
+  }
+  // Vacuous otherwise: some probe must have used both of its retries.
+  EXPECT_EQ(longest_chain, 1 + config.retry.max_retries);
 }
 
 // Same physical-path identity with the Gilbert-Elliott outage process

@@ -1,10 +1,10 @@
-// The report's four fault counters (timeouts, server_errors,
-// outage_probes, corrupt_bodies) are derived from the fault layer's
-// FaultStats when FeedPullSession::FinishReport completes a run. This
-// checks, on every runner that drives a faulty probe path — the proxy,
-// the churn runner, and the durable runner, uninterrupted and
-// recovered after a crash — that every fault class fired and that each
-// counter equals its FaultStats source.
+// The report inherits the fault layer's FaultStats block, which
+// FeedPullSession::FinishReport copies once at the end of a run; the one
+// counter derived from it is corrupt_bodies (truncations plus
+// corruptions). This checks, on every runner that drives a faulty probe
+// path — the proxy, the churn runner, and the durable runner,
+// uninterrupted and recovered after a crash — that every fault class
+// fired and that corrupt_bodies equals its FaultStats sum.
 
 #include <gtest/gtest.h>
 
@@ -45,18 +45,15 @@ SimulationConfig ChurnConfig() {
 
 const PolicySpec kSpec{"MRSF", ExecutionMode::kPreemptive};
 
-void ExpectMirrorsFaultStats(const ProxyRunReport& report,
+void ExpectEveryFaultClassFired(const ProxyRunReport& report,
                              const std::string& label) {
-  const FaultStats& f = report.fault_stats;
   // Vacuous otherwise: every fault class must have fired.
-  EXPECT_GT(f.timeouts, 0u) << label;
-  EXPECT_GT(f.server_errors, 0u) << label;
-  EXPECT_GT(f.outage_probes, 0u) << label;
-  EXPECT_GT(f.truncations + f.corruptions, 0u) << label;
-  EXPECT_EQ(report.timeouts, f.timeouts) << label;
-  EXPECT_EQ(report.server_errors, f.server_errors) << label;
-  EXPECT_EQ(report.outage_probes, f.outage_probes) << label;
-  EXPECT_EQ(report.corrupt_bodies, f.truncations + f.corruptions) << label;
+  EXPECT_GT(report.timeouts, 0u) << label;
+  EXPECT_GT(report.server_errors, 0u) << label;
+  EXPECT_GT(report.outage_probes, 0u) << label;
+  EXPECT_GT(report.truncations + report.corruptions, 0u) << label;
+  EXPECT_EQ(report.corrupt_bodies, report.truncations + report.corruptions)
+      << label;
 }
 
 TEST(FaultMirrorTest, ProxyRunMirrorsFaultStats) {
@@ -66,14 +63,14 @@ TEST(FaultMirrorTest, ProxyRunMirrorsFaultStats) {
     config.executor_backend = backend;
     auto report = RunProxyOnce(config, kSpec, 17);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
-    ExpectMirrorsFaultStats(*report, ExecutorBackendToString(backend));
+    ExpectEveryFaultClassFired(*report, ExecutorBackendToString(backend));
   }
 }
 
 TEST(FaultMirrorTest, ChurnRunMirrorsFaultStats) {
   auto report = RunChurnOnce(ChurnConfig(), kSpec, 17);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  ExpectMirrorsFaultStats(*report, "churn");
+  ExpectEveryFaultClassFired(*report, "churn");
 }
 
 TEST(FaultMirrorTest, DurableRunMirrorsFaultStatsAcrossRecovery) {
@@ -84,7 +81,7 @@ TEST(FaultMirrorTest, DurableRunMirrorsFaultStatsAcrossRecovery) {
   options.checkpoint_every = 10;
   auto durable = RunDurableOnce(config, kSpec, 17, options);
   ASSERT_TRUE(durable.ok()) << durable.status().ToString();
-  ExpectMirrorsFaultStats(*durable, "durable");
+  ExpectEveryFaultClassFired(*durable, "durable");
 
   // The fault-plan image carries the FaultStats, so a run restored
   // from a snapshot must still agree.
@@ -100,7 +97,7 @@ TEST(FaultMirrorTest, DurableRunMirrorsFaultStatsAcrossRecovery) {
   auto recovered = RunDurableOnce(config, kSpec, 17, recovering);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_EQ(recovered->recovery_snapshots_loaded, 1u);
-  ExpectMirrorsFaultStats(*recovered, "recovered");
+  ExpectEveryFaultClassFired(*recovered, "recovered");
 }
 
 }  // namespace

@@ -25,5 +25,13 @@ TEST(Fnv1a64Test, HighBytesHashAsUnsigned) {
   EXPECT_EQ(Fnv1a64("\xff"), expected);
 }
 
+TEST(Fnv1a32Test, StandardVectors) {
+  // The snapshot and WAL record checksum: pinned record bytes depend on
+  // these exact values.
+  EXPECT_EQ(Fnv1a32(""), 0x811c9dc5U);
+  EXPECT_EQ(Fnv1a32("a"), 0xe40c292cU);
+  EXPECT_EQ(Fnv1a32("foobar"), 0xbf9cf968U);
+}
+
 }  // namespace
 }  // namespace pullmon

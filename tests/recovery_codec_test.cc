@@ -1,13 +1,15 @@
 // Wire-format suite of the recovery codec (DESIGN.md section 15): the
-// framing and primitive round-trips, snapshot encode/decode identity,
-// WAL write/read under the torn-tail rule, and — the load-bearing
-// robustness property — exhaustive single-bit-flip and every-prefix
-// truncation detection: no corrupted snapshot or WAL record may ever
-// decode, and a damaged WAL must come back as an intact strict prefix,
-// never as different records.
+// varint edge values, the framing and primitive round-trips, snapshot
+// encode/decode identity, WAL write/read under the torn-tail rule, and
+// — the load-bearing robustness property — exhaustive single-bit-flip
+// and every-prefix truncation detection: no corrupted snapshot or WAL
+// record may ever decode, and a damaged WAL must come back as an intact
+// strict prefix, never as different records.
 
 #include <array>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -19,10 +21,42 @@
 #include "recovery/recovery_codec.h"
 #include "recovery/stable_storage.h"
 #include "recovery/wal.h"
-#include "trace/page_codec.h"
 
 namespace pullmon {
 namespace {
+
+TEST(VarintTest, VarintEdgeValues) {
+  for (std::uint64_t value :
+       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{127},
+        std::uint64_t{128}, std::uint64_t{16383}, std::uint64_t{16384},
+        std::numeric_limits<std::uint64_t>::max()}) {
+    std::string bytes;
+    AppendVarint(value, &bytes);
+    std::uint64_t decoded = 0;
+    const char* end = DecodeVarint(bytes.data(),
+                                   bytes.data() + bytes.size(), &decoded);
+    ASSERT_NE(end, nullptr) << value;
+    EXPECT_EQ(end, bytes.data() + bytes.size());
+    EXPECT_EQ(decoded, value);
+  }
+}
+
+TEST(VarintTest, VarintRejectsTruncationAndOverlength) {
+  std::string bytes;
+  AppendVarint(1u << 20, &bytes);
+  std::uint64_t value = 0;
+  // Every strict prefix is truncated.
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    EXPECT_EQ(DecodeVarint(bytes.data(), bytes.data() + len, &value),
+              nullptr)
+        << "prefix " << len;
+  }
+  // Eleven continuation bytes exceed the 10-byte cap.
+  std::string overlong(11, static_cast<char>(0x80));
+  EXPECT_EQ(DecodeVarint(overlong.data(),
+                         overlong.data() + overlong.size(), &value),
+            nullptr);
+}
 
 TEST(RecoveryCodecTest, PrimitiveRoundTrips) {
   std::string bytes;

@@ -3,7 +3,7 @@
 // crash-recovered run must finish with a ProxyRunReport equal to the
 // uninterrupted run's on every field except the recovery telemetry.
 // The suite sweeps ~200 seeded scenarios (clean, faults, breakers,
-// churn, parse cache; both executor backends; both trace backends)
+// churn, parse cache; both executor backends)
 // through the durable runner, kills it at every chronon boundary with
 // several torn-write offsets, recovers, and demands full-report
 // equality via the shared comparator — plus the negative paths:
@@ -96,8 +96,7 @@ ProxyRunReport MustChurnRun(const SimulationConfig& config,
 /// Uninterrupted durable runs must behave exactly like the plain churn
 /// runner on every field — checkpointing and WAL writes are observable
 /// only through the recovery telemetry. ~200 scenarios across the four
-/// families, both executor backends, both trace backends, and the
-/// Section-5 policy line-up.
+/// families, both executor backends, and the Section-5 policy line-up.
 TEST(RecoveryDifferentialTest, UninterruptedDurableRunMatchesChurnRunner) {
   const std::vector<PolicySpec> specs = StandardPolicySpecs();
   for (std::uint64_t seed = 0; seed < 200; ++seed) {
@@ -105,8 +104,6 @@ TEST(RecoveryDifferentialTest, UninterruptedDurableRunMatchesChurnRunner) {
     const ExecutorBackend backends[] = {ExecutorBackend::kIndexed,
                                         ExecutorBackend::kReference};
     config.executor_backend = backends[(seed / 4) % 2];
-    config.trace_backend = (seed / 8) % 2 == 0 ? TraceBackend::kInMemory
-                                               : TraceBackend::kPaged;
     const PolicySpec& spec = specs[seed % specs.size()];
     const std::string label =
         spec.Label() + " seed=" + std::to_string(seed) + " family=" +
@@ -163,27 +160,25 @@ ProxyRunReport CrashThenRecover(const SimulationConfig& config,
 /// several byte offsets into the boundary's durable writes), recover,
 /// finish, and require the report equal to the uninterrupted run's.
 /// Scenario arms cover the hard combinations: churn + faults + breaker
-/// + parse cache on every executor backend, and the paged trace store.
+/// + parse cache on every executor backend.
 TEST(RecoveryDifferentialTest, CrashAtEveryBoundaryRecoversExactly) {
   struct Arm {
     int family;
     ExecutorBackend backend;
-    TraceBackend trace;
     const char* policy;
     std::uint64_t seed;
   };
   const std::vector<Arm> arms = {
-      {0, ExecutorBackend::kIndexed, TraceBackend::kInMemory, "MRSF", 17},
-      {2, ExecutorBackend::kIndexed, TraceBackend::kInMemory, "S-EDF", 53},
-      {3, ExecutorBackend::kIndexed, TraceBackend::kInMemory, "MRSF", 91},
-      {3, ExecutorBackend::kReference, TraceBackend::kInMemory, "MRSF", 91},
-      {3, ExecutorBackend::kIndexed, TraceBackend::kPaged, "MRSF", 29},
-      {1, ExecutorBackend::kReference, TraceBackend::kPaged, "S-EDF", 71},
+      {0, ExecutorBackend::kIndexed, "MRSF", 17},
+      {2, ExecutorBackend::kIndexed, "S-EDF", 53},
+      {3, ExecutorBackend::kIndexed, "MRSF", 91},
+      {3, ExecutorBackend::kReference, "MRSF", 91},
+      {3, ExecutorBackend::kIndexed, "MRSF", 29},
+      {1, ExecutorBackend::kReference, "S-EDF", 71},
   };
   for (const Arm& arm : arms) {
     SimulationConfig config = ScenarioConfig(arm.family);
     config.executor_backend = arm.backend;
-    config.trace_backend = arm.trace;
     PolicySpec spec{arm.policy, ExecutionMode::kPreemptive};
     const ProxyRunReport baseline = MustChurnRun(config, spec, arm.seed);
 

@@ -91,8 +91,6 @@ SimulationConfig FuzzConfig(Rng* rng) {
   config.executor_backend = rng->NextBounded(2) == 0
                                 ? ExecutorBackend::kIndexed
                                 : ExecutorBackend::kReference;
-  config.trace_backend = rng->NextBounded(2) == 0 ? TraceBackend::kInMemory
-                                                  : TraceBackend::kPaged;
   return config;
 }
 

@@ -35,11 +35,9 @@ ProxyRunReport RichReport() {
   r.retry_probes_spent = 1;
   r.etag_invalidations = 1;
   r.gc_lost_to_faults = 0.2;
-  r.fault_stats.timeouts = 2;
   r.circuits_opened = 1;
   r.parse_cache_hits = 3;
   r.churn_submitted = 4;
-  r.trace_pages_written = 7;
   r.recovery_snapshots_written = 2;
   r.estimation_probes_observed = 9;
   r.estimation_explore_probes = 2;
@@ -82,24 +80,20 @@ std::vector<Mutation> Mutations() {
        [](ProxyRunReport* r) { ++r->churn_rejected_ops; }},
       {"probes_failed", [](ProxyRunReport* r) { ++r->probes_failed; }},
       {"corrupt_bodies", [](ProxyRunReport* r) { ++r->corrupt_bodies; }},
-      {"timeouts", [](ProxyRunReport* r) { ++r->timeouts; }},
-      {"server_errors", [](ProxyRunReport* r) { ++r->server_errors; }},
-      {"outage_probes", [](ProxyRunReport* r) { ++r->outage_probes; }},
       {"retries_issued", [](ProxyRunReport* r) { ++r->retries_issued; }},
       {"retry_probes_spent",
        [](ProxyRunReport* r) { ++r->retry_probes_spent; }},
-      {"etag_invalidations",
-       [](ProxyRunReport* r) { ++r->etag_invalidations; }},
       {"gc_lost_to_faults",
        [](ProxyRunReport* r) { r->gc_lost_to_faults += 0.1; }},
-      {"fault_stats",
-       [](ProxyRunReport* r) { r->fault_stats.latency_max += 0.5; }},
+      {"FaultStats", [](ProxyRunReport* r) { ++r->timeouts; }},
+      {"FaultStats", [](ProxyRunReport* r) { ++r->server_errors; }},
+      {"FaultStats", [](ProxyRunReport* r) { ++r->outage_probes; }},
+      {"FaultStats", [](ProxyRunReport* r) { ++r->etag_invalidations; }},
+      {"FaultStats", [](ProxyRunReport* r) { r->latency_max += 0.5; }},
       {"HealthStats", [](ProxyRunReport* r) { ++r->open_chronons_total; }},
       {"ParseCacheStats",
        [](ProxyRunReport* r) { ++r->parse_cache_bytes_saved; }},
       {"ChurnStats", [](ProxyRunReport* r) { ++r->orphaned_probes; }},
-      {"TraceStoreStats",
-       [](ProxyRunReport* r) { ++r->trace_cache_evictions; }},
       {"EstimationStats",
        [](ProxyRunReport* r) { ++r->estimation_duplicate_events; }},
       {"AdaptiveRunStats",
@@ -143,7 +137,6 @@ TEST(ReportDifferenceTest, SkipTogglesSkipOnlyTheirBlock) {
     std::string skipped_prefix;
   } toggles[] = {
       {{.parse_cache_stats = false}, "ParseCacheStats"},
-      {{.trace_stats = false}, "TraceStoreStats"},
   };
   for (const auto& toggle : toggles) {
     for (const Mutation& m : Mutations()) {

@@ -150,7 +150,9 @@ TEST(ThreadInvarianceTest, ProxyPathWithFaultsAndCacheIsThreadSafe) {
         << "rep " << rep;
     EXPECT_EQ(a.notifications_delivered, b.notifications_delivered)
         << "rep " << rep;
-    EXPECT_TRUE(a.fault_stats == b.fault_stats) << "rep " << rep;
+    EXPECT_TRUE(static_cast<const FaultStats&>(a) ==
+                static_cast<const FaultStats&>(b))
+        << "rep " << rep;
   }
 }
 

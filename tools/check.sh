@@ -16,9 +16,7 @@
 #                             # offline solvers (5x + equivalence),
 #                             # churn maintenance (5x + schedule
 #                             # equality vs the rebuild oracle), the
-#                             # trace store (8x compression + 0.5x
-#                             # replay + cross-backend equality) and
-#                             # the durability layer (<= 5% checkpoint
+#                             # durability layer (<= 5% checkpoint
 #                             # overhead + replay-exact recovery) and
 #                             # the closed-loop estimator
 #                             # (>= 0.5x oracle GC on the steady feed
@@ -91,10 +89,6 @@ if [[ "$bench" == 1 ]]; then
   cmake --build --preset release -j "$jobs" --target bench_churn
   ./build-release/bench/bench_churn --json=BENCH_churn_local.json
   python3 tools/bench_diff.py BENCH_churn.json BENCH_churn_local.json
-  echo "== trace-store bench gate: Release + LTO =="
-  cmake --build --preset release -j "$jobs" --target bench_trace_store
-  ./build-release/bench/bench_trace_store --json=BENCH_trace_store_local.json
-  python3 tools/bench_diff.py BENCH_trace_store.json BENCH_trace_store_local.json
   echo "== recovery bench gate: Release + LTO =="
   cmake --build --preset release -j "$jobs" --target bench_recovery
   ./build-release/bench/bench_recovery --json=BENCH_recovery_local.json

@@ -136,17 +136,10 @@ golden_case(run_proxy 0 CSV ARGS ${proxy})
 # which decides every probe as the incremental index does.
 golden_case(run_proxy_reference 0 CSV SAME_AS run_proxy ARGS
   ${proxy} --executor=reference)
-golden_case(run_proxy_trace_store 0 CSV ARGS
-  run --proxy ${small} --policy=mrsf --trace-store --trace-page-size=32
-  --trace-cache-pages=1 --fault-timeout=0.1)
 golden_case(run_churn 0 CSV ARGS
   run --churn --churn-rate=2 --profiles=20 --resources=20 --chronons=80
   --lambda=5 --reps=2 --policy=mrsf,s-edf --mode=both
   --fault-timeout=0.05 --retries=1)
-golden_case(run_churn_trace_store 0 CSV ARGS
-  run --churn --churn-rate=1 --profiles=15 --resources=20 --chronons=60
-  --lambda=5 --reps=2 --policy=mrsf --trace-store --trace-page-size=32
-  --trace-cache-pages=1)
 golden_case(run_durable 0 ARGS
   run ${durable} --checkpoint-dir=cli_golden_ckpt)
 golden_case(run_durable_csv 0 CSV ARGS

@@ -123,23 +123,6 @@ Knob Bound(const char* name, const char* help, Path... path) {
   return knob;
 }
 
-/// A size field. Negatives clamp to 0 before widening to size_t, so -1
-/// lands in the field's own range check instead of becoming SIZE_MAX.
-template <typename... Path>
-Knob Size(const char* name, const char* help, Path... path) {
-  Knob knob{.name = name};
-  knob.add = [=](FlagParser* flags, const SimulationConfig& baseline) {
-    flags->AddInt64(name, static_cast<int64_t>(FieldOf(baseline, path...)),
-                    help);
-  };
-  knob.apply = [=](const FlagParser& flags, SimulationConfig* config) {
-    FieldOf(*config, path...) = static_cast<std::size_t>(
-        std::max<int64_t>(0, flags.GetInt64(name)));
-    return Status::OK();
-  };
-  return knob;
-}
-
 /// A bool flag choosing between two values of an enum field.
 template <typename E, typename... Path>
 Knob Switch(const char* name, const char* help, E on, E off,
@@ -300,20 +283,11 @@ const std::vector<Knob>& Knobs() {
       Enum<ExecutorBackend>(
           "executor", " backend",
           "scheduling backend: indexed (incremental candidate index) | "
-          "reference (scan-based oracle)",
+          "reference (differential oracle: ReferenceExecutor on the logical "
+          "executor, the from-scratch index rebuild on physical runs)",
           {{"indexed", ExecutorBackend::kIndexed},
            {"reference", ExecutorBackend::kReference}},
           &C::executor_backend),
-      Switch("trace-store",
-             "generate and replay the trace through the paged compressed "
-             "trace store instead of in memory (decision-identical; adds "
-             "trace_* telemetry)",
-             TraceBackend::kPaged, TraceBackend::kInMemory, &C::trace_backend),
-      Size("trace-page-size", "target encoded payload bytes per trace page",
-           &C::trace_store, &TraceStoreOptions::page_size),
-      Size("trace-cache-pages",
-           "decoded pages the trace store's LRU cache keeps resident",
-           &C::trace_store, &TraceStoreOptions::cache_pages),
       Enum<KnowledgeModel>(
           "knowledge", " model",
           "update-knowledge model of `run --proxy`: oracle (FPN(1) EIs from "
@@ -426,8 +400,6 @@ Status CheckRunPath(const SimulationConfig& config, const FlagParser& flags,
       {"--fault-*/--outage-*/--retries",
        !config.faults.AllZero() || config.retry.max_retries > 0, physical},
       {"--parse-cache", config.parse_cache, physical},
-      {"--trace-store", config.trace_backend != TraceBackend::kInMemory,
-       physical},
       {"--knowledge=estimated", config.knowledge != KnowledgeModel::kOracle,
        bit(RunPath::kProxy)},
       {"--checkpoint-dir/--checkpoint-every/--crash-at/--recover",
@@ -676,44 +648,13 @@ int RunLogical(const RunRequest& request, bool offline) {
   return wrote.ok() ? 0 : Fail(wrote, 1);
 }
 
-/// Means of the paged trace store's counters over every run.
-struct TraceStoreSummary {
-  RunningStats pages, bytes, in_memory, hits, misses;
-
-  void Add(const Report& r) {
-    pages.Add(static_cast<double>(r.trace_pages_written));
-    bytes.Add(static_cast<double>(r.trace_bytes_stored));
-    in_memory.Add(static_cast<double>(r.trace_in_memory_bytes));
-    hits.Add(static_cast<double>(r.trace_cache_hits));
-    misses.Add(static_cast<double>(r.trace_cache_misses));
-  }
-
-  void Print() const {
-    const double lookups = hits.mean() + misses.mean();
-    std::cout << "Trace store: " << pages.mean() << " pages, "
-              << bytes.mean() << " B stored vs " << in_memory.mean()
-              << " B in-memory ("
-              << TablePrinter::FormatDouble(
-                     bytes.mean() > 0.0 ? in_memory.mean() / bytes.mean()
-                                        : 0.0,
-                     2)
-              << "x), cache hit rate "
-              << TablePrinter::FormatDouble(
-                     lookups > 0.0 ? hits.mean() / lookups : 0.0, 3)
-              << "\n";
-  }
-};
-
 using RunOnceFn = Result<Report> (*)(const SimulationConfig&,
                                      const PolicySpec&, uint64_t);
 
 /// A run path `run` repeats per policy (--proxy, --churn): one row per
-/// policy, each column the mean over the repetitions. A paged trace
-/// store's summary line follows the table.
+/// policy, each column the mean over the repetitions.
 int RunRepeated(const RunRequest& request, const char* kind,
                 RunOnceFn run_once, std::span<const Column<Report>> columns) {
-  const bool summarize = request.config.trace_backend == TraceBackend::kPaged;
-  TraceStoreSummary trace_store;
   std::vector<Row> rows;
   for (const PolicySpec& spec : request.specs) {
     std::vector<RunningStats> stats(columns.size());
@@ -728,14 +669,12 @@ int RunRepeated(const RunRequest& request, const char* kind,
       for (std::size_t i = 0; i < stats.size(); ++i) {
         stats[i].Add(columns[i].read(*report));
       }
-      if (summarize) trace_store.Add(*report);
     }
     Row row{spec.Label(), {}};
     for (const RunningStats& s : stats) row.values.push_back(s.mean());
     rows.push_back(std::move(row));
   }
   PrintTable(columns, rows);
-  if (summarize) trace_store.Print();
   Status wrote = WriteCsv(request.csv_path, columns, rows);
   return wrote.ok() ? 0 : Fail(wrote, 1);
 }
