@@ -131,22 +131,12 @@ namespace {
 
 /// Root sniffing shared by both ParseFeed overloads: 'r' for <rss>,
 /// 'a' for <feed>, '\0' for no/unknown root, without parsing twice.
+/// The prolog is skipped exactly as the XML parser skips it, so a tag
+/// inside a comment, PI or DOCTYPE is never taken for the root.
 char SniffFeedRoot(std::string_view xml) {
-  std::size_t pos = 0;
-  while (pos < xml.size()) {
-    pos = xml.find('<', pos);
-    if (pos == std::string_view::npos) break;
-    if (StartsWith(xml.substr(pos), "<?") ||
-        StartsWith(xml.substr(pos), "<!--") ||
-        StartsWith(xml.substr(pos), "<!")) {
-      ++pos;
-      continue;
-    }
-    break;
-  }
-  if (pos == std::string_view::npos || pos >= xml.size()) return '\0';
-  if (StartsWith(xml.substr(pos), "<rss")) return 'r';
-  if (StartsWith(xml.substr(pos), "<feed")) return 'a';
+  std::string_view root = xml.substr(SkipXmlMisc(xml, 0));
+  if (StartsWith(root, "<rss")) return 'r';
+  if (StartsWith(root, "<feed")) return 'a';
   return '\0';
 }
 

@@ -1,6 +1,5 @@
 #include "feeds/xml.h"
 
-#include <cctype>
 #include <cstring>
 
 #include "util/string_util.h"
@@ -21,43 +20,12 @@ bool MatchAt(std::string_view input, std::size_t pos,
 }
 
 void SkipWhitespace(std::string_view input, std::size_t* pos) {
-  while (*pos < input.size() &&
-         std::isspace(static_cast<unsigned char>(input[*pos]))) {
-    ++*pos;
-  }
+  while (*pos < input.size() && IsAsciiSpace(input[*pos])) ++*pos;
 }
 
-/// Skips whitespace, comments, processing instructions and the XML
-/// declaration — everything allowed outside the root element.
-void SkipMisc(std::string_view input, std::size_t* pos) {
-  while (true) {
-    SkipWhitespace(input, pos);
-    if (MatchAt(input, *pos, "<!--")) {
-      std::size_t end = input.find("-->", *pos + 4);
-      *pos = end == std::string_view::npos ? input.size() : end + 3;
-      continue;
-    }
-    if (MatchAt(input, *pos, "<?")) {
-      std::size_t end = input.find("?>", *pos + 2);
-      *pos = end == std::string_view::npos ? input.size() : end + 2;
-      continue;
-    }
-    if (MatchAt(input, *pos, "<!DOCTYPE")) {
-      std::size_t end = input.find('>', *pos);
-      *pos = end == std::string_view::npos ? input.size() : end + 1;
-      continue;
-    }
-    break;
-  }
-}
-
-bool IsNameStart(char c) {
-  return std::isalpha(static_cast<unsigned char>(c)) || c == '_' ||
-         c == ':';
-}
+bool IsNameStart(char c) { return IsAsciiAlpha(c) || c == '_' || c == ':'; }
 bool IsNameChar(char c) {
-  return IsNameStart(c) || std::isdigit(static_cast<unsigned char>(c)) ||
-         c == '-' || c == '.';
+  return IsNameStart(c) || IsAsciiDigit(c) || c == '-' || c == '.';
 }
 
 /// Scans an XML name at *pos; returns a view into the input.
@@ -156,11 +124,11 @@ class Parser {
   explicit Parser(std::string_view input) : input_(input) {}
 
   Result<XmlNode> ParseDocument() {
-    SkipMisc(input_, &pos_);
+    pos_ = SkipXmlMisc(input_, pos_);
     if (AtEnd()) return Status::ParseError("XML document has no root element");
     XmlNode root;
     PULLMON_RETURN_NOT_OK(ParseElement(&root));
-    SkipMisc(input_, &pos_);
+    pos_ = SkipXmlMisc(input_, pos_);
     if (!AtEnd()) {
       return Status::ParseError("trailing content after XML root element");
     }
@@ -313,7 +281,9 @@ class Parser {
 // ---------------------------------------------------------------------
 // Arena parser: same grammar, zero-copy output. Text and attribute
 // values that need no decoding stay views into the input buffer; mixed
-// or entity-bearing runs are assembled from arena-held chunks.
+// or entity-bearing runs are assembled from arena-held chunks. Content
+// is scanned a run at a time: memchr finds the next '<' and then any
+// '&' before it, and markup dispatches once on the byte after the '<'.
 // ---------------------------------------------------------------------
 
 class ArenaParser {
@@ -322,11 +292,11 @@ class ArenaParser {
       : input_(input), arena_(arena) {}
 
   Result<const ArenaXmlNode*> ParseDocument() {
-    SkipMisc(input_, &pos_);
+    pos_ = SkipXmlMisc(input_, pos_);
     if (AtEnd()) return Status::ParseError("XML document has no root element");
     ArenaXmlNode* root = arena_->New<ArenaXmlNode>();
     PULLMON_RETURN_NOT_OK(ParseElement(root));
-    SkipMisc(input_, &pos_);
+    pos_ = SkipXmlMisc(input_, pos_);
     if (!AtEnd()) {
       return Status::ParseError("trailing content after XML root element");
     }
@@ -342,23 +312,28 @@ class ArenaParser {
     Chunk* next = nullptr;
   };
 
-  /// Accumulates views/decoded runs and renders them into one view.
+  /// Accumulates views/decoded runs and renders them into one view. The
+  /// first piece is held inline, so a single-run text costs no arena
+  /// chunk; later pieces are chained in the arena.
   class ChunkList {
    public:
     explicit ChunkList(Arena* arena) : arena_(arena) {}
 
     void Add(std::string_view piece) {
       if (piece.empty()) return;
+      total_ += piece.size();
+      if (first_.empty()) {
+        first_ = piece;
+        return;
+      }
       Chunk* chunk = arena_->New<Chunk>();
       chunk->piece = piece;
       if (tail_ == nullptr) {
-        head_ = tail_ = chunk;
+        head_ = chunk;
       } else {
         tail_->next = chunk;
-        tail_ = chunk;
       }
-      total_ += piece.size();
-      ++count_;
+      tail_ = chunk;
     }
 
     /// Copies at most 4 decoded bytes into the arena and appends them.
@@ -368,10 +343,10 @@ class ArenaParser {
     }
 
     std::string_view Render() const {
-      if (count_ == 0) return std::string_view();
-      if (count_ == 1) return head_->piece;
+      if (head_ == nullptr) return first_;
       char* out = static_cast<char*>(arena_->Allocate(total_, 1));
-      std::size_t at = 0;
+      std::memcpy(out, first_.data(), first_.size());
+      std::size_t at = first_.size();
       for (const Chunk* chunk = head_; chunk != nullptr;
            chunk = chunk->next) {
         std::memcpy(out + at, chunk->piece.data(), chunk->piece.size());
@@ -382,10 +357,10 @@ class ArenaParser {
 
    private:
     Arena* arena_;
-    Chunk* head_ = nullptr;
+    std::string_view first_;
+    Chunk* head_ = nullptr;  // the pieces after the first
     Chunk* tail_ = nullptr;
     std::size_t total_ = 0;
-    std::size_t count_ = 0;
   };
 
   bool AtEnd() const { return pos_ >= input_.size(); }
@@ -475,7 +450,15 @@ class ArenaParser {
         return Status::ParseError("unexpected end inside element <" +
                                   std::string(node->name) + ">");
       }
-      if (Match("</")) {
+      if (Peek() != '<') {
+        PULLMON_RETURN_NOT_OK(ScanText(&text));
+        continue;
+      }
+      // Dispatch on the byte after '<'. A "<!" that opens neither a
+      // comment nor CDATA, and a '<' that ends the input, take the
+      // child path and fail in ScanName.
+      char next = pos_ + 1 < input_.size() ? input_[pos_ + 1] : '\0';
+      if (next == '/') {
         Advance(2);
         PULLMON_ASSIGN_OR_RETURN(std::string_view close_name,
                                  ScanName(input_, &pos_));
@@ -493,7 +476,7 @@ class ArenaParser {
         node->text = text.Render();
         return Status::OK();
       }
-      if (Match("<!--")) {
+      if (next == '!' && Match("<!--")) {
         std::size_t end = input_.find("-->", pos_ + 4);
         if (end == std::string_view::npos) {
           return Status::ParseError("unterminated comment");
@@ -501,7 +484,7 @@ class ArenaParser {
         pos_ = end + 3;
         continue;
       }
-      if (Match("<![CDATA[")) {
+      if (next == '!' && Match("<![CDATA[")) {
         std::size_t end = input_.find("]]>", pos_ + 9);
         if (end == std::string_view::npos) {
           return Status::ParseError("unterminated CDATA section");
@@ -510,7 +493,7 @@ class ArenaParser {
         pos_ = end + 3;
         continue;
       }
-      if (Match("<?")) {
+      if (next == '?') {
         std::size_t end = input_.find("?>", pos_ + 2);
         if (end == std::string_view::npos) {
           return Status::ParseError("unterminated processing instruction");
@@ -518,29 +501,47 @@ class ArenaParser {
         pos_ = end + 2;
         continue;
       }
-      if (Peek() == '<') {
-        ArenaXmlNode* child = arena_->New<ArenaXmlNode>();
-        PULLMON_RETURN_NOT_OK(ParseElement(child));
-        if (last_child == nullptr) {
-          node->first_child = child;
-        } else {
-          last_child->next_sibling = child;
-        }
-        last_child = child;
-        continue;
+      ArenaXmlNode* child = arena_->New<ArenaXmlNode>();
+      PULLMON_RETURN_NOT_OK(ParseElement(child));
+      if (last_child == nullptr) {
+        node->first_child = child;
+      } else {
+        last_child->next_sibling = child;
       }
+      last_child = child;
+    }
+  }
+
+  /// Offset of the first `c` in [pos_, end), or `end` if there is none.
+  /// Requires pos_ < end.
+  std::size_t Find(char c, std::size_t end) const {
+    const char* data = input_.data();
+    const void* hit = std::memchr(data + pos_, c, end - pos_);
+    return hit == nullptr
+               ? end
+               : static_cast<std::size_t>(static_cast<const char*>(hit) -
+                                          data);
+  }
+
+  /// Character data from pos_ (not at '<') up to the next '<' or the end
+  /// of the input: raw runs, each a view into the input, between decoded
+  /// entity references.
+  Status ScanText(ChunkList* text) {
+    std::size_t end = Find('<', input_.size());
+    while (pos_ < end) {
       if (Peek() == '&') {
+        // Never passes `end`: no entity name holds a '<'.
         char buf[4];
         std::size_t len = 0;
         PULLMON_RETURN_NOT_OK(DecodeEntity(input_, &pos_, buf, &len));
-        text.AddDecoded(buf, len);
+        text->AddDecoded(buf, len);
         continue;
       }
-      // A raw character run: up to the next markup or entity.
-      std::size_t start = pos_;
-      while (!AtEnd() && Peek() != '<' && Peek() != '&') Advance();
-      text.Add(input_.substr(start, pos_ - start));
+      std::size_t run_end = Find('&', end);
+      text->Add(input_.substr(pos_, run_end - pos_));
+      pos_ = run_end;
     }
+    return Status::OK();
   }
 
   std::string_view input_;
@@ -549,6 +550,28 @@ class ArenaParser {
 };
 
 }  // namespace
+
+std::size_t SkipXmlMisc(std::string_view input, std::size_t pos) {
+  while (true) {
+    SkipWhitespace(input, &pos);
+    if (MatchAt(input, pos, "<!--")) {
+      std::size_t end = input.find("-->", pos + 4);
+      pos = end == std::string_view::npos ? input.size() : end + 3;
+      continue;
+    }
+    if (MatchAt(input, pos, "<?")) {
+      std::size_t end = input.find("?>", pos + 2);
+      pos = end == std::string_view::npos ? input.size() : end + 2;
+      continue;
+    }
+    if (MatchAt(input, pos, "<!DOCTYPE")) {
+      std::size_t end = input.find('>', pos);
+      pos = end == std::string_view::npos ? input.size() : end + 1;
+      continue;
+    }
+    return pos;
+  }
+}
 
 const XmlNode* XmlNode::FirstChild(std::string_view child_name) const {
   for (const auto& child : children) {

@@ -43,6 +43,14 @@ struct XmlNode {
 /// on malformed input (mismatched tags, bad entities, truncation, ...).
 Result<XmlNode> ParseXml(std::string_view input);
 
+/// Offset of the first byte at or after `pos` that is not whitespace, a
+/// comment, a processing instruction or a DOCTYPE: everything allowed
+/// outside the root element. Both ParseXml overloads skip the prolog
+/// and the epilog with it, so `input.substr(SkipXmlMisc(input, 0))`
+/// starts with the tag they take as the root (input.size() when an
+/// unterminated comment or PI runs to the end).
+std::size_t SkipXmlMisc(std::string_view input, std::size_t pos);
+
 /// One attribute of an arena-parsed element, an intrusive list entry.
 struct ArenaXmlAttr {
   std::string_view name;

@@ -1,7 +1,6 @@
 #include "util/datetime.h"
 
 #include <array>
-#include <cctype>
 
 #include "util/string_util.h"
 
@@ -25,7 +24,7 @@ Result<int> MonthFromName(std::string_view name) {
 bool IsDigits(std::string_view s) {
   if (s.empty()) return false;
   for (char c : s) {
-    if (!std::isdigit(static_cast<unsigned char>(c))) return false;
+    if (!IsAsciiDigit(c)) return false;
   }
   return true;
 }
@@ -204,10 +203,7 @@ Result<int64_t> ParseRfc3339(std::string_view text) {
   // Truncate fractional seconds.
   if (pos < s.size() && s[pos] == '.') {
     ++pos;
-    while (pos < s.size() &&
-           std::isdigit(static_cast<unsigned char>(s[pos]))) {
-      ++pos;
-    }
+    while (pos < s.size() && IsAsciiDigit(s[pos])) ++pos;
   }
   if (pos >= s.size()) {
     return Status::ParseError("RFC3339 date missing zone: " + std::string(s));

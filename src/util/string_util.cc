@@ -25,15 +25,9 @@ std::vector<std::string> Split(std::string_view input, char delim) {
 
 std::string_view Trim(std::string_view input) {
   std::size_t begin = 0;
-  while (begin < input.size() &&
-         std::isspace(static_cast<unsigned char>(input[begin]))) {
-    ++begin;
-  }
+  while (begin < input.size() && IsAsciiSpace(input[begin])) ++begin;
   std::size_t end = input.size();
-  while (end > begin &&
-         std::isspace(static_cast<unsigned char>(input[end - 1]))) {
-    --end;
-  }
+  while (end > begin && IsAsciiSpace(input[end - 1])) --end;
   return input.substr(begin, end - begin);
 }
 

@@ -14,6 +14,19 @@ namespace pullmon {
 /// ("a,,b" -> {"a", "", "b"}); an empty input yields a single empty field.
 std::vector<std::string> Split(std::string_view input, char delim);
 
+/// ASCII character classes. Each equals its <cctype> twin in the "C"
+/// locale, the only one the program runs in (it never calls
+/// setlocale), but is an inline compare instead of a per-byte table
+/// lookup through the locale. The feed parsers, Trim and the date
+/// parsers classify bytes with these alone.
+constexpr bool IsAsciiSpace(char c) {
+  return c == ' ' || (c >= '\t' && c <= '\r');
+}
+constexpr bool IsAsciiDigit(char c) { return c >= '0' && c <= '9'; }
+constexpr bool IsAsciiAlpha(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
+}
+
 /// Removes ASCII whitespace from both ends.
 std::string_view Trim(std::string_view input);
 

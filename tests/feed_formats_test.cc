@@ -3,6 +3,7 @@
 #include "feeds/atom.h"
 #include "feeds/fault_injection.h"
 #include "feeds/rss.h"
+#include "util/arena.h"
 #include "util/datetime.h"
 #include "util/random.h"
 
@@ -134,6 +135,27 @@ TEST(ParseFeedTest, RejectsUnknownRoots) {
   EXPECT_FALSE(ParseFeed("<html></html>").ok());
   EXPECT_FALSE(ParseFeed("").ok());
   EXPECT_FALSE(ParseFeed("<?xml version=\"1.0\"?>").ok());
+}
+
+TEST(ParseFeedTest, RootTagsInsideThePrologAreNotTheRoot) {
+  // Auto-detection reads the root the parser will read: a tag named in
+  // a comment, PI or DOCTYPE before it must not decide the format.
+  FeedDocument feed = SampleFeed();
+  const std::string bodies[] = {
+      "<?xml version=\"1.0\"?><!-- mirrors <feed> -->" + WriteRss(feed),
+      "<?xml version=\"1.0\"?><!-- mirrors <rss> -->" + WriteAtom(feed),
+      "<?pi <feed>?>\n<!DOCTYPE rss>\n<!-- <feed> -->" + WriteRss(feed),
+  };
+  Arena arena;
+  for (const std::string& body : bodies) {
+    auto heap = ParseFeed(body);
+    ASSERT_TRUE(heap.ok()) << heap.status().message();
+    EXPECT_EQ(heap->items.size(), 3u);
+    arena.Reset();
+    auto in_arena = ParseFeed(body, &arena);
+    ASSERT_TRUE(in_arena.ok()) << in_arena.status().message();
+    EXPECT_EQ((*in_arena)->num_items, 3u);
+  }
 }
 
 TEST(ParseFeedTest, TruncatedBodiesReturnErrorNeverCrash) {

@@ -8,10 +8,12 @@
 
 #include <cstddef>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "feeds/atom.h"
+#include "feeds/feed_server.h"
 #include "feeds/rss.h"
 #include "feeds/xml.h"
 #include "util/arena.h"
@@ -162,6 +164,41 @@ void ExpectTreesEqual(const XmlNode& a, const ArenaXmlNode* b) {
   EXPECT_EQ(child, nullptr);
 }
 
+/// Parses `body` with both ParseXml overloads and checks that they agree:
+/// the same acceptance, the same error message, an equivalent tree.
+void ExpectParsersAgree(std::string_view body, Arena* arena) {
+  auto heap = ParseXml(body);
+  arena->Reset();
+  auto in_arena = ParseXml(body, arena);
+  ASSERT_EQ(heap.ok(), in_arena.ok());
+  if (heap.ok()) {
+    ExpectTreesEqual(*heap, *in_arena);
+  } else {
+    EXPECT_EQ(heap.status().message(), in_arena.status().message());
+  }
+}
+
+/// Reaches every branch of the arena parser's dispatch on the byte after
+/// '<' and of its text scan: prolog and epilog misc, comments, CDATA
+/// and PIs inside content, decimal and hex character references, both
+/// quote styles, self-closing tags and whitespace inside tags.
+const char kDispatchDocument[] =
+    "<?xml version=\"1.0\" encoding=\"utf-8\"?>\n"
+    "<!DOCTYPE rss>\n<!-- prolog <feed> -->\n<?sheet href=\"s.css\"?>\n"
+    "<rss version=\"2.0\" xmlns:dc='http://purl.org/dc/elements/1.1/'>\n"
+    "  <channel>\n"
+    "    <title>Caf&#233; &amp; bar &#x20AC;&#X41;</title>\n"
+    "    <!-- a comment between children -->\n"
+    "    <link href = \"http://x.example/?a=1&amp;b=2\" rel='it&apos;s'/>\n"
+    "    <description><![CDATA[<b>raw</b> & more]]> and &lt;text&gt;"
+    "</description>\n"
+    "    <?pi inside content?>\n"
+    "    <item><title>a&lt;b&gt;c &quot;q&quot;</title>"
+    "<dc:creator>x</dc:creator><empty /><br/></item>\n"
+    "    <item ><guid isPermaLink=\"false\">id-1</guid ></item>\n"
+    "  </channel>\n"
+    "</rss >\n<!-- epilog --><?epilog?>\n";
+
 TEST(ParserFuzzTest, ArenaXmlParserMatchesAllocatingParser) {
   // The arena overload promises to accept and reject exactly the same
   // documents as the allocating one and to produce an equivalent tree —
@@ -170,12 +207,53 @@ TEST(ParserFuzzTest, ArenaXmlParserMatchesAllocatingParser) {
   Rng rng(0xA12E4AULL);
   Arena arena;
   for (int i = 0; i < 2000; ++i) {
-    std::string body = Mutate(xml, &rng);
-    auto heap = ParseXml(body);
-    arena.Reset();
-    auto in_arena = ParseXml(body, &arena);
-    ASSERT_EQ(heap.ok(), in_arena.ok()) << "iteration " << i;
-    if (heap.ok()) ExpectTreesEqual(*heap, *in_arena);
+    SCOPED_TRACE("iteration " + std::to_string(i));
+    ExpectParsersAgree(Mutate(xml, &rng), &arena);
+  }
+  // Second seed: every kind of markup after '<', with and without a
+  // bare "<!x>", a "<!" that opens neither a comment nor CDATA and so
+  // takes the child path and fails as a bad element name.
+  std::string dispatch = kDispatchDocument;
+  std::string bare = dispatch;
+  bare.insert(bare.find("<item>"), "<!x>");
+  ASSERT_TRUE(ParseXml(dispatch).ok());
+  ASSERT_FALSE(ParseXml(bare).ok());
+  Rng dispatch_rng(0xD15BA7C4ULL);
+  for (const std::string* base : {&dispatch, &bare}) {
+    ExpectParsersAgree(*base, &arena);
+    for (int i = 0; i < 2000; ++i) {
+      SCOPED_TRACE("iteration " + std::to_string(i));
+      ExpectParsersAgree(Mutate(*base, &dispatch_rng), &arena);
+    }
+  }
+}
+
+TEST(ParserFuzzTest, ArenaXmlParserMatchesOnEveryPrefixOfServedBodies) {
+  // A body cut at any byte ends inside every construct the scan can be
+  // in, so the memchr runs meet the end of the buffer everywhere. Each
+  // prefix is copied to a heap block of exactly its size, so a read
+  // past the end is a heap overflow under AddressSanitizer.
+  for (FeedFormat format : {FeedFormat::kRss2, FeedFormat::kAtom1}) {
+    FeedServer server(7, "Bids & <offers>", 5, format);
+    for (const FeedItem& item : SampleFeed().items) server.Publish(item);
+    const std::string body(server.FetchView());
+    // Only the trailing whitespace after the root's closing tag may go.
+    const std::size_t complete = body.find_last_of('>') + 1;
+    Arena arena;
+    for (std::size_t cut = 0; cut <= body.size(); ++cut) {
+      SCOPED_TRACE("format " + std::to_string(static_cast<int>(format)) +
+                   " cut " + std::to_string(cut));
+      const std::vector<char> prefix(body.begin(),
+                                     body.begin() +
+                                         static_cast<std::ptrdiff_t>(cut));
+      const std::string_view view(prefix.data(), prefix.size());
+      ExpectParsersAgree(view, &arena);
+      auto heap = ParseFeed(view);
+      arena.Reset();
+      auto in_arena = ParseFeed(view, &arena);
+      ASSERT_EQ(heap.ok(), in_arena.ok());
+      EXPECT_EQ(heap.ok(), cut >= complete);
+    }
   }
 }
 

@@ -1,5 +1,9 @@
 #include "util/string_util.h"
 
+#include <cctype>
+#include <clocale>
+#include <string>
+
 #include <gtest/gtest.h>
 
 namespace pullmon {
@@ -24,6 +28,20 @@ TEST(TrimTest, RemovesSurroundingWhitespace) {
   EXPECT_EQ(Trim(""), "");
   EXPECT_EQ(Trim(" \t "), "");
   EXPECT_EQ(Trim("abc"), "abc");
+}
+
+TEST(AsciiClassTest, EveryByteMatchesCLocaleCtype) {
+  // The program never calls setlocale, so <cctype> answers for "C".
+  ASSERT_STREQ(std::setlocale(LC_CTYPE, nullptr), "C");
+  for (int b = 0; b < 256; ++b) {
+    const char c = static_cast<char>(b);
+    const auto u = static_cast<unsigned char>(b);
+    EXPECT_EQ(IsAsciiSpace(c), std::isspace(u) != 0) << "byte " << b;
+    EXPECT_EQ(IsAsciiDigit(c), std::isdigit(u) != 0) << "byte " << b;
+    EXPECT_EQ(IsAsciiAlpha(c), std::isalpha(u) != 0) << "byte " << b;
+    const std::string padded = std::string(1, c) + "x" + std::string(1, c);
+    EXPECT_EQ(Trim(padded) == "x", std::isspace(u) != 0) << "byte " << b;
+  }
 }
 
 TEST(StartsEndsWithTest, Basics) {

@@ -1,5 +1,9 @@
 #include "feeds/xml.h"
 
+#include <cctype>
+#include <clocale>
+#include <string>
+
 #include <gtest/gtest.h>
 
 namespace pullmon {
@@ -97,6 +101,27 @@ TEST(XmlParserTest, MalformedDocumentsRejected) {
   EXPECT_FALSE(ParseXml("<a/><b/>").ok());             // two roots
   EXPECT_FALSE(ParseXml("<a><![CDATA[x</a>").ok());    // open CDATA
   EXPECT_FALSE(ParseXml("<a>&#xZZ;</a>").ok());        // bad numeric
+}
+
+TEST(XmlParserTest, ScannerClassesMatchCLocaleCtypeOnEveryByte) {
+  // Both parsers share SkipWhitespace and ScanName, so the arena-vs-
+  // allocating differential cannot see a change in them; pin each
+  // byte's class through one-byte probes of tiny documents instead.
+  ASSERT_STREQ(std::setlocale(LC_CTYPE, nullptr), "C");
+  for (int b = 0; b < 256; ++b) {
+    const std::string c(1, static_cast<char>(b));
+    const auto u = static_cast<unsigned char>(b);
+    const bool space = std::isspace(u) != 0;
+    const bool name_start = std::isalpha(u) != 0 || b == '_' || b == ':';
+    const bool name_char =
+        name_start || std::isdigit(u) != 0 || b == '-' || b == '.';
+    // Only whitespace may sit between '=' and the quoted value.
+    EXPECT_EQ(ParseXml("<a x=" + c + "'1'/>").ok(), space) << "byte " << b;
+    // Only whitespace may precede the root element.
+    EXPECT_EQ(ParseXml(c + "<a/>").ok(), space) << "byte " << b;
+    EXPECT_EQ(ParseXml("<" + c + "/>").ok(), name_start) << "byte " << b;
+    EXPECT_EQ(ParseXml("<a" + c + "b/>").ok(), name_char) << "byte " << b;
+  }
 }
 
 TEST(XmlNodeTest, ChildrenAndChildText) {
